@@ -1,8 +1,6 @@
 //! Hand-rolled wall-clock bench gate for the host simulator's hot path.
 //!
-//! The vendored `criterion` is an offline no-op skeleton (it compiles the
-//! bench harnesses but measures nothing), so the regression gate is a plain
-//! `std::time::Instant` binary. It runs quick versions of the hot-path
+//! The regression gate is a plain `std::time::Instant` binary. It runs quick versions of the hot-path
 //! workloads named by the bench trajectory — `time_to_solution` (end-to-end
 //! device force pipeline), `matrix_time_to_solution` (the same evaluation
 //! through the matrix-pipe blocked-matmul kernel, with modeled cycles/pair

@@ -144,8 +144,8 @@ pub(crate) fn gather_rows(full: &Forces, active: &ActiveSet) -> Forces {
 /// accounting.
 ///
 /// Methods take `&self`: implementations use interior mutability so one
-/// evaluator can sit behind an `Arc` shared by the integrator (through
-/// [`EvaluatorKernel`]) and the recovery logic of the resilient runner.
+/// evaluator can sit behind an `Arc` shared by the Hermite driver's
+/// launches and its recovery logic.
 pub trait ForceEvaluator: Send + Sync {
     /// Name of the backend (reported as the outcome's kernel name).
     fn backend(&self) -> &'static str;
@@ -270,7 +270,9 @@ pub(crate) fn retry_eval(
     let mut kept_redo_cycles = 0u64;
     let mut kept_seconds = 0.0f64;
     let mut kept_redo_seconds = 0.0f64;
-    let mut max_fc_cycles = 0u64;
+    // Slowest compute instance's (total, matrix-pipe, vector-pipe) cycles
+    // over the attempts whose work the landing result keeps.
+    let mut max_fc = [0u64; 3];
     let mut attempt = 0u32;
     let mut current: Option<Program> = None;
 
@@ -279,7 +281,7 @@ pub(crate) fn retry_eval(
         match queue.enqueue_program_checked(current.as_ref().unwrap_or(&p.program)) {
             Ok(report) => {
                 let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
-                max_fc_cycles = max_fc_cycles.max(max_compute_cycles(&report.timings));
+                max_fc = max_compute_cycles(max_fc, &report.timings);
                 let forces = p.read_forces(&mut queue)?;
                 let mut t = p.timing.lock();
                 t.device_seconds += kept_seconds + report.seconds;
@@ -287,7 +289,7 @@ pub(crate) fn retry_eval(
                 t.redo_cycles += kept_redo_cycles + if is_redo { cycles } else { 0 };
                 t.redo_seconds += kept_redo_seconds + if is_redo { report.seconds } else { 0.0 };
                 t.evaluations += 1;
-                t.last_eval_cycles = max_fc_cycles;
+                [t.last_eval_cycles, t.last_matrix_cycles, t.last_vector_cycles] = max_fc;
                 t.io_seconds = queue.io_seconds();
                 drop(t);
                 *p.last_report.lock() = Some(report);
@@ -337,7 +339,7 @@ pub(crate) fn retry_eval(
                         t.wasted_seconds += seconds * (1.0 - kept_frac);
                         t.partial_redos += 1;
                         drop(t);
-                        max_fc_cycles = max_fc_cycles.max(max_compute_cycles(timings));
+                        max_fc = max_compute_cycles(max_fc, timings);
                         kept_busy_cycles += kept;
                         kept_seconds += seconds * kept_frac;
                         if is_redo {
@@ -359,7 +361,7 @@ pub(crate) fn retry_eval(
                         kept_redo_cycles = 0;
                         kept_seconds = 0.0;
                         kept_redo_seconds = 0.0;
-                        max_fc_cycles = 0;
+                        max_fc = [0; 3];
                         done.iter_mut().for_each(|d| *d = 0);
                         current = None;
                     }
@@ -448,9 +450,14 @@ fn redo_slice(p: &DeviceForcePipeline, done: &[u64]) -> Program {
     slice
 }
 
-/// Max force-compute cycles across kernel instances (the slowest core).
-fn max_compute_cycles(timings: &[tensix::clock::KernelTiming]) -> u64 {
-    timings.iter().filter(|k| k.label == "force-compute").map(|k| k.cycles).max().unwrap_or(0)
+/// Fold `timings` into the running per-field max of force-compute
+/// (total, matrix-pipe, vector-pipe) cycles — the slowest core, billed the
+/// way [`DeviceForcePipeline::evaluate_checked`] bills a single launch.
+fn max_compute_cycles(acc: [u64; 3], timings: &[tensix::clock::KernelTiming]) -> [u64; 3] {
+    timings
+        .iter()
+        .filter(|k| k.label == "force-compute")
+        .fold(acc, |[c, m, v], k| [c.max(k.cycles), m.max(k.matrix_cycles), v.max(k.vector_cycles)])
 }
 
 /// `cycles * frac`, rounded, saturating at `cycles`.
@@ -745,62 +752,6 @@ impl ForceEvaluator for SingleCardEvaluator {
     }
 }
 
-/// Any [`ForceEvaluator`] behind the physics crate's `ForceKernel` trait,
-/// so the Hermite integrator can drive it exactly like a CPU kernel — the
-/// paper's mixed-precision split, generalized across backends.
-pub struct EvaluatorKernel<E: ForceEvaluator> {
-    evaluator: Arc<E>,
-    retry: Option<RetryPolicy>,
-}
-
-impl<E: ForceEvaluator> EvaluatorKernel<E> {
-    /// Wrap an evaluator (no retries: any fault unwinds).
-    #[must_use]
-    pub fn new(evaluator: Arc<E>) -> Self {
-        EvaluatorKernel { evaluator, retry: None }
-    }
-
-    /// Wrap an evaluator with transient-fault retries.
-    #[must_use]
-    pub fn with_retry(evaluator: Arc<E>, policy: RetryPolicy) -> Self {
-        EvaluatorKernel { evaluator, retry: Some(policy) }
-    }
-
-    /// The wrapped evaluator (for timing queries).
-    #[must_use]
-    pub fn evaluator(&self) -> &Arc<E> {
-        &self.evaluator
-    }
-}
-
-impl<E: ForceEvaluator> ForceKernel for EvaluatorKernel<E> {
-    fn name(&self) -> &'static str {
-        self.evaluator.backend()
-    }
-
-    fn softening(&self) -> f64 {
-        self.evaluator.softening()
-    }
-
-    fn compute(&self, system: &ParticleSystem) -> Forces {
-        let result = match self.retry {
-            Some(policy) => self.evaluator.evaluate_with_retry(system, policy),
-            None => self.evaluator.evaluate_checked(system),
-        };
-        // The trait has no error channel; unwind with a typed payload so the
-        // resilient simulation runner can classify the failure (card loss
-        // vs. unrecoverable fault) and recover.
-        result.unwrap_or_else(|e| std::panic::panic_any(TensixError::from(e)))
-    }
-
-    fn compute_range(&self, system: &ParticleSystem, i0: usize, i1: usize) -> Forces {
-        // Device backends always evaluate every target tile; ranges slice
-        // the full result (the trait exists for CPU-side work splitting).
-        let full = self.compute(system);
-        Forces { acc: full.acc[i0..i1].to_vec(), jerk: full.jerk[i0..i1].to_vec() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,21 +819,5 @@ mod tests {
             .recover_device_loss(LaunchError::Timeout { budget_s: 1.0, elapsed_s: 2.0 })
             .unwrap_err();
         assert!(matches!(err, LaunchError::Timeout { .. }));
-    }
-
-    #[test]
-    fn evaluator_kernel_drives_the_integrator() {
-        use nbody::integrator::{Hermite4, Integrator};
-
-        let n = 64;
-        let mut sys = plummer(PlummerConfig { n, seed: 92, ..PlummerConfig::default() });
-        let ev = Arc::new(DeviceForcePipeline::new(device(), n, 0.05, 1).unwrap());
-        let kernel = EvaluatorKernel::new(Arc::clone(&ev));
-        assert_eq!(kernel.name(), "tenstorrent-wormhole");
-        assert_eq!(kernel.softening(), 0.05);
-        let integ = Hermite4::new(kernel);
-        integ.initialize(&mut sys);
-        integ.step(&mut sys, 1.0 / 256.0);
-        assert_eq!(ev.timing().evaluations, 2, "init + one step");
     }
 }

@@ -7,7 +7,8 @@
 //! [`perf_model`] that extrapolates to the paper-scale configuration
 //! (N = 102 400, ten cycles). [`validate`] reproduces the paper's §3
 //! correctness methodology; [`simulation`] runs the full mixed-precision
-//! Hermite loop with the device in the loop.
+//! Hermite loop — one driver for shared and block steps — with the device
+//! in the loop.
 
 #![warn(missing_docs)]
 
@@ -23,27 +24,19 @@ pub mod tree;
 pub mod validate;
 
 pub use broadcast::BroadcastForcePipeline;
-pub use evaluator::{
-    ActiveSet, CpuForceEvaluator, EvaluatorKernel, ForceEvaluator, SingleCardEvaluator,
-};
+pub use evaluator::{ActiveSet, CpuForceEvaluator, ForceEvaluator, SingleCardEvaluator};
 pub use layout::{split_tiles_to_cores, tilize_particles, HostArrays, TiledParticles};
 pub use multi_device::{MultiDevicePipeline, MultiDeviceTiming};
 pub use perf_model::{
     arch_run, paper_run, HostCpuModel, RunModel, WormholePerfModel, CPU_EFF_CYCLES_PER_PAIR,
     DEVICE_CYCLES_PER_PAIR, PAPER_CYCLES, PAPER_N, STEPS_PER_CYCLE,
 };
-pub use pipeline::{
-    DeviceForceKernel, DeviceForcePipeline, ForceKernelKind, PipelineTiming, RetryPolicy,
-};
+pub use pipeline::{DeviceForcePipeline, ForceKernelKind, PipelineTiming, RetryPolicy};
 pub use simulation::{
-    latest_checkpoint, read_block_checkpoint, read_checkpoint, resume_simulation_resilient,
-    run_block_simulation, run_block_simulation_resilient, run_cpu_block_simulation,
-    run_cpu_simulation, run_device_block_simulation_resilient, run_device_simulation,
-    run_device_simulation_resilient, run_device_simulation_resilient_kernel,
-    run_ring_simulation_resilient, run_ring_simulation_resilient_kernel, run_simulation,
-    run_simulation_resilient, write_block_checkpoint, write_checkpoint, BlockCheckpoint,
-    BlockOutcome, BlockResilientOutcome, BlockScheduler, BlockStepConfig, RecoveryConfig,
-    ResilientOutcome, SimulationConfig, SimulationOutcome, SpillConfig,
+    latest_checkpoint, read_checkpoint, resume_simulation_resilient, run_block_simulation,
+    run_simulation, run_simulation_resilient, write_checkpoint, BlockCheckpoint, BlockScheduler,
+    BlockStepConfig, DriverOutcome, RecoveryConfig, SimulationConfig, SimulationOutcome,
+    SpillConfig,
 };
 pub use tree::{run_tree_simulation, TreeConfig, TreeForceEvaluator};
 pub use validate::{validate_system, validation_suite, ValidationRow};

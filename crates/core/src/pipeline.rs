@@ -7,15 +7,13 @@
 //! outer loop split per core as in Fig. 2, and (4) reads back and
 //! un-tilizes acceleration and jerk.
 //!
-//! [`DeviceForceKernel`] wraps the pipeline behind the physics crate's
-//! `ForceKernel` trait so the Hermite integrator can drive the device
-//! exactly like a CPU kernel — the paper's mixed-precision split.
+//! The Hermite driver reaches the pipeline through the
+//! [`crate::evaluator::ForceEvaluator`] seam, with typed launch errors.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nbody::force::ForceKernel;
 use nbody::particle::{Forces, ParticleSystem};
 use tensix::cb::CircularBufferConfig;
 use tensix::grid::{CoreCoord, CoreRangeSet};
@@ -974,65 +972,11 @@ fn build_matrix_program(
     program
 }
 
-/// The device pipeline behind the physics crate's `ForceKernel` trait.
-pub struct DeviceForceKernel {
-    pipeline: DeviceForcePipeline,
-    retry: Option<RetryPolicy>,
-}
-
-impl DeviceForceKernel {
-    /// Wrap a pipeline (no retries: any fault unwinds).
-    #[must_use]
-    pub fn new(pipeline: DeviceForcePipeline) -> Self {
-        DeviceForceKernel { pipeline, retry: None }
-    }
-
-    /// Wrap a pipeline with transient-fault retries.
-    #[must_use]
-    pub fn with_retry(pipeline: DeviceForcePipeline, policy: RetryPolicy) -> Self {
-        DeviceForceKernel { pipeline, retry: Some(policy) }
-    }
-
-    /// The wrapped pipeline (for timing queries).
-    #[must_use]
-    pub fn pipeline(&self) -> &DeviceForcePipeline {
-        &self.pipeline
-    }
-}
-
-impl ForceKernel for DeviceForceKernel {
-    fn name(&self) -> &'static str {
-        "tenstorrent-wormhole"
-    }
-
-    fn softening(&self) -> f64 {
-        self.pipeline.softening()
-    }
-
-    fn compute(&self, system: &ParticleSystem) -> Forces {
-        let result = match self.retry {
-            Some(policy) => self.pipeline.evaluate_with_retry(system, policy),
-            None => self.pipeline.evaluate_checked(system),
-        };
-        // The trait has no error channel; unwind with a typed payload so the
-        // resilient simulation runner can classify the failure (device loss
-        // vs. unrecoverable fault) and recover.
-        result.unwrap_or_else(|e| std::panic::panic_any(TensixError::from(e)))
-    }
-
-    fn compute_range(&self, system: &ParticleSystem, i0: usize, i1: usize) -> Forces {
-        // The device always evaluates every target tile; ranges slice the
-        // full result (the trait exists for CPU-side work splitting).
-        let full = self.compute(system);
-        Forces { acc: full.acc[i0..i1].to_vec(), jerk: full.jerk[i0..i1].to_vec() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nbody::accuracy::compare_forces;
-    use nbody::force::ReferenceKernel;
+    use nbody::force::{ForceKernel, ReferenceKernel};
     use nbody::ic::{plummer, PlummerConfig};
     use tensix::DeviceConfig;
 
@@ -1079,18 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_trait_roundtrip() {
-        let sys = plummer(PlummerConfig { n: 64, seed: 92, ..PlummerConfig::default() });
-        let k = DeviceForceKernel::new(DeviceForcePipeline::new(device(), 64, 0.05, 1).unwrap());
-        assert_eq!(k.name(), "tenstorrent-wormhole");
-        assert_eq!(k.softening(), 0.05);
-        let full = k.compute(&sys);
-        let part = k.compute_range(&sys, 10, 20);
-        assert_eq!(part.len(), 10);
-        assert_eq!(part.acc[0], full.acc[10]);
-    }
-
-    #[test]
     fn matrix_kernel_matches_golden() {
         let sys = plummer(PlummerConfig { n: 96, seed: 90, ..PlummerConfig::default() });
         let eps = 0.01;
@@ -1118,6 +1050,21 @@ mod tests {
         assert_eq!(t.evaluations, 1);
         assert!(t.last_matrix_cycles > 0, "matrix kernel must charge the matrix pipe");
         assert!(t.last_vector_cycles > 0, "SFPU rsqrt chain must charge the vector pipe");
+
+        // The retry driver bills a landing launch exactly like the plain
+        // evaluation: same forces, same per-pipe split, same every counter.
+        let twin = DeviceForcePipeline::new_with_kernel(
+            device(),
+            sys.len(),
+            eps,
+            1,
+            DataFormat::Float32,
+            ForceKernelKind::Matrix,
+        )
+        .unwrap();
+        let retried = twin.evaluate_with_retry(&sys, RetryPolicy::disabled()).unwrap();
+        assert_eq!(retried.acc, dev.acc);
+        assert_eq!(twin.timing(), t);
     }
 
     #[test]

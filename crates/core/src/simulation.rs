@@ -1,34 +1,35 @@
 //! Full mixed-precision simulations with a force backend in the loop.
 //!
-//! Drives the 4th-order Hermite integrator — prediction/correction in FP64
-//! on the host, force and jerk in FP32 on the backend — and reports both
+//! Drives the 4th-order Hermite scheme — prediction/correction in FP64 on
+//! the host, force and jerk in FP32 on the backend — and reports both
 //! physics diagnostics and virtual-time accounting, mirroring the paper's
 //! representative-simulation structure (N particles, a number of time
 //! cycles each made of Hermite steps).
 //!
-//! The drivers are generic over [`ForceEvaluator`], so the same loop (and
-//! the same checkpoint/restart machinery) runs against the single-card
-//! pipeline, the multi-card ring, or the CPU reference kernel. The named
-//! entry points ([`run_device_simulation`], [`run_ring_simulation_resilient`],
-//! [`run_cpu_simulation`], …) are thin wrappers that pick the backend.
+//! There is one driver, the [`BlockScheduler`], generic over
+//! [`ForceEvaluator`]: the same loop (and the same checkpoint/restart
+//! machinery) runs against the single-card pipeline, the multi-card ring,
+//! the tree code or the CPU reference kernel. Shared stepping is its
+//! zero-level case — `SimulationConfig::blocks = None` puts every particle
+//! on the base step, so every iteration is one full-N launch. Faults travel
+//! as typed [`LaunchError`]s from the evaluator to the driver; the entry
+//! points ([`run_simulation`], [`run_block_simulation`],
+//! [`run_simulation_resilient`], [`resume_simulation_resilient`]) differ
+//! only in how much recovery they ask of it.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use nbody::diagnostics::{relative_energy_error, total_energy};
-use nbody::force::{SimdKernel, ThreadedKernel};
-use nbody::integrator::{aarseth_timestep, quantize_block_step, Hermite4, Integrator};
-use nbody::particle::{ParticleSystem, Vec3};
-use tensix::{Device, Result, TensixError};
+use nbody::integrator::{aarseth_timestep, hermite_correct, hermite_predict, quantize_block_step};
+use nbody::particle::{Forces, ParticleSystem, Vec3};
+use tensix::TensixError;
 use tt_telemetry::BlockStepReport;
 use ttmetal::LaunchError;
 
-use crate::evaluator::{
-    ActiveSet, CpuForceEvaluator, EvaluatorKernel, ForceEvaluator, SingleCardEvaluator,
-};
-use crate::multi_device::MultiDevicePipeline;
-use crate::pipeline::{DeviceForcePipeline, ForceKernelKind, PipelineTiming, RetryPolicy};
+use crate::evaluator::{ActiveSet, ForceEvaluator};
+use crate::pipeline::{PipelineTiming, RetryPolicy};
 
 /// Configuration of a device-accelerated simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,8 +45,9 @@ pub struct SimulationConfig {
     pub dt: f64,
     /// Tensix cores to use (per device, for multi-card runs).
     pub num_cores: usize,
-    /// Hierarchical block time-steps: `Some` switches the drivers from the
-    /// shared-step Hermite loop to the active-set block scheduler.
+    /// Hierarchical block time-steps: `Some` lets particles refine below
+    /// the base step; `None` is shared stepping (zero levels: every
+    /// particle due on every step).
     pub blocks: Option<BlockStepConfig>,
 }
 
@@ -81,7 +83,8 @@ impl Default for BlockStepConfig {
 /// Outcome of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimulationOutcome {
-    /// Steps executed.
+    /// Steps executed (block iterations; the initializing launch is not a
+    /// step).
     pub steps: usize,
     /// Final simulation time (N-body units).
     pub final_time: f64,
@@ -97,61 +100,6 @@ pub struct SimulationOutcome {
     pub kernel: &'static str,
 }
 
-/// Evolve `system` for `cycles × steps_per_cycle` Hermite steps against any
-/// [`ForceEvaluator`]. The backend's accumulated timing (if it has a device
-/// clock) and backend name are reported in the outcome.
-///
-/// # Panics
-/// Backend faults unwind with a typed [`TensixError`] payload (there is no
-/// retry or recovery here — see [`run_simulation_resilient`]); also panics
-/// on a particle-count mismatch with the evaluator.
-#[must_use]
-pub fn run_simulation<E: ForceEvaluator>(
-    evaluator: &Arc<E>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-) -> SimulationOutcome {
-    assert_eq!(system.len(), evaluator.n(), "evaluator built for n = {}", evaluator.n());
-    let integ = Hermite4::new(EvaluatorKernel::new(Arc::clone(evaluator)));
-    let e0 = total_energy(system, config.eps);
-
-    integ.initialize(system);
-    let total_steps = config.cycles * config.steps_per_cycle;
-    for _cycle in 0..config.cycles {
-        for _ in 0..config.steps_per_cycle {
-            integ.step(system, config.dt);
-        }
-    }
-    let e1 = total_energy(system, config.eps);
-    SimulationOutcome {
-        steps: total_steps,
-        final_time: system.time,
-        energy_error: relative_energy_error(e1, e0),
-        initial_energy: e0,
-        final_energy: e1,
-        timing: evaluator.timing(),
-        kernel: evaluator.backend(),
-    }
-}
-
-/// Evolve `system` on one Wormhole device for
-/// `cycles × steps_per_cycle` Hermite steps.
-///
-/// # Errors
-/// Pipeline construction failures.
-///
-/// # Panics
-/// Kernel faults unwind (see [`run_simulation`]).
-pub fn run_device_simulation(
-    device: Arc<Device>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-) -> Result<SimulationOutcome> {
-    let pipeline =
-        Arc::new(DeviceForcePipeline::new(device, system.len(), config.eps, config.num_cores)?);
-    Ok(run_simulation(&pipeline, system, config))
-}
-
 /// Where (and how fast) resilient runs spill their checkpoints.
 ///
 /// With a spill configured, the checkpoint lives on disk instead of in host
@@ -163,7 +111,8 @@ pub fn run_device_simulation(
 /// `keep_last` so long-lived serving never fills the disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillConfig {
-    /// Checkpoint file stem; checkpoint of step `k` lands at `<path>.s<k>`.
+    /// Checkpoint file stem; checkpoint of iteration `k` lands at
+    /// `<path>.s<k>`.
     pub path: PathBuf,
     /// Modeled sequential write bandwidth in GB/s, used to charge the spill
     /// to the virtual clock.
@@ -181,7 +130,7 @@ impl SpillConfig {
         SpillConfig { path, write_gbps: 2.0, keep_last: 2 }
     }
 
-    /// On-disk file of the step-`step` checkpoint.
+    /// On-disk file of the iteration-`step` checkpoint.
     #[must_use]
     pub fn file_for(&self, step: usize) -> PathBuf {
         let mut name = self.path.as_os_str().to_owned();
@@ -189,7 +138,7 @@ impl SpillConfig {
         PathBuf::from(name)
     }
 
-    /// Steps of every checkpoint file currently on disk for this stem,
+    /// Iterations of every checkpoint file currently on disk for this stem,
     /// sorted ascending. Missing directories read as empty (never an error:
     /// the question "is there anything to resume from?" has answer no).
     #[must_use]
@@ -226,7 +175,8 @@ impl SpillConfig {
 /// How the resilient runner survives faults mid-simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
-    /// Snapshot the FP64 Hermite state every this many successful steps.
+    /// Snapshot the FP64 Hermite state every this many successful
+    /// iterations (shared steps at zero levels).
     pub checkpoint_every: usize,
     /// In-place retry budget for transient launch faults (panics, deadlocks,
     /// stalls). Card loss is never retried in place — the card's DRAM is
@@ -250,19 +200,33 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Outcome of a resilient run: the physics plus the recovery ledger.
+impl RecoveryConfig {
+    /// No retries, no recovery and therefore no checkpoints: every fault is
+    /// terminal.
+    fn none() -> Self {
+        RecoveryConfig { retry: RetryPolicy::disabled(), max_recoveries: 0, ..Self::default() }
+    }
+}
+
+/// Outcome of a driver run: the physics, the launch ledger and the
+/// recovery ledger.
 #[derive(Debug, Clone)]
-pub struct ResilientOutcome {
-    /// The simulation outcome, exactly as a fault-free run would report it
-    /// (timing additionally includes the replayed work and any checkpoint
-    /// spill IO).
+pub struct DriverOutcome {
+    /// Physics and timing. `outcome.steps` counts the block iterations of
+    /// this run (shared steps at zero levels; the initializing launch is
+    /// not a step), and the timing includes replayed work and checkpoint
+    /// spill IO.
     pub outcome: SimulationOutcome,
+    /// Active-set launch accounting, the initializing launch and replayed
+    /// launches included — recovery work is billed, not hidden.
+    pub report: BlockStepReport,
     /// Card losses survived via evaluator recovery + checkpoint restore.
     pub recoveries: u32,
-    /// Steps re-executed after rolling back to a checkpoint.
+    /// Iterations re-executed after rolling back to a checkpoint.
     pub steps_replayed: usize,
-    /// Ring members replaced by a spare *inside* an evaluation (multi-card
-    /// backends only; zero elsewhere). These never cost a rollback.
+    /// Ring members replaced by a spare *inside* an evaluation. The driver
+    /// sees no failover (it never costs a rollback), so it reports zero;
+    /// ring callers fill this from the ring's own timing.
     pub failovers: u64,
     /// Checkpoints written to disk (zero without a [`SpillConfig`]).
     pub checkpoint_spills: u64,
@@ -270,233 +234,53 @@ pub struct ResilientOutcome {
     pub spill_seconds: f64,
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint storage: host memory, or a hashed spill file on disk.
-// ---------------------------------------------------------------------------
-
-const SPILL_MAGIC: u64 = 0x4e42_5454_434b_5054; // "NBTTCKPT"
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Evolve `system` for `cycles × steps_per_cycle` base steps against any
+/// [`ForceEvaluator`], shared (`config.blocks = None`) or on block steps.
+/// The backend's accumulated timing (if it has a device clock) and
+/// backend name are reported in the outcome.
+///
+/// # Panics
+/// Panics with the [`LaunchError`] on the first backend fault (there is no
+/// retry or recovery here — see [`run_simulation_resilient`], or
+/// [`run_block_simulation`] for the same run with the error returned);
+/// also panics on a particle-count mismatch with the evaluator.
+#[must_use]
+pub fn run_simulation<E: ForceEvaluator>(
+    evaluator: &Arc<E>,
+    system: &mut ParticleSystem,
+    config: SimulationConfig,
+) -> SimulationOutcome {
+    match drive(evaluator, system, config, &RecoveryConfig::none(), None) {
+        Ok(out) => out.outcome,
+        Err(e) => panic!("force evaluation failed: {e}"),
     }
-    h
 }
 
-fn spill_fault(message: String) -> LaunchError {
-    LaunchError::Device(TensixError::KernelFault { message })
-}
-
-/// Typed (non-panicking, non-transient) error for checkpoint IO failures:
-/// an unwritable spill directory, a full disk, or a missing file. The
-/// serving layer matches on it to shed the job instead of unwinding.
-fn spill_io_fault(path: &std::path::Path, e: &std::io::Error) -> LaunchError {
-    LaunchError::Device(TensixError::CheckpointIo {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })
-}
-
-/// Serialize the FP64 Hermite state: time, then mass/pos/vel/acc/jerk as
-/// little-endian f64 bit patterns (13 scalars per particle + 1).
-fn spill_payload(system: &ParticleSystem) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 * (1 + 13 * system.len()));
-    buf.extend_from_slice(&system.time.to_bits().to_le_bytes());
-    for &m in &system.mass {
-        buf.extend_from_slice(&m.to_bits().to_le_bytes());
-    }
-    for field in [&system.pos, &system.vel, &system.acc, &system.jerk] {
-        for v in field {
-            for &c in v {
-                buf.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
-        }
-    }
-    buf
-}
-
-/// Serialize and write the step-`step` checkpoint of `system` to its spill
-/// file, returning the bytes written (for virtual-clock IO charging).
+/// [`run_simulation`] with the launch ledger, and faults returned instead
+/// of raised: no retries, no recovery.
 ///
 /// # Errors
-/// [`TensixError::CheckpointIo`] (behind [`LaunchError::Device`]) when the
-/// spill directory is unwritable or the write fails.
-pub fn write_checkpoint(
-    spill: &SpillConfig,
-    system: &ParticleSystem,
-    step: usize,
-) -> std::result::Result<u64, LaunchError> {
-    let payload = spill_payload(system);
-    let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(step as u64).to_le_bytes());
-    out.extend_from_slice(&(system.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let file = spill.file_for(step);
-    std::fs::write(&file, &out).map_err(|e| spill_io_fault(&file, &e))?;
-    Ok(out.len() as u64)
-}
-
-/// Read back and verify the step-`step` checkpoint of `spill`.
+/// Any evaluation fault.
 ///
-/// # Errors
-/// [`TensixError::CheckpointIo`] when the file is unreadable, or a
-/// kernel-fault launch error when the content hash or framing is corrupt.
-pub fn read_checkpoint(
-    spill: &SpillConfig,
-    step: usize,
-) -> std::result::Result<(ParticleSystem, usize), LaunchError> {
-    let file = spill.file_for(step);
-    let raw = std::fs::read(&file).map_err(|e| spill_io_fault(&file, &e))?;
-    let corrupt = |what: &str| spill_fault(format!("checkpoint {file:?} corrupt: {what}"));
-    if raw.len() < 32 {
-        return Err(corrupt("truncated header"));
-    }
-    let word = |i: usize| u64::from_le_bytes(raw[8 * i..8 * (i + 1)].try_into().unwrap());
-    if word(0) != SPILL_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let header_step = word(1) as usize;
-    let n = word(2) as usize;
-    let payload = &raw[32..];
-    if payload.len() != 8 * (1 + 13 * n) {
-        return Err(corrupt("payload length does not match particle count"));
-    }
-    if fnv1a(payload) != word(3) {
-        return Err(corrupt("content hash mismatch"));
-    }
-    let mut scalars = payload.chunks_exact(8).map(|c| {
-        f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
-    });
-    let mut system = ParticleSystem::with_capacity(n);
-    system.time = scalars.next().expect("length checked above");
-    system.mass = scalars.by_ref().take(n).collect();
-    let mut vec3s = |out: &mut Vec<[f64; 3]>| {
-        for _ in 0..n {
-            let mut v = [0.0; 3];
-            for c in &mut v {
-                *c = scalars.next().expect("length checked above");
-            }
-            out.push(v);
-        }
-    };
-    let (mut pos, mut vel, mut acc, mut jerk) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    vec3s(&mut pos);
-    vec3s(&mut vel);
-    vec3s(&mut acc);
-    vec3s(&mut jerk);
-    system.pos = pos;
-    system.vel = vel;
-    system.acc = acc;
-    system.jerk = jerk;
-    Ok((system, header_step))
-}
-
-/// Read the newest checkpoint on disk for `spill` — the migration entry
-/// point: after a backend dies past its recovery budget, the server restores
-/// the job's last spilled state here and resumes it elsewhere via
-/// [`resume_simulation_resilient`].
-///
-/// # Errors
-/// [`TensixError::CheckpointIo`] when no checkpoint file exists, plus the
-/// [`read_checkpoint`] error contract.
-pub fn latest_checkpoint(
-    spill: &SpillConfig,
-) -> std::result::Result<(ParticleSystem, usize), LaunchError> {
-    let step = spill.checkpoints_on_disk().pop().ok_or_else(|| {
-        LaunchError::Device(TensixError::CheckpointIo {
-            path: spill.path.display().to_string(),
-            message: "no checkpoint files on disk".into(),
-        })
-    })?;
-    read_checkpoint(spill, step)
-}
-
-/// The resilient runner's checkpoint slot: an in-memory clone, or — with a
-/// [`SpillConfig`] — hashed files on disk that restores re-read and verify,
-/// garbage-collected down to the newest `keep_last`.
-struct CheckpointStore {
-    spill: Option<SpillConfig>,
-    memory: Option<ParticleSystem>,
-    step: usize,
-    /// Steps with a live on-disk file, oldest first (the GC queue).
-    on_disk: std::collections::VecDeque<usize>,
-    spills: u64,
-    seconds: f64,
-}
-
-impl CheckpointStore {
-    fn new(spill: Option<SpillConfig>) -> Self {
-        CheckpointStore {
-            spill,
-            memory: None,
-            step: 0,
-            on_disk: std::collections::VecDeque::new(),
-            spills: 0,
-            seconds: 0.0,
-        }
-    }
-
-    fn save(
-        &mut self,
-        system: &ParticleSystem,
-        step: usize,
-    ) -> std::result::Result<(), LaunchError> {
-        self.step = step;
-        match &self.spill {
-            Some(spill) => {
-                let bytes = write_checkpoint(spill, system, step)?;
-                self.spills += 1;
-                self.seconds += bytes as f64 / (spill.write_gbps * 1e9);
-                self.memory = None; // disk is the only copy: restores must go through it
-                                    // Keep-last-K retention: drop the oldest files once the new
-                                    // one is safely down. Deletion is best-effort (a file we
-                                    // cannot remove is a leak, not a correctness problem).
-                self.on_disk.push_back(step);
-                while self.on_disk.len() > spill.keep_last.max(1) {
-                    if let Some(old) = self.on_disk.pop_front() {
-                        let _ = std::fs::remove_file(spill.file_for(old));
-                    }
-                }
-            }
-            None => self.memory = Some(system.clone()),
-        }
-        Ok(())
-    }
-
-    /// Restore the checkpoint into `system`, returning its step index.
-    fn restore(&self, system: &mut ParticleSystem) -> std::result::Result<usize, LaunchError> {
-        match &self.spill {
-            Some(spill) => {
-                let (state, step) = read_checkpoint(spill, self.step)?;
-                if step != self.step || state.len() != system.len() {
-                    return Err(spill_fault(format!(
-                        "checkpoint {:?} is stale: holds step {step}, expected {}",
-                        spill.file_for(self.step),
-                        self.step
-                    )));
-                }
-                *system = state;
-            }
-            None => {
-                system.clone_from(self.memory.as_ref().expect("restore before first save"));
-            }
-        }
-        Ok(self.step)
-    }
+/// # Panics
+/// Panics on a particle-count mismatch with the evaluator.
+pub fn run_block_simulation<E: ForceEvaluator>(
+    evaluator: &Arc<E>,
+    system: &mut ParticleSystem,
+    config: SimulationConfig,
+) -> Result<DriverOutcome, LaunchError> {
+    drive(evaluator, system, config, &RecoveryConfig::none(), None)
 }
 
 /// Evolve `system` like [`run_simulation`], but survive injected faults:
-/// transient launch failures are retried in place (through the one shared
-/// retry driver), and a mid-run card loss goes through
-/// [`ForceEvaluator::recover_device_loss`] → restore of the last FP64
+/// transient launch failures are retried in place (full-N launches through
+/// [`ForceEvaluator::evaluate_with_retry`], so partial-redo salvage
+/// applies), and a mid-run card loss goes through
+/// [`ForceEvaluator::recover_device_loss`] → restore of the last
 /// checkpoint → replay. Because the checkpoint holds the exact host-side
-/// Hermite state and every backend is deterministic, a recovered run is
-/// f64-bitwise identical to a fault-free one — on a single card *and* on a
-/// multi-card ring.
+/// Hermite state (the whole block hierarchy) and every backend is
+/// deterministic, a recovered run is f64-bitwise identical to a fault-free
+/// one — on a single card *and* on a multi-card ring.
 ///
 /// # Errors
 /// Non-transient faults the evaluator cannot recover from, checkpoint spill
@@ -504,118 +288,109 @@ impl CheckpointStore {
 /// `recovery.max_recoveries` card losses.
 ///
 /// # Panics
-/// Re-raises kernel panics that are not device faults (e.g. assertion
-/// failures in kernel code); panics on a particle-count mismatch.
+/// Panics on a particle-count mismatch with the evaluator.
 pub fn run_simulation_resilient<E: ForceEvaluator>(
     evaluator: &Arc<E>,
     system: &mut ParticleSystem,
     config: SimulationConfig,
     recovery: RecoveryConfig,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
-    run_resilient_inner(evaluator, system, config, recovery, None)
+) -> Result<DriverOutcome, LaunchError> {
+    drive(evaluator, system, config, &recovery, None)
 }
 
-/// Resume a run from a restored checkpoint: `system` holds the exact FP64
-/// post-init state of step `start_step` (as read by [`latest_checkpoint`] /
-/// [`read_checkpoint`], which carry acc/jerk), so initialization is skipped
-/// and stepping continues at `start_step + 1`. On a deterministic backend of
-/// the same class, the resumed tail is f64-bitwise identical to the steps an
-/// uninterrupted run would have taken — this is the server's
-/// checkpoint-migration path between backends.
+/// Resume a run from a checkpoint written at iteration `iteration` (as
+/// read by [`latest_checkpoint`] / [`read_checkpoint`]): `system` is reset
+/// to the checkpoint's state, no initializing launch is made, and stepping
+/// continues with iteration `iteration + 1` — mid-hierarchy for block
+/// runs. On a deterministic backend of the same class, the resumed tail is
+/// f64-bitwise identical to what an uninterrupted run would have done —
+/// this is the server's checkpoint-migration path between backends.
 ///
 /// # Errors
 /// Same contract as [`run_simulation_resilient`].
 ///
 /// # Panics
-/// Same contract as [`run_simulation_resilient`].
+/// Panics when the evaluator or the checkpoint holds a different particle
+/// count than `system`.
 pub fn resume_simulation_resilient<E: ForceEvaluator>(
     evaluator: &Arc<E>,
     system: &mut ParticleSystem,
-    start_step: usize,
+    checkpoint: &BlockCheckpoint,
+    iteration: usize,
     config: SimulationConfig,
     recovery: RecoveryConfig,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
-    run_resilient_inner(evaluator, system, config, recovery, Some(start_step))
+) -> Result<DriverOutcome, LaunchError> {
+    drive(evaluator, system, config, &recovery, Some((checkpoint, iteration)))
 }
 
-fn run_resilient_inner<E: ForceEvaluator>(
+/// The one Hermite driver loop: initialize (or restore), step the
+/// scheduler to `t_end`, checkpoint every `checkpoint_every` iterations,
+/// and roll back to the last checkpoint after each absorbed card loss.
+fn drive<E: ForceEvaluator>(
     evaluator: &Arc<E>,
     system: &mut ParticleSystem,
     config: SimulationConfig,
-    recovery: RecoveryConfig,
-    resume_from: Option<usize>,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
+    recovery: &RecoveryConfig,
+    resume: Option<(&BlockCheckpoint, usize)>,
+) -> Result<DriverOutcome, LaunchError> {
     assert_eq!(system.len(), evaluator.n(), "evaluator built for n = {}", evaluator.n());
-    let e0 = total_energy(system, config.eps);
     let mut recoveries: u32 = 0;
-    let mut steps_replayed: usize = 0;
-
-    let integ = Hermite4::new(EvaluatorKernel::with_retry(Arc::clone(evaluator), recovery.retry));
-
-    // A catch_unwind'ed step, classified: Ok(true) success, Ok(false) a
-    // card loss the evaluator absorbed (caller restores the checkpoint),
-    // Err(..) terminal.
-    let guarded =
-        |body: &mut dyn FnMut(), recoveries: &mut u32| -> std::result::Result<bool, LaunchError> {
-            match catch_unwind(AssertUnwindSafe(body)) {
-                Ok(()) => Ok(true),
-                Err(payload) => match payload.downcast::<TensixError>() {
-                    Ok(err) => {
-                        let cause = LaunchError::from(*err);
-                        if cause.is_card_loss() && *recoveries < recovery.max_recoveries {
-                            *recoveries += 1;
-                            evaluator.recover_device_loss(cause)?;
-                            Ok(false)
-                        } else {
-                            Err(cause)
-                        }
-                    }
-                    Err(payload) => resume_unwind(payload),
-                },
-            }
-        };
-
-    // Initialization: Hermite4::initialize only mutates the system after the
-    // force evaluation succeeds, so on card loss the state is untouched and
-    // we can simply recover and try again. A resumed run arrives with the
-    // post-init (or later-step) acc/jerk already in `system` — re-running
-    // initialize would be redundant work and, on a different backend class,
-    // would break bitwise identity with the interrupted run.
-    let start_step = match resume_from {
-        Some(step) => step,
-        None => {
-            loop {
-                if guarded(&mut || integ.initialize(system), &mut recoveries)? {
-                    break;
-                }
-            }
-            0
+    // A card loss within budget is absorbed by the evaluator (the caller
+    // then retries or restores); anything else is terminal.
+    let mut absorb = |cause: LaunchError| -> Result<(), LaunchError> {
+        if cause.is_card_loss() && recoveries < recovery.max_recoveries {
+            recoveries += 1;
+            evaluator.recover_device_loss(cause)
+        } else {
+            Err(cause)
         }
     };
 
-    // Checkpoint *after* initialize: a resume restores the exact post-init
-    // FP64 state and replays only whole steps, keeping bitwise identity.
-    let mut checkpoint = CheckpointStore::new(recovery.spill.clone());
-    checkpoint.save(system, start_step)?;
-
-    let total_steps = config.cycles * config.steps_per_cycle;
-    let mut step = start_step;
-    while step < total_steps {
-        if guarded(&mut || integ.step(system, config.dt), &mut recoveries)? {
-            step += 1;
-            // Checkpoint on every full stride, including one landing on the
-            // final step: a card loss during a terminal partial stride must
-            // never replay more than `checkpoint_every` steps.
-            if step - checkpoint.step >= recovery.checkpoint_every.max(1) {
-                checkpoint.save(system, step)?;
+    // Initialization only mutates `system` after its evaluation succeeds,
+    // so on card loss we recover the evaluator and simply try again. A
+    // resumed run arrives with the hierarchy in its checkpoint: a fresh
+    // initializing launch would be redundant work and, on a different
+    // backend class, would break bitwise identity with the interrupted run.
+    let (mut sched, start) = match resume {
+        Some((ckpt, iteration)) => {
+            let retry = recovery.retry;
+            (BlockScheduler::resume(Arc::clone(evaluator), system, config, retry, ckpt), iteration)
+        }
+        None => loop {
+            match BlockScheduler::new(Arc::clone(evaluator), system, config, recovery.retry) {
+                Ok(s) => break (s, 0),
+                Err(e) => absorb(e)?,
             }
-        } else {
-            // A failed step leaves `system` in the half-predicted state
-            // Hermite4 writes before calling the kernel, so recovery always
-            // restores the checkpoint.
-            let restored = checkpoint.restore(system)?;
-            steps_replayed += step - restored;
-            step = restored;
+        },
+    };
+    let e0 = total_energy(system, config.eps);
+
+    // Checkpoint *after* initialize: a restore replays whole iterations
+    // from exact FP64 state, keeping bitwise identity.
+    let mut store = BlockCheckpointStore::new(recovery);
+    store.save(&sched, system, start)?;
+    let mut iteration = start;
+    let mut replayed = 0usize;
+    while !sched.done(system) {
+        match sched.step(system) {
+            Ok(()) => {
+                iteration += 1;
+                // Checkpoint on every full stride, including one landing on
+                // the final iteration: a card loss during a terminal partial
+                // stride must never replay more than `checkpoint_every`.
+                if iteration - store.iteration >= recovery.checkpoint_every.max(1) {
+                    store.save(&sched, system, iteration)?;
+                }
+            }
+            Err(e) => {
+                // A failed iteration leaves `system` predicted, not
+                // corrected, so recovery always restores the checkpoint.
+                absorb(e)?;
+                let (ckpt, restored) = store.restore()?;
+                sched.restore(system, &ckpt);
+                replayed += iteration - restored;
+                iteration = restored;
+            }
         }
     }
 
@@ -623,11 +398,11 @@ fn run_resilient_inner<E: ForceEvaluator>(
     let mut timing = evaluator.timing();
     if let Some(t) = timing.as_mut() {
         // Spill writes are host IO on the virtual clock.
-        t.io_seconds += checkpoint.seconds;
+        t.io_seconds += store.seconds;
     }
-    Ok(ResilientOutcome {
+    Ok(DriverOutcome {
         outcome: SimulationOutcome {
-            steps: total_steps - start_step,
+            steps: iteration - start,
             final_time: system.time,
             energy_error: relative_energy_error(e1, e0),
             initial_energy: e0,
@@ -635,187 +410,45 @@ fn run_resilient_inner<E: ForceEvaluator>(
             timing,
             kernel: evaluator.backend(),
         },
+        report: sched.into_report(),
         recoveries,
-        steps_replayed,
+        steps_replayed: replayed,
         failovers: 0,
-        checkpoint_spills: checkpoint.spills,
-        spill_seconds: checkpoint.seconds,
+        checkpoint_spills: store.spills,
+        spill_seconds: store.seconds,
     })
 }
 
-/// [`run_simulation_resilient`] on one Wormhole card: a mid-run device loss
-/// triggers reset → pipeline rebuild → checkpoint restore → replay.
-///
-/// # Errors
-/// Pipeline construction failures, non-transient kernel faults, reset
-/// failures during recovery, or more than `recovery.max_recoveries` device
-/// losses.
-///
-/// # Panics
-/// Same contract as [`run_simulation_resilient`].
-pub fn run_device_simulation_resilient(
-    device: &Arc<Device>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    recovery: RecoveryConfig,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
-    run_device_simulation_resilient_kernel(
-        device,
-        system,
-        config,
-        recovery,
-        ForceKernelKind::Elementwise,
-    )
-}
-
-/// [`run_device_simulation_resilient`] with an explicit force kernel; the
-/// kind survives device-loss recovery (the rebuilt pipeline keeps it).
-///
-/// # Errors
-/// Same contract as [`run_device_simulation_resilient`].
-///
-/// # Panics
-/// Same contract as [`run_simulation_resilient`].
-pub fn run_device_simulation_resilient_kernel(
-    device: &Arc<Device>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    recovery: RecoveryConfig,
-    kind: ForceKernelKind,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
-    let evaluator = Arc::new(SingleCardEvaluator::new_with_kernel(
-        Arc::clone(device),
-        system.len(),
-        config.eps,
-        config.num_cores,
-        kind,
-    )?);
-    run_simulation_resilient(&evaluator, system, config, recovery)
-}
-
-/// [`run_simulation_resilient`] on a multi-card ring with a spare pool: a
-/// card loss mid-run is first absorbed *inside* the evaluation by promoting
-/// a spare (no rollback at all); once spares are exhausted, the loss
-/// surfaces to the driver, which resets the dead card in place and restores
-/// the checkpoint like the single-card path.
-///
-/// # Errors
-/// Same contract as [`run_simulation_resilient`], plus ring construction
-/// failures.
-///
-/// # Panics
-/// Same contract as [`run_simulation_resilient`].
-pub fn run_ring_simulation_resilient(
-    devices: &[Arc<Device>],
-    spares: &[Arc<Device>],
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    recovery: RecoveryConfig,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
-    run_ring_simulation_resilient_kernel(
-        devices,
-        spares,
-        system,
-        config,
-        recovery,
-        ForceKernelKind::Elementwise,
-    )
-}
-
-/// [`run_ring_simulation_resilient`] with an explicit per-card force kernel:
-/// the kind threads through every ring pipeline, survives spare promotion,
-/// and so holds for the whole run — a matrix-pipe ring stays matrix-pipe
-/// across card losses.
-///
-/// # Errors
-/// Same contract as [`run_ring_simulation_resilient`].
-///
-/// # Panics
-/// Same contract as [`run_simulation_resilient`].
-pub fn run_ring_simulation_resilient_kernel(
-    devices: &[Arc<Device>],
-    spares: &[Arc<Device>],
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    recovery: RecoveryConfig,
-    kind: ForceKernelKind,
-) -> std::result::Result<ResilientOutcome, LaunchError> {
-    let ring = Arc::new(MultiDevicePipeline::with_spares_kernel(
-        devices,
-        spares,
-        system.len(),
-        config.eps,
-        config.num_cores,
-        kind,
-    )?);
-    let mut out = run_simulation_resilient(&ring, system, config, recovery)?;
-    out.failovers = ring.timing().failovers;
-    Ok(out)
-}
-
-/// Evolve `system` with the CPU reference (threaded SIMD mixed-precision
-/// kernel — the stand-in for the paper's AVX-512 + OpenMP implementation),
-/// through the same evaluator seam as the device paths.
-#[must_use]
-pub fn run_cpu_simulation(
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    threads: usize,
-) -> SimulationOutcome {
-    let evaluator = Arc::new(CpuForceEvaluator::new(
-        ThreadedKernel::new(SimdKernel::new(config.eps), threads),
-        system.len(),
-    ));
-    run_simulation(&evaluator, system, config)
-}
-
 // ---------------------------------------------------------------------------
-// Hierarchical block time-steps: the active-set scheduler.
+// The scheduler: hierarchical block time steps over the evaluator seam.
 // ---------------------------------------------------------------------------
-
-/// Evaluate forces on `active` with transient faults retried in place.
-///
-/// Active-set retries always re-run the whole (already active-sized) launch:
-/// the partial-salvage machinery of [`ForceEvaluator::evaluate_with_retry`]
-/// exists to avoid repeating full-N grids, which an active launch never is.
-/// The failed attempt's cycles are already billed as wasted by the pipeline.
-fn eval_active_retrying<E: ForceEvaluator>(
-    evaluator: &Arc<E>,
-    system: &ParticleSystem,
-    active: &ActiveSet,
-    retry: RetryPolicy,
-) -> std::result::Result<nbody::particle::Forces, LaunchError> {
-    let mut attempt = 0u32;
-    loop {
-        match evaluator.evaluate_active(system, active) {
-            Ok(f) => return Ok(f),
-            Err(e) if e.is_transient() && attempt < retry.max_retries => attempt += 1,
-            Err(e) => return Err(e),
-        }
-    }
-}
 
 /// Hierarchical block-time-step Hermite scheduler over the evaluator seam.
 ///
-/// The CPU-side twin of `nbody`'s `BlockHermite`, restructured around
-/// [`ForceEvaluator::evaluate_active`] so the *backend* sees the active set:
-/// a device pipeline packs the active particles into gathered tiles and
-/// sizes its launch grid to the block, the ring splits the block across
-/// cards, and the CPU kernel front-permutes — the scheduler itself is
-/// backend-agnostic. Each particle `i` carries its last-corrected state at
-/// `t[i]` and a power-of-two step `dt[i] = dt_max / 2^k`; every iteration
-/// advances the globally earliest due time, predicts all particles there in
-/// FP64, and force-evaluates + Hermite-corrects only the due block.
+/// Each particle `i` carries its last-corrected state at `t[i]` and a
+/// power-of-two step `dt[i] = dt_max / 2^k`; every iteration advances the
+/// globally earliest due time, predicts all particles there in FP64, and
+/// force-evaluates + Hermite-corrects only the due block. With zero levels
+/// every particle is due on every iteration: shared stepping, bitwise equal
+/// to `nbody`'s `Hermite4` at power-of-two steps (both use the one
+/// [`hermite_predict`]/[`hermite_correct`] pair).
 ///
-/// Unlike the shared-step drivers (whose faults unwind as panics through the
-/// `ForceKernel` seam), all force evaluation here is `Result`-typed, so the
-/// resilient block runner needs no `catch_unwind`.
+/// The *backend* sees the active set: a full-N block (the initializing
+/// launch, every shared step, base-step boundaries, the final sync) goes
+/// through [`ForceEvaluator::evaluate_with_retry`], keeping partial-redo
+/// salvage; a subset goes through [`ForceEvaluator::evaluate_active`],
+/// where a device pipeline packs the active particles into gathered tiles
+/// and sizes its launch grid to the block, the ring splits the block
+/// across cards, and the CPU kernel front-permutes. All of it is
+/// `Result`-typed: no fault unwinds through the force seam.
 pub struct BlockScheduler<E> {
     evaluator: Arc<E>,
     blocks: BlockStepConfig,
     /// Base (largest) block step.
     dt_max: f64,
     retry: RetryPolicy,
+    /// Run length past the grid origin: `t_end = t_origin + span`.
+    span: f64,
     t_end: f64,
     /// Origin of the block grid (start time of the run); step alignment is
     /// judged relative to it, so it must survive checkpoint/restore.
@@ -834,6 +467,35 @@ pub struct BlockScheduler<E> {
 }
 
 impl<E: ForceEvaluator> BlockScheduler<E> {
+    /// A scheduler with no hierarchy yet: `new` seeds it with a launch,
+    /// `resume` from a checkpoint.
+    fn armed(
+        evaluator: Arc<E>,
+        system: &ParticleSystem,
+        config: SimulationConfig,
+        retry: RetryPolicy,
+    ) -> Self {
+        assert_eq!(system.len(), evaluator.n(), "evaluator built for n = {}", evaluator.n());
+        assert!(config.dt > 0.0, "base block step must be positive");
+        let span = (config.cycles * config.steps_per_cycle) as f64 * config.dt;
+        BlockScheduler {
+            evaluator,
+            blocks: config.blocks.unwrap_or(BlockStepConfig { levels: 0, ..Default::default() }),
+            dt_max: config.dt,
+            retry,
+            span,
+            t_end: system.time + span,
+            t_origin: system.time,
+            t: Vec::new(),
+            dt: Vec::new(),
+            pos0: Vec::new(),
+            vel0: Vec::new(),
+            acc0: Vec::new(),
+            jerk0: Vec::new(),
+            report: BlockStepReport::new(system.len()),
+        }
+    }
+
     /// Initialize the block hierarchy: one full-N force evaluation seeds
     /// acc/jerk, then every particle's step comes from the Aarseth
     /// criterion quantized to the grid. The run ends at
@@ -850,38 +512,60 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
         system: &mut ParticleSystem,
         config: SimulationConfig,
         retry: RetryPolicy,
-    ) -> std::result::Result<Self, LaunchError> {
-        assert_eq!(system.len(), evaluator.n(), "evaluator built for n = {}", evaluator.n());
-        assert!(config.dt > 0.0, "base block step must be positive");
-        let blocks = config.blocks.unwrap_or_default();
+    ) -> Result<Self, LaunchError> {
+        let mut sched = Self::armed(evaluator, system, config, retry);
         let n = system.len();
-        let t_end = system.time + (config.cycles * config.steps_per_cycle) as f64 * config.dt;
-
-        let forces = eval_active_retrying(&evaluator, system, &ActiveSet::full(n), retry)?;
+        let forces = sched.launch(system, &ActiveSet::full(n))?;
         system.set_forces(forces.acc.clone(), forces.jerk.clone());
-        let mut dt = Vec::with_capacity(n);
         for i in 0..n {
-            let raw = aarseth_timestep(forces.acc[i], forces.jerk[i], blocks.eta, config.dt);
-            dt.push(quantize_block_step(raw, 0.0, config.dt, blocks.levels));
+            let raw = aarseth_timestep(forces.acc[i], forces.jerk[i], sched.blocks.eta, config.dt);
+            sched.dt.push(quantize_block_step(raw, 0.0, config.dt, sched.blocks.levels));
         }
-        let mut report = BlockStepReport::new(n);
-        report.record(n, 0.0); // the initializing full-N launch
+        sched.t = vec![system.time; n];
+        sched.pos0 = system.pos.clone();
+        sched.vel0 = system.vel.clone();
+        sched.acc0 = forces.acc;
+        sched.jerk0 = forces.jerk;
+        sched.report.record(n, 0.0); // the initializing full-N launch
+        Ok(sched)
+    }
 
-        Ok(BlockScheduler {
-            evaluator,
-            blocks,
-            dt_max: config.dt,
-            retry,
-            t_end,
-            t_origin: system.time,
-            t: vec![system.time; n],
-            dt,
-            pos0: system.pos.clone(),
-            vel0: system.vel.clone(),
-            acc0: forces.acc,
-            jerk0: forces.jerk,
-            report,
-        })
+    /// A scheduler picking up a [`checkpoint`](Self::checkpoint) of a run
+    /// with the same `config`, without an initializing launch; `system` is
+    /// reset to the checkpoint's state.
+    ///
+    /// # Panics
+    /// Same contract as [`Self::restore`], plus the [`Self::new`] checks.
+    fn resume(
+        evaluator: Arc<E>,
+        system: &mut ParticleSystem,
+        config: SimulationConfig,
+        retry: RetryPolicy,
+        ckpt: &BlockCheckpoint,
+    ) -> Self {
+        let mut sched = Self::armed(evaluator, system, config, retry);
+        sched.restore(system, ckpt);
+        sched
+    }
+
+    /// Force evaluation of the `active` block with transient faults
+    /// retried in place. Full-N launches take the evaluator's salvaging
+    /// retry driver; active-set retries re-run the whole (already
+    /// active-sized) launch — salvage exists to avoid repeating full-N
+    /// grids, which an active launch never is. A failed attempt's cycles
+    /// are already billed as wasted by the pipeline.
+    fn launch(&self, system: &ParticleSystem, active: &ActiveSet) -> Result<Forces, LaunchError> {
+        if active.is_full() {
+            return self.evaluator.evaluate_with_retry(system, self.retry);
+        }
+        let mut attempt = 0u32;
+        loop {
+            match self.evaluator.evaluate_active(system, active) {
+                Ok(f) => return Ok(f),
+                Err(e) if e.is_transient() && attempt < self.retry.max_retries => attempt += 1,
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Has the run reached `t_end`?
@@ -910,7 +594,7 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
     /// # Errors
     /// Unrecovered evaluation faults. `system` is left in the predicted
     /// (pre-correction) state; recovery must restore a checkpoint.
-    pub fn step(&mut self, system: &mut ParticleSystem) -> std::result::Result<(), LaunchError> {
+    pub fn step(&mut self, system: &mut ParticleSystem) -> Result<(), LaunchError> {
         debug_assert!(!self.done(system), "stepping past t_end");
         let n = system.len();
         let mut t_next = f64::INFINITY;
@@ -921,17 +605,13 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
 
         // Predict every particle to t_next (host-side FP64 pass).
         for i in 0..n {
-            let h = t_next - self.t[i];
-            let h2 = h * h / 2.0;
-            let h3 = h * h * h / 6.0;
-            for c in 0..3 {
-                system.pos[i][c] = self.pos0[i][c]
-                    + self.vel0[i][c] * h
-                    + self.acc0[i][c] * h2
-                    + self.jerk0[i][c] * h3;
-                system.vel[i][c] =
-                    self.vel0[i][c] + self.acc0[i][c] * h + self.jerk0[i][c] * h * h / 2.0;
-            }
+            (system.pos[i], system.vel[i]) = hermite_predict(
+                self.pos0[i],
+                self.vel0[i],
+                self.acc0[i],
+                self.jerk0[i],
+                t_next - self.t[i],
+            );
         }
 
         // Active block: particles due at t_next (everyone on the final sync).
@@ -939,7 +619,7 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
         let due: Vec<usize> =
             (0..n).filter(|&i| forced_sync || self.t[i] + self.dt[i] <= t_next + 1e-12).collect();
         let active = ActiveSet::from_indices(due, n);
-        let forces = eval_active_retrying(&self.evaluator, system, &active, self.retry)?;
+        let forces = self.launch(system, &active)?;
 
         // Hermite-correct the block; row `slot` of `forces` is particle
         // `active.indices()[slot]` against all N sources.
@@ -950,21 +630,11 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
                 continue;
             }
             min_h = min_h.min(h);
-            let half = h / 2.0;
-            let twelfth = h * h / 12.0;
             let (a1, j1) = (forces.acc[slot], forces.jerk[slot]);
-            for c in 0..3 {
-                let v1 = self.vel0[i][c]
-                    + (self.acc0[i][c] + a1[c]) * half
-                    + (self.jerk0[i][c] - j1[c]) * twelfth;
-                let x1 = self.pos0[i][c]
-                    + (self.vel0[i][c] + v1) * half
-                    + (self.acc0[i][c] - a1[c]) * twelfth;
-                self.pos0[i][c] = x1;
-                self.vel0[i][c] = v1;
-                system.pos[i][c] = x1;
-                system.vel[i][c] = v1;
-            }
+            let (x1, v1) =
+                hermite_correct(self.pos0[i], self.vel0[i], self.acc0[i], self.jerk0[i], a1, j1, h);
+            (self.pos0[i], self.vel0[i]) = (x1, v1);
+            (system.pos[i], system.vel[i]) = (x1, v1);
             self.acc0[i] = a1;
             self.jerk0[i] = j1;
             self.t[i] = t_next;
@@ -1012,6 +682,7 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
         let n = system.len();
         assert_eq!(ckpt.mass.len(), n, "checkpoint holds a different particle count");
         self.t_origin = ckpt.t_origin;
+        self.t_end = ckpt.t_origin + self.span;
         self.t.clone_from(&ckpt.t);
         self.dt.clone_from(&ckpt.dt);
         self.pos0.clone_from(&ckpt.pos0);
@@ -1026,9 +697,15 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
     }
 }
 
-/// A point-in-time snapshot of a block-step run: the FP64 corrected state
-/// *and* the hierarchy (per-particle times/steps, grid origin) — everything
-/// [`BlockScheduler::restore`] needs for a bitwise-identical resume.
+// ---------------------------------------------------------------------------
+// The checkpoint: one snapshot type, one hashed spill format, one store.
+// ---------------------------------------------------------------------------
+
+/// A point-in-time snapshot of a run: the FP64 corrected state *and* the
+/// hierarchy (per-particle times/steps, grid origin) — everything
+/// [`BlockScheduler::restore`] needs for a bitwise-identical resume. A
+/// shared-step run's checkpoint is the zero-level case: every particle at
+/// the same time on the base step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockCheckpoint {
     /// Simulation time of the snapshot.
@@ -1073,13 +750,36 @@ impl BlockCheckpoint {
     }
 }
 
-const SPILL_BLOCK_MAGIC: u64 = 0x4e42_5454_424c_4b53; // "NBTTBLKS"
+const SPILL_MAGIC: u64 = 0x4e42_5454_424c_4b53; // "NBTTBLKS"
 
-/// Serialize a block checkpoint: time and grid origin, then mass, the four
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+fn spill_fault(message: String) -> LaunchError {
+    LaunchError::Device(TensixError::KernelFault { message })
+}
+
+/// Typed (non-panicking, non-transient) error for checkpoint IO failures:
+/// an unwritable spill directory, a full disk, or a missing file. The
+/// serving layer matches on it to shed the job instead of unwinding.
+fn spill_io_fault(path: &std::path::Path, e: &std::io::Error) -> LaunchError {
+    LaunchError::Device(TensixError::CheckpointIo {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    })
+}
+
+/// Serialize a checkpoint: time and grid origin, then mass, the four
 /// corrected-state fields, per-particle times and steps (15 scalars per
 /// particle + 2), then the next-due active-set bitmap — all under one FNV
 /// content hash.
-fn block_spill_payload(ckpt: &BlockCheckpoint) -> Vec<u8> {
+fn spill_payload(ckpt: &BlockCheckpoint) -> Vec<u8> {
     let n = ckpt.mass.len();
     let mut buf = Vec::with_capacity(8 * (2 + 15 * n + n.div_ceil(64)));
     buf.extend_from_slice(&ckpt.time.to_bits().to_le_bytes());
@@ -1105,21 +805,20 @@ fn block_spill_payload(ckpt: &BlockCheckpoint) -> Vec<u8> {
     buf
 }
 
-/// Write the iteration-`iteration` block checkpoint to its spill file,
-/// returning the bytes written (for virtual-clock IO charging). The framing
-/// matches [`write_checkpoint`] but under a distinct magic, so a shared-step
-/// restore can never misread a block spill (or vice versa).
+/// Serialize and write the iteration-`iteration` checkpoint to its spill
+/// file, returning the bytes written (for virtual-clock IO charging).
 ///
 /// # Errors
-/// Same contract as [`write_checkpoint`].
-pub fn write_block_checkpoint(
+/// [`TensixError::CheckpointIo`] (behind [`LaunchError::Device`]) when the
+/// spill directory is unwritable or the write fails.
+pub fn write_checkpoint(
     spill: &SpillConfig,
     ckpt: &BlockCheckpoint,
     iteration: usize,
-) -> std::result::Result<u64, LaunchError> {
-    let payload = block_spill_payload(ckpt);
+) -> Result<u64, LaunchError> {
+    let payload = spill_payload(ckpt);
     let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(&SPILL_BLOCK_MAGIC.to_le_bytes());
+    out.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
     out.extend_from_slice(&(iteration as u64).to_le_bytes());
     out.extend_from_slice(&(ckpt.mass.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
@@ -1129,37 +828,46 @@ pub fn write_block_checkpoint(
     Ok(out.len() as u64)
 }
 
-/// Read back and verify the iteration-`iteration` block checkpoint: framing,
+/// Read back and verify the iteration-`iteration` checkpoint: framing,
 /// content hash, and the serialized next-due bitmap against one re-derived
 /// from the per-particle times (a hierarchy-consistency check).
 ///
 /// # Errors
-/// Same contract as [`read_checkpoint`].
-pub fn read_block_checkpoint(
+/// [`TensixError::CheckpointIo`] when the file is unreadable, or a
+/// kernel-fault launch error when the framing, content hash or hierarchy
+/// is corrupt — including a header whose particle count cannot describe
+/// any file.
+pub fn read_checkpoint(
     spill: &SpillConfig,
     iteration: usize,
-) -> std::result::Result<(BlockCheckpoint, usize), LaunchError> {
+) -> Result<(BlockCheckpoint, usize), LaunchError> {
     let file = spill.file_for(iteration);
     let raw = std::fs::read(&file).map_err(|e| spill_io_fault(&file, &e))?;
-    let corrupt = |what: &str| spill_fault(format!("block checkpoint {file:?} corrupt: {what}"));
+    let corrupt = |what: &str| spill_fault(format!("checkpoint {file:?} corrupt: {what}"));
     if raw.len() < 32 {
         return Err(corrupt("truncated header"));
     }
     let word = |i: usize| u64::from_le_bytes(raw[8 * i..8 * (i + 1)].try_into().unwrap());
-    if word(0) != SPILL_BLOCK_MAGIC {
+    if word(0) != SPILL_MAGIC {
         return Err(corrupt("bad magic"));
     }
     let header_iteration = word(1) as usize;
-    let n = word(2) as usize;
+    let n = usize::try_from(word(2)).map_err(|_| corrupt("particle count overflows"))?;
     let payload = &raw[32..];
-    let words = n.div_ceil(64);
-    if payload.len() != 8 * (2 + 15 * n + words) {
+    // 8 · (2 + 15 n) scalar bytes plus the bitmap; the header is untrusted,
+    // so every step is checked.
+    let scalar_bytes =
+        n.checked_mul(15).and_then(|s| s.checked_add(2)).and_then(|s| s.checked_mul(8));
+    let payload_bytes = scalar_bytes.and_then(|s| s.checked_add(8 * n.div_ceil(64)));
+    let (Some(scalar_bytes), Some(payload_bytes)) = (scalar_bytes, payload_bytes) else {
+        return Err(corrupt("particle count overflows"));
+    };
+    if payload.len() != payload_bytes {
         return Err(corrupt("payload length does not match particle count"));
     }
     if fnv1a(payload) != word(3) {
         return Err(corrupt("content hash mismatch"));
     }
-    let scalar_bytes = 8 * (2 + 15 * n);
     let mut scalars = payload[..scalar_bytes].chunks_exact(8).map(|c| {
         f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
     });
@@ -1194,41 +902,75 @@ pub fn read_block_checkpoint(
     Ok((ckpt, header_iteration))
 }
 
-/// The block runner's checkpoint slot: in-memory clone or hashed spill
-/// files, with the same keep-last-K retention as [`CheckpointStore`].
+/// Read the newest checkpoint on disk for `spill` — the migration entry
+/// point: after a backend dies past its recovery budget, the server
+/// restores the job's last spilled state here and resumes it elsewhere via
+/// [`resume_simulation_resilient`].
+///
+/// # Errors
+/// [`TensixError::CheckpointIo`] when no checkpoint file exists, plus the
+/// [`read_checkpoint`] error contract.
+pub fn latest_checkpoint(spill: &SpillConfig) -> Result<(BlockCheckpoint, usize), LaunchError> {
+    let iteration = spill.checkpoints_on_disk().pop().ok_or_else(|| {
+        LaunchError::Device(TensixError::CheckpointIo {
+            path: spill.path.display().to_string(),
+            message: "no checkpoint files on disk".into(),
+        })
+    })?;
+    read_checkpoint(spill, iteration)
+}
+
+/// The driver's checkpoint slot: an in-memory clone, or — with a
+/// [`SpillConfig`] — hashed files on disk that restores re-read and verify,
+/// garbage-collected down to the newest `keep_last`. A run that can
+/// neither recover nor spill keeps no checkpoint at all.
 struct BlockCheckpointStore {
     spill: Option<SpillConfig>,
+    /// Whether any checkpoint can be read back: by a card-loss recovery,
+    /// or from disk by a migration.
+    kept: bool,
     memory: Option<BlockCheckpoint>,
     iteration: usize,
-    on_disk: std::collections::VecDeque<usize>,
+    /// Iterations with a live on-disk file, oldest first (the GC queue).
+    on_disk: VecDeque<usize>,
     spills: u64,
     seconds: f64,
 }
 
 impl BlockCheckpointStore {
-    fn new(spill: Option<SpillConfig>) -> Self {
+    fn new(recovery: &RecoveryConfig) -> Self {
         BlockCheckpointStore {
-            spill,
+            spill: recovery.spill.clone(),
+            kept: recovery.max_recoveries > 0 || recovery.spill.is_some(),
             memory: None,
             iteration: 0,
-            on_disk: std::collections::VecDeque::new(),
+            on_disk: VecDeque::new(),
             spills: 0,
             seconds: 0.0,
         }
     }
 
-    fn save(
+    fn save<E: ForceEvaluator>(
         &mut self,
-        ckpt: &BlockCheckpoint,
+        sched: &BlockScheduler<E>,
+        system: &ParticleSystem,
         iteration: usize,
-    ) -> std::result::Result<(), LaunchError> {
+    ) -> Result<(), LaunchError> {
         self.iteration = iteration;
+        if !self.kept {
+            return Ok(());
+        }
+        let ckpt = sched.checkpoint(system);
         match &self.spill {
             Some(spill) => {
-                let bytes = write_block_checkpoint(spill, ckpt, iteration)?;
+                let bytes = write_checkpoint(spill, &ckpt, iteration)?;
                 self.spills += 1;
                 self.seconds += bytes as f64 / (spill.write_gbps * 1e9);
+                // Disk is the only copy: restores must go through it.
                 self.memory = None;
+                // Keep-last-K retention: drop the oldest files once the new
+                // one is safely down. Deletion is best-effort (a file we
+                // cannot remove is a leak, not a correctness problem).
                 self.on_disk.push_back(iteration);
                 while self.on_disk.len() > spill.keep_last.max(1) {
                     if let Some(old) = self.on_disk.pop_front() {
@@ -1236,18 +978,19 @@ impl BlockCheckpointStore {
                     }
                 }
             }
-            None => self.memory = Some(ckpt.clone()),
+            None => self.memory = Some(ckpt),
         }
         Ok(())
     }
 
-    fn restore(&self) -> std::result::Result<(BlockCheckpoint, usize), LaunchError> {
+    /// The newest checkpoint and its iteration.
+    fn restore(&self) -> Result<(BlockCheckpoint, usize), LaunchError> {
         match &self.spill {
             Some(spill) => {
-                let (ckpt, iteration) = read_block_checkpoint(spill, self.iteration)?;
+                let (ckpt, iteration) = read_checkpoint(spill, self.iteration)?;
                 if iteration != self.iteration {
                     return Err(spill_fault(format!(
-                        "block checkpoint {:?} is stale: holds iteration {iteration}, expected {}",
+                        "checkpoint {:?} is stale: holds iteration {iteration}, expected {}",
                         spill.file_for(self.iteration),
                         self.iteration
                     )));
@@ -1262,196 +1005,14 @@ impl BlockCheckpointStore {
     }
 }
 
-/// Outcome of a block-time-step run: the physics plus the launch ledger.
-#[derive(Debug, Clone)]
-pub struct BlockOutcome {
-    /// Physics and timing, as the shared-step drivers report it.
-    /// `outcome.steps` counts block iterations (the initializing launch is
-    /// not a step).
-    pub outcome: SimulationOutcome,
-    /// Active-set launch accounting (init launch included).
-    pub report: BlockStepReport,
-}
-
-/// Outcome of a resilient block-time-step run.
-#[derive(Debug, Clone)]
-pub struct BlockResilientOutcome {
-    /// Physics and timing (timing includes replayed work and spill IO).
-    pub outcome: SimulationOutcome,
-    /// Active-set launch accounting, *including* replayed launches — like
-    /// the shared-step runner, recovery work is billed, not hidden.
-    pub report: BlockStepReport,
-    /// Card losses survived via evaluator recovery + checkpoint restore.
-    pub recoveries: u32,
-    /// Block iterations re-executed after rolling back to a checkpoint.
-    pub iterations_replayed: usize,
-    /// Checkpoints written to disk (zero without a [`SpillConfig`]).
-    pub checkpoint_spills: u64,
-    /// Virtual seconds charged for checkpoint spill writes.
-    pub spill_seconds: f64,
-}
-
-/// Evolve `system` to `cycles · steps_per_cycle · dt` past its current time
-/// with hierarchical block steps (`config.blocks`, defaulted when `None`)
-/// against any [`ForceEvaluator`]. Faults are not retried or recovered —
-/// see [`run_block_simulation_resilient`].
-///
-/// # Errors
-/// Any evaluation fault.
-///
-/// # Panics
-/// Panics on a particle-count mismatch with the evaluator.
-pub fn run_block_simulation<E: ForceEvaluator>(
-    evaluator: &Arc<E>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-) -> std::result::Result<BlockOutcome, LaunchError> {
-    let e0 = total_energy(system, config.eps);
-    let mut sched =
-        BlockScheduler::new(Arc::clone(evaluator), system, config, RetryPolicy::disabled())?;
-    while !sched.done(system) {
-        sched.step(system)?;
-    }
-    let e1 = total_energy(system, config.eps);
-    let report = sched.into_report();
-    Ok(BlockOutcome {
-        outcome: SimulationOutcome {
-            steps: (report.iterations - 1) as usize,
-            final_time: system.time,
-            energy_error: relative_energy_error(e1, e0),
-            initial_energy: e0,
-            final_energy: e1,
-            timing: evaluator.timing(),
-            kernel: evaluator.backend(),
-        },
-        report,
-    })
-}
-
-/// [`run_block_simulation`] with fault survival: transient launch faults are
-/// retried in place, and a card loss goes through
-/// [`ForceEvaluator::recover_device_loss`] → restore of the last block
-/// checkpoint → replay. The checkpoint carries the whole hierarchy
-/// (per-particle times/steps, grid origin, active-set bitmap), so a
-/// recovered run is f64-bitwise identical to a fault-free one.
-///
-/// # Errors
-/// Non-transient faults the evaluator cannot recover from, checkpoint spill
-/// failures, or more than `recovery.max_recoveries` card losses.
-///
-/// # Panics
-/// Panics on a particle-count mismatch with the evaluator.
-pub fn run_block_simulation_resilient<E: ForceEvaluator>(
-    evaluator: &Arc<E>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    recovery: RecoveryConfig,
-) -> std::result::Result<BlockResilientOutcome, LaunchError> {
-    let e0 = total_energy(system, config.eps);
-    let mut recoveries: u32 = 0;
-
-    // Initialization only mutates `system` after its evaluation succeeds,
-    // so on card loss we recover the evaluator and simply try again.
-    let mut sched = loop {
-        match BlockScheduler::new(Arc::clone(evaluator), system, config, recovery.retry) {
-            Ok(s) => break s,
-            Err(e) if e.is_card_loss() && recoveries < recovery.max_recoveries => {
-                recoveries += 1;
-                evaluator.recover_device_loss(e)?;
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    let mut store = BlockCheckpointStore::new(recovery.spill.clone());
-    store.save(&sched.checkpoint(system), 0)?;
-    let mut iteration = 0usize;
-    let mut replayed = 0usize;
-    while !sched.done(system) {
-        match sched.step(system) {
-            Ok(()) => {
-                iteration += 1;
-                if iteration - store.iteration >= recovery.checkpoint_every.max(1) {
-                    store.save(&sched.checkpoint(system), iteration)?;
-                }
-            }
-            Err(e) if e.is_card_loss() && recoveries < recovery.max_recoveries => {
-                recoveries += 1;
-                evaluator.recover_device_loss(e)?;
-                let (ckpt, restored) = store.restore()?;
-                sched.restore(system, &ckpt);
-                replayed += iteration - restored;
-                iteration = restored;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    let e1 = total_energy(system, config.eps);
-    let mut timing = evaluator.timing();
-    if let Some(t) = timing.as_mut() {
-        t.io_seconds += store.seconds;
-    }
-    Ok(BlockResilientOutcome {
-        outcome: SimulationOutcome {
-            steps: iteration,
-            final_time: system.time,
-            energy_error: relative_energy_error(e1, e0),
-            initial_energy: e0,
-            final_energy: e1,
-            timing,
-            kernel: evaluator.backend(),
-        },
-        report: sched.into_report(),
-        recoveries,
-        iterations_replayed: replayed,
-        checkpoint_spills: store.spills,
-        spill_seconds: store.seconds,
-    })
-}
-
-/// [`run_block_simulation_resilient`] on one Wormhole card.
-///
-/// # Errors
-/// Pipeline construction failures plus the resilient-run contract.
-pub fn run_device_block_simulation_resilient(
-    device: &Arc<Device>,
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    recovery: RecoveryConfig,
-) -> std::result::Result<BlockResilientOutcome, LaunchError> {
-    let evaluator = Arc::new(SingleCardEvaluator::new(
-        Arc::clone(device),
-        system.len(),
-        config.eps,
-        config.num_cores,
-    )?);
-    run_block_simulation_resilient(&evaluator, system, config, recovery)
-}
-
-/// [`run_block_simulation`] with the CPU reference kernel through the same
-/// evaluator seam (active sets front-permuted into the SIMD range kernel).
-///
-/// # Errors
-/// Never fails on the CPU backend; `Result` keeps the driver surface
-/// uniform.
-pub fn run_cpu_block_simulation(
-    system: &mut ParticleSystem,
-    config: SimulationConfig,
-    threads: usize,
-) -> std::result::Result<BlockOutcome, LaunchError> {
-    let evaluator = Arc::new(CpuForceEvaluator::new(
-        ThreadedKernel::new(SimdKernel::new(config.eps), threads),
-        system.len(),
-    ));
-    run_block_simulation(&evaluator, system, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::{CpuForceEvaluator, SingleCardEvaluator};
+    use nbody::force::{ReferenceKernel, SimdKernel, ThreadedKernel};
     use nbody::ic::{plummer, PlummerConfig};
-    use tensix::DeviceConfig;
+    use tensix::fault::FaultClass;
+    use tensix::{Device, DeviceConfig};
 
     fn small_config() -> SimulationConfig {
         SimulationConfig {
@@ -1470,11 +1031,32 @@ mod tests {
         )
     }
 
+    fn card(dev: &Arc<Device>, n: usize, cfg: SimulationConfig) -> Arc<SingleCardEvaluator> {
+        Arc::new(SingleCardEvaluator::new(Arc::clone(dev), n, cfg.eps, cfg.num_cores).unwrap())
+    }
+
+    fn cpu(
+        n: usize,
+        eps: f64,
+        threads: usize,
+    ) -> Arc<CpuForceEvaluator<ThreadedKernel<SimdKernel>>> {
+        Arc::new(CpuForceEvaluator::new(ThreadedKernel::new(SimdKernel::new(eps), threads), n))
+    }
+
+    /// The post-init checkpoint of a small CPU run.
+    fn cpu_checkpoint(n: usize, seed: u64) -> BlockCheckpoint {
+        let mut sys = plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
+        let eval = Arc::new(CpuForceEvaluator::new(ReferenceKernel::new(0.05), n));
+        let sched = BlockScheduler::new(eval, &mut sys, small_config(), RetryPolicy::disabled())
+            .expect("CPU init cannot fault");
+        sched.checkpoint(&sys)
+    }
+
     #[test]
     fn device_simulation_conserves_energy() {
         let mut sys = plummer(PlummerConfig { n: 128, seed: 100, ..PlummerConfig::default() });
         let dev = Device::new(0, DeviceConfig::default());
-        let out = run_device_simulation(dev, &mut sys, small_config()).unwrap();
+        let out = run_simulation(&card(&dev, sys.len(), small_config()), &mut sys, small_config());
         assert_eq!(out.steps, 4);
         assert!((out.final_time - 4.0 / 256.0).abs() < 1e-12);
         // FP32 forces: energy error at the 1e-5 level over a few steps.
@@ -1491,10 +1073,10 @@ mod tests {
 
         let mut dev_sys = mk();
         let dev = Device::new(0, DeviceConfig::default());
-        run_device_simulation(dev, &mut dev_sys, cfg).unwrap();
+        let _ = run_simulation(&card(&dev, 96, cfg), &mut dev_sys, cfg);
 
         let mut cpu_sys = mk();
-        let _ = run_cpu_simulation(&mut cpu_sys, cfg, 2);
+        let _ = run_simulation(&cpu(96, cfg.eps, 2), &mut cpu_sys, cfg);
 
         // Same mixed-precision algorithm, different summation order: the
         // trajectories agree to FP32-commensurate accuracy over 4 steps.
@@ -1507,9 +1089,48 @@ mod tests {
     }
 
     #[test]
-    fn device_loss_mid_run_resumes_bitwise_identical() {
-        use tensix::fault::FaultClass;
+    fn shared_driver_matches_hermite4_bitwise() {
+        // Zero-level block stepping *is* the shared-step Hermite scheme: at
+        // a power-of-two step the driver and `nbody`'s `Hermite4` share the
+        // predictor/corrector and land on the same bits.
+        use nbody::integrator::{Hermite4, Integrator};
 
+        let cfg = small_config();
+        let mk = || plummer(PlummerConfig { n: 64, seed: 109, ..PlummerConfig::default() });
+        let mut driven = mk();
+        let out = run_simulation(&cpu(64, cfg.eps, 2), &mut driven, cfg);
+
+        let mut reference = mk();
+        let integ = Hermite4::new(ThreadedKernel::new(SimdKernel::new(cfg.eps), 2));
+        integ.initialize(&mut reference);
+        for _ in 0..out.steps {
+            integ.step(&mut reference, cfg.dt);
+        }
+        assert_eq!(driven.time.to_bits(), reference.time.to_bits());
+        assert_eq!(driven.pos, reference.pos);
+        assert_eq!(driven.vel, reference.vel);
+        assert_eq!(driven.acc, reference.acc);
+        assert_eq!(driven.jerk, reference.jerk);
+    }
+
+    #[test]
+    #[should_panic(expected = "force evaluation failed")]
+    fn run_simulation_panics_at_the_driver_boundary() {
+        use tensix::FaultConfig;
+
+        let dev = Device::new(
+            0,
+            DeviceConfig {
+                faults: FaultConfig { device_loss_prob: 1.0, ..FaultConfig::default() },
+                ..DeviceConfig::default()
+            },
+        );
+        let mut sys = plummer(PlummerConfig { n: 16, seed: 113, ..PlummerConfig::default() });
+        let _ = run_simulation(&card(&dev, 16, small_config()), &mut sys, small_config());
+    }
+
+    #[test]
+    fn device_loss_mid_run_resumes_bitwise_identical() {
         let cfg = SimulationConfig {
             eps: 0.05,
             cycles: 2,
@@ -1522,8 +1143,8 @@ mod tests {
 
         let clean_dev = Device::new(0, DeviceConfig::default());
         let mut clean_sys = mk();
-        let clean = run_device_simulation_resilient(
-            &clean_dev,
+        let clean = run_simulation_resilient(
+            &card(&clean_dev, 512, cfg),
             &mut clean_sys,
             cfg,
             RecoveryConfig::default(),
@@ -1538,8 +1159,13 @@ mod tests {
         let dev = Device::new(0, DeviceConfig::default());
         dev.faults().schedule(FaultClass::DeviceLoss, 5);
         let mut sys = mk();
-        let out = run_device_simulation_resilient(&dev, &mut sys, cfg, RecoveryConfig::default())
-            .unwrap();
+        let out = run_simulation_resilient(
+            &card(&dev, 512, cfg),
+            &mut sys,
+            cfg,
+            RecoveryConfig::default(),
+        )
+        .unwrap();
         assert_eq!(out.recoveries, 1);
         assert_eq!(out.steps_replayed, 3, "rolled back to the post-init checkpoint");
         assert_eq!(dev.faults().stats().device_losses, 1);
@@ -1558,12 +1184,9 @@ mod tests {
 
     #[test]
     fn device_loss_replays_at_most_checkpoint_every_steps() {
-        use tensix::fault::FaultClass;
-
         // Sweep the loss over every step of the run, including the final
         // partial stride: the checkpoint cadence must bound the replay at
-        // `checkpoint_every` everywhere (the old `step < total_steps` guard
-        // was the accounting bug this pins down).
+        // `checkpoint_every` everywhere.
         let cfg = SimulationConfig {
             eps: 0.05,
             cycles: 2,
@@ -1580,7 +1203,8 @@ mod tests {
             dev.faults().schedule(FaultClass::DeviceLoss, (lost_step + 1) as u64);
             let mut sys = plummer(PlummerConfig { n: 64, seed: 105, ..PlummerConfig::default() });
             let out =
-                run_device_simulation_resilient(&dev, &mut sys, cfg, recovery.clone()).unwrap();
+                run_simulation_resilient(&card(&dev, 64, cfg), &mut sys, cfg, recovery.clone())
+                    .unwrap();
             assert_eq!(out.recoveries, 1, "loss at step {lost_step}");
             assert!(
                 out.steps_replayed < recovery.checkpoint_every,
@@ -1605,15 +1229,20 @@ mod tests {
         );
         let mut sys = plummer(PlummerConfig { n: 64, seed: 104, ..PlummerConfig::default() });
         let recovery = RecoveryConfig { max_recoveries: 1, ..RecoveryConfig::default() };
-        let err =
-            run_device_simulation_resilient(&dev, &mut sys, small_config(), recovery).unwrap_err();
+        let err = run_simulation_resilient(
+            &card(&dev, 64, small_config()),
+            &mut sys,
+            small_config(),
+            recovery,
+        )
+        .unwrap_err();
         assert!(matches!(err, LaunchError::DeviceLost { .. }), "{err:?}");
     }
 
     #[test]
     fn cpu_simulation_reports() {
         let mut sys = plummer(PlummerConfig { n: 64, seed: 102, ..PlummerConfig::default() });
-        let out = run_cpu_simulation(&mut sys, small_config(), 4);
+        let out = run_simulation(&cpu(64, 0.05, 4), &mut sys, small_config());
         assert_eq!(out.kernel, "threaded");
         assert!(out.timing.is_none());
         assert!(out.energy_error < 1e-3);
@@ -1622,8 +1251,6 @@ mod tests {
 
     #[test]
     fn spilled_checkpoints_restore_bitwise_and_charge_the_clock() {
-        use tensix::fault::FaultClass;
-
         let cfg = SimulationConfig {
             eps: 0.05,
             cycles: 2,
@@ -1638,9 +1265,13 @@ mod tests {
         let dev_mem = Device::new(0, DeviceConfig::default());
         dev_mem.faults().schedule(FaultClass::DeviceLoss, 6);
         let mut sys_mem = mk();
-        let mem =
-            run_device_simulation_resilient(&dev_mem, &mut sys_mem, cfg, RecoveryConfig::default())
-                .unwrap();
+        let mem = run_simulation_resilient(
+            &card(&dev_mem, 256, cfg),
+            &mut sys_mem,
+            cfg,
+            RecoveryConfig::default(),
+        )
+        .unwrap();
         assert_eq!(mem.recoveries, 1);
 
         let spill = temp_spill("roundtrip");
@@ -1648,7 +1279,7 @@ mod tests {
         dev.faults().schedule(FaultClass::DeviceLoss, 6);
         let mut sys = mk();
         let recovery = RecoveryConfig { spill: Some(spill.clone()), ..RecoveryConfig::default() };
-        let out = run_device_simulation_resilient(&dev, &mut sys, cfg, recovery).unwrap();
+        let out = run_simulation_resilient(&card(&dev, 256, cfg), &mut sys, cfg, recovery).unwrap();
         assert!(
             spill.checkpoints_on_disk().len() <= spill.keep_last,
             "retention must GC old spill files"
@@ -1673,14 +1304,13 @@ mod tests {
     #[test]
     fn corrupt_spill_is_rejected_on_restore() {
         let spill = temp_spill("corrupt");
-        let sys = plummer(PlummerConfig { n: 32, seed: 107, ..PlummerConfig::default() });
-        let mut store = CheckpointStore::new(Some(spill.clone()));
-        store.save(&sys, 3).unwrap();
+        let ckpt = cpu_checkpoint(32, 107);
+        write_checkpoint(&spill, &ckpt, 3).unwrap();
 
         // Round-trips clean first.
-        let mut scratch = sys.clone();
-        assert_eq!(store.restore(&mut scratch).unwrap(), 3);
-        assert_eq!(scratch.pos, sys.pos);
+        let (restored, iteration) = read_checkpoint(&spill, 3).unwrap();
+        assert_eq!(iteration, 3);
+        assert_eq!(restored, ckpt);
 
         // Flip one payload bit: the content hash must catch it.
         let file = spill.file_for(3);
@@ -1688,24 +1318,45 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0x01;
         std::fs::write(&file, &raw).unwrap();
-        let err = store.restore(&mut scratch).unwrap_err();
+        let err = read_checkpoint(&spill, 3).unwrap_err();
         assert!(err.to_string().contains("hash mismatch"), "{err}");
+        spill.cleanup();
+    }
+
+    #[test]
+    fn forged_checkpoint_header_is_a_typed_error() {
+        // A header claiming n = 2^62 particles: sizing the payload from it
+        // overflows, which must surface as the corrupt-checkpoint error
+        // rather than an arithmetic panic or a wrapped length.
+        let spill = temp_spill("forged");
+        write_checkpoint(&spill, &cpu_checkpoint(16, 114), 0).unwrap();
+        let file = spill.file_for(0);
+        let mut raw = std::fs::read(&file).unwrap();
+        raw[16..24].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        std::fs::write(&file, &raw).unwrap();
+        let err = read_checkpoint(&spill, 0).unwrap_err();
+        assert!(err.to_string().contains("particle count overflows"), "{err}");
+        assert!(!err.is_transient() && !err.is_card_loss());
         spill.cleanup();
     }
 
     #[test]
     fn spill_retention_keeps_last_k_files() {
         let spill = SpillConfig { keep_last: 3, ..temp_spill("retention") };
-        let sys = plummer(PlummerConfig { n: 16, seed: 110, ..PlummerConfig::default() });
-        let mut store = CheckpointStore::new(Some(spill.clone()));
-        for step in 0..10 {
-            store.save(&sys, step).unwrap();
+        let mut sys = plummer(PlummerConfig { n: 16, seed: 110, ..PlummerConfig::default() });
+        let eval = Arc::new(CpuForceEvaluator::new(ReferenceKernel::new(0.05), 16));
+        let sched = BlockScheduler::new(eval, &mut sys, small_config(), RetryPolicy::disabled())
+            .expect("CPU init cannot fault");
+        let recovery = RecoveryConfig { spill: Some(spill.clone()), ..RecoveryConfig::default() };
+        let mut store = BlockCheckpointStore::new(&recovery);
+        for iteration in 0..10 {
+            store.save(&sched, &sys, iteration).unwrap();
         }
         assert_eq!(store.spills, 10);
         assert_eq!(spill.checkpoints_on_disk(), vec![7, 8, 9], "only the newest 3 survive");
         // The newest checkpoint is what an external restore finds.
-        let (_, step) = latest_checkpoint(&spill).unwrap();
-        assert_eq!(step, 9);
+        let (_, iteration) = latest_checkpoint(&spill).unwrap();
+        assert_eq!(iteration, 9);
         spill.cleanup();
     }
 
@@ -1714,9 +1365,7 @@ mod tests {
         let spill = SpillConfig::new(
             std::env::temp_dir().join("nbody-no-such-dir").join("sub").join("ckpt.bin"),
         );
-        let sys = plummer(PlummerConfig { n: 16, seed: 111, ..PlummerConfig::default() });
-        let mut store = CheckpointStore::new(Some(spill.clone()));
-        let err = store.save(&sys, 0).unwrap_err();
+        let err = write_checkpoint(&spill, &cpu_checkpoint(16, 111), 0).unwrap_err();
         assert!(
             matches!(err, LaunchError::Device(TensixError::CheckpointIo { .. })),
             "expected CheckpointIo, got {err:?}"
@@ -1729,8 +1378,6 @@ mod tests {
 
     #[test]
     fn interrupted_run_resumes_on_a_different_backend_bitwise() {
-        use tensix::fault::FaultClass;
-
         let cfg = SimulationConfig {
             eps: 0.05,
             cycles: 2,
@@ -1744,8 +1391,13 @@ mod tests {
         // Fault-free golden on card A's twin.
         let mut golden = mk();
         let clean_dev = Device::new(0, DeviceConfig::default());
-        run_device_simulation_resilient(&clean_dev, &mut golden, cfg, RecoveryConfig::default())
-            .unwrap();
+        run_simulation_resilient(
+            &card(&clean_dev, 128, cfg),
+            &mut golden,
+            cfg,
+            RecoveryConfig::default(),
+        )
+        .unwrap();
 
         // Card A dies mid-run with no in-place recovery budget; the failure
         // surfaces, leaving the last spill on disk.
@@ -1760,19 +1412,25 @@ mod tests {
             ..RecoveryConfig::default()
         };
         let err =
-            run_device_simulation_resilient(&dev_a, &mut sys, cfg, recovery.clone()).unwrap_err();
+            run_simulation_resilient(&card(&dev_a, 128, cfg), &mut sys, cfg, recovery.clone())
+                .unwrap_err();
         assert!(err.is_card_loss());
 
         // Migrate: restore the newest checkpoint and resume on card B.
-        let (mut resumed, step) = latest_checkpoint(&spill).unwrap();
-        assert!(step > 0 && step < cfg.cycles * cfg.steps_per_cycle);
+        let (ckpt, iteration) = latest_checkpoint(&spill).unwrap();
+        assert!(iteration > 0 && iteration < cfg.cycles * cfg.steps_per_cycle);
         let dev_b = Device::new(7, DeviceConfig::default());
-        let evaluator = Arc::new(
-            crate::evaluator::SingleCardEvaluator::new(dev_b, resumed.len(), cfg.eps, 1).unwrap(),
-        );
-        let out =
-            resume_simulation_resilient(&evaluator, &mut resumed, step, cfg, recovery).unwrap();
-        assert_eq!(out.outcome.steps, cfg.cycles * cfg.steps_per_cycle - step);
+        let mut resumed = mk();
+        let out = resume_simulation_resilient(
+            &card(&dev_b, 128, cfg),
+            &mut resumed,
+            &ckpt,
+            iteration,
+            cfg,
+            recovery,
+        )
+        .unwrap();
+        assert_eq!(out.outcome.steps, cfg.cycles * cfg.steps_per_cycle - iteration);
         assert_eq!(resumed.pos, golden.pos, "migrated tail must be bitwise identical");
         assert_eq!(resumed.vel, golden.vel);
         spill.cleanup();
@@ -1783,12 +1441,8 @@ mod tests {
         // The CPU evaluator through the *same* generic resilient driver:
         // no retries or recoveries, but checkpoints and accounting flow.
         let mut sys = plummer(PlummerConfig { n: 64, seed: 108, ..PlummerConfig::default() });
-        let evaluator = Arc::new(CpuForceEvaluator::new(
-            ThreadedKernel::new(SimdKernel::new(0.05), 2),
-            sys.len(),
-        ));
         let out = run_simulation_resilient(
-            &evaluator,
+            &cpu(64, 0.05, 2),
             &mut sys,
             small_config(),
             RecoveryConfig::default(),
@@ -1800,7 +1454,7 @@ mod tests {
 
         // And it matches the plain CPU run bitwise.
         let mut plain = plummer(PlummerConfig { n: 64, seed: 108, ..PlummerConfig::default() });
-        let _ = run_cpu_simulation(&mut plain, small_config(), 2);
+        let _ = run_simulation(&cpu(64, 0.05, 2), &mut plain, small_config());
         assert_eq!(sys.pos, plain.pos);
     }
 }

@@ -12,11 +12,23 @@
 //!    all be invisible): the forces hash *and* the full `PipelineTiming`
 //!    cycle accounting are pinned for two seeds covering single-core and
 //!    multi-core tile splits.
+//! 3. Whole-driver goldens: the final state and timing of complete
+//!    simulation runs — shared steps on one card, through the resilient
+//!    driver under DRAM faults and a card loss, on a ring and on the host
+//!    tree, plus block steps on one card — so every launch the driver
+//!    makes, and every host FP64 predict/correct, is pinned end to end.
+
+use std::sync::Arc;
 
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::{Forces, ParticleSystem};
-use nbody_tt::{DeviceForcePipeline, HostArrays, MultiDevicePipeline};
-use tensix::{Device, DeviceConfig};
+use nbody_tt::{
+    run_block_simulation, run_simulation, run_simulation_resilient, BlockStepConfig,
+    DeviceForcePipeline, HostArrays, MultiDevicePipeline, PipelineTiming, RecoveryConfig,
+    RetryPolicy, SimulationConfig, SingleCardEvaluator, TreeConfig, TreeForceEvaluator,
+};
+use tensix::fault::FaultClass;
+use tensix::{Device, DeviceConfig, FaultConfig};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -220,4 +232,149 @@ fn seed_golden_ring_loss() {
     assert_eq!(t.evaluations, 1);
     assert!(t.comm_seconds > 0.0);
     assert_eq!(t.pipeline.evaluations, 2, "surviving card + promoted spare");
+}
+
+// ---------------------------------------------------------------------------
+// Whole-driver goldens: the final FP64 state and the full `PipelineTiming`
+// of complete simulation runs, one per driver path. These pin the launch
+// sequence and the host predict/correct arithmetic end to end, so any
+// change to how a driver schedules, retries, checkpoints or replays its
+// force evaluations shows up here bit for bit.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bit patterns of time, positions, velocities,
+/// accelerations and jerks.
+fn state_hash(sys: &ParticleSystem) -> u64 {
+    let mut bytes = Vec::with_capacity(8 + sys.len() * 96);
+    bytes.extend_from_slice(&sys.time.to_bits().to_le_bytes());
+    for field in [&sys.pos, &sys.vel, &sys.acc, &sys.jerk] {
+        for v in field {
+            for c in v {
+                bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
+fn driver_config(blocks: Option<BlockStepConfig>) -> SimulationConfig {
+    SimulationConfig {
+        eps: 0.05,
+        cycles: 2,
+        steps_per_cycle: 3,
+        dt: 1.0 / 256.0,
+        num_cores: 1,
+        blocks,
+    }
+}
+
+fn driver_system(seed: u64) -> ParticleSystem {
+    plummer(PlummerConfig { n: 96, seed, ..PlummerConfig::default() })
+}
+
+/// Pin a run's final state and its timing. `Debug` prints every `f64` in
+/// its shortest round-trip form, so equal strings mean bitwise-equal
+/// timings.
+fn assert_driver_golden(sys: &ParticleSystem, t: Option<PipelineTiming>, hash: u64, timing: &str) {
+    assert_eq!(state_hash(sys), hash, "final state hash {:#018x}", state_hash(sys));
+    assert_eq!(format!("{t:?}"), timing);
+}
+
+#[test]
+fn driver_golden_shared_single_card() {
+    let cfg = driver_config(None);
+    let mut sys = driver_system(300);
+    let card = Arc::new(
+        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), sys.len(), cfg.eps, 1)
+            .unwrap(),
+    );
+    let out = run_simulation(&card, &mut sys, cfg);
+    assert_eq!(out.steps, 6);
+    assert_driver_golden(
+        &sys,
+        out.timing,
+        0x9bd275db5bf1a317,
+        "Some(PipelineTiming { device_seconds: 0.0018808720000000004, io_seconds: 0.0008171520000000018, evaluations: 7, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 2700320, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
+    );
+}
+
+#[test]
+fn driver_golden_shared_resilient_faults() {
+    let cfg = driver_config(None);
+    let mut sys = driver_system(301);
+    let dev = Device::new(
+        0,
+        DeviceConfig {
+            seed: 17,
+            faults: FaultConfig {
+                dram_corruption_prob: 1e-3,
+                dram_uncorrectable_frac: 1.0,
+                ..FaultConfig::default()
+            },
+            ..DeviceConfig::default()
+        },
+    );
+    dev.faults().schedule(FaultClass::DeviceLoss, 8);
+    let card = Arc::new(SingleCardEvaluator::new(Arc::clone(&dev), sys.len(), cfg.eps, 1).unwrap());
+    let recovery = RecoveryConfig {
+        retry: RetryPolicy { max_retries: 8, ..RetryPolicy::default() },
+        ..RecoveryConfig::default()
+    };
+    let out = run_simulation_resilient(&card, &mut sys, cfg, recovery).unwrap();
+    let stats = dev.faults().stats();
+    assert_eq!((stats.dram_uncorrectable, stats.device_losses), (1, 1));
+    assert_eq!((out.recoveries, out.steps_replayed), (1, 1));
+    assert_driver_golden(
+        &sys,
+        out.outcome.timing,
+        0x99140fee706f720d,
+        "Some(PipelineTiming { device_seconds: 0.002149568, io_seconds: 0.0009338880000000009, evaluations: 8, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 1, retry_backoff_seconds: 0.25, busy_cycles: 3086080, wasted_cycles: 121895, wasted_seconds: 0.250084104, redo_cycles: 385760, redo_seconds: 0.000268696, partial_redos: 1 })",
+    );
+}
+
+#[test]
+fn driver_golden_shared_ring() {
+    let cfg = driver_config(None);
+    let mut sys = driver_system(302);
+    let devices =
+        vec![Device::new(0, DeviceConfig::default()), Device::new(1, DeviceConfig::default())];
+    let ring = Arc::new(MultiDevicePipeline::new(&devices, sys.len(), cfg.eps, 1).unwrap());
+    let out = run_simulation(&ring, &mut sys, cfg);
+    assert_driver_golden(
+        &sys,
+        out.timing,
+        0xc01f911b951d8e5a,
+        "Some(PipelineTiming { device_seconds: 0.003761744000000001, io_seconds: 0.0016343040000000035, evaluations: 14, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 5400640, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
+    );
+}
+
+#[test]
+fn driver_golden_shared_host_tree() {
+    let cfg = driver_config(None);
+    let mut sys = driver_system(303);
+    let tree = Arc::new(TreeForceEvaluator::host(
+        sys.len(),
+        cfg.eps,
+        TreeConfig { theta: 0.6, leaf_capacity: 8, threads: 1 },
+    ));
+    let out = run_simulation(&tree, &mut sys, cfg);
+    assert_driver_golden(&sys, out.timing, 0x7200ebb2508ceb58, "None");
+}
+
+#[test]
+fn driver_golden_block_single_card() {
+    let cfg = driver_config(Some(BlockStepConfig { eta: 0.02, levels: 3 }));
+    let mut sys = driver_system(304);
+    let card = Arc::new(
+        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), sys.len(), cfg.eps, 1)
+            .unwrap(),
+    );
+    let out = run_block_simulation(&card, &mut sys, cfg).unwrap();
+    assert_eq!((out.report.iterations, out.report.particle_evaluations), (49, 942));
+    assert_driver_golden(
+        &sys,
+        out.outcome.timing,
+        0xb8c15c35450545f8,
+        "Some(PipelineTiming { device_seconds: 0.013166104000000008, io_seconds: 0.005720064000000082, evaluations: 49, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 18902240, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
+    );
 }

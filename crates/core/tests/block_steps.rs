@@ -20,14 +20,13 @@
 
 use std::sync::Arc;
 
-use nbody::force::ReferenceKernel;
+use nbody::force::{ReferenceKernel, SimdKernel, ThreadedKernel};
 use nbody::ic::{plummer, IcKind, PlummerConfig};
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    read_block_checkpoint, run_block_simulation, run_cpu_block_simulation, run_cpu_simulation,
-    write_block_checkpoint, ActiveSet, BlockScheduler, BlockStepConfig, CpuForceEvaluator,
-    DeviceForcePipeline, ForceEvaluator, MultiDevicePipeline, RetryPolicy, SimulationConfig,
-    SingleCardEvaluator, SpillConfig,
+    read_checkpoint, run_block_simulation, write_checkpoint, ActiveSet, BlockScheduler,
+    BlockStepConfig, CpuForceEvaluator, DeviceForcePipeline, DriverOutcome, ForceEvaluator,
+    MultiDevicePipeline, RetryPolicy, SimulationConfig, SingleCardEvaluator, SpillConfig,
 };
 use proptest::prelude::*;
 use tensix::{Device, DeviceConfig};
@@ -41,6 +40,15 @@ fn block_config(dt: f64, cycles: usize, steps_per_cycle: usize, levels: u32) -> 
         num_cores: 2,
         blocks: Some(BlockStepConfig { eta: 0.02, levels }),
     }
+}
+
+/// The driver on the single-threaded CPU reference (SIMD) kernel.
+fn cpu_run(sys: &mut ParticleSystem, config: SimulationConfig) -> DriverOutcome {
+    let eval = Arc::new(CpuForceEvaluator::new(
+        ThreadedKernel::new(SimdKernel::new(config.eps), 1),
+        sys.len(),
+    ));
+    run_block_simulation(&eval, sys, config).expect("CPU runs cannot fault")
 }
 
 fn assert_state_bitwise(a: &ParticleSystem, b: &ParticleSystem, what: &str) {
@@ -82,8 +90,7 @@ fn energy_goldens_per_ic_scenario() {
             _ => 1e-4,
         };
         let mut sys = kind.build(128, 5);
-        let out = run_cpu_block_simulation(&mut sys, block_config(1.0 / 64.0, 2, 4, 4), 1)
-            .unwrap_or_else(|e| panic!("{}: block run cannot fault on CPU: {e}", kind.name()));
+        let out = cpu_run(&mut sys, block_config(1.0 / 64.0, 2, 4, 4));
         assert!(
             out.outcome.energy_error < tol,
             "{}: block-step dE/E {} exceeds the {tol} golden",
@@ -133,28 +140,26 @@ fn block_vs_shared_accuracy_and_cost_bound() {
     let make = || IcKind::ColdCollapse.build(96, 3);
 
     let mut block_sys = make();
-    let block =
-        run_cpu_block_simulation(&mut block_sys, block_config(dt, cycles, steps, levels), 1)
-            .expect("CPU block run cannot fault");
+    let block = cpu_run(&mut block_sys, block_config(dt, cycles, steps, levels));
 
     let mut shared_sys = make();
-    let shared_base = run_cpu_simulation(
+    let shared_base = cpu_run(
         &mut shared_sys,
         SimulationConfig { blocks: None, ..block_config(dt, cycles, steps, levels) },
-        1,
-    );
+    )
+    .outcome;
 
     let refine = 1usize << levels;
     let mut fine_sys = make();
-    let shared_fine = run_cpu_simulation(
+    let shared_fine = cpu_run(
         &mut fine_sys,
         SimulationConfig {
             blocks: None,
             dt: dt / refine as f64,
             ..block_config(dt, cycles, steps * refine, levels)
         },
-        1,
-    );
+    )
+    .outcome;
 
     // Measured: block 3.8e-8 vs shared-base 3.8e-5 — three orders.
     assert!(
@@ -381,9 +386,9 @@ fn checkpoint_mid_hierarchy_resumes_bitwise_through_spill() {
     let spill = SpillConfig::new(
         std::env::temp_dir().join(format!("block_steps_spill_{}", std::process::id())),
     );
-    let written = write_block_checkpoint(&spill, &ckpt, 3).expect("spill write");
+    let written = write_checkpoint(&spill, &ckpt, 3).expect("spill write");
     assert!(written > 0, "spill write bills bytes");
-    let (restored, iteration) = read_block_checkpoint(&spill, 3).expect("spill read");
+    let (restored, iteration) = read_checkpoint(&spill, 3).expect("spill read");
     let _ = std::fs::remove_file(spill.file_for(3));
     assert_eq!(iteration, 3);
     assert_eq!(restored.time.to_bits(), ckpt.time.to_bits());

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    run_device_simulation_resilient, run_ring_simulation_resilient, RecoveryConfig,
-    SimulationConfig,
+    run_simulation_resilient, DriverOutcome, MultiDevicePipeline, RecoveryConfig, SimulationConfig,
+    SingleCardEvaluator,
 };
 use tensix::fault::FaultClass;
 use tensix::{Device, DeviceConfig};
@@ -32,6 +32,22 @@ fn cfg() -> SimulationConfig {
 
 fn devices(ids: &[usize]) -> Vec<Arc<Device>> {
     ids.iter().map(|id| Device::new(*id, DeviceConfig::default())).collect()
+}
+
+/// The resilient driver over a ring of `devices` with a `spares` pool; the
+/// spare failovers come from the ring's own counters.
+fn ring_run(
+    devices: &[Arc<Device>],
+    spares: &[Arc<Device>],
+    sys: &mut ParticleSystem,
+) -> DriverOutcome {
+    let ring = Arc::new(
+        MultiDevicePipeline::with_spares(devices, spares, sys.len(), cfg().eps, cfg().num_cores)
+            .unwrap(),
+    );
+    let mut out = run_simulation_resilient(&ring, sys, cfg(), RecoveryConfig::default()).unwrap();
+    out.failovers = ring.timing().failovers;
+    out
 }
 
 fn assert_states_bitwise(a: &ParticleSystem, b: &ParticleSystem) {
@@ -55,14 +71,7 @@ proptest! {
         let mk = || plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
 
         let mut clean_sys = mk();
-        let clean = run_ring_simulation_resilient(
-            &devices(&[0, 1]),
-            &[],
-            &mut clean_sys,
-            cfg(),
-            RecoveryConfig::default(),
-        )
-        .unwrap();
+        let clean = ring_run(&devices(&[0, 1]), &[], &mut clean_sys);
         prop_assert_eq!(clean.failovers, 0);
         prop_assert_eq!(clean.recoveries, 0);
 
@@ -70,14 +79,7 @@ proptest! {
         devs[1].faults().schedule(FaultClass::DeviceLoss, event);
         let spares = devices(&[9]);
         let mut sys = mk();
-        let out = run_ring_simulation_resilient(
-            &devs,
-            &spares,
-            &mut sys,
-            cfg(),
-            RecoveryConfig::default(),
-        )
-        .unwrap();
+        let out = ring_run(&devs, &spares, &mut sys);
         prop_assert_eq!(out.failovers, 1, "spare absorbs the loss inside the evaluation");
         prop_assert_eq!(out.recoveries, 0, "failover never costs a rollback");
         prop_assert_eq!(out.steps_replayed, 0);
@@ -106,14 +108,7 @@ fn exhausted_spares_fall_back_to_checkpoint_recovery() {
     let mk = || plummer(PlummerConfig { n, seed: 210, ..PlummerConfig::default() });
 
     let mut clean_sys = mk();
-    let clean = run_ring_simulation_resilient(
-        &devices(&[0, 1]),
-        &[],
-        &mut clean_sys,
-        cfg(),
-        RecoveryConfig::default(),
-    )
-    .unwrap();
+    let clean = ring_run(&devices(&[0, 1]), &[], &mut clean_sys);
 
     // No spare pool: the loss surfaces to the driver, which resets the dead
     // card in place, restores the checkpoint, and replays — the same
@@ -121,8 +116,7 @@ fn exhausted_spares_fall_back_to_checkpoint_recovery() {
     let devs = devices(&[0, 1]);
     devs[1].faults().schedule(FaultClass::DeviceLoss, 4);
     let mut sys = mk();
-    let out = run_ring_simulation_resilient(&devs, &[], &mut sys, cfg(), RecoveryConfig::default())
-        .unwrap();
+    let out = ring_run(&devs, &[], &mut sys);
     assert_eq!(out.failovers, 0, "nothing to promote");
     assert_eq!(out.recoveries, 1, "driver reset the dead card and replayed");
     assert!(out.steps_replayed > 0);
@@ -141,25 +135,15 @@ fn ring_and_single_card_resilient_runs_agree_bitwise() {
     let mk = || plummer(PlummerConfig { n, seed: 211, ..PlummerConfig::default() });
 
     let mut ring_sys = mk();
-    let ring = run_ring_simulation_resilient(
-        &devices(&[0, 1]),
-        &[],
-        &mut ring_sys,
-        cfg(),
-        RecoveryConfig::default(),
-    )
-    .unwrap();
+    let ring = ring_run(&devices(&[0, 1]), &[], &mut ring_sys);
     assert_eq!(ring.outcome.kernel, "tenstorrent-wormhole-ring");
 
-    let single_dev = Device::new(0, DeviceConfig::default());
+    let card = Arc::new(
+        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), n, cfg().eps, 2).unwrap(),
+    );
     let mut single_sys = mk();
-    let single = run_device_simulation_resilient(
-        &single_dev,
-        &mut single_sys,
-        SimulationConfig { num_cores: 2, ..cfg() },
-        RecoveryConfig::default(),
-    )
-    .unwrap();
+    let single =
+        run_simulation_resilient(&card, &mut single_sys, cfg(), RecoveryConfig::default()).unwrap();
     assert_eq!(single.outcome.kernel, "tenstorrent-wormhole");
 
     assert_states_bitwise(&ring_sys, &single_sys);

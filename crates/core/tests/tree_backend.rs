@@ -155,12 +155,14 @@ fn tree_checkpoint_restore_is_bitwise_through_the_resilient_driver() {
     .unwrap();
     assert!(first.checkpoint_spills > 0, "no checkpoint hit the disk");
 
-    let (mut restored, step) = latest_checkpoint(&spill_cfg).unwrap();
+    let (ckpt, step) = latest_checkpoint(&spill_cfg).unwrap();
     assert_eq!(step, 4, "latest checkpoint should be the final step of the first leg");
     let resume_eval = Arc::new(TreeForceEvaluator::host(n, sim(8).eps, tree_cfg(theta)));
+    let mut restored = plummer_sys(n, 23);
     let resumed = resume_simulation_resilient(
         &resume_eval,
         &mut restored,
+        &ckpt,
         step,
         sim(8),
         RecoveryConfig { checkpoint_every: 2, ..RecoveryConfig::default() },

@@ -14,20 +14,19 @@
 //! get a force evaluation and Hermite correction, after which their step is
 //! re-chosen from the Aarseth criterion (growing only when the new time
 //! stays block-aligned).
-
-use crate::force::ForceKernel;
-use crate::integrator::timestep::aarseth_timestep;
-use crate::particle::{ParticleSystem, Vec3};
+//!
+//! The scheduler itself lives in the core crate, behind the force-evaluator
+//! seam; this module owns the step quantization rule it shares with every
+//! checkpoint and resume of a block hierarchy.
 
 /// Largest power-of-two block step `dt_max / 2^k` that is ≤ `dt_raw`
 /// (clamped to `levels` halvings below `dt_max`) and whose next firing from
 /// relative time `t_rel` (time since the block grid's origin) stays on the
 /// block grid: `t_rel` must be a multiple of the chosen step.
 ///
-/// This is the one quantization rule every block-timestep scheduler in the
-/// workspace shares — the CPU [`BlockHermite`] here and the evaluator-seam
-/// scheduler in the core crate — so checkpoint/resume of a block hierarchy
-/// re-derives identical steps.
+/// This is the one quantization rule of the block-timestep scheduler, so
+/// checkpoint/resume of a block hierarchy re-derives identical steps.
+/// With `levels = 0` every step is `dt_max`: shared stepping.
 #[must_use]
 pub fn quantize_block_step(dt_raw: f64, t_rel: f64, dt_max: f64, levels: u32) -> f64 {
     let dt_min = dt_max * 0.5f64.powi(levels.min(40) as i32);
@@ -42,300 +41,27 @@ pub fn quantize_block_step(dt_raw: f64, t_rel: f64, dt_max: f64, levels: u32) ->
     dt
 }
 
-/// Block-timestep 4th-order Hermite integrator.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockHermite<K> {
-    kernel: K,
-    /// Aarseth accuracy parameter η.
-    pub eta: f64,
-    /// Largest (base) block step.
-    pub dt_max: f64,
-    /// Number of halvings allowed below `dt_max` (levels 0..=levels).
-    pub levels: u32,
-}
-
-/// Per-particle integration state.
-#[derive(Debug, Clone)]
-struct BlockState {
-    /// Last correction time per particle.
-    t: Vec<f64>,
-    /// Current block step per particle.
-    dt: Vec<f64>,
-    /// State at the last correction (the osculating data prediction uses).
-    pos0: Vec<Vec3>,
-    vel0: Vec<Vec3>,
-    acc0: Vec<Vec3>,
-    jerk0: Vec<Vec3>,
-    /// Force evaluations performed, in units of (i-particles × all j).
-    pub work: u64,
-}
-
-/// Outcome of a block-timestep run.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockRunStats {
-    /// Block iterations executed.
-    pub iterations: usize,
-    /// Total per-particle force evaluations (Σ active-set sizes).
-    pub particle_evaluations: u64,
-    /// Smallest step any particle used.
-    pub min_dt_used: f64,
-}
-
-impl<K: ForceKernel> BlockHermite<K> {
-    /// Integrator with accuracy parameter `eta`, base step `dt_max` and
-    /// `levels` allowed halvings.
-    ///
-    /// # Panics
-    /// Panics unless `eta > 0`, `dt_max > 0`.
-    #[must_use]
-    pub fn new(kernel: K, eta: f64, dt_max: f64, levels: u32) -> Self {
-        assert!(eta > 0.0 && dt_max > 0.0, "eta and dt_max must be positive");
-        assert!(levels <= 40, "unreasonable level count");
-        BlockHermite { kernel, eta, dt_max, levels }
-    }
-
-    fn quantize_step(&self, dt_raw: f64, t_now: f64) -> f64 {
-        quantize_block_step(dt_raw, t_now, self.dt_max, self.levels)
-    }
-
-    fn initialize(&self, system: &mut ParticleSystem) -> BlockState {
-        let f = self.kernel.compute(system);
-        system.set_forces(f.acc.clone(), f.jerk.clone());
-        let n = system.len();
-        let mut dt = Vec::with_capacity(n);
-        for i in 0..n {
-            let raw = aarseth_timestep(f.acc[i], f.jerk[i], self.eta, self.dt_max);
-            dt.push(self.quantize_step(raw, 0.0));
-        }
-        BlockState {
-            t: vec![system.time; n],
-            dt,
-            pos0: system.pos.clone(),
-            vel0: system.vel.clone(),
-            acc0: f.acc,
-            jerk0: f.jerk,
-            work: n as u64,
-        }
-    }
-
-    /// Advance to `t_end` (must be a multiple of `dt_max` past the current
-    /// time for the block grid to close). Returns run statistics.
-    ///
-    /// # Panics
-    /// Panics if `t_end` is not ahead of the current time.
-    pub fn evolve(&self, system: &mut ParticleSystem, t_end: f64) -> BlockRunStats {
-        assert!(t_end > system.time, "t_end must lie ahead");
-        let t_origin = system.time;
-        let mut st = self.initialize(system);
-        let n = system.len();
-        let mut iterations = 0usize;
-        let mut evals = 0u64;
-        let mut min_dt = f64::INFINITY;
-
-        while system.time < t_end - 1e-12 {
-            // Next due time across all particles (clamped to t_end).
-            let mut t_next = f64::INFINITY;
-            for i in 0..n {
-                t_next = t_next.min(st.t[i] + st.dt[i]);
-            }
-            let t_next = t_next.min(t_end);
-
-            // Predict every particle to t_next (host-side FP64 pass).
-            for i in 0..n {
-                let h = t_next - st.t[i];
-                let h2 = h * h / 2.0;
-                let h3 = h * h * h / 6.0;
-                for c in 0..3 {
-                    system.pos[i][c] = st.pos0[i][c]
-                        + st.vel0[i][c] * h
-                        + st.acc0[i][c] * h2
-                        + st.jerk0[i][c] * h3;
-                    system.vel[i][c] =
-                        st.vel0[i][c] + st.acc0[i][c] * h + st.jerk0[i][c] * h * h / 2.0;
-                }
-            }
-
-            // Active set: particles due at t_next (or forced by t_end).
-            let active: Vec<usize> = (0..n)
-                .filter(|&i| st.t[i] + st.dt[i] <= t_next + 1e-12 || t_next >= t_end - 1e-12)
-                .collect();
-
-            // Evaluate forces for the active particles only: permute them to
-            // the front and use the kernel's range interface (O(|A|·N)).
-            let forces = self.evaluate_subset(system, &active);
-            evals += active.len() as u64;
-            st.work += active.len() as u64;
-
-            // Hermite-correct the active particles.
-            for (slot, &i) in active.iter().enumerate() {
-                let h = t_next - st.t[i];
-                if h <= 0.0 {
-                    continue;
-                }
-                min_dt = min_dt.min(h);
-                let half = h / 2.0;
-                let twelfth = h * h / 12.0;
-                let (a1, j1) = (forces.acc[slot], forces.jerk[slot]);
-                for c in 0..3 {
-                    let v1 = st.vel0[i][c]
-                        + (st.acc0[i][c] + a1[c]) * half
-                        + (st.jerk0[i][c] - j1[c]) * twelfth;
-                    let x1 = st.pos0[i][c]
-                        + (st.vel0[i][c] + v1) * half
-                        + (st.acc0[i][c] - a1[c]) * twelfth;
-                    st.pos0[i][c] = x1;
-                    st.vel0[i][c] = v1;
-                    system.pos[i][c] = x1;
-                    system.vel[i][c] = v1;
-                }
-                st.acc0[i] = a1;
-                st.jerk0[i] = j1;
-                st.t[i] = t_next;
-                let raw = aarseth_timestep(a1, j1, self.eta, self.dt_max);
-                st.dt[i] = self.quantize_step(raw, t_next - t_origin);
-            }
-
-            system.time = t_next;
-            iterations += 1;
-        }
-
-        // Leave the system fully synchronized at t_end: corrected states.
-        system.pos.clone_from(&st.pos0);
-        system.vel.clone_from(&st.vel0);
-        system.set_forces(st.acc0.clone(), st.jerk0.clone());
-        BlockRunStats {
-            iterations,
-            particle_evaluations: evals,
-            min_dt_used: if min_dt.is_finite() { min_dt } else { 0.0 },
-        }
-    }
-
-    /// Forces on `active` particles from all N, via a front-permutation and
-    /// the kernel's contiguous-range interface.
-    fn evaluate_subset(
-        &self,
-        system: &ParticleSystem,
-        active: &[usize],
-    ) -> crate::particle::Forces {
-        if active.len() == system.len() {
-            return self.kernel.compute(system);
-        }
-        let n = system.len();
-        let mut order: Vec<usize> = active.to_vec();
-        let in_active: Vec<bool> = {
-            let mut v = vec![false; n];
-            for &i in active {
-                v[i] = true;
-            }
-            v
-        };
-        order.extend((0..n).filter(|i| !in_active[*i]));
-
-        let mut permuted = ParticleSystem::with_capacity(n);
-        for &i in &order {
-            permuted.push(system.mass[i], system.pos[i], system.vel[i]);
-        }
-        self.kernel.compute_range(&permuted, 0, active.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostics::{relative_energy_error, total_energy};
-    use crate::force::ReferenceKernel;
-    use crate::ic::{plummer, two_cluster_merger, PlummerConfig, TwoClusterConfig};
-    use crate::integrator::{circular_binary, Hermite4, Integrator};
-
-    #[test]
-    fn conserves_energy_on_cluster() {
-        let mut s = plummer(PlummerConfig { n: 64, seed: 200, ..PlummerConfig::default() });
-        let eps = 0.03;
-        let e0 = total_energy(&s, eps);
-        let integ = BlockHermite::new(ReferenceKernel::new(eps), 0.01, 1.0 / 16.0, 6);
-        let stats = integ.evolve(&mut s, 0.5);
-        let err = relative_energy_error(total_energy(&s, eps), e0);
-        assert!(err < 1e-4, "energy error {err}");
-        assert!(stats.iterations > 8, "must take block iterations");
-        assert!((s.time - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matches_shared_step_at_zero_levels() {
-        // levels = 0 forces every particle onto dt_max: the scheme reduces
-        // to the shared-timestep Hermite integrator.
-        let mk = || circular_binary(1.0);
-        let dt = 1.0 / 64.0;
-
-        let mut a = mk();
-        let block = BlockHermite::new(ReferenceKernel::new(0.0), 1.0e9, dt, 0);
-        block.evolve(&mut a, 0.25);
-
-        let mut b = mk();
-        let shared = Hermite4::new(ReferenceKernel::new(0.0));
-        shared.evolve(&mut b, 0.25, dt);
-
-        for i in 0..2 {
-            for c in 0..3 {
-                assert!(
-                    (a.pos[i][c] - b.pos[i][c]).abs() < 1e-12,
-                    "divergence at particle {i} axis {c}: {} vs {}",
-                    a.pos[i][c],
-                    b.pos[i][c]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn does_less_work_than_shared_stepping() {
-        // A merger has a dense core and a diffuse envelope: individual
-        // steps should evaluate far fewer particle-forces than forcing
-        // everyone onto the smallest step.
-        let mut s = two_cluster_merger(TwoClusterConfig {
-            n1: 48,
-            n2: 48,
-            separation: 3.0,
-            ..Default::default()
-        });
-        let eps = 0.02;
-        let integ = BlockHermite::new(ReferenceKernel::new(eps), 0.01, 1.0 / 8.0, 8);
-        let stats = integ.evolve(&mut s, 0.25);
-
-        // Shared stepping at the smallest used step would cost:
-        let n = s.len() as u64;
-        let shared_evals = (0.25 / stats.min_dt_used).round() as u64 * n;
-        assert!(
-            stats.particle_evaluations < shared_evals / 2,
-            "block {} vs shared-at-min-dt {} evaluations",
-            stats.particle_evaluations,
-            shared_evals
-        );
-    }
 
     #[test]
     fn steps_stay_on_block_grid() {
-        let integ = BlockHermite::new(ReferenceKernel::new(0.01), 0.02, 0.25, 4);
+        let dt_max = 0.25;
         // Quantized steps are dt_max / 2^k.
         for raw in [0.3, 0.2, 0.12, 0.05, 0.01, 1e-6] {
-            let q = integ.quantize_step(raw, 0.0);
-            let k = (integ.dt_max / q).log2().round();
+            let q = quantize_block_step(raw, 0.0, dt_max, 4);
+            let k = (dt_max / q).log2().round();
             assert!(
-                ((integ.dt_max / q).log2() - k).abs() < 1e-9,
+                ((dt_max / q).log2() - k).abs() < 1e-9,
                 "step {q} is not a power-of-two fraction"
             );
-            assert!(q <= integ.dt_max + 1e-15);
+            assert!(q <= dt_max + 1e-15);
         }
         // Alignment: at t = 0.125 a step of 0.25 would leave the grid.
-        let q = integ.quantize_step(1.0, 0.125);
+        let q = quantize_block_step(1.0, 0.125, dt_max, 4);
         assert!(q <= 0.125 + 1e-12, "misaligned step {q}");
-    }
-
-    #[test]
-    #[should_panic(expected = "ahead")]
-    fn backwards_evolution_rejected() {
-        let mut s = circular_binary(1.0);
-        s.time = 1.0;
-        BlockHermite::new(ReferenceKernel::new(0.0), 0.01, 0.125, 3).evolve(&mut s, 0.5);
+        // Zero levels pin every particle to the base step.
+        assert_eq!(quantize_block_step(1e-9, 0.0, dt_max, 0), dt_max);
     }
 }

@@ -14,7 +14,51 @@
 
 use crate::force::ForceKernel;
 use crate::integrator::Integrator;
-use crate::particle::ParticleSystem;
+use crate::particle::{ParticleSystem, Vec3};
+
+/// Hermite predictor: position and velocity `h` past the corrected state
+/// `(x, v, a, ȧ)`. The one prediction formula of the workspace — the
+/// shared-step [`Hermite4`] and the block-step drivers both call it, so
+/// a shared step and a block step of the same length agree bitwise.
+#[inline]
+#[must_use]
+pub fn hermite_predict(x: Vec3, v: Vec3, a: Vec3, j: Vec3, h: f64) -> (Vec3, Vec3) {
+    let h2 = h * h / 2.0;
+    let h3 = h * h * h / 6.0;
+    let mut xp = [0.0; 3];
+    let mut vp = [0.0; 3];
+    for k in 0..3 {
+        xp[k] = x[k] + v[k] * h + a[k] * h2 + j[k] * h3;
+        vp[k] = v[k] + a[k] * h + j[k] * h * h / 2.0;
+    }
+    (xp, vp)
+}
+
+/// Hermite corrector: position and velocity after a step of length `h`
+/// from the corrected state `(x, v, a, ȧ)`, given the force `(a₁, ȧ₁)`
+/// evaluated at the predicted state. The one correction formula of the
+/// workspace (see [`hermite_predict`]).
+#[inline]
+#[must_use]
+pub fn hermite_correct(
+    x: Vec3,
+    v: Vec3,
+    a: Vec3,
+    j: Vec3,
+    a1: Vec3,
+    j1: Vec3,
+    h: f64,
+) -> (Vec3, Vec3) {
+    let half = h / 2.0;
+    let twelfth = h * h / 12.0;
+    let mut x1 = [0.0; 3];
+    let mut v1 = [0.0; 3];
+    for k in 0..3 {
+        v1[k] = v[k] + (a[k] + a1[k]) * half + (j[k] - j1[k]) * twelfth;
+        x1[k] = x[k] + (v[k] + v1[k]) * half + (a[k] - a1[k]) * twelfth;
+    }
+    (x1, v1)
+}
 
 /// 4th-order Hermite integrator over any force kernel.
 #[derive(Debug, Clone, Copy)]
@@ -47,10 +91,6 @@ impl<K: ForceKernel> Integrator for Hermite4<K> {
     }
 
     fn step(&self, system: &mut ParticleSystem, dt: f64) {
-        let n = system.len();
-        let dt2 = dt * dt / 2.0;
-        let dt3 = dt * dt * dt / 6.0;
-
         // Save the t₀ state.
         let pos0 = system.pos.clone();
         let vel0 = system.vel.clone();
@@ -58,29 +98,16 @@ impl<K: ForceKernel> Integrator for Hermite4<K> {
         let jerk0 = system.jerk.clone();
 
         // Predict in place (the kernel evaluates the predicted state).
-        for i in 0..n {
-            for k in 0..3 {
-                system.pos[i][k] =
-                    pos0[i][k] + vel0[i][k] * dt + acc0[i][k] * dt2 + jerk0[i][k] * dt3;
-                system.vel[i][k] = vel0[i][k] + acc0[i][k] * dt + jerk0[i][k] * dt * dt / 2.0;
-            }
+        for i in 0..system.len() {
+            (system.pos[i], system.vel[i]) =
+                hermite_predict(pos0[i], vel0[i], acc0[i], jerk0[i], dt);
         }
 
         let f1 = self.kernel.compute(system);
 
-        // Correct.
-        let half = dt / 2.0;
-        let twelfth = dt * dt / 12.0;
-        for i in 0..n {
-            for k in 0..3 {
-                let v1 = vel0[i][k]
-                    + (acc0[i][k] + f1.acc[i][k]) * half
-                    + (jerk0[i][k] - f1.jerk[i][k]) * twelfth;
-                let x1 =
-                    pos0[i][k] + (vel0[i][k] + v1) * half + (acc0[i][k] - f1.acc[i][k]) * twelfth;
-                system.vel[i][k] = v1;
-                system.pos[i][k] = x1;
-            }
+        for i in 0..system.len() {
+            (system.pos[i], system.vel[i]) =
+                hermite_correct(pos0[i], vel0[i], acc0[i], jerk0[i], f1.acc[i], f1.jerk[i], dt);
         }
         system.set_forces(f1.acc, f1.jerk);
         system.time += dt;

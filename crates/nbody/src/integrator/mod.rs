@@ -12,8 +12,8 @@ mod hermite;
 mod leapfrog;
 mod timestep;
 
-pub use block::{quantize_block_step, BlockHermite, BlockRunStats};
-pub use hermite::Hermite4;
+pub use block::quantize_block_step;
+pub use hermite::{hermite_correct, hermite_predict, Hermite4};
 pub use leapfrog::Leapfrog;
 pub use timestep::{aarseth_timestep, shared_timestep};
 

@@ -33,7 +33,7 @@ pub use ic::{
     KingConfig, KingProfile, PlummerConfig, TwoClusterConfig, UniformConfig, PLUMMER_SCALE,
 };
 pub use integrator::{
-    aarseth_timestep, circular_binary, shared_timestep, BlockHermite, BlockRunStats, Hermite4,
+    aarseth_timestep, circular_binary, hermite_correct, hermite_predict, shared_timestep, Hermite4,
     Integrator, Leapfrog,
 };
 pub use particle::{Forces, ParticleSystem, Vec3, G};

@@ -34,14 +34,14 @@ use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use nbody::force::{SimdKernel, ThreadedKernel};
 use nbody::ic::IcKind;
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    latest_checkpoint, resume_simulation_resilient, run_block_simulation,
-    run_block_simulation_resilient, run_cpu_block_simulation, run_cpu_simulation, run_simulation,
-    run_simulation_resilient, BlockResilientOutcome, ForceEvaluator, ForceKernelKind,
-    MultiDevicePipeline, PipelineTiming, RecoveryConfig, ResilientOutcome, RetryPolicy,
-    SingleCardEvaluator, SpillConfig, TreeForceEvaluator,
+    latest_checkpoint, resume_simulation_resilient, run_block_simulation, run_simulation,
+    run_simulation_resilient, BlockCheckpoint, CpuForceEvaluator, DriverOutcome, ForceEvaluator,
+    ForceKernelKind, MultiDevicePipeline, PipelineTiming, RecoveryConfig, RetryPolicy,
+    SimulationConfig, SingleCardEvaluator, SpillConfig, TreeForceEvaluator,
 };
 use tensix::catalog::DeviceArch;
 use tensix::{
@@ -366,7 +366,7 @@ struct Campaign<'a> {
 /// What one device segment produced. The outcome is boxed: `Done` would
 /// otherwise dwarf `Failed` (clippy's large-variant lint).
 enum Segment {
-    Done { outcome: Box<ResilientOutcome>, system: ParticleSystem, service_s: f64 },
+    Done { outcome: Box<DriverOutcome>, system: ParticleSystem, service_s: f64 },
     Failed { error: LaunchError, service_s: f64, retries: u64 },
 }
 
@@ -374,18 +374,29 @@ fn timing_seconds(t: &PipelineTiming) -> f64 {
     t.device_seconds + t.io_seconds
 }
 
-/// Adapt a block-step outcome to the shared-step resilient shape the
-/// serving loop accounts in; block iterations stand in for steps. Ring
-/// failovers are tallied by the caller from the pipeline's own counters.
-fn block_to_resilient(b: BlockResilientOutcome) -> ResilientOutcome {
-    ResilientOutcome {
-        outcome: b.outcome,
-        recoveries: b.recoveries,
-        steps_replayed: b.iterations_replayed,
-        failovers: 0,
-        checkpoint_spills: b.checkpoint_spills,
-        spill_seconds: b.spill_seconds,
+/// A job's newest checkpoint and the iteration it was taken at.
+type Resume = (BlockCheckpoint, usize);
+
+/// Run one device segment of a job on `eval`: from its start, or resumed
+/// mid-run from a migrated checkpoint.
+fn drive_segment<E: ForceEvaluator>(
+    eval: &Arc<E>,
+    system: &mut ParticleSystem,
+    resume: Option<&Resume>,
+    sim: SimulationConfig,
+    recovery: RecoveryConfig,
+) -> Result<DriverOutcome, LaunchError> {
+    match resume {
+        Some((ckpt, iteration)) => {
+            resume_simulation_resilient(eval, system, ckpt, *iteration, sim, recovery)
+        }
+        None => run_simulation_resilient(eval, system, sim, recovery),
     }
+}
+
+/// The host CPU evaluator a degraded job (and its CPU golden) runs on.
+fn cpu_evaluator(req: &JobRequest) -> Arc<CpuForceEvaluator<ThreadedKernel<SimdKernel>>> {
+    Arc::new(CpuForceEvaluator::new(ThreadedKernel::new(SimdKernel::new(req.sim.eps), 1), req.n))
 }
 
 /// Tree tuning for a fleet slot: θ from the backend kind, default leaf
@@ -469,12 +480,12 @@ impl<'a> Campaign<'a> {
     }
 
     /// Run one device segment of `req` on `slot`, either from scratch or
-    /// resumed from `resume` = (post-checkpoint state, step).
+    /// resumed from a migrated checkpoint.
     fn run_segment(
         &mut self,
         slot: usize,
         req: &JobRequest,
-        resume: Option<(ParticleSystem, usize)>,
+        resume: Option<&Resume>,
         spill: &SpillConfig,
     ) -> Segment {
         let segment = self.slots[slot].segments;
@@ -485,10 +496,7 @@ impl<'a> Campaign<'a> {
             max_recoveries: self.cfg.recoveries_per_segment,
             spill: Some(spill.clone()),
         };
-        let (mut system, start) = match resume {
-            Some((system, step)) => (system, Some(step)),
-            None => (req.ics(), None),
-        };
+        let mut system = req.ics();
 
         let kind = self.slots[slot].kind;
         let scheduled = self.slots[slot].storm.scheduled_losses.clone();
@@ -514,22 +522,7 @@ impl<'a> Campaign<'a> {
                         }
                     }
                 };
-                // Block jobs always (re)run the hierarchy from its start —
-                // migration never hands them a mid-job resume point — so the
-                // device timing they accumulate reflects dynamically packed
-                // active-set launches, which is exactly what gets billed.
-                let result = match (start, req.sim.blocks.is_some()) {
-                    (_, true) => {
-                        run_block_simulation_resilient(&eval, &mut system, req.sim, recovery)
-                            .map(block_to_resilient)
-                    }
-                    (None, false) => {
-                        run_simulation_resilient(&eval, &mut system, req.sim, recovery)
-                    }
-                    (Some(step), false) => {
-                        resume_simulation_resilient(&eval, &mut system, step, req.sim, recovery)
-                    }
-                };
+                let result = drive_segment(&eval, &mut system, resume, req.sim, recovery);
                 match result {
                     Ok(outcome) => {
                         let service_s = outcome.outcome.timing.as_ref().map_or(0.0, timing_seconds);
@@ -564,18 +557,7 @@ impl<'a> Campaign<'a> {
                         }
                     }
                 };
-                let result = match (start, req.sim.blocks.is_some()) {
-                    (_, true) => {
-                        run_block_simulation_resilient(&ring, &mut system, req.sim, recovery)
-                            .map(block_to_resilient)
-                    }
-                    (None, false) => {
-                        run_simulation_resilient(&ring, &mut system, req.sim, recovery)
-                    }
-                    (Some(step), false) => {
-                        resume_simulation_resilient(&ring, &mut system, step, req.sim, recovery)
-                    }
-                };
+                let result = drive_segment(&ring, &mut system, resume, req.sim, recovery);
                 let rt = MultiDevicePipeline::timing(&ring);
                 self.slots[slot].failovers += rt.failovers;
                 match result {
@@ -604,18 +586,7 @@ impl<'a> Campaign<'a> {
                     req.sim.eps,
                     tree_config(theta_milli),
                 ));
-                let result = match (start, req.sim.blocks.is_some()) {
-                    (_, true) => {
-                        run_block_simulation_resilient(&eval, &mut system, req.sim, recovery)
-                            .map(block_to_resilient)
-                    }
-                    (None, false) => {
-                        run_simulation_resilient(&eval, &mut system, req.sim, recovery)
-                    }
-                    (Some(step), false) => {
-                        resume_simulation_resilient(&eval, &mut system, step, req.sim, recovery)
-                    }
-                };
+                let result = drive_segment(&eval, &mut system, resume, req.sim, recovery);
                 match result {
                     Ok(outcome) => {
                         // The walk counters tally only evaluated (active)
@@ -639,15 +610,8 @@ impl<'a> Campaign<'a> {
             return h;
         }
         let mut system = req.ics();
-        let blocks = req.sim.blocks.is_some();
-        match class {
-            BackendClass::Cpu => {
-                if blocks {
-                    let _ = run_cpu_block_simulation(&mut system, req.sim, 1);
-                } else {
-                    let _ = run_cpu_simulation(&mut system, req.sim, 1);
-                }
-            }
+        let _ = match class {
+            BackendClass::Cpu => run_simulation(&cpu_evaluator(req), &mut system, req.sim),
             BackendClass::Device => {
                 let dev = Device::new(
                     usize::MAX / 2, // outside fleet ids; fault-free
@@ -663,11 +627,7 @@ impl<'a> Campaign<'a> {
                     )
                     .expect("fault-free golden pipeline construction"),
                 );
-                if blocks {
-                    let _ = run_block_simulation(&eval, &mut system, req.sim);
-                } else {
-                    let _ = run_simulation(&eval, &mut system, req.sim);
-                }
+                run_simulation(&eval, &mut system, req.sim)
             }
             BackendClass::Tree { theta_milli } => {
                 let eval = Arc::new(TreeForceEvaluator::host(
@@ -675,23 +635,12 @@ impl<'a> Campaign<'a> {
                     req.sim.eps,
                     tree_config(theta_milli),
                 ));
-                if blocks {
-                    let _ = run_block_simulation(&eval, &mut system, req.sim);
-                } else {
-                    let _ = run_simulation(&eval, &mut system, req.sim);
-                }
+                run_simulation(&eval, &mut system, req.sim)
             }
-        }
+        };
         let h = state_hash(&system);
         self.goldens.insert(key, h);
         h
-    }
-
-    /// CPU service model for *shared-step* jobs: pair interactions over the
-    /// whole job at the modeled host rate. Block jobs are charged from
-    /// their actual active-count evaluations in [`Campaign::finish_on_cpu`].
-    fn cpu_service_s(&self, req: &JobRequest) -> f64 {
-        req.cost() / self.cfg.cpu_pairs_per_s
     }
 
     /// Record a typed shed. `jb` carries the span tree of a job that got
@@ -771,7 +720,7 @@ impl<'a> Campaign<'a> {
         let mut migrations: u32 = 0;
         let mut retries: u64 = 0;
         let mut recoveries: u32 = 0;
-        let mut resume: Option<(ParticleSystem, usize)> = None;
+        let mut resume: Option<Resume> = None;
         // Span tree: queue phase [arrival, dispatch], then one phase per
         // attempt starting at `seg_start` (service or retry, plus
         // zero-width migration markers between attempts).
@@ -785,7 +734,7 @@ impl<'a> Campaign<'a> {
         self.note(now_s, "job_dispatch", &[("job", req.job_id), ("slot", slot as u64)]);
 
         loop {
-            let segment = self.run_segment(slot, &req, resume.take(), &spill);
+            let segment = self.run_segment(slot, &req, resume.as_ref(), &spill);
             match segment {
                 Segment::Done { outcome, system, service_s } => {
                     elapsed += service_s;
@@ -901,21 +850,16 @@ impl<'a> Campaign<'a> {
                         .flatten();
                     match target {
                         Some(next) => {
-                            if req.sim.blocks.is_some() {
-                                // Block checkpoints carry the whole timestep
-                                // hierarchy in their own spill format; the
-                                // migrated segment replays the hierarchy from
-                                // its start, which keeps the final state on
-                                // the block golden (re-derived, not resumed).
-                                resume = None;
-                            } else if spill.checkpoints_on_disk().is_empty() {
+                            // Resume from the newest checkpoint: shared and
+                            // block jobs alike, block jobs mid-hierarchy.
+                            if spill.checkpoints_on_disk().is_empty() {
                                 // The loss landed before the first checkpoint
                                 // (during init): nothing was computed yet, so
-                                // the migrated segment restarts from step 0.
+                                // the migrated segment restarts from the start.
                                 resume = None;
                             } else {
                                 match latest_checkpoint(&spill) {
-                                    Ok((system, step)) => resume = Some((system, step)),
+                                    Ok(newest) => resume = Some(newest),
                                     Err(e) => {
                                         // Corrupt checkpoint: typed shed.
                                         let why = Rejection::CheckpointUnavailable {
@@ -1001,17 +945,13 @@ impl<'a> Campaign<'a> {
     ) -> f64 {
         self.cpu_fallbacks += 1;
         let mut system = req.ics();
-        let service_s = if req.sim.blocks.is_some() {
-            // Active-count accounting: a block job is charged the particle
-            // evaluations its hierarchy actually ran (× n sources each), not
-            // the shared-step every-particle-every-step ceiling.
-            let out = run_cpu_block_simulation(&mut system, req.sim, 1)
-                .unwrap_or_else(|e| panic!("host CPU evaluator cannot fault: {e}"));
-            out.report.particle_evaluations as f64 * req.n as f64 / self.cfg.cpu_pairs_per_s
-        } else {
-            let _ = run_cpu_simulation(&mut system, req.sim, 1);
-            self.cpu_service_s(&req)
-        };
+        // Active-count accounting: a job is charged the particle evaluations
+        // its launches actually ran (× n sources each) — for a block job
+        // that is below the shared-step every-particle-every-step ceiling.
+        let out = run_block_simulation(&cpu_evaluator(&req), &mut system, req.sim)
+            .unwrap_or_else(|e| panic!("host CPU evaluator cannot fault: {e}"));
+        let service_s =
+            out.report.particle_evaluations as f64 * req.n as f64 / self.cfg.cpu_pairs_per_s;
         let finish = start_service_s + service_s;
         let golden = self.golden(BackendClass::Cpu, &req);
         let h = state_hash(&system);

@@ -2,7 +2,8 @@
 //!
 //! 1. A job interrupted by device loss at *any* step resumes
 //!    bitwise-identically on a *different* backend (checkpoint migration is
-//!    lossless wherever the loss lands).
+//!    lossless wherever the loss lands), shared-step and block-step jobs
+//!    alike — block jobs mid-hierarchy, not from the start.
 //! 2. Spare/fleet exhaustion degrades jobs to the CPU evaluator instead of
 //!    failing them (no admitted job is ever lost to hardware faults).
 
@@ -11,7 +12,8 @@ use std::sync::Arc;
 use nbody::ic::{plummer, IcKind, PlummerConfig};
 use nbody_tt::{
     latest_checkpoint, resume_simulation_resilient, run_simulation, run_simulation_resilient,
-    RecoveryConfig, RetryPolicy, SimulationConfig, SingleCardEvaluator, SpillConfig,
+    BlockStepConfig, RecoveryConfig, RetryPolicy, SimulationConfig, SingleCardEvaluator,
+    SpillConfig,
 };
 use proptest::prelude::*;
 use tensix::{Device, DeviceConfig, FaultClass, ScrubConfig, StormConfig};
@@ -46,57 +48,70 @@ proptest! {
     /// Kill the device at the k-th program launch for every stepping launch
     /// in the run (launch 1 is init — before the first checkpoint exists);
     /// the checkpoint-migrated resume on a different card must finish
-    /// bitwise-identical to an uninterrupted golden run.
+    /// bitwise-identical to an uninterrupted golden run, for a shared-step
+    /// and a block-step job. The resume continues from the newest
+    /// checkpoint, so it runs only the iterations past it.
     #[test]
     fn migration_is_bitwise_wherever_the_loss_lands(
         loss_event in 2u64..=7,
         ic_seed in 0u64..1000,
     ) {
         let n = 48;
-        let cfg = sim();
         let ics = || plummer(PlummerConfig { n, seed: 7000 + ic_seed, ..PlummerConfig::default() });
-
-        // Golden: fault-free single card.
-        let mut golden = ics();
-        let eval = Arc::new(
-            SingleCardEvaluator::new(quiet_device(0), n, cfg.eps, cfg.num_cores).unwrap(),
-        );
-        // Only the final state in `golden` matters; the outcome is unused.
-        let _ = run_simulation(&eval, &mut golden, cfg);
-
-        // Interrupted: same ICs, device dies at launch `loss_event`
-        // (init is launch 1, then one launch per step).
-        let spill = spill(&format!("mig{loss_event}-{ic_seed}"));
-        let victim = quiet_device(1);
-        victim.faults().schedule(FaultClass::DeviceLoss, loss_event);
-        let eval = Arc::new(
-            SingleCardEvaluator::new(victim, n, cfg.eps, cfg.num_cores).unwrap(),
-        );
-        let recovery = RecoveryConfig {
-            checkpoint_every: 1,
-            retry: RetryPolicy::default(),
-            max_recoveries: 0,
-            spill: Some(spill.clone()),
+        let block = SimulationConfig {
+            blocks: Some(BlockStepConfig { eta: 0.02, levels: 3 }),
+            ..sim()
         };
-        let mut sys = ics();
-        match run_simulation_resilient(&eval, &mut sys, cfg, recovery.clone()) {
-            Err(e) => prop_assert!(e.is_card_loss(), "unexpected error {e}"),
-            Ok(_) => {
-                // Loss landed after the final step: nothing to migrate.
-                prop_assert_eq!(state_hash(&sys), state_hash(&golden));
-                spill.cleanup();
-                return Ok(());
-            }
-        }
+        for cfg in [sim(), block] {
+            // Golden: fault-free single card.
+            let mut golden = ics();
+            let eval = Arc::new(
+                SingleCardEvaluator::new(quiet_device(0), n, cfg.eps, cfg.num_cores).unwrap(),
+            );
+            let golden_steps = run_simulation(&eval, &mut golden, cfg).steps;
 
-        // Migrate: newest checkpoint, different backend, resume.
-        let (mut resumed, step) = latest_checkpoint(&spill).unwrap();
-        let eval = Arc::new(
-            SingleCardEvaluator::new(quiet_device(2), n, cfg.eps, cfg.num_cores).unwrap(),
-        );
-        resume_simulation_resilient(&eval, &mut resumed, step, cfg, recovery).unwrap();
-        prop_assert_eq!(state_hash(&resumed), state_hash(&golden), "loss at launch {}", loss_event);
-        spill.cleanup();
+            // Interrupted: same ICs, device dies at launch `loss_event`
+            // (init is launch 1, then one launch per iteration).
+            let tag = format!("mig{loss_event}-{ic_seed}-{}", cfg.blocks.is_some());
+            let spill = spill(&tag);
+            let victim = quiet_device(1);
+            victim.faults().schedule(FaultClass::DeviceLoss, loss_event);
+            let eval = Arc::new(
+                SingleCardEvaluator::new(victim, n, cfg.eps, cfg.num_cores).unwrap(),
+            );
+            let recovery = RecoveryConfig {
+                checkpoint_every: 1,
+                retry: RetryPolicy::default(),
+                max_recoveries: 0,
+                spill: Some(spill.clone()),
+            };
+            let mut sys = ics();
+            let err = run_simulation_resilient(&eval, &mut sys, cfg, recovery.clone())
+                .expect_err("every loss event lands inside the run");
+            prop_assert!(err.is_card_loss(), "unexpected error {}", err);
+
+            // Migrate: newest checkpoint, different backend, resume.
+            let (ckpt, iteration) = latest_checkpoint(&spill).unwrap();
+            prop_assert_eq!(iteration as u64, loss_event - 2, "checkpoint before the loss");
+            let eval = Arc::new(
+                SingleCardEvaluator::new(quiet_device(2), n, cfg.eps, cfg.num_cores).unwrap(),
+            );
+            let mut resumed = ics();
+            let out = resume_simulation_resilient(&eval, &mut resumed, &ckpt, iteration, cfg, recovery)
+                .unwrap();
+            prop_assert_eq!(
+                state_hash(&resumed),
+                state_hash(&golden),
+                "loss at launch {} (blocks: {})",
+                loss_event,
+                cfg.blocks.is_some()
+            );
+            prop_assert_eq!(out.outcome.steps + iteration, golden_steps);
+            if loss_event > 2 {
+                prop_assert!(out.outcome.steps < golden_steps, "resume replayed the whole run");
+            }
+            spill.cleanup();
+        }
     }
 
     /// A fleet whose every card dies at its first launch (and stays

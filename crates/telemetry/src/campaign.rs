@@ -190,7 +190,7 @@ pub struct JobRecord {
     pub device_retry: Vec<RetryCost>,
     /// Ring members replaced by a spare mid-run. The modeled campaign
     /// runner records zero (its loss model is job-level); pipeline-backed
-    /// runners fill this from `ResilientOutcome::failovers`.
+    /// runners fill this from `DriverOutcome::failovers`.
     pub failovers: u64,
 }
 

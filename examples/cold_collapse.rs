@@ -22,8 +22,8 @@ fn main() {
     let mut sphere = cold_collapse(n, 3, 1.0);
 
     let device = create_device(0, DeviceConfig::default()).expect("device reset");
-    let pipeline = DeviceForcePipeline::new(device, n, softening, 2).expect("pipeline");
-    let integ = Hermite4::new(DeviceForceKernel::new(pipeline));
+    let card =
+        std::sync::Arc::new(SingleCardEvaluator::new(device, n, softening, 2).expect("pipeline"));
 
     let e0 = total_energy(&sphere, softening);
     println!("cold uniform sphere: n = {n}, E0 = {e0:.5} (free-fall time ~ pi/2 * sqrt(R^3/2GM))");
@@ -31,13 +31,17 @@ fn main() {
 
     // Free-fall time of a cold uniform unit sphere is ~1.11 N-body time
     // units; run to t = 1.25 to pass through maximum collapse.
-    integ.initialize(&mut sphere);
-    let dt = 1.0 / 512.0;
+    let segment = SimulationConfig {
+        eps: softening,
+        cycles: 1,
+        steps_per_cycle: 64,
+        dt: 1.0 / 512.0,
+        num_cores: 2,
+        blocks: None,
+    };
     let mut min_r10 = f64::INFINITY;
-    for segment in 0..10 {
-        for _ in 0..64 {
-            integ.step(&mut sphere, dt);
-        }
+    for _ in 0..10 {
+        let _ = run_simulation(&card, &mut sphere, segment);
         let r10 = lagrangian_radius(&sphere, 0.1);
         min_r10 = min_r10.min(r10);
         let err = relative_energy_error(total_energy(&sphere, softening), e0);
@@ -48,7 +52,6 @@ fn main() {
             lagrangian_radius(&sphere, 0.5),
             err
         );
-        let _ = segment;
     }
 
     assert!(min_r10 < 0.3, "the sphere must actually collapse (min r10 = {min_r10})");

@@ -8,9 +8,9 @@
 //! cargo run --release --example production_run
 //! ```
 
-use nbody::diagnostics::{lagrangian_radius, relative_energy_error, total_energy, virial_ratio};
+use nbody::diagnostics::{lagrangian_radius, total_energy, virial_ratio};
 use nbody::ic::{king, KingConfig};
-use nbody::integrator::BlockHermite;
+use nbody_tt::BlockStepConfig;
 use tt_nbody::prelude::*;
 
 fn main() {
@@ -25,25 +25,33 @@ fn main() {
     );
 
     let device = create_device(0, DeviceConfig::default()).expect("device reset");
-    let pipeline = DeviceForcePipeline::new(device, n, softening, 2).expect("pipeline");
-    let kernel = DeviceForceKernel::new(pipeline);
+    let card =
+        std::sync::Arc::new(SingleCardEvaluator::new(device, n, softening, 2).expect("pipeline"));
 
-    // Block steps: base step 1/32, up to 6 halvings (finest 1/2048).
-    let integ = BlockHermite::new(kernel, 0.01, 1.0 / 32.0, 6);
-    let e0 = total_energy(&cluster, softening);
-    let stats = integ.evolve(&mut cluster, 0.25);
-    let err = relative_energy_error(total_energy(&cluster, softening), e0);
+    // Block steps: base step 1/32, up to 6 halvings (finest 1/2048); the
+    // device launches only the particles due at each block time.
+    let config = SimulationConfig {
+        eps: softening,
+        cycles: 1,
+        steps_per_cycle: 8,
+        dt: 1.0 / 32.0,
+        num_cores: 2,
+        blocks: Some(BlockStepConfig { eta: 0.01, levels: 6 }),
+    };
+    let out = nbody_tt::run_block_simulation(&card, &mut cluster, config).expect("fault-free card");
+    let ledger = &out.report;
 
     println!("\nblock-timestep run to t = 0.25:");
-    println!("  {} block iterations", stats.iterations);
-    println!("  {} particle force evaluations", stats.particle_evaluations);
-    println!("  smallest step used: {:.2e}", stats.min_dt_used);
-    let shared_equivalent = (0.25 / stats.min_dt_used) as u64 * n as u64;
+    println!("  {} block iterations", out.outcome.steps);
+    println!("  {} particle force evaluations", ledger.particle_evaluations);
+    println!("  smallest step used: {:.2e}", ledger.min_dt_used);
+    let shared_equivalent = (0.25 / ledger.min_dt_used) as u64 * n as u64;
     println!(
         "  shared stepping at that dt would need {} evaluations ({:.1}x more)",
         shared_equivalent,
-        shared_equivalent as f64 / stats.particle_evaluations as f64
+        shared_equivalent as f64 / ledger.particle_evaluations as f64
     );
+    let err = out.outcome.energy_error;
     println!("  relative energy error: {err:.2e}");
     assert!(err < 1e-3, "energy error too large: {err}");
 }

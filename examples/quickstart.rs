@@ -7,7 +7,7 @@
 
 use tt_nbody::prelude::*;
 
-use nbody::diagnostics::{relative_energy_error, total_energy, virial_ratio};
+use nbody::diagnostics::virial_ratio;
 use nbody::ic::PlummerConfig;
 
 fn main() {
@@ -26,22 +26,27 @@ fn main() {
     //    kernels, FP32 math on the SFPU.
     let softening = 0.01;
     let cores = 2;
-    let pipeline = DeviceForcePipeline::new(device, n, softening, cores).expect("pipeline");
-    let kernel = DeviceForceKernel::new(pipeline);
+    let card = SingleCardEvaluator::new(device, n, softening, cores).expect("pipeline");
+    let card = std::sync::Arc::new(card);
 
-    // 4. Evolve with the 4th-order Hermite integrator — prediction and
+    // 4. Evolve with the 4th-order Hermite driver — prediction and
     //    correction in FP64 on the host, force and jerk in FP32 on the
     //    device (the paper's mixed-precision split).
-    let e0 = total_energy(&cluster, softening);
-    let integ = Hermite4::new(kernel);
-    let steps = integ.evolve(&mut cluster, 0.05, 1.0 / 256.0);
-    let e1 = total_energy(&cluster, softening);
+    let config = SimulationConfig {
+        eps: softening,
+        cycles: 1,
+        steps_per_cycle: 13,
+        dt: 1.0 / 256.0,
+        num_cores: cores,
+        blocks: None,
+    };
+    let out = run_simulation(&card, &mut cluster, config);
 
-    println!("evolved {steps} Hermite steps to t = {:.4}", cluster.time);
-    println!("relative energy error: {:.2e}", relative_energy_error(e1, e0));
+    println!("evolved {} Hermite steps to t = {:.4}", out.steps, cluster.time);
+    println!("relative energy error: {:.2e}", out.energy_error);
 
     // 5. Device-side accounting from the run.
-    let timing = integ.kernel().pipeline().timing();
+    let timing = out.timing.expect("device runs report timing");
     println!(
         "device force evaluations: {} ({:.3} ms device time, {:.3} ms PCIe)",
         timing.evaluations,

@@ -3,7 +3,7 @@
 //! of gravitational-wave sources).
 //!
 //! Evolves a Plummer sphere for a fraction of a crossing time with the
-//! device-offloaded Hermite integrator, tracking Lagrangian radii, energy
+//! device-offloaded Hermite driver, tracking Lagrangian radii, energy
 //! and the virial ratio, and cross-checks the trajectory against the CPU
 //! mixed-precision reference.
 //!
@@ -32,24 +32,29 @@ fn main() {
     );
 
     let device = create_device(0, DeviceConfig::default()).expect("device reset");
-    let pipeline = DeviceForcePipeline::new(device, n, softening, 4).expect("pipeline");
-    let device_integ = Hermite4::new(DeviceForceKernel::new(pipeline));
+    let card =
+        std::sync::Arc::new(SingleCardEvaluator::new(device, n, softening, 4).expect("pipeline"));
     let cpu_integ = Hermite4::new(ThreadedKernel::new(SimdKernel::new(softening), 4));
 
     let dt = 1.0 / 256.0;
     let segments = 4;
-    let seg_t = 0.025;
+    let seg_steps = 7; // ~0.027 N-body time units per segment
+    let segment = SimulationConfig {
+        eps: softening,
+        cycles: 1,
+        steps_per_cycle: seg_steps,
+        dt,
+        num_cores: 4,
+        blocks: None,
+    };
 
-    device_integ.initialize(&mut cluster);
     cpu_integ.initialize(&mut reference);
     println!("\n   t (Myr) |   r10%  |   r50%  |   r90%  |  Q=-T/W |     E");
     for seg in 0..=segments {
         if seg > 0 {
-            let mut t = 0.0;
-            while t < seg_t - 1e-12 {
-                device_integ.step(&mut cluster, dt);
+            let _ = run_simulation(&card, &mut cluster, segment);
+            for _ in 0..seg_steps {
                 cpu_integ.step(&mut reference, dt);
-                t += dt;
             }
         }
         println!(

@@ -3,8 +3,7 @@
 # The build environment is offline — all external deps are vendored under
 # vendor/ — so every cargo invocation passes --offline.
 #
-# `ci.sh --bench` additionally runs the wall-clock bench gate: quick-mode
-# smoke runs of the criterion harnesses for the hot-path benches, then the
+# `ci.sh --bench` additionally runs the wall-clock bench gate: the
 # hand-rolled bench_gate binary, which rewrites BENCH_pipeline.json at the
 # repo root and exits non-zero if any bench regressed >15% against the
 # committed baseline (tolerance override: TT_BENCH_TOLERANCE=0.25).
@@ -25,12 +24,6 @@ cargo build --release --offline --workspace
 
 echo "==> cargo test"
 cargo test -q --offline --workspace
-
-echo "==> retry-cost bench (smoke)"
-# Criterion --test mode runs each bench once: proves the partial-redo
-# retry-cost report (and its 1.5/num_cores bound assertion) still passes
-# without paying full measurement time.
-cargo bench -q --offline -p tt-bench --bench retry_cost -- --test
 
 echo "==> traced --profile smoke"
 # Runs the small-N profiled demo: internally asserts the traced run is
@@ -130,10 +123,6 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 if [ "$RUN_BENCH" = 1 ]; then
-  echo "==> hot-path bench smoke (criterion --test mode)"
-  cargo bench -q --offline -p tt-bench --bench cb_throughput -- --test
-  cargo bench -q --offline -p tt-bench --bench tile_ops -- --test
-
   echo "==> bench regression gate"
   cargo run --release --offline -p tt-bench --bin bench_gate -- --gate
 fi

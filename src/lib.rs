@@ -32,7 +32,7 @@ pub mod prelude {
         ReferenceKernel, SimdKernel, ThreadedKernel,
     };
     pub use nbody_tt::{
-        run_device_simulation, DeviceForceKernel, DeviceForcePipeline, SimulationConfig,
+        run_simulation, DeviceForcePipeline, SimulationConfig, SingleCardEvaluator,
     };
     pub use tensix::{Device, DeviceConfig};
     pub use ttmetal::{create_device, open_cluster, CommandQueue, Program};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tt-nbody run   [--ic plummer|king|uniform|collapse|merger|binary] [--n 512]
-//!                [--backend device|tree|cpu|reference] [--integrator hermite|leapfrog|block]
+//!                [--backend device|tree|cpu|reference] [--integrator hermite|leapfrog]
 //!                [--steps 32] [--dt 0.00390625] [--eps 0.01] [--cores 2]
 //!                [--devices 1] [--spares 0] [--resilient] [--inject-loss 0]
 //!                [--threads 4] [--seed 0]
@@ -17,12 +17,16 @@
 //! the device backend, the virtual-time accounting. `validate` prints the
 //! §3 accuracy table. `model` prints the calibrated paper-scale summary.
 //!
-//! With `--devices N` (N > 1) the device backend runs the resilient Hermite
-//! driver over an N-card ring; `--spares` adds hot spares, and
-//! `--inject-loss L` kills the last ring card at launch event `L` and then
-//! verifies the surviving run against an unfaulted twin, bit for bit.
-//! `--resilient` routes a single-card run through the same driver
-//! (checkpoint/restart + watchdog) instead of the bare integrator.
+//! The device and tree backends run the one Hermite driver of the core
+//! crate; the `cpu` and `reference` backends drive the in-crate CPU kernels
+//! with `--integrator hermite` (default) or `leapfrog`, and `cpu` takes the
+//! driver too under `--blocks`.
+//!
+//! With `--devices N` (N > 1) the device backend runs the resilient driver
+//! over an N-card ring; `--spares` adds hot spares, and `--inject-loss L`
+//! kills the last ring card at launch event `L` and then verifies the
+//! surviving run against an unfaulted twin, bit for bit. `--resilient`
+//! adds checkpoint/restart and in-place retries to a single-card run.
 //!
 //! `--backend tree` runs the Barnes-Hut tree code: `--theta` sets the
 //! opening angle, `--leaf` the leaf capacity, and `--near device` routes
@@ -53,14 +57,13 @@ use std::sync::Arc;
 use nbody::diagnostics::{relative_energy_error, total_energy, virial_ratio};
 use nbody::force::{ForceKernel, ReferenceKernel, SimdKernel, ThreadedKernel};
 use nbody::ic::IcKind;
-use nbody::integrator::{BlockHermite, Hermite4, Integrator, Leapfrog};
+use nbody::integrator::{Hermite4, Integrator, Leapfrog};
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    run_block_simulation, run_block_simulation_resilient, run_cpu_block_simulation,
-    run_device_simulation_resilient_kernel, run_ring_simulation_resilient_kernel, BlockOutcome,
-    BlockStepConfig, DeviceForceKernel, DeviceForcePipeline, EvaluatorKernel, ForceEvaluator,
-    ForceKernelKind, MultiDevicePipeline, RecoveryConfig, ResilientOutcome, SimulationConfig,
-    SingleCardEvaluator, TreeConfig, TreeForceEvaluator,
+    run_block_simulation, run_simulation_resilient, BlockScheduler, BlockStepConfig,
+    CpuForceEvaluator, DeviceForcePipeline, DriverOutcome, ForceEvaluator, ForceKernelKind,
+    MultiDevicePipeline, RecoveryConfig, RetryPolicy, SimulationConfig, SingleCardEvaluator,
+    TreeConfig, TreeForceEvaluator,
 };
 use tensix::catalog::DeviceArch;
 use tensix::fault::FaultClass;
@@ -179,23 +182,15 @@ fn build_system(opts: &Options) -> Result<ParticleSystem, String> {
     Ok(opts.ic.parse::<IcKind>()?.build(opts.n, opts.seed))
 }
 
+/// The `cpu`/`reference` shared-step path: the in-crate integrators over a
+/// CPU force kernel.
 fn run_with_kernel<K: ForceKernel>(opts: &Options, sys: &mut ParticleSystem, kernel: K) {
     let e0 = total_energy(sys, opts.eps);
-    match opts.integrator.as_str() {
-        "leapfrog" => {
-            Leapfrog::new(kernel).evolve(sys, opts.steps as f64 * opts.dt, opts.dt);
-        }
-        "block" => {
-            let integ = BlockHermite::new(kernel, 0.01, opts.dt * 4.0, 6);
-            let stats = integ.evolve(sys, opts.steps as f64 * opts.dt);
-            println!(
-                "block stats: {} iterations, {} particle evaluations, min dt {:.2e}",
-                stats.iterations, stats.particle_evaluations, stats.min_dt_used
-            );
-        }
-        _ => {
-            Hermite4::new(kernel).evolve(sys, opts.steps as f64 * opts.dt, opts.dt);
-        }
+    let t_end = opts.steps as f64 * opts.dt;
+    if opts.integrator == "leapfrog" {
+        Leapfrog::new(kernel).evolve(sys, t_end, opts.dt);
+    } else {
+        Hermite4::new(kernel).evolve(sys, t_end, opts.dt);
     }
     let e1 = total_energy(sys, opts.eps);
     println!(
@@ -206,8 +201,8 @@ fn run_with_kernel<K: ForceKernel>(opts: &Options, sys: &mut ParticleSystem, ker
     );
 }
 
-/// The resilient driver's step schedule for the CLI: `--steps` Hermite
-/// steps, checkpointed every [`RecoveryConfig::default`] stride.
+/// The driver's step schedule for the CLI: `--steps` base steps,
+/// checkpointed every [`RecoveryConfig::default`] stride.
 fn sim_config(opts: &Options) -> SimulationConfig {
     SimulationConfig {
         eps: opts.eps,
@@ -219,11 +214,13 @@ fn sim_config(opts: &Options) -> SimulationConfig {
     }
 }
 
-/// Print the block-step ledger next to the conservation diagnostics.
-fn report_block(out: &BlockOutcome) {
+/// Print a driver run: conservation, the active-set launch ledger, the
+/// recovery ledger and the card's virtual-time accounting.
+fn report(out: &DriverOutcome) {
+    let o = &out.outcome;
     println!(
-        "block steps ({}): {} iterations to t = {:.5}, |dE/E| = {:.3e}",
-        out.outcome.kernel, out.outcome.steps, out.outcome.final_time, out.outcome.energy_error
+        "driver ({}): {} steps to t = {:.5}, |dE/E| = {:.3e}",
+        o.kernel, o.steps, o.final_time, o.energy_error
     );
     println!(
         "active-set ledger: {:.1} full-N equivalents over {} launches \
@@ -233,25 +230,11 @@ fn report_block(out: &BlockOutcome) {
         out.report.mean_active_fraction(),
         out.report.min_dt()
     );
-    if let Some(t) = out.outcome.timing {
-        println!(
-            "card occupancy {:.3} ms over {} active-set launches",
-            t.device_seconds * 1e3,
-            t.evaluations
-        );
-    }
-}
-
-fn report_resilient(out: &ResilientOutcome) {
-    println!(
-        "resilient run ({}): {} steps to t = {:.5}, |dE/E| = {:.3e}",
-        out.outcome.kernel, out.outcome.steps, out.outcome.final_time, out.outcome.energy_error
-    );
     println!(
         "failovers: {} | recoveries: {} | steps replayed: {}",
         out.failovers, out.recoveries, out.steps_replayed
     );
-    if let Some(t) = out.outcome.timing {
+    if let Some(t) = o.timing {
         println!(
             "card occupancy {:.3} ms over {} evaluations ({} retries, {} partial redos)",
             t.device_seconds * 1e3,
@@ -271,50 +254,32 @@ fn run_ring(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
     let mk_devices = |base: usize, count: usize| -> Vec<Arc<Device>> {
         (base..base + count).map(|id| Device::new(id, arch.device_config())).collect()
     };
-    // One ring leg: shared-step resilient driver or the block scheduler
-    // over the same ring pipeline, either way honoring `--force-kernel`.
+    // One ring leg: the resilient driver over the ring pipeline, honoring
+    // `--force-kernel`; failovers come from the ring's own counters.
     let run_leg = |devices: &[Arc<Device>],
                    spares: &[Arc<Device>],
                    sys: &mut ParticleSystem,
                    quiet: bool|
      -> Result<nbody_tt::SimulationOutcome, String> {
-        let config = sim_config(opts);
-        if opts.blocks {
-            let ring = Arc::new(
-                MultiDevicePipeline::with_spares_kernel(
-                    devices,
-                    spares,
-                    sys.len(),
-                    opts.eps,
-                    opts.cores,
-                    opts.force_kernel,
-                )
-                .map_err(|e| e.to_string())?,
-            );
-            let out = run_block_simulation_resilient(&ring, sys, config, RecoveryConfig::default())
-                .map_err(|e| e.to_string())?;
-            if !quiet {
-                report_block(&BlockOutcome {
-                    outcome: out.outcome.clone(),
-                    report: out.report.clone(),
-                });
-            }
-            Ok(out.outcome)
-        } else {
-            let out = run_ring_simulation_resilient_kernel(
+        let ring = Arc::new(
+            MultiDevicePipeline::with_spares_kernel(
                 devices,
                 spares,
-                sys,
-                config,
-                RecoveryConfig::default(),
+                sys.len(),
+                opts.eps,
+                opts.cores,
                 opts.force_kernel,
             )
-            .map_err(|e| e.to_string())?;
-            if !quiet {
-                report_resilient(&out);
-            }
-            Ok(out.outcome)
+            .map_err(|e| e.to_string())?,
+        );
+        let mut out =
+            run_simulation_resilient(&ring, sys, sim_config(opts), RecoveryConfig::default())
+                .map_err(|e| e.to_string())?;
+        out.failovers = ring.timing().failovers;
+        if !quiet {
+            report(&out);
         }
+        Ok(out.outcome)
     };
 
     let devices = mk_devices(0, opts.devices);
@@ -406,22 +371,23 @@ fn run_tree(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
     if opts.verify_direct {
         verify_tree_against_direct(&eval, sys, opts.eps)?;
     }
-    if opts.blocks {
-        let out = run_block_simulation(&eval, sys, sim_config(opts)).map_err(|e| e.to_string())?;
-        report_block(&out);
-        report_tree_cost(&eval);
-        return Ok(());
-    }
-    let kernel = EvaluatorKernel::new(Arc::clone(&eval));
     if sys.len() <= ENERGY_CHECK_MAX_N {
-        run_with_kernel(opts, sys, kernel);
+        let out = run_block_simulation(&eval, sys, sim_config(opts)).map_err(|e| e.to_string())?;
+        report(&out);
     } else {
+        // The driver's energy diagnostic is a quadratic host sum; step its
+        // scheduler directly instead.
         let wall = std::time::Instant::now();
-        let steps = Hermite4::new(kernel).evolve(sys, opts.steps as f64 * opts.dt, opts.dt);
+        let mut sched =
+            BlockScheduler::new(Arc::clone(&eval), sys, sim_config(opts), RetryPolicy::disabled())
+                .map_err(|e| e.to_string())?;
+        while !sched.done(sys) {
+            sched.step(sys).map_err(|e| e.to_string())?;
+        }
         println!(
-            "t = {:.5} after {} steps in {:.2} s wall (energy check skipped at n > {})",
+            "t = {:.5} after {} iterations in {:.2} s wall (energy check skipped at n > {})",
             sys.time,
-            steps,
+            sched.report().iterations - 1,
             wall.elapsed().as_secs_f64(),
             ENERGY_CHECK_MAX_N
         );
@@ -506,10 +472,18 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     if opts.force_kernel == ForceKernelKind::Matrix && opts.backend != "device" {
         return Err("--force-kernel matrix drives the device backend".into());
     }
+    match opts.integrator.as_str() {
+        "hermite" => {}
+        "leapfrog" if matches!(opts.backend.as_str(), "cpu" | "reference") && !opts.blocks => {}
+        "leapfrog" => {
+            return Err("--integrator leapfrog runs on the cpu|reference backends \
+                 without --blocks (device and tree backends run the Hermite driver)"
+                .into())
+        }
+        other => return Err(format!("unknown integrator '{other}'; expected hermite|leapfrog")),
+    }
     if opts.blocks && opts.backend == "reference" {
-        return Err("--blocks drives the device|cpu|tree backends \
-             (use --integrator block for the in-crate reference scheduler)"
-            .into());
+        return Err("--blocks drives the device|cpu|tree backends".into());
     }
     match opts.backend.as_str() {
         "device" if opts.devices > 1 => run_ring(opts, &mut sys)?,
@@ -518,43 +492,24 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             if opts.inject_loss > 0 {
                 device.faults().schedule(FaultClass::DeviceLoss, opts.inject_loss);
             }
-            if opts.blocks {
-                let evaluator = Arc::new(
-                    SingleCardEvaluator::new_with_kernel(
-                        Arc::clone(&device),
-                        sys.len(),
-                        opts.eps,
-                        opts.cores,
-                        opts.force_kernel,
-                    )
-                    .map_err(|e| e.to_string())?,
-                );
-                let out = run_block_simulation_resilient(
-                    &evaluator,
-                    &mut sys,
-                    sim_config(opts),
-                    RecoveryConfig::default(),
-                )
-                .map_err(|e| e.to_string())?;
-                report_block(&BlockOutcome {
-                    outcome: out.outcome.clone(),
-                    report: out.report.clone(),
-                });
-                println!(
-                    "recoveries: {} | iterations replayed: {}",
-                    out.recoveries, out.iterations_replayed
-                );
-            } else {
-                let out = run_device_simulation_resilient_kernel(
-                    &device,
-                    &mut sys,
-                    sim_config(opts),
-                    RecoveryConfig::default(),
+            let evaluator = Arc::new(
+                SingleCardEvaluator::new_with_kernel(
+                    device,
+                    sys.len(),
+                    opts.eps,
+                    opts.cores,
                     opts.force_kernel,
                 )
-                .map_err(|e| e.to_string())?;
-                report_resilient(&out);
-            }
+                .map_err(|e| e.to_string())?,
+            );
+            let out = run_simulation_resilient(
+                &evaluator,
+                &mut sys,
+                sim_config(opts),
+                RecoveryConfig::default(),
+            )
+            .map_err(|e| e.to_string())?;
+            report(&out);
         }
         "device" => {
             let device = Device::new(0, arch.device_config());
@@ -570,21 +525,19 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             if opts.verify_direct {
                 verify_device_against_direct(&pipeline, &sys, opts)?;
             }
-            if opts.blocks {
-                let evaluator = Arc::new(pipeline);
-                let out = run_block_simulation(&evaluator, &mut sys, sim_config(opts))
-                    .map_err(|e| e.to_string())?;
-                report_block(&out);
-            } else {
-                let kernel = DeviceForceKernel::new(pipeline);
-                run_with_kernel(opts, &mut sys, kernel);
-            }
+            let out = run_block_simulation(&Arc::new(pipeline), &mut sys, sim_config(opts))
+                .map_err(|e| e.to_string())?;
+            report(&out);
         }
         "tree" => run_tree(opts, &mut sys)?,
         "cpu" if opts.blocks => {
-            let out = run_cpu_block_simulation(&mut sys, sim_config(opts), opts.threads)
+            let evaluator = Arc::new(CpuForceEvaluator::new(
+                ThreadedKernel::new(SimdKernel::new(opts.eps), opts.threads),
+                sys.len(),
+            ));
+            let out = run_block_simulation(&evaluator, &mut sys, sim_config(opts))
                 .map_err(|e| e.to_string())?;
-            report_block(&out);
+            report(&out);
         }
         "cpu" => {
             run_with_kernel(
@@ -676,7 +629,7 @@ mod tests {
             "--backend",
             "cpu",
             "--integrator",
-            "block",
+            "leapfrog",
             "--steps",
             "10",
             "--dt",
@@ -717,7 +670,7 @@ mod tests {
         assert_eq!(o.ic, "king");
         assert_eq!(o.n, 1000);
         assert_eq!(o.backend, "cpu");
-        assert_eq!(o.integrator, "block");
+        assert_eq!(o.integrator, "leapfrog");
         assert_eq!(o.steps, 10);
         assert!((o.dt - 0.001).abs() < 1e-12);
         assert_eq!(o.devices, 2);
@@ -771,8 +724,10 @@ mod tests {
         cmd_run(&Options { backend: "tree".into(), threads: 1, ..o.clone() }).unwrap();
         cmd_run(&Options { resilient: true, ..o.clone() }).unwrap();
         cmd_run(&Options { devices: 2, ..o.clone() }).unwrap();
-        // The in-crate reference path keeps its own block integrator flag.
-        assert!(cmd_run(&Options { backend: "reference".into(), ..o }).is_err());
+        // The reference path has no evaluator behind it: --blocks is refused,
+        // and so is leapfrog on the driver's backends.
+        assert!(cmd_run(&Options { backend: "reference".into(), ..o.clone() }).is_err());
+        assert!(cmd_run(&Options { integrator: "leapfrog".into(), ..o }).is_err());
     }
 
     #[test]

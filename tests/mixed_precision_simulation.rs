@@ -2,10 +2,28 @@
 //! energy conservation, trajectory agreement with the CPU reference, and
 //! the virtual-time bookkeeping.
 
+use std::sync::Arc;
+
 use nbody::diagnostics::{angular_momentum, total_energy};
+use nbody::force::{SimdKernel, ThreadedKernel};
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::{run_cpu_simulation, run_device_simulation, SimulationConfig};
+use nbody::particle::ParticleSystem;
+use nbody_tt::{
+    run_simulation, CpuForceEvaluator, SimulationConfig, SimulationOutcome, SingleCardEvaluator,
+};
 use tensix::{Device, DeviceConfig};
+
+/// The Hermite driver on one fresh card.
+fn device_run(sys: &mut ParticleSystem, cfg: SimulationConfig) -> SimulationOutcome {
+    let card = SingleCardEvaluator::new(
+        Device::new(0, DeviceConfig::default()),
+        sys.len(),
+        cfg.eps,
+        cfg.num_cores,
+    )
+    .unwrap();
+    run_simulation(&Arc::new(card), sys, cfg)
+}
 
 fn config() -> SimulationConfig {
     SimulationConfig {
@@ -22,8 +40,7 @@ fn config() -> SimulationConfig {
 fn device_simulation_paper_structure() {
     // cycles × steps mirrors the paper's "ten time cycles" structure.
     let mut sys = plummer(PlummerConfig { n: 256, seed: 21, ..PlummerConfig::default() });
-    let device = Device::new(0, DeviceConfig::default());
-    let out = run_device_simulation(device, &mut sys, config()).unwrap();
+    let out = device_run(&mut sys, config());
     assert_eq!(out.steps, 9);
     assert_eq!(out.kernel, "tenstorrent-wormhole");
     assert!(out.energy_error < 1e-4, "energy error {}", out.energy_error);
@@ -37,10 +54,10 @@ fn device_and_cpu_trajectories_track() {
     let mk = || plummer(PlummerConfig { n: 200, seed: 22, ..PlummerConfig::default() });
     let cfg = config();
     let mut dev_sys = mk();
-    let device = Device::new(0, DeviceConfig::default());
-    run_device_simulation(device, &mut dev_sys, cfg).unwrap();
+    let _ = device_run(&mut dev_sys, cfg);
     let mut cpu_sys = mk();
-    let _ = run_cpu_simulation(&mut cpu_sys, cfg, 3);
+    let cpu = CpuForceEvaluator::new(ThreadedKernel::new(SimdKernel::new(cfg.eps), 3), 200);
+    let _ = run_simulation(&Arc::new(cpu), &mut cpu_sys, cfg);
 
     let mut max_d: f64 = 0.0;
     for i in 0..dev_sys.len() {
@@ -57,9 +74,7 @@ fn conservation_laws_hold_through_offload() {
     let eps = 0.03;
     let l0 = angular_momentum(&sys);
     let e0 = total_energy(&sys, eps);
-    let device = Device::new(0, DeviceConfig::default());
-    let out = run_device_simulation(
-        device,
+    let out = device_run(
         &mut sys,
         SimulationConfig {
             eps,
@@ -69,8 +84,7 @@ fn conservation_laws_hold_through_offload() {
             num_cores: 1,
             blocks: None,
         },
-    )
-    .unwrap();
+    );
     let l1 = angular_momentum(&sys);
     for k in 0..3 {
         assert!((l1[k] - l0[k]).abs() < 1e-5, "L[{k}] drift {} -> {}", l0[k], l1[k]);
@@ -82,9 +96,7 @@ fn conservation_laws_hold_through_offload() {
 #[test]
 fn longer_run_energy_stays_bounded() {
     let mut sys = plummer(PlummerConfig { n: 128, seed: 24, ..PlummerConfig::default() });
-    let device = Device::new(0, DeviceConfig::default());
-    let out = run_device_simulation(
-        device,
+    let out = device_run(
         &mut sys,
         SimulationConfig {
             eps: 0.05,
@@ -94,8 +106,7 @@ fn longer_run_energy_stays_bounded() {
             num_cores: 1,
             blocks: None,
         },
-    )
-    .unwrap();
+    );
     assert_eq!(out.steps, 40);
     assert!(out.energy_error < 5e-4, "energy error {} over 40 steps", out.energy_error);
 }
