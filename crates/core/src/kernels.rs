@@ -10,25 +10,35 @@
 //! the read kernel. After the computation is complete, the write kernel
 //! transfers the results back to DRAM."
 //!
+//! The paper's inner loop streams `N` replicated source tiles, one per
+//! particle, from DRAM. That layout is modelled only in
+//! [`crate::perf_model`]. The kernels here keep the double loop and the
+//! arithmetic but read the *packed* source view — ⌈N/1024⌉ tiles per
+//! quantity — and the compute kernel makes each per-particle broadcast
+//! itself with stride-0 unpacks (`sub_tiles_lane_bcast`,
+//! `copy_tile_lane_broadcast`). Sources are still summed `j = 0..N` in
+//! order, so the forces are the replicated layout's bit for bit.
+//!
 //! Because the FP32 dst register file holds only 8 tiles, the compute kernel
 //! stages its reusable intermediates — the displacement components
 //! (dx, dy, dz, dvx, dvy, dvz) and the scalar fields w = m/s³ and
 //! 3(d·dv)/s² — in L1 circular buffers, exactly the register-spill
 //! workaround the paper describes. Transcendentals run on the SFPU
-//! (`rsqrt_tile`), element-wise subtraction on the FPU (`sub_tiles`).
+//! (`rsqrt_tile`), element-wise subtraction on the FPU.
 //!
 //! CB roles (per core):
 //!
 //! | CB          | contents                          | pages |
 //! |-------------|-----------------------------------|-------|
 //! | `IN0`       | target bundle (x y z vx vy vz)    | 6     |
-//! | `IN1`       | source bundle (m x y z vx vy vz)  | 14    |
+//! | `IN1`       | packed source bundle (m x y z vx vy vz) | 14 |
 //! | `INTERMED0` | displacements (dx dy dz dvx dvy dvz) | 6  |
 //! | `INTERMED1` | w, rv3                            | 2     |
 //! | `INTERMED2` | accumulator ring (ax ay az jx jy jz) | 12 |
 //! | `OUT0`      | results per target tile           | 12    |
 
 use tensix::fpu::BroadcastDim;
+use tensix::TILE_ELEMS;
 use ttmetal::cb_index::{IN0, IN1, IN2, IN3, INTERMED0, INTERMED1, INTERMED2, OUT0};
 use ttmetal::{BufferRef, ComputeCtx, ComputeKernel, DataMovementCtx, DataMovementKernel};
 
@@ -43,7 +53,8 @@ pub mod args {
     pub const START_TILE: usize = 0;
     /// Number of target tiles owned by this core.
     pub const TILE_COUNT: usize = 1;
-    /// Total number of source particles (= broadcast tiles).
+    /// Total number of source particles `n`: the elementwise kernels sweep
+    /// ⌈n/1024⌉ packed source tiles, the matrix kernels ⌈n/32⌉ blocks.
     pub const NUM_SOURCES: usize = 2;
 }
 
@@ -56,11 +67,12 @@ const DVY: usize = 4;
 const DVZ: usize = 5;
 
 /// The read kernel: double loop, outer over this core's target tiles, inner
-/// over every replicated source tile.
+/// over the packed source tiles — ⌈n/1024⌉ pages per quantity, re-read once
+/// per target tile.
 pub struct ReaderKernel {
     /// Target-view buffers `[x, y, z, vx, vy, vz]`.
     pub targets: [BufferRef; 6],
-    /// Source-broadcast buffers `[m, x, y, z, vx, vy, vz]`.
+    /// Packed source buffers `[m, x, y, z, vx, vy, vz]`.
     pub sources: [BufferRef; 7],
 }
 
@@ -68,20 +80,20 @@ impl DataMovementKernel for ReaderKernel {
     fn run(&self, ctx: &mut DataMovementCtx) {
         let start = ctx.arg(args::START_TILE) as usize;
         let count = ctx.arg(args::TILE_COUNT) as usize;
-        let num_sources = ctx.arg(args::NUM_SOURCES) as usize;
+        let src_tiles = (ctx.arg(args::NUM_SOURCES) as usize).div_ceil(TILE_ELEMS);
         for tile in start..start + count {
             ctx.trace_span_begin("tile");
             // Outer loop: the packed target tile of each quantity.
             for buf in self.targets {
                 ctx.read_page_to_cb(IN0, buf, tile);
             }
-            // Inner loop: the replicated (broadcast) source tiles. Source
-            // buffers are immutable for the whole launch, so the cached read
-            // fetches + converts each page once and replays only the cycle
-            // accounting on the other `count - 1` passes.
-            for j in 0..num_sources {
+            // Inner loop: the packed source tiles. Source buffers are
+            // immutable for the whole launch, so the cached read fetches and
+            // converts each page once and replays only the cycle accounting
+            // on the other `count - 1` passes.
+            for s in 0..src_tiles {
                 for buf in self.sources {
-                    ctx.read_page_to_cb_cached(IN1, buf, j);
+                    ctx.read_page_to_cb_cached(IN1, buf, s);
                 }
             }
             ctx.trace_span_end("tile");
@@ -98,20 +110,17 @@ pub struct ForceComputeKernel {
 }
 
 impl ForceComputeKernel {
-    /// Per-source-tile inner body. Separated for readability; one call
-    /// evaluates 1024 target lanes against source particle `j`.
-    fn interact(&self, ctx: &mut ComputeCtx) {
-        ctx.cb_wait_front(IN1, 7);
-
+    /// Per-source inner body: evaluates 1024 target lanes against source
+    /// particle `lane` of the packed source tile at the front of `IN1`.
+    fn interact(&self, ctx: &mut ComputeCtx, lane: usize) {
         // --- Phase A: displacements into the staging CB -----------------
-        // dx = xj − xi and the velocity analogues; FPU sub_tiles.
+        // dx = xj − xi and the velocity analogues: FPU subtract with the
+        // source lane unpacked stride-0 into srcA.
         ctx.tile_regs_acquire();
-        ctx.sub_tiles(IN1, IN0, 1, 0, DX);
-        ctx.sub_tiles(IN1, IN0, 2, 1, DY);
-        ctx.sub_tiles(IN1, IN0, 3, 2, DZ);
-        ctx.sub_tiles(IN1, IN0, 4, 3, DVX);
-        ctx.sub_tiles(IN1, IN0, 5, 4, DVY);
-        ctx.sub_tiles(IN1, IN0, 6, 5, DVZ);
+        for axis in 0..6 {
+            // IN1 pages: [m, x, y, z, vx, vy, vz]; IN0: [x, y, z, vx, vy, vz].
+            ctx.sub_tiles_lane_bcast(IN1, IN0, 1 + axis, axis, lane, DX + axis);
+        }
         ctx.tile_regs_commit();
         ctx.cb_reserve_back(INTERMED0, 6);
         for k in 0..6 {
@@ -137,7 +146,7 @@ impl ForceComputeKernel {
         ctx.square_tile(1); // 1/s²
         ctx.copy_dst_tile(1, 2);
         ctx.mul_binary_tile(2, 0); // 1/s³
-        ctx.copy_tile(IN1, 0, 3); // m_j
+        ctx.copy_tile_lane_broadcast(IN1, 0, lane, 3); // m_j
         ctx.mul_binary_tile(2, 3); // w = m_j / s³
         ctx.mul_tiles(INTERMED0, INTERMED0, DX, DVX, 4);
         ctx.mul_tiles(INTERMED0, INTERMED0, DY, DVY, 5);
@@ -201,7 +210,6 @@ impl ForceComputeKernel {
         ctx.cb_pop_front(INTERMED2, 6);
         ctx.cb_pop_front(INTERMED0, 6);
         ctx.cb_pop_front(INTERMED1, 2);
-        ctx.cb_pop_front(IN1, 7);
     }
 }
 
@@ -209,7 +217,7 @@ impl ComputeKernel for ForceComputeKernel {
     fn run(&self, ctx: &mut ComputeCtx) {
         assert!(self.eps_squared > 0.0, "device force kernel requires softening > 0");
         let count = ctx.arg(args::TILE_COUNT) as usize;
-        let num_sources = ctx.arg(args::NUM_SOURCES) as usize;
+        let n = ctx.arg(args::NUM_SOURCES) as usize;
         for _tile in 0..count {
             ctx.trace_span_begin("tile");
             ctx.cb_wait_front(IN0, 6);
@@ -227,8 +235,14 @@ impl ComputeKernel for ForceComputeKernel {
             ctx.cb_push_back(INTERMED2, 6);
             ctx.tile_regs_release();
 
-            for _j in 0..num_sources {
-                self.interact(ctx);
+            // Sources j = 0..n in order, one packed tile at a time; the lane
+            // loop stops at n, so the last tile's padding lanes cost nothing.
+            for first in (0..n).step_by(TILE_ELEMS) {
+                ctx.cb_wait_front(IN1, 7);
+                for lane in 0..TILE_ELEMS.min(n - first) {
+                    self.interact(ctx, lane);
+                }
+                ctx.cb_pop_front(IN1, 7);
             }
 
             // Drain the final accumulators to the output CB.

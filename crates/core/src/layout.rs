@@ -1,17 +1,23 @@
 //! Fig. 2 data organization: particles → tiles.
 //!
-//! Two tile views of the particle data feed the device pipeline:
+//! Two packed tile views of the particle data feed the elementwise device
+//! pipeline, each quantity 1024 particles per tile:
 //!
-//! * **target tiles** — each per-axis quantity packed 1024 particles per
-//!   tile ("the column tiles ... distributed across Tensix cores");
-//! * **source broadcast tiles** — "we create copies of the data, organized
-//!   into N tiles, where each tile holds 1024 elements": tile `j` holds
-//!   particle `j`'s value in all 1024 lanes, so one element-wise tile op
-//!   evaluates particle `j` against 1024 targets at once.
+//! * **target tiles** `[x, y, z, vx, vy, vz]` — "the column tiles ...
+//!   distributed across Tensix cores";
+//! * **source tiles** `[m, x, y, z, vx, vy, vz]` — the same lanes plus the
+//!   masses, swept by every target tile. The compute kernel broadcasts one
+//!   source lane at a time across a tile with a stride-0 unpack.
 //!
-//! Padding: the tail of the last target tile is filled with zero-mass
-//! particles parked at a remote position, so they neither contribute force
-//! (mass 0) nor produce NaNs (nonzero distance to every real particle).
+//! The paper instead "create[s] copies of the data, organized into N tiles":
+//! source tile `j` holds particle `j`'s value in all 1024 lanes, 7 N tiles
+//! in all. Its DRAM, PCIe and staging cost is modelled in
+//! [`crate::perf_model`]; the functional pipeline runs the packed view,
+//! 7 ⌈N/1024⌉ tiles, with bitwise-equal forces.
+//!
+//! Padding: the tail of the last tile is filled with zero-mass particles
+//! parked at a remote position, so they neither contribute force (mass 0)
+//! nor produce NaNs (nonzero distance to every real particle).
 
 use nbody::particle::ParticleSystem;
 use tensix::tile::{pack_vector, Tile, TILE_DIM, TILE_ELEMS};
@@ -67,25 +73,6 @@ impl HostArrays {
     }
 }
 
-/// The seven tiled quantities shipped to DRAM, in both views.
-#[derive(Debug)]
-pub struct TiledParticles {
-    /// Particle count (unpadded).
-    pub n: usize,
-    /// Packed target tiles, one vec of ⌈n/1024⌉ tiles per quantity:
-    /// `[x, y, z, vx, vy, vz]`.
-    pub targets: [Vec<Tile>; 6],
-    /// Source broadcast tiles, one vec of `n` tiles per quantity:
-    /// `[m, x, y, z, vx, vy, vz]`.
-    pub sources: [Vec<Tile>; 7],
-}
-
-/// Build one broadcast tile per value: tile `j` = `splat(values[j])`.
-#[must_use]
-pub fn broadcast_tiles(format: DataFormat, values: &[f32]) -> Vec<Tile> {
-    values.iter().map(|v| Tile::splat(format, *v)).collect()
-}
-
 /// Pack the six target-quantity tile views of `arrays`: per-axis positions
 /// padded at [`PAD_POSITION`], velocities zero-padded. Shared by the full-N
 /// tilize and the active-subset gather path.
@@ -121,22 +108,13 @@ pub fn gather_active_targets(arrays: &HostArrays, active: &[usize]) -> HostArray
     }
 }
 
-/// Tilize the host arrays into both views (FP32 tiles — "the Tenstorrent
-/// Wormhole accelerator supports up to FP32").
+/// Pack the seven source-quantity tile views `[m, x, y, z, vx, vy, vz]`:
+/// zero-padded masses followed by the [`tilize_targets`] views (FP32 tiles
+/// — "the Tenstorrent Wormhole accelerator supports up to FP32").
 #[must_use]
-pub fn tilize_particles(arrays: &HostArrays) -> TiledParticles {
-    let f = DataFormat::Float32;
-    let targets = tilize_targets(arrays);
-    let sources = [
-        broadcast_tiles(f, &arrays.mass),
-        broadcast_tiles(f, &arrays.pos[0]),
-        broadcast_tiles(f, &arrays.pos[1]),
-        broadcast_tiles(f, &arrays.pos[2]),
-        broadcast_tiles(f, &arrays.vel[0]),
-        broadcast_tiles(f, &arrays.vel[1]),
-        broadcast_tiles(f, &arrays.vel[2]),
-    ];
-    TiledParticles { n: arrays.n, targets, sources }
+pub fn tilize_sources(arrays: &HostArrays) -> [Vec<Tile>; 7] {
+    let [x, y, z, vx, vy, vz] = tilize_targets(arrays);
+    [pack_vector(DataFormat::Float32, &arrays.mass, 0.0), x, y, z, vx, vy, vz]
 }
 
 /// Unpack per-axis result tiles (acceleration or jerk components) back to
@@ -346,45 +324,38 @@ mod tests {
     #[test]
     fn target_tiles_are_padded() {
         let s = sys(100);
-        let t = tilize_particles(&HostArrays::from_system(&s));
-        assert_eq!(t.targets[0].len(), 1);
+        let t = tilize_targets(&HostArrays::from_system(&s));
+        assert_eq!(t[0].len(), 1);
         // Lane 100 onward is the parking position.
-        assert_eq!(t.targets[0][0].as_slice()[100], PAD_POSITION);
-        assert_eq!(t.targets[3][0].as_slice()[100], 0.0);
+        assert_eq!(t[0][0].as_slice()[100], PAD_POSITION);
+        assert_eq!(t[3][0].as_slice()[100], 0.0);
         // Real lanes hold the particle data.
-        assert_eq!(t.targets[1][0].as_slice()[5], s.pos[5][1] as f32);
+        assert_eq!(t[1][0].as_slice()[5], s.pos[5][1] as f32);
     }
 
     #[test]
-    fn source_tiles_broadcast_each_particle() {
-        let s = sys(70);
-        let t = tilize_particles(&HostArrays::from_system(&s));
-        assert_eq!(t.sources[0].len(), 70, "one broadcast tile per particle");
-        let j = 42;
-        let tile = &t.sources[1][j];
-        let expected = s.pos[j][0] as f32;
-        assert!(tile.as_slice().iter().all(|v| *v == expected));
-        // Mass tile broadcasts the mass.
-        assert!(t.sources[0][j].as_slice().iter().all(|v| *v == s.mass[j] as f32));
-    }
-
-    #[test]
-    fn multi_tile_targets() {
+    fn source_tiles_pack_mass_ahead_of_the_target_view() {
         let s = sys(2048 + 10);
-        let t = tilize_particles(&HostArrays::from_system(&s));
-        assert_eq!(t.targets[0].len(), 3);
-        assert_eq!(t.sources[0].len(), 2058);
+        let h = HostArrays::from_system(&s);
+        let src = tilize_sources(&h);
+        let tgt = tilize_targets(&h);
+        assert!(src.iter().all(|q| q.len() == 3), "⌈n/1024⌉ tiles per quantity");
+        assert_eq!(src[0][2].as_slice()[9], s.mass[2057] as f32);
+        // Padding lanes carry zero mass, so they contribute nothing.
+        assert_eq!(src[0][2].as_slice()[10], 0.0);
+        for (q, tiles) in src[1..].iter().enumerate() {
+            for (a, b) in tiles.iter().zip(&tgt[q]) {
+                assert_eq!(a.as_slice(), b.as_slice());
+            }
+        }
     }
 
     #[test]
     fn untile_roundtrip() {
         let s = sys(1500);
         let h = HostArrays::from_system(&s);
-        let t = tilize_particles(&h);
-        let back = untile_results(
-            &[t.targets[0].clone(), t.targets[1].clone(), t.targets[2].clone()],
-            1500,
-        );
+        let t = tilize_targets(&h);
+        let back = untile_results(&[t[0].clone(), t[1].clone(), t[2].clone()], 1500);
         assert_eq!(back[0], h.pos[0]);
         assert_eq!(back[2], h.pos[2]);
     }

@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod broadcast;
 pub mod evaluator;
 pub mod kernels;
 pub mod layout;
@@ -23,9 +22,8 @@ pub mod simulation;
 pub mod tree;
 pub mod validate;
 
-pub use broadcast::BroadcastForcePipeline;
 pub use evaluator::{ActiveSet, CpuForceEvaluator, ForceEvaluator, SingleCardEvaluator};
-pub use layout::{split_tiles_to_cores, tilize_particles, HostArrays, TiledParticles};
+pub use layout::{split_tiles_to_cores, tilize_sources, tilize_targets, HostArrays};
 pub use multi_device::{MultiDevicePipeline, MultiDeviceTiming};
 pub use perf_model::{
     arch_run, paper_run, HostCpuModel, RunModel, WormholePerfModel, CPU_EFF_CYCLES_PER_PAIR,

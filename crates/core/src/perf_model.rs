@@ -9,10 +9,18 @@
 //!
 //! **Measured** — [`DEVICE_CYCLES_PER_PAIR`] = 2.727: compute-kernel cycles
 //! per pair interaction, read off the cycle counters of a functional run
-//! (N = 1024, one core; see `crates/core/examples/calib.rs`). The slowest
+//! of the replicated-layout kernel (N = 1024, one core). The packed-view
+//! kernel that replaced it measures 2.700 on the same run
+//! (`crates/core/examples/calib.rs`); the paper model keeps 2.727. The slowest
 //! core of the paper configuration owns ⌈100/64⌉ = 2 target tiles →
 //! 2·1024·102 400 pairs → 0.572 s of device time per force evaluation at
 //! 1 GHz.
+//!
+//! **Layouts.** [`RunModel::accel_seconds`] prices the paper's replicated
+//! source layout, 7 N broadcast tiles per evaluation through host staging
+//! and PCIe; that layout exists only here. The functional pipeline runs
+//! the packed source view (7 ⌈N/1024⌉ tiles), which
+//! [`RunModel::accel_seconds_optimized`] prices with the same compute term.
 //!
 //! **Calibrated** — [`STEPS_PER_CYCLE`] = 36: the paper does not state how
 //! many Hermite steps one "time cycle" contains. With the device-eval,
@@ -42,7 +50,6 @@ use tensix::cost::CostModel;
 use tensix::ethernet::{EthLink, EthRing};
 use tensix::power::{PowerParams, PowerState};
 use tensix::TILE_ELEMS;
-use tt_telemetry::BlockStepReport;
 use ttmetal::PCIE_BYTES_PER_S;
 
 /// Paper particle count.
@@ -183,25 +190,11 @@ impl WormholePerfModel {
         pairs * self.cycles_per_pair / self.clock_hz
     }
 
-    /// Device seconds for one *active-set* evaluation (block time-steps):
-    /// the launch grid is sized to the gathered active tiles, so the
-    /// slowest core owns ⌈⌈n_active/1024⌉/cores⌉ target tiles — each tile
-    /// still sweeping all `n` sources. `eval_seconds_active(n, n)` is
-    /// exactly [`WormholePerfModel::eval_seconds`]`(n)`.
-    #[must_use]
-    pub fn eval_seconds_active(&self, n_active: usize, n: usize) -> f64 {
-        if n_active == 0 {
-            return 0.0;
-        }
-        let tiles = n_active.div_ceil(TILE_ELEMS);
-        let slowest_tiles = tiles.div_ceil(self.cores);
-        let pairs = (slowest_tiles * TILE_ELEMS) as f64 * n as f64;
-        pairs * self.cycles_per_pair / self.clock_hz
-    }
-
-    /// PCIe transfer seconds per evaluation: 7 source-broadcast buffers of
-    /// `n` tiles up, 6 target buffers up and 6 result buffers down of
-    /// ⌈n/1024⌉ tiles each (FP32, 4 KiB per tile).
+    /// PCIe transfer seconds per evaluation of the paper's replicated
+    /// layout: 7 source-broadcast buffers of `n` tiles up, 6 target buffers
+    /// up and 6 result buffers down of ⌈n/1024⌉ tiles each (FP32, 4 KiB per
+    /// tile). Modelled only: the functional pipeline runs the packed view
+    /// ([`Self::io_seconds_optimized`]).
     #[must_use]
     pub fn io_seconds(&self, n: usize) -> f64 {
         let tiles = n.div_ceil(TILE_ELEMS);
@@ -209,62 +202,39 @@ impl WormholePerfModel {
         (total_tiles * 4096) as f64 / PCIE_BYTES_PER_S
     }
 
-    /// PCIe seconds for one active-set evaluation: the source broadcast
-    /// stays full-N (every active target sweeps all sources) but target and
-    /// result traffic shrinks to the gathered active tiles.
-    #[must_use]
-    pub fn io_seconds_active(&self, n_active: usize, n: usize) -> f64 {
-        if n_active == 0 {
-            return 0.0;
-        }
-        let tiles = n_active.div_ceil(TILE_ELEMS);
-        let total_tiles = 7 * n + 12 * tiles;
-        (total_tiles * 4096) as f64 / PCIE_BYTES_PER_S
-    }
-
-    /// Per-launch wall time of an active-set evaluation (device + PCIe +
-    /// host staging; the staging term is dominated by the full-N source
-    /// tilize, which active gathering does not shrink).
-    #[must_use]
-    pub fn step_seconds_active(&self, n_active: usize, n: usize) -> f64 {
-        if n_active == 0 {
-            return 0.0;
-        }
-        self.eval_seconds_active(n_active, n)
-            + self.io_seconds_active(n_active, n)
-            + self.host_seconds(n)
-    }
-
-    /// Host staging seconds per evaluation (tilize of the replicated source
-    /// view plus predictor/corrector arithmetic).
+    /// Host staging seconds per evaluation of the paper's replicated layout
+    /// (tilize of the 7 n-tile source view plus predictor/corrector
+    /// arithmetic).
     #[must_use]
     pub fn host_seconds(&self, n: usize) -> f64 {
         let tilize_bytes = (7 * n * 4096) as f64;
         tilize_bytes / HOST_STAGING_BYTES_PER_S + 1.0e-9 * n as f64
     }
 
-    /// PCIe seconds per evaluation for the broadcast-optimized pipeline
-    /// (packed source view: 7 ⌈n/1024⌉ tiles instead of 7 n).
+    /// PCIe seconds per evaluation of this code's data path, the packed
+    /// source view: 19 pages per target tile (6 target and 7 source pages
+    /// up, 6 result pages down) instead of the paper's 7 n + 12 ⌈n/1024⌉.
     #[must_use]
     pub fn io_seconds_optimized(&self, n: usize) -> f64 {
         let tiles = n.div_ceil(TILE_ELEMS);
         ((19 * tiles) * 4096) as f64 / PCIE_BYTES_PER_S
     }
 
-    /// Host staging for the optimized pipeline: only packed tiles.
+    /// Host staging of the packed data path: only packed tiles.
     #[must_use]
     pub fn host_seconds_optimized(&self, n: usize) -> f64 {
         let tilize_bytes = (13 * n.div_ceil(TILE_ELEMS) * 4096) as f64;
         tilize_bytes / HOST_STAGING_BYTES_PER_S + 1.0e-9 * n as f64
     }
 
-    /// Per-step wall time of the broadcast-optimized accelerated code.
+    /// Per-step wall time of the accelerated code on the packed data path.
     #[must_use]
     pub fn step_seconds_optimized(&self, n: usize) -> f64 {
         self.eval_seconds(n) + self.io_seconds_optimized(n) + self.host_seconds_optimized(n)
     }
 
-    /// Full per-step wall time of the accelerated code.
+    /// Full per-step wall time of the accelerated code on the paper's
+    /// replicated layout.
     #[must_use]
     pub fn step_seconds(&self, n: usize) -> f64 {
         self.eval_seconds(n) + self.io_seconds(n) + self.host_seconds(n)
@@ -275,27 +245,6 @@ impl WormholePerfModel {
     #[must_use]
     pub fn burst_duty(&self, n: usize) -> f64 {
         self.eval_seconds(n) / self.step_seconds(n)
-    }
-
-    /// Modeled accelerated seconds for a hierarchical block-step run
-    /// summarized by a recorded [`BlockStepReport`]: each active-fraction
-    /// decile's launches are costed at the bin-center active count through
-    /// [`WormholePerfModel::step_seconds_active`]. Always at most
-    /// `iterations ×` the shared-step launch cost, and it approaches that
-    /// ceiling only when every launch is full-N.
-    #[must_use]
-    pub fn blockstep_seconds(&self, report: &BlockStepReport) -> f64 {
-        let n = report.n;
-        let mut total = 0.0;
-        for (bin, &launches) in report.histogram.iter().enumerate() {
-            if launches == 0 {
-                continue;
-            }
-            let frac = (bin as f64 + 0.5) / report.histogram.len() as f64;
-            let n_active = ((frac * n as f64).ceil() as usize).clamp(1, n);
-            total += launches as f64 * self.step_seconds_active(n_active, n);
-        }
-        total
     }
 }
 
@@ -339,9 +288,9 @@ impl RunModel {
         self.steps as f64 * self.device.step_seconds(self.n)
     }
 
-    /// Projected time-to-solution with the broadcast-optimized data
-    /// movement (the ablation of `nbody_tt::broadcast`): same compute,
-    /// ~1000× less source traffic over PCIe and host staging.
+    /// Projected time-to-solution on this code's packed data path (the
+    /// functional pipeline's layout): same compute, ~1000× less source
+    /// traffic over PCIe and host staging than the paper's replicated one.
     #[must_use]
     pub fn accel_seconds_optimized(&self) -> f64 {
         self.steps as f64 * self.device.step_seconds_optimized(self.n)
@@ -558,60 +507,6 @@ mod tests {
         let slow = DeviceArch::parse("name=slow,clock_ghz=0.5").unwrap();
         let s = WormholePerfModel::for_arch(&slow);
         assert!(s.eval_seconds(PAPER_N) > d.eval_seconds(PAPER_N));
-    }
-
-    #[test]
-    fn active_eval_accounting_matches_full_at_the_boundary() {
-        let m = WormholePerfModel::default();
-        // A full active set costs exactly the shared-step launch.
-        for n in [1024usize, 4096, PAPER_N] {
-            let full = m.eval_seconds(n);
-            let active = m.eval_seconds_active(n, n);
-            assert!((active - full).abs() < 1e-15, "n = {n}: {active} vs {full}");
-            assert!((m.io_seconds_active(n, n) - m.io_seconds(n)).abs() < 1e-15);
-        }
-        // Empty block → no launch, no cost.
-        assert_eq!(m.eval_seconds_active(0, PAPER_N), 0.0);
-        assert_eq!(m.step_seconds_active(0, PAPER_N), 0.0);
-        // Monotone (tile-granular: savings step at one tile per core) and
-        // strictly cheaper once the active set drops below a full
-        // tile-per-core round. At paper scale full-N puts 2 tiles on the
-        // slowest core; a sub-64-tile active set puts 1 → half the compute.
-        assert!(m.eval_seconds_active(1024, PAPER_N) <= m.eval_seconds_active(50_000, PAPER_N));
-        assert!(m.eval_seconds_active(50_000, PAPER_N) < m.eval_seconds(PAPER_N));
-        let one_tile = (TILE_ELEMS * PAPER_N) as f64 * m.cycles_per_pair / m.clock_hz;
-        assert!((m.eval_seconds_active(1, PAPER_N) - one_tile).abs() < 1e-12);
-    }
-
-    #[test]
-    fn blockstep_projection_sits_below_the_shared_step_ceiling() {
-        let m = WormholePerfModel::default();
-        let n = PAPER_N;
-        // A run whose every launch is full-N must model (close to) the
-        // shared-step cost; the bin-center approximation prices the last
-        // decile at 95% of N.
-        let mut all_full = BlockStepReport::new(n);
-        for _ in 0..8 {
-            all_full.record(n, 1.0 / 256.0);
-        }
-        let ceiling = 8.0 * m.step_seconds(n);
-        let modeled = m.blockstep_seconds(&all_full);
-        assert!(modeled <= ceiling, "modeled {modeled} above ceiling {ceiling}");
-        assert!(modeled > 0.9 * ceiling, "full-N launches must price near full cost");
-        // A sparse run — mostly tiny blocks — models well below the
-        // ceiling: sub-64-tile launches halve the slowest core's compute
-        // (source broadcast IO and staging legitimately stay full-N).
-        let mut sparse = BlockStepReport::new(n);
-        sparse.record(n, 1.0 / 256.0);
-        for _ in 0..7 {
-            sparse.record(n / 100, 1.0 / 2048.0);
-        }
-        let sparse_modeled = m.blockstep_seconds(&sparse);
-        assert!(
-            sparse_modeled < 0.8 * ceiling,
-            "sparse blocks {sparse_modeled} should undercut shared-step {ceiling}"
-        );
-        assert_eq!(m.blockstep_seconds(&BlockStepReport::new(n)), 0.0);
     }
 
     #[test]

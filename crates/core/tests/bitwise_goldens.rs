@@ -163,8 +163,8 @@ fn pipeline_matches_scalar_emulation_bitwise_multi_core() {
 
 #[test]
 fn seed_golden_single_core() {
-    // Captured from the pre-optimization pipeline (commit 6b8f827). The
-    // zero-copy data path must keep forces AND cycle accounting bitwise.
+    // Forces captured from the pre-optimization pipeline (commit 6b8f827).
+    // The data path must keep forces AND cycle accounting bitwise.
     let (f, t) = run_pipeline(96, 90, 0.01, 1);
     assert_eq!(forces_hash(&f), 0xcd15_7171_9965_0133);
     assert_eq!(
@@ -175,11 +175,11 @@ fn seed_golden_single_core() {
         f.jerk[0].map(f64::to_bits),
         [13808396175524495360, 13822373409465565184, 4600568563227426816]
     );
-    assert_eq!(t.device_seconds.to_bits(), 0x3f31_9bf8_8856_3f16);
-    assert_eq!(t.io_seconds.to_bits(), 0x3f1e_9a05_3585_2e36);
+    assert_eq!(t.device_seconds.to_bits(), 0x3f31_6f24_6144_79be);
+    assert_eq!(t.io_seconds.to_bits(), 0x3ecb_3392_da3d_7e69);
     assert_eq!(t.evaluations, 1);
-    assert_eq!(t.last_eval_cycles, 268_696);
-    assert_eq!(t.busy_cycles, 385_760);
+    assert_eq!(t.last_eval_cycles, 266_024);
+    assert_eq!(t.busy_cycles, 269_254);
     assert_eq!(t.retries, 0);
     assert_eq!(t.wasted_cycles, 0);
     assert_eq!(t.redo_cycles, 0);
@@ -198,11 +198,11 @@ fn seed_golden_multi_core() {
         f.jerk[0].map(f64::to_bits),
         [13836184382538252288, 13820965827886710784, 4605462795499077632]
     );
-    assert_eq!(t.device_seconds.to_bits(), 0x3f8d_476a_0817_b7be);
-    assert_eq!(t.io_seconds.to_bits(), 0x3f69_1ab3_e626_c0b8);
+    assert_eq!(t.device_seconds.to_bits(), 0x3f8c_fc4d_7688_fbf0);
+    assert_eq!(t.io_seconds.to_bits(), 0x3ee4_66ae_23ae_1ed1);
     assert_eq!(t.evaluations, 1);
-    assert_eq!(t.last_eval_cycles, 14_296_368);
-    assert_eq!(t.busy_cycles, 30_652_656);
+    assert_eq!(t.last_eval_cycles, 14_153_104);
+    assert_eq!(t.busy_cycles, 21_246_585);
 }
 
 #[test]
@@ -294,7 +294,7 @@ fn driver_golden_shared_single_card() {
         &sys,
         out.timing,
         0x9bd275db5bf1a317,
-        "Some(PipelineTiming { device_seconds: 0.0018808720000000004, io_seconds: 0.0008171520000000018, evaluations: 7, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 2700320, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
+        "Some(PipelineTiming { device_seconds: 0.0018621680000000004, io_seconds: 2.269866666666672e-5, evaluations: 7, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 1884778, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
     );
 }
 
@@ -306,14 +306,13 @@ fn driver_golden_shared_resilient_faults() {
         0,
         DeviceConfig {
             seed: 17,
-            faults: FaultConfig {
-                dram_corruption_prob: 1e-3,
-                dram_uncorrectable_frac: 1.0,
-                ..FaultConfig::default()
-            },
+            faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
             ..DeviceConfig::default()
         },
     );
+    // One uncorrectable DRAM read in the fourth launch (a 96-particle launch
+    // makes 6 + 7 = 13 reads), then the card falls off the bus at launch 8.
+    dev.faults().schedule(FaultClass::DramRead, 3 * 13 + 5);
     dev.faults().schedule(FaultClass::DeviceLoss, 8);
     let card = Arc::new(SingleCardEvaluator::new(Arc::clone(&dev), sys.len(), cfg.eps, 1).unwrap());
     let recovery = RecoveryConfig {
@@ -328,7 +327,7 @@ fn driver_golden_shared_resilient_faults() {
         &sys,
         out.outcome.timing,
         0x99140fee706f720d,
-        "Some(PipelineTiming { device_seconds: 0.002149568, io_seconds: 0.0009338880000000009, evaluations: 8, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 1, retry_backoff_seconds: 0.25, busy_cycles: 3086080, wasted_cycles: 121895, wasted_seconds: 0.250084104, redo_cycles: 385760, redo_seconds: 0.000268696, partial_redos: 1 })",
+        "Some(PipelineTiming { device_seconds: 0.002128192, io_seconds: 2.5941333333333356e-5, evaluations: 8, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 1, retry_backoff_seconds: 0.25, busy_cycles: 2154032, wasted_cycles: 834, wasted_seconds: 0.250000818, redo_cycles: 269254, redo_seconds: 0.000266024, partial_redos: 1 })",
     );
 }
 
@@ -344,7 +343,7 @@ fn driver_golden_shared_ring() {
         &sys,
         out.timing,
         0xc01f911b951d8e5a,
-        "Some(PipelineTiming { device_seconds: 0.003761744000000001, io_seconds: 0.0016343040000000035, evaluations: 14, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 5400640, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
+        "Some(PipelineTiming { device_seconds: 0.003724336000000001, io_seconds: 4.539733333333344e-5, evaluations: 14, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 3769556, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
     );
 }
 
@@ -375,6 +374,6 @@ fn driver_golden_block_single_card() {
         &sys,
         out.outcome.timing,
         0xb8c15c35450545f8,
-        "Some(PipelineTiming { device_seconds: 0.013166104000000008, io_seconds: 0.005720064000000082, evaluations: 49, last_eval_cycles: 268696, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 18902240, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
+        "Some(PipelineTiming { device_seconds: 0.013035176000000004, io_seconds: 0.00015889066666666406, evaluations: 49, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 13193446, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
     );
 }

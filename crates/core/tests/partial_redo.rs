@@ -8,8 +8,9 @@
 //! function of the one-shot schedule — that drives the per-core property
 //! test. Uncorrectable DRAM ECC panics tear down instantly with no
 //! watchdog involvement, which keeps the eight-core acceptance run fast
-//! (the faulting core is then whichever reader hits the scheduled event,
-//! and the partial redo must cope with any of them).
+//! and the cost comparison immune to host load (the faulting core is then
+//! whichever reader hits the scheduled event, and the partial redo must
+//! cope with any of them).
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -79,6 +80,35 @@ fn run_with_stall(
     (forces, pipeline.timing())
 }
 
+/// Fail the 5th DRAM read of a `num_cores`-core launch with an
+/// uncorrectable ECC hit and run one evaluation under `policy`. The reader
+/// that draws it panics long before any tile completes, which tears down
+/// only its core at once; the survivors run to the end.
+fn run_with_dram_fault(
+    system: &ParticleSystem,
+    num_cores: usize,
+    policy: RetryPolicy,
+) -> (Forces, PipelineTiming) {
+    let dev = Device::new(
+        0,
+        DeviceConfig {
+            faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
+            seed: 11,
+            // Interleaved compute threads on one CPU all finish near the end
+            // of the serialized program, so a surviving writer legitimately
+            // waits almost the whole run (~40 s in debug at eight cores).
+            // Teardown here is panic-driven, not watchdog-driven, so a
+            // generous budget costs nothing on the expected path.
+            watchdog: Duration::from_secs(180),
+            ..DeviceConfig::default()
+        },
+    );
+    dev.faults().schedule(FaultClass::DramRead, 5);
+    let pipeline = DeviceForcePipeline::new(dev, system.len(), EPS, num_cores).unwrap();
+    let forces = pipeline.evaluate_with_retry(system, policy).unwrap();
+    (forces, pipeline.timing())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -120,26 +150,7 @@ fn eight_core_fault_recovers_within_acceptance_bound() {
     let n = num_cores * TILE_ELEMS;
     let sys = plummer(PlummerConfig { n, seed: 202, ..PlummerConfig::default() });
 
-    // An uncorrectable DRAM ECC hit panics one reader on its 5th page —
-    // long before any tile completes — and tears down that core instantly.
-    let dev = Device::new(
-        0,
-        DeviceConfig {
-            faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
-            seed: 11,
-            // Eight interleaved compute threads on one CPU all finish near
-            // the end of the serialized program, so a surviving writer
-            // legitimately waits almost the whole run (~40 s in debug).
-            // Teardown here is panic-driven, not watchdog-driven, so a
-            // generous budget costs nothing on the expected path.
-            watchdog: Duration::from_secs(180),
-            ..DeviceConfig::default()
-        },
-    );
-    dev.faults().schedule(FaultClass::DramRead, 5);
-    let pipeline = DeviceForcePipeline::new(dev, n, EPS, num_cores).unwrap();
-    let forces = pipeline.evaluate_with_retry(&sys, RetryPolicy::default()).unwrap();
-    let t = pipeline.timing();
+    let (forces, t) = run_with_dram_fault(&sys, num_cores, RetryPolicy::default());
 
     assert!(forces.acc.iter().flatten().all(|a| a.is_finite()));
     assert_eq!((t.evaluations, t.retries, t.partial_redos), (1, 1, 1));
@@ -160,14 +171,16 @@ fn eight_core_fault_recovers_within_acceptance_bound() {
 /// the surviving cores' completed work, so its overhead ratio is a
 /// multiple of the partial redo's. Three cores is the smallest split where
 /// the strategies separate (at two cores, `1/C` and `(C-1)/C` coincide).
+/// The fault is the panic-driven DRAM ECC hit, so no watchdog decides the
+/// outcome under a loaded host.
 #[test]
 fn full_rerun_costs_multiples_of_partial_redo() {
     let num_cores = 3;
     let n = num_cores * TILE_ELEMS;
     let sys = plummer(PlummerConfig { n, seed: 203, ..PlummerConfig::default() });
 
-    let (partial_forces, partial) = run_with_stall(&sys, num_cores, 1, RetryPolicy::default());
-    let (full_forces, full) = run_with_stall(&sys, num_cores, 1, RetryPolicy::full_rerun());
+    let (partial_forces, partial) = run_with_dram_fault(&sys, num_cores, RetryPolicy::default());
+    let (full_forces, full) = run_with_dram_fault(&sys, num_cores, RetryPolicy::full_rerun());
 
     // Both strategies recover the same bitwise result (identity against a
     // fault-free run is covered by the per-core property test above).

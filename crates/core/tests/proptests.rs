@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::layout::{broadcast_tiles, split_tiles_to_cores, tilize_particles, HostArrays};
+use nbody_tt::layout::{split_tiles_to_cores, tilize_sources, tilize_targets, HostArrays};
 use nbody_tt::perf_model::{RunModel, WormholePerfModel};
-use tensix::{DataFormat, TILE_ELEMS};
+use tensix::TILE_ELEMS;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -30,31 +30,23 @@ proptest! {
         prop_assert!(max - min <= 1, "imbalance {max} vs {min}");
     }
 
-    /// The Fig. 2 layout round-trips particle data exactly (FP32 grid).
+    /// The Fig. 2 layout round-trips particle data exactly (FP32 grid), in
+    /// both packed views.
     #[test]
     fn fig2_layout_roundtrip(n in 1usize..2200, seed in 0u64..100) {
         let sys = plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
         let arrays = HostArrays::from_system(&sys);
-        let tiled = tilize_particles(&arrays);
-        prop_assert_eq!(tiled.targets[0].len(), n.div_ceil(TILE_ELEMS));
-        prop_assert_eq!(tiled.sources[0].len(), n);
-        // Targets unpack back to the FP32 arrays.
-        let x = tensix::tile::unpack_vector(&tiled.targets[0], n);
+        let targets = tilize_targets(&arrays);
+        let sources = tilize_sources(&arrays);
+        prop_assert_eq!(targets[0].len(), n.div_ceil(TILE_ELEMS));
+        prop_assert_eq!(sources[0].len(), n.div_ceil(TILE_ELEMS));
+        // Both views unpack back to the FP32 arrays.
+        let x = tensix::tile::unpack_vector(&targets[0], n);
         prop_assert_eq!(&x, &arrays.pos[0]);
-        // Broadcast tile j is constant and equals source j.
-        let j = n / 2;
-        let t = &tiled.sources[2][j]; // y component
-        prop_assert!(t.as_slice().iter().all(|v| *v == arrays.pos[1][j]));
-    }
-
-    /// Broadcast tiles are constant for arbitrary values.
-    #[test]
-    fn broadcast_tiles_constant(vals in proptest::collection::vec(-1.0e6f32..1.0e6, 1..50)) {
-        let tiles = broadcast_tiles(DataFormat::Float32, &vals);
-        prop_assert_eq!(tiles.len(), vals.len());
-        for (t, v) in tiles.iter().zip(&vals) {
-            prop_assert!(t.as_slice().iter().all(|x| x == v));
-        }
+        let m = tensix::tile::unpack_vector(&sources[0], n);
+        prop_assert_eq!(&m, &arrays.mass);
+        let y = tensix::tile::unpack_vector(&sources[2], n);
+        prop_assert_eq!(&y, &arrays.pos[1]);
     }
 
     /// Device eval time is monotone in N and in core count (more cores

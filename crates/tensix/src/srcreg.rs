@@ -5,8 +5,8 @@
 //! holding up to 1024 single-precision floating-point values." The FPU
 //! consumes srcA/srcB pairs; the unpacker's address generator can load with
 //! arbitrary strides — including stride 0, which replicates one scalar
-//! across the whole register (the primitive behind the broadcast-optimized
-//! force kernel).
+//! across the whole register (the primitive behind the elementwise force
+//! kernel's per-particle broadcasts).
 
 use crate::cost::ComputeCosts;
 use crate::error::{Result, TensixError};

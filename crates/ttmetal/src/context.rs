@@ -662,7 +662,7 @@ impl ComputeCtx {
 
     /// Fused lane-broadcast subtraction:
     /// `dst = broadcast(cb_src[i_src][lane]) − cb_tgt[i_tgt]` — the
-    /// displacement computation of the broadcast-optimized force kernel
+    /// displacement computation of the elementwise force kernel
     /// (srcA loaded with stride 0, srcB with the target tile, FPU subtract).
     ///
     /// # Panics

@@ -39,6 +39,17 @@ with open("results/profile/trace.json") as f:
 assert trace["traceEvents"], "trace must contain events"
 EOF
 
+echo "==> paper-configuration smoke"
+# The paper's own setup: shared steps, the elementwise kernel, one card.
+# N = 1000 pads the last target and source tile, so the packed source
+# view's lane bound is on the path. The run must PASS the built-in
+# device-vs-direct accuracy verification; grep it so a silently-skipped
+# check fails CI.
+PAPER_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
+  --n 1000 --steps 2 --cores 2 --verify-direct)
+echo "$PAPER_OUT"
+echo "$PAPER_OUT" | grep -q "device-vs-direct accuracy: PASS"
+
 echo "==> multi-device resilient smoke"
 # A 2-card ring with one hot spare and a device loss injected mid-run: the
 # CLI runs the resilient Hermite driver, fails over to the spare inside the

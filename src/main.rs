@@ -574,7 +574,7 @@ fn cmd_model() {
     println!("  CPU energy:                   {:.2} kJ (paper 128.89)", run.cpu_energy() / 1e3);
     println!("  energy ratio:                 {:.2}x (paper 1.80x)", run.energy_ratio());
     println!(
-        "  broadcast-optimized projection: {:.1} s ({:.2}x over CPU)",
+        "  this code's packed data path: {:.1} s ({:.2}x over CPU)",
         run.accel_seconds_optimized(),
         run.cpu_seconds() / run.accel_seconds_optimized()
     );

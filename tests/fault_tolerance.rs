@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use nbody::ic::{plummer, PlummerConfig};
 use nbody_tt::{DeviceForcePipeline, RetryPolicy};
 use tensix::fault::{FaultClass, FaultConfig};
-use tensix::{Device, DeviceConfig, PowerParams};
+use tensix::{Device, DeviceConfig, PowerParams, TILE_ELEMS};
 use tt_telemetry::campaign::{census, run_campaign, run_job, FaultPolicy, JobKind, JobSpec};
 
 /// A short-timeline accelerated job spec: same structure as the paper
@@ -82,6 +82,12 @@ proptest! {
     }
 }
 
+/// Particles of the retry property's launch: one target tile.
+const RETRY_N: usize = 512;
+/// DRAM reads of one `RETRY_N` launch: per target tile, 6 target pages and
+/// 7 packed source pages per source tile.
+const RETRY_READS: u64 = (6 + 7 * RETRY_N.div_ceil(TILE_ELEMS)) as u64;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -89,8 +95,8 @@ proptest! {
     /// produces forces f64-bitwise identical to a fault-free evaluation
     /// (N = 512), wherever in the read stream the fault lands.
     #[test]
-    fn fault_then_retry_is_bit_identical(seed in 0u64..1000, at in 1u64..40) {
-        let n = 512;
+    fn fault_then_retry_is_bit_identical(seed in 0u64..1000, at in 1u64..=RETRY_READS) {
+        let n = RETRY_N;
         let sys = plummer(PlummerConfig { n, seed: 2024, ..PlummerConfig::default() });
         let clean =
             DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, 0.01, 2)

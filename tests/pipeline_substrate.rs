@@ -22,8 +22,9 @@ fn force_program_survives_minimal_cb_depths() {
     let pipeline = DeviceForcePipeline::new(Arc::clone(&device), n, 0.01, 1).unwrap();
     let f = pipeline.evaluate(&sys).unwrap();
     assert_eq!(f.len(), n);
-    // NoC traffic was accounted.
-    assert!(device.noc().total_bytes() > (7 * n * 4096) as u64);
+    // NoC traffic was accounted: 6 target and 7 packed source pages read,
+    // 6 result pages written for the one target tile.
+    assert_eq!(device.noc().total_bytes(), (19 * 4096) as u64);
 }
 
 #[test]
@@ -101,13 +102,14 @@ fn pipelines_can_be_rebuilt_after_reset() {
 }
 
 #[test]
-fn replicated_source_view_sized_as_paper_describes() {
-    // "we create copies of the data, organized into N tiles, where each
-    // tile holds 1024 elements": 7 quantities × n tiles + 12 × ⌈n/1024⌉.
+fn packed_source_view_sized_per_tile() {
+    // The paper replicates every source particle into its own tile (7 n
+    // source tiles); the pipeline keeps the source view packed like the
+    // targets: 7 source + 6 target + 6 result buffers of ⌈n/1024⌉ tiles.
     let n = 1100;
     let device = Device::new(0, DeviceConfig::default());
     let before = device.dram().allocated_bytes();
     let _pipeline = DeviceForcePipeline::new(Arc::clone(&device), n, 0.01, 1).unwrap();
-    let tiles = 7 * n + 12 * n.div_ceil(1024);
+    let tiles = 19 * n.div_ceil(1024);
     assert_eq!(device.dram().allocated_bytes() - before, (tiles * 4096) as u64);
 }
