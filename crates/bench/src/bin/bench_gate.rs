@@ -108,7 +108,7 @@ fn bench_time_to_solution_kernel(kind: ForceKernelKind) -> (f64, f64) {
     )
     .unwrap();
     let wall = min_secs(REPS, || {
-        let f = pipeline.evaluate(&sys).unwrap();
+        let f = pipeline.evaluate_checked(&sys).unwrap();
         assert_eq!(f.acc.len(), PIPELINE_N);
     });
     let cycles_per_pair =
@@ -134,7 +134,7 @@ fn bench_multi_device_time_to_solution() -> f64 {
         vec![Device::new(0, DeviceConfig::default()), Device::new(1, DeviceConfig::default())];
     let ring = MultiDevicePipeline::new(&devices, RING_N, 0.01, 2).unwrap();
     min_secs(REPS, || {
-        let f = ring.evaluate(&sys).unwrap();
+        let f = ring.evaluate_checked(&sys).unwrap();
         assert_eq!(f.acc.len(), RING_N);
     })
 }
@@ -286,7 +286,7 @@ fn bench_tree_time_to_solution() -> (f64, u64) {
         TreeConfig { theta: 0.6, leaf_capacity: 32, threads: 0 },
     );
     let t0 = Instant::now();
-    let f = ev.evaluate(&sys).unwrap();
+    let f = ev.evaluate_checked(&sys).unwrap();
     assert_eq!(f.acc.len(), TREE_N);
     let wall = t0.elapsed().as_secs_f64();
     (wall, ev.tree_cost().total_interactions())
@@ -362,7 +362,7 @@ fn bench_tree_vs_direct_matched() -> (f64, f64) {
         TreeConfig { theta: 0.6, leaf_capacity: 32, threads: 0 },
     );
     let tree = min_secs(3, || {
-        let f = ev.evaluate(&sys).unwrap();
+        let f = ev.evaluate_checked(&sys).unwrap();
         assert_eq!(f.acc.len(), TREE_MATCHED_N);
     });
     let kernel = SimdKernel::new(0.01);

@@ -1,5 +1,5 @@
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::DeviceForcePipeline;
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator};
 use std::sync::Arc;
 use tensix::{Device, DeviceConfig};
 
@@ -8,7 +8,7 @@ fn main() {
     let sys = plummer(PlummerConfig { n, seed: 1, ..PlummerConfig::default() });
     let dev = Device::new(0, DeviceConfig::default());
     let p = DeviceForcePipeline::new(Arc::clone(&dev), n, 0.01, 1).unwrap();
-    let _ = p.evaluate(&sys).unwrap();
+    let _ = p.evaluate_checked(&sys).unwrap();
     let t = p.timing();
     // one core, 1 target tile, 1024 sources -> pairs = 1024*1024 per core
     let pairs = (n * n) as f64;

@@ -8,11 +8,11 @@
 //! generic over, so checkpoint/restart, watchdogs and FP64 accumulation
 //! work unchanged on any backend.
 //!
-//! This module also owns the *single* retry/salvage/partial-redo driver
-//! ([`retry_eval`]): the loop that used to live in `pipeline.rs` (and was
-//! copy-adapted by the ring) now runs over the pipeline's launch primitives
-//! from exactly one place, for both the single-card and the per-ring-member
-//! paths.
+//! Every evaluation is an active-set evaluation: full-N is the
+//! [`ActiveSet::full`] case, so each backend has one launch path. On the
+//! device that path is [`DeviceForcePipeline`]'s one retry/salvage/
+//! partial-redo driver, which the single card, every ring member and the
+//! tree's near-field patches all launch through.
 
 use std::sync::Arc;
 
@@ -20,9 +20,9 @@ use parking_lot::Mutex;
 
 use nbody::force::ForceKernel;
 use nbody::particle::{Forces, ParticleSystem};
-use tensix::{Device, Result, TensixError};
+use tensix::{Device, Result};
 use tt_telemetry::RetryCost;
-use ttmetal::{LaunchError, Program, ProgramReport};
+use ttmetal::{LaunchError, ProgramReport};
 
 use crate::pipeline::{DeviceForcePipeline, PipelineTiming, RetryPolicy};
 
@@ -127,8 +127,8 @@ impl ActiveSet {
     }
 }
 
-/// Gather the active rows of a full-system force evaluation — the default
-/// `evaluate_active` fallback for backends without a packed-subset launch.
+/// Gather the active rows of a full-system force evaluation, for launches
+/// that cannot pack a subset (the matrix kernel, the tree's masked walk).
 #[must_use]
 pub(crate) fn gather_rows(full: &Forces, active: &ActiveSet) -> Forces {
     let mut out = Forces::zeros(active.len());
@@ -156,13 +156,18 @@ pub trait ForceEvaluator: Send + Sync {
     /// Plummer softening length.
     fn softening(&self) -> f64;
 
-    /// One force + jerk evaluation with structured launch errors.
+    /// One full-N force + jerk evaluation with structured launch errors:
+    /// [`Self::evaluate_active`] on [`ActiveSet::full`].
     ///
     /// # Errors
     /// [`LaunchError`] identifying the faulting kernel/core, device loss, or
     /// a device-layer error.
-    fn evaluate_checked(&self, system: &ParticleSystem)
-        -> std::result::Result<Forces, LaunchError>;
+    fn evaluate_checked(
+        &self,
+        system: &ParticleSystem,
+    ) -> std::result::Result<Forces, LaunchError> {
+        self.evaluate_active(system, &ActiveSet::full(self.n()))
+    }
 
     /// [`Self::evaluate_checked`] with bounded in-place retries for
     /// transient faults (card loss is never retried in place).
@@ -178,13 +183,11 @@ pub trait ForceEvaluator: Send + Sync {
 
     /// Forces and jerks on the `active` targets only, against **all** `n`
     /// sources: row `k` of the result is the force on particle
-    /// `active.indices()[k]`. This is the block-timestep scheduler's
-    /// primitive; full-N evaluation is the `active.is_full()` special case.
-    ///
-    /// The default falls back to a full evaluation and gathers the active
-    /// rows — always correct, never cheaper. Backends override it to launch
-    /// O(|A|·N) work instead (gathered target tiles on the device, a
-    /// front-permutation plus range compute on the CPU).
+    /// `active.indices()[k]`. This is every backend's one launch path and
+    /// the block-timestep scheduler's primitive; full-N evaluation is the
+    /// [`ActiveSet::full`] case. Backends launch O(|A|·N) work for a subset
+    /// (gathered target tiles on the device, a front-permutation plus range
+    /// compute on the CPU).
     ///
     /// # Errors
     /// Same contract as [`Self::evaluate_checked`].
@@ -192,21 +195,7 @@ pub trait ForceEvaluator: Send + Sync {
         &self,
         system: &ParticleSystem,
         active: &ActiveSet,
-    ) -> std::result::Result<Forces, LaunchError> {
-        if active.is_empty() {
-            return Ok(Forces::zeros(0));
-        }
-        let full = self.evaluate_checked(system)?;
-        Ok(gather_rows(&full, active))
-    }
-
-    /// One evaluation with the legacy flat error type.
-    ///
-    /// # Errors
-    /// Kernel faults or DRAM errors.
-    fn evaluate(&self, system: &ParticleSystem) -> Result<Forces> {
-        self.evaluate_checked(system).map_err(TensixError::from)
-    }
+    ) -> std::result::Result<Forces, LaunchError>;
 
     /// Accumulated virtual-time accounting, `None` for backends with no
     /// device clock (the CPU reference).
@@ -241,231 +230,6 @@ pub trait ForceEvaluator: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// The shared retry/salvage/partial-redo driver.
-// ---------------------------------------------------------------------------
-
-/// Drive one evaluation of `p` to completion under `policy`: bounded
-/// retries for transient faults, salvage of surviving cores' delivered tile
-/// ranges, and partial-redo slices for the rest. This is the only place the
-/// retry/salvage logic exists; the single-card pipeline and every ring
-/// member delegate here.
-///
-/// Inputs are written once — DRAM survives a failed launch while the card
-/// stays on the bus — and timing counts exactly one evaluation per
-/// *successful* attempt, so a retried evaluation never double-counts device
-/// work in the energy/measurement window.
-pub(crate) fn retry_eval(
-    p: &DeviceForcePipeline,
-    system: &ParticleSystem,
-    policy: RetryPolicy,
-) -> std::result::Result<Forces, LaunchError> {
-    assert_eq!(system.len(), p.n(), "pipeline built for n = {}", p.n());
-    let mut queue = p.queue.lock();
-    p.write_inputs(&mut queue, system)?;
-
-    // Tiles already delivered per core (across attempts); kept work of
-    // failed attempts, to be billed only when an attempt finally lands.
-    let mut done: Vec<u64> = vec![0; p.core_ranges.len()];
-    let mut kept_busy_cycles = 0u64;
-    let mut kept_redo_cycles = 0u64;
-    let mut kept_seconds = 0.0f64;
-    let mut kept_redo_seconds = 0.0f64;
-    // Slowest compute instance's (total, matrix-pipe, vector-pipe) cycles
-    // over the attempts whose work the landing result keeps.
-    let mut max_fc = [0u64; 3];
-    let mut attempt = 0u32;
-    let mut current: Option<Program> = None;
-
-    loop {
-        let is_redo = current.is_some();
-        match queue.enqueue_program_checked(current.as_ref().unwrap_or(&p.program)) {
-            Ok(report) => {
-                let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
-                max_fc = max_compute_cycles(max_fc, &report.timings);
-                let forces = p.read_forces(&mut queue)?;
-                let mut t = p.timing.lock();
-                t.device_seconds += kept_seconds + report.seconds;
-                t.busy_cycles += kept_busy_cycles + cycles;
-                t.redo_cycles += kept_redo_cycles + if is_redo { cycles } else { 0 };
-                t.redo_seconds += kept_redo_seconds + if is_redo { report.seconds } else { 0.0 };
-                t.evaluations += 1;
-                [t.last_eval_cycles, t.last_matrix_cycles, t.last_vector_cycles] = max_fc;
-                t.io_seconds = queue.io_seconds();
-                drop(t);
-                *p.last_report.lock() = Some(report);
-                return Ok(forces);
-            }
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                let failed = queue.take_last_failure();
-                let (cycles, seconds, timings) = match &failed {
-                    Some(f) => {
-                        (f.timings.iter().map(|k| k.cycles).sum::<u64>(), f.seconds, &f.timings[..])
-                    }
-                    None => (0, 0.0, &[][..]),
-                };
-                let salvage = if policy.partial_redo {
-                    salvage_attempt(p, e.completed_work(), &done)
-                } else {
-                    None
-                };
-                if let Some(sink) = p.device().trace_sink().filter(|s| s.enabled()) {
-                    sink.host_instant(
-                        "retry",
-                        &[
-                            ("attempt", u64::from(attempt)),
-                            ("partial", u64::from(salvage.is_some())),
-                        ],
-                    );
-                }
-                let mut t = p.timing.lock();
-                t.retries += 1;
-                // The backoff wait is dead time on the device: charge it to
-                // the wasted bucket as well as the backoff ledger.
-                let backoff = policy.backoff_s(attempt);
-                t.retry_backoff_seconds += backoff;
-                t.wasted_seconds += backoff;
-                match salvage {
-                    Some(fresh) => {
-                        // Keep survivors' finished tiles: split the
-                        // attempt's cycles by each core's delivered
-                        // fraction of its remaining range.
-                        let mut kept = 0u64;
-                        for k in timings {
-                            kept +=
-                                scale_cycles(k.cycles, kept_frac(p, k.core_index, &fresh, &done));
-                        }
-                        let kept_frac = if cycles > 0 { kept as f64 / cycles as f64 } else { 0.0 };
-                        t.wasted_cycles += cycles - kept;
-                        t.wasted_seconds += seconds * (1.0 - kept_frac);
-                        t.partial_redos += 1;
-                        drop(t);
-                        max_fc = max_compute_cycles(max_fc, timings);
-                        kept_busy_cycles += kept;
-                        kept_seconds += seconds * kept_frac;
-                        if is_redo {
-                            kept_redo_cycles += kept;
-                            kept_redo_seconds += seconds * kept_frac;
-                        }
-                        for (i, fresh_i) in fresh.iter().enumerate() {
-                            done[i] += fresh_i;
-                        }
-                        current = Some(redo_slice(p, &done));
-                    }
-                    None => {
-                        // Full re-run: this attempt and everything kept
-                        // from earlier attempts is discarded work.
-                        t.wasted_cycles += cycles + kept_busy_cycles;
-                        t.wasted_seconds += seconds + kept_seconds;
-                        drop(t);
-                        kept_busy_cycles = 0;
-                        kept_redo_cycles = 0;
-                        kept_seconds = 0.0;
-                        kept_redo_seconds = 0.0;
-                        max_fc = [0; 3];
-                        done.iter_mut().for_each(|d| *d = 0);
-                        current = None;
-                    }
-                }
-                attempt += 1;
-            }
-            Err(e) => {
-                // Terminal failure: everything this call burned is waste.
-                let (cycles, seconds) = match queue.take_last_failure() {
-                    Some(f) => (f.timings.iter().map(|k| k.cycles).sum::<u64>(), f.seconds),
-                    None => (0, 0.0),
-                };
-                let mut t = p.timing.lock();
-                t.wasted_cycles += cycles + kept_busy_cycles;
-                t.wasted_seconds += seconds + kept_seconds;
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// Validate a failed attempt's completed-range inventory against the tile
-/// split. Returns the per-core *freshly* delivered tile counts of this
-/// attempt when every watermark is trustworthy (covers each core and stays
-/// within its remaining range), `None` otherwise.
-fn salvage_attempt(
-    p: &DeviceForcePipeline,
-    inventory: &[ttmetal::CoreProgress],
-    done: &[u64],
-) -> Option<Vec<u64>> {
-    if inventory.is_empty() {
-        return None;
-    }
-    let mut fresh = vec![0u64; p.core_ranges.len()];
-    for (i, (core, _, count)) in p.core_ranges.iter().enumerate() {
-        let remaining = *count as u64 - done[i];
-        if remaining == 0 {
-            // Core finished in an earlier attempt; it was not part of
-            // this launch, so no watermark is expected.
-            continue;
-        }
-        let delivered = inventory.iter().find(|pr| pr.core == *core)?.completed;
-        if delivered > remaining {
-            return None; // watermark past a tile boundary we own
-        }
-        fresh[i] = delivered;
-    }
-    Some(fresh)
-}
-
-/// Fraction of `core_index`'s work in the failed attempt that was delivered
-/// (`fresh / remaining` of its tile range).
-fn kept_frac(p: &DeviceForcePipeline, core_index: usize, fresh: &[u64], done: &[u64]) -> f64 {
-    let grid = p.device().grid();
-    for (i, (core, _, count)) in p.core_ranges.iter().enumerate() {
-        if grid.index_of(*core) == core_index {
-            let remaining = *count as u64 - done[i];
-            if remaining == 0 {
-                return 0.0;
-            }
-            return fresh[i] as f64 / remaining as f64;
-        }
-    }
-    0.0
-}
-
-/// Build the re-launch slice: only cores with undelivered tiles, each with
-/// its `[start, count]` window advanced past the delivered prefix.
-fn redo_slice(p: &DeviceForcePipeline, done: &[u64]) -> Program {
-    let incomplete: Vec<tensix::grid::CoreCoord> = p
-        .core_ranges
-        .iter()
-        .enumerate()
-        .filter(|(i, (_, _, count))| done[*i] < *count as u64)
-        .map(|(_, (core, _, _))| *core)
-        .collect();
-    let mut slice = p.program.slice_for_cores(&incomplete);
-    for (i, (core, start, count)) in p.core_ranges.iter().enumerate() {
-        let count = *count as u64;
-        if done[i] < count {
-            let args =
-                vec![(*start as u64 + done[i]) as u32, (count - done[i]) as u32, p.n() as u32];
-            slice.set_runtime_args_all_kernels(*core, args);
-        }
-    }
-    slice
-}
-
-/// Fold `timings` into the running per-field max of force-compute
-/// (total, matrix-pipe, vector-pipe) cycles — the slowest core, billed the
-/// way [`DeviceForcePipeline::evaluate_checked`] bills a single launch.
-fn max_compute_cycles(acc: [u64; 3], timings: &[tensix::clock::KernelTiming]) -> [u64; 3] {
-    timings
-        .iter()
-        .filter(|k| k.label == "force-compute")
-        .fold(acc, |[c, m, v], k| [c.max(k.cycles), m.max(k.matrix_cycles), v.max(k.vector_cycles)])
-}
-
-/// `cycles * frac`, rounded, saturating at `cycles`.
-fn scale_cycles(cycles: u64, frac: f64) -> u64 {
-    ((cycles as f64 * frac).round() as u64).min(cycles)
-}
-
-// ---------------------------------------------------------------------------
 // Trait implementations for the three execution paths.
 // ---------------------------------------------------------------------------
 
@@ -482,19 +246,12 @@ impl ForceEvaluator for DeviceForcePipeline {
         DeviceForcePipeline::softening(self)
     }
 
-    fn evaluate_checked(
-        &self,
-        system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        DeviceForcePipeline::evaluate_checked(self, system)
-    }
-
     fn evaluate_with_retry(
         &self,
         system: &ParticleSystem,
         policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
-        retry_eval(self, system, policy)
+        self.launch(system, &ActiveSet::full(self.n()), policy)
     }
 
     fn evaluate_active(
@@ -502,7 +259,7 @@ impl ForceEvaluator for DeviceForcePipeline {
         system: &ParticleSystem,
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
-        DeviceForcePipeline::evaluate_active_checked(self, system, active)
+        self.launch(system, active, RetryPolicy::disabled())
     }
 
     fn timing(&self) -> Option<PipelineTiming> {
@@ -546,13 +303,6 @@ impl<K: ForceKernel> ForceEvaluator for CpuForceEvaluator<K> {
 
     fn softening(&self) -> f64 {
         self.kernel.softening()
-    }
-
-    fn evaluate_checked(
-        &self,
-        system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        Ok(self.kernel.compute(system))
     }
 
     fn evaluate_with_retry(
@@ -698,19 +448,12 @@ impl ForceEvaluator for SingleCardEvaluator {
         self.eps
     }
 
-    fn evaluate_checked(
-        &self,
-        system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.pipeline.lock().evaluate_checked(system)
-    }
-
     fn evaluate_with_retry(
         &self,
         system: &ParticleSystem,
         policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
-        retry_eval(&self.pipeline.lock(), system, policy)
+        self.pipeline.lock().evaluate_with_retry(system, policy)
     }
 
     fn evaluate_active(
@@ -718,7 +461,7 @@ impl ForceEvaluator for SingleCardEvaluator {
         system: &ParticleSystem,
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
-        self.pipeline.lock().evaluate_active_checked(system, active)
+        self.pipeline.lock().evaluate_active(system, active)
     }
 
     fn timing(&self) -> Option<PipelineTiming> {

@@ -5,14 +5,20 @@
 //! accelerators". This module distributes the Fig.-2 outer loop across
 //! several simulated Wormhole cards: each device receives the full source
 //! view (every card needs all particles, as in the single-card port) but
-//! owns a contiguous slice of the target tiles; after the per-card programs
-//! complete, the partial results are exchanged in a ring all-gather over
-//! the 200 Gb/s Ethernet links, exactly the communication pattern the E6
-//! model charges for.
+//! owns a contiguous slice of the target tiles, and launches only those:
+//! its runtime args cover its own tiles, so a card computes nothing it
+//! does not keep. After the per-card programs complete, the partial
+//! results are exchanged in a ring all-gather over the 200 Gb/s Ethernet
+//! links, exactly the work split and communication pattern the E6 model
+//! charges for.
 //!
 //! Functional behaviour: results are bit-identical to the single-device
 //! pipeline (same arithmetic, same order per target tile). Virtual timing:
 //! the slowest card's program bounds the compute, plus the all-gather.
+//! Full-N evaluation is the all-particles active set, so full and
+//! block-step launches take the same path; a card whose share is empty
+//! (N ≤ 1024 · (cards − 1) leaves the last cards without a tile) makes
+//! no launch.
 //!
 //! The ring implements [`ForceEvaluator`], so the resilient Hermite driver
 //! (`run_simulation_resilient`) treats it exactly like a single card:
@@ -32,7 +38,7 @@ use tensix::{DataFormat, Device, Result, TensixError};
 use tt_telemetry::RetryCost;
 use ttmetal::{LaunchError, ProgramReport};
 
-use crate::evaluator::{retry_eval, ActiveSet, ForceEvaluator};
+use crate::evaluator::{ActiveSet, ForceEvaluator};
 use crate::layout::split_tiles_to_cores;
 use crate::pipeline::{DeviceForcePipeline, ForceKernelKind, PipelineTiming, RetryPolicy};
 
@@ -72,13 +78,11 @@ struct RingSlots {
 /// A force pipeline spanning several devices.
 pub struct MultiDevicePipeline {
     /// One single-card pipeline per device. Every card holds the full
-    /// particle set; the per-card `evaluate` computes every tile, but only
-    /// the card's owned slice is consumed (hardware would restrict the
-    /// runtime args instead — the arithmetic for the owned slice is
-    /// identical, so results match bit for bit at far less code surface).
+    /// particle set as sources and launches only its share of the target
+    /// tiles (gathered into its leading target pages, runtime args sized to
+    /// the share), so the arithmetic per owned row is the single card's
+    /// and results match bit for bit.
     slots: Mutex<RingSlots>,
-    /// Owned target-tile ranges per device: (start_particle, count).
-    ranges: Vec<(usize, usize)>,
     ring: EthRing,
     n: usize,
     eps: f64,
@@ -106,9 +110,9 @@ impl MultiDevicePipeline {
         Self::with_spares(devices, &[], n, eps, cores_per_device)
     }
 
-    /// Like [`Self::new`], but with `spares`: idle cards that
-    /// [`Self::evaluate_checked`] promotes into a slot whose card fell off
-    /// the bus or whose ERISC link went down.
+    /// Like [`Self::new`], but with `spares`: idle cards that an evaluation
+    /// promotes into a slot whose card fell off the bus or whose ERISC link
+    /// went down.
     ///
     /// # Errors
     /// DRAM exhaustion on any active card (spares allocate nothing until
@@ -151,23 +155,19 @@ impl MultiDevicePipeline {
         kind: ForceKernelKind,
     ) -> Result<Self> {
         assert!(!devices.is_empty(), "need at least one device");
-        let num_tiles = n.div_ceil(TILE_ELEMS);
-        let tile_split = split_tiles_to_cores(num_tiles, devices.len());
-        let mut pipelines = Vec::with_capacity(devices.len());
-        let mut ranges = Vec::with_capacity(devices.len());
-        for (device, (tile_start, tile_count)) in devices.iter().zip(tile_split) {
-            pipelines.push(DeviceForcePipeline::new_with_kernel(
-                Arc::clone(device),
-                n,
-                eps,
-                cores_per_device,
-                DataFormat::Float32,
-                kind,
-            )?);
-            let start = tile_start * TILE_ELEMS;
-            let count = (tile_count * TILE_ELEMS).min(n.saturating_sub(start));
-            ranges.push((start, count));
-        }
+        let pipelines = devices
+            .iter()
+            .map(|device| {
+                DeviceForcePipeline::new_with_kernel(
+                    Arc::clone(device),
+                    n,
+                    eps,
+                    cores_per_device,
+                    DataFormat::Float32,
+                    kind,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(MultiDevicePipeline {
             slots: Mutex::new(RingSlots {
                 pipelines,
@@ -175,7 +175,6 @@ impl MultiDevicePipeline {
                 spares: spares.to_vec(),
                 carried: PipelineTiming::default(),
             }),
-            ranges,
             ring: EthRing::homogeneous(devices.len(), EthLink::default()),
             n,
             eps,
@@ -231,158 +230,41 @@ impl MultiDevicePipeline {
             .collect()
     }
 
-    /// Evaluate forces across all devices and gather the slices.
+    /// The one ring launch: forces on the `active` targets against all `n`
+    /// sources, full-N being [`ActiveSet::full`]. The active set is split
+    /// across cards in whole target tiles (front-loaded, like the per-core
+    /// split), so for a full set each card's share is exactly its owned
+    /// tile range. Each non-empty share runs through the card pipeline's
+    /// one launch driver under `policy` — gathered target tiles, a launch
+    /// grid sized to the share — and a card with an empty share makes no
+    /// launch. Row `k` of the result is the force on `active.indices()[k]`,
+    /// bitwise identical to a single card's (per-target source order is
+    /// unchanged).
     ///
-    /// # Errors
-    /// Any card's kernels faulting.
-    ///
-    /// # Panics
-    /// Panics on a particle-count mismatch.
-    pub fn evaluate(&self, system: &ParticleSystem) -> Result<Forces> {
-        self.ring_evaluate(system, None).map_err(TensixError::from)
-    }
-
-    /// Evaluate forces across all devices with fault handling: ERISC link
-    /// flaps cost a retransmit, and a card that falls off the bus (or whose
-    /// link dies under a double flap) is replaced by a spare and its slice
-    /// recomputed — bit-identical, since every card sees the same inputs.
-    ///
-    /// # Errors
-    /// Any card's kernels faulting, or a card loss with no spare left.
-    ///
-    /// # Panics
-    /// Panics on a particle-count mismatch.
-    pub fn evaluate_checked(
-        &self,
-        system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.ring_evaluate(system, None)
-    }
-
-    /// [`Self::evaluate_checked`] with per-card in-place retries for
-    /// transient faults through the shared retry driver (the same
-    /// salvage/partial-redo logic as the single-card path).
-    ///
-    /// # Errors
-    /// A card's retry budget exhausting, or a card loss with no spare left.
-    ///
-    /// # Panics
-    /// Panics on a particle-count mismatch.
-    pub fn evaluate_with_retry(
-        &self,
-        system: &ParticleSystem,
-        policy: RetryPolicy,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.ring_evaluate(system, Some(policy))
-    }
-
-    /// The one evaluation path: per-card launch (optionally through the
-    /// shared retry driver), eth-flap rolls on the gather, spare failover
-    /// for lost cards, ring all-gather charge.
-    fn ring_evaluate(
-        &self,
-        system: &ParticleSystem,
-        policy: Option<RetryPolicy>,
-    ) -> std::result::Result<Forces, LaunchError> {
-        assert_eq!(system.len(), self.n, "pipeline built for n = {}", self.n);
-        let mut slots = self.slots.lock();
-        let mut gathered = Forces::zeros(self.n);
-        let mut slowest = 0.0f64;
-        let mut flap_comm = 0.0f64;
-        let mut failovers = 0u64;
-        for idx in 0..slots.pipelines.len() {
-            let (start, count) = self.ranges[idx];
-            loop {
-                let pipeline = &slots.pipelines[idx];
-                let device = &slots.devices[idx];
-                let before = pipeline.timing().device_seconds;
-                let result = match policy {
-                    Some(p) => retry_eval(pipeline, system, p),
-                    None => pipeline.evaluate_checked(system),
-                };
-                let attempt = result.and_then(|full| {
-                    // The gather leaves over this card's ERISC link: one
-                    // flap costs a retransmit of the owned slice, a second
-                    // flap takes the link — and with it the card — down.
-                    let plan = device.faults();
-                    if !plan.disarmed() && plan.roll_eth_flap() {
-                        flap_comm += EthLink::default().transfer_seconds((count * 6 * 4) as u64);
-                        if plan.roll_eth_flap() {
-                            return Err(LaunchError::Device(TensixError::EthLinkDown {
-                                link: idx,
-                            }));
-                        }
-                    }
-                    Ok(full)
-                });
-                match attempt {
-                    Ok(full) => {
-                        slowest =
-                            slowest.max(slots.pipelines[idx].timing().device_seconds - before);
-                        for i in start..start + count {
-                            gathered.acc[i] = full.acc[i];
-                            gathered.jerk[i] = full.jerk[i];
-                        }
-                        break;
-                    }
-                    Err(err) if err.is_card_loss() => {
-                        let Some(spare) = slots.spares.pop() else {
-                            return Err(err);
-                        };
-                        let fresh = DeviceForcePipeline::new_with_kernel(
-                            Arc::clone(&spare),
-                            self.n,
-                            self.eps,
-                            self.cores_per_device,
-                            DataFormat::Float32,
-                            self.kind,
-                        )?;
-                        let old = std::mem::replace(&mut slots.pipelines[idx], fresh);
-                        slots.carried.absorb(old.timing());
-                        slots.devices[idx] = spare;
-                        failovers += 1;
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        }
-        let bytes_per_device =
-            (self.ranges.iter().map(|(_, c)| c).max().unwrap_or(&0) * 6 * 4) as u64;
-        let comm = self.ring.allgather_seconds(bytes_per_device) + flap_comm;
-        {
-            let mut t = self.timing.lock();
-            t.device_seconds += slowest;
-            t.comm_seconds += comm;
-            t.evaluations += 1;
-            t.failovers += failovers;
-        }
-        Ok(gathered)
-    }
-
-    /// Active-set evaluation across the ring: the active indices are split
-    /// evenly across cards (front-loaded, like the tile split), each card
-    /// runs a gathered, launch-grid-sized evaluation of its share against
-    /// all N sources, and the shares are scattered back in index order —
-    /// row `k` of the result is the force on `active.indices()[k]`, bitwise
-    /// identical to the single-card active path (each card's source order
-    /// is unchanged). Cards whose share is empty skip their launch, and the
-    /// all-gather is charged by the largest *share*, not the owned full-N
-    /// range. Fault handling matches [`Self::evaluate_checked`]: one flap
-    /// retransmits the share, a double flap downs the link and promotes a
-    /// spare; with a policy, transient faults re-run the card's whole
-    /// (already active-sized) launch.
-    fn ring_evaluate_active(
+    /// The gather leaves over each card's ERISC link: one flap costs a
+    /// retransmit of the share, a second flap takes the link — and with it
+    /// the card — down. A card that falls off the bus or loses its link is
+    /// replaced by a spare and its share recomputed. The all-gather is
+    /// charged by the largest share.
+    fn ring_launch(
         &self,
         system: &ParticleSystem,
         active: &ActiveSet,
-        policy: Option<RetryPolicy>,
+        policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
         assert_eq!(system.len(), self.n, "pipeline built for n = {}", self.n);
         if active.is_empty() {
             return Ok(Forces::zeros(0));
         }
         let mut slots = self.slots.lock();
-        let shares = split_tiles_to_cores(active.len(), slots.pipelines.len());
+        let shares: Vec<(usize, usize)> =
+            split_tiles_to_cores(active.len().div_ceil(TILE_ELEMS), slots.pipelines.len())
+                .into_iter()
+                .map(|(tile, tiles)| {
+                    let start = (tile * TILE_ELEMS).min(active.len());
+                    (start, (tiles * TILE_ELEMS).min(active.len() - start))
+                })
+                .collect();
         let mut gathered = Forces::zeros(active.len());
         let mut slowest = 0.0f64;
         let mut flap_comm = 0.0f64;
@@ -397,20 +279,7 @@ impl MultiDevicePipeline {
                 let pipeline = &slots.pipelines[idx];
                 let device = &slots.devices[idx];
                 let before = pipeline.timing().device_seconds;
-                let mut attempts = 0u32;
-                let result = loop {
-                    match pipeline.evaluate_active_checked(system, &share) {
-                        Ok(f) => break Ok(f),
-                        Err(e)
-                            if e.is_transient()
-                                && policy.is_some_and(|p| attempts < p.max_retries) =>
-                        {
-                            attempts += 1;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                let attempt = result.and_then(|part| {
+                let attempt = pipeline.launch(system, &share, policy).and_then(|part| {
                     let plan = device.faults();
                     if !plan.disarmed() && plan.roll_eth_flap() {
                         flap_comm += EthLink::default().transfer_seconds((count * 6 * 4) as u64);
@@ -426,10 +295,8 @@ impl MultiDevicePipeline {
                     Ok(part) => {
                         slowest =
                             slowest.max(slots.pipelines[idx].timing().device_seconds - before);
-                        for (k, slot) in (start..start + count).enumerate() {
-                            gathered.acc[slot] = part.acc[k];
-                            gathered.jerk[slot] = part.jerk[k];
-                        }
+                        gathered.acc[start..start + count].copy_from_slice(&part.acc);
+                        gathered.jerk[start..start + count].copy_from_slice(&part.jerk);
                         break;
                     }
                     Err(err) if err.is_card_loss() => {
@@ -479,19 +346,12 @@ impl ForceEvaluator for MultiDevicePipeline {
         self.eps
     }
 
-    fn evaluate_checked(
-        &self,
-        system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.ring_evaluate(system, None)
-    }
-
     fn evaluate_with_retry(
         &self,
         system: &ParticleSystem,
         policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
-        self.ring_evaluate(system, Some(policy))
+        self.ring_launch(system, &ActiveSet::full(self.n), policy)
     }
 
     fn evaluate_active(
@@ -501,18 +361,18 @@ impl ForceEvaluator for MultiDevicePipeline {
     ) -> std::result::Result<Forces, LaunchError> {
         // Transient-retry policy is the caller's call (the block scheduler
         // re-runs the launch per its recovery config); flaps and spare
-        // failover are still absorbed here, like `evaluate_checked`.
-        self.ring_evaluate_active(system, active, None)
+        // failover are still absorbed here.
+        self.ring_launch(system, active, RetryPolicy::disabled())
     }
 
     fn timing(&self) -> Option<PipelineTiming> {
         Some(MultiDevicePipeline::timing(self).pipeline)
     }
 
-    /// Report of the final ring member's landing attempt in the most recent
-    /// evaluation.
+    /// Report of the landing attempt of the last ring member (in ring
+    /// order) that has launched.
     fn last_launch_report(&self) -> Option<ProgramReport> {
-        self.slots.lock().pipelines.last().and_then(DeviceForcePipeline::last_launch_report)
+        self.slots.lock().pipelines.iter().rev().find_map(DeviceForcePipeline::last_launch_report)
     }
 
     /// Reset every dead card in place and rebuild its pipeline slot,
@@ -564,12 +424,12 @@ mod tests {
         let eps = 0.01;
 
         let single = DeviceForcePipeline::new(cluster(1).pop().unwrap(), n, eps, 1).unwrap();
-        let single_forces = single.evaluate(&sys).unwrap();
+        let single_forces = single.evaluate_checked(&sys).unwrap();
 
         let devices = cluster(2);
         let multi = MultiDevicePipeline::new(&devices, n, eps, 1).unwrap();
         assert_eq!(multi.num_devices(), 2);
-        let multi_forces = multi.evaluate(&sys).unwrap();
+        let multi_forces = multi.evaluate_checked(&sys).unwrap();
 
         assert_eq!(single_forces.acc, multi_forces.acc);
         assert_eq!(single_forces.jerk, multi_forces.jerk);
@@ -602,7 +462,7 @@ mod tests {
             ForceKernelKind::Matrix,
         )
         .unwrap();
-        let single_forces = single.evaluate(&sys).unwrap();
+        let single_forces = single.evaluate_checked(&sys).unwrap();
         let devices = cluster(2);
         let multi = MultiDevicePipeline::with_spares_kernel(
             &devices,
@@ -613,7 +473,7 @@ mod tests {
             ForceKernelKind::Matrix,
         )
         .unwrap();
-        let multi_forces = multi.evaluate(&sys).unwrap();
+        let multi_forces = multi.evaluate_checked(&sys).unwrap();
         assert_eq!(single_forces.acc, multi_forces.acc);
         assert_eq!(single_forces.jerk, multi_forces.jerk);
     }
@@ -624,7 +484,7 @@ mod tests {
         let sys = plummer(PlummerConfig { n, seed: 401, ..PlummerConfig::default() });
         let devices = cluster(4);
         let multi = MultiDevicePipeline::new(&devices, n, 0.02, 1).unwrap();
-        let f = multi.evaluate(&sys).unwrap();
+        let f = multi.evaluate_checked(&sys).unwrap();
         // No particle left at the zero placeholder: every slice was gathered.
         let zero_count = f.acc.iter().filter(|a| a[0] == 0.0 && a[1] == 0.0 && a[2] == 0.0).count();
         assert_eq!(zero_count, 0, "{zero_count} particles missing forces");
@@ -640,7 +500,8 @@ mod tests {
     fn lost_card_fails_over_to_spare_bitwise() {
         use tensix::fault::FaultClass;
 
-        let n = 640;
+        // Two tiles, so card 1 owns the 76-particle tail tile and launches.
+        let n = 1100;
         let sys = plummer(PlummerConfig { n, seed: 402, ..PlummerConfig::default() });
         let eps = 0.01;
 
@@ -711,7 +572,8 @@ mod tests {
     fn double_link_flap_downs_the_link_and_fails_over() {
         use tensix::fault::FaultConfig;
 
-        let n = 512;
+        // Two tiles, so card 1 owns one and gathers it over its link.
+        let n = 1100;
         let sys = plummer(PlummerConfig { n, seed: 404, ..PlummerConfig::default() });
 
         // Both flap rolls hit: schedule the first, make the stream certain
@@ -741,11 +603,13 @@ mod tests {
         let sys = plummer(PlummerConfig { n, seed: 405, ..PlummerConfig::default() });
 
         let clean_devices = cluster(2);
-        let clean = MultiDevicePipeline::new(&clean_devices, n, 0.01, 1).unwrap();
+        let clean = MultiDevicePipeline::new(&clean_devices, n, 0.01, 2).unwrap();
         let clean_forces = clean.evaluate_checked(&sys).unwrap();
 
         // An uncorrectable DRAM read on card 0's 5th page: transient, so the
-        // shared retry driver recovers it inside the ring evaluation.
+        // pipeline's retry driver recovers it inside the ring evaluation.
+        // Card 0 spreads its two tiles over two cores, so the survivor's
+        // tile is kept and only the faulted core's slice re-launches.
         let faulty = Device::new(
             0,
             DeviceConfig {
@@ -756,13 +620,38 @@ mod tests {
         );
         faulty.faults().schedule(FaultClass::DramRead, 5);
         let devices = vec![faulty, Device::new(1, DeviceConfig::default())];
-        let multi = MultiDevicePipeline::new(&devices, n, 0.01, 1).unwrap();
+        let multi = MultiDevicePipeline::new(&devices, n, 0.01, 2).unwrap();
         let forces = multi.evaluate_with_retry(&sys, RetryPolicy::default()).unwrap();
 
         assert_eq!(forces.acc, clean_forces.acc, "in-place retry must be bit-identical");
         let t = multi.timing();
         assert_eq!(t.failovers, 0, "transient faults never consume a spare");
-        assert_eq!(t.pipeline.retries, 1, "the shared driver retried once");
+        assert_eq!(t.pipeline.retries, 1, "the retry driver retried once");
+        assert_eq!(t.pipeline.partial_redos, 1, "ring shares keep partial-redo salvage");
         assert_eq!(t.pipeline.evaluations, 2, "failed attempt not counted");
+    }
+
+    #[test]
+    fn ring_cards_launch_only_their_own_target_tiles() {
+        // Each card launches its share of the target tiles, so a 2-card ring
+        // halves one card's critical path while staying bitwise equal to it.
+        let n = 2048;
+        let sys = plummer(PlummerConfig { n, seed: 406, ..PlummerConfig::default() });
+        let single = DeviceForcePipeline::new(cluster(1).pop().unwrap(), n, 0.01, 1).unwrap();
+        let single_forces = single.evaluate_checked(&sys).unwrap();
+        let ring = MultiDevicePipeline::new(&cluster(2), n, 0.01, 1).unwrap();
+        let ring_forces = ring.evaluate_checked(&sys).unwrap();
+        assert_eq!(ring_forces.acc, single_forces.acc);
+        assert_eq!(ring_forces.jerk, single_forces.jerk);
+        let (ring_s, single_s) = (ring.timing().device_seconds, single.timing().device_seconds);
+        assert!(ring_s <= 0.55 * single_s, "critical path {ring_s} vs one card's {single_s}");
+
+        // One tile: card 0 owns it all, card 1 makes no launch.
+        let n = 1024;
+        let sys = plummer(PlummerConfig { n, seed: 407, ..PlummerConfig::default() });
+        let ring = MultiDevicePipeline::new(&cluster(2), n, 0.01, 1).unwrap();
+        ring.evaluate_checked(&sys).unwrap();
+        let per_device = ring.per_device_timing();
+        assert_eq!((per_device[0].evaluations, per_device[1].evaluations), (1, 0));
     }
 }

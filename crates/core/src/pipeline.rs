@@ -13,7 +13,10 @@
 //! elementwise evaluation moves 19 pages per target tile over PCIe: 6
 //! target and 7 source pages up, 6 result pages down.
 //!
-//! The Hermite driver reaches the pipeline through the
+//! Every evaluation takes one launch path, `DeviceForcePipeline::launch`:
+//! full-N is the all-particles active set, a subset launches a gathered
+//! slice, and both run under one retry/salvage/partial-redo driver. The
+//! Hermite driver, the ring and the tree reach it through the
 //! [`crate::evaluator::ForceEvaluator`] seam, with typed launch errors.
 
 use std::sync::Arc;
@@ -23,10 +26,11 @@ use parking_lot::Mutex;
 use nbody::particle::{Forces, ParticleSystem};
 use tensix::cb::CircularBufferConfig;
 use tensix::grid::{CoreCoord, CoreRangeSet};
-use tensix::{DataFormat, Device, NocId, Result, TensixError, Tile};
+use tensix::{DataFormat, Device, NocId, Result, Tile};
 use ttmetal::cb_index::{IN0, IN1, IN2, IN3, INTERMED0, INTERMED1, INTERMED2, OUT0};
 use ttmetal::{Buffer, CommandQueue, LaunchError, Program, ProgramReport};
 
+use crate::evaluator::{gather_rows, ActiveSet};
 use crate::kernels::{
     ForceComputeKernel, MatrixForceComputeKernel, MatrixReaderKernel, MatrixWriterKernel,
     ReaderKernel, WriterKernel,
@@ -114,7 +118,7 @@ pub struct PipelineTiming {
     /// recent evaluation.
     pub last_vector_cycles: u64,
     /// Transient-fault retries performed by
-    /// [`DeviceForcePipeline::evaluate_with_retry`].
+    /// [`crate::evaluator::ForceEvaluator::evaluate_with_retry`].
     pub retries: u64,
     /// Virtual seconds spent in retry backoff.
     pub retry_backoff_seconds: f64,
@@ -273,8 +277,8 @@ impl RetryPolicy {
 /// The assembled force+jerk pipeline on one Wormhole device.
 pub struct DeviceForcePipeline {
     device: Arc<Device>,
-    pub(crate) queue: Mutex<CommandQueue>,
-    pub(crate) program: Program,
+    queue: Mutex<CommandQueue>,
+    program: Program,
     n: usize,
     eps: f64,
     num_cores: usize,
@@ -293,12 +297,12 @@ pub struct DeviceForcePipeline {
     /// Per-core `(core, start_tile, tile_count)` of the Fig. 2 outer-loop
     /// split — the ground truth a partial redo validates fault inventories
     /// against.
-    pub(crate) core_ranges: Vec<(CoreCoord, usize, usize)>,
-    pub(crate) timing: Mutex<PipelineTiming>,
+    core_ranges: Vec<(CoreCoord, usize, usize)>,
+    timing: Mutex<PipelineTiming>,
     /// Report of the most recent successful launch (spans, CB stats), kept
     /// for the profiling harness. Purely observational: never read by the
     /// evaluation paths themselves.
-    pub(crate) last_report: Mutex<Option<ProgramReport>>,
+    last_report: Mutex<Option<ProgramReport>>,
 }
 
 impl DeviceForcePipeline {
@@ -512,139 +516,229 @@ impl DeviceForcePipeline {
         self.last_report.lock().clone()
     }
 
-    /// Run one force + jerk evaluation for `system`, with the legacy flat
-    /// error type.
+    /// The one launch path: forces and jerks on the `active` targets
+    /// against **all** `n` sources, driven to completion under `policy`.
+    /// Row `k` of the result is the force on `active.indices()[k]`; full-N
+    /// evaluation is the [`ActiveSet::full`] case.
+    ///
+    /// A full set launches the whole program over the Fig. 2 core split.
+    /// An elementwise subset is dynamic tile packing: the active particles
+    /// are gathered into zero-mass-padded target tiles (dense prefix, tail
+    /// lanes parked at the padding position exactly like a full-N tail
+    /// tile), the packed source view stays all `n` particles, and the
+    /// launch is a program slice sized to the *active* tile count —
+    /// `min(num_cores, ⌈|A|/1024⌉)` cores with rewritten `[start, count, n]`
+    /// runtime args — so a small block costs a small launch. Per-target
+    /// source summation order is unchanged by the gather, so each active
+    /// row is f32-bitwise identical to the corresponding row of a full
+    /// evaluation. The matrix formulation's diagonal damping keys on
+    /// aligned target/source block indices, which gathering breaks; its
+    /// subsets launch full-N and gather the active rows.
+    ///
+    /// Inputs are written once — DRAM survives a failed launch while the
+    /// card stays on the bus — and timing counts exactly one evaluation per
+    /// *successful* attempt, so a retried evaluation never double-counts
+    /// device work. Transient faults retry up to `policy.max_retries` times,
+    /// the backoff billed as wasted device time. With
+    /// [`RetryPolicy::partial_redo`] set, a retryable fault's
+    /// completed-range inventory is validated against the launched
+    /// `(core, start, count)` ranges: surviving cores' finished tiles are
+    /// kept (billed as `busy_cycles`), the failed attempt's discarded share
+    /// is billed as `wasted_cycles`, and only the incomplete cores re-launch
+    /// with their window advanced past the delivered prefix — tracked in
+    /// `redo_cycles`/`partial_redos`. An invalid inventory (a watermark past
+    /// the remaining range) falls back to a full re-run, moving everything
+    /// kept so far into the wasted bucket. Device loss is never retried
+    /// here: the DRAM buffers died with the card, so recovery needs a reset
+    /// and a pipeline rebuild.
     ///
     /// # Errors
-    /// Kernel faults or DRAM errors.
+    /// The final [`LaunchError`] when the retry budget is exhausted or the
+    /// fault is not transient.
     ///
     /// # Panics
-    /// Panics if `system.len()` differs from the pipeline's `n`.
-    pub fn evaluate(&self, system: &ParticleSystem) -> Result<Forces> {
-        self.evaluate_checked(system).map_err(TensixError::from)
-    }
-
-    /// Run one force + jerk evaluation with structured launch errors.
-    ///
-    /// # Errors
-    /// [`LaunchError`] identifying the faulting kernel/core, device loss, or
-    /// a device-layer error.
-    ///
-    /// # Panics
-    /// Panics if `system.len()` differs from the pipeline's `n`.
-    pub fn evaluate_checked(
+    /// Panics if `system.len()` or `active.n()` differs from the pipeline's
+    /// `n`.
+    pub(crate) fn launch(
         &self,
         system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        assert_eq!(system.len(), self.n, "pipeline built for n = {}", self.n);
-        let mut queue = self.queue.lock();
-        self.write_inputs(&mut queue, system)?;
-        let report = self.launch(&mut queue, &self.program)?;
-        let forces = self.read_forces(&mut queue)?;
-        self.record(&queue, report);
-        Ok(forces)
-    }
-
-    /// Run one force + jerk evaluation for the `active` targets only —
-    /// dynamic tile packing. The active particles are gathered into
-    /// zero-mass-padded target tiles (dense prefix, tail lanes parked at
-    /// the padding position exactly like a full-N tail tile), the packed
-    /// source view stays all `n` particles, and the launch grid is a
-    /// program slice sized to the *active* tile count — `min(num_cores,
-    /// ⌈|A|/1024⌉)` cores with rewritten `[start, count, n]` runtime args —
-    /// so a small block costs a small launch, not a full-N one.
-    ///
-    /// Per-target source summation order is unchanged by the gather (every
-    /// target still sums sources `j = 0..n` in order), so each active row is
-    /// f32-bitwise identical to the corresponding row of a full evaluation.
-    ///
-    /// The matrix formulation's diagonal damping keys on aligned
-    /// target/source block indices, which gathering breaks; matrix pipelines
-    /// fall back to a full-N launch and gather the active rows.
-    ///
-    /// # Errors
-    /// Same contract as [`Self::evaluate_checked`].
-    ///
-    /// # Panics
-    /// Panics if `system.len()` differs from the pipeline's `n` or the
-    /// active set indexes a different system size.
-    pub fn evaluate_active_checked(
-        &self,
-        system: &ParticleSystem,
-        active: &crate::evaluator::ActiveSet,
+        active: &ActiveSet,
+        policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
         assert_eq!(system.len(), self.n, "pipeline built for n = {}", self.n);
         assert_eq!(active.n(), self.n, "active set built for n = {}", active.n());
         if active.is_empty() {
             return Ok(Forces::zeros(0));
         }
-        if active.is_full() || self.kind == ForceKernelKind::Matrix {
-            let full = self.evaluate_checked(system)?;
-            return Ok(crate::evaluator::gather_rows(&full, active));
-        }
-
         let mut queue = self.queue.lock();
-        // Gathered target tiles land in the buffer's leading pages; the
-        // full-buffer source view is rewritten as usual (state changed).
-        let arrays = HostArrays::from_system(system);
-        let gathered = gather_active_targets(&arrays, active.indices());
-        self.write_elementwise(&mut queue, &gathered, &arrays)?;
-        let report = self.launch(&mut queue, &self.active_slice(active.len()))?;
-        let forces = self.read_elementwise(&mut queue, active.len())?;
-        self.record(&queue, report);
-        Ok(forces)
-    }
+        self.write_inputs(&mut queue, system, active)?;
+        let slice = (self.kind == ForceKernelKind::Elementwise && !active.is_full())
+            .then(|| self.active_ranges(active.len()));
+        let ranges = slice.as_deref().unwrap_or(&self.core_ranges);
+        let program = slice.as_deref().map(|r| self.program_slice(r));
 
-    /// Launch `program`. A failed attempt is billed as wasted work, so
-    /// external retries (the resilient runner's rebuild path) never lose
-    /// its cost.
-    fn launch(
-        &self,
-        queue: &mut CommandQueue,
-        program: &Program,
-    ) -> std::result::Result<ProgramReport, LaunchError> {
-        let result = queue.enqueue_program_checked(program);
-        if result.is_err() {
-            if let Some(failed) = queue.take_last_failure() {
-                let mut t = self.timing.lock();
-                t.wasted_cycles += failed.timings.iter().map(|k| k.cycles).sum::<u64>();
-                t.wasted_seconds += failed.seconds;
+        // Tiles already delivered per core (across attempts); kept work of
+        // failed attempts, to be billed only when an attempt finally lands.
+        let mut done: Vec<u64> = vec![0; ranges.len()];
+        let mut kept_busy_cycles = 0u64;
+        let mut kept_redo_cycles = 0u64;
+        let mut kept_seconds = 0.0f64;
+        let mut kept_redo_seconds = 0.0f64;
+        // Slowest compute instance's (total, matrix-pipe, vector-pipe) cycles
+        // over the attempts whose work the landing result keeps.
+        let mut max_fc = [0u64; 3];
+        let mut attempt = 0u32;
+        let mut redo: Option<Program> = None;
+
+        loop {
+            let is_redo = redo.is_some();
+            let current = redo.as_ref().or(program.as_ref()).unwrap_or(&self.program);
+            match queue.enqueue_program_checked(current) {
+                Ok(report) => {
+                    let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
+                    max_fc = max_compute_cycles(max_fc, &report.timings);
+                    let forces = self.read_forces(&mut queue, active)?;
+                    let mut t = self.timing.lock();
+                    t.device_seconds += kept_seconds + report.seconds;
+                    t.busy_cycles += kept_busy_cycles + cycles;
+                    t.redo_cycles += kept_redo_cycles + if is_redo { cycles } else { 0 };
+                    t.redo_seconds +=
+                        kept_redo_seconds + if is_redo { report.seconds } else { 0.0 };
+                    t.evaluations += 1;
+                    [t.last_eval_cycles, t.last_matrix_cycles, t.last_vector_cycles] = max_fc;
+                    t.io_seconds = queue.io_seconds();
+                    drop(t);
+                    *self.last_report.lock() = Some(report);
+                    return Ok(forces);
+                }
+                Err(e) if e.is_transient() && attempt < policy.max_retries => {
+                    let failed = queue.take_last_failure();
+                    let (cycles, seconds, timings) = match &failed {
+                        Some(f) => (
+                            f.timings.iter().map(|k| k.cycles).sum::<u64>(),
+                            f.seconds,
+                            &f.timings[..],
+                        ),
+                        None => (0, 0.0, &[][..]),
+                    };
+                    let salvage = if policy.partial_redo {
+                        salvage_attempt(ranges, e.completed_work(), &done)
+                    } else {
+                        None
+                    };
+                    if let Some(sink) = self.device.trace_sink().filter(|s| s.enabled()) {
+                        sink.host_instant(
+                            "retry",
+                            &[
+                                ("attempt", u64::from(attempt)),
+                                ("partial", u64::from(salvage.is_some())),
+                            ],
+                        );
+                    }
+                    let mut t = self.timing.lock();
+                    t.retries += 1;
+                    // The backoff wait is dead time on the device: charge it
+                    // to the wasted bucket as well as the backoff ledger.
+                    let backoff = policy.backoff_s(attempt);
+                    t.retry_backoff_seconds += backoff;
+                    t.wasted_seconds += backoff;
+                    match salvage {
+                        Some(fresh) => {
+                            // Keep survivors' finished tiles: split the
+                            // attempt's cycles by each core's delivered
+                            // fraction of its remaining range.
+                            let grid = self.device.grid();
+                            let mut kept = 0u64;
+                            for k in timings {
+                                let frac = ranges
+                                    .iter()
+                                    .position(|(core, _, _)| grid.index_of(*core) == k.core_index)
+                                    .map_or(0.0, |i| {
+                                        delivered_frac(ranges[i].2, fresh[i], done[i])
+                                    });
+                                kept += scale_cycles(k.cycles, frac);
+                            }
+                            let kept_frac =
+                                if cycles > 0 { kept as f64 / cycles as f64 } else { 0.0 };
+                            t.wasted_cycles += cycles - kept;
+                            t.wasted_seconds += seconds * (1.0 - kept_frac);
+                            t.partial_redos += 1;
+                            drop(t);
+                            max_fc = max_compute_cycles(max_fc, timings);
+                            kept_busy_cycles += kept;
+                            kept_seconds += seconds * kept_frac;
+                            if is_redo {
+                                kept_redo_cycles += kept;
+                                kept_redo_seconds += seconds * kept_frac;
+                            }
+                            for (d, f) in done.iter_mut().zip(&fresh) {
+                                *d += f;
+                            }
+                            // Re-launch only the incomplete cores, each
+                            // window advanced past its delivered prefix.
+                            let remaining: Vec<(CoreCoord, usize, usize)> = ranges
+                                .iter()
+                                .zip(&done)
+                                .filter(|((_, _, count), d)| **d < *count as u64)
+                                .map(|(&(core, start, count), &d)| {
+                                    (core, start + d as usize, count - d as usize)
+                                })
+                                .collect();
+                            redo = Some(self.program_slice(&remaining));
+                        }
+                        None => {
+                            // Full re-run: this attempt and everything kept
+                            // from earlier attempts is discarded work.
+                            t.wasted_cycles += cycles + kept_busy_cycles;
+                            t.wasted_seconds += seconds + kept_seconds;
+                            drop(t);
+                            kept_busy_cycles = 0;
+                            kept_redo_cycles = 0;
+                            kept_seconds = 0.0;
+                            kept_redo_seconds = 0.0;
+                            max_fc = [0; 3];
+                            done.iter_mut().for_each(|d| *d = 0);
+                            redo = None;
+                        }
+                    }
+                    attempt += 1;
+                }
+                Err(e) => {
+                    // Terminal failure: everything this call burned is waste.
+                    let (cycles, seconds) = match queue.take_last_failure() {
+                        Some(f) => (f.timings.iter().map(|k| k.cycles).sum::<u64>(), f.seconds),
+                        None => (0, 0.0),
+                    };
+                    let mut t = self.timing.lock();
+                    t.wasted_cycles += cycles + kept_busy_cycles;
+                    t.wasted_seconds += seconds + kept_seconds;
+                    return Err(e);
+                }
             }
         }
-        result
     }
 
-    /// Bill a landed launch as one evaluation and keep its report.
-    fn record(&self, queue: &CommandQueue, report: ProgramReport) {
-        {
-            let mut t = self.timing.lock();
-            t.device_seconds += report.seconds;
-            t.io_seconds = queue.io_seconds();
-            t.evaluations += 1;
-            t.busy_cycles += report.timings.iter().map(|k| k.cycles).sum::<u64>();
-            let compute = || report.timings.iter().filter(|k| k.label == "force-compute");
-            t.last_eval_cycles = compute().map(|k| k.cycles).max().unwrap_or(0);
-            t.last_matrix_cycles = compute().map(|k| k.matrix_cycles).max().unwrap_or(0);
-            t.last_vector_cycles = compute().map(|k| k.vector_cycles).max().unwrap_or(0);
-        }
-        *self.last_report.lock() = Some(report);
-    }
-
-    /// Build the active-launch program slice: the first
-    /// `min(num_cores, active_tiles)` cores of the full program, runtime
-    /// args rewritten to split the *active* tile count — the launch grid is
-    /// sized by the work that exists, not by `n`.
-    fn active_slice(&self, active_len: usize) -> Program {
+    /// The active launch's `(core, start, count)` ranges: the first
+    /// `min(num_cores, active_tiles)` cores, splitting the *active* tile
+    /// count — the launch grid is sized by the work that exists, not by `n`.
+    fn active_ranges(&self, active_len: usize) -> Vec<(CoreCoord, usize, usize)> {
         let active_tiles = active_len.div_ceil(tensix::TILE_ELEMS);
         let cores_used = self.num_cores.min(active_tiles).max(1);
-        let cores: Vec<CoreCoord> =
-            self.core_ranges.iter().take(cores_used).map(|(c, _, _)| *c).collect();
+        self.core_ranges
+            .iter()
+            .zip(split_tiles_to_cores(active_tiles, cores_used))
+            .map(|(&(core, _, _), (start, count))| (core, start, count))
+            .collect()
+    }
+
+    /// The program restricted to `ranges`' cores, each core's runtime args
+    /// rewritten to its `[start, count, n]` window.
+    fn program_slice(&self, ranges: &[(CoreCoord, usize, usize)]) -> Program {
+        let cores: Vec<CoreCoord> = ranges.iter().map(|&(core, _, _)| core).collect();
         let mut slice = self.program.slice_for_cores(&cores);
-        for (core, (start, count)) in
-            cores.iter().zip(split_tiles_to_cores(active_tiles, cores_used))
-        {
+        for &(core, start, count) in ranges {
             slice.set_runtime_args_all_kernels(
-                *core,
+                core,
                 vec![start as u32, count as u32, self.n as u32],
             );
         }
@@ -652,14 +746,28 @@ impl DeviceForcePipeline {
     }
 
     /// Tilize the FP64 state and ship every target/source buffer to DRAM.
-    pub(crate) fn write_inputs(
+    /// Elementwise: the `active` targets into the target buffers' leading
+    /// pages, the packed source view of all `n` particles. Matrix: every
+    /// operand view (its launches are always full-N).
+    fn write_inputs(
         &self,
         queue: &mut CommandQueue,
         system: &ParticleSystem,
+        active: &ActiveSet,
     ) -> std::result::Result<(), LaunchError> {
         let arrays = HostArrays::from_system(system);
         match self.kind {
-            ForceKernelKind::Elementwise => self.write_elementwise(queue, &arrays, &arrays)?,
+            ForceKernelKind::Elementwise => {
+                let gathered =
+                    (!active.is_full()).then(|| gather_active_targets(&arrays, active.indices()));
+                let targets = gathered.as_ref().unwrap_or(&arrays);
+                for (buf, tiles) in self.target_bufs.iter().zip(&tilize_targets(targets)) {
+                    queue.enqueue_write_buffer(buf, tiles)?;
+                }
+                for (buf, tiles) in self.source_bufs.iter().zip(&tilize_sources(&arrays)) {
+                    queue.enqueue_write_buffer(buf, tiles)?;
+                }
+            }
             ForceKernelKind::Matrix => {
                 let eps2 = (self.eps * self.eps) as f32;
                 let ops = matrix_operands(&arrays, eps2);
@@ -676,65 +784,43 @@ impl DeviceForcePipeline {
         Ok(())
     }
 
-    /// Ship the elementwise program's inputs: `targets` into the leading
-    /// pages of the target buffers, the packed source view of `sources`.
-    fn write_elementwise(
+    /// Read the `active` rows back into FP64 forces. Elementwise: the first
+    /// `|A|` results of the six per-axis acc/jerk buffers, un-tilized and
+    /// promoted. Matrix: two moment-sum buffers (`num_blocks · num_chunks`
+    /// partial pages each), combined on the host in compensated FP64 (see
+    /// [`Self::combine_moments`]), then the active rows gathered.
+    fn read_forces(
         &self,
         queue: &mut CommandQueue,
-        targets: &HostArrays,
-        sources: &HostArrays,
-    ) -> std::result::Result<(), LaunchError> {
-        for (buf, tiles) in self.target_bufs.iter().zip(&tilize_targets(targets)) {
-            queue.enqueue_write_buffer(buf, tiles)?;
-        }
-        for (buf, tiles) in self.source_bufs.iter().zip(&tilize_sources(sources)) {
-            queue.enqueue_write_buffer(buf, tiles)?;
-        }
-        Ok(())
-    }
-
-    /// Read the output buffers back into FP64 forces. Elementwise: six
-    /// per-axis acc/jerk buffers, un-tilized and promoted. Matrix: two
-    /// moment-sum buffers (`num_blocks · num_chunks` partial pages each),
-    /// combined on the host in compensated FP64 (see
-    /// [`Self::combine_moments`]).
-    pub(crate) fn read_forces(
-        &self,
-        queue: &mut CommandQueue,
+        active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
         match self.kind {
-            ForceKernelKind::Elementwise => self.read_elementwise(queue, self.n),
+            ForceKernelKind::Elementwise => {
+                let rows = active.len();
+                let mut result_tiles: Vec<Vec<Tile>> = Vec::with_capacity(6);
+                for buf in &self.output_bufs {
+                    let mut tiles = queue.enqueue_read_buffer(buf)?;
+                    tiles.truncate(rows.div_ceil(tensix::TILE_ELEMS));
+                    result_tiles.push(tiles);
+                }
+                let mut forces = Forces::zeros(rows);
+                for axis in 0..3 {
+                    let acc = tensix::tile::unpack_vector(&result_tiles[axis], rows);
+                    let jerk = tensix::tile::unpack_vector(&result_tiles[3 + axis], rows);
+                    for i in 0..rows {
+                        forces.acc[i][axis] = f64::from(acc[i]);
+                        forces.jerk[i][axis] = f64::from(jerk[i]);
+                    }
+                }
+                Ok(forces)
+            }
             ForceKernelKind::Matrix => {
                 let w_tiles = queue.enqueue_read_buffer(&self.output_bufs[0])?;
                 let g_tiles = queue.enqueue_read_buffer(&self.output_bufs[1])?;
-                Ok(self.combine_moments(&w_tiles, &g_tiles))
+                let full = self.combine_moments(&w_tiles, &g_tiles);
+                Ok(if active.is_full() { full } else { gather_rows(&full, active) })
             }
         }
-    }
-
-    /// Read the first `rows` results of the six per-axis acc/jerk buffers,
-    /// un-tilized and promoted to FP64.
-    fn read_elementwise(
-        &self,
-        queue: &mut CommandQueue,
-        rows: usize,
-    ) -> std::result::Result<Forces, LaunchError> {
-        let mut result_tiles: Vec<Vec<Tile>> = Vec::with_capacity(6);
-        for buf in &self.output_bufs {
-            let mut tiles = queue.enqueue_read_buffer(buf)?;
-            tiles.truncate(rows.div_ceil(tensix::TILE_ELEMS));
-            result_tiles.push(tiles);
-        }
-        let mut forces = Forces::zeros(rows);
-        for axis in 0..3 {
-            let acc = tensix::tile::unpack_vector(&result_tiles[axis], rows);
-            let jerk = tensix::tile::unpack_vector(&result_tiles[3 + axis], rows);
-            for i in 0..rows {
-                forces.acc[i][axis] = f64::from(acc[i]);
-                forces.jerk[i][axis] = f64::from(jerk[i]);
-            }
-        }
-        Ok(forces)
     }
 
     /// The matrix kernel's host-side finish: fold the per-chunk moment sums
@@ -787,40 +873,60 @@ impl DeviceForcePipeline {
         }
         forces
     }
+}
 
-    /// [`DeviceForcePipeline::evaluate_checked`] with bounded retries for
-    /// transient faults. Inputs are written once — DRAM survives a failed
-    /// launch while the card stays on the bus — and timing counts exactly
-    /// one evaluation per *successful* attempt, so a retried evaluation
-    /// never double-counts device work in the energy/measurement window.
-    ///
-    /// With [`RetryPolicy::partial_redo`] set, a retryable fault's
-    /// completed-range inventory is validated against the pipeline's tile
-    /// split: surviving cores' finished ranges are kept (billed as
-    /// `busy_cycles`), the failed attempt's discarded share is billed as
-    /// `wasted_cycles`, and only the incomplete cores re-launch a program
-    /// slice with rewritten `[start, count]` args — cost ~`1/num_cores` of a
-    /// full re-run, tracked in `redo_cycles`/`partial_redos`. An invalid
-    /// inventory (a watermark past the remaining range) falls back to a full
-    /// re-run, moving everything kept so far into the wasted bucket.
-    ///
-    /// Device loss is never retried here — the DRAM buffers died with the
-    /// card, so recovery requires a reset and a pipeline rebuild (see the
-    /// resilient simulation runner).
-    ///
-    /// # Errors
-    /// The final [`LaunchError`] when the retry budget is exhausted or the
-    /// fault is not transient.
-    ///
-    /// # Panics
-    /// Panics if `system.len()` differs from the pipeline's `n`.
-    pub fn evaluate_with_retry(
-        &self,
-        system: &ParticleSystem,
-        policy: RetryPolicy,
-    ) -> std::result::Result<Forces, LaunchError> {
-        crate::evaluator::retry_eval(self, system, policy)
+/// Validate a failed attempt's completed-range inventory against the
+/// launched `ranges`. Returns the per-range *freshly* delivered tile counts
+/// of this attempt when every watermark is trustworthy (covers each core
+/// and stays within its remaining range), `None` otherwise.
+fn salvage_attempt(
+    ranges: &[(CoreCoord, usize, usize)],
+    inventory: &[ttmetal::CoreProgress],
+    done: &[u64],
+) -> Option<Vec<u64>> {
+    if inventory.is_empty() {
+        return None;
     }
+    let mut fresh = vec![0u64; ranges.len()];
+    for (i, (core, _, count)) in ranges.iter().enumerate() {
+        let remaining = *count as u64 - done[i];
+        if remaining == 0 {
+            // Core finished in an earlier attempt; it was not part of
+            // this launch, so no watermark is expected.
+            continue;
+        }
+        let delivered = inventory.iter().find(|pr| pr.core == *core)?.completed;
+        if delivered > remaining {
+            return None; // watermark past a tile boundary we own
+        }
+        fresh[i] = delivered;
+    }
+    Some(fresh)
+}
+
+/// Fraction of a core's work in a failed attempt that was delivered:
+/// `fresh / remaining` of its `count`-tile range with `done` tiles landed
+/// before the attempt.
+fn delivered_frac(count: usize, fresh: u64, done: u64) -> f64 {
+    let remaining = count as u64 - done;
+    if remaining == 0 {
+        return 0.0;
+    }
+    fresh as f64 / remaining as f64
+}
+
+/// Fold `timings` into the running per-field max of force-compute
+/// (total, matrix-pipe, vector-pipe) cycles — the slowest core.
+fn max_compute_cycles(acc: [u64; 3], timings: &[tensix::clock::KernelTiming]) -> [u64; 3] {
+    timings
+        .iter()
+        .filter(|k| k.label == "force-compute")
+        .fold(acc, |[c, m, v], k| [c.max(k.cycles), m.max(k.matrix_cycles), v.max(k.vector_cycles)])
+}
+
+/// `cycles * frac`, rounded, saturating at `cycles`.
+fn scale_cycles(cycles: u64, frac: f64) -> u64 {
+    ((cycles as f64 * frac).round() as u64).min(cycles)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -963,6 +1069,7 @@ fn build_matrix_program(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::ForceEvaluator;
     use nbody::accuracy::compare_forces;
     use nbody::force::{ForceKernel, ReferenceKernel};
     use nbody::ic::{plummer, PlummerConfig};
@@ -977,7 +1084,7 @@ mod tests {
         let sys = plummer(PlummerConfig { n: 96, seed: 90, ..PlummerConfig::default() });
         let eps = 0.01;
         let pipeline = DeviceForcePipeline::new(device(), sys.len(), eps, 1).unwrap();
-        let dev = pipeline.evaluate(&sys).unwrap();
+        let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
         assert!(
@@ -999,7 +1106,7 @@ mod tests {
         let sys = plummer(PlummerConfig { n, seed: 91, ..PlummerConfig::default() });
         let eps = 0.02;
         let pipeline = DeviceForcePipeline::new(device(), n, eps, 2).unwrap();
-        let dev = pipeline.evaluate(&sys).unwrap();
+        let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
         assert!(
@@ -1021,7 +1128,7 @@ mod tests {
             let sys = plummer(PlummerConfig { n, seed: 122, ..PlummerConfig::default() });
             let dev = device();
             let pipeline = DeviceForcePipeline::new(Arc::clone(&dev), n, 0.01, 1).unwrap();
-            pipeline.evaluate(&sys).unwrap();
+            pipeline.evaluate_checked(&sys).unwrap();
             let (io, modeled) = (pipeline.timing().io_seconds, model.io_seconds_optimized(n));
             assert!((io - modeled).abs() <= 1e-12 * modeled, "n = {n}: io {io} vs {modeled}");
             traffic.push((dev.noc().total_bytes(), dev.dram().stats().total_bytes()));
@@ -1046,7 +1153,7 @@ mod tests {
         .unwrap();
         assert_eq!(pipeline.kernel_kind(), ForceKernelKind::Matrix);
         assert_eq!(pipeline.work_unit_particles(), 32);
-        let dev = pipeline.evaluate(&sys).unwrap();
+        let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
         assert!(
@@ -1097,7 +1204,7 @@ mod tests {
             ForceKernelKind::Matrix,
         )
         .unwrap();
-        let dev = pipeline.evaluate(&sys).unwrap();
+        let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
         assert!(
@@ -1135,8 +1242,8 @@ mod tests {
                 .unwrap();
         assert_eq!(bf16.format(), DataFormat::Float16b);
         let golden = ReferenceKernel::new(eps).compute(&sys);
-        let cmp32 = compare_forces(&golden, &fp32.evaluate(&sys).unwrap());
-        let cmp16 = compare_forces(&golden, &bf16.evaluate(&sys).unwrap());
+        let cmp32 = compare_forces(&golden, &fp32.evaluate_checked(&sys).unwrap());
+        let cmp16 = compare_forces(&golden, &bf16.evaluate_checked(&sys).unwrap());
         assert!(cmp32.passes());
         assert!(
             !cmp16.passes(),
@@ -1152,7 +1259,7 @@ mod tests {
 
         let sys = plummer(PlummerConfig { n: 96, seed: 95, ..PlummerConfig::default() });
         let clean = DeviceForcePipeline::new(device(), 96, 0.01, 1).unwrap();
-        let clean_forces = clean.evaluate(&sys).unwrap();
+        let clean_forces = clean.evaluate_checked(&sys).unwrap();
 
         // All DRAM ECC hits are uncorrectable; schedule one on the 5th read.
         let dev = Device::new(
@@ -1213,13 +1320,13 @@ mod tests {
         let sys = plummer(PlummerConfig { n: 96, seed: 97, ..PlummerConfig::default() });
         let eps = 0.01;
         let plain = DeviceForcePipeline::new(device(), 96, eps, 1).unwrap();
-        let base = plain.evaluate(&sys).unwrap();
+        let base = plain.evaluate_checked(&sys).unwrap();
 
         let dev = device();
         let sink = Arc::new(MemorySink::new());
         dev.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
         let traced = DeviceForcePipeline::new(dev, 96, eps, 1).unwrap();
-        let forces = traced.evaluate(&sys).unwrap();
+        let forces = traced.evaluate_checked(&sys).unwrap();
         assert_eq!(forces.acc, base.acc, "tracing must not perturb results");
         assert_eq!(forces.jerk, base.jerk);
         assert_eq!(traced.timing(), plain.timing(), "tracing must not perturb timing");
@@ -1299,6 +1406,6 @@ mod tests {
     fn wrong_particle_count_rejected() {
         let sys = plummer(PlummerConfig { n: 32, seed: 93, ..PlummerConfig::default() });
         let pipeline = DeviceForcePipeline::new(device(), 64, 0.01, 1).unwrap();
-        let _ = pipeline.evaluate(&sys);
+        let _ = pipeline.evaluate_checked(&sys);
     }
 }

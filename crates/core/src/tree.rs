@@ -42,7 +42,7 @@ use tensix::{Device, TILE_ELEMS};
 use tt_telemetry::TreeCost;
 use ttmetal::{LaunchError, ProgramReport};
 
-use crate::evaluator::{gather_rows, retry_eval, ActiveSet, ForceEvaluator};
+use crate::evaluator::{gather_rows, ActiveSet, ForceEvaluator};
 use crate::pipeline::{DeviceForcePipeline, PipelineTiming, RetryPolicy};
 use crate::simulation::{run_simulation, SimulationConfig, SimulationOutcome};
 
@@ -558,8 +558,8 @@ impl TreeForceEvaluator {
         }
     }
 
-    /// Full evaluation: build, walk, far + near. `policy` routes device
-    /// patch launches through the shared retry driver when present. A
+    /// Full evaluation: build, walk, far + near. Device patch launches run
+    /// through the pipeline's one launch driver under `policy`. A
     /// `mask` restricts which targets get rows (leaves with no marked
     /// target are skipped outright); sources — and therefore the tree,
     /// the interaction lists, and every computed row — are untouched, so
@@ -567,7 +567,7 @@ impl TreeForceEvaluator {
     fn evaluate_tree(
         &self,
         sys: &ParticleSystem,
-        policy: Option<RetryPolicy>,
+        policy: RetryPolicy,
         mask: Option<&[bool]>,
     ) -> std::result::Result<Forces, LaunchError> {
         assert_eq!(sys.len(), self.n, "evaluator built for n = {}", self.n);
@@ -677,7 +677,7 @@ impl TreeForceEvaluator {
         &self,
         sys: &ParticleSystem,
         tree: &Octree,
-        policy: Option<RetryPolicy>,
+        policy: RetryPolicy,
         mask: Option<&[bool]>,
     ) -> std::result::Result<(Forces, f64, f64, u64, u64), LaunchError> {
         let NearField::Device(dn) = &self.near else {
@@ -769,10 +769,7 @@ impl TreeForceEvaluator {
                 slot.insert(p);
             }
             let pipeline = map.get(&padded).expect("just inserted");
-            let patch_forces = match policy {
-                Some(pol) => retry_eval(pipeline, &patch, pol)?,
-                None => pipeline.evaluate_checked(&patch)?,
-            };
+            let patch_forces = pipeline.launch(&patch, &ActiveSet::full(padded), policy)?;
             *last_report.lock() = pipeline.last_launch_report();
             drop(map);
 
@@ -808,19 +805,12 @@ impl ForceEvaluator for TreeForceEvaluator {
         self.eps
     }
 
-    fn evaluate_checked(
-        &self,
-        system: &ParticleSystem,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.evaluate_tree(system, None, None)
-    }
-
     fn evaluate_with_retry(
         &self,
         system: &ParticleSystem,
         policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
-        self.evaluate_tree(system, Some(policy), None)
+        self.evaluate_tree(system, policy, None)
     }
 
     fn evaluate_active(
@@ -832,13 +822,13 @@ impl ForceEvaluator for TreeForceEvaluator {
             return Ok(Forces { acc: Vec::new(), jerk: Vec::new() });
         }
         if active.is_full() {
-            return self.evaluate_tree(system, None, None);
+            return self.evaluate_tree(system, RetryPolicy::disabled(), None);
         }
         let mut mask = vec![false; self.n];
         for &i in active.indices() {
             mask[i] = true;
         }
-        let full = self.evaluate_tree(system, None, Some(&mask))?;
+        let full = self.evaluate_tree(system, RetryPolicy::disabled(), Some(&mask))?;
         Ok(gather_rows(&full, active))
     }
 
@@ -945,7 +935,7 @@ mod tests {
             eps,
             TreeConfig { theta: 0.0, leaf_capacity: 8, threads: 1 },
         );
-        let tree_f = ev.evaluate(&sys).unwrap();
+        let tree_f = ev.evaluate_checked(&sys).unwrap();
         let reference = ReferenceKernel::new(eps).compute(&sys);
         for i in 0..sys.len() {
             for k in 0..3 {
@@ -971,9 +961,9 @@ mod tests {
                 TreeConfig { theta: 0.7, leaf_capacity: 16, threads },
             )
         };
-        let a = mk(1).evaluate(&sys).unwrap();
-        let b = mk(4).evaluate(&sys).unwrap();
-        let c = mk(0).evaluate(&sys).unwrap();
+        let a = mk(1).evaluate_checked(&sys).unwrap();
+        let b = mk(4).evaluate_checked(&sys).unwrap();
+        let c = mk(0).evaluate_checked(&sys).unwrap();
         for i in 0..sys.len() {
             for k in 0..3 {
                 assert_eq!(a.acc[i][k].to_bits(), b.acc[i][k].to_bits());
@@ -999,7 +989,7 @@ mod tests {
                 eps,
                 TreeConfig { theta, leaf_capacity: 16, threads: 0 },
             );
-            let f = ev.evaluate(&sys).unwrap();
+            let f = ev.evaluate_checked(&sys).unwrap();
             let mut worst = 0.0f64;
             for i in 0..sys.len() {
                 let mut d2 = 0.0;
@@ -1022,8 +1012,8 @@ mod tests {
     fn tree_cost_buckets_accumulate_per_evaluation() {
         let sys = plummer(256, 9);
         let ev = TreeForceEvaluator::host(sys.len(), 1e-3, TreeConfig::default());
-        ev.evaluate(&sys).unwrap();
-        ev.evaluate(&sys).unwrap();
+        ev.evaluate_checked(&sys).unwrap();
+        ev.evaluate_checked(&sys).unwrap();
         let cost = ev.tree_cost();
         assert_eq!(cost.evaluations, 2);
         assert!(cost.nodes > 0 && cost.leaves > 0);
@@ -1039,7 +1029,7 @@ mod tests {
             1e-3,
             TreeConfig { theta: 0.6, leaf_capacity: 16, threads: 0 },
         );
-        let full = ev.evaluate(&sys).unwrap();
+        let full = ev.evaluate_checked(&sys).unwrap();
         let active = ActiveSet::from_indices((0..sys.len()).step_by(7).collect(), sys.len());
         let rows = ev.evaluate_active(&sys, &active).unwrap();
         assert_eq!(rows.acc.len(), active.len());
@@ -1056,7 +1046,7 @@ mod tests {
         let mut sys = ParticleSystem::with_capacity(1);
         sys.push(1.0, [0.1, 0.2, 0.3], [0.0; 3]);
         let ev = TreeForceEvaluator::host(1, 1e-3, TreeConfig::default());
-        let f = ev.evaluate(&sys).unwrap();
+        let f = ev.evaluate_checked(&sys).unwrap();
         assert_eq!(f.acc[0], [0.0; 3]);
         assert_eq!(f.jerk[0], [0.0; 3]);
     }

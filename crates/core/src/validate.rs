@@ -15,8 +15,9 @@ use nbody::ic::{
 };
 use nbody::particle::ParticleSystem;
 use nbody::ReferenceKernel;
-use tensix::{Device, Result};
+use tensix::{Device, Result, TensixError};
 
+use crate::evaluator::ForceEvaluator;
 use crate::pipeline::DeviceForcePipeline;
 
 /// One row of the accuracy table.
@@ -52,7 +53,7 @@ pub fn validate_system(
     num_cores: usize,
 ) -> Result<ValidationRow> {
     let pipeline = DeviceForcePipeline::new(Arc::clone(device), system.len(), eps, num_cores)?;
-    let device_forces = pipeline.evaluate(system)?;
+    let device_forces = pipeline.evaluate_checked(system).map_err(TensixError::from)?;
     let golden = ReferenceKernel::new(eps).compute(system);
     Ok(ValidationRow {
         workload: workload.to_string(),

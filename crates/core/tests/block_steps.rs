@@ -200,7 +200,7 @@ fn device_launch_grid_is_sized_to_active() {
     let device = Device::new(0, DeviceConfig::default());
     let pipeline = DeviceForcePipeline::new(device, n, eps, 3).unwrap();
 
-    let full = pipeline.evaluate(&sys).unwrap();
+    let full = pipeline.evaluate_checked(&sys).unwrap();
     assert_eq!(
         compute_cores(&pipeline.last_launch_report().unwrap()),
         3,
@@ -212,7 +212,7 @@ fn device_launch_grid_is_sized_to_active() {
         // gather crosses every source tile.
         let active =
             ActiveSet::from_indices((0..active_len).map(|i| i * n / active_len).collect(), n);
-        let forces = pipeline.evaluate_active_checked(&sys, &active).unwrap();
+        let forces = pipeline.evaluate_active(&sys, &active).unwrap();
         let report = pipeline.last_launch_report().unwrap();
         assert_eq!(
             compute_cores(&report),
@@ -246,15 +246,14 @@ fn degenerate_active_sets_on_device() {
     let sys = plummer(PlummerConfig { n, seed: 95, ..PlummerConfig::default() });
     let device = Device::new(0, DeviceConfig::default());
     let pipeline = DeviceForcePipeline::new(device, n, eps, 2).unwrap();
-    let full = pipeline.evaluate(&sys).unwrap();
+    let full = pipeline.evaluate_checked(&sys).unwrap();
 
-    let empty =
-        pipeline.evaluate_active_checked(&sys, &ActiveSet::from_indices(vec![], n)).unwrap();
+    let empty = pipeline.evaluate_active(&sys, &ActiveSet::from_indices(vec![], n)).unwrap();
     assert_eq!(empty.len(), 0, "empty block launches nothing");
 
     let all = ActiveSet::from_indices((0..n).collect(), n);
     assert!(all.is_full(), "every index active is the full set");
-    let via_full = pipeline.evaluate_active_checked(&sys, &all).unwrap();
+    let via_full = pipeline.evaluate_active(&sys, &all).unwrap();
     for i in 0..n {
         for c in 0..3 {
             assert_eq!(via_full.acc[i][c].to_bits(), full.acc[i][c].to_bits());
@@ -263,7 +262,7 @@ fn degenerate_active_sets_on_device() {
     }
 
     let tail = ActiveSet::from_indices(vec![n - 1], n);
-    let lone = pipeline.evaluate_active_checked(&sys, &tail).unwrap();
+    let lone = pipeline.evaluate_active(&sys, &tail).unwrap();
     assert_eq!(lone.len(), 1);
     for c in 0..3 {
         assert_eq!(lone.acc[0][c].to_bits(), full.acc[n - 1][c].to_bits());
@@ -281,7 +280,7 @@ fn ring_active_matches_single_card_bitwise() {
 
     let single = DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, eps, 1)
         .unwrap()
-        .evaluate_active_checked(&sys, &active)
+        .evaluate_active(&sys, &active)
         .unwrap();
 
     let devices =

@@ -21,7 +21,8 @@ use nbody::force::{ForceKernel, ReferenceKernel};
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    run_simulation, DeviceForcePipeline, ForceKernelKind, SimulationConfig, SimulationOutcome,
+    run_simulation, DeviceForcePipeline, ForceEvaluator, ForceKernelKind, SimulationConfig,
+    SimulationOutcome,
 };
 use tensix::{DataFormat, Device, DeviceConfig};
 
@@ -89,7 +90,7 @@ fn device_forces(sys: &ParticleSystem, eps: f64, kind: ForceKernelKind) -> nbody
     let pipeline =
         DeviceForcePipeline::new_with_kernel(device, sys.len(), eps, 2, DataFormat::Float32, kind)
             .unwrap();
-    pipeline.evaluate(sys).unwrap()
+    pipeline.evaluate_checked(sys).unwrap()
 }
 
 /// Matrix vs elementwise per-particle deviation stays inside the analytic

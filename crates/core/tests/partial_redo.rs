@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::{Forces, ParticleSystem};
-use nbody_tt::{DeviceForcePipeline, PipelineTiming, RetryPolicy};
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator, PipelineTiming, RetryPolicy};
 use tensix::fault::{FaultClass, FaultConfig};
 use tensix::{Device, DeviceConfig, TILE_ELEMS};
 
@@ -42,7 +42,7 @@ fn small_golden() -> &'static Forces {
             SMALL_CORES,
         )
         .unwrap();
-        pipeline.evaluate(&small_system()).unwrap()
+        pipeline.evaluate_checked(&small_system()).unwrap()
     })
 }
 

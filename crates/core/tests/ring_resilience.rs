@@ -67,7 +67,8 @@ proptest! {
     /// to the unfaulted one — no rollback, no replayed steps.
     #[test]
     fn ring_loss_with_spare_is_bitwise_invisible(seed in 200u64..204, event in 1u64..8) {
-        let n = 768usize;
+        // Two tiles, so card 1 owns the tail tile and launches every step.
+        let n = 1100usize;
         let mk = || plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
 
         let mut clean_sys = mk();
@@ -104,7 +105,8 @@ proptest! {
 
 #[test]
 fn exhausted_spares_fall_back_to_checkpoint_recovery() {
-    let n = 512usize;
+    // Two tiles, so card 1 owns the tail tile and launches every step.
+    let n = 1100usize;
     let mk = || plummer(PlummerConfig { n, seed: 210, ..PlummerConfig::default() });
 
     let mut clean_sys = mk();

@@ -85,7 +85,7 @@ proptest! {
         let sys = plummer_sys(n, seed);
         let eps = 1e-2;
         let ev = TreeForceEvaluator::host(n, eps, tree_cfg(theta));
-        let tree_f = ev.evaluate(&sys).unwrap();
+        let tree_f = ev.evaluate_checked(&sys).unwrap();
         let reference = ReferenceKernel::new(eps).compute(&sys);
         let worst = worst_relative_error(&tree_f, &reference, n);
         prop_assert!(
@@ -182,8 +182,8 @@ fn hybrid_near_field_agrees_with_host_tree_at_fp32_tolerance() {
     let host = TreeForceEvaluator::host(n, eps, tree_cfg(0.6));
     let device = Device::new(0, DeviceConfig::default());
     let hybrid = TreeForceEvaluator::hybrid(device, n, eps, 2, tree_cfg(0.6));
-    let host_f = host.evaluate(&sys).unwrap();
-    let hybrid_f = hybrid.evaluate(&sys).unwrap();
+    let host_f = host.evaluate_checked(&sys).unwrap();
+    let hybrid_f = hybrid.evaluate_checked(&sys).unwrap();
     let worst = worst_relative_error(&hybrid_f, &host_f, n);
     assert!(worst < 5e-3, "hybrid near-field drifted {worst:.3e} from the host tree");
     // Same tree, same acceptance: the deterministic counters must agree

@@ -11,7 +11,7 @@ use nbody::force::ForceKernel;
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::ReferenceKernel;
 use nbody_tt::validate::{format_table, validation_suite};
-use nbody_tt::DeviceForcePipeline;
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator};
 use tensix::{DataFormat, Device, DeviceConfig};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
             format,
         )
         .expect("pipeline");
-        let cmp = compare_forces(&golden, &p.evaluate(&sys).expect("eval"));
+        let cmp = compare_forces(&golden, &p.evaluate_checked(&sys).expect("eval"));
         println!(
             "{label:<13} max acc err {:.3e} | max jerk err {:.3e} | {}",
             cmp.max_acc_error,

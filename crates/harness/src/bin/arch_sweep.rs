@@ -11,7 +11,9 @@ use std::path::Path;
 use nbody::ic::{plummer, PlummerConfig};
 use nbody_tt::perf_model::RunModel;
 use nbody_tt::pipeline::DeviceForcePipeline;
-use nbody_tt::{arch_run, ForceKernelKind, WormholePerfModel, DEVICE_CYCLES_PER_PAIR};
+use nbody_tt::{
+    arch_run, ForceEvaluator, ForceKernelKind, WormholePerfModel, DEVICE_CYCLES_PER_PAIR,
+};
 use tensix::catalog::DeviceArch;
 use tensix::{DataFormat, Device};
 
@@ -24,7 +26,7 @@ fn measured_cycles_per_pair(kind: ForceKernelKind) -> f64 {
     let pipeline =
         DeviceForcePipeline::new_with_kernel(device, MEASURE_N, 0.01, 2, DataFormat::Float32, kind)
             .expect("pipeline for the measurement run");
-    pipeline.evaluate(&sys).expect("measurement evaluation");
+    pipeline.evaluate_checked(&sys).expect("measurement evaluation");
     let unit = pipeline.work_unit_particles();
     let owned = MEASURE_N.div_ceil(unit).div_ceil(2) * unit;
     pipeline.timing().last_eval_cycles as f64 / (owned * MEASURE_N) as f64

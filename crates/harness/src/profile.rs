@@ -26,7 +26,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::{DeviceForcePipeline, MultiDevicePipeline, MultiDeviceTiming, PipelineTiming};
+use nbody_tt::{
+    DeviceForcePipeline, ForceEvaluator, MultiDevicePipeline, MultiDeviceTiming, PipelineTiming,
+};
 use tensix::{Device, DeviceConfig, NocId};
 use tt_trace::{
     check_monotonic_per_track, check_nesting, parse_chrome_trace, to_chrome_trace, EventKind,
@@ -300,14 +302,14 @@ pub fn run_profiled_demo(n: usize, num_cores: usize, out_dir: &Path) -> ProfileA
     // Baseline: tracing off.
     let plain_dev = Device::new(0, DeviceConfig::default());
     let plain = DeviceForcePipeline::new(plain_dev, n, eps, num_cores).expect("plain pipeline");
-    let base = plain.evaluate(&sys).expect("plain evaluation");
+    let base = plain.evaluate_checked(&sys).expect("plain evaluation");
 
     // Traced run on an identically-configured device.
     let dev = Device::new(0, DeviceConfig::default());
     let sink = Arc::new(MemorySink::new());
     dev.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
     let traced = DeviceForcePipeline::new(dev, n, eps, num_cores).expect("traced pipeline");
-    let forces = traced.evaluate(&sys).expect("traced evaluation");
+    let forces = traced.evaluate_checked(&sys).expect("traced evaluation");
 
     assert_eq!(forces.acc, base.acc, "tracing must not change force results");
     assert_eq!(forces.jerk, base.jerk, "tracing must not change jerk results");
@@ -383,11 +385,11 @@ pub fn run_ring_demo(n: usize, devices: usize, cores_per_device: usize) -> RingD
     let single_dev = Device::new(0, DeviceConfig::default());
     let single = DeviceForcePipeline::new(single_dev, n, eps, devices * cores_per_device)
         .expect("single-card pipeline");
-    let base = single.evaluate(&sys).expect("single-card evaluation");
+    let base = single.evaluate_checked(&sys).expect("single-card evaluation");
 
     let devs: Vec<_> = (0..devices).map(|id| Device::new(id, DeviceConfig::default())).collect();
     let ring = MultiDevicePipeline::new(&devs, n, eps, cores_per_device).expect("ring pipeline");
-    let forces = ring.evaluate(&sys).expect("ring evaluation");
+    let forces = ring.evaluate_checked(&sys).expect("ring evaluation");
     assert_eq!(forces.acc, base.acc, "ring split must not change accelerations");
     assert_eq!(forces.jerk, base.jerk, "ring split must not change jerks");
 
@@ -448,8 +450,10 @@ pub fn maybe_run_profile() -> bool {
     println!("open the trace in https://ui.perfetto.dev (Open trace file).");
     let devices = devices_arg();
     if devices > 1 {
-        let demo = run_ring_demo(1024, devices, 1);
-        println!("\n=== ring profile (N = 1024, {devices} cards × 1 core) ===\n");
+        // One target tile per card, so every card owns work and launches.
+        let n = 1024 * devices;
+        let demo = run_ring_demo(n, devices, 1);
+        println!("\n=== ring profile (N = {n}, {devices} cards × 1 core) ===\n");
         println!("{}", render_ring_demo(&demo));
         println!("ring forces verified bitwise-identical to the single card.");
     }
@@ -549,7 +553,8 @@ mod tests {
     fn ring_demo_breaks_down_per_device_and_stays_bitwise() {
         // run_ring_demo asserts bitwise equality internally; here we pin the
         // breakdown's shape.
-        let demo = run_ring_demo(256, 2, 1);
+        // Two tiles, so each card owns one and launches.
+        let demo = run_ring_demo(1100, 2, 1);
         assert_eq!(demo.per_device.len(), 2);
         assert!(demo.per_device.iter().all(|t| t.evaluations == 1 && t.busy_cycles > 0));
         assert!(demo.aggregate.comm_seconds > 0.0, "ring all-gather must be billed");

@@ -53,10 +53,11 @@ echo "$PAPER_OUT" | grep -q "device-vs-direct accuracy: PASS"
 echo "==> multi-device resilient smoke"
 # A 2-card ring with one hot spare and a device loss injected mid-run: the
 # CLI runs the resilient Hermite driver, fails over to the spare inside the
-# evaluation, re-runs an unfaulted twin, and verifies bit-for-bit. Grep the
-# output so a silently-skipped verification fails CI too.
+# evaluation, re-runs an unfaulted twin, and verifies bit-for-bit. The loss
+# lands on the last card, so N = 2048 gives it a target tile of its own.
+# Grep the output so a silently-skipped verification fails CI too.
 RING_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
-  --n 256 --steps 4 --cores 1 --devices 2 --spares 1 --inject-loss 2)
+  --n 2048 --steps 4 --cores 1 --devices 2 --spares 1 --inject-loss 2)
 echo "$RING_OUT"
 echo "$RING_OUT" | grep -q "failovers: 1"
 echo "$RING_OUT" | grep -q "bitwise-identical to unfaulted run: true"

@@ -25,7 +25,8 @@
 //! With `--devices N` (N > 1) the device backend runs the resilient driver
 //! over an N-card ring; `--spares` adds hot spares, and `--inject-loss L`
 //! kills the last ring card at launch event `L` and then verifies the
-//! surviving run against an unfaulted twin, bit for bit. `--resilient`
+//! surviving run against an unfaulted twin, bit for bit. That card must own
+//! a target tile (`--n` > 1024 · (devices − 1)), or the loss is refused. `--resilient`
 //! adds checkpoint/restart and in-place retries to a single-card run.
 //!
 //! `--backend tree` runs the Barnes-Hut tree code: `--theta` sets the
@@ -67,7 +68,7 @@ use nbody_tt::{
 };
 use tensix::catalog::DeviceArch;
 use tensix::fault::FaultClass;
-use tensix::{DataFormat, Device, DeviceConfig};
+use tensix::{DataFormat, Device, DeviceConfig, TILE_ELEMS};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,6 +286,17 @@ fn run_ring(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
     let devices = mk_devices(0, opts.devices);
     let spares = mk_devices(opts.devices, opts.spares);
     if opts.inject_loss > 0 {
+        // The loss lands on the last card, which launches only when it owns
+        // a target tile: the ring splits ⌈N/1024⌉ tiles front-loaded.
+        let min_n = TILE_ELEMS * (opts.devices - 1) + 1;
+        if sys.len() < min_n {
+            return Err(format!(
+                "--inject-loss targets card {}, which owns no target tile at --n {}; \
+                 use --n {min_n} or more",
+                opts.devices - 1,
+                sys.len()
+            ));
+        }
         devices[opts.devices - 1].faults().schedule(FaultClass::DeviceLoss, opts.inject_loss);
         println!(
             "injecting device loss on card {} at launch event {}",
@@ -421,7 +433,7 @@ fn verify_device_against_direct(
     sys: &ParticleSystem,
     opts: &Options,
 ) -> Result<(), String> {
-    let dev = pipeline.evaluate(sys).map_err(|e| e.to_string())?;
+    let dev = pipeline.evaluate_checked(sys).map_err(|e| e.to_string())?;
     let reference = ReferenceKernel::new(opts.eps).compute(sys);
     let cmp = nbody::accuracy::compare_forces(&reference, &dev);
     let scale = match pipeline.kernel_kind() {
@@ -753,8 +765,9 @@ mod tests {
     fn ring_run_with_injected_loss_survives_and_verifies() {
         // The CLI's own twin-run bitwise check: a 2-card ring with a spare
         // and a mid-run loss must complete (and verify) end to end.
+        // N = 1100 gives the last card a target tile, so the loss lands.
         let o = Options {
-            n: 256,
+            n: 1100,
             steps: 4,
             devices: 2,
             spares: 1,
@@ -763,6 +776,10 @@ mod tests {
             ..Options::default()
         };
         cmd_run(&o).unwrap();
+        // A loss on a card that owns no tile could never fire: refused, with
+        // the smallest N that works.
+        let err = cmd_run(&Options { n: 1024, ..o }).unwrap_err();
+        assert!(err.contains("use --n 1025 or more"), "{err}");
     }
 
     #[test]

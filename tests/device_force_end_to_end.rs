@@ -9,7 +9,7 @@ use nbody::force::{ForceKernel, ReferenceKernel, SimdKernel};
 use nbody::ic::{
     plummer, two_cluster_merger, uniform_sphere, PlummerConfig, TwoClusterConfig, UniformConfig,
 };
-use nbody_tt::DeviceForcePipeline;
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator};
 use tensix::{Device, DeviceConfig};
 
 fn device() -> Arc<Device> {
@@ -22,7 +22,7 @@ fn plummer_various_sizes_meet_paper_tolerances() {
         let sys = plummer(PlummerConfig { n, seed: n as u64, ..PlummerConfig::default() });
         let eps = 0.01;
         let pipeline = DeviceForcePipeline::new(device(), n, eps, cores).unwrap();
-        let dev = pipeline.evaluate(&sys).unwrap();
+        let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
         assert!(
@@ -45,7 +45,7 @@ fn device_matches_cpu_simd_kernel_closely() {
     let sys = plummer(PlummerConfig { n, seed: 9, ..PlummerConfig::default() });
     let eps = 0.02;
     let pipeline = DeviceForcePipeline::new(device(), n, eps, 1).unwrap();
-    let dev = pipeline.evaluate(&sys).unwrap();
+    let dev = pipeline.evaluate_checked(&sys).unwrap();
     let simd = SimdKernel::new(eps).compute(&sys);
     let golden = ReferenceKernel::new(eps).compute(&sys);
     let dev_err = compare_forces(&golden, &dev).max_acc_error;
@@ -64,7 +64,7 @@ fn non_equilibrium_workloads_validate() {
         uniform_sphere(UniformConfig { n: 400, seed: 5, virial_ratio: 1.5, ..Default::default() });
     for (label, sys) in [("merger", merger), ("hot-sphere", hot)] {
         let pipeline = DeviceForcePipeline::new(device(), sys.len(), eps, 1).unwrap();
-        let dev = pipeline.evaluate(&sys).unwrap();
+        let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
         assert!(
@@ -81,7 +81,7 @@ fn momentum_conserved_by_device_forces() {
     let n = 640;
     let sys = plummer(PlummerConfig { n, seed: 77, ..PlummerConfig::default() });
     let pipeline = DeviceForcePipeline::new(device(), n, 0.01, 1).unwrap();
-    let f = pipeline.evaluate(&sys).unwrap();
+    let f = pipeline.evaluate_checked(&sys).unwrap();
     let typical: f64 =
         f.acc.iter().map(|a| (a[0] * a[0] + a[1] * a[1] + a[2] * a[2]).sqrt()).sum::<f64>()
             / n as f64;
@@ -99,8 +99,8 @@ fn repeated_evaluations_are_deterministic() {
     let n = 256;
     let sys = plummer(PlummerConfig { n, seed: 3, ..PlummerConfig::default() });
     let pipeline = DeviceForcePipeline::new(device(), n, 0.01, 1).unwrap();
-    let a = pipeline.evaluate(&sys).unwrap();
-    let b = pipeline.evaluate(&sys).unwrap();
+    let a = pipeline.evaluate_checked(&sys).unwrap();
+    let b = pipeline.evaluate_checked(&sys).unwrap();
     assert_eq!(a.acc, b.acc, "device evaluation must be bit-deterministic");
     assert_eq!(a.jerk, b.jerk);
     assert_eq!(pipeline.timing().evaluations, 2);
@@ -110,8 +110,10 @@ fn repeated_evaluations_are_deterministic() {
 fn core_count_does_not_change_results() {
     let n = 2048;
     let sys = plummer(PlummerConfig { n, seed: 4, ..PlummerConfig::default() });
-    let one = DeviceForcePipeline::new(device(), n, 0.01, 1).unwrap().evaluate(&sys).unwrap();
-    let two = DeviceForcePipeline::new(device(), n, 0.01, 2).unwrap().evaluate(&sys).unwrap();
+    let one =
+        DeviceForcePipeline::new(device(), n, 0.01, 1).unwrap().evaluate_checked(&sys).unwrap();
+    let two =
+        DeviceForcePipeline::new(device(), n, 0.01, 2).unwrap().evaluate_checked(&sys).unwrap();
     assert_eq!(one.acc, two.acc, "work distribution must not affect values");
     assert_eq!(one.jerk, two.jerk);
 }

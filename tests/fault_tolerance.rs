@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::{DeviceForcePipeline, RetryPolicy};
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator, RetryPolicy};
 use tensix::fault::{FaultClass, FaultConfig};
 use tensix::{Device, DeviceConfig, PowerParams, TILE_ELEMS};
 use tt_telemetry::campaign::{census, run_campaign, run_job, FaultPolicy, JobKind, JobSpec};
@@ -101,7 +101,7 @@ proptest! {
         let clean =
             DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, 0.01, 2)
                 .unwrap();
-        let clean_forces = clean.evaluate(&sys).unwrap();
+        let clean_forces = clean.evaluate_checked(&sys).unwrap();
 
         // Every DRAM hit is uncorrectable; schedule one on the `at`-th read.
         let dev = Device::new(

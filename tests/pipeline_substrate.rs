@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::DeviceForcePipeline;
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator};
 use tensix::cb::CircularBufferConfig;
 use tensix::grid::CoreRangeSet;
 use tensix::{DataFormat, Device, DeviceConfig, TensixError};
@@ -20,7 +20,7 @@ fn force_program_survives_minimal_cb_depths() {
     let sys = plummer(PlummerConfig { n, seed: 70, ..PlummerConfig::default() });
     let device = Device::new(0, DeviceConfig::default());
     let pipeline = DeviceForcePipeline::new(Arc::clone(&device), n, 0.01, 1).unwrap();
-    let f = pipeline.evaluate(&sys).unwrap();
+    let f = pipeline.evaluate_checked(&sys).unwrap();
     assert_eq!(f.len(), n);
     // NoC traffic was accounted: 6 target and 7 packed source pages read,
     // 6 result pages written for the one target tile.
@@ -89,7 +89,7 @@ fn pipelines_can_be_rebuilt_after_reset() {
     let device = Device::new(0, DeviceConfig::default());
     {
         let pipeline = DeviceForcePipeline::new(Arc::clone(&device), n, 0.01, 1).unwrap();
-        pipeline.evaluate(&sys).unwrap();
+        pipeline.evaluate_checked(&sys).unwrap();
         assert!(device.dram().allocated_bytes() > 0);
     }
     // Buffers freed on drop; reset clears everything else.
@@ -97,7 +97,7 @@ fn pipelines_can_be_rebuilt_after_reset() {
     assert_eq!(device.dram().allocated_bytes(), 0);
     assert_eq!(device.clock().now(), 0.0);
     let pipeline = DeviceForcePipeline::new(Arc::clone(&device), n, 0.01, 1).unwrap();
-    let f = pipeline.evaluate(&sys).unwrap();
+    let f = pipeline.evaluate_checked(&sys).unwrap();
     assert_eq!(f.len(), n);
 }
 

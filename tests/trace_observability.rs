@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nbody::ic::{plummer, PlummerConfig};
-use nbody_tt::{DeviceForcePipeline, RetryPolicy};
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator, RetryPolicy};
 use tensix::{Device, DeviceConfig};
 use tt_trace::{
     check_monotonic_per_track, check_nesting, parse_chrome_trace, to_chrome_trace, EventKind,
@@ -29,7 +29,7 @@ fn traced_run_produces_tracks_per_active_core_and_kernel_spans() {
     let sys = plummer(PlummerConfig { n, seed: 77, ..PlummerConfig::default() });
     let (dev, sink) = traced_device();
     let pipeline = DeviceForcePipeline::new(dev, n, 0.01, num_cores).unwrap();
-    pipeline.evaluate(&sys).unwrap();
+    pipeline.evaluate_checked(&sys).unwrap();
 
     let events = sink.export();
     check_nesting(&events).expect("spans must nest");
@@ -64,11 +64,11 @@ fn tracing_off_and_on_agree_bitwise() {
 
     let plain =
         DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, 0.01, 1).unwrap();
-    let base = plain.evaluate(&sys).unwrap();
+    let base = plain.evaluate_checked(&sys).unwrap();
 
     let (dev, sink) = traced_device();
     let traced = DeviceForcePipeline::new(dev, n, 0.01, 1).unwrap();
-    let forces = traced.evaluate(&sys).unwrap();
+    let forces = traced.evaluate_checked(&sys).unwrap();
 
     assert_eq!(forces.acc, base.acc, "forces must be bit-identical");
     assert_eq!(forces.jerk, base.jerk);
@@ -82,7 +82,7 @@ fn kernel_spans_reconcile_with_busy_cycles() {
     let sys = plummer(PlummerConfig { n, seed: 79, ..PlummerConfig::default() });
     let (dev, sink) = traced_device();
     let pipeline = DeviceForcePipeline::new(dev, n, 0.01, 1).unwrap();
-    pipeline.evaluate(&sys).unwrap();
+    pipeline.evaluate_checked(&sys).unwrap();
 
     // Kernel spans open at context cycle 0, so each SpanEnd timestamp is
     // that instance's cycle total; fault-free, their sum IS busy_cycles.
@@ -110,7 +110,7 @@ fn injected_fault_leaves_retry_marker_and_result_stays_correct() {
     let sys = plummer(PlummerConfig { n, seed: 80, ..PlummerConfig::default() });
     let clean =
         DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, 0.01, 1).unwrap();
-    let base = clean.evaluate(&sys).unwrap();
+    let base = clean.evaluate_checked(&sys).unwrap();
 
     let dev = Device::new(
         0,
