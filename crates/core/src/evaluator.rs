@@ -12,7 +12,9 @@
 //! [`ActiveSet::full`] case, so each backend has one launch path. On the
 //! device that path is [`DeviceForcePipeline`]'s one retry/salvage/
 //! partial-redo driver, which the single card, every ring member and the
-//! tree's near-field patches all launch through.
+//! tree's near-field patches all launch through; both force kernels launch
+//! a subset at its own size. [`ForceEvaluator::evaluate_active_with_retry`]
+//! hands that driver the caller's retry policy for any active set.
 
 use std::sync::Arc;
 
@@ -127,8 +129,8 @@ impl ActiveSet {
     }
 }
 
-/// Gather the active rows of a full-system force evaluation, for launches
-/// that cannot pack a subset (the matrix kernel, the tree's masked walk).
+/// Gather the active rows of a full-system force evaluation, for a backend
+/// that cannot pack a subset (the tree's masked walk).
 #[must_use]
 pub(crate) fn gather_rows(full: &Forces, active: &ActiveSet) -> Forces {
     let mut out = Forces::zeros(active.len());
@@ -197,6 +199,34 @@ pub trait ForceEvaluator: Send + Sync {
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError>;
 
+    /// [`Self::evaluate_active`] with bounded in-place retries under
+    /// `policy`: the block-timestep scheduler's launch. A full set takes
+    /// [`Self::evaluate_with_retry`]; the default re-runs a failed subset
+    /// launch whole, up to `policy.max_retries` times. Device backends
+    /// override it with their one launch driver, so subset retries get the
+    /// policy's partial-redo salvage and backoff billing too.
+    ///
+    /// # Errors
+    /// Same contract as [`Self::evaluate_with_retry`].
+    fn evaluate_active_with_retry(
+        &self,
+        system: &ParticleSystem,
+        active: &ActiveSet,
+        policy: RetryPolicy,
+    ) -> std::result::Result<Forces, LaunchError> {
+        if active.is_full() {
+            return self.evaluate_with_retry(system, policy);
+        }
+        let mut attempt = 0u32;
+        loop {
+            match self.evaluate_active(system, active) {
+                Ok(f) => return Ok(f),
+                Err(e) if e.is_transient() && attempt < policy.max_retries => attempt += 1,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Accumulated virtual-time accounting, `None` for backends with no
     /// device clock (the CPU reference).
     fn timing(&self) -> Option<PipelineTiming>;
@@ -260,6 +290,15 @@ impl ForceEvaluator for DeviceForcePipeline {
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
         self.launch(system, active, RetryPolicy::disabled())
+    }
+
+    fn evaluate_active_with_retry(
+        &self,
+        system: &ParticleSystem,
+        active: &ActiveSet,
+        policy: RetryPolicy,
+    ) -> std::result::Result<Forces, LaunchError> {
+        self.launch(system, active, policy)
     }
 
     fn timing(&self) -> Option<PipelineTiming> {
@@ -462,6 +501,15 @@ impl ForceEvaluator for SingleCardEvaluator {
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
         self.pipeline.lock().evaluate_active(system, active)
+    }
+
+    fn evaluate_active_with_retry(
+        &self,
+        system: &ParticleSystem,
+        active: &ActiveSet,
+        policy: RetryPolicy,
+    ) -> std::result::Result<Forces, LaunchError> {
+        self.pipeline.lock().launch(system, active, policy)
     }
 
     fn timing(&self) -> Option<PipelineTiming> {

@@ -56,6 +56,29 @@ pub mod args {
     /// Total number of source particles `n`: the elementwise kernels sweep
     /// ⌈n/1024⌉ packed source tiles, the matrix kernels ⌈n/32⌉ blocks.
     pub const NUM_SOURCES: usize = 2;
+    /// Matrix kernels only: the first slot of the launch's
+    /// [`crate::layout::DampingPlan`], which covers every gathered target
+    /// block, so any `[start, count]` window reads its own blocks' pairs.
+    pub const DAMPING_PLAN: usize = 3;
+}
+
+/// The damping schedule of target blocks `start..start + count`, decoded
+/// from the [`crate::layout::DampingPlan`] args: per block, its
+/// `(source block, damping page)` pairs in source-block order.
+fn damping_schedule(
+    arg: impl Fn(usize) -> u32,
+    start: usize,
+    count: usize,
+) -> Vec<Vec<(usize, usize)>> {
+    let offsets = args::DAMPING_PLAN + 1;
+    let pairs = offsets + arg(args::DAMPING_PLAN) as usize + 1;
+    (start..start + count)
+        .map(|blk| {
+            (arg(offsets + blk) as usize..arg(offsets + blk + 1) as usize)
+                .map(|p| (arg(pairs + 2 * p) as usize, arg(pairs + 2 * p + 1) as usize))
+                .collect()
+        })
+        .collect()
 }
 
 /// Displacement CB page order.
@@ -305,19 +328,29 @@ impl DataMovementKernel for WriterKernel {
 // once per source chunk; the host finishes acc_i = Σ W r_j − r_i Σ W (and
 // the jerk analogue) in compensated FP64 — the mixed-precision split that
 // keeps the energy goldens intact.
+//
+// Target blocks are the launch's gathered targets (all `n` for a full-N
+// launch), so a target row's self-pair may sit in any source block: the
+// launch's damping plan names, per target block, the source blocks to damp
+// and the page to damp them with. Every row is independent of the others,
+// so a gathered row is bitwise its full-N self.
 // ---------------------------------------------------------------------------
 
-/// The matrix-kernel reader: the diagonal-damping page into IN3 once, then
-/// per target block 4 target-operand pages into IN0, and per source block
-/// 5 FP32 pages into IN1 plus the two BF16 SRC_ATTR pages (hi, lo) into IN2
-/// (quantized once by the cached read).
+/// The matrix-kernel reader: per target block 4 target-operand pages into
+/// IN0, and per source block 5 FP32 pages into IN1 plus the two BF16
+/// SRC_ATTR pages (hi, lo) into IN2 (quantized once by the cached read).
+/// Damping pages go into IN3 in the order the compute kernel uses them: the
+/// first one up front, each later one just before the source block it
+/// damps, and only when it differs from the page held — so a full launch,
+/// whose plan is one page throughout, reads it once.
 pub struct MatrixReaderKernel {
-    /// Target-side buffers `[A_POS, A_VEL, COL_R2, COL_RV]`.
+    /// Target-side buffers `[A_POS, A_VEL, COL_R2, COL_RV]`, one page per
+    /// gathered target block.
     pub targets: [BufferRef; 4],
     /// Source-side buffers
     /// `[B_POST, B_VELT, ROW_M, ROW_R2EPS, ROW_RV, SRC_ATTR_HI, SRC_ATTR_LO]`.
     pub sources: [BufferRef; 7],
-    /// One-page buffer holding the `DIAG_DAMP · I` tile.
+    /// The launch's distinct damping pages.
     pub diag: BufferRef,
 }
 
@@ -329,17 +362,24 @@ impl DataMovementKernel for MatrixReaderKernel {
         if count == 0 {
             return;
         }
-        // The damping operand is pushed once and held (never popped): the
-        // compute kernel peeks it on every diagonal block pair.
-        ctx.read_page_to_cb(IN3, self.diag, 0);
+        let schedule = damping_schedule(|i| ctx.arg(i), start, count);
+        let mut held = schedule[0][0].1;
+        ctx.read_page_to_cb(IN3, self.diag, held);
         let chunks = matrix_chunks(num_matrix_blocks(n));
-        for blk in start..start + count {
+        for (blk, pairs) in (start..).zip(&schedule) {
             ctx.trace_span_begin("tile");
             for buf in self.targets {
                 ctx.read_page_to_cb(IN0, buf, blk);
             }
+            let mut damp = pairs.iter().peekable();
             for &(cs, cc) in &chunks {
                 for j in cs..cs + cc {
+                    if let Some(&(_, page)) = damp.next_if(|&&(src, _)| src == j) {
+                        if page != held {
+                            ctx.read_page_to_cb(IN3, self.diag, page);
+                            held = page;
+                        }
+                    }
                     for buf in &self.sources[..5] {
                         ctx.read_page_to_cb_cached(IN1, *buf, j);
                     }
@@ -363,9 +403,10 @@ impl MatrixForceComputeKernel {
     /// One (target block × source block) interaction: FP32 cross matmuls
     /// and the SFPU chain produce W and G, then four BF16 accumulate
     /// matmuls (hi and lo SRC_ATTR per moment tile) fold the block into the
-    /// moment accumulators. `diagonal` marks the block pair whose diagonal
-    /// lanes are self-interactions — those get the `DIAG_DAMP` treatment.
-    fn interact(&self, ctx: &mut ComputeCtx, diagonal: bool) {
+    /// moment accumulators. `damp` marks a block pair holding some target
+    /// row's self-interaction: the damping page at the front of IN3 adds
+    /// `DIAG_DAMP` on those lanes and `+0.0` everywhere else.
+    fn interact(&self, ctx: &mut ComputeCtx, damp: bool) {
         ctx.cb_wait_front(IN1, 5);
         ctx.cb_wait_front(IN2, 2);
 
@@ -377,8 +418,8 @@ impl MatrixForceComputeKernel {
         ctx.scale_tile(0, -2.0, 0.0);
         ctx.add_tile_bcast(BroadcastDim::Col, 0, IN0, COL_R2);
         ctx.add_tile_bcast(BroadcastDim::Row, 0, IN1, ROW_R2EPS); // s²
-        if diagonal {
-            // Self-pairs: s² += DIAG_DAMP on the diagonal collapses the
+        if damp {
+            // Self-pairs: s² += DIAG_DAMP on their lanes collapses the
             // huge softened self-weight m/ε³ to ~m·10⁻¹², keeping the FP32
             // moment sums free of a giant term that cancels only later.
             ctx.copy_tile(IN3, 0, 5);
@@ -492,11 +533,16 @@ impl ComputeKernel for MatrixForceComputeKernel {
         if count == 0 {
             return;
         }
-        ctx.cb_wait_front(IN3, 1); // damping page, held for the whole launch
+        // The damping page at the front of IN3 is held until the plan
+        // needs a different one, mirroring the reader's pushes.
+        let schedule = damping_schedule(|i| ctx.arg(i), start, count);
+        let mut held = schedule[0][0].1;
+        ctx.cb_wait_front(IN3, 1);
         let chunks = matrix_chunks(num_matrix_blocks(n));
-        for blk in start..start + count {
+        for pairs in &schedule {
             ctx.trace_span_begin("tile");
             ctx.cb_wait_front(IN0, 4);
+            let mut damp = pairs.iter().peekable();
             for &(cs, cc) in &chunks {
                 // Zero the moment accumulators and their Kahan compensation
                 // tiles for this chunk.
@@ -513,7 +559,15 @@ impl ComputeKernel for MatrixForceComputeKernel {
                 ctx.tile_regs_release();
 
                 for j in cs..cs + cc {
-                    self.interact(ctx, j == blk);
+                    let due = damp.next_if(|&&(src, _)| src == j);
+                    if let Some(&(_, page)) = due {
+                        if page != held {
+                            ctx.cb_pop_front(IN3, 1);
+                            ctx.cb_wait_front(IN3, 1);
+                            held = page;
+                        }
+                    }
+                    self.interact(ctx, due.is_some());
                 }
 
                 // Flush the chunk partials to the output CB, folding the

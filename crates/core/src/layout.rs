@@ -19,6 +19,8 @@
 //! parked at a remote position, so they neither contribute force (mass 0)
 //! nor produce NaNs (nonzero distance to every real particle).
 
+use std::collections::HashMap;
+
 use nbody::particle::ParticleSystem;
 use tensix::tile::{pack_vector, Tile, TILE_DIM, TILE_ELEMS};
 use tensix::DataFormat;
@@ -91,9 +93,10 @@ pub fn tilize_targets(arrays: &HostArrays) -> [Vec<Tile>; 6] {
 
 /// Gather the `active` targets of `arrays` into a dense prefix — the host
 /// side of dynamic tile packing. The result has `n = active.len()`; tilized
-/// (via [`tilize_targets`]), its pad lanes park at [`PAD_POSITION`] with
-/// zero velocity exactly like a full-N tail tile, so an active-set launch
-/// rounds up to whole tiles without contributing spurious forces.
+/// (via [`tilize_targets`] or [`matrix_target_view`]), its pad lanes park at
+/// [`PAD_POSITION`] with zero velocity exactly like a full-N tail, so an
+/// active-set launch rounds up to whole tiles or blocks without
+/// contributing spurious forces.
 ///
 /// # Panics
 /// Panics if an index is out of range.
@@ -166,23 +169,75 @@ pub mod matrix_pages {
     pub const SRC_ATTR_LO: usize = 6;
 }
 
-/// Distance-squared damping added to the *diagonal* lanes of diagonal block
-/// pairs: `s²_ii ← s²_ii + DIAG_DAMP` collapses the softened self-weight
+/// Distance-squared damping added to every target row's *self-pair* lane:
+/// `s²_ii ← s²_ii + DIAG_DAMP` collapses the softened self-weight
 /// `W_ii = m_i/ε³` (easily ~10⁴·m) to ~`m·10⁻¹²`, so no huge self-term ever
 /// enters the FP32 moment accumulation — without it, that term's rounding
 /// alone sinks the force accuracy. Large enough to dwarf any real `|r|²`,
 /// small enough that `s² + DIAG_DAMP` stays far from FP32 overflow.
 pub const DIAG_DAMP: f32 = 1.0e8;
 
-/// The damping operand: [`DIAG_DAMP`] on the diagonal, zero elsewhere. One
-/// FP32 page, read once per launch and held in its CB.
+/// The diagonal-damping plan of one matrix launch over the gathered target
+/// blocks of an active set.
+///
+/// Gathered row `k` of target block `g` is particle `i`, whose self-pair
+/// sits in source block `i / 32` at lane `i % 32`. Each block's plan lists
+/// `(source block, damping page)` pairs in source-block order; the page
+/// holds [`DIAG_DAMP`] at `(k, i % 32)` for every row of the block whose
+/// self-pair falls in that source block, and zero elsewhere. Adding a page
+/// to a row with no self-pair in that block adds `+0.0`, which is exact, so
+/// every gathered row sees the same `s²` as in a full evaluation. Pad rows
+/// of the last block are damped on their own diagonal lane, as in a full-N
+/// tail block, so the full set's plan is `[(b, DIAG_DAMP·I)]` for every
+/// block `b` and ships one page.
+#[derive(Debug)]
+pub struct DampingPlan {
+    /// The distinct damping pages; identical pages are kept once.
+    pub pages: Vec<Tile>,
+    /// The plan as runtime args, appended after `[start, count, n]`:
+    /// `[G, off_0, …, off_G, src_0, page_0, src_1, page_1, …]`, where block
+    /// `g`'s pairs are `off_g..off_{g+1}` of the pair list.
+    pub args: Vec<u32>,
+}
+
+/// Build the [`DampingPlan`] of the sorted `active` indices, gathered into
+/// ⌈|A|/32⌉ dense target blocks.
 #[must_use]
-pub fn diag_damp_tile() -> Tile {
-    let mut t = Tile::zeros(DataFormat::Float32);
-    for i in 0..TILE_DIM {
-        t.set(i, i, DIAG_DAMP);
+pub fn damping_plan(active: &[usize]) -> DampingPlan {
+    let blocks = active.len().div_ceil(MATRIX_BLOCK);
+    let mut pages: Vec<Tile> = Vec::new();
+    let mut page_of: HashMap<Vec<(usize, usize)>, u32> = HashMap::new();
+    let mut offsets: Vec<u32> = vec![0];
+    let mut pairs: Vec<u32> = Vec::new();
+    for rows in active.chunks(MATRIX_BLOCK) {
+        let groups: Vec<&[usize]> =
+            rows.chunk_by(|a, b| a / MATRIX_BLOCK == b / MATRIX_BLOCK).collect();
+        let mut k = 0;
+        for (g, group) in groups.iter().enumerate() {
+            let mut cells: Vec<(usize, usize)> =
+                group.iter().enumerate().map(|(r, i)| (k + r, i % MATRIX_BLOCK)).collect();
+            k += group.len();
+            if g + 1 == groups.len() {
+                cells.extend((rows.len()..MATRIX_BLOCK).map(|pad| (pad, pad)));
+            }
+            let next = pages.len() as u32;
+            let page = *page_of.entry(cells).or_insert_with_key(|cells| {
+                let mut t = Tile::zeros(DataFormat::Float32);
+                for &(row, lane) in cells {
+                    t.set(row, lane, DIAG_DAMP);
+                }
+                pages.push(t);
+                next
+            });
+            pairs.extend([(group[0] / MATRIX_BLOCK) as u32, page]);
+        }
+        offsets.push((pairs.len() / 2) as u32);
     }
-    t
+    let mut args = Vec::with_capacity(1 + offsets.len() + pairs.len());
+    args.push(blocks as u32);
+    args.extend(offsets);
+    args.extend(pairs);
+    DampingPlan { pages, args }
 }
 
 /// Split `x` into its BF16 value and the BF16-rounded residual:
@@ -195,20 +250,6 @@ pub fn bf16_split(x: f32) -> (f32, f32) {
     let hi = bf16.quantize(x);
     let lo = bf16.quantize(x - hi);
     (hi, lo)
-}
-
-/// Matrix-kernel operand tiles, one tile per 32-particle block in each view.
-#[derive(Debug)]
-pub struct MatrixOperands {
-    /// Number of 32-particle blocks: ⌈n / 32⌉.
-    pub num_blocks: usize,
-    /// Target-side operands `[A_POS, A_VEL, COL_R2, COL_RV]` (FP32).
-    pub targets: [Vec<Tile>; 4],
-    /// Source-side operands
-    /// `[B_POST, B_VELT, ROW_M, ROW_R2EPS, ROW_RV, SRC_ATTR_HI, SRC_ATTR_LO]`
-    /// (FP32 in DRAM; the two SRC_ATTR pages hold BF16-representable values
-    /// and pass through their BF16 CB unchanged).
-    pub sources: [Vec<Tile>; 7],
 }
 
 /// Number of 32-particle blocks for `n` particles.
@@ -228,59 +269,101 @@ pub fn matrix_chunks(num_src_blocks: usize) -> Vec<(usize, usize)> {
     split_tiles_to_cores(num_src_blocks, num_src_blocks.min(MATRIX_MAX_CHUNKS))
 }
 
-/// Build the matrix-kernel operand tiles from the host arrays.
+/// Particle `i`'s matrix-operand lane `(r, v, m)`, or `None` for a pad lane.
+fn matrix_lane(arrays: &HostArrays, i: usize) -> Option<([f32; 3], [f32; 3], f32)> {
+    (i < arrays.n).then(|| {
+        (
+            [arrays.pos[0][i], arrays.pos[1][i], arrays.pos[2][i]],
+            [arrays.vel[0][i], arrays.vel[1][i], arrays.vel[2][i]],
+            arrays.mass[i],
+        )
+    })
+}
+
+/// `a · b` in FP32, in the order both operand views use.
+fn dot3(a: [f32; 3], b: [f32; 3]) -> f32 {
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+}
+
+/// One target-side matrix operand view, one FP32 tile per 32-particle
+/// block: `view` indexes `[A_POS, A_VEL, COL_R2, COL_RV]`. Pad lanes park at
+/// [`PAD_POSITION`] with zero velocity (their output rows are discarded).
+/// The launch builds, writes and drops one view at a time.
 ///
-/// Padding: target pad lanes park at [`PAD_POSITION`] (their rows of the
-/// output are discarded), source pad lanes carry zero mass — `W = m/s³ = 0`
-/// kills the whole column — with `ROW_R2EPS = ε²` keeping `s²` positive
-/// even against a target at the origin.
+/// # Panics
+/// Panics if `view` is not a target view.
 #[must_use]
-pub fn matrix_operands(arrays: &HostArrays, eps_squared: f32) -> MatrixOperands {
-    let f = DataFormat::Float32;
-    let nb = num_matrix_blocks(arrays.n);
-    let mut targets: [Vec<Tile>; 4] = std::array::from_fn(|_| vec![Tile::zeros(f); nb]);
-    let mut sources: [Vec<Tile>; 7] = std::array::from_fn(|_| vec![Tile::zeros(f); nb]);
-    for b in 0..nb {
+pub fn matrix_target_view(arrays: &HostArrays, view: usize) -> Vec<Tile> {
+    let mut tiles = vec![Tile::zeros(DataFormat::Float32); num_matrix_blocks(arrays.n)];
+    for (b, tile) in tiles.iter_mut().enumerate() {
         for lane in 0..MATRIX_BLOCK {
-            let i = b * MATRIX_BLOCK + lane;
-            let (r, v, m) = if i < arrays.n {
-                (
-                    [arrays.pos[0][i], arrays.pos[1][i], arrays.pos[2][i]],
-                    [arrays.vel[0][i], arrays.vel[1][i], arrays.vel[2][i]],
-                    arrays.mass[i],
-                )
-            } else {
-                ([PAD_POSITION; 3], [0.0; 3], 0.0)
-            };
-            let r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2];
-            let rv = r[0] * v[0] + r[1] * v[1] + r[2] * v[2];
-            for k in 0..3 {
-                targets[matrix_pages::A_POS][b].set(lane, k, r[k]);
-                targets[matrix_pages::A_VEL][b].set(lane, k, v[k]);
-            }
-            targets[matrix_pages::COL_R2][b].set(lane, 0, r2);
-            targets[matrix_pages::COL_RV][b].set(lane, 0, rv);
-            if i < arrays.n {
-                for k in 0..3 {
-                    sources[matrix_pages::B_POST][b].set(k, lane, r[k]);
-                    sources[matrix_pages::B_VELT][b].set(k, lane, v[k]);
-                    let (rh, rl) = bf16_split(r[k]);
-                    let (vh, vl) = bf16_split(v[k]);
-                    sources[matrix_pages::SRC_ATTR_HI][b].set(lane, k, rh);
-                    sources[matrix_pages::SRC_ATTR_HI][b].set(lane, 3 + k, vh);
-                    sources[matrix_pages::SRC_ATTR_LO][b].set(lane, k, rl);
-                    sources[matrix_pages::SRC_ATTR_LO][b].set(lane, 3 + k, vl);
-                }
-                sources[matrix_pages::ROW_M][b].set(0, lane, m);
-                sources[matrix_pages::ROW_R2EPS][b].set(0, lane, r2 + eps_squared);
-                sources[matrix_pages::ROW_RV][b].set(0, lane, rv);
-                sources[matrix_pages::SRC_ATTR_HI][b].set(lane, 6, 1.0);
-            } else {
-                sources[matrix_pages::ROW_R2EPS][b].set(0, lane, eps_squared);
+            let (r, v, _) = matrix_lane(arrays, b * MATRIX_BLOCK + lane).unwrap_or((
+                [PAD_POSITION; 3],
+                [0.0; 3],
+                0.0,
+            ));
+            match view {
+                matrix_pages::A_POS => (0..3).for_each(|k| tile.set(lane, k, r[k])),
+                matrix_pages::A_VEL => (0..3).for_each(|k| tile.set(lane, k, v[k])),
+                matrix_pages::COL_R2 => tile.set(lane, 0, dot3(r, r)),
+                matrix_pages::COL_RV => tile.set(lane, 0, dot3(r, v)),
+                _ => panic!("{view} is not a matrix target view"),
             }
         }
     }
-    MatrixOperands { num_blocks: nb, targets, sources }
+    tiles
+}
+
+/// One source-side matrix operand view, one FP32 tile per 32-particle
+/// block: `view` indexes
+/// `[B_POST, B_VELT, ROW_M, ROW_R2EPS, ROW_RV, SRC_ATTR_HI, SRC_ATTR_LO]`
+/// (the two SRC_ATTR pages hold BF16-representable values and pass through
+/// their BF16 CB unchanged). Pad lanes carry zero mass — `W = m/s³ = 0`
+/// kills the whole column — with `ROW_R2EPS = ε²` keeping `s²` positive
+/// even against a target at the origin.
+///
+/// # Panics
+/// Panics if `view` is not a source view.
+#[must_use]
+pub fn matrix_source_view(arrays: &HostArrays, eps_squared: f32, view: usize) -> Vec<Tile> {
+    use matrix_pages::{B_POST, B_VELT, ROW_M, ROW_R2EPS, ROW_RV, SRC_ATTR_HI, SRC_ATTR_LO};
+    let mut tiles = vec![Tile::zeros(DataFormat::Float32); num_matrix_blocks(arrays.n)];
+    for (b, tile) in tiles.iter_mut().enumerate() {
+        for lane in 0..MATRIX_BLOCK {
+            let Some((r, v, m)) = matrix_lane(arrays, b * MATRIX_BLOCK + lane) else {
+                if view == ROW_R2EPS {
+                    tile.set(0, lane, eps_squared);
+                }
+                continue;
+            };
+            match view {
+                B_POST => (0..3).for_each(|k| tile.set(k, lane, r[k])),
+                B_VELT => (0..3).for_each(|k| tile.set(k, lane, v[k])),
+                ROW_M => tile.set(0, lane, m),
+                ROW_R2EPS => tile.set(0, lane, dot3(r, r) + eps_squared),
+                ROW_RV => tile.set(0, lane, dot3(r, v)),
+                SRC_ATTR_HI | SRC_ATTR_LO => {
+                    let part = |x: f32| {
+                        let (hi, lo) = bf16_split(x);
+                        if view == SRC_ATTR_HI {
+                            hi
+                        } else {
+                            lo
+                        }
+                    };
+                    for k in 0..3 {
+                        tile.set(lane, k, part(r[k]));
+                        tile.set(lane, 3 + k, part(v[k]));
+                    }
+                    if view == SRC_ATTR_HI {
+                        tile.set(lane, 6, 1.0);
+                    }
+                }
+                _ => panic!("{view} is not a matrix source view"),
+            }
+        }
+    }
+    tiles
 }
 
 /// Split `num_tiles` target tiles across `num_cores` cores as evenly as
@@ -379,39 +462,97 @@ mod tests {
 
     #[test]
     fn matrix_operands_shape_and_padding() {
+        use matrix_pages::*;
         let s = sys(70); // 3 blocks, last padded from lane 6
         let h = HostArrays::from_system(&s);
-        let ops = matrix_operands(&h, 1e-4);
-        assert_eq!(ops.num_blocks, 3);
-        assert_eq!(ops.targets[0].len(), 3);
-        assert_eq!(ops.sources[0].len(), 3);
+        let target = |view| matrix_target_view(&h, view);
+        let source = |view| matrix_source_view(&h, 1e-4, view);
+        assert_eq!(num_matrix_blocks(h.n), 3);
+        assert_eq!(target(A_POS).len(), 3);
+        assert_eq!(source(B_POST).len(), 3);
 
         // Real lanes: A_POS row i holds r_i, B_POST column j holds r_j.
         let (b, lane, i) = (1, 9, 41);
+        let (hi, lo) = (source(SRC_ATTR_HI), source(SRC_ATTR_LO));
         for k in 0..3 {
-            assert_eq!(ops.targets[matrix_pages::A_POS][b].get(lane, k), s.pos[i][k] as f32);
-            assert_eq!(ops.sources[matrix_pages::B_POST][b].get(k, lane), s.pos[i][k] as f32);
+            assert_eq!(target(A_POS)[b].get(lane, k), s.pos[i][k] as f32);
+            assert_eq!(source(B_POST)[b].get(k, lane), s.pos[i][k] as f32);
             // SRC_ATTR is split hi/lo so the bf16 matmul path keeps ~16
             // mantissa bits: hi is the bf16 quantization, lo the residual.
             let (rh, rl) = bf16_split(s.pos[i][k] as f32);
             let (vh, vl) = bf16_split(s.vel[i][k] as f32);
-            let hi = &ops.sources[matrix_pages::SRC_ATTR_HI][b];
-            let lo = &ops.sources[matrix_pages::SRC_ATTR_LO][b];
-            assert_eq!((hi.get(lane, k), lo.get(lane, k)), (rh, rl));
-            assert_eq!((hi.get(lane, 3 + k), lo.get(lane, 3 + k)), (vh, vl));
+            assert_eq!((hi[b].get(lane, k), lo[b].get(lane, k)), (rh, rl));
+            assert_eq!((hi[b].get(lane, 3 + k), lo[b].get(lane, 3 + k)), (vh, vl));
         }
-        assert_eq!(ops.sources[matrix_pages::SRC_ATTR_HI][b].get(lane, 6), 1.0);
-        assert_eq!(ops.sources[matrix_pages::SRC_ATTR_LO][b].get(lane, 6), 0.0);
-        let r2 = ops.targets[matrix_pages::COL_R2][b].get(lane, 0);
+        assert_eq!(hi[b].get(lane, 6), 1.0);
+        assert_eq!(lo[b].get(lane, 6), 0.0);
+        let r2 = target(COL_R2)[b].get(lane, 0);
         assert!((f64::from(r2) - s.pos[i].iter().map(|x| x * x).sum::<f64>()).abs() < 1e-5);
-        assert_eq!(ops.sources[matrix_pages::ROW_R2EPS][b].get(0, lane), r2 + 1e-4);
+        assert_eq!(source(ROW_R2EPS)[b].get(0, lane), r2 + 1e-4);
 
         // Pad lanes: parked targets, zero-mass sources, ε² keeps s² positive.
         let pad = 20; // particle 84 ≥ 70
-        assert_eq!(ops.targets[matrix_pages::A_POS][2].get(pad, 0), PAD_POSITION);
-        assert_eq!(ops.sources[matrix_pages::ROW_M][2].get(0, pad), 0.0);
-        assert_eq!(ops.sources[matrix_pages::ROW_R2EPS][2].get(0, pad), 1e-4);
-        assert_eq!(ops.sources[matrix_pages::SRC_ATTR_HI][2].get(pad, 6), 0.0);
+        assert_eq!(target(A_POS)[2].get(pad, 0), PAD_POSITION);
+        assert_eq!(source(ROW_M)[2].get(0, pad), 0.0);
+        assert_eq!(source(ROW_R2EPS)[2].get(0, pad), 1e-4);
+        assert_eq!(hi[2].get(pad, 6), 0.0);
+    }
+
+    /// The damping pages of `plan`'s block `g`, decoded from its args.
+    fn plan_pairs(plan: &DampingPlan, g: usize) -> Vec<(usize, usize)> {
+        let a = &plan.args;
+        let pairs = 2 + a[0] as usize;
+        (a[1 + g] as usize..a[2 + g] as usize)
+            .map(|p| (a[pairs + 2 * p] as usize, a[pairs + 2 * p + 1] as usize))
+            .collect()
+    }
+
+    #[test]
+    fn full_damping_plan_is_one_identity_page() {
+        // n = 70: three blocks, the last one padded; every block's plan is
+        // its own source block on the one DIAG_DAMP·I page.
+        let plan = damping_plan(&(0..70).collect::<Vec<_>>());
+        assert_eq!(plan.pages.len(), 1);
+        for i in 0..TILE_DIM {
+            for j in 0..TILE_DIM {
+                let want = if i == j { DIAG_DAMP } else { 0.0 };
+                assert_eq!(plan.pages[0].get(i, j), want);
+            }
+        }
+        assert_eq!(plan.args[0], 3);
+        for g in 0..3 {
+            assert_eq!(plan_pairs(&plan, g), vec![(g, 0)]);
+        }
+    }
+
+    #[test]
+    fn gathered_damping_plan_marks_each_self_pair() {
+        // Rows 0..2 of gathered block 0 are particles 5 and 40 (source
+        // blocks 0 and 1); row 2 is particle 41, also in block 1.
+        let active = [5, 40, 41, 100];
+        let plan = damping_plan(&active);
+        assert_eq!(plan.args[0], 1);
+        let pairs = plan_pairs(&plan, 0);
+        assert_eq!(pairs.iter().map(|p| p.0).collect::<Vec<_>>(), vec![0, 1, 3]);
+        let page = |src: usize| &plan.pages[pairs.iter().find(|p| p.0 == src).unwrap().1];
+        let damped = |t: &Tile| {
+            let mut cells = Vec::new();
+            for i in 0..TILE_DIM {
+                for j in 0..TILE_DIM {
+                    if t.get(i, j) != 0.0 {
+                        assert_eq!(t.get(i, j), DIAG_DAMP);
+                        cells.push((i, j));
+                    }
+                }
+            }
+            cells
+        };
+        assert_eq!(damped(page(0)), vec![(0, 5)]);
+        assert_eq!(damped(page(1)), vec![(1, 8), (2, 9)]);
+        // The last group also damps the block's pad rows on their diagonal.
+        let mut last = vec![(3, 4)];
+        last.extend((4..TILE_DIM).map(|k| (k, k)));
+        assert_eq!(damped(page(3)), last);
     }
 
     #[test]

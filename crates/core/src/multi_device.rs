@@ -5,8 +5,9 @@
 //! accelerators". This module distributes the Fig.-2 outer loop across
 //! several simulated Wormhole cards: each device receives the full source
 //! view (every card needs all particles, as in the single-card port) but
-//! owns a contiguous slice of the target tiles, and launches only those:
-//! its runtime args cover its own tiles, so a card computes nothing it
+//! owns a contiguous slice of the target work units (1024-particle tiles,
+//! or 32-particle blocks on the matrix kernel), and launches only those:
+//! its runtime args cover its own units, so a card computes nothing it
 //! does not keep. After the per-card programs complete, the partial
 //! results are exchanged in a ring all-gather over the 200 Gb/s Ethernet
 //! links, exactly the work split and communication pattern the E6 model
@@ -17,8 +18,8 @@
 //! the slowest card's program bounds the compute, plus the all-gather.
 //! Full-N evaluation is the all-particles active set, so full and
 //! block-step launches take the same path; a card whose share is empty
-//! (N ≤ 1024 · (cards − 1) leaves the last cards without a tile) makes
-//! no launch.
+//! (N ≤ unit · (cards − 1) leaves the last cards without a unit) makes no
+//! launch.
 //!
 //! The ring implements [`ForceEvaluator`], so the resilient Hermite driver
 //! (`run_simulation_resilient`) treats it exactly like a single card:
@@ -33,7 +34,6 @@ use parking_lot::Mutex;
 
 use nbody::particle::{Forces, ParticleSystem};
 use tensix::ethernet::{EthLink, EthRing};
-use tensix::tile::TILE_ELEMS;
 use tensix::{DataFormat, Device, Result, TensixError};
 use tt_telemetry::RetryCost;
 use ttmetal::{LaunchError, ProgramReport};
@@ -232,9 +232,10 @@ impl MultiDevicePipeline {
 
     /// The one ring launch: forces on the `active` targets against all `n`
     /// sources, full-N being [`ActiveSet::full`]. The active set is split
-    /// across cards in whole target tiles (front-loaded, like the per-core
+    /// across cards in whole work units of the card pipeline (1024-particle
+    /// tiles, 32-particle matrix blocks; front-loaded, like the per-core
     /// split), so for a full set each card's share is exactly its owned
-    /// tile range. Each non-empty share runs through the card pipeline's
+    /// unit range. Each non-empty share runs through the card pipeline's
     /// one launch driver under `policy` — gathered target tiles, a launch
     /// grid sized to the share — and a card with an empty share makes no
     /// launch. Row `k` of the result is the force on `active.indices()[k]`,
@@ -257,12 +258,13 @@ impl MultiDevicePipeline {
             return Ok(Forces::zeros(0));
         }
         let mut slots = self.slots.lock();
+        let unit = self.kind.work_unit_particles();
         let shares: Vec<(usize, usize)> =
-            split_tiles_to_cores(active.len().div_ceil(TILE_ELEMS), slots.pipelines.len())
+            split_tiles_to_cores(active.len().div_ceil(unit), slots.pipelines.len())
                 .into_iter()
-                .map(|(tile, tiles)| {
-                    let start = (tile * TILE_ELEMS).min(active.len());
-                    (start, (tiles * TILE_ELEMS).min(active.len() - start))
+                .map(|(first, units)| {
+                    let start = (first * unit).min(active.len());
+                    (start, (units * unit).min(active.len() - start))
                 })
                 .collect();
         let mut gathered = Forces::zeros(active.len());
@@ -359,10 +361,19 @@ impl ForceEvaluator for MultiDevicePipeline {
         system: &ParticleSystem,
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
-        // Transient-retry policy is the caller's call (the block scheduler
-        // re-runs the launch per its recovery config); flaps and spare
-        // failover are still absorbed here.
+        // No transient retries here (the caller's policy arrives through
+        // `evaluate_active_with_retry`); flaps and spare failover are still
+        // absorbed.
         self.ring_launch(system, active, RetryPolicy::disabled())
+    }
+
+    fn evaluate_active_with_retry(
+        &self,
+        system: &ParticleSystem,
+        active: &ActiveSet,
+        policy: RetryPolicy,
+    ) -> std::result::Result<Forces, LaunchError> {
+        self.ring_launch(system, active, policy)
     }
 
     fn timing(&self) -> Option<PipelineTiming> {
@@ -653,5 +664,33 @@ mod tests {
         ring.evaluate_checked(&sys).unwrap();
         let per_device = ring.per_device_timing();
         assert_eq!((per_device[0].evaluations, per_device[1].evaluations), (1, 0));
+    }
+
+    #[test]
+    fn matrix_ring_cards_launch_only_their_own_target_blocks() {
+        // The matrix twin: each card launches its share of the 32-particle
+        // target blocks, gathered with their own damping plan, so a 2-card
+        // ring halves one card's critical path, bitwise equal to it.
+        let n = 2048;
+        let sys = plummer(PlummerConfig { n, seed: 406, ..PlummerConfig::default() });
+        let matrix = |devices: &[Arc<Device>]| {
+            MultiDevicePipeline::with_spares_kernel(
+                devices,
+                &[],
+                n,
+                0.01,
+                1,
+                ForceKernelKind::Matrix,
+            )
+            .unwrap()
+        };
+        let single = matrix(&cluster(1));
+        let single_forces = single.evaluate_checked(&sys).unwrap();
+        let ring = matrix(&cluster(2));
+        let ring_forces = ring.evaluate_checked(&sys).unwrap();
+        assert_eq!(ring_forces.acc, single_forces.acc);
+        assert_eq!(ring_forces.jerk, single_forces.jerk);
+        let (ring_s, single_s) = (ring.timing().device_seconds, single.timing().device_seconds);
+        assert!(ring_s <= 0.55 * single_s, "critical path {ring_s} vs one card's {single_s}");
     }
 }

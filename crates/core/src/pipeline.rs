@@ -14,9 +14,13 @@
 //! target and 7 source pages up, 6 result pages down.
 //!
 //! Every evaluation takes one launch path, `DeviceForcePipeline::launch`:
-//! full-N is the all-particles active set, a subset launches a gathered
-//! slice, and both run under one retry/salvage/partial-redo driver. The
-//! Hermite driver, the ring and the tree reach it through the
+//! full-N is the all-particles active set, and a subset on either kernel
+//! gathers its targets into dense work units (1024-particle tiles,
+//! 32-particle matrix blocks) and launches a program slice sized to them.
+//! Both run under one retry/salvage/partial-redo driver. The matrix
+//! kernel's self-pair damping travels with the launch as a per-block
+//! [`crate::layout::DampingPlan`], so gathering keeps every row bitwise.
+//! The Hermite driver, the ring and the tree reach it through the
 //! [`crate::evaluator::ForceEvaluator`] seam, with typed launch errors.
 
 use std::sync::Arc;
@@ -30,16 +34,16 @@ use tensix::{DataFormat, Device, NocId, Result, Tile};
 use ttmetal::cb_index::{IN0, IN1, IN2, IN3, INTERMED0, INTERMED1, INTERMED2, OUT0};
 use ttmetal::{Buffer, CommandQueue, LaunchError, Program, ProgramReport};
 
-use crate::evaluator::{gather_rows, ActiveSet};
+use crate::evaluator::ActiveSet;
 use crate::kernels::{
     ForceComputeKernel, MatrixForceComputeKernel, MatrixReaderKernel, MatrixWriterKernel,
     ReaderKernel, WriterKernel,
 };
 use crate::layout::matrix_pages::ATTR_COLS;
 use crate::layout::{
-    bf16_split, diag_damp_tile, gather_active_targets, matrix_chunks, matrix_operands,
-    num_matrix_blocks, split_tiles_to_cores, tilize_sources, tilize_targets, HostArrays,
-    MATRIX_BLOCK,
+    bf16_split, damping_plan, gather_active_targets, matrix_chunks, matrix_source_view,
+    matrix_target_view, num_matrix_blocks, split_tiles_to_cores, tilize_sources, tilize_targets,
+    HostArrays, MATRIX_BLOCK,
 };
 
 /// Which inner-loop formulation the device program runs.
@@ -70,6 +74,17 @@ impl ForceKernelKind {
         match self {
             ForceKernelKind::Elementwise => "elementwise",
             ForceKernelKind::Matrix => "matrix",
+        }
+    }
+
+    /// Particles per device work unit: the runtime-arg granularity of the
+    /// outer-loop split (a 1024-particle tile for the elementwise kernel, a
+    /// 32-particle block for the matrix kernel).
+    #[must_use]
+    pub fn work_unit_particles(self) -> usize {
+        match self {
+            ForceKernelKind::Elementwise => tensix::TILE_ELEMS,
+            ForceKernelKind::Matrix => MATRIX_BLOCK,
         }
     }
 }
@@ -291,8 +306,9 @@ pub struct DeviceForcePipeline {
     target_bufs: Vec<Buffer>,
     source_bufs: Vec<Buffer>,
     output_bufs: Vec<Buffer>,
-    /// FP32 host view of the most recent input state — the matrix kernel's
-    /// host combine needs the exact quantized operands the device saw.
+    /// FP32 host view of the most recent launch's gathered targets — the
+    /// matrix kernel's host combine needs the exact quantized operands the
+    /// device saw.
     host: Mutex<Option<HostArrays>>,
     /// Per-core `(core, start_tile, tile_count)` of the Fig. 2 outer-loop
     /// split — the ground truth a partial redo validates fault inventories
@@ -392,11 +408,12 @@ impl DeviceForcePipeline {
                 let num_blocks = num_matrix_blocks(n);
                 let num_chunks = matrix_chunks(num_blocks).len();
                 let targets: Vec<Buffer> = (0..4).map(|_| mk(num_blocks)).collect::<Result<_>>()?;
-                // 7 per-block operand views + the 1-page diagonal-damping
-                // tile (index 7).
+                // 7 per-block operand views + the damping pages (index 7):
+                // at most one per (gathered block, source block) pair, and
+                // sorted targets cross ⌈n/32⌉ − 1 source-block boundaries.
                 let mut sources: Vec<Buffer> =
                     (0..7).map(|_| mk(num_blocks)).collect::<Result<_>>()?;
-                sources.push(mk(1)?);
+                sources.push(mk(2 * num_blocks)?);
                 let outputs: Vec<Buffer> =
                     (0..2).map(|_| mk(num_blocks * num_chunks)).collect::<Result<_>>()?;
                 (targets, sources, outputs, num_blocks, num_chunks)
@@ -490,15 +507,11 @@ impl DeviceForcePipeline {
         self.kind
     }
 
-    /// Particles per device work unit: the runtime-arg granularity of the
-    /// outer-loop split (a 1024-particle tile for the elementwise kernel, a
-    /// 32-particle block for the matrix kernel).
+    /// Particles per device work unit; see
+    /// [`ForceKernelKind::work_unit_particles`].
     #[must_use]
     pub fn work_unit_particles(&self) -> usize {
-        match self.kind {
-            ForceKernelKind::Elementwise => tensix::TILE_ELEMS,
-            ForceKernelKind::Matrix => MATRIX_BLOCK,
-        }
+        self.kind.work_unit_particles()
     }
 
     /// Accumulated timing.
@@ -521,19 +534,20 @@ impl DeviceForcePipeline {
     /// Row `k` of the result is the force on `active.indices()[k]`; full-N
     /// evaluation is the [`ActiveSet::full`] case.
     ///
-    /// A full set launches the whole program over the Fig. 2 core split.
-    /// An elementwise subset is dynamic tile packing: the active particles
-    /// are gathered into zero-mass-padded target tiles (dense prefix, tail
-    /// lanes parked at the padding position exactly like a full-N tail
-    /// tile), the packed source view stays all `n` particles, and the
-    /// launch is a program slice sized to the *active* tile count —
-    /// `min(num_cores, ⌈|A|/1024⌉)` cores with rewritten `[start, count, n]`
-    /// runtime args — so a small block costs a small launch. Per-target
-    /// source summation order is unchanged by the gather, so each active
-    /// row is f32-bitwise identical to the corresponding row of a full
-    /// evaluation. The matrix formulation's diagonal damping keys on
-    /// aligned target/source block indices, which gathering breaks; its
-    /// subsets launch full-N and gather the active rows.
+    /// A full set launches the whole program over the Fig. 2 core split. A
+    /// subset is dynamic packing: the active particles are gathered into
+    /// dense work units — zero-mass-padded 1024-particle tiles for the
+    /// elementwise kernel, 32-particle blocks for the matrix kernel — whose
+    /// tail lanes park at the padding position exactly like a full-N tail.
+    /// The source view stays all `n` particles, and the launch is a program
+    /// slice sized to the *active* unit count — `min(num_cores, units)`
+    /// cores with rewritten runtime args — so a small block costs a small
+    /// launch. Per-target source summation order is unchanged by the
+    /// gather. The matrix kernel's self-pair damping rides in the runtime
+    /// args as the launch's [`crate::layout::DampingPlan`]; it adds exactly
+    /// `+0.0` off the self-pairs, and the matmuls and Kahan folds are
+    /// row-independent, so on both kernels each active row is f32-bitwise
+    /// identical to the corresponding row of a full evaluation.
     ///
     /// Inputs are written once — DRAM survives a failed launch while the
     /// card stays on the bus — and timing counts exactly one evaluation per
@@ -571,11 +585,10 @@ impl DeviceForcePipeline {
             return Ok(Forces::zeros(0));
         }
         let mut queue = self.queue.lock();
-        self.write_inputs(&mut queue, system, active)?;
-        let slice = (self.kind == ForceKernelKind::Elementwise && !active.is_full())
-            .then(|| self.active_ranges(active.len()));
+        let plan = self.write_inputs(&mut queue, system, active)?;
+        let slice = (!active.is_full()).then(|| self.active_ranges(active.len()));
         let ranges = slice.as_deref().unwrap_or(&self.core_ranges);
-        let program = slice.as_deref().map(|r| self.program_slice(r));
+        let program = slice.as_deref().map(|r| self.program_slice(r, &plan));
 
         // Tiles already delivered per core (across attempts); kept work of
         // failed attempts, to be billed only when an attempt finally lands.
@@ -684,7 +697,7 @@ impl DeviceForcePipeline {
                                     (core, start + d as usize, count - d as usize)
                                 })
                                 .collect();
-                            redo = Some(self.program_slice(&remaining));
+                            redo = Some(self.program_slice(&remaining, &plan));
                         }
                         None => {
                             // Full re-run: this attempt and everything kept
@@ -719,76 +732,80 @@ impl DeviceForcePipeline {
     }
 
     /// The active launch's `(core, start, count)` ranges: the first
-    /// `min(num_cores, active_tiles)` cores, splitting the *active* tile
+    /// `min(num_cores, active_units)` cores, splitting the *active* work-unit
     /// count — the launch grid is sized by the work that exists, not by `n`.
     fn active_ranges(&self, active_len: usize) -> Vec<(CoreCoord, usize, usize)> {
-        let active_tiles = active_len.div_ceil(tensix::TILE_ELEMS);
-        let cores_used = self.num_cores.min(active_tiles).max(1);
+        let active_units = active_len.div_ceil(self.work_unit_particles());
+        let cores_used = self.num_cores.min(active_units).max(1);
         self.core_ranges
             .iter()
-            .zip(split_tiles_to_cores(active_tiles, cores_used))
+            .zip(split_tiles_to_cores(active_units, cores_used))
             .map(|(&(core, _, _), (start, count))| (core, start, count))
             .collect()
     }
 
     /// The program restricted to `ranges`' cores, each core's runtime args
-    /// rewritten to its `[start, count, n]` window.
-    fn program_slice(&self, ranges: &[(CoreCoord, usize, usize)]) -> Program {
+    /// rewritten to its `[start, count, n]` window followed by the launch's
+    /// `plan` args (the matrix damping plan; empty for elementwise).
+    fn program_slice(&self, ranges: &[(CoreCoord, usize, usize)], plan: &[u32]) -> Program {
         let cores: Vec<CoreCoord> = ranges.iter().map(|&(core, _, _)| core).collect();
         let mut slice = self.program.slice_for_cores(&cores);
         for &(core, start, count) in ranges {
-            slice.set_runtime_args_all_kernels(
-                core,
-                vec![start as u32, count as u32, self.n as u32],
-            );
+            slice.set_runtime_args_all_kernels(core, launch_args(start, count, self.n, plan));
         }
         slice
     }
 
-    /// Tilize the FP64 state and ship every target/source buffer to DRAM.
-    /// Elementwise: the `active` targets into the target buffers' leading
-    /// pages, the packed source view of all `n` particles. Matrix: every
-    /// operand view (its launches are always full-N).
+    /// Tilize the FP64 state and ship it to DRAM: the `active` targets into
+    /// the target buffers' leading pages and the source view of all `n`
+    /// particles. Elementwise: the six target tiles and the packed source
+    /// view. Matrix: the four target views of the ⌈|A|/32⌉ gathered blocks,
+    /// the seven source views, and the launch's distinct damping pages —
+    /// each view built, written and dropped before the next, so host
+    /// memory holds one view at a time. Returns the launch's plan args
+    /// (see [`Self::program_slice`]).
     fn write_inputs(
         &self,
         queue: &mut CommandQueue,
         system: &ParticleSystem,
         active: &ActiveSet,
-    ) -> std::result::Result<(), LaunchError> {
+    ) -> std::result::Result<Vec<u32>, LaunchError> {
         let arrays = HostArrays::from_system(system);
+        let gathered =
+            (!active.is_full()).then(|| gather_active_targets(&arrays, active.indices()));
+        let targets = gathered.as_ref().unwrap_or(&arrays);
         match self.kind {
             ForceKernelKind::Elementwise => {
-                let gathered =
-                    (!active.is_full()).then(|| gather_active_targets(&arrays, active.indices()));
-                let targets = gathered.as_ref().unwrap_or(&arrays);
                 for (buf, tiles) in self.target_bufs.iter().zip(&tilize_targets(targets)) {
                     queue.enqueue_write_buffer(buf, tiles)?;
                 }
                 for (buf, tiles) in self.source_bufs.iter().zip(&tilize_sources(&arrays)) {
                     queue.enqueue_write_buffer(buf, tiles)?;
                 }
+                Ok(Vec::new())
             }
             ForceKernelKind::Matrix => {
                 let eps2 = (self.eps * self.eps) as f32;
-                let ops = matrix_operands(&arrays, eps2);
-                for (buf, tiles) in self.target_bufs.iter().zip(&ops.targets) {
-                    queue.enqueue_write_buffer(buf, tiles)?;
+                for (view, buf) in self.target_bufs.iter().enumerate() {
+                    queue.enqueue_write_buffer(buf, &matrix_target_view(targets, view))?;
                 }
-                for (buf, tiles) in self.source_bufs.iter().zip(&ops.sources) {
-                    queue.enqueue_write_buffer(buf, tiles)?;
+                for (view, buf) in self.source_bufs[..7].iter().enumerate() {
+                    queue.enqueue_write_buffer(buf, &matrix_source_view(&arrays, eps2, view))?;
                 }
-                queue.enqueue_write_buffer(&self.source_bufs[7], &[diag_damp_tile()])?;
-                *self.host.lock() = Some(arrays);
+                let plan = damping_plan(active.indices());
+                queue.enqueue_write_buffer(&self.source_bufs[7], &plan.pages)?;
+                *self.host.lock() = Some(gathered.unwrap_or(arrays));
+                Ok(plan.args)
             }
         }
-        Ok(())
     }
 
     /// Read the `active` rows back into FP64 forces. Elementwise: the first
     /// `|A|` results of the six per-axis acc/jerk buffers, un-tilized and
-    /// promoted. Matrix: two moment-sum buffers (`num_blocks · num_chunks`
-    /// partial pages each), combined on the host in compensated FP64 (see
-    /// [`Self::combine_moments`]), then the active rows gathered.
+    /// promoted. Matrix: the gathered blocks' `num_chunks` partial pages of
+    /// the two moment-sum buffers — only the active blocks' pages cross
+    /// PCIe — combined on the host in compensated FP64 against the
+    /// gathered targets (see [`Self::combine_moments`]).
     fn read_forces(
         &self,
         queue: &mut CommandQueue,
@@ -815,16 +832,17 @@ impl DeviceForcePipeline {
                 Ok(forces)
             }
             ForceKernelKind::Matrix => {
-                let w_tiles = queue.enqueue_read_buffer(&self.output_bufs[0])?;
-                let g_tiles = queue.enqueue_read_buffer(&self.output_bufs[1])?;
-                let full = self.combine_moments(&w_tiles, &g_tiles);
-                Ok(if active.is_full() { full } else { gather_rows(&full, active) })
+                let pages = num_matrix_blocks(active.len()) * self.num_chunks;
+                let w_tiles = queue.enqueue_read_pages(&self.output_bufs[0], pages)?;
+                let g_tiles = queue.enqueue_read_pages(&self.output_bufs[1], pages)?;
+                Ok(self.combine_moments(&w_tiles, &g_tiles))
             }
         }
     }
 
     /// The matrix kernel's host-side finish: fold the per-chunk moment sums
-    /// into accelerations and jerks in FP64.
+    /// of the gathered target blocks into accelerations and jerks in FP64,
+    /// row `i` being gathered target `i`.
     ///
     /// The device returns, per target row `i` of each `(block, chunk)` tile
     /// pair, the seven W-moments `[Σ W r_j | Σ W v_j | Σ W]` and the G-tile's
@@ -845,8 +863,8 @@ impl DeviceForcePipeline {
     fn combine_moments(&self, w_tiles: &[Tile], g_tiles: &[Tile]) -> Forces {
         let host = self.host.lock();
         let arrays = host.as_ref().expect("matrix combine before write_inputs");
-        let mut forces = Forces::zeros(self.n);
-        for i in 0..self.n {
+        let mut forces = Forces::zeros(arrays.n);
+        for i in 0..arrays.n {
             let (block, row) = (i / MATRIX_BLOCK, i % MATRIX_BLOCK);
             let mut m = [0.0f64; ATTR_COLS]; // W-moments: Σ W r | Σ W v | Σ W
             let mut g = [0.0f64; ATTR_COLS]; // G-moments: Σ G r | unused | Σ G
@@ -974,7 +992,7 @@ fn build_program(
 
     let split = split_tiles_to_cores(num_tiles, num_cores);
     for (core, (start, count)) in cores.iter().zip(split) {
-        let args = vec![start as u32, count as u32, n as u32];
+        let args = launch_args(start, count, n, &[]);
         program.set_runtime_args(reader, core, args.clone());
         program.set_runtime_args(compute, core, args.clone());
         program.set_runtime_args(writer, core, args);
@@ -984,7 +1002,8 @@ fn build_program(
 
 /// Assemble the matrix-pipe force program: FP32 operand CBs, BF16 CBs for
 /// the quantized W/G and `SRC_ATTR` pages feeding the full-rate accumulate
-/// matmuls, and runtime args in 32-particle *block* units.
+/// matmuls, and runtime args in 32-particle *block* units carrying the full
+/// set's damping plan (a subset launch rewrites both).
 #[allow(clippy::too_many_arguments)]
 fn build_matrix_program(
     cores: &CoreRangeSet,
@@ -1006,7 +1025,7 @@ fn build_matrix_program(
     program.add_circular_buffer(cores.clone(), IN1, CircularBufferConfig::new(10, f32f));
     // IN2: the BF16 SRC_ATTR hi/lo pages (quantized once by the cached read).
     program.add_circular_buffer(cores.clone(), IN2, CircularBufferConfig::new(4, bf16));
-    // IN3: the FP32 diagonal-damping page, read once and held.
+    // IN3: the FP32 damping page in use, held until the plan moves on.
     program.add_circular_buffer(cores.clone(), IN3, CircularBufferConfig::new(1, f32f));
     // INTERMED0: W and G, quantized to BF16 on pack for the matrix pipe.
     program.add_circular_buffer(cores.clone(), INTERMED0, CircularBufferConfig::new(4, bf16));
@@ -1056,14 +1075,23 @@ fn build_matrix_program(
         }),
     );
 
+    // The full set's damping plan: block b on the one DIAG_DAMP·I page.
+    let plan = damping_plan(&(0..n).collect::<Vec<_>>()).args;
     let split = split_tiles_to_cores(num_blocks, num_cores);
     for (core, (start, count)) in cores.iter().zip(split) {
-        let args = vec![start as u32, count as u32, n as u32];
+        let args = launch_args(start, count, n, &plan);
         program.set_runtime_args(reader, core, args.clone());
         program.set_runtime_args(compute, core, args.clone());
         program.set_runtime_args(writer, core, args);
     }
     program
+}
+
+/// One core's runtime args: its `[start, count, n]` window, then `plan`.
+fn launch_args(start: usize, count: usize, n: usize, plan: &[u32]) -> Vec<u32> {
+    let mut args = vec![start as u32, count as u32, n as u32];
+    args.extend_from_slice(plan);
+    args
 }
 
 #[cfg(test)]

@@ -273,9 +273,10 @@ pub fn run_block_simulation<E: ForceEvaluator>(
 }
 
 /// Evolve `system` like [`run_simulation`], but survive injected faults:
-/// transient launch failures are retried in place (full-N launches through
-/// [`ForceEvaluator::evaluate_with_retry`], so partial-redo salvage
-/// applies), and a mid-run card loss goes through
+/// transient launch failures are retried in place (every launch, full-N or
+/// active subset, through [`ForceEvaluator::evaluate_active_with_retry`],
+/// so partial-redo salvage and backoff billing apply), and a mid-run card
+/// loss goes through
 /// [`ForceEvaluator::recover_device_loss`] → restore of the last
 /// checkpoint → replay. Because the checkpoint holds the exact host-side
 /// Hermite state (the whole block hierarchy) and every backend is
@@ -433,14 +434,13 @@ fn drive<E: ForceEvaluator>(
 /// to `nbody`'s `Hermite4` at power-of-two steps (both use the one
 /// [`hermite_predict`]/[`hermite_correct`] pair).
 ///
-/// The *backend* sees the active set: a full-N block (the initializing
-/// launch, every shared step, base-step boundaries, the final sync) goes
-/// through [`ForceEvaluator::evaluate_with_retry`], keeping partial-redo
-/// salvage; a subset goes through [`ForceEvaluator::evaluate_active`],
-/// where a device pipeline packs the active particles into gathered tiles
-/// and sizes its launch grid to the block, the ring splits the block
-/// across cards, and the CPU kernel front-permutes. All of it is
-/// `Result`-typed: no fault unwinds through the force seam.
+/// The *backend* sees the active set, full-N (the initializing launch,
+/// every shared step, base-step boundaries, the final sync) or a subset,
+/// through [`ForceEvaluator::evaluate_active_with_retry`] under the run's
+/// retry policy: a device pipeline packs the active particles into gathered
+/// tiles or matrix blocks and sizes its launch grid to the block, the ring
+/// splits the block across cards, and the CPU kernel front-permutes. All of
+/// it is `Result`-typed: no fault unwinds through the force seam.
 pub struct BlockScheduler<E> {
     evaluator: Arc<E>,
     blocks: BlockStepConfig,
@@ -549,23 +549,11 @@ impl<E: ForceEvaluator> BlockScheduler<E> {
     }
 
     /// Force evaluation of the `active` block with transient faults
-    /// retried in place. Full-N launches take the evaluator's salvaging
-    /// retry driver; active-set retries re-run the whole (already
-    /// active-sized) launch — salvage exists to avoid repeating full-N
-    /// grids, which an active launch never is. A failed attempt's cycles
-    /// are already billed as wasted by the pipeline.
+    /// retried in place under the run's policy, through
+    /// [`ForceEvaluator::evaluate_active_with_retry`]. A failed attempt's
+    /// cycles are already billed as wasted by the pipeline.
     fn launch(&self, system: &ParticleSystem, active: &ActiveSet) -> Result<Forces, LaunchError> {
-        if active.is_full() {
-            return self.evaluator.evaluate_with_retry(system, self.retry);
-        }
-        let mut attempt = 0u32;
-        loop {
-            match self.evaluator.evaluate_active(system, active) {
-                Ok(f) => return Ok(f),
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => attempt += 1,
-                Err(e) => return Err(e),
-            }
-        }
+        self.evaluator.evaluate_active_with_retry(system, active, self.retry)
     }
 
     /// Has the run reached `t_end`?

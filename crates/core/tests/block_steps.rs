@@ -10,10 +10,12 @@
 //!    while doing strictly fewer particle evaluations than a shared run
 //!    at the hierarchy's finest step.
 //! 3. Active launches on the device: the launch grid is sized by the
-//!    active tile count (not N), active rows are f32-bitwise identical to
-//!    the corresponding full-evaluation rows, degenerate sets (empty /
-//!    full / single tail particle) hold, and a ring splits an active set
-//!    across cards without perturbing a single bit.
+//!    active work-unit count (not N) on both kernels, active rows are
+//!    f32-bitwise identical to the corresponding full-evaluation rows,
+//!    degenerate sets (empty / full / single tail particle) hold, a ring
+//!    splits an active set across cards without perturbing a single bit,
+//!    and a transient fault on an active launch is retried under the run's
+//!    policy.
 //! 4. Checkpoint/restore: a run cut mid-hierarchy and resumed — including
 //!    through the on-disk spill format — replays to a bitwise-identical
 //!    final state (pinned by a proptest over random cut points).
@@ -26,10 +28,12 @@ use nbody::particle::ParticleSystem;
 use nbody_tt::{
     read_checkpoint, run_block_simulation, write_checkpoint, ActiveSet, BlockScheduler,
     BlockStepConfig, CpuForceEvaluator, DeviceForcePipeline, DriverOutcome, ForceEvaluator,
-    MultiDevicePipeline, RetryPolicy, SimulationConfig, SingleCardEvaluator, SpillConfig,
+    ForceKernelKind, MultiDevicePipeline, RetryPolicy, SimulationConfig, SingleCardEvaluator,
+    SpillConfig,
 };
 use proptest::prelude::*;
-use tensix::{Device, DeviceConfig};
+use tensix::fault::{FaultClass, FaultConfig};
+use tensix::{DataFormat, Device, DeviceConfig};
 
 fn block_config(dt: f64, cycles: usize, steps_per_cycle: usize, levels: u32) -> SimulationConfig {
     SimulationConfig {
@@ -268,6 +272,140 @@ fn degenerate_active_sets_on_device() {
         assert_eq!(lone.acc[0][c].to_bits(), full.acc[n - 1][c].to_bits());
         assert_eq!(lone.jerk[0][c].to_bits(), full.jerk[n - 1][c].to_bits());
     }
+}
+
+fn matrix_pipeline(n: usize, eps: f64, cores: usize) -> DeviceForcePipeline {
+    DeviceForcePipeline::new_with_kernel(
+        Device::new(0, DeviceConfig::default()),
+        n,
+        eps,
+        cores,
+        DataFormat::Float32,
+        ForceKernelKind::Matrix,
+    )
+    .unwrap()
+}
+
+/// Every row of `rows` is f32-bitwise the `active` row of `full`.
+fn assert_rows_bitwise(
+    rows: &nbody::particle::Forces,
+    full: &nbody::particle::Forces,
+    active: &ActiveSet,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rows.len(), active.len());
+    for (slot, &i) in active.indices().iter().enumerate() {
+        for c in 0..3 {
+            prop_assert_eq!(rows.acc[slot][c].to_bits(), full.acc[i][c].to_bits());
+            prop_assert_eq!(rows.jerk[slot][c].to_bits(), full.jerk[i][c].to_bits());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Matrix-pipe active rows are f32-bitwise the full evaluation's rows:
+    /// gathering moves a row into another block, and the per-block damping
+    /// plan adds exactly `+0.0` wherever the row has no self-pair. Random
+    /// subsets, the empty and the full set, and a lone tail particle, on
+    /// 1–3 cores.
+    #[test]
+    fn matrix_active_rows_are_bitwise_full_rows(
+        n in 33usize..334,
+        cores in 1usize..4,
+        seed in 0u64..1000,
+        keep_pct in 1u64..100,
+    ) {
+        let eps = 0.02;
+        let sys = plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
+        let pipeline = matrix_pipeline(n, eps, cores);
+        let full = pipeline.evaluate_checked(&sys).unwrap();
+        let mix = |i: u64| (seed ^ i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57;
+        let random: Vec<usize> =
+            (0..n).filter(|&i| mix(i as u64) % 100 < keep_pct).collect();
+        for indices in [random, vec![], (0..n).collect(), vec![n - 1]] {
+            let active = ActiveSet::from_indices(indices, n);
+            let rows = pipeline.evaluate_active(&sys, &active).unwrap();
+            assert_rows_bitwise(&rows, &full, &active)?;
+        }
+    }
+}
+
+/// A matrix subset launches ⌈|A|/32⌉ gathered blocks on
+/// `min(cores, blocks)` cores, so its device time follows the active set:
+/// at N = 1012 on 2 cores, |A| = 77 (3 blocks, the larger core share 2 of
+/// the full launch's 16) costs at most 0.2× a full launch.
+#[test]
+fn matrix_launch_is_sized_to_active_blocks() {
+    let (n, eps) = (1012usize, 0.02f64);
+    let sys = plummer(PlummerConfig { n, seed: 93, ..PlummerConfig::default() });
+    let pipeline = matrix_pipeline(n, eps, 2);
+    let full = pipeline.evaluate_checked(&sys).unwrap();
+    let full_s = pipeline.timing().device_seconds;
+    assert_eq!(compute_cores(&pipeline.last_launch_report().unwrap()), 2);
+
+    for (active_len, want_cores) in [(20usize, 1usize), (77, 2)] {
+        let active =
+            ActiveSet::from_indices((0..active_len).map(|i| i * n / active_len).collect(), n);
+        let before = pipeline.timing().device_seconds;
+        let rows = pipeline.evaluate_active(&sys, &active).unwrap();
+        let launch_s = pipeline.timing().device_seconds - before;
+        assert_eq!(
+            compute_cores(&pipeline.last_launch_report().unwrap()),
+            want_cores,
+            "|A| = {active_len} must launch {want_cores} compute cores"
+        );
+        assert_rows_bitwise(&rows, &full, &active).unwrap();
+        if active_len == 77 {
+            assert!(launch_s <= 0.2 * full_s, "|A| = 77 took {launch_s} s vs full {full_s} s");
+        }
+    }
+}
+
+/// A transient DRAM fault on an active-set launch in a block run is retried
+/// by the card's launch driver under the run's policy: the retry and its
+/// backoff are billed, and the run lands bitwise on a fault-free twin.
+#[test]
+fn transient_fault_on_an_active_launch_is_retried_under_the_policy() {
+    let (n, eps) = (256usize, 0.05f64);
+    let config = block_config(1.0 / 64.0, 1, 2, 3);
+    let make = || plummer(PlummerConfig { n, seed: 12, ..PlummerConfig::default() });
+    let card = |device| Arc::new(SingleCardEvaluator::new(device, n, eps, 2).unwrap());
+
+    let mut clean_sys = make();
+    run_block_simulation(&card(Device::new(0, DeviceConfig::default())), &mut clean_sys, config)
+        .unwrap();
+
+    // Every DRAM ECC hit is uncorrectable; the device stays clean through
+    // the initializing full-N launch, then the 5th read of the first block
+    // iteration faults.
+    let device = Device::new(
+        0,
+        DeviceConfig {
+            faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
+            ..DeviceConfig::default()
+        },
+    );
+    let evaluator = card(Arc::clone(&device));
+    let mut sys = make();
+    let mut scheduler =
+        BlockScheduler::new(Arc::clone(&evaluator), &mut sys, config, RetryPolicy::default())
+            .unwrap();
+    device.faults().schedule(FaultClass::DramRead, 5);
+    scheduler.step(&mut sys).unwrap();
+    assert!(
+        scheduler.report().particle_evaluations < 2 * n as u64,
+        "the first block iteration must be an active subset"
+    );
+    let t = evaluator.timing().unwrap();
+    assert_eq!(t.retries, 1, "the subset launch retried once");
+    assert!(t.retry_backoff_seconds > 0.0, "the policy's backoff is billed");
+    assert!(t.wasted_seconds >= t.retry_backoff_seconds);
+    while !scheduler.done(&sys) {
+        scheduler.step(&mut sys).unwrap();
+    }
+    assert_state_bitwise(&clean_sys, &sys, "retried block run vs fault-free twin");
 }
 
 /// A two-card ring splits the active set into shares; the gathered result

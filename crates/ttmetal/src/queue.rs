@@ -234,10 +234,20 @@ impl CommandQueue {
     /// # Errors
     /// If the card fell off the bus, or on DRAM faults.
     pub fn enqueue_read_buffer(&mut self, buffer: &Buffer) -> Result<Vec<Tile>> {
+        self.enqueue_read_pages(buffer, buffer.num_tiles())
+    }
+
+    /// Read the leading `pages` pages of `buffer` back to the host; only
+    /// those pages cross PCIe.
+    ///
+    /// # Errors
+    /// If `pages` exceeds the buffer, if the card fell off the bus, or on
+    /// DRAM faults.
+    pub fn enqueue_read_pages(&mut self, buffer: &Buffer, pages: usize) -> Result<Vec<Tile>> {
         self.device.ensure_alive()?;
         let r = buffer.reference();
-        let out = self.device.dram().read_tiles(r.id, r.num_tiles)?;
-        self.io_seconds += (r.num_tiles * r.format.tile_bytes()) as f64 / PCIE_BYTES_PER_S;
+        let out = self.device.dram().read_tiles(r.id, pages)?;
+        self.io_seconds += (pages * r.format.tile_bytes()) as f64 / PCIE_BYTES_PER_S;
         Ok(out)
     }
 
@@ -461,7 +471,7 @@ impl CommandQueue {
         drop(tx);
 
         let instance_count = jobs.len();
-        crate::pool::WorkerPool::global().submit_batch(jobs);
+        let batch = crate::pool::WorkerPool::global().submit_batch(jobs);
         let mut slots: Vec<Option<Option<KernelOutcome>>> = Vec::new();
         slots.resize_with(instance_count, || None);
         for _ in 0..instance_count {
@@ -473,6 +483,9 @@ impl CommandQueue {
                 Err(_) => break,
             }
         }
+        // Return only once the workers have retired this launch's jobs, so
+        // the next launch finds them idle instead of growing the pool.
+        batch.wait();
 
         let mut timings = Vec::with_capacity(instance_count);
         let mut aborts: Vec<KernelAbort> = Vec::new();
@@ -630,6 +643,23 @@ mod tests {
         assert_eq!(back.len(), 3);
         assert_eq!(back[2].get(0, 0), 2.0);
         assert!(q.io_seconds() > 0.0);
+    }
+
+    #[test]
+    fn page_read_moves_only_the_leading_pages() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let buf = Buffer::new(&dev, DataFormat::Float32, 3).unwrap();
+        let tiles: Vec<Tile> = (0..3).map(|i| Tile::splat(DataFormat::Float32, i as f32)).collect();
+        q.enqueue_write_buffer(&buf, &tiles).unwrap();
+        let written = q.io_seconds();
+        let front = q.enqueue_read_pages(&buf, 2).unwrap();
+        assert_eq!(front.iter().map(|t| t.get(0, 0)).collect::<Vec<_>>(), vec![0.0, 1.0]);
+        let two_pages = q.io_seconds() - written;
+        q.enqueue_read_buffer(&buf).unwrap();
+        let whole = q.io_seconds() - written - two_pages;
+        assert!((two_pages - whole * 2.0 / 3.0).abs() <= 1e-15, "{two_pages} vs {whole}");
+        assert!(q.enqueue_read_pages(&buf, 4).is_err(), "read past the end");
     }
 
     #[test]

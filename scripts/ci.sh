@@ -117,6 +117,18 @@ echo "$BLOCK_OUT" | grep -q "device-vs-direct accuracy: PASS"
 echo "$BLOCK_OUT" | grep -q "active-set ledger:"
 echo "$BLOCK_OUT" | grep -Eq "mean active fraction 0\.[0-9]+," # strictly partial launches
 
+echo "==> matrix block-time-step smoke"
+# The same hierarchy on the matrix-pipe kernel: its subsets launch gathered
+# 32-particle target blocks with their own diagonal-damping plan. The run
+# must PASS the accuracy gate and print a strictly partial active-set
+# ledger.
+MATRIX_BLOCK_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
+  --n 512 --steps 4 --cores 2 --blocks --ic king --force-kernel matrix --verify-direct)
+echo "$MATRIX_BLOCK_OUT"
+echo "$MATRIX_BLOCK_OUT" | grep -q "device-vs-direct accuracy: PASS"
+echo "$MATRIX_BLOCK_OUT" | grep -q "active-set ledger:"
+echo "$MATRIX_BLOCK_OUT" | grep -Eq "mean active fraction 0\.[0-9]+," # strictly partial launches
+
 echo "==> matrix-kernel / device-catalog smoke"
 # The matrix-pipe force kernel on an n150 catalog part, with the built-in
 # device-vs-direct accuracy verification: the run must print the catalog

@@ -26,7 +26,8 @@
 //! over an N-card ring; `--spares` adds hot spares, and `--inject-loss L`
 //! kills the last ring card at launch event `L` and then verifies the
 //! surviving run against an unfaulted twin, bit for bit. That card must own
-//! a target tile (`--n` > 1024 · (devices − 1)), or the loss is refused. `--resilient`
+//! a target work unit (`--n` > unit · (devices − 1), the unit being 1024
+//! particles, or 32 with `--force-kernel matrix`), or the loss is refused. `--resilient`
 //! adds checkpoint/restart and in-place retries to a single-card run.
 //!
 //! `--backend tree` runs the Barnes-Hut tree code: `--theta` sets the
@@ -68,7 +69,7 @@ use nbody_tt::{
 };
 use tensix::catalog::DeviceArch;
 use tensix::fault::FaultClass;
-use tensix::{DataFormat, Device, DeviceConfig, TILE_ELEMS};
+use tensix::{DataFormat, Device, DeviceConfig};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,11 +288,11 @@ fn run_ring(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
     let spares = mk_devices(opts.devices, opts.spares);
     if opts.inject_loss > 0 {
         // The loss lands on the last card, which launches only when it owns
-        // a target tile: the ring splits ⌈N/1024⌉ tiles front-loaded.
-        let min_n = TILE_ELEMS * (opts.devices - 1) + 1;
+        // a target work unit: the ring splits ⌈N/unit⌉ units front-loaded.
+        let min_n = opts.force_kernel.work_unit_particles() * (opts.devices - 1) + 1;
         if sys.len() < min_n {
             return Err(format!(
-                "--inject-loss targets card {}, which owns no target tile at --n {}; \
+                "--inject-loss targets card {}, which owns no target work unit at --n {}; \
                  use --n {min_n} or more",
                 opts.devices - 1,
                 sys.len()
