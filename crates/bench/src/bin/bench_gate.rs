@@ -34,10 +34,9 @@ use std::time::Instant;
 
 use nbody::force::{ForceKernel, SimdKernel};
 use nbody::ic::{plummer, IcKind, PlummerConfig};
-use nbody_tt::pipeline::DeviceForcePipeline;
 use nbody_tt::{
-    arch_run, run_block_simulation, run_simulation, BlockStepConfig, ForceEvaluator,
-    ForceKernelKind, MultiDevicePipeline, SimulationConfig, SingleCardEvaluator, TreeConfig,
+    arch_run, run_block_simulation, run_simulation, BlockStepConfig, DeviceForcePipeline,
+    ForceEvaluator, ForceKernelKind, MultiDevicePipeline, SimulationConfig, TreeConfig,
     TreeForceEvaluator, DEVICE_CYCLES_PER_PAIR,
 };
 use tensix::catalog::DeviceArch;
@@ -98,15 +97,7 @@ fn slowest_core_pairs(pipeline: &DeviceForcePipeline, n: usize, cores: usize) ->
 fn bench_time_to_solution_kernel(kind: ForceKernelKind) -> (f64, f64) {
     let sys = plummer(PlummerConfig { n: PIPELINE_N, seed: 0x5c25, ..PlummerConfig::default() });
     let device = Device::new(0, DeviceConfig::default());
-    let pipeline = DeviceForcePipeline::new_with_kernel(
-        device,
-        PIPELINE_N,
-        0.01,
-        2,
-        DataFormat::Float32,
-        kind,
-    )
-    .unwrap();
+    let pipeline = DeviceForcePipeline::new_with_kernel(device, PIPELINE_N, 0.01, 2, kind).unwrap();
     let wall = min_secs(REPS, || {
         let f = pipeline.evaluate_checked(&sys).unwrap();
         assert_eq!(f.acc.len(), PIPELINE_N);
@@ -321,7 +312,7 @@ fn bench_block_step_speedup() -> (f64, f64, f64, f64) {
 
     let mut block_sys = make();
     let card = std::sync::Arc::new(
-        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), BLOCK_N, config.eps, 1)
+        DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), BLOCK_N, config.eps, 1)
             .unwrap(),
     );
     let block = run_block_simulation(&card, &mut block_sys, config).unwrap();
@@ -330,7 +321,7 @@ fn bench_block_step_speedup() -> (f64, f64, f64, f64) {
     let refine = 1usize << levels;
     let mut shared_sys = make();
     let shared_card = std::sync::Arc::new(
-        SingleCardEvaluator::new(Device::new(1, DeviceConfig::default()), BLOCK_N, config.eps, 1)
+        DeviceForcePipeline::new(Device::new(1, DeviceConfig::default()), BLOCK_N, config.eps, 1)
             .unwrap(),
     );
     let shared = run_simulation(

@@ -16,14 +16,8 @@
 //! a subset at its own size. [`ForceEvaluator::evaluate_active_with_retry`]
 //! hands that driver the caller's retry policy for any active set.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use nbody::force::ForceKernel;
 use nbody::particle::{Forces, ParticleSystem};
-use tensix::{Device, Result};
-use tt_telemetry::RetryCost;
 use ttmetal::{LaunchError, ProgramReport};
 
 use crate::pipeline::{DeviceForcePipeline, PipelineTiming, RetryPolicy};
@@ -231,17 +225,6 @@ pub trait ForceEvaluator: Send + Sync {
     /// device clock (the CPU reference).
     fn timing(&self) -> Option<PipelineTiming>;
 
-    /// The three-bucket retry-cost metric of the work so far (zero for
-    /// backends without cycle accounting).
-    fn retry_cost(&self) -> RetryCost {
-        let t = self.timing().unwrap_or_default();
-        RetryCost {
-            useful_cycles: t.busy_cycles,
-            wasted_cycles: t.wasted_cycles,
-            redo_cycles: t.redo_cycles,
-        }
-    }
-
     /// Report of the most recent successful launch, `None` before the first
     /// evaluation or for backends without launch reports.
     fn last_launch_report(&self) -> Option<ProgramReport>;
@@ -307,6 +290,10 @@ impl ForceEvaluator for DeviceForcePipeline {
 
     fn last_launch_report(&self) -> Option<ProgramReport> {
         DeviceForcePipeline::last_launch_report(self)
+    }
+
+    fn recover_device_loss(&self, cause: LaunchError) -> std::result::Result<(), LaunchError> {
+        DeviceForcePipeline::recover_device_loss(self, cause)
     }
 }
 
@@ -391,165 +378,13 @@ impl<K: ForceKernel> ForceEvaluator for CpuForceEvaluator<K> {
     }
 }
 
-/// A single-card evaluator that can rebuild itself after device loss: the
-/// resilient runner's view of one Wormhole card. Holds the pipeline behind
-/// a mutex so [`ForceEvaluator::recover_device_loss`] can reset the card
-/// and swap in a fresh pipeline while the accumulated timing of the dead
-/// one is carried forward.
-pub struct SingleCardEvaluator {
-    device: Arc<Device>,
-    n: usize,
-    eps: f64,
-    num_cores: usize,
-    kind: crate::pipeline::ForceKernelKind,
-    pipeline: Mutex<DeviceForcePipeline>,
-    /// Timing absorbed from pipelines retired by device loss.
-    retired: Mutex<PipelineTiming>,
-}
-
-impl SingleCardEvaluator {
-    /// Build the evaluator (and its initial pipeline) on `device`.
-    ///
-    /// # Errors
-    /// DRAM exhaustion.
-    ///
-    /// # Panics
-    /// Same contract as [`DeviceForcePipeline::new`].
-    pub fn new(device: Arc<Device>, n: usize, eps: f64, num_cores: usize) -> Result<Self> {
-        Self::new_with_kernel(
-            device,
-            n,
-            eps,
-            num_cores,
-            crate::pipeline::ForceKernelKind::default(),
-        )
-    }
-
-    /// Like [`Self::new`] with an explicit force-kernel formulation.
-    /// Recovery after device loss rebuilds the pipeline with the same kind,
-    /// so a matrix-pipe evaluator stays matrix-pipe across card resets.
-    ///
-    /// # Errors
-    /// DRAM exhaustion.
-    ///
-    /// # Panics
-    /// Same contract as [`DeviceForcePipeline::new_with_kernel`].
-    pub fn new_with_kernel(
-        device: Arc<Device>,
-        n: usize,
-        eps: f64,
-        num_cores: usize,
-        kind: crate::pipeline::ForceKernelKind,
-    ) -> Result<Self> {
-        let pipeline = DeviceForcePipeline::new_with_kernel(
-            Arc::clone(&device),
-            n,
-            eps,
-            num_cores,
-            tensix::DataFormat::Float32,
-            kind,
-        )?;
-        Ok(SingleCardEvaluator {
-            device,
-            n,
-            eps,
-            num_cores,
-            kind,
-            pipeline: Mutex::new(pipeline),
-            retired: Mutex::new(PipelineTiming::default()),
-        })
-    }
-
-    /// The card this evaluator runs on.
-    #[must_use]
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
-    /// The force-kernel formulation this evaluator launches (preserved
-    /// across recovery rebuilds).
-    #[must_use]
-    pub fn kernel_kind(&self) -> crate::pipeline::ForceKernelKind {
-        self.kind
-    }
-}
-
-impl ForceEvaluator for SingleCardEvaluator {
-    fn backend(&self) -> &'static str {
-        "tenstorrent-wormhole"
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn softening(&self) -> f64 {
-        self.eps
-    }
-
-    fn evaluate_with_retry(
-        &self,
-        system: &ParticleSystem,
-        policy: RetryPolicy,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.pipeline.lock().evaluate_with_retry(system, policy)
-    }
-
-    fn evaluate_active(
-        &self,
-        system: &ParticleSystem,
-        active: &ActiveSet,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.pipeline.lock().evaluate_active(system, active)
-    }
-
-    fn evaluate_active_with_retry(
-        &self,
-        system: &ParticleSystem,
-        active: &ActiveSet,
-        policy: RetryPolicy,
-    ) -> std::result::Result<Forces, LaunchError> {
-        self.pipeline.lock().launch(system, active, policy)
-    }
-
-    fn timing(&self) -> Option<PipelineTiming> {
-        let current = self.pipeline.lock().timing();
-        let mut t = *self.retired.lock();
-        t.absorb(current);
-        Some(t)
-    }
-
-    fn last_launch_report(&self) -> Option<ProgramReport> {
-        self.pipeline.lock().last_launch_report()
-    }
-
-    fn recover_device_loss(&self, cause: LaunchError) -> std::result::Result<(), LaunchError> {
-        if !cause.is_card_loss() {
-            return Err(cause);
-        }
-        let mut slot = self.pipeline.lock();
-        self.retired.lock().absorb(slot.timing());
-        self.device.reset().map_err(LaunchError::from)?;
-        *slot = DeviceForcePipeline::new_with_kernel(
-            Arc::clone(&self.device),
-            self.n,
-            self.eps,
-            self.num_cores,
-            tensix::DataFormat::Float32,
-            self.kind,
-        )
-        .map_err(LaunchError::from)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nbody::force::ReferenceKernel;
     use nbody::ic::{plummer, PlummerConfig};
-    use tensix::fault::FaultClass;
-    use tensix::DeviceConfig;
+    use std::sync::Arc;
+    use tensix::{Device, DeviceConfig};
 
     fn device() -> Arc<Device> {
         Device::new(0, DeviceConfig::default())
@@ -571,8 +406,7 @@ mod tests {
         }
         assert!(dev.timing().is_some());
         assert!(cpu.timing().is_none());
-        assert_eq!(cpu.retry_cost(), RetryCost::default());
-        assert!(dev.retry_cost().useful_cycles > 0);
+        assert!(dev.timing().unwrap().busy_cycles > 0);
         assert!(dev.last_launch_report().is_some());
         assert!(cpu.last_launch_report().is_none());
     }
@@ -582,33 +416,5 @@ mod tests {
         let ev = CpuForceEvaluator::new(ReferenceKernel::new(0.01), 8);
         let err = ev.recover_device_loss(LaunchError::DeviceLost { device_id: 0 }).unwrap_err();
         assert!(matches!(err, LaunchError::DeviceLost { device_id: 0 }));
-    }
-
-    #[test]
-    fn single_card_evaluator_recovers_and_carries_timing() {
-        let n = 96;
-        let sys = plummer(PlummerConfig { n, seed: 91, ..PlummerConfig::default() });
-        let dev = device();
-        let ev = SingleCardEvaluator::new(Arc::clone(&dev), n, 0.01, 1).unwrap();
-        let before = ev.evaluate_checked(&sys).unwrap();
-        let t1 = ev.timing().unwrap();
-        assert_eq!(t1.evaluations, 1);
-
-        // Kill the card mid-evaluation; recovery resets it and rebuilds the
-        // pipeline while the old accounting is carried forward.
-        dev.faults().schedule(FaultClass::DeviceLoss, 1);
-        let err = ev.evaluate_checked(&sys).unwrap_err();
-        assert!(err.is_card_loss());
-        ev.recover_device_loss(err).unwrap();
-        let after = ev.evaluate_checked(&sys).unwrap();
-        assert_eq!(after.acc, before.acc, "recovery must be invisible to physics");
-        let t2 = ev.timing().unwrap();
-        assert_eq!(t2.evaluations, 2, "retired pipeline's accounting carried forward");
-
-        // Non-card-loss causes are refused.
-        let err = ev
-            .recover_device_loss(LaunchError::Timeout { budget_s: 1.0, elapsed_s: 2.0 })
-            .unwrap_err();
-        assert!(matches!(err, LaunchError::Timeout { .. }));
     }
 }

@@ -22,7 +22,7 @@ pub mod simulation;
 pub mod tree;
 pub mod validate;
 
-pub use evaluator::{ActiveSet, CpuForceEvaluator, ForceEvaluator, SingleCardEvaluator};
+pub use evaluator::{ActiveSet, CpuForceEvaluator, ForceEvaluator};
 pub use layout::{split_tiles_to_cores, tilize_sources, tilize_targets, HostArrays};
 pub use multi_device::{MultiDevicePipeline, MultiDeviceTiming};
 pub use perf_model::{
@@ -38,3 +38,8 @@ pub use simulation::{
 };
 pub use tree::{run_tree_simulation, TreeConfig, TreeForceEvaluator};
 pub use validate::{validate_system, validation_suite, ValidationRow};
+
+/// One Wormhole card as a [`ForceEvaluator`]: the pipeline itself, which
+/// recovers from card loss on its own. The name `perfbench` builds its
+/// card with.
+pub type SingleCardEvaluator = DeviceForcePipeline;

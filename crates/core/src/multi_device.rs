@@ -25,8 +25,9 @@
 //! (`run_simulation_resilient`) treats it exactly like a single card:
 //! transient faults retry in place through the shared retry driver, a lost
 //! card fails over to a spare inside the evaluation, and once spares run
-//! out the driver's reset → rebuild → checkpoint-restore path takes over
-//! via [`ForceEvaluator::recover_device_loss`].
+//! out the driver's checkpoint-restore path takes over via
+//! [`ForceEvaluator::recover_device_loss`], which hands each dead member
+//! to its own pipeline's reset and rebuild.
 
 use std::sync::Arc;
 
@@ -34,8 +35,7 @@ use parking_lot::Mutex;
 
 use nbody::particle::{Forces, ParticleSystem};
 use tensix::ethernet::{EthLink, EthRing};
-use tensix::{DataFormat, Device, Result, TensixError};
-use tt_telemetry::RetryCost;
+use tensix::{Device, Result, TensixError};
 use ttmetal::{LaunchError, ProgramReport};
 
 use crate::evaluator::{ActiveSet, ForceEvaluator};
@@ -55,22 +55,22 @@ pub struct MultiDeviceTiming {
     pub evaluations: u64,
     /// Cards replaced by a spare after a device loss or a dead link.
     pub failovers: u64,
-    /// Aggregated per-device [`PipelineTiming`] — live cards plus the
-    /// accounting carried from cards retired by failover or recovery — so
-    /// the three-bucket busy/redo/wasted split (and with it
-    /// `retry_overhead_ratio`) stays meaningful for multi-card runs. Its
+    /// Aggregated per-device [`PipelineTiming`] — live cards (each carrying
+    /// its own incarnations lost before a recovery) plus the accounting of
+    /// cards retired by spare failover — so the three-bucket
+    /// busy/redo/wasted split (and with it `retry_overhead_ratio`) stays
+    /// meaningful for multi-card runs. Its
     /// `device_seconds` is total card occupancy (the *sum* over cards),
     /// unlike the critical-path `device_seconds` above.
     pub pipeline: PipelineTiming,
 }
 
-/// The mutable ring state: pipeline slots, the card behind each slot, the
-/// spare pool, and the timing carried from replaced cards.
+/// The mutable ring state: one pipeline per slot (each knows its card),
+/// the spare pool, and the timing carried from cards replaced by a spare.
 struct RingSlots {
     pipelines: Vec<DeviceForcePipeline>,
-    devices: Vec<Arc<Device>>,
     spares: Vec<Arc<Device>>,
-    /// Accounting absorbed from pipelines retired by failover or recovery
+    /// Accounting absorbed from pipelines retired by spare failover
     /// (including the wasted cycles of their fatal attempts).
     carried: PipelineTiming,
 }
@@ -138,8 +138,9 @@ impl MultiDevicePipeline {
     }
 
     /// Like [`Self::with_spares`], with an explicit per-card force kernel.
-    /// Failover and recovery rebuild replacement pipelines with the same
-    /// kind, so a matrix-pipe ring stays matrix-pipe across card losses.
+    /// Failover builds the spare's pipeline with the same kind, and
+    /// recovery rebuilds a member in place with its own, so a matrix-pipe
+    /// ring stays matrix-pipe across card losses.
     ///
     /// # Errors
     /// DRAM exhaustion on any active card.
@@ -163,7 +164,6 @@ impl MultiDevicePipeline {
                     n,
                     eps,
                     cores_per_device,
-                    DataFormat::Float32,
                     kind,
                 )
             })
@@ -171,7 +171,6 @@ impl MultiDevicePipeline {
         Ok(MultiDevicePipeline {
             slots: Mutex::new(RingSlots {
                 pipelines,
-                devices: devices.to_vec(),
                 spares: spares.to_vec(),
                 carried: PipelineTiming::default(),
             }),
@@ -209,25 +208,13 @@ impl MultiDevicePipeline {
         t
     }
 
-    /// Per-slot [`PipelineTiming`] of the *current* cards (a card promoted
-    /// from the spare pool reports only its own work; retired cards'
-    /// accounting lives in [`MultiDeviceTiming::pipeline`]).
+    /// Per-slot [`PipelineTiming`] of the *current* cards, recovered
+    /// incarnations included (a card promoted from the spare pool reports
+    /// only its own work; the accounting of cards it replaced lives in
+    /// [`MultiDeviceTiming::pipeline`]).
     #[must_use]
     pub fn per_device_timing(&self) -> Vec<PipelineTiming> {
         self.slots.lock().pipelines.iter().map(DeviceForcePipeline::timing).collect()
-    }
-
-    /// Per-slot three-bucket retry cost of the current cards.
-    #[must_use]
-    pub fn per_device_retry_cost(&self) -> Vec<RetryCost> {
-        self.per_device_timing()
-            .into_iter()
-            .map(|t| RetryCost {
-                useful_cycles: t.busy_cycles,
-                wasted_cycles: t.wasted_cycles,
-                redo_cycles: t.redo_cycles,
-            })
-            .collect()
     }
 
     /// The one ring launch: forces on the `active` targets against all `n`
@@ -260,7 +247,7 @@ impl MultiDevicePipeline {
         let mut slots = self.slots.lock();
         let unit = self.kind.work_unit_particles();
         let shares: Vec<(usize, usize)> =
-            split_tiles_to_cores(active.len().div_ceil(unit), slots.pipelines.len())
+            split_tiles_to_cores(self.kind.work_units(active.len()), slots.pipelines.len())
                 .into_iter()
                 .map(|(first, units)| {
                     let start = (first * unit).min(active.len());
@@ -279,10 +266,9 @@ impl MultiDevicePipeline {
                 ActiveSet::from_indices(active.indices()[start..start + count].to_vec(), self.n);
             loop {
                 let pipeline = &slots.pipelines[idx];
-                let device = &slots.devices[idx];
                 let before = pipeline.timing().device_seconds;
                 let attempt = pipeline.launch(system, &share, policy).and_then(|part| {
-                    let plan = device.faults();
+                    let plan = pipeline.device().faults();
                     if !plan.disarmed() && plan.roll_eth_flap() {
                         flap_comm += EthLink::default().transfer_seconds((count * 6 * 4) as u64);
                         if plan.roll_eth_flap() {
@@ -306,16 +292,14 @@ impl MultiDevicePipeline {
                             return Err(err);
                         };
                         let fresh = DeviceForcePipeline::new_with_kernel(
-                            Arc::clone(&spare),
+                            spare,
                             self.n,
                             self.eps,
                             self.cores_per_device,
-                            DataFormat::Float32,
                             self.kind,
                         )?;
                         let old = std::mem::replace(&mut slots.pipelines[idx], fresh);
                         slots.carried.absorb(old.timing());
-                        slots.devices[idx] = spare;
                         failovers += 1;
                     }
                     Err(err) => return Err(err),
@@ -386,32 +370,18 @@ impl ForceEvaluator for MultiDevicePipeline {
         self.slots.lock().pipelines.iter().rev().find_map(DeviceForcePipeline::last_launch_report)
     }
 
-    /// Reset every dead card in place and rebuild its pipeline slot,
-    /// carrying the retired accounting forward. Used by the resilient
-    /// driver once the spare pool is exhausted; a dead-link failure leaves
-    /// all cards alive and needs no rebuild (links are stateless per
-    /// evaluation).
+    /// Hand every dead member to its own pipeline's recovery, which resets
+    /// the card and rebuilds it in place with the lost accounting carried.
+    /// Used by the resilient driver once the spare pool is exhausted; a
+    /// dead-link failure leaves all cards alive and needs no rebuild (links
+    /// are stateless per evaluation).
     fn recover_device_loss(&self, cause: LaunchError) -> std::result::Result<(), LaunchError> {
         if !cause.is_card_loss() {
             return Err(cause);
         }
-        let mut slots = self.slots.lock();
-        for idx in 0..slots.devices.len() {
-            if slots.devices[idx].is_alive() {
-                continue;
-            }
-            slots.devices[idx].reset().map_err(LaunchError::from)?;
-            let fresh = DeviceForcePipeline::new_with_kernel(
-                Arc::clone(&slots.devices[idx]),
-                self.n,
-                self.eps,
-                self.cores_per_device,
-                DataFormat::Float32,
-                self.kind,
-            )
-            .map_err(LaunchError::from)?;
-            let old = std::mem::replace(&mut slots.pipelines[idx], fresh);
-            slots.carried.absorb(old.timing());
+        let slots = self.slots.lock();
+        for pipeline in slots.pipelines.iter().filter(|p| !p.device().is_alive()) {
+            pipeline.recover_device_loss(cause.clone())?;
         }
         Ok(())
     }
@@ -469,7 +439,6 @@ mod tests {
             n,
             eps,
             1,
-            DataFormat::Float32,
             ForceKernelKind::Matrix,
         )
         .unwrap();

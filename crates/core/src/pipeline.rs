@@ -22,6 +22,11 @@
 //! [`crate::layout::DampingPlan`], so gathering keeps every row bitwise.
 //! The Hermite driver, the ring and the tree reach it through the
 //! [`crate::evaluator::ForceEvaluator`] seam, with typed launch errors.
+//!
+//! The pipeline is also the one single-card evaluator: a lost card is
+//! reset and its buffers, program and command queue rebuilt in place by
+//! [`DeviceForcePipeline::recover_device_loss`], with the lost
+//! incarnation's timing carried forward.
 
 use std::sync::Arc;
 
@@ -86,6 +91,12 @@ impl ForceKernelKind {
             ForceKernelKind::Elementwise => tensix::TILE_ELEMS,
             ForceKernelKind::Matrix => MATRIX_BLOCK,
         }
+    }
+
+    /// Work units covering `particles` targets: ⌈particles / unit⌉.
+    #[must_use]
+    pub(crate) fn work_units(self, particles: usize) -> usize {
+        particles.div_ceil(self.work_unit_particles())
     }
 }
 
@@ -290,10 +301,14 @@ impl RetryPolicy {
 }
 
 /// The assembled force+jerk pipeline on one Wormhole device.
+///
+/// It is the single-card [`crate::evaluator::ForceEvaluator`]: besides the
+/// one launch path it recovers from losing its card itself
+/// ([`crate::evaluator::ForceEvaluator::recover_device_loss`] resets the
+/// card and rebuilds the card-resident state in place), so the resilient
+/// driver, the ring and the job server all hold a card as this type.
 pub struct DeviceForcePipeline {
     device: Arc<Device>,
-    queue: Mutex<CommandQueue>,
-    program: Program,
     n: usize,
     eps: f64,
     num_cores: usize,
@@ -303,124 +318,71 @@ pub struct DeviceForcePipeline {
     /// each target block's moment sums are flushed once per chunk, so the
     /// output buffers hold `num_blocks · num_chunks` partial pages.
     num_chunks: usize,
-    target_bufs: Vec<Buffer>,
-    source_bufs: Vec<Buffer>,
-    output_bufs: Vec<Buffer>,
-    /// FP32 host view of the most recent launch's gathered targets — the
-    /// matrix kernel's host combine needs the exact quantized operands the
-    /// device saw.
-    host: Mutex<Option<HostArrays>>,
     /// Per-core `(core, start_tile, tile_count)` of the Fig. 2 outer-loop
     /// split — the ground truth a partial redo validates fault inventories
     /// against.
     core_ranges: Vec<(CoreCoord, usize, usize)>,
+    /// The card-resident state, behind the one lock a launch holds from
+    /// its input writes to its readback.
+    card: Mutex<Card>,
+    /// Accounting of the current card incarnation.
     timing: Mutex<PipelineTiming>,
+    /// Accounting of incarnations retired by card loss.
+    retired: Mutex<PipelineTiming>,
     /// Report of the most recent successful launch (spans, CB stats), kept
     /// for the profiling harness. Purely observational: never read by the
     /// evaluation paths themselves.
     last_report: Mutex<Option<ProgramReport>>,
 }
 
-impl DeviceForcePipeline {
-    /// Build the pipeline for `n` particles with Plummer softening `eps` on
-    /// the first `num_cores` Tensix cores.
-    ///
-    /// # Errors
-    /// DRAM exhaustion (the elementwise program needs 19 ⌈n/1024⌉ tiles).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`, `eps <= 0` (the device kernel has no
-    /// self-interaction branch), or `num_cores` is 0 or exceeds the grid.
-    pub fn new(device: Arc<Device>, n: usize, eps: f64, num_cores: usize) -> Result<Self> {
-        Self::new_with_format(device, n, eps, num_cores, DataFormat::Float32)
-    }
+/// What a card loss destroys and recovery rebuilds: the DRAM buffers, the
+/// program that references them, and the command queue with its PCIe
+/// ledger.
+struct Card {
+    queue: CommandQueue,
+    program: Program,
+    target_bufs: Vec<Buffer>,
+    source_bufs: Vec<Buffer>,
+    output_bufs: Vec<Buffer>,
+    /// FP32 host view of the most recent launch's gathered targets — the
+    /// matrix kernel's host combine needs the exact quantized operands the
+    /// device saw.
+    host: Option<HostArrays>,
+}
 
-    /// Build the pipeline with an explicit storage format for DRAM buffers
-    /// and circular buffers (dst math is always FP32; lower-precision
-    /// storage quantizes on every pack, exactly as on hardware).
-    ///
-    /// The paper runs FP32 — "the Tenstorrent Wormhole accelerator supports
-    /// up to FP32" — and this constructor exists to quantify why: BF16
-    /// storage fails the paper's accuracy tolerances (see the accuracy
-    /// harness's ablation rows).
-    ///
-    /// # Errors
-    /// DRAM exhaustion.
-    ///
-    /// # Panics
-    /// Same contract as [`DeviceForcePipeline::new`].
-    pub fn new_with_format(
-        device: Arc<Device>,
-        n: usize,
-        eps: f64,
-        num_cores: usize,
-        format: DataFormat,
-    ) -> Result<Self> {
-        Self::new_with_kernel(device, n, eps, num_cores, format, ForceKernelKind::Elementwise)
-    }
-
-    /// Build the pipeline with an explicit force-kernel formulation (see
-    /// [`ForceKernelKind`]). The matrix kernel requires FP32 storage: its
-    /// FP32 cross matmuls are what keep the r² decomposition free of
-    /// catastrophic cancellation, while the W/G accumulation matmuls
-    /// quantize to BF16 internally regardless of the storage format.
-    ///
-    /// # Errors
-    /// DRAM exhaustion.
-    ///
-    /// # Panics
-    /// Same contract as [`DeviceForcePipeline::new`], plus
-    /// `kind == Matrix && format != Float32`.
-    pub fn new_with_kernel(
-        device: Arc<Device>,
+impl Card {
+    /// Allocate the buffers and assemble the program on `device`.
+    fn build(
+        device: &Arc<Device>,
         n: usize,
         eps: f64,
         num_cores: usize,
         format: DataFormat,
         kind: ForceKernelKind,
-    ) -> Result<Self> {
-        assert!(n > 0, "empty system");
-        assert!(eps > 0.0, "device force kernel requires softening > 0");
-        let grid = device.grid();
-        assert!(
-            num_cores > 0 && num_cores <= grid.num_cores(),
-            "core count {num_cores} outside 1..={}",
-            grid.num_cores()
-        );
-        if kind == ForceKernelKind::Matrix {
-            assert!(
-                format == DataFormat::Float32,
-                "matrix force kernel requires Float32 storage (got {format:?})"
-            );
-        }
-        let f = format;
-        let num_tiles = n.div_ceil(tensix::TILE_ELEMS);
-
-        let mk = |count: usize| Buffer::new(&device, f, count);
-        let (target_bufs, source_bufs, output_bufs, work_units, num_chunks) = match kind {
-            ForceKernelKind::Elementwise => {
-                let targets: Vec<Buffer> = (0..6).map(|_| mk(num_tiles)).collect::<Result<_>>()?;
-                let sources: Vec<Buffer> = (0..7).map(|_| mk(num_tiles)).collect::<Result<_>>()?;
-                let outputs: Vec<Buffer> = (0..6).map(|_| mk(num_tiles)).collect::<Result<_>>()?;
-                (targets, sources, outputs, num_tiles, 1)
-            }
+        num_chunks: usize,
+    ) -> Result<Card> {
+        let work_units = kind.work_units(n);
+        let mk = |count: usize| Buffer::new(device, format, count);
+        let (target_bufs, source_bufs, output_bufs) = match kind {
+            ForceKernelKind::Elementwise => (
+                (0..6).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
+                (0..7).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
+                (0..6).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
+            ),
             ForceKernelKind::Matrix => {
-                let num_blocks = num_matrix_blocks(n);
-                let num_chunks = matrix_chunks(num_blocks).len();
-                let targets: Vec<Buffer> = (0..4).map(|_| mk(num_blocks)).collect::<Result<_>>()?;
+                let targets = (0..4).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?;
                 // 7 per-block operand views + the damping pages (index 7):
                 // at most one per (gathered block, source block) pair, and
                 // sorted targets cross ⌈n/32⌉ − 1 source-block boundaries.
-                let mut sources: Vec<Buffer> =
-                    (0..7).map(|_| mk(num_blocks)).collect::<Result<_>>()?;
-                sources.push(mk(2 * num_blocks)?);
-                let outputs: Vec<Buffer> =
-                    (0..2).map(|_| mk(num_blocks * num_chunks)).collect::<Result<_>>()?;
-                (targets, sources, outputs, num_blocks, num_chunks)
+                let mut sources = (0..7).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?;
+                sources.push(mk(2 * work_units)?);
+                let outputs =
+                    (0..2).map(|_| mk(work_units * num_chunks)).collect::<Result<Vec<_>>>()?;
+                (targets, sources, outputs)
             }
         };
 
-        let cores = CoreRangeSet::first_n(num_cores, grid.x);
+        let cores = CoreRangeSet::first_n(num_cores, device.grid().x);
         let program = match kind {
             ForceKernelKind::Elementwise => build_program(
                 &cores,
@@ -445,29 +407,118 @@ impl DeviceForcePipeline {
                 num_chunks,
             ),
         };
-        let core_ranges = cores
+        Ok(Card {
+            queue: CommandQueue::new(Arc::clone(device)),
+            program,
+            target_bufs,
+            source_bufs,
+            output_bufs,
+            host: None,
+        })
+    }
+}
+
+impl DeviceForcePipeline {
+    /// Build the pipeline for `n` particles with Plummer softening `eps` on
+    /// the first `num_cores` Tensix cores.
+    ///
+    /// # Errors
+    /// DRAM exhaustion (the elementwise program needs 19 ⌈n/1024⌉ tiles).
+    ///
+    /// # Panics
+    /// Panics if `n == 0`, `eps <= 0` (the device kernel has no
+    /// self-interaction branch), or `num_cores` is 0 or exceeds the grid.
+    pub fn new(device: Arc<Device>, n: usize, eps: f64, num_cores: usize) -> Result<Self> {
+        Self::new_with_kernel(device, n, eps, num_cores, ForceKernelKind::Elementwise)
+    }
+
+    /// Build the elementwise pipeline with an explicit storage format for
+    /// DRAM buffers and circular buffers (dst math is always FP32;
+    /// lower-precision storage quantizes on every pack, exactly as on
+    /// hardware).
+    ///
+    /// The paper runs FP32 — "the Tenstorrent Wormhole accelerator supports
+    /// up to FP32" — and this constructor exists to quantify why: BF16
+    /// storage fails the paper's accuracy tolerances (see the accuracy
+    /// harness's ablation rows).
+    ///
+    /// # Errors
+    /// DRAM exhaustion.
+    ///
+    /// # Panics
+    /// Same contract as [`DeviceForcePipeline::new`].
+    pub fn new_with_format(
+        device: Arc<Device>,
+        n: usize,
+        eps: f64,
+        num_cores: usize,
+        format: DataFormat,
+    ) -> Result<Self> {
+        Self::build(device, n, eps, num_cores, format, ForceKernelKind::Elementwise)
+    }
+
+    /// Build the FP32 pipeline with an explicit force-kernel formulation
+    /// (see [`ForceKernelKind`]). The matrix kernel's FP32 cross matmuls
+    /// are what keep the r² decomposition free of catastrophic
+    /// cancellation, while its W/G accumulation matmuls quantize to BF16
+    /// internally.
+    ///
+    /// # Errors
+    /// DRAM exhaustion.
+    ///
+    /// # Panics
+    /// Same contract as [`DeviceForcePipeline::new`].
+    pub fn new_with_kernel(
+        device: Arc<Device>,
+        n: usize,
+        eps: f64,
+        num_cores: usize,
+        kind: ForceKernelKind,
+    ) -> Result<Self> {
+        Self::build(device, n, eps, num_cores, DataFormat::Float32, kind)
+    }
+
+    fn build(
+        device: Arc<Device>,
+        n: usize,
+        eps: f64,
+        num_cores: usize,
+        format: DataFormat,
+        kind: ForceKernelKind,
+    ) -> Result<Self> {
+        assert!(n > 0, "empty system");
+        assert!(eps > 0.0, "device force kernel requires softening > 0");
+        let grid = device.grid();
+        assert!(
+            num_cores > 0 && num_cores <= grid.num_cores(),
+            "core count {num_cores} outside 1..={}",
+            grid.num_cores()
+        );
+        let work_units = kind.work_units(n);
+        let num_chunks = match kind {
+            ForceKernelKind::Elementwise => 1,
+            ForceKernelKind::Matrix => matrix_chunks(work_units).len(),
+        };
+        let card = Card::build(&device, n, eps, num_cores, format, kind, num_chunks)?;
+        let core_ranges = CoreRangeSet::first_n(num_cores, grid.x)
             .iter()
             .zip(split_tiles_to_cores(work_units, num_cores))
             .map(|(core, (start, count))| (core, start, count))
             .collect();
 
         Ok(DeviceForcePipeline {
-            queue: Mutex::new(CommandQueue::new(Arc::clone(&device))),
             device,
-            program,
             n,
             eps,
             num_cores,
             format,
             kind,
             num_chunks,
-            target_bufs,
-            source_bufs,
-            output_bufs,
             core_ranges,
+            card: Mutex::new(card),
             timing: Mutex::new(PipelineTiming::default()),
+            retired: Mutex::new(PipelineTiming::default()),
             last_report: Mutex::new(None),
-            host: Mutex::new(None),
         })
     }
 
@@ -514,10 +565,44 @@ impl DeviceForcePipeline {
         self.kind.work_unit_particles()
     }
 
-    /// Accumulated timing.
+    /// Accumulated timing: the incarnations retired by card loss
+    /// ⊕ the current one.
     #[must_use]
     pub fn timing(&self) -> PipelineTiming {
-        *self.timing.lock()
+        let retired = self.retired.lock();
+        let mut t = *retired;
+        t.absorb(*self.timing.lock());
+        t
+    }
+
+    /// Absorb a card loss in place: reset the card, rebuild the buffers,
+    /// program and command queue with the same n, eps, cores, format and
+    /// kernel kind, and retire the lost incarnation's timing so
+    /// [`Self::timing`] carries it forward. Inputs are rewritten on every
+    /// launch, so the next launch computes exactly what the lost one would
+    /// have.
+    ///
+    /// # Errors
+    /// The original `cause` unless it is a card loss; otherwise the reset
+    /// or rebuild failure, leaving the accounting untouched.
+    pub fn recover_device_loss(&self, cause: LaunchError) -> std::result::Result<(), LaunchError> {
+        if !cause.is_card_loss() {
+            return Err(cause);
+        }
+        let mut card = self.card.lock();
+        self.device.reset()?;
+        *card = Card::build(
+            &self.device,
+            self.n,
+            self.eps,
+            self.num_cores,
+            self.format,
+            self.kind,
+            self.num_chunks,
+        )?;
+        let mut retired = self.retired.lock();
+        retired.absorb(std::mem::take(&mut *self.timing.lock()));
+        Ok(())
     }
 
     /// Per-kernel timings and per-CB statistics of the most recent
@@ -563,8 +648,8 @@ impl DeviceForcePipeline {
     /// `redo_cycles`/`partial_redos`. An invalid inventory (a watermark past
     /// the remaining range) falls back to a full re-run, moving everything
     /// kept so far into the wasted bucket. Device loss is never retried
-    /// here: the DRAM buffers died with the card, so recovery needs a reset
-    /// and a pipeline rebuild.
+    /// here: the DRAM buffers died with the card, so it goes to
+    /// [`Self::recover_device_loss`].
     ///
     /// # Errors
     /// The final [`LaunchError`] when the retry budget is exhausted or the
@@ -584,11 +669,12 @@ impl DeviceForcePipeline {
         if active.is_empty() {
             return Ok(Forces::zeros(0));
         }
-        let mut queue = self.queue.lock();
-        let plan = self.write_inputs(&mut queue, system, active)?;
+        let mut card = self.card.lock();
+        let card = &mut *card;
+        let plan = self.write_inputs(card, system, active)?;
         let slice = (!active.is_full()).then(|| self.active_ranges(active.len()));
         let ranges = slice.as_deref().unwrap_or(&self.core_ranges);
-        let program = slice.as_deref().map(|r| self.program_slice(r, &plan));
+        let program = slice.as_deref().map(|r| self.program_slice(&card.program, r, &plan));
 
         // Tiles already delivered per core (across attempts); kept work of
         // failed attempts, to be billed only when an attempt finally lands.
@@ -605,12 +691,12 @@ impl DeviceForcePipeline {
 
         loop {
             let is_redo = redo.is_some();
-            let current = redo.as_ref().or(program.as_ref()).unwrap_or(&self.program);
-            match queue.enqueue_program_checked(current) {
+            let current = redo.as_ref().or(program.as_ref()).unwrap_or(&card.program);
+            match card.queue.enqueue_program_checked(current) {
                 Ok(report) => {
                     let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
                     max_fc = max_compute_cycles(max_fc, &report.timings);
-                    let forces = self.read_forces(&mut queue, active)?;
+                    let forces = self.read_forces(card, active)?;
                     let mut t = self.timing.lock();
                     t.device_seconds += kept_seconds + report.seconds;
                     t.busy_cycles += kept_busy_cycles + cycles;
@@ -619,13 +705,13 @@ impl DeviceForcePipeline {
                         kept_redo_seconds + if is_redo { report.seconds } else { 0.0 };
                     t.evaluations += 1;
                     [t.last_eval_cycles, t.last_matrix_cycles, t.last_vector_cycles] = max_fc;
-                    t.io_seconds = queue.io_seconds();
+                    t.io_seconds = card.queue.io_seconds();
                     drop(t);
                     *self.last_report.lock() = Some(report);
                     return Ok(forces);
                 }
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                    let failed = queue.take_last_failure();
+                    let failed = card.queue.take_last_failure();
                     let (cycles, seconds, timings) = match &failed {
                         Some(f) => (
                             f.timings.iter().map(|k| k.cycles).sum::<u64>(),
@@ -697,7 +783,7 @@ impl DeviceForcePipeline {
                                     (core, start + d as usize, count - d as usize)
                                 })
                                 .collect();
-                            redo = Some(self.program_slice(&remaining, &plan));
+                            redo = Some(self.program_slice(&card.program, &remaining, &plan));
                         }
                         None => {
                             // Full re-run: this attempt and everything kept
@@ -718,7 +804,7 @@ impl DeviceForcePipeline {
                 }
                 Err(e) => {
                     // Terminal failure: everything this call burned is waste.
-                    let (cycles, seconds) = match queue.take_last_failure() {
+                    let (cycles, seconds) = match card.queue.take_last_failure() {
                         Some(f) => (f.timings.iter().map(|k| k.cycles).sum::<u64>(), f.seconds),
                         None => (0, 0.0),
                     };
@@ -735,7 +821,7 @@ impl DeviceForcePipeline {
     /// `min(num_cores, active_units)` cores, splitting the *active* work-unit
     /// count — the launch grid is sized by the work that exists, not by `n`.
     fn active_ranges(&self, active_len: usize) -> Vec<(CoreCoord, usize, usize)> {
-        let active_units = active_len.div_ceil(self.work_unit_particles());
+        let active_units = self.kind.work_units(active_len);
         let cores_used = self.num_cores.min(active_units).max(1);
         self.core_ranges
             .iter()
@@ -744,12 +830,17 @@ impl DeviceForcePipeline {
             .collect()
     }
 
-    /// The program restricted to `ranges`' cores, each core's runtime args
+    /// `program` restricted to `ranges`' cores, each core's runtime args
     /// rewritten to its `[start, count, n]` window followed by the launch's
     /// `plan` args (the matrix damping plan; empty for elementwise).
-    fn program_slice(&self, ranges: &[(CoreCoord, usize, usize)], plan: &[u32]) -> Program {
+    fn program_slice(
+        &self,
+        program: &Program,
+        ranges: &[(CoreCoord, usize, usize)],
+        plan: &[u32],
+    ) -> Program {
         let cores: Vec<CoreCoord> = ranges.iter().map(|&(core, _, _)| core).collect();
-        let mut slice = self.program.slice_for_cores(&cores);
+        let mut slice = program.slice_for_cores(&cores);
         for &(core, start, count) in ranges {
             slice.set_runtime_args_all_kernels(core, launch_args(start, count, self.n, plan));
         }
@@ -766,7 +857,7 @@ impl DeviceForcePipeline {
     /// (see [`Self::program_slice`]).
     fn write_inputs(
         &self,
-        queue: &mut CommandQueue,
+        card: &mut Card,
         system: &ParticleSystem,
         active: &ActiveSet,
     ) -> std::result::Result<Vec<u32>, LaunchError> {
@@ -776,25 +867,26 @@ impl DeviceForcePipeline {
         let targets = gathered.as_ref().unwrap_or(&arrays);
         match self.kind {
             ForceKernelKind::Elementwise => {
-                for (buf, tiles) in self.target_bufs.iter().zip(&tilize_targets(targets)) {
-                    queue.enqueue_write_buffer(buf, tiles)?;
+                for (buf, tiles) in card.target_bufs.iter().zip(&tilize_targets(targets)) {
+                    card.queue.enqueue_write_buffer(buf, tiles)?;
                 }
-                for (buf, tiles) in self.source_bufs.iter().zip(&tilize_sources(&arrays)) {
-                    queue.enqueue_write_buffer(buf, tiles)?;
+                for (buf, tiles) in card.source_bufs.iter().zip(&tilize_sources(&arrays)) {
+                    card.queue.enqueue_write_buffer(buf, tiles)?;
                 }
                 Ok(Vec::new())
             }
             ForceKernelKind::Matrix => {
                 let eps2 = (self.eps * self.eps) as f32;
-                for (view, buf) in self.target_bufs.iter().enumerate() {
-                    queue.enqueue_write_buffer(buf, &matrix_target_view(targets, view))?;
+                for (view, buf) in card.target_bufs.iter().enumerate() {
+                    card.queue.enqueue_write_buffer(buf, &matrix_target_view(targets, view))?;
                 }
-                for (view, buf) in self.source_bufs[..7].iter().enumerate() {
-                    queue.enqueue_write_buffer(buf, &matrix_source_view(&arrays, eps2, view))?;
+                for (view, buf) in card.source_bufs[..7].iter().enumerate() {
+                    let pages = matrix_source_view(&arrays, eps2, view);
+                    card.queue.enqueue_write_buffer(buf, &pages)?;
                 }
                 let plan = damping_plan(active.indices());
-                queue.enqueue_write_buffer(&self.source_bufs[7], &plan.pages)?;
-                *self.host.lock() = Some(gathered.unwrap_or(arrays));
+                card.queue.enqueue_write_buffer(&card.source_bufs[7], &plan.pages)?;
+                card.host = Some(gathered.unwrap_or(arrays));
                 Ok(plan.args)
             }
         }
@@ -808,15 +900,15 @@ impl DeviceForcePipeline {
     /// gathered targets (see [`Self::combine_moments`]).
     fn read_forces(
         &self,
-        queue: &mut CommandQueue,
+        card: &mut Card,
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
         match self.kind {
             ForceKernelKind::Elementwise => {
                 let rows = active.len();
                 let mut result_tiles: Vec<Vec<Tile>> = Vec::with_capacity(6);
-                for buf in &self.output_bufs {
-                    let mut tiles = queue.enqueue_read_buffer(buf)?;
+                for buf in &card.output_bufs {
+                    let mut tiles = card.queue.enqueue_read_buffer(buf)?;
                     tiles.truncate(rows.div_ceil(tensix::TILE_ELEMS));
                     result_tiles.push(tiles);
                 }
@@ -833,9 +925,10 @@ impl DeviceForcePipeline {
             }
             ForceKernelKind::Matrix => {
                 let pages = num_matrix_blocks(active.len()) * self.num_chunks;
-                let w_tiles = queue.enqueue_read_pages(&self.output_bufs[0], pages)?;
-                let g_tiles = queue.enqueue_read_pages(&self.output_bufs[1], pages)?;
-                Ok(self.combine_moments(&w_tiles, &g_tiles))
+                let w_tiles = card.queue.enqueue_read_pages(&card.output_bufs[0], pages)?;
+                let g_tiles = card.queue.enqueue_read_pages(&card.output_bufs[1], pages)?;
+                let host = card.host.as_ref().expect("matrix combine before write_inputs");
+                Ok(self.combine_moments(host, &w_tiles, &g_tiles))
             }
         }
     }
@@ -860,9 +953,7 @@ impl DeviceForcePipeline {
     /// ~16 mantissa bits. Chunk partials are summed in FP64; the rounding
     /// left is the device's own FP32 accumulate plus the BF16 quantization
     /// of W and G (the accuracy-bound test budgets exactly that).
-    fn combine_moments(&self, w_tiles: &[Tile], g_tiles: &[Tile]) -> Forces {
-        let host = self.host.lock();
-        let arrays = host.as_ref().expect("matrix combine before write_inputs");
+    fn combine_moments(&self, arrays: &HostArrays, w_tiles: &[Tile], g_tiles: &[Tile]) -> Forces {
         let mut forces = Forces::zeros(arrays.n);
         for i in 0..arrays.n {
             let (block, row) = (i / MATRIX_BLOCK, i % MATRIX_BLOCK);
@@ -1175,7 +1266,6 @@ mod tests {
             sys.len(),
             eps,
             1,
-            DataFormat::Float32,
             ForceKernelKind::Matrix,
         )
         .unwrap();
@@ -1202,7 +1292,6 @@ mod tests {
             sys.len(),
             eps,
             1,
-            DataFormat::Float32,
             ForceKernelKind::Matrix,
         )
         .unwrap();
@@ -1223,15 +1312,9 @@ mod tests {
         let n = 2048 + 500;
         let sys = plummer(PlummerConfig { n, seed: 91, ..PlummerConfig::default() });
         let eps = 0.02;
-        let pipeline = DeviceForcePipeline::new_with_kernel(
-            device(),
-            n,
-            eps,
-            2,
-            DataFormat::Float32,
-            ForceKernelKind::Matrix,
-        )
-        .unwrap();
+        let pipeline =
+            DeviceForcePipeline::new_with_kernel(device(), n, eps, 2, ForceKernelKind::Matrix)
+                .unwrap();
         let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);
@@ -1241,19 +1324,6 @@ mod tests {
             "acc err {:.2e}, jerk err {:.2e}",
             cmp.max_acc_error,
             cmp.max_jerk_error
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "requires Float32 storage")]
-    fn matrix_kernel_rejects_bf16_storage() {
-        let _ = DeviceForcePipeline::new_with_kernel(
-            device(),
-            64,
-            0.01,
-            1,
-            DataFormat::Float16b,
-            ForceKernelKind::Matrix,
         );
     }
 
@@ -1421,6 +1491,45 @@ mod tests {
         let err = pipeline.evaluate_with_retry(&sys, RetryPolicy::default()).unwrap_err();
         assert!(matches!(err, ttmetal::LaunchError::DeviceLost { .. }), "{err:?}");
         assert_eq!(pipeline.timing().retries, 0);
+    }
+
+    #[test]
+    fn pipeline_recovers_from_card_loss_and_carries_timing() {
+        use tensix::fault::FaultClass;
+
+        let n = 96;
+        let sys = plummer(PlummerConfig { n, seed: 91, ..PlummerConfig::default() });
+        for kind in [ForceKernelKind::Elementwise, ForceKernelKind::Matrix] {
+            let dev = device();
+            let pipeline =
+                DeviceForcePipeline::new_with_kernel(Arc::clone(&dev), n, 0.01, 1, kind).unwrap();
+            let before = pipeline.evaluate_checked(&sys).unwrap();
+            let t1 = pipeline.timing();
+            assert_eq!(t1.evaluations, 1);
+
+            // Kill the card mid-evaluation; recovery resets it and rebuilds
+            // the card state in place while the old accounting is carried.
+            dev.faults().schedule(FaultClass::DeviceLoss, 1);
+            let err = pipeline.evaluate_checked(&sys).unwrap_err();
+            assert!(err.is_card_loss(), "{kind:?}: {err:?}");
+            pipeline.recover_device_loss(err).unwrap();
+            assert!(dev.is_alive());
+            assert_eq!(pipeline.kernel_kind(), kind, "recovery keeps the kernel kind");
+            let after = pipeline.evaluate_checked(&sys).unwrap();
+            assert_eq!(after.acc, before.acc, "{kind:?}: recovery must be invisible to physics");
+            assert_eq!(after.jerk, before.jerk, "{kind:?}");
+            let t2 = pipeline.timing();
+            assert_eq!(t2.evaluations, 2, "{kind:?}: lost incarnation's accounting carried");
+            assert_eq!(t2.busy_cycles, 2 * t1.busy_cycles, "{kind:?}");
+            assert_eq!(t2.io_seconds, t1.io_seconds + t1.io_seconds, "{kind:?}: fresh queue");
+
+            // Non-card-loss causes are refused.
+            let err = pipeline
+                .recover_device_loss(LaunchError::Timeout { budget_s: 1.0, elapsed_s: 2.0 })
+                .unwrap_err();
+            assert!(matches!(err, LaunchError::Timeout { .. }), "{kind:?}");
+            assert_eq!(pipeline.timing(), t2, "{kind:?}: a refused recovery changes nothing");
+        }
     }
 
     #[test]

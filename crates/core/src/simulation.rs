@@ -996,7 +996,8 @@ impl BlockCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{CpuForceEvaluator, SingleCardEvaluator};
+    use crate::evaluator::CpuForceEvaluator;
+    use crate::pipeline::DeviceForcePipeline;
     use nbody::force::{ReferenceKernel, SimdKernel, ThreadedKernel};
     use nbody::ic::{plummer, PlummerConfig};
     use tensix::fault::FaultClass;
@@ -1019,8 +1020,8 @@ mod tests {
         )
     }
 
-    fn card(dev: &Arc<Device>, n: usize, cfg: SimulationConfig) -> Arc<SingleCardEvaluator> {
-        Arc::new(SingleCardEvaluator::new(Arc::clone(dev), n, cfg.eps, cfg.num_cores).unwrap())
+    fn card(dev: &Arc<Device>, n: usize, cfg: SimulationConfig) -> Arc<DeviceForcePipeline> {
+        Arc::new(DeviceForcePipeline::new(Arc::clone(dev), n, cfg.eps, cfg.num_cores).unwrap())
     }
 
     fn cpu(

@@ -818,17 +818,29 @@ impl ForceEvaluator for TreeForceEvaluator {
         system: &ParticleSystem,
         active: &ActiveSet,
     ) -> std::result::Result<Forces, LaunchError> {
+        self.evaluate_active_with_retry(system, active, RetryPolicy::disabled())
+    }
+
+    /// The masked walk with `policy` handed to every near-field patch
+    /// launch, so a transient fault retries that patch in place (partial
+    /// redo, backoff billing) instead of re-running the whole walk.
+    fn evaluate_active_with_retry(
+        &self,
+        system: &ParticleSystem,
+        active: &ActiveSet,
+        policy: RetryPolicy,
+    ) -> std::result::Result<Forces, LaunchError> {
         if active.is_empty() {
             return Ok(Forces { acc: Vec::new(), jerk: Vec::new() });
         }
         if active.is_full() {
-            return self.evaluate_tree(system, RetryPolicy::disabled(), None);
+            return self.evaluate_tree(system, policy, None);
         }
         let mut mask = vec![false; self.n];
         for &i in active.indices() {
             mask[i] = true;
         }
-        let full = self.evaluate_tree(system, RetryPolicy::disabled(), Some(&mask))?;
+        let full = self.evaluate_tree(system, policy, Some(&mask))?;
         Ok(gather_rows(&full, active))
     }
 

@@ -25,8 +25,7 @@ use nbody::particle::{Forces, ParticleSystem};
 use nbody_tt::{
     run_block_simulation, run_simulation, run_simulation_resilient, BlockStepConfig,
     DeviceForcePipeline, ForceEvaluator, HostArrays, MultiDevicePipeline, PipelineTiming,
-    RecoveryConfig, RetryPolicy, SimulationConfig, SingleCardEvaluator, TreeConfig,
-    TreeForceEvaluator,
+    RecoveryConfig, RetryPolicy, SimulationConfig, TreeConfig, TreeForceEvaluator,
 };
 use tensix::fault::FaultClass;
 use tensix::{Device, DeviceConfig, FaultConfig};
@@ -286,7 +285,7 @@ fn driver_golden_shared_single_card() {
     let cfg = driver_config(None);
     let mut sys = driver_system(300);
     let card = Arc::new(
-        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), sys.len(), cfg.eps, 1)
+        DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), sys.len(), cfg.eps, 1)
             .unwrap(),
     );
     let out = run_simulation(&card, &mut sys, cfg);
@@ -315,7 +314,7 @@ fn driver_golden_shared_resilient_faults() {
     // makes 6 + 7 = 13 reads), then the card falls off the bus at launch 8.
     dev.faults().schedule(FaultClass::DramRead, 3 * 13 + 5);
     dev.faults().schedule(FaultClass::DeviceLoss, 8);
-    let card = Arc::new(SingleCardEvaluator::new(Arc::clone(&dev), sys.len(), cfg.eps, 1).unwrap());
+    let card = Arc::new(DeviceForcePipeline::new(Arc::clone(&dev), sys.len(), cfg.eps, 1).unwrap());
     let recovery = RecoveryConfig {
         retry: RetryPolicy { max_retries: 8, ..RetryPolicy::default() },
         ..RecoveryConfig::default()
@@ -368,7 +367,7 @@ fn driver_golden_block_single_card() {
     let cfg = driver_config(Some(BlockStepConfig { eta: 0.02, levels: 3 }));
     let mut sys = driver_system(304);
     let card = Arc::new(
-        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), sys.len(), cfg.eps, 1)
+        DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), sys.len(), cfg.eps, 1)
             .unwrap(),
     );
     let out = run_block_simulation(&card, &mut sys, cfg).unwrap();

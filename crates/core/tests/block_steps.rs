@@ -28,12 +28,11 @@ use nbody::particle::ParticleSystem;
 use nbody_tt::{
     read_checkpoint, run_block_simulation, write_checkpoint, ActiveSet, BlockScheduler,
     BlockStepConfig, CpuForceEvaluator, DeviceForcePipeline, DriverOutcome, ForceEvaluator,
-    ForceKernelKind, MultiDevicePipeline, RetryPolicy, SimulationConfig, SingleCardEvaluator,
-    SpillConfig,
+    ForceKernelKind, MultiDevicePipeline, RetryPolicy, SimulationConfig, SpillConfig,
 };
 use proptest::prelude::*;
 use tensix::fault::{FaultClass, FaultConfig};
-use tensix::{DataFormat, Device, DeviceConfig};
+use tensix::{Device, DeviceConfig};
 
 fn block_config(dt: f64, cycles: usize, steps_per_cycle: usize, levels: u32) -> SimulationConfig {
     SimulationConfig {
@@ -280,7 +279,6 @@ fn matrix_pipeline(n: usize, eps: f64, cores: usize) -> DeviceForcePipeline {
         n,
         eps,
         cores,
-        DataFormat::Float32,
         ForceKernelKind::Matrix,
     )
     .unwrap()
@@ -371,7 +369,7 @@ fn transient_fault_on_an_active_launch_is_retried_under_the_policy() {
     let (n, eps) = (256usize, 0.05f64);
     let config = block_config(1.0 / 64.0, 1, 2, 3);
     let make = || plummer(PlummerConfig { n, seed: 12, ..PlummerConfig::default() });
-    let card = |device| Arc::new(SingleCardEvaluator::new(device, n, eps, 2).unwrap());
+    let card = |device| Arc::new(DeviceForcePipeline::new(device, n, eps, 2).unwrap());
 
     let mut clean_sys = make();
     run_block_simulation(&card(Device::new(0, DeviceConfig::default())), &mut clean_sys, config)
@@ -398,7 +396,7 @@ fn transient_fault_on_an_active_launch_is_retried_under_the_policy() {
         scheduler.report().particle_evaluations < 2 * n as u64,
         "the first block iteration must be an active subset"
     );
-    let t = evaluator.timing().unwrap();
+    let t = evaluator.timing();
     assert_eq!(t.retries, 1, "the subset launch retried once");
     assert!(t.retry_backoff_seconds > 0.0, "the policy's backoff is billed");
     assert!(t.wasted_seconds >= t.retry_backoff_seconds);
@@ -456,7 +454,7 @@ fn block_run_ring_matches_single_card_bitwise() {
 
     let mut single_sys = make();
     let card = Arc::new(
-        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), n, eps, 2).unwrap(),
+        DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, eps, 2).unwrap(),
     );
     let single = run_block_simulation(&card, &mut single_sys, config).unwrap();
 

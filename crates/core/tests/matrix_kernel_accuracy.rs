@@ -24,7 +24,7 @@ use nbody_tt::{
     run_simulation, DeviceForcePipeline, ForceEvaluator, ForceKernelKind, SimulationConfig,
     SimulationOutcome,
 };
-use tensix::{DataFormat, Device, DeviceConfig};
+use tensix::{Device, DeviceConfig};
 
 /// Effective relative quantization step of the matrix kernel's operand
 /// path. A bf16 hi/lo split pair carries ~16 mantissa bits (residual
@@ -87,9 +87,7 @@ fn quantization_bounds(sys: &ParticleSystem, eps: f64) -> (Vec<f64>, Vec<f64>) {
 
 fn device_forces(sys: &ParticleSystem, eps: f64, kind: ForceKernelKind) -> nbody::particle::Forces {
     let device = Device::new(0, DeviceConfig::default());
-    let pipeline =
-        DeviceForcePipeline::new_with_kernel(device, sys.len(), eps, 2, DataFormat::Float32, kind)
-            .unwrap();
+    let pipeline = DeviceForcePipeline::new_with_kernel(device, sys.len(), eps, 2, kind).unwrap();
     pipeline.evaluate_checked(sys).unwrap()
 }
 
@@ -150,10 +148,8 @@ fn matrix_kernel_within_quantization_bound_on_plummer_draws() {
 fn energy_run(kind: ForceKernelKind) -> SimulationOutcome {
     let mut sys = plummer(PlummerConfig { n: 256, seed: 7, ..PlummerConfig::default() });
     let device = Device::new(0, DeviceConfig::default());
-    let pipeline = Arc::new(
-        DeviceForcePipeline::new_with_kernel(device, 256, 0.05, 2, DataFormat::Float32, kind)
-            .unwrap(),
-    );
+    let pipeline =
+        Arc::new(DeviceForcePipeline::new_with_kernel(device, 256, 0.05, 2, kind).unwrap());
     run_simulation(
         &pipeline,
         &mut sys,

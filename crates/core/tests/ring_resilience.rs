@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    run_simulation_resilient, DriverOutcome, MultiDevicePipeline, RecoveryConfig, SimulationConfig,
-    SingleCardEvaluator,
+    run_simulation_resilient, DeviceForcePipeline, DriverOutcome, MultiDevicePipeline,
+    RecoveryConfig, SimulationConfig,
 };
 use tensix::fault::FaultClass;
 use tensix::{Device, DeviceConfig};
@@ -141,7 +141,7 @@ fn ring_and_single_card_resilient_runs_agree_bitwise() {
     assert_eq!(ring.outcome.kernel, "tenstorrent-wormhole-ring");
 
     let card = Arc::new(
-        SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), n, cfg().eps, 2).unwrap(),
+        DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, cfg().eps, 2).unwrap(),
     );
     let mut single_sys = mk();
     let single =

@@ -10,10 +10,11 @@ use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::{Forces, ParticleSystem};
 use nbody_tt::{
     latest_checkpoint, resume_simulation_resilient, run_simulation_resilient, run_tree_simulation,
-    ForceEvaluator, RecoveryConfig, SimulationConfig, SpillConfig, TreeConfig, TreeForceEvaluator,
+    ActiveSet, ForceEvaluator, RecoveryConfig, RetryPolicy, SimulationConfig, SpillConfig,
+    TreeConfig, TreeForceEvaluator,
 };
 use proptest::prelude::*;
-use tensix::fault::FaultClass;
+use tensix::fault::{FaultClass, FaultConfig};
 use tensix::{Device, DeviceConfig};
 
 fn plummer_sys(n: usize, seed: u64) -> ParticleSystem {
@@ -214,4 +215,46 @@ fn hybrid_survives_transient_fault_bitwise_via_shared_retry_driver() {
     assert!(t.retries > 0, "scheduled stall never exercised the retry driver");
     assert_bits_equal(&clean_sys, &faulted_sys);
     assert_eq!(clean.outcome.energy_error.to_bits(), faulted.outcome.energy_error.to_bits());
+}
+
+#[test]
+fn hybrid_subset_launch_retries_in_place_under_the_policy() {
+    // One uncorrectable DRAM read inside a near-field patch launch of a
+    // masked (block-step) walk: the caller's policy must reach that patch's
+    // launch driver, which retries it in place and bills the backoff,
+    // instead of the whole walk being re-run without either.
+    let n = 256;
+    let sys = plummer_sys(n, 43);
+    let active = ActiveSet::from_indices((0..n).step_by(3).collect(), n);
+    let hybrid = |dram_read: Option<u64>| {
+        let device = Device::new(
+            0,
+            DeviceConfig {
+                faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
+                seed: 7,
+                ..DeviceConfig::default()
+            },
+        );
+        if let Some(event) = dram_read {
+            device.faults().schedule(FaultClass::DramRead, event);
+        }
+        TreeForceEvaluator::hybrid(device, n, sim(1).eps, 1, tree_cfg(0.6))
+    };
+    let clean = hybrid(None);
+    let clean_rows =
+        clean.evaluate_active_with_retry(&sys, &active, RetryPolicy::default()).unwrap();
+    assert_eq!(clean.timing().unwrap().retries, 0);
+
+    let faulted = hybrid(Some(5));
+    let rows = faulted.evaluate_active_with_retry(&sys, &active, RetryPolicy::default()).unwrap();
+    let t = faulted.timing().unwrap();
+    assert_eq!(t.retries, 1, "the patch launch retried in place under the policy");
+    assert!(t.retry_backoff_seconds > 0.0, "the backoff is billed");
+    assert_eq!(faulted.tree_cost().evaluations, 1, "the walk itself ran once");
+    for k in 0..active.len() {
+        for axis in 0..3 {
+            assert_eq!(rows.acc[k][axis].to_bits(), clean_rows.acc[k][axis].to_bits());
+            assert_eq!(rows.jerk[k][axis].to_bits(), clean_rows.jerk[k][axis].to_bits());
+        }
+    }
 }

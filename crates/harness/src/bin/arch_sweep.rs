@@ -15,7 +15,7 @@ use nbody_tt::{
     arch_run, ForceEvaluator, ForceKernelKind, WormholePerfModel, DEVICE_CYCLES_PER_PAIR,
 };
 use tensix::catalog::DeviceArch;
-use tensix::{DataFormat, Device};
+use tensix::Device;
 
 /// Particle count of the functional cycles/pair measurement (2 cores).
 const MEASURE_N: usize = 2048;
@@ -23,9 +23,8 @@ const MEASURE_N: usize = 2048;
 fn measured_cycles_per_pair(kind: ForceKernelKind) -> f64 {
     let sys = plummer(PlummerConfig { n: MEASURE_N, seed: 0x5c25, ..PlummerConfig::default() });
     let device = Device::new(0, DeviceArch::n300().device_config());
-    let pipeline =
-        DeviceForcePipeline::new_with_kernel(device, MEASURE_N, 0.01, 2, DataFormat::Float32, kind)
-            .expect("pipeline for the measurement run");
+    let pipeline = DeviceForcePipeline::new_with_kernel(device, MEASURE_N, 0.01, 2, kind)
+        .expect("pipeline for the measurement run");
     pipeline.evaluate_checked(&sys).expect("measurement evaluation");
     let unit = pipeline.work_unit_particles();
     let owned = MEASURE_N.div_ceil(unit).div_ceil(2) * unit;

@@ -39,9 +39,9 @@ use nbody::ic::IcKind;
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
     latest_checkpoint, resume_simulation_resilient, run_block_simulation, run_simulation,
-    run_simulation_resilient, BlockCheckpoint, CpuForceEvaluator, DriverOutcome, ForceEvaluator,
-    ForceKernelKind, MultiDevicePipeline, PipelineTiming, RecoveryConfig, RetryPolicy,
-    SimulationConfig, SingleCardEvaluator, SpillConfig, TreeForceEvaluator,
+    run_simulation_resilient, BlockCheckpoint, CpuForceEvaluator, DeviceForcePipeline,
+    DriverOutcome, ForceEvaluator, ForceKernelKind, MultiDevicePipeline, PipelineTiming,
+    RecoveryConfig, RetryPolicy, SimulationConfig, SpillConfig, TreeForceEvaluator,
 };
 use tensix::catalog::DeviceArch;
 use tensix::{
@@ -506,7 +506,7 @@ impl<'a> Campaign<'a> {
                 for &at in &scheduled {
                     dev.faults().schedule(FaultClass::DeviceLoss, at);
                 }
-                let eval = match SingleCardEvaluator::new_with_kernel(
+                let eval = match DeviceForcePipeline::new_with_kernel(
                     Arc::clone(&dev),
                     req.n,
                     req.sim.eps,
@@ -529,7 +529,7 @@ impl<'a> Campaign<'a> {
                         Segment::Done { outcome: Box::new(outcome), system, service_s }
                     }
                     Err(error) => {
-                        let t = eval.timing().unwrap_or_default();
+                        let t = eval.timing();
                         Segment::Failed { error, service_s: timing_seconds(&t), retries: t.retries }
                     }
                 }
@@ -618,7 +618,7 @@ impl<'a> Campaign<'a> {
                     DeviceConfig { reset_failure_prob: 0.0, ..self.cfg.arch.device_config() },
                 );
                 let eval = Arc::new(
-                    SingleCardEvaluator::new_with_kernel(
+                    DeviceForcePipeline::new_with_kernel(
                         dev,
                         req.n,
                         req.sim.eps,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use nbody::ic::{plummer, IcKind, PlummerConfig};
 use nbody_tt::{
     latest_checkpoint, resume_simulation_resilient, run_simulation, run_simulation_resilient,
-    BlockStepConfig, RecoveryConfig, RetryPolicy, SimulationConfig, SingleCardEvaluator,
+    BlockStepConfig, DeviceForcePipeline, RecoveryConfig, RetryPolicy, SimulationConfig,
     SpillConfig,
 };
 use proptest::prelude::*;
@@ -66,7 +66,7 @@ proptest! {
             // Golden: fault-free single card.
             let mut golden = ics();
             let eval = Arc::new(
-                SingleCardEvaluator::new(quiet_device(0), n, cfg.eps, cfg.num_cores).unwrap(),
+                DeviceForcePipeline::new(quiet_device(0), n, cfg.eps, cfg.num_cores).unwrap(),
             );
             let golden_steps = run_simulation(&eval, &mut golden, cfg).steps;
 
@@ -77,7 +77,7 @@ proptest! {
             let victim = quiet_device(1);
             victim.faults().schedule(FaultClass::DeviceLoss, loss_event);
             let eval = Arc::new(
-                SingleCardEvaluator::new(victim, n, cfg.eps, cfg.num_cores).unwrap(),
+                DeviceForcePipeline::new(victim, n, cfg.eps, cfg.num_cores).unwrap(),
             );
             let recovery = RecoveryConfig {
                 checkpoint_every: 1,
@@ -94,7 +94,7 @@ proptest! {
             let (ckpt, iteration) = latest_checkpoint(&spill).unwrap();
             prop_assert_eq!(iteration as u64, loss_event - 2, "checkpoint before the loss");
             let eval = Arc::new(
-                SingleCardEvaluator::new(quiet_device(2), n, cfg.eps, cfg.num_cores).unwrap(),
+                DeviceForcePipeline::new(quiet_device(2), n, cfg.eps, cfg.num_cores).unwrap(),
             );
             let mut resumed = ics();
             let out = resume_simulation_resilient(&eval, &mut resumed, &ckpt, iteration, cfg, recovery)

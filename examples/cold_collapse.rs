@@ -23,7 +23,7 @@ fn main() {
 
     let device = create_device(0, DeviceConfig::default()).expect("device reset");
     let card =
-        std::sync::Arc::new(SingleCardEvaluator::new(device, n, softening, 2).expect("pipeline"));
+        std::sync::Arc::new(DeviceForcePipeline::new(device, n, softening, 2).expect("pipeline"));
 
     let e0 = total_energy(&sphere, softening);
     println!("cold uniform sphere: n = {n}, E0 = {e0:.5} (free-fall time ~ pi/2 * sqrt(R^3/2GM))");

@@ -26,7 +26,7 @@ fn main() {
 
     let device = create_device(0, DeviceConfig::default()).expect("device reset");
     let card =
-        std::sync::Arc::new(SingleCardEvaluator::new(device, n, softening, 2).expect("pipeline"));
+        std::sync::Arc::new(DeviceForcePipeline::new(device, n, softening, 2).expect("pipeline"));
 
     // Block steps: base step 1/32, up to 6 halvings (finest 1/2048); the
     // device launches only the particles due at each block time.

@@ -26,7 +26,7 @@ fn main() {
     //    kernels, FP32 math on the SFPU.
     let softening = 0.01;
     let cores = 2;
-    let card = SingleCardEvaluator::new(device, n, softening, cores).expect("pipeline");
+    let card = DeviceForcePipeline::new(device, n, softening, cores).expect("pipeline");
     let card = std::sync::Arc::new(card);
 
     // 4. Evolve with the 4th-order Hermite driver — prediction and

@@ -33,7 +33,7 @@ fn main() {
 
     let device = create_device(0, DeviceConfig::default()).expect("device reset");
     let card =
-        std::sync::Arc::new(SingleCardEvaluator::new(device, n, softening, 4).expect("pipeline"));
+        std::sync::Arc::new(DeviceForcePipeline::new(device, n, softening, 4).expect("pipeline"));
     let cpu_integ = Hermite4::new(ThreadedKernel::new(SimdKernel::new(softening), 4));
 
     let dt = 1.0 / 256.0;

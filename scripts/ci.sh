@@ -50,6 +50,19 @@ PAPER_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
 echo "$PAPER_OUT"
 echo "$PAPER_OUT" | grep -q "device-vs-direct accuracy: PASS"
 
+echo "==> single-card card-loss smoke"
+# One card under the resilient driver every device run uses: the built-in
+# device-vs-direct verification runs first, then the card falls off the bus
+# at launch event 3 of a 5-launch run (the initializing launch plus four
+# steps). The card's pipeline resets and rebuilds itself, and the driver
+# restores its last checkpoint and replays. Grep both so a silently-skipped
+# verification or a loss that never fired fails CI.
+CARD_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
+  --n 1024 --steps 4 --cores 2 --inject-loss 3 --verify-direct)
+echo "$CARD_OUT"
+echo "$CARD_OUT" | grep -q "device-vs-direct accuracy: PASS"
+echo "$CARD_OUT" | grep -q "recoveries: 1"
+
 echo "==> multi-device resilient smoke"
 # A 2-card ring with one hot spare and a device loss injected mid-run: the
 # CLI runs the resilient Hermite driver, fails over to the spare inside the
@@ -139,6 +152,18 @@ MATRIX_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
 echo "$MATRIX_OUT"
 echo "$MATRIX_OUT" | grep -q "device catalog: n150"
 echo "$MATRIX_OUT" | grep -q "device-vs-direct accuracy: PASS"
+
+echo "==> perfbench build and workload smoke"
+# The repository benchmark is a package of its own outside the workspace,
+# so the workspace build above never compiles it. Build it, then run each
+# workload for one second and require a correct result.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in shared_vector block_vector block_matrix fault_storm; do
+  BENCH_OUT=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1)
+  echo "$workload: $BENCH_OUT"
+  echo "$BENCH_OUT" | grep -q '"correct": true'
+done
 
 echo "==> cargo clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -31,9 +31,7 @@ pub mod prelude {
         plummer, ForceKernel, Forces, Hermite4, Integrator, ParticleSystem, PlummerConfig,
         ReferenceKernel, SimdKernel, ThreadedKernel,
     };
-    pub use nbody_tt::{
-        run_simulation, DeviceForcePipeline, SimulationConfig, SingleCardEvaluator,
-    };
+    pub use nbody_tt::{run_simulation, DeviceForcePipeline, SimulationConfig};
     pub use tensix::{Device, DeviceConfig};
     pub use ttmetal::{create_device, open_cluster, CommandQueue, Program};
 }

@@ -4,7 +4,7 @@
 //! tt-nbody run   [--ic plummer|king|uniform|collapse|merger|binary] [--n 512]
 //!                [--backend device|tree|cpu|reference] [--integrator hermite|leapfrog]
 //!                [--steps 32] [--dt 0.00390625] [--eps 0.01] [--cores 2]
-//!                [--devices 1] [--spares 0] [--resilient] [--inject-loss 0]
+//!                [--devices 1] [--spares 0] [--inject-loss 0]
 //!                [--threads 4] [--seed 0]
 //!                [--blocks] [--eta 0.02] [--levels 6]
 //!                [--theta 0.6] [--leaf 32] [--near host|device] [--verify-direct]
@@ -22,13 +22,16 @@
 //! with `--integrator hermite` (default) or `leapfrog`, and `cpu` takes the
 //! driver too under `--blocks`.
 //!
-//! With `--devices N` (N > 1) the device backend runs the resilient driver
+//! The device backend always runs the resilient driver: checkpoints,
+//! in-place retries of transient faults, and recovery from card loss. On
+//! one card, `--inject-loss L` kills the card at launch event `L` of the
+//! run; the card resets and rebuilds itself, and the driver restores its
+//! last checkpoint and replays. With `--devices N` (N > 1) the driver runs
 //! over an N-card ring; `--spares` adds hot spares, and `--inject-loss L`
 //! kills the last ring card at launch event `L` and then verifies the
 //! surviving run against an unfaulted twin, bit for bit. That card must own
 //! a target work unit (`--n` > unit · (devices − 1), the unit being 1024
-//! particles, or 32 with `--force-kernel matrix`), or the loss is refused. `--resilient`
-//! adds checkpoint/restart and in-place retries to a single-card run.
+//! particles, or 32 with `--force-kernel matrix`), or the loss is refused.
 //!
 //! `--backend tree` runs the Barnes-Hut tree code: `--theta` sets the
 //! opening angle, `--leaf` the leaf capacity, and `--near device` routes
@@ -41,10 +44,10 @@
 //! `key=value` spec) for every simulated card; the catalog summary line is
 //! printed before device runs. `--force-kernel matrix` runs the pairwise
 //! force/jerk loop as blocked matmuls on the FPU matrix pipe instead of
-//! the element-wise SFPU kernel — on the direct, resilient, and ring device
-//! paths alike (failover and recovery preserve the kind); with
-//! `--verify-direct` the device forces are first checked against the FP64
-//! direct sum at the kernel's bound.
+//! the element-wise SFPU kernel — on one card and on the ring alike
+//! (failover and recovery preserve the kind); with `--verify-direct` a
+//! single card's forces are first checked against the FP64 direct sum at
+//! the kernel's bound.
 //!
 //! `--blocks` switches the device/cpu/tree backends from the shared-step
 //! Hermite loop to hierarchical block time-steps: per-particle steps from
@@ -64,12 +67,12 @@ use nbody::particle::ParticleSystem;
 use nbody_tt::{
     run_block_simulation, run_simulation_resilient, BlockScheduler, BlockStepConfig,
     CpuForceEvaluator, DeviceForcePipeline, DriverOutcome, ForceEvaluator, ForceKernelKind,
-    MultiDevicePipeline, RecoveryConfig, RetryPolicy, SimulationConfig, SingleCardEvaluator,
-    TreeConfig, TreeForceEvaluator,
+    MultiDevicePipeline, RecoveryConfig, RetryPolicy, SimulationConfig, TreeConfig,
+    TreeForceEvaluator,
 };
 use tensix::catalog::DeviceArch;
 use tensix::fault::FaultClass;
-use tensix::{DataFormat, Device, DeviceConfig};
+use tensix::{Device, DeviceConfig};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +88,6 @@ struct Options {
     cores: usize,
     devices: usize,
     spares: usize,
-    resilient: bool,
     inject_loss: u64,
     threads: usize,
     seed: u64,
@@ -114,7 +116,6 @@ impl Default for Options {
             cores: 2,
             devices: 1,
             spares: 0,
-            resilient: false,
             inject_loss: 0,
             threads: 4,
             seed: 0,
@@ -155,7 +156,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--spares" => {
                 opts.spares = value()?.parse().map_err(|e| format!("--spares: {e}"))?;
             }
-            "--resilient" => opts.resilient = true,
             "--inject-loss" => {
                 opts.inject_loss = value()?.parse().map_err(|e| format!("--inject-loss: {e}"))?;
             }
@@ -500,14 +500,11 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     }
     match opts.backend.as_str() {
         "device" if opts.devices > 1 => run_ring(opts, &mut sys)?,
-        "device" if opts.resilient => {
+        "device" => {
             let device = Device::new(0, arch.device_config());
-            if opts.inject_loss > 0 {
-                device.faults().schedule(FaultClass::DeviceLoss, opts.inject_loss);
-            }
-            let evaluator = Arc::new(
-                SingleCardEvaluator::new_with_kernel(
-                    device,
+            let card = Arc::new(
+                DeviceForcePipeline::new_with_kernel(
+                    Arc::clone(&device),
                     sys.len(),
                     opts.eps,
                     opts.cores,
@@ -515,31 +512,22 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
                 )
                 .map_err(|e| e.to_string())?,
             );
+            if opts.verify_direct {
+                verify_device_against_direct(&card, &sys, opts)?;
+            }
+            if opts.inject_loss > 0 {
+                // Scheduled after the verification, so `L` counts the
+                // run's own launches.
+                device.faults().schedule(FaultClass::DeviceLoss, opts.inject_loss);
+                println!("injecting device loss at launch event {}", opts.inject_loss);
+            }
             let out = run_simulation_resilient(
-                &evaluator,
+                &card,
                 &mut sys,
                 sim_config(opts),
                 RecoveryConfig::default(),
             )
             .map_err(|e| e.to_string())?;
-            report(&out);
-        }
-        "device" => {
-            let device = Device::new(0, arch.device_config());
-            let pipeline = DeviceForcePipeline::new_with_kernel(
-                device,
-                opts.n,
-                opts.eps,
-                opts.cores,
-                DataFormat::Float32,
-                opts.force_kernel,
-            )
-            .map_err(|e| e.to_string())?;
-            if opts.verify_direct {
-                verify_device_against_direct(&pipeline, &sys, opts)?;
-            }
-            let out = run_block_simulation(&Arc::new(pipeline), &mut sys, sim_config(opts))
-                .map_err(|e| e.to_string())?;
             report(&out);
         }
         "tree" => run_tree(opts, &mut sys)?,
@@ -655,7 +643,6 @@ mod tests {
             "2",
             "--spares",
             "1",
-            "--resilient",
             "--inject-loss",
             "3",
             "--threads",
@@ -688,7 +675,6 @@ mod tests {
         assert!((o.dt - 0.001).abs() < 1e-12);
         assert_eq!(o.devices, 2);
         assert_eq!(o.spares, 1);
-        assert!(o.resilient);
         assert_eq!(o.inject_loss, 3);
         assert_eq!(o.seed, 7);
         assert!((o.theta - 0.45).abs() < 1e-12);
@@ -718,10 +704,11 @@ mod tests {
             ..Options::default()
         };
         cmd_run(&o).unwrap();
-        // The matrix kernel now rides the ring and the resilient driver too
-        // (the kind threads through failover and recovery).
+        // The matrix kernel rides the ring too, and a verified single card
+        // survives a mid-run loss (the kind threads through failover and
+        // recovery).
         cmd_run(&Options { devices: 2, verify_direct: false, ..o.clone() }).unwrap();
-        cmd_run(&Options { resilient: true, verify_direct: false, ..o.clone() }).unwrap();
+        cmd_run(&Options { inject_loss: 2, ..o.clone() }).unwrap();
         // But it stays a device kernel: CPU/tree backends reject it.
         assert!(cmd_run(&Options { backend: "cpu".into(), ..o.clone() }).is_err());
         // Unknown parts and oversubscribed grids are typed errors.
@@ -735,7 +722,7 @@ mod tests {
         cmd_run(&o).unwrap();
         cmd_run(&Options { backend: "cpu".into(), threads: 2, ..o.clone() }).unwrap();
         cmd_run(&Options { backend: "tree".into(), threads: 1, ..o.clone() }).unwrap();
-        cmd_run(&Options { resilient: true, ..o.clone() }).unwrap();
+        cmd_run(&Options { inject_loss: 3, ..o.clone() }).unwrap();
         cmd_run(&Options { devices: 2, ..o.clone() }).unwrap();
         // The reference path has no evaluator behind it: --blocks is refused,
         // and so is leapfrog on the driver's backends.

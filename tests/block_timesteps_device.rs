@@ -8,8 +8,8 @@ use nbody::ic::{king, plummer, KingConfig, PlummerConfig};
 use nbody::particle::ParticleSystem;
 use nbody::ReferenceKernel;
 use nbody_tt::{
-    run_block_simulation, BlockStepConfig, CpuForceEvaluator, DriverOutcome, ForceEvaluator,
-    SimulationConfig, SingleCardEvaluator,
+    run_block_simulation, BlockStepConfig, CpuForceEvaluator, DeviceForcePipeline, DriverOutcome,
+    ForceEvaluator, SimulationConfig,
 };
 use tensix::{Device, DeviceConfig};
 
@@ -34,8 +34,8 @@ fn run<E: ForceEvaluator>(
     run_block_simulation(&Arc::new(eval), sys, cfg).unwrap()
 }
 
-fn card(n: usize, eps: f64) -> SingleCardEvaluator {
-    SingleCardEvaluator::new(Device::new(0, DeviceConfig::default()), n, eps, 1).unwrap()
+fn card(n: usize, eps: f64) -> DeviceForcePipeline {
+    DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, eps, 1).unwrap()
 }
 
 #[test]

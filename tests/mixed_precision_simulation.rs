@@ -9,13 +9,13 @@ use nbody::force::{SimdKernel, ThreadedKernel};
 use nbody::ic::{plummer, PlummerConfig};
 use nbody::particle::ParticleSystem;
 use nbody_tt::{
-    run_simulation, CpuForceEvaluator, SimulationConfig, SimulationOutcome, SingleCardEvaluator,
+    run_simulation, CpuForceEvaluator, DeviceForcePipeline, SimulationConfig, SimulationOutcome,
 };
 use tensix::{Device, DeviceConfig};
 
 /// The Hermite driver on one fresh card.
 fn device_run(sys: &mut ParticleSystem, cfg: SimulationConfig) -> SimulationOutcome {
-    let card = SingleCardEvaluator::new(
+    let card = DeviceForcePipeline::new(
         Device::new(0, DeviceConfig::default()),
         sys.len(),
         cfg.eps,
