@@ -42,7 +42,7 @@ use nbody_tt::{
 use tensix::catalog::DeviceArch;
 use tensix::cb::{CircularBuffer, CircularBufferConfig};
 use tensix::cost::ComputeCosts;
-use tensix::tile::Tile;
+use tensix::tile::{Tile, TILE_DIM};
 use tensix::{fpu, sfpu, DataFormat, Device, DeviceConfig, StormConfig};
 use tt_harness::{generate_load, LoadConfig};
 use tt_server::{run_campaign, BackendKind, FlightConfig, JobRequest, ServerConfig, TenantSpec};
@@ -82,15 +82,6 @@ fn min_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Interactions owned by the slowest core: the denominator that turns the
-/// pipeline's modeled compute cycles into cycles/pair, comparable across
-/// kernels with different work-unit granularities.
-fn slowest_core_pairs(pipeline: &DeviceForcePipeline, n: usize, cores: usize) -> f64 {
-    let unit = pipeline.work_unit_particles();
-    let owned = n.div_ceil(unit).div_ceil(cores) * unit;
-    owned as f64 * n as f64
-}
-
 /// End-to-end force+jerk evaluation through the device pipeline (the
 /// paper's time-to-solution inner loop), small-N quick mode. Returns
 /// (wall seconds, modeled compute cycles per pair on the slowest core).
@@ -102,8 +93,11 @@ fn bench_time_to_solution_kernel(kind: ForceKernelKind) -> (f64, f64) {
         let f = pipeline.evaluate_checked(&sys).unwrap();
         assert_eq!(f.acc.len(), PIPELINE_N);
     });
-    let cycles_per_pair =
-        pipeline.timing().last_eval_cycles as f64 / slowest_core_pairs(&pipeline, PIPELINE_N, 2);
+    // Interactions owned by the slowest core: the denominator that turns
+    // the modeled compute cycles into cycles/pair, comparable across
+    // kernels with different work-unit granularities.
+    let slowest_pairs = pipeline.sizing(PIPELINE_N).slowest_core_targets() * PIPELINE_N;
+    let cycles_per_pair = pipeline.timing().last_eval_cycles as f64 / slowest_pairs as f64;
     (wall, cycles_per_pair)
 }
 
@@ -167,10 +161,10 @@ fn bench_tile_ops() -> f64 {
         let mut acc = Tile::zeros(DataFormat::Float32);
         let mut cycles = 0u64;
         for _ in 0..TILE_OP_ITERS {
-            cycles += fpu::eltwise_binary(&costs, sfpu::BinaryOp::Sub, &a, &b, &mut out);
-            cycles += sfpu::apply_unary(&costs, sfpu::UnaryOp::Square, &mut out);
-            cycles += sfpu::apply_unary(&costs, sfpu::UnaryOp::RsqrtFast, &mut out);
-            cycles += sfpu::apply_mad(&costs, &a, &b, &mut acc);
+            cycles += fpu::eltwise_binary(&costs, TILE_DIM, sfpu::BinaryOp::Sub, &a, &b, &mut out);
+            cycles += sfpu::apply_unary(&costs, TILE_DIM, sfpu::UnaryOp::Square, &mut out);
+            cycles += sfpu::apply_unary(&costs, TILE_DIM, sfpu::UnaryOp::RsqrtFast, &mut out);
+            cycles += sfpu::apply_mad(&costs, TILE_DIM, &a, &b, &mut acc);
             cycles += fpu::matmul_tiles(&costs, &a, &b, &mut out, false);
             cycles += fpu::reduce_cols(&costs, &a, 0.5, &mut out);
         }

@@ -19,6 +19,14 @@
 //! `copy_tile_lane_broadcast`). Sources are still summed `j = 0..N` in
 //! order, so the forces are the replicated layout's bit for bit.
 //!
+//! A target work unit is a whole tile of 1024 targets or, when the launch
+//! is cut into half tiles, a 16-row half tile of 512 (faces 0–1 of its
+//! page). The compute kernel sets the context's tile rows once from a
+//! runtime arg, and every element-wise op then computes only those rows;
+//! reader and writer still move whole pages, and the source pages stay
+//! whole tiles. Each target lane keeps the same arithmetic and source order
+//! either way, so the unit size never changes a bit of the forces.
+//!
 //! Because the FP32 dst register file holds only 8 tiles, the compute kernel
 //! stages its reusable intermediates — the displacement components
 //! (dx, dy, dz, dvx, dvy, dvz) and the scalar fields w = m/s³ and
@@ -47,15 +55,19 @@ use crate::layout::matrix_pages::{
 };
 use crate::layout::{matrix_chunks, num_matrix_blocks};
 
-/// Runtime-arg slots shared by all three kernels.
+/// Runtime-arg slots shared by all three kernels; slots from 3 on are
+/// kernel-specific.
 pub mod args {
-    /// First target tile owned by this core.
+    /// First target work unit owned by this core.
     pub const START_TILE: usize = 0;
-    /// Number of target tiles owned by this core.
+    /// Number of target work units owned by this core.
     pub const TILE_COUNT: usize = 1;
     /// Total number of source particles `n`: the elementwise kernels sweep
     /// ⌈n/1024⌉ packed source tiles, the matrix kernels ⌈n/32⌉ blocks.
     pub const NUM_SOURCES: usize = 2;
+    /// Elementwise kernels only: the rows of a target work unit, 32 for a
+    /// whole tile or 16 for a half tile.
+    pub const TILE_ROWS: usize = 3;
     /// Matrix kernels only: the first slot of the launch's
     /// [`crate::layout::DampingPlan`], which covers every gathered target
     /// block, so any `[start, count]` window reads its own blocks' pairs.
@@ -133,8 +145,9 @@ pub struct ForceComputeKernel {
 }
 
 impl ForceComputeKernel {
-    /// Per-source inner body: evaluates 1024 target lanes against source
-    /// particle `lane` of the packed source tile at the front of `IN1`.
+    /// Per-source inner body: evaluates the unit's target lanes (1024, or
+    /// 512 on a half tile) against source particle `lane` of the packed
+    /// source tile at the front of `IN1`.
     fn interact(&self, ctx: &mut ComputeCtx, lane: usize) {
         // --- Phase A: displacements into the staging CB -----------------
         // dx = xj − xi and the velocity analogues: FPU subtract with the
@@ -241,6 +254,7 @@ impl ComputeKernel for ForceComputeKernel {
         assert!(self.eps_squared > 0.0, "device force kernel requires softening > 0");
         let count = ctx.arg(args::TILE_COUNT) as usize;
         let n = ctx.arg(args::NUM_SOURCES) as usize;
+        ctx.set_tile_rows(ctx.arg(args::TILE_ROWS) as usize);
         for _tile in 0..count {
             ctx.trace_span_begin("tile");
             ctx.cb_wait_front(IN0, 6);

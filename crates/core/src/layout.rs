@@ -1,13 +1,15 @@
 //! Fig. 2 data organization: particles → tiles.
 //!
 //! Two packed tile views of the particle data feed the elementwise device
-//! pipeline, each quantity 1024 particles per tile:
+//! pipeline, each quantity one particle per lane:
 //!
 //! * **target tiles** `[x, y, z, vx, vy, vz]` — "the column tiles ...
-//!   distributed across Tensix cores";
+//!   distributed across Tensix cores"; 1024 particles per tile, or 512 per
+//!   16-row half tile when a launch is cut into half-tile work units;
 //! * **source tiles** `[m, x, y, z, vx, vy, vz]` — the same lanes plus the
-//!   masses, swept by every target tile. The compute kernel broadcasts one
-//!   source lane at a time across a tile with a stride-0 unpack.
+//!   masses, always 1024 per tile, swept by every target tile. The compute
+//!   kernel broadcasts one source lane at a time across a tile with a
+//!   stride-0 unpack.
 //!
 //! The paper instead "create[s] copies of the data, organized into N tiles":
 //! source tile `j` holds particle `j`'s value in all 1024 lanes, 7 N tiles
@@ -15,14 +17,15 @@
 //! [`crate::perf_model`]; the functional pipeline runs the packed view,
 //! 7 ⌈N/1024⌉ tiles, with bitwise-equal forces.
 //!
-//! Padding: the tail of the last tile is filled with zero-mass particles
-//! parked at a remote position, so they neither contribute force (mass 0)
-//! nor produce NaNs (nonzero distance to every real particle).
+//! Padding: the tail of the last tile — and rows 16–31 of every half
+//! tile — is filled with zero-mass particles parked at a remote position,
+//! so they neither contribute force (mass 0) nor produce NaNs (nonzero
+//! distance to every real particle).
 
 use std::collections::HashMap;
 
 use nbody::particle::ParticleSystem;
-use tensix::tile::{pack_vector, Tile, TILE_DIM, TILE_ELEMS};
+use tensix::tile::{pack_vector, pack_vector_rows, Tile, TILE_DIM, TILE_ELEMS};
 use tensix::DataFormat;
 
 /// Position far from any sane cluster coordinate, used for padding lanes.
@@ -75,19 +78,23 @@ impl HostArrays {
     }
 }
 
-/// Pack the six target-quantity tile views of `arrays`: per-axis positions
+/// Pack the six target-quantity views of `arrays` into `rows`-row tiles
+/// (32: 1024 particles a page; 16: 512, a half tile): per-axis positions
 /// padded at [`PAD_POSITION`], velocities zero-padded. Shared by the full-N
 /// tilize and the active-subset gather path.
+///
+/// # Panics
+/// Panics unless `rows` is 16 or 32.
 #[must_use]
-pub fn tilize_targets(arrays: &HostArrays) -> [Vec<Tile>; 6] {
-    let f = DataFormat::Float32;
+pub fn tilize_targets(arrays: &HostArrays, rows: usize) -> [Vec<Tile>; 6] {
+    let pack = |values: &[f32], pad| pack_vector_rows(DataFormat::Float32, values, rows, pad);
     [
-        pack_vector(f, &arrays.pos[0], PAD_POSITION),
-        pack_vector(f, &arrays.pos[1], PAD_POSITION),
-        pack_vector(f, &arrays.pos[2], PAD_POSITION),
-        pack_vector(f, &arrays.vel[0], 0.0),
-        pack_vector(f, &arrays.vel[1], 0.0),
-        pack_vector(f, &arrays.vel[2], 0.0),
+        pack(&arrays.pos[0], PAD_POSITION),
+        pack(&arrays.pos[1], PAD_POSITION),
+        pack(&arrays.pos[2], PAD_POSITION),
+        pack(&arrays.vel[0], 0.0),
+        pack(&arrays.vel[1], 0.0),
+        pack(&arrays.vel[2], 0.0),
     ]
 }
 
@@ -95,8 +102,8 @@ pub fn tilize_targets(arrays: &HostArrays) -> [Vec<Tile>; 6] {
 /// side of dynamic tile packing. The result has `n = active.len()`; tilized
 /// (via [`tilize_targets`] or [`matrix_target_view`]), its pad lanes park at
 /// [`PAD_POSITION`] with zero velocity exactly like a full-N tail, so an
-/// active-set launch rounds up to whole tiles or blocks without
-/// contributing spurious forces.
+/// active-set launch rounds up to whole work units without contributing
+/// spurious forces.
 ///
 /// # Panics
 /// Panics if an index is out of range.
@@ -112,23 +119,13 @@ pub fn gather_active_targets(arrays: &HostArrays, active: &[usize]) -> HostArray
 }
 
 /// Pack the seven source-quantity tile views `[m, x, y, z, vx, vy, vz]`:
-/// zero-padded masses followed by the [`tilize_targets`] views (FP32 tiles
-/// — "the Tenstorrent Wormhole accelerator supports up to FP32").
+/// zero-padded masses followed by the whole-tile [`tilize_targets`] views
+/// (FP32 tiles — "the Tenstorrent Wormhole accelerator supports up to
+/// FP32").
 #[must_use]
 pub fn tilize_sources(arrays: &HostArrays) -> [Vec<Tile>; 7] {
-    let [x, y, z, vx, vy, vz] = tilize_targets(arrays);
+    let [x, y, z, vx, vy, vz] = tilize_targets(arrays, TILE_DIM);
     [pack_vector(DataFormat::Float32, &arrays.mass, 0.0), x, y, z, vx, vy, vz]
-}
-
-/// Unpack per-axis result tiles (acceleration or jerk components) back to
-/// `n` FP32 values per axis.
-#[must_use]
-pub fn untile_results(tiles: &[Vec<Tile>; 3], n: usize) -> [Vec<f32>; 3] {
-    [
-        tensix::tile::unpack_vector(&tiles[0], n),
-        tensix::tile::unpack_vector(&tiles[1], n),
-        tensix::tile::unpack_vector(&tiles[2], n),
-    ]
 }
 
 /// CB page indices of the matrix-kernel operand groups (within one waited
@@ -407,7 +404,7 @@ mod tests {
     #[test]
     fn target_tiles_are_padded() {
         let s = sys(100);
-        let t = tilize_targets(&HostArrays::from_system(&s));
+        let t = tilize_targets(&HostArrays::from_system(&s), TILE_DIM);
         assert_eq!(t[0].len(), 1);
         // Lane 100 onward is the parking position.
         assert_eq!(t[0][0].as_slice()[100], PAD_POSITION);
@@ -421,7 +418,7 @@ mod tests {
         let s = sys(2048 + 10);
         let h = HostArrays::from_system(&s);
         let src = tilize_sources(&h);
-        let tgt = tilize_targets(&h);
+        let tgt = tilize_targets(&h, TILE_DIM);
         assert!(src.iter().all(|q| q.len() == 3), "⌈n/1024⌉ tiles per quantity");
         assert_eq!(src[0][2].as_slice()[9], s.mass[2057] as f32);
         // Padding lanes carry zero mass, so they contribute nothing.
@@ -434,13 +431,15 @@ mod tests {
     }
 
     #[test]
-    fn untile_roundtrip() {
-        let s = sys(1500);
+    fn half_tile_targets_pack_512_a_page_and_park_rows_16_to_31() {
+        let s = sys(700);
         let h = HostArrays::from_system(&s);
-        let t = tilize_targets(&h);
-        let back = untile_results(&[t[0].clone(), t[1].clone(), t[2].clone()], 1500);
-        assert_eq!(back[0], h.pos[0]);
-        assert_eq!(back[2], h.pos[2]);
+        let t = tilize_targets(&h, tensix::HALF_TILE_ROWS);
+        assert_eq!(t[0].len(), 2, "⌈700/512⌉ half tiles");
+        assert_eq!(t[0][1].as_slice()[0], s.pos[512][0] as f32);
+        assert_eq!(t[0][0].get(16, 0), PAD_POSITION, "row 16 is padding");
+        assert_eq!(t[4][0].get(31, 31), 0.0);
+        assert_eq!(tensix::tile::unpack_vector_rows(&t[2], 16, 700), h.pos[2]);
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub use perf_model::{
     arch_run, paper_run, HostCpuModel, RunModel, WormholePerfModel, CPU_EFF_CYCLES_PER_PAIR,
     DEVICE_CYCLES_PER_PAIR, PAPER_CYCLES, PAPER_N, STEPS_PER_CYCLE,
 };
-pub use pipeline::{DeviceForcePipeline, ForceKernelKind, PipelineTiming, RetryPolicy};
+pub use pipeline::{
+    DeviceForcePipeline, ForceKernelKind, LaunchSizing, PipelineTiming, RetryPolicy,
+};
 pub use simulation::{
     latest_checkpoint, read_checkpoint, resume_simulation_resilient, run_block_simulation,
     run_simulation, run_simulation_resilient, write_checkpoint, BlockCheckpoint, BlockScheduler,

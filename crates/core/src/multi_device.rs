@@ -8,7 +8,9 @@
 //! owns a contiguous slice of the target work units (1024-particle tiles,
 //! or 32-particle blocks on the matrix kernel), and launches only those:
 //! its runtime args cover its own units, so a card computes nothing it
-//! does not keep. After the per-card programs complete, the partial
+//! does not keep. A card sizes its share's launch by the pipeline's own
+//! unit rule ([`crate::pipeline::LaunchSizing`]), so a small share may run
+//! as half tiles across the card's cores. After the per-card programs complete, the partial
 //! results are exchanged in a ring all-gather over the 200 Gb/s Ethernet
 //! links, exactly the work split and communication pattern the E6 model
 //! charges for.
@@ -223,7 +225,7 @@ impl MultiDevicePipeline {
     /// tiles, 32-particle matrix blocks; front-loaded, like the per-core
     /// split), so for a full set each card's share is exactly its owned
     /// unit range. Each non-empty share runs through the card pipeline's
-    /// one launch driver under `policy` — gathered target tiles, a launch
+    /// one launch driver under `policy` — gathered target units, a launch
     /// grid sized to the share — and a card with an empty share makes no
     /// launch. Row `k` of the result is the force on `active.indices()[k]`,
     /// bitwise identical to a single card's (per-target source order is

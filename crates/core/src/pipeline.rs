@@ -15,8 +15,11 @@
 //!
 //! Every evaluation takes one launch path, `DeviceForcePipeline::launch`:
 //! full-N is the all-particles active set, and a subset on either kernel
-//! gathers its targets into dense work units (1024-particle tiles,
-//! 32-particle matrix blocks) and launches a program slice sized to them.
+//! gathers its targets into dense work units and launches a program slice
+//! sized to them. [`LaunchSizing`] is the one rule that picks the unit: a
+//! 32-particle block on the matrix kernel; on the elementwise kernel a
+//! 1024-particle tile, or a 512-particle 16-row half tile when whole tiles
+//! would leave a core idle and halves give every unit its own core.
 //! Both run under one retry/salvage/partial-redo driver. The matrix
 //! kernel's self-pair damping travels with the launch as a per-block
 //! [`crate::layout::DampingPlan`], so gathering keeps every row bitwise.
@@ -35,7 +38,10 @@ use parking_lot::Mutex;
 use nbody::particle::{Forces, ParticleSystem};
 use tensix::cb::CircularBufferConfig;
 use tensix::grid::{CoreCoord, CoreRangeSet};
-use tensix::{DataFormat, Device, NocId, Result, Tile};
+use tensix::{
+    unpack_vector_rows, DataFormat, Device, NocId, Result, Tile, HALF_TILE_ROWS, TILE_DIM,
+    TILE_ELEMS,
+};
 use ttmetal::cb_index::{IN0, IN1, IN2, IN3, INTERMED0, INTERMED1, INTERMED2, OUT0};
 use ttmetal::{Buffer, CommandQueue, LaunchError, Program, ProgramReport};
 
@@ -47,8 +53,8 @@ use crate::kernels::{
 use crate::layout::matrix_pages::ATTR_COLS;
 use crate::layout::{
     bf16_split, damping_plan, gather_active_targets, matrix_chunks, matrix_source_view,
-    matrix_target_view, num_matrix_blocks, split_tiles_to_cores, tilize_sources, tilize_targets,
-    HostArrays, MATRIX_BLOCK,
+    matrix_target_view, split_tiles_to_cores, tilize_sources, tilize_targets, HostArrays,
+    MATRIX_BLOCK,
 };
 
 /// Which inner-loop formulation the device program runs.
@@ -82,9 +88,10 @@ impl ForceKernelKind {
         }
     }
 
-    /// Particles per device work unit: the runtime-arg granularity of the
-    /// outer-loop split (a 1024-particle tile for the elementwise kernel, a
-    /// 32-particle block for the matrix kernel).
+    /// Particles per whole work unit: a 1024-particle tile for the
+    /// elementwise kernel, a 32-particle block for the matrix kernel. A
+    /// ring splits its active set across cards in these units; a card may
+    /// cut its share finer (see [`LaunchSizing`]).
     #[must_use]
     pub fn work_unit_particles(self) -> usize {
         match self {
@@ -97,6 +104,60 @@ impl ForceKernelKind {
     #[must_use]
     pub(crate) fn work_units(self, particles: usize) -> usize {
         particles.div_ceil(self.work_unit_particles())
+    }
+}
+
+/// How one launch cuts its targets into device work units — the one
+/// sizing rule, used for full-N and subset launches alike.
+///
+/// The matrix kernel's unit is a 32-particle block. The elementwise unit is
+/// a whole 1024-particle tile, unless whole tiles would leave a core idle
+/// (⌈|A|/1024⌉ < C) while 512-particle half tiles give every unit its own
+/// core (⌈|A|/512⌉ ≤ C): then it is a 16-row half tile. One-core cards and
+/// launches with at least `C` tiles keep whole tiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaunchSizing {
+    /// Target particles per work unit: 1024, 512 or 32.
+    pub unit_particles: usize,
+    /// Work units covering the launch's targets.
+    pub units: usize,
+    /// Compute cores the launch runs on: `min(card cores, units)`.
+    pub cores: usize,
+}
+
+/// Targets in one elementwise half tile.
+const HALF_TILE_TARGETS: usize = HALF_TILE_ROWS * TILE_DIM;
+
+impl LaunchSizing {
+    /// The sizing of a `targets`-particle launch of `kind` on a card with
+    /// `card_cores` cores.
+    #[must_use]
+    pub fn of(kind: ForceKernelKind, targets: usize, card_cores: usize) -> Self {
+        let unit_particles = match kind {
+            ForceKernelKind::Matrix => MATRIX_BLOCK,
+            ForceKernelKind::Elementwise
+                if targets.div_ceil(TILE_ELEMS) < card_cores
+                    && targets.div_ceil(HALF_TILE_TARGETS) <= card_cores =>
+            {
+                HALF_TILE_TARGETS
+            }
+            ForceKernelKind::Elementwise => TILE_ELEMS,
+        };
+        let units = targets.div_ceil(unit_particles);
+        LaunchSizing { unit_particles, units, cores: card_cores.min(units).max(1) }
+    }
+
+    /// Tile rows of an elementwise unit: 32, or 16 for a half tile.
+    #[must_use]
+    pub fn tile_rows(&self) -> usize {
+        self.unit_particles / TILE_DIM
+    }
+
+    /// Targets owned by the slowest core: the front-loaded split hands it
+    /// ⌈units / cores⌉ units.
+    #[must_use]
+    pub fn slowest_core_targets(&self) -> usize {
+        self.units.div_ceil(self.cores) * self.unit_particles
     }
 }
 
@@ -364,11 +425,16 @@ impl Card {
         let work_units = kind.work_units(n);
         let mk = |count: usize| Buffer::new(device, format, count);
         let (target_bufs, source_bufs, output_bufs) = match kind {
-            ForceKernelKind::Elementwise => (
-                (0..6).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
-                (0..7).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
-                (0..6).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
-            ),
+            ForceKernelKind::Elementwise => {
+                // Target and result pages hold one work unit each; the
+                // largest half-tile launch can outnumber the whole tiles.
+                let pages = unit_capacity(n, num_cores);
+                (
+                    (0..6).map(|_| mk(pages)).collect::<Result<Vec<_>>>()?,
+                    (0..7).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?,
+                    (0..6).map(|_| mk(pages)).collect::<Result<Vec<_>>>()?,
+                )
+            }
             ForceKernelKind::Matrix => {
                 let targets = (0..4).map(|_| mk(work_units)).collect::<Result<Vec<_>>>()?;
                 // 7 per-block operand views + the damping pages (index 7):
@@ -390,7 +456,7 @@ impl Card {
                 &source_bufs,
                 &output_bufs,
                 eps,
-                work_units,
+                LaunchSizing::of(kind, n, num_cores),
                 n,
                 num_cores,
                 format,
@@ -423,7 +489,8 @@ impl DeviceForcePipeline {
     /// the first `num_cores` Tensix cores.
     ///
     /// # Errors
-    /// DRAM exhaustion (the elementwise program needs 19 ⌈n/1024⌉ tiles).
+    /// DRAM exhaustion (the elementwise program needs 19 ⌈n/1024⌉ tiles, a
+    /// few more when its largest half-tile launch outnumbers them).
     ///
     /// # Panics
     /// Panics if `n == 0`, `eps <= 0` (the device kernel has no
@@ -494,15 +561,14 @@ impl DeviceForcePipeline {
             "core count {num_cores} outside 1..={}",
             grid.num_cores()
         );
-        let work_units = kind.work_units(n);
         let num_chunks = match kind {
             ForceKernelKind::Elementwise => 1,
-            ForceKernelKind::Matrix => matrix_chunks(work_units).len(),
+            ForceKernelKind::Matrix => matrix_chunks(kind.work_units(n)).len(),
         };
         let card = Card::build(&device, n, eps, num_cores, format, kind, num_chunks)?;
         let core_ranges = CoreRangeSet::first_n(num_cores, grid.x)
             .iter()
-            .zip(split_tiles_to_cores(work_units, num_cores))
+            .zip(split_tiles_to_cores(LaunchSizing::of(kind, n, num_cores).units, num_cores))
             .map(|(core, (start, count))| (core, start, count))
             .collect();
 
@@ -558,11 +624,11 @@ impl DeviceForcePipeline {
         self.kind
     }
 
-    /// Particles per device work unit; see
-    /// [`ForceKernelKind::work_unit_particles`].
+    /// How a launch of `targets` particles is cut into work units on this
+    /// card; see [`LaunchSizing`].
     #[must_use]
-    pub fn work_unit_particles(&self) -> usize {
-        self.kind.work_unit_particles()
+    pub fn sizing(&self, targets: usize) -> LaunchSizing {
+        LaunchSizing::of(self.kind, targets, self.num_cores)
     }
 
     /// Accumulated timing: the incarnations retired by card loss
@@ -621,9 +687,10 @@ impl DeviceForcePipeline {
     ///
     /// A full set launches the whole program over the Fig. 2 core split. A
     /// subset is dynamic packing: the active particles are gathered into
-    /// dense work units — zero-mass-padded 1024-particle tiles for the
-    /// elementwise kernel, 32-particle blocks for the matrix kernel — whose
-    /// tail lanes park at the padding position exactly like a full-N tail.
+    /// dense work units of the launch's [`LaunchSizing`] — zero-mass-padded
+    /// tiles or half tiles for the elementwise kernel, 32-particle blocks
+    /// for the matrix kernel — whose pad lanes park at the padding position
+    /// exactly like a full-N tail.
     /// The source view stays all `n` particles, and the launch is a program
     /// slice sized to the *active* unit count — `min(num_cores, units)`
     /// cores with rewritten runtime args — so a small block costs a small
@@ -669,10 +736,11 @@ impl DeviceForcePipeline {
         if active.is_empty() {
             return Ok(Forces::zeros(0));
         }
+        let sizing = self.sizing(active.len());
         let mut card = self.card.lock();
         let card = &mut *card;
-        let plan = self.write_inputs(card, system, active)?;
-        let slice = (!active.is_full()).then(|| self.active_ranges(active.len()));
+        let plan = self.write_inputs(card, system, active, sizing)?;
+        let slice = (!active.is_full()).then(|| self.active_ranges(sizing));
         let ranges = slice.as_deref().unwrap_or(&self.core_ranges);
         let program = slice.as_deref().map(|r| self.program_slice(&card.program, r, &plan));
 
@@ -696,7 +764,7 @@ impl DeviceForcePipeline {
                 Ok(report) => {
                     let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
                     max_fc = max_compute_cycles(max_fc, &report.timings);
-                    let forces = self.read_forces(card, active)?;
+                    let forces = self.read_forces(card, active, sizing)?;
                     let mut t = self.timing.lock();
                     t.device_seconds += kept_seconds + report.seconds;
                     t.busy_cycles += kept_busy_cycles + cycles;
@@ -818,21 +886,20 @@ impl DeviceForcePipeline {
     }
 
     /// The active launch's `(core, start, count)` ranges: the first
-    /// `min(num_cores, active_units)` cores, splitting the *active* work-unit
-    /// count — the launch grid is sized by the work that exists, not by `n`.
-    fn active_ranges(&self, active_len: usize) -> Vec<(CoreCoord, usize, usize)> {
-        let active_units = self.kind.work_units(active_len);
-        let cores_used = self.num_cores.min(active_units).max(1);
+    /// `sizing.cores` cores, splitting the *active* work-unit count — the
+    /// launch grid is sized by the work that exists, not by `n`.
+    fn active_ranges(&self, sizing: LaunchSizing) -> Vec<(CoreCoord, usize, usize)> {
         self.core_ranges
             .iter()
-            .zip(split_tiles_to_cores(active_units, cores_used))
+            .zip(split_tiles_to_cores(sizing.units, sizing.cores))
             .map(|(&(core, _, _), (start, count))| (core, start, count))
             .collect()
     }
 
     /// `program` restricted to `ranges`' cores, each core's runtime args
     /// rewritten to its `[start, count, n]` window followed by the launch's
-    /// `plan` args (the matrix damping plan; empty for elementwise).
+    /// `plan` args (the matrix damping plan; the unit's tile rows for
+    /// elementwise).
     fn program_slice(
         &self,
         program: &Program,
@@ -849,17 +916,18 @@ impl DeviceForcePipeline {
 
     /// Tilize the FP64 state and ship it to DRAM: the `active` targets into
     /// the target buffers' leading pages and the source view of all `n`
-    /// particles. Elementwise: the six target tiles and the packed source
-    /// view. Matrix: the four target views of the ⌈|A|/32⌉ gathered blocks,
-    /// the seven source views, and the launch's distinct damping pages —
-    /// each view built, written and dropped before the next, so host
-    /// memory holds one view at a time. Returns the launch's plan args
-    /// (see [`Self::program_slice`]).
+    /// particles. Elementwise: the six target views, one page per work unit
+    /// of `sizing`, and the packed source view. Matrix: the four target
+    /// views of the ⌈|A|/32⌉ gathered blocks, the seven source views, and
+    /// the launch's distinct damping pages — each view built, written and
+    /// dropped before the next, so host memory holds one view at a time.
+    /// Returns the launch's plan args (see [`Self::program_slice`]).
     fn write_inputs(
         &self,
         card: &mut Card,
         system: &ParticleSystem,
         active: &ActiveSet,
+        sizing: LaunchSizing,
     ) -> std::result::Result<Vec<u32>, LaunchError> {
         let arrays = HostArrays::from_system(system);
         let gathered =
@@ -867,13 +935,14 @@ impl DeviceForcePipeline {
         let targets = gathered.as_ref().unwrap_or(&arrays);
         match self.kind {
             ForceKernelKind::Elementwise => {
-                for (buf, tiles) in card.target_bufs.iter().zip(&tilize_targets(targets)) {
+                let rows = sizing.tile_rows();
+                for (buf, tiles) in card.target_bufs.iter().zip(&tilize_targets(targets, rows)) {
                     card.queue.enqueue_write_buffer(buf, tiles)?;
                 }
                 for (buf, tiles) in card.source_bufs.iter().zip(&tilize_sources(&arrays)) {
                     card.queue.enqueue_write_buffer(buf, tiles)?;
                 }
-                Ok(Vec::new())
+                Ok(vec![rows as u32])
             }
             ForceKernelKind::Matrix => {
                 let eps2 = (self.eps * self.eps) as f32;
@@ -892,31 +961,32 @@ impl DeviceForcePipeline {
         }
     }
 
-    /// Read the `active` rows back into FP64 forces. Elementwise: the first
-    /// `|A|` results of the six per-axis acc/jerk buffers, un-tilized and
-    /// promoted. Matrix: the gathered blocks' `num_chunks` partial pages of
-    /// the two moment-sum buffers — only the active blocks' pages cross
-    /// PCIe — combined on the host in compensated FP64 against the
-    /// gathered targets (see [`Self::combine_moments`]).
+    /// Read the `active` rows back into FP64 forces. Elementwise: the
+    /// launch's unit pages of the six per-axis acc/jerk buffers — only
+    /// those cross PCIe — un-tilized from each page's top `tile_rows` rows
+    /// and promoted. Matrix: the gathered blocks' `num_chunks` partial
+    /// pages of the two moment-sum buffers, combined on the host in
+    /// compensated FP64 against the gathered targets (see
+    /// [`Self::combine_moments`]).
     fn read_forces(
         &self,
         card: &mut Card,
         active: &ActiveSet,
+        sizing: LaunchSizing,
     ) -> std::result::Result<Forces, LaunchError> {
         match self.kind {
             ForceKernelKind::Elementwise => {
-                let rows = active.len();
+                let len = active.len();
                 let mut result_tiles: Vec<Vec<Tile>> = Vec::with_capacity(6);
                 for buf in &card.output_bufs {
-                    let mut tiles = card.queue.enqueue_read_buffer(buf)?;
-                    tiles.truncate(rows.div_ceil(tensix::TILE_ELEMS));
-                    result_tiles.push(tiles);
+                    result_tiles.push(card.queue.enqueue_read_pages(buf, sizing.units)?);
                 }
-                let mut forces = Forces::zeros(rows);
+                let unpack = |tiles: &[Tile]| unpack_vector_rows(tiles, sizing.tile_rows(), len);
+                let mut forces = Forces::zeros(len);
                 for axis in 0..3 {
-                    let acc = tensix::tile::unpack_vector(&result_tiles[axis], rows);
-                    let jerk = tensix::tile::unpack_vector(&result_tiles[3 + axis], rows);
-                    for i in 0..rows {
+                    let acc = unpack(&result_tiles[axis]);
+                    let jerk = unpack(&result_tiles[3 + axis]);
+                    for i in 0..len {
                         forces.acc[i][axis] = f64::from(acc[i]);
                         forces.jerk[i][axis] = f64::from(jerk[i]);
                     }
@@ -924,7 +994,7 @@ impl DeviceForcePipeline {
                 Ok(forces)
             }
             ForceKernelKind::Matrix => {
-                let pages = num_matrix_blocks(active.len()) * self.num_chunks;
+                let pages = sizing.units * self.num_chunks;
                 let w_tiles = card.queue.enqueue_read_pages(&card.output_bufs[0], pages)?;
                 let g_tiles = card.queue.enqueue_read_pages(&card.output_bufs[1], pages)?;
                 let host = card.host.as_ref().expect("matrix combine before write_inputs");
@@ -982,6 +1052,14 @@ impl DeviceForcePipeline {
         }
         forces
     }
+}
+
+/// Pages an elementwise target or result buffer needs: the most work units
+/// any launch of at most `n` targets has. Whole tiles peak at the full set;
+/// half tiles at the largest set that takes them, `min(n, 512 C)` targets.
+fn unit_capacity(n: usize, num_cores: usize) -> usize {
+    let units = |targets| LaunchSizing::of(ForceKernelKind::Elementwise, targets, num_cores).units;
+    units(n).max(units(n.min(num_cores * HALF_TILE_TARGETS)))
 }
 
 /// Validate a failed attempt's completed-range inventory against the
@@ -1045,7 +1123,7 @@ fn build_program(
     sources: &[Buffer],
     outputs: &[Buffer],
     eps: f64,
-    num_tiles: usize,
+    sizing: LaunchSizing,
     n: usize,
     num_cores: usize,
     format: DataFormat,
@@ -1081,9 +1159,9 @@ fn build_program(
         Arc::new(WriterKernel { outputs: std::array::from_fn(|i| outputs[i].reference()) }),
     );
 
-    let split = split_tiles_to_cores(num_tiles, num_cores);
+    let split = split_tiles_to_cores(sizing.units, num_cores);
     for (core, (start, count)) in cores.iter().zip(split) {
-        let args = launch_args(start, count, n, &[]);
+        let args = launch_args(start, count, n, &[sizing.tile_rows() as u32]);
         program.set_runtime_args(reader, core, args.clone());
         program.set_runtime_args(compute, core, args.clone());
         program.set_runtime_args(writer, core, args);
@@ -1258,6 +1336,21 @@ mod tests {
     }
 
     #[test]
+    fn subset_readback_moves_only_the_launched_pages() {
+        // At n = 2048 on one core a 100-particle subset is one whole tile:
+        // 6 target and 14 source pages go up, and only the tile's 6 result
+        // pages come down, not all 12 pages of the result buffers.
+        let n = 2048;
+        let sys = plummer(PlummerConfig { n, seed: 123, ..PlummerConfig::default() });
+        let pipeline = DeviceForcePipeline::new(device(), n, 0.01, 1).unwrap();
+        let active = ActiveSet::from_indices((0..100).map(|i| i * 20).collect(), n);
+        pipeline.evaluate_active(&sys, &active).unwrap();
+        let page = DataFormat::Float32.tile_bytes() as f64 / ttmetal::PCIE_BYTES_PER_S;
+        let (io, want) = (pipeline.timing().io_seconds, 26.0 * page);
+        assert!((io - want).abs() <= 1e-12 * want, "io {io} vs 26 pages {want}");
+    }
+
+    #[test]
     fn matrix_kernel_matches_golden() {
         let sys = plummer(PlummerConfig { n: 96, seed: 90, ..PlummerConfig::default() });
         let eps = 0.01;
@@ -1270,7 +1363,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pipeline.kernel_kind(), ForceKernelKind::Matrix);
-        assert_eq!(pipeline.work_unit_particles(), 32);
+        assert_eq!(pipeline.sizing(96).unit_particles, 32);
         let dev = pipeline.evaluate_checked(&sys).unwrap();
         let golden = ReferenceKernel::new(eps).compute(&sys);
         let cmp = compare_forces(&golden, &dev);

@@ -10,7 +10,8 @@
 //!    while doing strictly fewer particle evaluations than a shared run
 //!    at the hierarchy's finest step.
 //! 3. Active launches on the device: the launch grid is sized by the
-//!    active work-unit count (not N) on both kernels, active rows are
+//!    active work-unit count (not N) on both kernels — half tiles when
+//!    whole ones would leave a core idle — active rows are
 //!    f32-bitwise identical to the corresponding full-evaluation rows,
 //!    degenerate sets (empty / full / single tail particle) hold, a ring
 //!    splits an active set across cards without perturbing a single bit,
@@ -193,9 +194,10 @@ fn compute_cores(report: &ttmetal::ProgramReport) -> usize {
     report.timings.iter().filter(|k| k.label == "force-compute").count()
 }
 
-/// An active launch is a program slice: `min(num_cores, ⌈|A|/1024⌉)` cores,
-/// not the full-N grid — and every active row is f32-bitwise identical to
-/// the corresponding row of the full evaluation.
+/// An active launch is a program slice of `min(num_cores, units)` cores,
+/// not the full-N grid — 1040 targets on 3 cores are 3 half tiles, one per
+/// core — and every active row is f32-bitwise identical to the
+/// corresponding row of the full evaluation.
 #[test]
 fn device_launch_grid_is_sized_to_active() {
     let (n, eps) = (2560usize, 0.02f64);
@@ -210,7 +212,7 @@ fn device_launch_grid_is_sized_to_active() {
         "full-N launch uses the whole grid"
     );
 
-    for (active_len, want_cores) in [(100usize, 1usize), (1040, 2), (2200, 3)] {
+    for (active_len, want_cores) in [(100usize, 1usize), (1040, 3), (2200, 3)] {
         // Spread the active particles over the whole index range so the
         // gather crosses every source tile.
         let active =
@@ -273,6 +275,64 @@ fn degenerate_active_sets_on_device() {
     }
 }
 
+/// Work units of a `targets`-particle elementwise launch on `cores` cores:
+/// 512-particle half tiles when whole tiles would leave a core idle and
+/// halves give every unit its own core, whole 1024-particle tiles
+/// otherwise.
+fn elementwise_units(targets: usize, cores: usize) -> usize {
+    let (tiles, halves) = (targets.div_ceil(1024), targets.div_ceil(512));
+    if tiles < cores && halves <= cores {
+        halves
+    } else {
+        tiles
+    }
+}
+
+/// At N = 2048, a block of 800 due particles is one whole tile on one core,
+/// but two half tiles on a two-core card: the slowest core then computes
+/// 512 target lanes instead of 1024, at well under 0.6× the cycles.
+#[test]
+fn half_tiles_put_a_small_block_on_every_core() {
+    let (n, eps) = (2048usize, 0.05f64);
+    let sys = plummer(PlummerConfig { n, seed: 17, ..PlummerConfig::default() });
+    let active = ActiveSet::from_indices((0..800).map(|i| i * n / 800).collect(), n);
+    let launch = |cores: usize| {
+        let pipeline =
+            DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, eps, cores)
+                .unwrap();
+        let rows = pipeline.evaluate_active(&sys, &active).unwrap();
+        let report = pipeline.last_launch_report().unwrap();
+        (rows, compute_cores(&report), pipeline.timing().last_eval_cycles)
+    };
+    let (one_rows, one_cores, one_cycles) = launch(1);
+    let (two_rows, two_cores, two_cycles) = launch(2);
+    assert_eq!((one_cores, two_cores), (1, 2));
+    assert!(
+        two_cycles as f64 <= 0.6 * one_cycles as f64,
+        "2 cores: {two_cycles} cycles vs 1 core: {one_cycles}"
+    );
+    assert_eq!(one_rows.acc, two_rows.acc, "half tiles must not move a bit");
+    assert_eq!(one_rows.jerk, two_rows.jerk);
+}
+
+/// A full-N launch that whole tiles would leave a core idle on runs as
+/// half tiles — and lands bitwise on the one-core whole-tile evaluation.
+#[test]
+fn half_tile_full_launch_matches_whole_tiles_bitwise() {
+    let (n, eps) = (1000usize, 0.02f64);
+    let sys = plummer(PlummerConfig { n, seed: 23, ..PlummerConfig::default() });
+    let evaluate = |cores: usize| {
+        let pipeline =
+            DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, eps, cores)
+                .unwrap();
+        assert_eq!(pipeline.sizing(n).units, elementwise_units(n, cores));
+        pipeline.evaluate_checked(&sys).unwrap()
+    };
+    let (whole, halves) = (evaluate(1), evaluate(2));
+    assert_eq!(whole.acc, halves.acc);
+    assert_eq!(whole.jerk, halves.jerk);
+}
+
 fn matrix_pipeline(n: usize, eps: f64, cores: usize) -> DeviceForcePipeline {
     DeviceForcePipeline::new_with_kernel(
         Device::new(0, DeviceConfig::default()),
@@ -298,6 +358,39 @@ fn assert_rows_bitwise(
         }
     }
     Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Elementwise active rows are f32-bitwise the full evaluation's rows
+    /// whatever the work unit, and a subset launch runs on exactly
+    /// `min(C, units)` compute cores under the unit rule (half tiles when
+    /// whole ones would leave a core idle).
+    #[test]
+    fn elementwise_active_rows_are_bitwise_full_rows(
+        n in 1usize..=3072,
+        cores in 1usize..=4,
+        seed in 0u64..1000,
+        keep_pct in 1u64..100,
+    ) {
+        let eps = 0.02;
+        let sys = plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
+        let pipeline =
+            DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, eps, cores)
+                .unwrap();
+        let full = pipeline.evaluate_checked(&sys).unwrap();
+        let mix = |i: u64| (seed ^ i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57;
+        let random: Vec<usize> =
+            (0..n).filter(|&i| mix(i as u64) % 100 < keep_pct).collect();
+        let active = ActiveSet::from_indices(random, n);
+        let rows = pipeline.evaluate_active(&sys, &active).unwrap();
+        assert_rows_bitwise(&rows, &full, &active)?;
+        if !active.is_empty() && !active.is_full() {
+            let launched = compute_cores(&pipeline.last_launch_report().unwrap());
+            prop_assert_eq!(launched, cores.min(elementwise_units(active.len(), cores)));
+        }
+    }
 }
 
 proptest! {

@@ -63,6 +63,14 @@ fn run_with_stall(
     k: usize,
     policy: RetryPolicy,
 ) -> (Forces, PipelineTiming) {
+    let pipeline = stalled_pipeline(system.len(), num_cores, k);
+    let forces = pipeline.evaluate_with_retry(system, policy).unwrap();
+    (forces, pipeline.timing())
+}
+
+/// A `num_cores`-core pipeline for `n` particles whose first launch stalls
+/// the force-compute instance on 0-based core `k` (see [`run_with_stall`]).
+fn stalled_pipeline(n: usize, num_cores: usize, k: usize) -> DeviceForcePipeline {
     let dev = Device::new(
         0,
         DeviceConfig {
@@ -75,9 +83,7 @@ fn run_with_stall(
         },
     );
     dev.faults().schedule(FaultClass::KernelStall, (num_cores + k + 1) as u64);
-    let pipeline = DeviceForcePipeline::new(dev, system.len(), EPS, num_cores).unwrap();
-    let forces = pipeline.evaluate_with_retry(system, policy).unwrap();
-    (forces, pipeline.timing())
+    DeviceForcePipeline::new(dev, n, EPS, num_cores).unwrap()
 }
 
 /// Fail the 5th DRAM read of a `num_cores`-core launch with an
@@ -137,6 +143,40 @@ proptest! {
             SMALL_CORES
         );
     }
+}
+
+/// A launch cut into half tiles redoes at half-tile granularity: at
+/// N = 1024 on two cores each core owns one 16-row half tile, and a stall on
+/// one core re-launches only that core's half. The result lands bitwise on
+/// the one-core whole-tile evaluation.
+#[test]
+fn half_tile_launch_redoes_only_the_faulted_half() {
+    let n = TILE_ELEMS;
+    let sys = plummer(PlummerConfig { n, seed: 204, ..PlummerConfig::default() });
+    let whole = DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, EPS, 1)
+        .unwrap()
+        .evaluate_checked(&sys)
+        .unwrap();
+
+    let k = 1;
+    let pipeline = stalled_pipeline(n, SMALL_CORES, k);
+    let sizing = pipeline.sizing(n);
+    assert_eq!((sizing.unit_particles, sizing.units), (TILE_ELEMS / 2, SMALL_CORES));
+    let forces = pipeline.evaluate_with_retry(&sys, RetryPolicy::default()).unwrap();
+    assert_eq!(forces.acc, whole.acc, "acc must land bitwise after the redo");
+    assert_eq!(forces.jerk, whole.jerk);
+
+    let t = pipeline.timing();
+    assert_eq!((t.evaluations, t.retries, t.partial_redos), (1, 1, 1));
+    // The landing attempt is the redo slice: one compute instance, on the
+    // stalled core, re-running its one half tile.
+    let redo = pipeline.last_launch_report().unwrap();
+    let computes: Vec<_> = redo.timings.iter().filter(|k| k.label == "force-compute").collect();
+    let stalled = pipeline.device().grid().index_of(tensix::CoreCoord::new(k, 0));
+    assert_eq!(computes.len(), 1, "only the faulted core re-launches");
+    assert_eq!(computes[0].core_index, stalled);
+    let redo_frac = t.redo_cycles as f64 / t.busy_cycles as f64;
+    assert!(redo_frac > 0.3 && redo_frac < 0.7, "redo fraction {redo_frac:.4} is not one half");
 }
 
 /// Acceptance criterion at the campaign core count: on an eight-core split

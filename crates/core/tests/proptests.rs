@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use nbody::ic::{plummer, PlummerConfig};
 use nbody_tt::layout::{split_tiles_to_cores, tilize_sources, tilize_targets, HostArrays};
 use nbody_tt::perf_model::{RunModel, WormholePerfModel};
-use tensix::TILE_ELEMS;
+use tensix::{TILE_DIM, TILE_ELEMS};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -36,7 +36,7 @@ proptest! {
     fn fig2_layout_roundtrip(n in 1usize..2200, seed in 0u64..100) {
         let sys = plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
         let arrays = HostArrays::from_system(&sys);
-        let targets = tilize_targets(&arrays);
+        let targets = tilize_targets(&arrays, TILE_DIM);
         let sources = tilize_sources(&arrays);
         prop_assert_eq!(targets[0].len(), n.div_ceil(TILE_ELEMS));
         prop_assert_eq!(sources[0].len(), n.div_ceil(TILE_ELEMS));

@@ -26,8 +26,7 @@ fn measured_cycles_per_pair(kind: ForceKernelKind) -> f64 {
     let pipeline = DeviceForcePipeline::new_with_kernel(device, MEASURE_N, 0.01, 2, kind)
         .expect("pipeline for the measurement run");
     pipeline.evaluate_checked(&sys).expect("measurement evaluation");
-    let unit = pipeline.work_unit_particles();
-    let owned = MEASURE_N.div_ceil(unit).div_ceil(2) * unit;
+    let owned = pipeline.sizing(MEASURE_N).slowest_core_targets();
     pipeline.timing().last_eval_cycles as f64 / (owned * MEASURE_N) as f64
 }
 

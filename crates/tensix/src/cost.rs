@@ -8,6 +8,8 @@
 //! the end-to-end N-body run reproduces the paper's measured throughput; see
 //! `DESIGN.md` §5 for the arithmetic.
 
+use crate::tile::{row_elems, TILE_ELEMS};
+
 /// Tensix clock frequency in Hz (1 GHz per the paper's description of the
 /// Baby RISC-V cores).
 pub const CLOCK_HZ: f64 = 1.0e9;
@@ -65,6 +67,31 @@ impl Default for ComputeCosts {
             copy_tile: 32,
             issue_overhead: 4,
             cb_op: 8,
+        }
+    }
+}
+
+impl ComputeCosts {
+    /// The table for ops on the top `rows` rows of a tile. A 16-row half
+    /// tile is faces 0–1, so each per-element pass — SFPU, FPU
+    /// element-wise, unpack, pack and copy — costs half; the issue overhead
+    /// and CB control are per op and stay whole. Matmul and reduce costs
+    /// stay whole too: those ops take whole tiles only.
+    ///
+    /// # Panics
+    /// Panics unless `rows` is 16 or 32.
+    #[must_use]
+    pub fn for_rows(&self, rows: usize) -> ComputeCosts {
+        let part = |cycles: u64| cycles * row_elems(rows) as u64 / TILE_ELEMS as u64;
+        ComputeCosts {
+            sfpu_simple: part(self.sfpu_simple),
+            sfpu_transcendental: part(self.sfpu_transcendental),
+            sfpu_mad: part(self.sfpu_mad),
+            fpu_eltwise: part(self.fpu_eltwise),
+            unpack_tile: part(self.unpack_tile),
+            pack_tile: part(self.pack_tile),
+            copy_tile: part(self.copy_tile),
+            ..*self
         }
     }
 }
@@ -148,6 +175,20 @@ mod tests {
         // 1024 elements / 32 lanes = 32 cycles.
         assert_eq!(c.sfpu_simple, 1024 / 32);
         assert!(c.sfpu_transcendental > c.sfpu_simple);
+    }
+
+    #[test]
+    fn half_tile_halves_per_element_costs_only() {
+        let c = ComputeCosts::default();
+        assert_eq!(c.for_rows(32), c);
+        let h = c.for_rows(16);
+        assert_eq!(
+            [h.sfpu_simple, h.sfpu_transcendental, h.sfpu_mad, h.fpu_eltwise],
+            [16, 64, 16, 8]
+        );
+        assert_eq!([h.unpack_tile, h.pack_tile, h.copy_tile], [8, 8, 16]);
+        assert_eq!([h.issue_overhead, h.cb_op], [c.issue_overhead, c.cb_op]);
+        assert_eq!([h.fpu_matmul, h.fpu_matmul_bf16, h.fpu_reduce], [32, 16, 32]);
     }
 
     #[test]

@@ -29,6 +29,9 @@ enum DstPhase {
 pub struct DstRegisters {
     format: DataFormat,
     tiles: Vec<Option<Tile>>,
+    /// Storage of segments invalidated by `acquire`, kept for
+    /// [`DstRegisters::output`] to recycle.
+    stale: Vec<Option<Tile>>,
     phase: DstPhase,
 }
 
@@ -40,6 +43,7 @@ impl DstRegisters {
         DstRegisters {
             format,
             tiles: (0..format.dst_capacity_tiles()).map(|_| None).collect(),
+            stale: (0..format.dst_capacity_tiles()).map(|_| None).collect(),
             phase: DstPhase::Idle,
         }
     }
@@ -62,8 +66,10 @@ impl DstRegisters {
     /// Panics if dst is already held (double acquire is a kernel bug).
     pub fn acquire(&mut self) {
         assert_eq!(self.phase, DstPhase::Idle, "tile_regs_acquire while dst is held");
-        for t in &mut self.tiles {
-            *t = None;
+        for (t, stale) in self.tiles.iter_mut().zip(&mut self.stale) {
+            if let Some(tile) = t.take() {
+                *stale = Some(tile);
+            }
         }
         self.phase = DstPhase::Math;
     }
@@ -108,6 +114,23 @@ impl DstRegisters {
         Ok(())
     }
 
+    /// The segment `index` as the output of an op that overwrites it (MATH
+    /// phase only): a dst-format tile, recycling the segment's earlier
+    /// storage when nothing else shares it (see [`Tile::recycle`]). Its
+    /// values are stale until the op writes them.
+    ///
+    /// # Errors
+    /// [`TensixError::DstIndexOutOfRange`] if `index` exceeds the capacity.
+    ///
+    /// # Panics
+    /// Panics if MATH does not hold dst.
+    pub fn output(&mut self, index: usize) -> Result<&mut Tile> {
+        assert_eq!(self.phase, DstPhase::Math, "dst write outside math phase");
+        self.check_index(index)?;
+        let old = self.tiles[index].take().or_else(|| self.stale[index].take());
+        Ok(self.tiles[index].insert(Tile::recycle(old, self.format)))
+    }
+
     /// Read dst segment `index` during the MATH phase (for in-place SFPU ops
     /// and binary dst-dst ops).
     ///
@@ -116,9 +139,9 @@ impl DstRegisters {
     pub fn read_math(&self, index: usize) -> Result<Tile> {
         assert_eq!(self.phase, DstPhase::Math, "dst math read outside math phase");
         self.check_index(index)?;
-        self.tiles[index]
-            .clone()
-            .ok_or(TensixError::KernelFault { message: format!("dst[{index}] read before write") })
+        self.tiles[index].clone().ok_or_else(|| TensixError::KernelFault {
+            message: format!("dst[{index}] read before write"),
+        })
     }
 
     /// Read dst segment `index` during the PACK phase.
@@ -131,7 +154,7 @@ impl DstRegisters {
     pub fn read_pack(&self, index: usize) -> Result<Tile> {
         assert_eq!(self.phase, DstPhase::Pack, "pack read before tile_regs_commit");
         self.check_index(index)?;
-        self.tiles[index].clone().ok_or(TensixError::KernelFault {
+        self.tiles[index].clone().ok_or_else(|| TensixError::KernelFault {
             message: format!("dst[{index}] packed before write"),
         })
     }
@@ -143,7 +166,7 @@ impl DstRegisters {
     pub fn modify(&mut self, index: usize) -> Result<&mut Tile> {
         assert_eq!(self.phase, DstPhase::Math, "dst modify outside math phase");
         self.check_index(index)?;
-        self.tiles[index].as_mut().ok_or(TensixError::KernelFault {
+        self.tiles[index].as_mut().ok_or_else(|| TensixError::KernelFault {
             message: format!("dst[{index}] modified before write"),
         })
     }
@@ -175,6 +198,29 @@ mod tests {
         // Next acquire clears contents.
         dst.acquire();
         assert!(dst.read_math(0).is_err());
+    }
+
+    #[test]
+    fn output_recycles_a_segments_storage_once_nothing_shares_it() {
+        let mut dst = DstRegisters::new(DataFormat::Float32);
+        dst.acquire();
+        dst.output(2).unwrap().as_mut_slice().fill(7.0);
+        dst.commit();
+        let packed = dst.read_pack(2).unwrap();
+        dst.release();
+        dst.acquire();
+        assert!(dst.read_math(2).is_err(), "acquire still invalidates the segment");
+        // The packed page still shares the storage: the op gets a fresh tile.
+        assert_eq!(dst.output(2).unwrap().get(0, 0), 0.0);
+        assert_eq!(packed.get(0, 0), 7.0, "a packed page never changes under a later op");
+        drop(packed);
+        dst.commit();
+        dst.release();
+        dst.acquire();
+        let out = dst.output(2).unwrap();
+        assert_eq!(out.format(), DataFormat::Float32);
+        out.as_mut_slice()[0] = 1.0;
+        assert_eq!(dst.read_math(2).unwrap().get(0, 0), 1.0);
     }
 
     #[test]

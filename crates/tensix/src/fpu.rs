@@ -9,7 +9,7 @@
 
 use crate::cost::ComputeCosts;
 use crate::sfpu::{binary_scalar, BinaryOp};
-use crate::tile::{Tile, TILE_DIM};
+use crate::tile::{row_elems, Tile, TILE_DIM};
 
 /// Broadcast dimension for `*_tiles_bcast` operations: which part of srcB is
 /// replicated across the tile.
@@ -66,17 +66,21 @@ pub fn matmul_tiles(
     matmul_cost(costs, a, b)
 }
 
-/// Element-wise binary op through the FPU datapath (`sub_tiles` etc.):
-/// `out = op(a, b)`. Returns cycle cost.
+/// Element-wise binary op through the FPU datapath (`sub_tiles` etc.) on
+/// the top `rows` rows: `out = op(a, b)` there, the rest of `out` left as
+/// it was. A 16-row half tile charges half the per-element cost (see
+/// [`ComputeCosts::for_rows`]). Returns cycle cost.
 pub fn eltwise_binary(
     costs: &ComputeCosts,
+    rows: usize,
     op: BinaryOp,
     a: &Tile,
     b: &Tile,
     out: &mut Tile,
 ) -> u64 {
-    let (va, vb) = (a.as_slice(), b.as_slice());
-    let vo = out.as_mut_slice();
+    let lanes = row_elems(rows);
+    let (va, vb) = (&a.as_slice()[..lanes], &b.as_slice()[..lanes]);
+    let vo = &mut out.as_mut_slice()[..lanes];
     // Dispatch the op once per tile so each arm is a branch-free,
     // autovectorizer-friendly lane loop.
     macro_rules! lanes {
@@ -93,7 +97,7 @@ pub fn eltwise_binary(
         BinaryOp::Min => lanes!(f32::min),
         BinaryOp::Max => lanes!(f32::max),
     }
-    costs.issue_overhead + costs.fpu_eltwise
+    costs.issue_overhead + costs.for_rows(rows).fpu_eltwise
 }
 
 /// Element-wise binary op with srcB broadcast (`sub_tiles_bcast` etc.).
@@ -368,8 +372,27 @@ mod tests {
         let a = Tile::splat(DataFormat::Float32, 10.0);
         let b = Tile::splat(DataFormat::Float32, 4.0);
         let mut out = Tile::zeros(DataFormat::Float32);
-        eltwise_binary(&costs(), BinaryOp::Sub, &a, &b, &mut out);
+        eltwise_binary(&costs(), TILE_DIM, BinaryOp::Sub, &a, &b, &mut out);
         assert_eq!(out.get(0, 0), 6.0);
+    }
+
+    #[test]
+    fn half_tile_eltwise_matches_whole_tile_on_rows_0_to_15() {
+        use crate::tile::HALF_TILE_ROWS;
+        let c = costs();
+        let vals: Vec<f32> = (0..1024).map(|i| (i % 89) as f32 * 0.37).collect();
+        let a = Tile::from_rowmajor(DataFormat::Float32, &vals);
+        let b = Tile::splat(DataFormat::Float32, 1.25);
+        let lanes = HALF_TILE_ROWS * TILE_DIM;
+        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul] {
+            let mut whole = Tile::zeros(DataFormat::Float32);
+            let mut half = Tile::zeros(DataFormat::Float32);
+            eltwise_binary(&c, TILE_DIM, op, &a, &b, &mut whole);
+            let cycles = eltwise_binary(&c, HALF_TILE_ROWS, op, &a, &b, &mut half);
+            assert_eq!(whole.as_slice()[..lanes], half.as_slice()[..lanes], "{op:?}");
+            assert!(half.as_slice()[lanes..].iter().all(|v| *v == 0.0), "rows 16-31 untouched");
+            assert_eq!(cycles, c.issue_overhead + c.fpu_eltwise / 2);
+        }
     }
 
     #[test]

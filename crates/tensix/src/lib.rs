@@ -67,4 +67,7 @@ pub use noc::{NocId, NocModel};
 pub use power::{PowerParams, PowerState, PowerTimeline};
 pub use srcreg::{SrcReg, SrcRegisters};
 pub use storm::{backend_storm, BackendStorm, StormConfig};
-pub use tile::{pack_vector, tilize, unpack_vector, untilize, Tile, TILE_DIM, TILE_ELEMS};
+pub use tile::{
+    pack_vector, pack_vector_rows, row_elems, tilize, unpack_vector, unpack_vector_rows, untilize,
+    Tile, HALF_TILE_ROWS, TILE_DIM, TILE_ELEMS,
+};

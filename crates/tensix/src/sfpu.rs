@@ -7,12 +7,17 @@
 //! multiply-add for accumulation. All arithmetic is IEEE `f32`, the highest
 //! precision the Wormhole supports.
 //!
+//! Every op works on the top `rows` rows of its tiles: 32 for a whole tile,
+//! 16 for a half tile (faces 0–1), which computes 512 lanes and charges its
+//! per-element cycles at half (see [`ComputeCosts::for_rows`]). Lanes past
+//! `rows` are left as they were.
+//!
 //! `rsqrt` ships in two variants mirroring TT-Metalium: a *precise* one and a
 //! *fast* approximate one (hardware Newton–Raphson refinement of an initial
 //! guess), so accuracy studies can quantify the trade-off.
 
 use crate::cost::ComputeCosts;
-use crate::tile::{Tile, TILE_ELEMS};
+use crate::tile::{row_elems, Tile, TILE_ELEMS};
 
 /// Element-wise unary SFPU operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,11 +103,11 @@ pub fn binary_scalar(op: BinaryOp, a: f32, b: f32) -> f32 {
     }
 }
 
-/// One specialized, autovectorizer-friendly pass over all lanes: the unary
+/// One specialized, autovectorizer-friendly pass over the lanes: the unary
 /// op is dispatched once per tile (monomorphized per closure) instead of a
 /// per-element `match`.
 #[inline]
-fn map_lanes(lanes: &mut [f32; TILE_ELEMS], f: impl Fn(f32) -> f32) {
+fn map_lanes(lanes: &mut [f32], f: impl Fn(f32) -> f32) {
     for lane in lanes.iter_mut() {
         *lane = f(*lane);
     }
@@ -111,16 +116,17 @@ fn map_lanes(lanes: &mut [f32; TILE_ELEMS], f: impl Fn(f32) -> f32) {
 /// Like [`map_lanes`] but fusing the `* scale + bias` epilogue of
 /// [`apply_unary_scaled`] into the same pass.
 #[inline]
-fn map_lanes_scaled(lanes: &mut [f32; TILE_ELEMS], scale: f32, bias: f32, f: impl Fn(f32) -> f32) {
+fn map_lanes_scaled(lanes: &mut [f32], scale: f32, bias: f32, f: impl Fn(f32) -> f32) {
     for lane in lanes.iter_mut() {
         *lane = f(*lane) * scale + bias;
     }
 }
 
-/// Apply a unary op in place to every lane of a dst tile. Returns the cycle
-/// cost. Bitwise-identical to [`reference::apply_unary`].
-pub fn apply_unary(costs: &ComputeCosts, op: UnaryOp, tile: &mut Tile) -> u64 {
-    let lanes = tile.as_mut_slice();
+/// Apply a unary op in place to the top `rows` rows of a dst tile. Returns
+/// the cycle cost. Bitwise-identical to [`reference::apply_unary`] on those
+/// rows.
+pub fn apply_unary(costs: &ComputeCosts, rows: usize, op: UnaryOp, tile: &mut Tile) -> u64 {
+    let lanes = &mut tile.as_mut_slice()[..row_elems(rows)];
     match op {
         UnaryOp::Square => map_lanes(lanes, |x| x * x),
         UnaryOp::Sqrt => map_lanes(lanes, f32::sqrt),
@@ -133,20 +139,21 @@ pub fn apply_unary(costs: &ComputeCosts, op: UnaryOp, tile: &mut Tile) -> u64 {
         UnaryOp::Neg => map_lanes(lanes, |x| -x),
         UnaryOp::Identity => {}
     }
-    costs.issue_overhead + unary_cost(costs, op)
+    costs.issue_overhead + unary_cost(&costs.for_rows(rows), op)
 }
 
-/// Apply `tile[i] = op(tile[i]) * scale + bias` in one pass (used for
-/// softening and unit conversions without extra tile traffic).
-/// Bitwise-identical to [`reference::apply_unary_scaled`].
+/// Apply `tile[i] = op(tile[i]) * scale + bias` in one pass over the top
+/// `rows` rows (used for softening and unit conversions without extra tile
+/// traffic). Bitwise-identical to [`reference::apply_unary_scaled`].
 pub fn apply_unary_scaled(
     costs: &ComputeCosts,
+    rows: usize,
     op: UnaryOp,
     tile: &mut Tile,
     scale: f32,
     bias: f32,
 ) -> u64 {
-    let lanes = tile.as_mut_slice();
+    let lanes = &mut tile.as_mut_slice()[..row_elems(rows)];
     match op {
         UnaryOp::Square => map_lanes_scaled(lanes, scale, bias, |x| x * x),
         UnaryOp::Sqrt => map_lanes_scaled(lanes, scale, bias, f32::sqrt),
@@ -159,14 +166,23 @@ pub fn apply_unary_scaled(
         UnaryOp::Neg => map_lanes_scaled(lanes, scale, bias, |x| -x),
         UnaryOp::Identity => map_lanes_scaled(lanes, scale, bias, |x| x),
     }
-    costs.issue_overhead + unary_cost(costs, op) + costs.sfpu_mad
+    let costs = costs.for_rows(rows);
+    costs.issue_overhead + unary_cost(&costs, op) + costs.sfpu_mad
 }
 
-/// Apply a binary op lane-wise: `a[i] = op(a[i], b[i])`. Returns cycle cost.
-/// Bitwise-identical to [`reference::apply_binary`].
-pub fn apply_binary(costs: &ComputeCosts, op: BinaryOp, a: &mut Tile, b: &Tile) -> u64 {
-    let vb = b.as_slice();
-    let va = a.as_mut_slice();
+/// Apply a binary op lane-wise over the top `rows` rows:
+/// `a[i] = op(a[i], b[i])`. Returns cycle cost. Bitwise-identical to
+/// [`reference::apply_binary`].
+pub fn apply_binary(
+    costs: &ComputeCosts,
+    rows: usize,
+    op: BinaryOp,
+    a: &mut Tile,
+    b: &Tile,
+) -> u64 {
+    let lanes = row_elems(rows);
+    let vb = &b.as_slice()[..lanes];
+    let va = &mut a.as_mut_slice()[..lanes];
     macro_rules! lanes {
         ($f:expr) => {
             for (x, y) in va.iter_mut().zip(vb.iter()) {
@@ -181,27 +197,28 @@ pub fn apply_binary(costs: &ComputeCosts, op: BinaryOp, a: &mut Tile, b: &Tile) 
         BinaryOp::Min => lanes!(f32::min),
         BinaryOp::Max => lanes!(f32::max),
     }
-    costs.issue_overhead + costs.sfpu_simple
+    costs.issue_overhead + costs.for_rows(rows).sfpu_simple
 }
 
-/// Fused multiply-add: `acc[i] += a[i] * b[i]`. Returns cycle cost.
-/// Bitwise-identical to [`reference::apply_mad`].
-pub fn apply_mad(costs: &ComputeCosts, a: &Tile, b: &Tile, acc: &mut Tile) -> u64 {
-    let (va, vb) = (a.as_slice(), b.as_slice());
+/// Fused multiply-add over the top `rows` rows: `acc[i] += a[i] * b[i]`.
+/// Returns cycle cost. Bitwise-identical to [`reference::apply_mad`].
+pub fn apply_mad(costs: &ComputeCosts, rows: usize, a: &Tile, b: &Tile, acc: &mut Tile) -> u64 {
+    let lanes = row_elems(rows);
+    let (va, vb) = (&a.as_slice()[..lanes], &b.as_slice()[..lanes]);
     // Hoist the COW borrow out of the lane loop: `as_mut_slice` re-checks
     // Arc uniqueness on every call, which the old per-element indexing paid
     // 1024 times per tile.
-    let vo = acc.as_mut_slice();
+    let vo = &mut acc.as_mut_slice()[..lanes];
     for (o, (x, y)) in vo.iter_mut().zip(va.iter().zip(vb.iter())) {
         *o = x.mul_add(*y, *o);
     }
-    costs.issue_overhead + costs.sfpu_mad
+    costs.issue_overhead + costs.for_rows(rows).sfpu_mad
 }
 
-/// Fill every lane with a constant (`fill_tile` LLK).
-pub fn apply_fill(costs: &ComputeCosts, tile: &mut Tile, value: f32) -> u64 {
-    tile.as_mut_slice().fill(value);
-    costs.issue_overhead + costs.sfpu_simple
+/// Fill the top `rows` rows with a constant (`fill_tile` LLK).
+pub fn apply_fill(costs: &ComputeCosts, rows: usize, tile: &mut Tile, value: f32) -> u64 {
+    tile.as_mut_slice()[..row_elems(rows)].fill(value);
+    costs.issue_overhead + costs.for_rows(rows).sfpu_simple
 }
 
 /// Pre-vectorization scalar implementations, kept as the bitwise-identity
@@ -270,6 +287,7 @@ pub fn unary_cost(costs: &ComputeCosts, op: UnaryOp) -> u64 {
 mod tests {
     use super::*;
     use crate::dtype::DataFormat;
+    use crate::tile::{HALF_TILE_ROWS, TILE_DIM};
 
     fn costs() -> ComputeCosts {
         ComputeCosts::default()
@@ -283,7 +301,7 @@ mod tests {
     #[test]
     fn square_matches_scalar() {
         let mut t = ramp_tile();
-        let cycles = apply_unary(&costs(), UnaryOp::Square, &mut t);
+        let cycles = apply_unary(&costs(), TILE_DIM, UnaryOp::Square, &mut t);
         assert_eq!(t.get(0, 2), 9.0);
         assert_eq!(cycles, 4 + 32);
     }
@@ -291,7 +309,7 @@ mod tests {
     #[test]
     fn rsqrt_precise_matches_f32() {
         let mut t = Tile::splat(DataFormat::Float32, 4.0);
-        apply_unary(&costs(), UnaryOp::Rsqrt, &mut t);
+        apply_unary(&costs(), TILE_DIM, UnaryOp::Rsqrt, &mut t);
         assert_eq!(t.get(0, 0), 0.5);
     }
 
@@ -317,11 +335,11 @@ mod tests {
     fn transcendental_costs_more() {
         let c = costs();
         let mut t = Tile::splat(DataFormat::Float32, 2.0);
-        let simple = apply_unary(&c, UnaryOp::Square, &mut t);
-        let tr = apply_unary(&c, UnaryOp::Rsqrt, &mut t);
+        let simple = apply_unary(&c, TILE_DIM, UnaryOp::Square, &mut t);
+        let tr = apply_unary(&c, TILE_DIM, UnaryOp::Rsqrt, &mut t);
         assert!(tr > simple);
         // Fast rsqrt is cheaper than precise.
-        let fast = apply_unary(&c, UnaryOp::RsqrtFast, &mut t);
+        let fast = apply_unary(&c, TILE_DIM, UnaryOp::RsqrtFast, &mut t);
         assert!(fast < tr);
     }
 
@@ -329,7 +347,7 @@ mod tests {
     fn binary_sub_is_the_paper_sub_binary_tile() {
         let mut a = Tile::splat(DataFormat::Float32, 5.0);
         let b = Tile::splat(DataFormat::Float32, 2.0);
-        apply_binary(&costs(), BinaryOp::Sub, &mut a, &b);
+        apply_binary(&costs(), TILE_DIM, BinaryOp::Sub, &mut a, &b);
         assert_eq!(a.get(3, 3), 3.0);
     }
 
@@ -337,11 +355,17 @@ mod tests {
     fn binary_ops_all_lanes() {
         let mut a = ramp_tile();
         let b = ramp_tile();
-        apply_binary(&costs(), BinaryOp::Mul, &mut a, &b);
+        apply_binary(&costs(), TILE_DIM, BinaryOp::Mul, &mut a, &b);
         assert_eq!(a.get(0, 0), 1.0);
         assert_eq!(a.get(0, 3), 16.0);
         let mut mn = ramp_tile();
-        apply_binary(&costs(), BinaryOp::Min, &mut mn, &Tile::splat(DataFormat::Float32, 10.0));
+        apply_binary(
+            &costs(),
+            TILE_DIM,
+            BinaryOp::Min,
+            &mut mn,
+            &Tile::splat(DataFormat::Float32, 10.0),
+        );
         assert_eq!(mn.get(0, 0), 1.0);
         assert_eq!(mn.get(31, 31), 10.0);
     }
@@ -351,31 +375,74 @@ mod tests {
         let a = Tile::splat(DataFormat::Float32, 2.0);
         let b = Tile::splat(DataFormat::Float32, 3.0);
         let mut acc = Tile::splat(DataFormat::Float32, 1.0);
-        apply_mad(&costs(), &a, &b, &mut acc);
+        apply_mad(&costs(), TILE_DIM, &a, &b, &mut acc);
         assert_eq!(acc.get(0, 0), 7.0);
-        apply_mad(&costs(), &a, &b, &mut acc);
+        apply_mad(&costs(), TILE_DIM, &a, &b, &mut acc);
         assert_eq!(acc.get(5, 5), 13.0);
     }
 
     #[test]
     fn unary_scaled_fuses() {
         let mut t = Tile::splat(DataFormat::Float32, 3.0);
-        apply_unary_scaled(&costs(), UnaryOp::Square, &mut t, 2.0, 1.0);
+        apply_unary_scaled(&costs(), TILE_DIM, UnaryOp::Square, &mut t, 2.0, 1.0);
         assert_eq!(t.get(0, 0), 19.0);
     }
 
     #[test]
     fn fill_sets_all_lanes() {
         let mut t = ramp_tile();
-        apply_fill(&costs(), &mut t, -4.25);
+        apply_fill(&costs(), TILE_DIM, &mut t, -4.25);
         assert!(t.as_slice().iter().all(|v| *v == -4.25));
     }
 
     #[test]
     fn exp_log_inverse() {
         let mut t = Tile::splat(DataFormat::Float32, 2.5);
-        apply_unary(&costs(), UnaryOp::Log, &mut t);
-        apply_unary(&costs(), UnaryOp::Exp, &mut t);
+        apply_unary(&costs(), TILE_DIM, UnaryOp::Log, &mut t);
+        apply_unary(&costs(), TILE_DIM, UnaryOp::Exp, &mut t);
         assert!((t.get(0, 0) - 2.5).abs() < 1e-5);
+    }
+
+    #[test]
+    fn half_tile_ops_match_whole_tile_on_rows_0_to_15_at_half_lane_cost() {
+        let c = costs();
+        let h = c.for_rows(HALF_TILE_ROWS);
+        let lanes = HALF_TILE_ROWS * TILE_DIM;
+        let same_top = |a: &Tile, b: &Tile| a.as_slice()[..lanes] == b.as_slice()[..lanes];
+        let b = ramp_tile();
+        for op in [UnaryOp::Square, UnaryOp::Rsqrt, UnaryOp::RsqrtFast, UnaryOp::Neg] {
+            let (mut whole, mut half) = (ramp_tile(), ramp_tile());
+            apply_unary(&c, TILE_DIM, op, &mut whole);
+            let cycles = apply_unary(&c, HALF_TILE_ROWS, op, &mut half);
+            assert!(same_top(&whole, &half), "{op:?}");
+            assert_eq!(cycles, c.issue_overhead + unary_cost(&h, op), "{op:?}");
+            assert_eq!(
+                half.as_slice()[lanes..],
+                ramp_tile().as_slice()[lanes..],
+                "rows 16-31 untouched"
+            );
+        }
+        let (mut whole, mut half) = (ramp_tile(), ramp_tile());
+        apply_unary_scaled(&c, TILE_DIM, UnaryOp::Identity, &mut whole, 3.0, 0.5);
+        let cycles = apply_unary_scaled(&c, HALF_TILE_ROWS, UnaryOp::Identity, &mut half, 3.0, 0.5);
+        assert!(same_top(&whole, &half));
+        assert_eq!(cycles, c.issue_overhead + h.sfpu_simple + h.sfpu_mad);
+        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul] {
+            let (mut whole, mut half) = (ramp_tile(), ramp_tile());
+            apply_binary(&c, TILE_DIM, op, &mut whole, &b);
+            let cycles = apply_binary(&c, HALF_TILE_ROWS, op, &mut half, &b);
+            assert!(same_top(&whole, &half), "{op:?}");
+            assert_eq!(cycles, c.issue_overhead + h.sfpu_simple, "{op:?}");
+        }
+        let (mut whole, mut half) = (ramp_tile(), ramp_tile());
+        apply_mad(&c, TILE_DIM, &b, &b, &mut whole);
+        let cycles = apply_mad(&c, HALF_TILE_ROWS, &b, &b, &mut half);
+        assert!(same_top(&whole, &half));
+        assert_eq!(cycles, c.issue_overhead + h.sfpu_mad);
+        let (mut whole, mut half) = (ramp_tile(), ramp_tile());
+        apply_fill(&c, TILE_DIM, &mut whole, 2.5);
+        let cycles = apply_fill(&c, HALF_TILE_ROWS, &mut half, 2.5);
+        assert!(same_top(&whole, &half));
+        assert_eq!(cycles, c.issue_overhead + h.sfpu_simple);
     }
 }

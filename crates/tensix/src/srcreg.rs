@@ -10,7 +10,7 @@
 
 use crate::cost::ComputeCosts;
 use crate::error::{Result, TensixError};
-use crate::tile::{Tile, TILE_ELEMS};
+use crate::tile::{row_elems, Tile, TILE_ELEMS};
 
 /// Which source register an unpack targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,37 +36,48 @@ impl SrcRegisters {
         SrcRegisters::default()
     }
 
-    /// Unpack a full tile into the selected register. Returns the cycle
-    /// cost of the unpack pass.
-    pub fn unpack_tile(&mut self, costs: &ComputeCosts, reg: SrcReg, tile: Tile) -> u64 {
+    /// Unpack the top `rows` rows of a tile into the selected register (the
+    /// page is handed over whole; rows past `rows` are don't-care). Returns
+    /// the cycle cost of the unpack pass, half for a 16-row half tile.
+    pub fn unpack_tile(
+        &mut self,
+        costs: &ComputeCosts,
+        rows: usize,
+        reg: SrcReg,
+        tile: Tile,
+    ) -> u64 {
         match reg {
             SrcReg::A => self.a = Some(tile),
             SrcReg::B => self.b = Some(tile),
         }
-        costs.unpack_tile
+        costs.for_rows(rows).unpack_tile
     }
 
-    /// Unpack with stride-0 addressing: element `lane` of `tile` replicated
-    /// across all 1024 positions of the register. Same cost as a full
-    /// unpack pass (the address generator still issues 1024 reads).
+    /// Unpack with stride-0 addressing: element `lane` of `tile` (any of
+    /// its 1024) replicated across the top `rows` rows of the register. Same
+    /// cost as an unpack pass of `rows` rows (the address generator still
+    /// issues one read per position).
     ///
     /// # Panics
     /// Panics if `lane >= 1024`.
     pub fn unpack_lane_broadcast(
         &mut self,
         costs: &ComputeCosts,
+        rows: usize,
         reg: SrcReg,
         tile: &Tile,
         lane: usize,
     ) -> u64 {
         assert!(lane < TILE_ELEMS, "lane {lane} out of range");
-        let value = tile.as_slice()[lane];
-        let splat = Tile::splat(tile.format(), value);
-        match reg {
-            SrcReg::A => self.a = Some(splat),
-            SrcReg::B => self.b = Some(splat),
-        }
-        costs.unpack_tile
+        let value = tile.format().quantize(tile.as_slice()[lane]);
+        let slot = match reg {
+            SrcReg::A => &mut self.a,
+            SrcReg::B => &mut self.b,
+        };
+        let old = slot.take();
+        let splat = slot.insert(Tile::recycle(old, tile.format()));
+        splat.as_mut_slice()[..row_elems(rows)].fill(value);
+        costs.for_rows(rows).unpack_tile
     }
 
     /// Read the selected register for the FPU datapath.
@@ -79,7 +90,7 @@ impl SrcRegisters {
             SrcReg::A => &self.a,
             SrcReg::B => &self.b,
         };
-        slot.as_ref().ok_or(TensixError::KernelFault {
+        slot.as_ref().ok_or_else(|| TensixError::KernelFault {
             message: format!("src{reg:?} consumed before any unpack"),
         })
     }
@@ -102,6 +113,7 @@ impl SrcRegisters {
 mod tests {
     use super::*;
     use crate::dtype::DataFormat;
+    use crate::tile::{HALF_TILE_ROWS, TILE_DIM};
 
     fn costs() -> ComputeCosts {
         ComputeCosts::default()
@@ -116,9 +128,9 @@ mod tests {
     fn unpack_and_read() {
         let mut src = SrcRegisters::new();
         assert!(!src.both_valid());
-        let cycles = src.unpack_tile(&costs(), SrcReg::A, ramp());
+        let cycles = src.unpack_tile(&costs(), TILE_DIM, SrcReg::A, ramp());
         assert_eq!(cycles, costs().unpack_tile);
-        src.unpack_tile(&costs(), SrcReg::B, Tile::splat(DataFormat::Float32, 2.0));
+        src.unpack_tile(&costs(), TILE_DIM, SrcReg::B, Tile::splat(DataFormat::Float32, 2.0));
         assert!(src.both_valid());
         assert_eq!(src.read(SrcReg::A).unwrap().get(0, 5), 5.0);
         assert_eq!(src.read(SrcReg::B).unwrap().get(3, 3), 2.0);
@@ -135,7 +147,7 @@ mod tests {
     fn stride_zero_broadcast() {
         let mut src = SrcRegisters::new();
         let t = ramp();
-        src.unpack_lane_broadcast(&costs(), SrcReg::A, &t, 777);
+        src.unpack_lane_broadcast(&costs(), TILE_DIM, SrcReg::A, &t, 777);
         let a = src.read(SrcReg::A).unwrap();
         assert!(a.as_slice().iter().all(|v| *v == 777.0));
     }
@@ -144,14 +156,24 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn broadcast_lane_bounds_checked() {
         let mut src = SrcRegisters::new();
-        src.unpack_lane_broadcast(&costs(), SrcReg::B, &ramp(), 1024);
+        src.unpack_lane_broadcast(&costs(), TILE_DIM, SrcReg::B, &ramp(), 1024);
+    }
+
+    #[test]
+    fn half_tile_unpacks_cost_half_a_pass() {
+        let mut src = SrcRegisters::new();
+        let c = costs();
+        assert_eq!(src.unpack_tile(&c, HALF_TILE_ROWS, SrcReg::A, ramp()), c.unpack_tile / 2);
+        let cycles = src.unpack_lane_broadcast(&c, HALF_TILE_ROWS, SrcReg::B, &ramp(), 900);
+        assert_eq!(cycles, c.unpack_tile / 2);
+        assert!(src.read(SrcReg::B).unwrap().as_slice()[..512].iter().all(|v| *v == 900.0));
     }
 
     #[test]
     fn clear_invalidates() {
         let mut src = SrcRegisters::new();
-        src.unpack_tile(&costs(), SrcReg::A, ramp());
-        src.unpack_tile(&costs(), SrcReg::B, ramp());
+        src.unpack_tile(&costs(), TILE_DIM, SrcReg::A, ramp());
+        src.unpack_tile(&costs(), TILE_DIM, SrcReg::B, ramp());
         src.clear();
         assert!(!src.both_valid());
         assert!(src.read(SrcReg::B).is_err());

@@ -22,6 +22,21 @@ pub const TILE_ELEMS: usize = TILE_DIM * TILE_DIM;
 pub const FACE_DIM: usize = 16;
 /// Elements in one face.
 pub const FACE_ELEMS: usize = FACE_DIM * FACE_DIM;
+/// Rows of a half tile: the 16×32 tile of faces 0–1 that TT-Metalium's
+/// tiny-tile support also offers. It still occupies a whole page in DRAM
+/// and L1; compute ops told to work on 16 rows touch only its top half.
+pub const HALF_TILE_ROWS: usize = FACE_DIM;
+
+/// Elements in the top `rows` rows of a tile: the lanes an op on a
+/// `rows`-row tile computes, and the particles a page of that tile holds.
+///
+/// # Panics
+/// Panics unless `rows` is [`HALF_TILE_ROWS`] or [`TILE_DIM`].
+#[must_use]
+pub fn row_elems(rows: usize) -> usize {
+    assert!(rows == HALF_TILE_ROWS || rows == TILE_DIM, "a tile has 16 or 32 rows, not {rows}");
+    rows * TILE_DIM
+}
 
 /// A 32×32 tile of scalars in a given storage format.
 ///
@@ -91,6 +106,20 @@ impl Tile {
     /// per-element iteration — each call re-checks Arc uniqueness.
     pub fn as_mut_slice(&mut self) -> &mut [f32; TILE_ELEMS] {
         Arc::make_mut(&mut self.data)
+    }
+
+    /// A `format` tile that takes over `old`'s storage when `old` is the
+    /// only owner of it and already holds `format` values, else a fresh
+    /// zero tile. Its values are whatever `old` held: for registers the
+    /// next op overwrites (the rows it computes), so a register file can
+    /// recycle one allocation per slot instead of allocating per op.
+    #[must_use]
+    pub fn recycle(old: Option<Tile>, format: DataFormat) -> Tile {
+        match old {
+            // A lone strong count means no clone can observe the reuse.
+            Some(t) if t.format == format && Arc::strong_count(&t.data) == 1 => t,
+            _ => Tile::zeros(format),
+        }
     }
 
     /// Force a deep copy of the backing storage — the pre-zero-copy `clone`
@@ -230,8 +259,20 @@ pub fn untilize(tiles: &[Tile], rows: usize, cols: usize) -> Vec<f32> {
 /// into tiles, where each tile holds 1024 elements".
 #[must_use]
 pub fn pack_vector(format: DataFormat, values: &[f32], pad: f32) -> Vec<Tile> {
-    let mut tiles = Vec::with_capacity(values.len().div_ceil(TILE_ELEMS));
-    for chunk in values.chunks(TILE_ELEMS) {
+    pack_vector_rows(format, values, TILE_DIM, pad)
+}
+
+/// [`pack_vector`] into `rows`-row tiles: `rows · 32` values per page, the
+/// rest of each page (the tail, and rows `rows..32` of a half tile) padded
+/// with `pad`.
+///
+/// # Panics
+/// As [`row_elems`].
+#[must_use]
+pub fn pack_vector_rows(format: DataFormat, values: &[f32], rows: usize, pad: f32) -> Vec<Tile> {
+    let per_page = row_elems(rows);
+    let mut tiles = Vec::with_capacity(values.len().div_ceil(per_page));
+    for chunk in values.chunks(per_page) {
         let mut buf = [pad; TILE_ELEMS];
         buf[..chunk.len()].copy_from_slice(chunk);
         tiles.push(Tile::from_rowmajor(format, &buf));
@@ -242,9 +283,20 @@ pub fn pack_vector(format: DataFormat, values: &[f32], pad: f32) -> Vec<Tile> {
 /// Inverse of [`pack_vector`]: flatten tiles and truncate to `n` values.
 #[must_use]
 pub fn unpack_vector(tiles: &[Tile], n: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(tiles.len() * TILE_ELEMS);
+    unpack_vector_rows(tiles, TILE_DIM, n)
+}
+
+/// Inverse of [`pack_vector_rows`]: the top `rows` rows of each tile,
+/// flattened and truncated to `n` values.
+///
+/// # Panics
+/// As [`row_elems`].
+#[must_use]
+pub fn unpack_vector_rows(tiles: &[Tile], rows: usize, n: usize) -> Vec<f32> {
+    let per_page = row_elems(rows);
+    let mut out = Vec::with_capacity(tiles.len() * per_page);
     for t in tiles {
-        out.extend_from_slice(t.as_slice());
+        out.extend_from_slice(&t.as_slice()[..per_page]);
     }
     out.truncate(n);
     out
@@ -360,10 +412,44 @@ mod tests {
     }
 
     #[test]
+    fn recycle_reuses_only_exclusive_storage_of_the_same_format() {
+        let f = DataFormat::Float32;
+        let owned = Tile::splat(f, 3.0);
+        let ptr = Arc::as_ptr(&owned.data);
+        let reused = Tile::recycle(Some(owned), f);
+        assert_eq!(Arc::as_ptr(&reused.data), ptr, "exclusive storage is reused");
+        let shared = reused.clone();
+        let fresh = Tile::recycle(Some(reused), f);
+        assert!(!Arc::ptr_eq(&fresh.data, &shared.data), "shared storage is never written");
+        assert_eq!(fresh.get(0, 0), 0.0);
+        assert_eq!(
+            Tile::recycle(Some(shared), DataFormat::Float16b).format(),
+            DataFormat::Float16b
+        );
+    }
+
+    #[test]
     fn convert_fp32_to_fp32_shares() {
         let a = Tile::splat(DataFormat::Float32, 1.5);
         let b = a.convert(DataFormat::Float32);
         assert!(Arc::ptr_eq(&a.data, &b.data));
+    }
+
+    #[test]
+    fn half_tile_pages_hold_512_values_and_pad_rows_16_to_31() {
+        let vals = ramp(700);
+        let tiles = pack_vector_rows(DataFormat::Float32, &vals, HALF_TILE_ROWS, -1.0);
+        assert_eq!(tiles.len(), 2);
+        assert_eq!(tiles[1].get(0, 0), 512.0, "page 1 starts at value 512");
+        assert_eq!(tiles[0].get(HALF_TILE_ROWS, 0), -1.0, "rows 16-31 are padding");
+        assert_eq!(tiles[1].as_slice()[700 - 512], -1.0, "tail is padded");
+        assert_eq!(unpack_vector_rows(&tiles, HALF_TILE_ROWS, 700), vals);
+    }
+
+    #[test]
+    #[should_panic(expected = "16 or 32 rows")]
+    fn other_row_counts_are_refused() {
+        let _ = row_elems(8);
     }
 
     #[test]

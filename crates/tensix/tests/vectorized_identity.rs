@@ -13,7 +13,7 @@ use tensix::cost::ComputeCosts;
 use tensix::dtype::{bfp8_quantize_scalar, DataFormat};
 use tensix::fpu::{self, BroadcastDim};
 use tensix::sfpu::{self, BinaryOp, UnaryOp};
-use tensix::tile::{Tile, TILE_ELEMS};
+use tensix::tile::{Tile, TILE_DIM, TILE_ELEMS};
 
 const FORMATS: [DataFormat; 3] = [DataFormat::Float32, DataFormat::Float16b, DataFormat::Float16];
 
@@ -87,7 +87,7 @@ proptest! {
             for op in UNARY_OPS {
                 let mut fast = base.deep_clone();
                 let mut slow = base.deep_clone();
-                let cf = sfpu::apply_unary(&costs, op, &mut fast);
+                let cf = sfpu::apply_unary(&costs, TILE_DIM, op, &mut fast);
                 let cs = sfpu::reference::apply_unary(&costs, op, &mut slow);
                 prop_assert_eq!(cf, cs, "{:?}/{:?} cycle cost", format, op);
                 prop_assert_eq!(bits(&fast), bits(&slow), "{:?}/{:?}", format, op);
@@ -108,7 +108,7 @@ proptest! {
             for op in UNARY_OPS {
                 let mut fast = base.deep_clone();
                 let mut slow = base.deep_clone();
-                sfpu::apply_unary_scaled(&costs, op, &mut fast, scale, bias);
+                sfpu::apply_unary_scaled(&costs, TILE_DIM, op, &mut fast, scale, bias);
                 sfpu::reference::apply_unary_scaled(&costs, op, &mut slow, scale, bias);
                 prop_assert_eq!(bits(&fast), bits(&slow), "{:?}/{:?}", format, op);
             }
@@ -128,7 +128,7 @@ proptest! {
             for op in BINARY_OPS {
                 let mut fast = ta.deep_clone();
                 let mut slow = ta.deep_clone();
-                sfpu::apply_binary(&costs, op, &mut fast, &tb);
+                sfpu::apply_binary(&costs, TILE_DIM, op, &mut fast, &tb);
                 sfpu::reference::apply_binary(&costs, op, &mut slow, &tb);
                 prop_assert_eq!(bits(&fast), bits(&slow), "{:?}/{:?}", format, op);
             }
@@ -149,7 +149,7 @@ proptest! {
             let base = Tile::from_rowmajor(format, &acc0);
             let mut fast = base.deep_clone();
             let mut slow = base.deep_clone();
-            sfpu::apply_mad(&costs, &ta, &tx, &mut fast);
+            sfpu::apply_mad(&costs, TILE_DIM, &ta, &tx, &mut fast);
             sfpu::reference::apply_mad(&costs, &ta, &tx, &mut slow);
             prop_assert_eq!(bits(&fast), bits(&slow), "{:?}", format);
         }
@@ -221,7 +221,7 @@ proptest! {
             for op in BINARY_OPS {
                 let mut fast = Tile::zeros(format);
                 let mut slow = Tile::zeros(format);
-                fpu::eltwise_binary(&costs, op, &ta, &tb, &mut fast);
+                fpu::eltwise_binary(&costs, TILE_DIM, op, &ta, &tb, &mut fast);
                 fpu::reference::eltwise_binary(&costs, op, &ta, &tb, &mut slow);
                 prop_assert_eq!(bits(&fast), bits(&slow), "{:?}/{:?}", format, op);
                 for dim in [BroadcastDim::Row, BroadcastDim::Col, BroadcastDim::Scalar] {

@@ -9,18 +9,25 @@
 //!
 //! Every operation charges its cycle cost to the context's counter; the
 //! queue aggregates counters into the device's virtual time.
+//!
+//! The element-wise compute ops work on the context's tile row count
+//! ([`ComputeCtx::set_tile_rows`]): 32 rows for whole tiles, or 16 for the
+//! 16×32 half tile, which computes rows 0–15 only and charges each
+//! per-element pass at half. Matmul and broadcast ops take whole tiles
+//! only and panic on a half-tile context.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tensix::cb::CircularBuffer;
+use tensix::cost::ComputeCosts;
 use tensix::dst::DstRegisters;
 use tensix::fault::DramReadFault;
 use tensix::fpu::{self, BroadcastDim};
 use tensix::grid::CoreCoord;
 use tensix::sfpu::{self, BinaryOp, UnaryOp};
 use tensix::srcreg::{SrcReg, SrcRegisters};
-use tensix::{CycleCounter, DataFormat, Device, NocId, TensixError, Tile};
+use tensix::{row_elems, CycleCounter, DataFormat, Device, NocId, TensixError, Tile, TILE_DIM};
 use tt_trace::SpanEmitter;
 
 use crate::buffer::BufferRef;
@@ -441,6 +448,9 @@ pub struct ComputeCtx {
     /// Cycles charged to the vector (SFPU) pipe: transcendentals, unary and
     /// binary lane ops, fills, scales, register moves.
     vector_cycles: u64,
+    /// Rows of the tiles the element-wise ops work on: 32, or 16 for half
+    /// tiles.
+    tile_rows: usize,
     /// Per-instance trace emitter; `None` when tracing is off.
     tracer: Option<SpanEmitter>,
 }
@@ -466,8 +476,47 @@ impl ComputeCtx {
             counter: CycleCounter::new(),
             matrix_cycles: 0,
             vector_cycles: 0,
+            tile_rows: TILE_DIM,
             tracer,
         }
+    }
+
+    /// Set the row count of the tiles the element-wise ops work on, once at
+    /// kernel start like an LLK init with `num_faces`: 32 for whole tiles,
+    /// 16 for half tiles (faces 0–1).
+    ///
+    /// # Panics
+    /// Panics unless `rows` is 16 or 32.
+    pub fn set_tile_rows(&mut self, rows: usize) {
+        let _ = row_elems(rows);
+        self.tile_rows = rows;
+    }
+
+    /// Row count of the tiles the element-wise ops work on.
+    #[must_use]
+    pub fn tile_rows(&self) -> usize {
+        self.tile_rows
+    }
+
+    /// The device's compute cost table.
+    fn costs(&self) -> ComputeCosts {
+        self.device.costs().compute
+    }
+
+    /// The cost table at the context's tile row count, for the passes this
+    /// context charges itself (copy, pack, lane-broadcast unpack).
+    fn row_costs(&self) -> ComputeCosts {
+        self.costs().for_rows(self.tile_rows)
+    }
+
+    /// Refuse a whole-tile-only op on a half-tile context rather than guess
+    /// its cost.
+    fn require_whole_tiles(&self, op: &str) {
+        assert_eq!(
+            self.tile_rows, TILE_DIM,
+            "{op}: whole tiles only, not {}-row tiles",
+            self.tile_rows
+        );
     }
 
     /// Charge `cycles` to the kernel total and to the matrix (FPU) pipe.
@@ -635,12 +684,13 @@ impl ComputeCtx {
     /// segment `dst_idx`.
     pub fn copy_tile(&mut self, cb: u8, idx: usize, dst_idx: usize) {
         let tile = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
-        self.counter.add(self.device.costs().compute.copy_tile);
+        self.counter.add(self.row_costs().copy_tile);
         self.dst.write(dst_idx, tile).unwrap_or_else(|e| panic!("copy_tile: {e}"));
     }
 
-    /// Lane-broadcast unpack: fill dst segment `dst_idx` with element `lane`
-    /// (row-major index) of the `idx`-th visible page of `cb`.
+    /// Lane-broadcast unpack: fill the context's tile rows of dst segment
+    /// `dst_idx` with element `lane` (row-major index, any of the page's
+    /// 1024) of the `idx`-th visible page of `cb`.
     ///
     /// Hardware story: the unpacker's address generator can re-read the same
     /// datum with stride 0, filling srcA with a broadcast of one scalar —
@@ -653,11 +703,11 @@ impl ComputeCtx {
     pub fn copy_tile_lane_broadcast(&mut self, cb: u8, idx: usize, lane: usize, dst_idx: usize) {
         assert!(lane < tensix::TILE_ELEMS, "lane {lane} out of range");
         let src = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
-        let value = src.as_slice()[lane];
-        let costs = self.device.costs().compute;
+        let value = self.dst.format().quantize(src.as_slice()[lane]);
+        let costs = self.row_costs();
         self.counter.add(costs.issue_overhead + costs.unpack_tile);
-        let tile = Tile::splat(self.dst.format(), value);
-        self.dst.write(dst_idx, tile).unwrap_or_else(|e| panic!("lane broadcast: {e}"));
+        let out = self.dst.output(dst_idx).unwrap_or_else(|e| panic!("lane broadcast: {e}"));
+        out.as_mut_slice()[..row_elems(self.tile_rows)].fill(value);
     }
 
     /// Fused lane-broadcast subtraction:
@@ -679,26 +729,31 @@ impl ComputeCtx {
         assert!(lane < tensix::TILE_ELEMS, "lane {lane} out of range");
         let src = cb_of(&self.cbs, self.core, cb_src).peek_tile(i_src);
         let tgt = cb_of(&self.cbs, self.core, cb_tgt).peek_tile(i_tgt);
-        let costs = self.device.costs().compute;
+        let (costs, rows) = (self.costs(), self.tile_rows);
         // Stride-0 unpack of the source lane into srcA, full unpack of the
         // target tile into srcB.
-        self.counter.add(self.src.unpack_lane_broadcast(&costs, SrcReg::A, &src, lane));
-        self.counter.add(self.src.unpack_tile(&costs, SrcReg::B, tgt));
-        let (sa, sb) = (
-            self.src.read(SrcReg::A).unwrap_or_else(|e| panic!("sub lane bcast: {e}")).clone(),
-            self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("sub lane bcast: {e}")).clone(),
-        );
-        let mut out = Tile::zeros(self.dst.format());
-        let cycles = fpu::eltwise_binary(&costs, BinaryOp::Sub, &sa, &sb, &mut out);
+        self.counter.add(self.src.unpack_lane_broadcast(&costs, rows, SrcReg::A, &src, lane));
+        self.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::B, tgt));
+        self.fpu_eltwise_to_dst(BinaryOp::Sub, dst, "sub lane bcast");
+    }
+
+    /// MATH half of an FPU element-wise op: `dst = op(srcA, srcB)` on the
+    /// context's tile rows, written into the dst segment's recycled
+    /// storage.
+    fn fpu_eltwise_to_dst(&mut self, op: BinaryOp, dst: usize, what: &str) {
+        let costs = self.costs();
+        let sa = self.src.read(SrcReg::A).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let out = self.dst.output(dst).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let cycles = fpu::eltwise_binary(&costs, self.tile_rows, op, sa, sb, out);
         self.charge_matrix(cycles);
-        self.dst.write(dst, out).unwrap_or_else(|e| panic!("sub lane bcast: {e}"));
     }
 
     /// `pack_tile`: move dst segment `dst_idx` into space reserved in `cb`.
     /// Requires [`ComputeCtx::tile_regs_commit`] first.
     pub fn pack_tile(&mut self, dst_idx: usize, cb: u8) {
         let tile = self.dst.read_pack(dst_idx).unwrap_or_else(|e| panic!("pack_tile: {e}"));
-        self.counter.add(self.device.costs().compute.pack_tile);
+        self.counter.add(self.row_costs().pack_tile);
         cb_of(&self.cbs, self.core, cb).write_tile(&tile);
     }
 
@@ -709,17 +764,10 @@ impl ComputeCtx {
         // UNPACK: CB pages into srcA/srcB; MATH: FPU consumes the pair.
         let a = cb_of(&self.cbs, self.core, cb_a).peek_tile(ia);
         let b = cb_of(&self.cbs, self.core, cb_b).peek_tile(ib);
-        let costs = self.device.costs().compute;
-        self.counter.add(self.src.unpack_tile(&costs, SrcReg::A, a));
-        self.counter.add(self.src.unpack_tile(&costs, SrcReg::B, b));
-        let mut out = Tile::zeros(self.dst.format());
-        let (sa, sb) = (
-            self.src.read(SrcReg::A).unwrap_or_else(|e| panic!("fpu binary: {e}")).clone(),
-            self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("fpu binary: {e}")).clone(),
-        );
-        let cycles = fpu::eltwise_binary(&costs, op, &sa, &sb, &mut out);
-        self.charge_matrix(cycles);
-        self.dst.write(dst, out).unwrap_or_else(|e| panic!("fpu binary: {e}"));
+        let (costs, rows) = (self.costs(), self.tile_rows);
+        self.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::A, a));
+        self.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::B, b));
+        self.fpu_eltwise_to_dst(op, dst, "fpu binary");
     }
 
     /// `add_tiles(cb_a, cb_b, ia, ib, dst)`.
@@ -749,11 +797,12 @@ impl ComputeCtx {
         dst: usize,
         accumulate: bool,
     ) {
+        self.require_whole_tiles("matmul_tiles");
         let a = cb_of(&self.cbs, self.core, cb_a).peek_tile(ia);
         let b = cb_of(&self.cbs, self.core, cb_b).peek_tile(ib);
-        let costs = self.device.costs().compute;
-        self.counter.add(self.src.unpack_tile(&costs, SrcReg::A, a));
-        self.counter.add(self.src.unpack_tile(&costs, SrcReg::B, b));
+        let costs = self.costs();
+        self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::A, a));
+        self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
         let mut acc = if accumulate {
             self.dst.read_math(dst).unwrap_or_else(|e| panic!("matmul acc: {e}"))
         } else {
@@ -781,9 +830,10 @@ impl ComputeCtx {
         cb: u8,
         idx: usize,
     ) {
+        self.require_whole_tiles("broadcast ops");
         let b = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
-        let costs = self.device.costs().compute;
-        self.counter.add(self.src.unpack_tile(&costs, SrcReg::B, b));
+        let costs = self.costs();
+        self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
         let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("bcast: {e}")).clone();
         let a = self.dst.read_math(dst).unwrap_or_else(|e| panic!("bcast: {e}"));
         let mut out = Tile::zeros(self.dst.format());
@@ -807,9 +857,9 @@ impl ComputeCtx {
     // --- SFPU ops on dst ---
 
     fn sfpu_unary(&mut self, op: UnaryOp, dst: usize) {
-        let costs = self.device.costs().compute;
+        let (costs, rows) = (self.costs(), self.tile_rows);
         let tile = self.dst.modify(dst).unwrap_or_else(|e| panic!("sfpu unary: {e}"));
-        let cycles = sfpu::apply_unary(&costs, op, tile);
+        let cycles = sfpu::apply_unary(&costs, rows, op, tile);
         self.charge_vector(cycles);
     }
 
@@ -855,9 +905,9 @@ impl ComputeCtx {
 
     fn sfpu_binary(&mut self, op: BinaryOp, dst_a: usize, dst_b: usize) {
         let b = self.dst.read_math(dst_b).unwrap_or_else(|e| panic!("sfpu binary: {e}"));
-        let costs = self.device.costs().compute;
+        let (costs, rows) = (self.costs(), self.tile_rows);
         let a = self.dst.modify(dst_a).unwrap_or_else(|e| panic!("sfpu binary: {e}"));
-        let cycles = sfpu::apply_binary(&costs, op, a, &b);
+        let cycles = sfpu::apply_binary(&costs, rows, op, a, &b);
         self.charge_vector(cycles);
     }
 
@@ -881,9 +931,9 @@ impl ComputeCtx {
     pub fn mad_binary_tile(&mut self, dst_a: usize, dst_b: usize, dst_acc: usize) {
         let a = self.dst.read_math(dst_a).unwrap_or_else(|e| panic!("mad: {e}"));
         let b = self.dst.read_math(dst_b).unwrap_or_else(|e| panic!("mad: {e}"));
-        let costs = self.device.costs().compute;
+        let (costs, rows) = (self.costs(), self.tile_rows);
         let acc = self.dst.modify(dst_acc).unwrap_or_else(|e| panic!("mad: {e}"));
-        let cycles = sfpu::apply_mad(&costs, &a, &b, acc);
+        let cycles = sfpu::apply_mad(&costs, rows, &a, &b, acc);
         self.charge_vector(cycles);
     }
 
@@ -891,26 +941,25 @@ impl ComputeCtx {
     /// (`copy_dest_values` LLK).
     pub fn copy_dst_tile(&mut self, src: usize, dst: usize) {
         let tile = self.dst.read_math(src).unwrap_or_else(|e| panic!("copy_dst_tile: {e}"));
-        let costs = self.device.costs().compute;
+        let costs = self.row_costs();
         self.charge_vector(costs.issue_overhead + costs.sfpu_simple);
         self.dst.write(dst, tile).unwrap_or_else(|e| panic!("copy_dst_tile: {e}"));
     }
 
     /// `fill_tile(dst, value)`: set every lane of a dst segment.
     pub fn fill_tile(&mut self, dst: usize, value: f32) {
-        let costs = self.device.costs().compute;
-        let mut tile = Tile::zeros(self.dst.format());
-        let cycles = sfpu::apply_fill(&costs, &mut tile, value);
+        let (costs, rows) = (self.costs(), self.tile_rows);
+        let tile = self.dst.output(dst).unwrap_or_else(|e| panic!("fill_tile: {e}"));
+        let cycles = sfpu::apply_fill(&costs, rows, tile, value);
         self.charge_vector(cycles);
-        self.dst.write(dst, tile).unwrap_or_else(|e| panic!("fill_tile: {e}"));
     }
 
     /// Multiply a dst segment by a scalar and add a bias in one SFPU pass
     /// (`binop_with_scalar` family).
     pub fn scale_tile(&mut self, dst: usize, scale: f32, bias: f32) {
-        let costs = self.device.costs().compute;
+        let (costs, rows) = (self.costs(), self.tile_rows);
         let tile = self.dst.modify(dst).unwrap_or_else(|e| panic!("scale_tile: {e}"));
-        let cycles = sfpu::apply_unary_scaled(&costs, UnaryOp::Identity, tile, scale, bias);
+        let cycles = sfpu::apply_unary_scaled(&costs, rows, UnaryOp::Identity, tile, scale, bias);
         self.charge_vector(cycles);
     }
 
@@ -1031,6 +1080,102 @@ mod tests {
         assert_eq!(ctx.debug_dst(0).get(3, 3), 128.0);
         ctx.tile_regs_commit();
         ctx.tile_regs_release();
+    }
+
+    /// A context on `rows`-row tiles whose CBs 0 and 1 each hold one
+    /// waited page of the same varied values.
+    fn rows_ctx(rows: usize) -> ComputeCtx {
+        let mut ctx = mk_compute_ctx();
+        ctx.set_tile_rows(rows);
+        let vals: Vec<f32> = (0..1024).map(|i| 1.0 + (i % 113) as f32 * 0.37).collect();
+        for (cb, scale) in [(0u8, 1.0f32), (1, -0.5)] {
+            let c = ctx.cbs.get(&cb).unwrap();
+            c.reserve_back(1);
+            let scaled: Vec<f32> = vals.iter().map(|v| v * scale).collect();
+            c.write_tile(&Tile::from_rowmajor(DataFormat::Float32, &scaled));
+            c.push_back(1);
+            ctx.cb_wait_front(cb, 1);
+        }
+        ctx
+    }
+
+    /// Each element-wise op of a half-tile context computes rows 0–15
+    /// bitwise as the whole-tile op does, and charges its per-element
+    /// passes at half with the issue overhead whole.
+    #[test]
+    fn half_tile_ops_match_whole_tile_rows_at_half_per_element_cost() {
+        type Op = (&'static str, fn(&mut ComputeCtx), fn(&ComputeCosts) -> u64);
+        let fpu = |c: &ComputeCosts| 2 * c.unpack_tile + c.issue_overhead + c.fpu_eltwise;
+        let ops: [Op; 15] = [
+            ("copy_tile", |x| x.copy_tile(0, 0, 0), |c| c.copy_tile),
+            (
+                "lane_bcast",
+                |x| x.copy_tile_lane_broadcast(1, 0, 700, 1),
+                |c| c.issue_overhead + c.unpack_tile,
+            ),
+            ("sub_lane_bcast", |x| x.sub_tiles_lane_bcast(1, 0, 0, 0, 5, 2), fpu),
+            ("sub_tiles", |x| x.sub_tiles(0, 1, 0, 0, 3), fpu),
+            ("add_tiles", |x| x.add_tiles(0, 1, 0, 0, 4), fpu),
+            ("mul_tiles", |x| x.mul_tiles(0, 1, 0, 0, 5), fpu),
+            ("square", |x| x.square_tile(3), |c| c.issue_overhead + c.sfpu_simple),
+            ("rsqrt", |x| x.rsqrt_tile(0), |c| c.issue_overhead + c.sfpu_transcendental),
+            ("negative", |x| x.negative_tile(4), |c| c.issue_overhead + c.sfpu_simple),
+            ("add_binary", |x| x.add_binary_tile(2, 3), |c| c.issue_overhead + c.sfpu_simple),
+            ("mul_binary", |x| x.mul_binary_tile(2, 0), |c| c.issue_overhead + c.sfpu_simple),
+            ("mad", |x| x.mad_binary_tile(0, 1, 5), |c| c.issue_overhead + c.sfpu_mad),
+            ("copy_dst", |x| x.copy_dst_tile(5, 6), |c| c.issue_overhead + c.sfpu_simple),
+            ("fill", |x| x.fill_tile(7, 2.5), |c| c.issue_overhead + c.sfpu_simple),
+            (
+                "scale",
+                |x| x.scale_tile(6, 3.0, 0.5),
+                |c| c.issue_overhead + c.sfpu_simple + c.sfpu_mad,
+            ),
+        ];
+        let (mut whole, mut half) = (rows_ctx(TILE_DIM), rows_ctx(tensix::HALF_TILE_ROWS));
+        let whole_costs = whole.costs();
+        let half_costs = whole_costs.for_rows(tensix::HALF_TILE_ROWS);
+        whole.tile_regs_acquire();
+        half.tile_regs_acquire();
+        for (name, op, cost) in ops {
+            let (w0, h0) = (whole.cycles(), half.cycles());
+            op(&mut whole);
+            op(&mut half);
+            assert_eq!(whole.cycles() - w0, cost(&whole_costs), "{name}: whole-tile cycles");
+            assert_eq!(half.cycles() - h0, cost(&half_costs), "{name}: half-tile cycles");
+            assert!(half.cycles() - h0 < whole.cycles() - w0, "{name}");
+        }
+        for d in 0..8 {
+            let (w, h) = (whole.debug_dst(d), half.debug_dst(d));
+            for (i, (a, b)) in w.as_slice()[..512].iter().zip(&h.as_slice()[..512]).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "dst[{d}] lane {i}");
+            }
+        }
+        for ctx in [&mut whole, &mut half] {
+            ctx.tile_regs_commit();
+            ctx.cb_reserve_back(16, 1);
+        }
+        let (w0, h0) = (whole.cycles(), half.cycles());
+        whole.pack_tile(2, 16);
+        half.pack_tile(2, 16);
+        assert_eq!(whole.cycles() - w0, whole_costs.pack_tile);
+        assert_eq!(half.cycles() - h0, half_costs.pack_tile);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_tiles: whole tiles only")]
+    fn matmul_refuses_half_tiles() {
+        let mut ctx = rows_ctx(tensix::HALF_TILE_ROWS);
+        ctx.tile_regs_acquire();
+        ctx.matmul_tiles(0, 1, 0, 0, 0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast ops: whole tiles only")]
+    fn broadcast_refuses_half_tiles() {
+        let mut ctx = rows_ctx(tensix::HALF_TILE_ROWS);
+        ctx.tile_regs_acquire();
+        ctx.fill_tile(0, 1.0);
+        ctx.add_tile_bcast(BroadcastDim::Row, 0, 1, 0);
     }
 
     #[test]

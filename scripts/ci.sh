@@ -156,13 +156,16 @@ echo "$MATRIX_OUT" | grep -q "device-vs-direct accuracy: PASS"
 echo "==> perfbench build and workload smoke"
 # The repository benchmark is a package of its own outside the workspace,
 # so the workspace build above never compiles it. Build it, then run each
-# workload for one second and require a correct result.
+# workload for one second, untraced and with `--trace 1` (the per-layer
+# probe and its metrics), and require a correct result from every run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 for workload in shared_vector block_vector block_matrix fault_storm; do
-  BENCH_OUT=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seconds 1)
-  echo "$workload: $BENCH_OUT"
-  echo "$BENCH_OUT" | grep -q '"correct": true'
+  for trace in 0 1; do
+    BENCH_OUT=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seconds 1 --trace "$trace")
+    echo "$workload (trace $trace): $BENCH_OUT"
+    echo "$BENCH_OUT" | grep -q '"correct": true'
+  done
 done
 
 echo "==> cargo clippy"
