@@ -10,8 +10,9 @@
 //! **Measured** — [`DEVICE_CYCLES_PER_PAIR`] = 2.727: compute-kernel cycles
 //! per pair interaction, read off the cycle counters of a functional run
 //! of the replicated-layout kernel (N = 1024, one core). The packed-view
-//! kernel that replaced it measures 2.700 on the same run
-//! (`crates/core/examples/calib.rs`); the paper model keeps 2.727. The slowest
+//! kernel that replaced it measures 2.700 (N = 2048, two cores; E14's
+//! `arch_sweep`, which also measures the matrix kernel); the paper model
+//! keeps 2.727. The slowest
 //! core of the paper configuration owns ⌈100/64⌉ = 2 target tiles →
 //! 2·1024·102 400 pairs → 0.572 s of device time per force evaluation at
 //! 1 GHz.
@@ -59,8 +60,8 @@ pub const PAPER_CYCLES: usize = 10;
 /// Calibrated Hermite steps per time cycle (see module docs).
 pub const STEPS_PER_CYCLE: usize = 36;
 /// Measured compute cycles per pair interaction per Tensix core
-/// (element-wise SFPU kernel; the matrix-pipe kernel is measured per run
-/// by `bench_gate` and must land strictly below this).
+/// (element-wise SFPU kernel; the matrix-pipe kernel is measured by E14's
+/// `arch_sweep` and must land strictly below this).
 pub const DEVICE_CYCLES_PER_PAIR: f64 = 2.727;
 /// Calibrated effective CPU cycles per pair per core (AVX-512 reference).
 pub const CPU_EFF_CYCLES_PER_PAIR: f64 = 21.1;
@@ -507,6 +508,16 @@ mod tests {
         let slow = DeviceArch::parse("name=slow,clock_ghz=0.5").unwrap();
         let s = WormholePerfModel::for_arch(&slow);
         assert!(s.eval_seconds(PAPER_N) > d.eval_seconds(PAPER_N));
+    }
+
+    #[test]
+    fn modeled_full_card_runs_are_pinned_exactly() {
+        // The paper run on each catalog part, to the bit (the literals print
+        // back as themselves): a model or catalog change shows here instead
+        // of hiding inside a tolerance.
+        let card = |arch: DeviceArch| arch_run(&arch).accel_seconds_multi_device(arch.chips);
+        assert_eq!(card(DeviceArch::n150()).to_bits(), 302.880620544f64.to_bits());
+        assert_eq!(card(DeviceArch::n300()).to_bits(), 177.918606912f64.to_bits());
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! returned structures. Experiment ids follow DESIGN.md: E1 = Fig. 3,
 //! E2 = Fig. 4, E3 = Fig. 5, E4 = §3 accuracy, E5 = the reset census,
 //! E6 = the multi-device scaling extension, E9 = the fault-tolerance
-//! census (E5 re-run under a bounded reset-retry policy).
+//! census (E5 re-run under a bounded reset-retry policy), E14 = the
+//! force kernels' measured cycles/pair.
 
+use nbody::ic::{plummer, PlummerConfig};
 use nbody_tt::perf_model::{paper_run, RunModel};
+use nbody_tt::{DeviceForcePipeline, ForceEvaluator, ForceKernelKind};
+use tensix::catalog::DeviceArch;
+use tensix::Device;
 use tt_telemetry::campaign::{
     census, run_campaign, successes, CampaignCensus, FaultPolicy, JobRecord,
 };
@@ -203,6 +208,28 @@ pub fn summarize(label: &str, xs: &[f64], unit: &str) -> String {
     format!("{label}: mean {:.2} {unit}, std {:.2} {unit}, n = {}", mean(xs), std_dev(xs), xs.len())
 }
 
+/// Particle count of E14's functional cycles/pair measurement.
+pub const MEASURE_N: usize = 2048;
+
+/// E14: one full-N force evaluation of `kind` at N = [`MEASURE_N`] on two
+/// cores of an n300 chip, through the functional pipeline. Returns the
+/// slowest core's compute cycles and the cycles per pair it owns: the
+/// repository's one cycles/pair measurement, for both kernels.
+///
+/// # Panics
+/// Panics if the pipeline cannot be built or the evaluation faults.
+#[must_use]
+pub fn kernel_cycles(kind: ForceKernelKind) -> (u64, f64) {
+    let sys = plummer(PlummerConfig { n: MEASURE_N, seed: 0x5c25, ..PlummerConfig::default() });
+    let device = Device::new(0, DeviceArch::n300().device_config());
+    let pipeline = DeviceForcePipeline::new_with_kernel(device, MEASURE_N, 0.01, 2, kind)
+        .expect("pipeline for the measurement run");
+    pipeline.evaluate_checked(&sys).expect("measurement evaluation");
+    let cycles = pipeline.timing().last_eval_cycles;
+    let owned = pipeline.sizing(MEASURE_N).slowest_core_targets();
+    (cycles, cycles as f64 / (owned * MEASURE_N) as f64)
+}
+
 /// Convenience: the paper's default run model.
 #[must_use]
 pub fn default_run() -> RunModel {
@@ -277,6 +304,14 @@ mod tests {
         let last = points.last().unwrap();
         assert!(last.speedup > paper.speedup, "asymptotic speedup {}", last.speedup);
         assert!(last.speedup < 4.5, "bounded by the throughput ratio");
+    }
+
+    #[test]
+    fn kernel_cycles_are_pinned() {
+        // Integer cycle counts, exact: a kernel or cost-table change shows
+        // here instead of drifting inside a tolerance.
+        assert_eq!(kernel_cycles(ForceKernelKind::Elementwise).0, 5_661_368);
+        assert_eq!(kernel_cycles(ForceKernelKind::Matrix).0, 5_100_168);
     }
 
     #[test]

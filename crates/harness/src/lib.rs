@@ -9,10 +9,12 @@
 //! the bridge from the calibrated run model to campaign job specs.
 //!
 //! Binaries (`cargo run -p tt-harness --bin <name>`): `fig3_time`,
-//! `fig4_power`, `fig5_energy`, `accuracy_table`, `scaling`,
-//! `campaign_summary`, and `serve_storm` — the E11 multi-tenant
-//! fault-storm serving campaign driven by the open-loop [`loadgen`]
-//! through the `tt-server` job server.
+//! `fig4_power`, `fig5_energy`, `accuracy_table`, `scaling`, `n_sweep`,
+//! `clock_sweep`, `arch_sweep`, `block_speedup`, `campaign_summary`,
+//! `serve_storm` — the E11 multi-tenant fault-storm serving campaign
+//! driven by the open-loop [`loadgen`] through the `tt-server` job
+//! server — and `bench_gate`, the host wall-clock gate for the paths
+//! `perfbench` does not time.
 //!
 //! Passing `--profile` to `accuracy_table` or `fig3_time` runs the traced
 //! observability demo instead (see [`profile`]): a small force evaluation
@@ -30,11 +32,11 @@ pub mod report;
 pub mod specs;
 
 pub use experiments::{
-    default_run, run_fault_census, run_fig3, run_fig4, run_fig5, run_n_sweep, run_scaling,
-    sweep_crossover, FaultCensusResult, Fig3Result, Fig4Result, Fig5Result, ScalingResult,
-    SweepPoint,
+    default_run, kernel_cycles, run_fault_census, run_fig3, run_fig4, run_fig5, run_n_sweep,
+    run_scaling, sweep_crossover, FaultCensusResult, Fig3Result, Fig4Result, Fig5Result,
+    ScalingResult, SweepPoint, MEASURE_N,
 };
-pub use loadgen::{generate_load, LoadConfig, LoadGenError};
+pub use loadgen::{bench_campaign, generate_load, LoadConfig, LoadGenError};
 pub use plot::{render_histogram, render_timeseries};
 pub use profile::{
     harvest_metrics, maybe_run_profile, run_profiled_demo, KernelRow, ProfileArtifacts,

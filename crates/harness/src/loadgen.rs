@@ -11,7 +11,8 @@ use nbody::ic::IcKind;
 use nbody_tt::SimulationConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tt_server::JobRequest;
+use tensix::StormConfig;
+use tt_server::{BackendKind, FlightConfig, JobRequest, ServerConfig, TenantSpec};
 
 /// Shape of one synthetic serving workload.
 #[derive(Debug, Clone)]
@@ -187,9 +188,55 @@ pub fn generate_load(cfg: &LoadConfig) -> Result<Vec<(f64, JobRequest)>, LoadGen
         .collect())
 }
 
+/// The small seeded serving campaign `bench_gate` times: 24 jobs over two
+/// single cards under a light fault storm. `last_k` sizes the
+/// flight-recorder ring (0 disables it), so the recorder's overhead is
+/// measured on the same jobs.
+///
+/// # Panics
+/// Panics if the checkpoint spill directory cannot be created.
+#[must_use]
+pub fn bench_campaign(last_k: usize) -> (ServerConfig, Vec<(f64, JobRequest)>) {
+    let load = LoadConfig {
+        seed: 0xbe9c,
+        jobs: 24,
+        rate_hz: 500.0,
+        n_choices: vec![48, 64],
+        deadline_s: 10.0,
+        ..LoadConfig::default()
+    };
+    let arrivals = generate_load(&load).expect("bench load config is valid");
+    let spill_dir = std::env::temp_dir().join(format!("tt-bench-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).expect("spill dir");
+    let cfg = ServerConfig {
+        tenants: vec![TenantSpec::default(); 3],
+        backends: vec![BackendKind::SingleCard, BackendKind::SingleCard],
+        storm: StormConfig {
+            seed: 0xbe9c,
+            device_loss_prob: 0.01,
+            scheduled_loss_prob: 0.25,
+            ..StormConfig::default()
+        },
+        spill_dir,
+        flight: FlightConfig { last_k, ..FlightConfig::default() },
+        ..ServerConfig::default()
+    };
+    (cfg, arrivals)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_campaign_loses_no_job_and_its_p99_is_pinned() {
+        tt_server::install_fault_panic_filter();
+        let (cfg, arrivals) = bench_campaign(256);
+        let census = tt_server::run_campaign(&cfg, &arrivals, None).census;
+        assert!(census.zero_lost_jobs(), "bench campaign lost a job");
+        // Virtual seconds, to the bit: any change is a serving-policy change.
+        assert_eq!(census.p99_latency_s.to_bits(), 0.0010965160000000005f64.to_bits());
+    }
 
     #[test]
     fn load_is_deterministic_and_ordered() {

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Full local CI: release build, tests, lints, formatting.
+# Full local CI: release build, tests, smokes, a drift check on every
+# committed results/ file, lints, formatting.
 # The build environment is offline — all external deps are vendored under
 # vendor/ — so every cargo invocation passes --offline.
 #
-# `ci.sh --bench` additionally runs the wall-clock bench gate: the
-# hand-rolled bench_gate binary, which rewrites BENCH_pipeline.json at the
-# repo root and exits non-zero if any bench regressed >15% against the
-# committed baseline (tolerance override: TT_BENCH_TOLERANCE=0.25).
+# `ci.sh --bench` additionally runs the host wall-clock bench gate for the
+# paths perfbench does not time: bench_gate --gate reads the committed
+# BENCH_pipeline.json and exits non-zero if any entry regressed >15%.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,8 +76,8 @@ echo "$RING_OUT" | grep -q "failovers: 1"
 echo "$RING_OUT" | grep -q "bitwise-identical to unfaulted run: true"
 
 echo "==> serving fault-storm smoke"
-# A small seeded multi-tenant campaign through the job server under an
-# injected fault storm (device losses, eth flaps, DRAM-ECC bursts): every
+# The default seeded 120-job multi-tenant campaign (the run E11 and E13
+# quote) through the job server under an injected fault storm (device losses, eth flaps, DRAM-ECC bursts): every
 # admitted job must complete bitwise-identical to its fault-free golden or
 # be shed with a typed rejection, and replaying the seed must reproduce the
 # same per-job outcomes. Grep the verdict lines so silent skips fail CI.
@@ -86,7 +86,7 @@ echo "==> serving fault-storm smoke"
 # post-mortem dump, the attribution buckets must sum exactly to each job's
 # latency, and the per-job span trees must render to a valid Chrome trace.
 rm -rf results/postmortem
-SERVE_OUT=$(cargo run --release --offline -p tt-harness --bin serve_storm -- --jobs 40 --profile)
+SERVE_OUT=$(cargo run --release --offline -p tt-harness --bin serve_storm -- --profile)
 echo "$SERVE_OUT"
 echo "$SERVE_OUT" | grep -q "lost: 0"
 echo "$SERVE_OUT" | grep -q "bitwise-identical to fault-free goldens: true"
@@ -153,6 +153,19 @@ echo "$MATRIX_OUT"
 echo "$MATRIX_OUT" | grep -q "device catalog: n150"
 echo "$MATRIX_OUT" | grep -q "device-vs-direct accuracy: PASS"
 
+echo "==> results/ drift"
+# Every committed results/ file is deterministic output of the code. The
+# serving smoke above rewrote the serving CSVs; regenerate the rest and fail
+# if any file differs from what is committed, so a figure cannot go stale
+# unnoticed. block_speedup and arch_sweep also assert their E15/E14 claims.
+for bin in accuracy_table arch_sweep clock_sweep n_sweep scaling fig3_time fig4_power \
+  fig5_energy campaign_summary block_speedup; do
+  echo "$bin"
+  cargo run --release --offline --quiet -p tt-harness --bin "$bin" > /dev/null
+done
+cargo run --release --offline --quiet --example energy_campaign > /dev/null
+git diff --exit-code -- results/
+
 echo "==> perfbench build and workload smoke"
 # The repository benchmark is a package of its own outside the workspace,
 # so the workspace build above never compiles it. Build it, then run each
@@ -176,7 +189,7 @@ cargo fmt --check
 
 if [ "$RUN_BENCH" = 1 ]; then
   echo "==> bench regression gate"
-  cargo run --release --offline -p tt-bench --bin bench_gate -- --gate
+  cargo run --release --offline -p tt-harness --bin bench_gate -- --gate
 fi
 
 echo "CI OK"
