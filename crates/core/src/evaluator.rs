@@ -88,39 +88,6 @@ impl ActiveSet {
     pub fn indices(&self) -> &[usize] {
         &self.indices
     }
-
-    /// Pack the membership into little-endian `u64` words (bit `i % 64` of
-    /// word `i / 64` set iff particle `i` is active) — the checkpoint
-    /// format's view of the set.
-    #[must_use]
-    pub fn bitmap(&self) -> Vec<u64> {
-        let mut words = vec![0u64; self.n.div_ceil(64)];
-        for &i in &self.indices {
-            words[i / 64] |= 1u64 << (i % 64);
-        }
-        words
-    }
-
-    /// Rebuild a set from its [`Self::bitmap`] words.
-    ///
-    /// # Panics
-    /// Panics if `words` is shorter than `n` bits or a bit past `n` is set.
-    #[must_use]
-    pub fn from_bitmap(words: &[u64], n: usize) -> Self {
-        assert!(words.len() >= n.div_ceil(64), "bitmap too short for n = {n}");
-        let mut indices = Vec::new();
-        for (w, &word) in words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                let i = w * 64 + b;
-                assert!(i < n, "bitmap bit {i} past n = {n}");
-                indices.push(i);
-                bits &= bits - 1;
-            }
-        }
-        ActiveSet { indices, n }
-    }
 }
 
 /// Gather the active rows of a full-system force evaluation, for a backend

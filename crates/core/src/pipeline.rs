@@ -760,7 +760,7 @@ impl DeviceForcePipeline {
         loop {
             let is_redo = redo.is_some();
             let current = redo.as_ref().or(program.as_ref()).unwrap_or(&card.program);
-            match card.queue.enqueue_program_checked(current) {
+            match card.queue.enqueue_program(current) {
                 Ok(report) => {
                     let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
                     max_fc = max_compute_cycles(max_fc, &report.timings);

@@ -224,10 +224,6 @@ pub struct DriverOutcome {
     pub recoveries: u32,
     /// Iterations re-executed after rolling back to a checkpoint.
     pub steps_replayed: usize,
-    /// Ring members replaced by a spare *inside* an evaluation. The driver
-    /// sees no failover (it never costs a rollback), so it reports zero;
-    /// ring callers fill this from the ring's own timing.
-    pub failovers: u64,
     /// Checkpoints written to disk (zero without a [`SpillConfig`]).
     pub checkpoint_spills: u64,
     /// Virtual seconds charged for checkpoint spill writes.
@@ -414,7 +410,6 @@ fn drive<E: ForceEvaluator>(
         report: sched.into_report(),
         recoveries,
         steps_replayed: replayed,
-        failovers: 0,
         checkpoint_spills: store.spills,
         spill_seconds: store.seconds,
     })

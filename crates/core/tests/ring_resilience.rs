@@ -34,20 +34,19 @@ fn devices(ids: &[usize]) -> Vec<Arc<Device>> {
     ids.iter().map(|id| Device::new(*id, DeviceConfig::default())).collect()
 }
 
-/// The resilient driver over a ring of `devices` with a `spares` pool; the
-/// spare failovers come from the ring's own counters.
+/// The resilient driver over a ring of `devices` with a `spares` pool,
+/// with the ring's own count of spare failovers.
 fn ring_run(
     devices: &[Arc<Device>],
     spares: &[Arc<Device>],
     sys: &mut ParticleSystem,
-) -> DriverOutcome {
+) -> (DriverOutcome, u64) {
     let ring = Arc::new(
         MultiDevicePipeline::with_spares(devices, spares, sys.len(), cfg().eps, cfg().num_cores)
             .unwrap(),
     );
-    let mut out = run_simulation_resilient(&ring, sys, cfg(), RecoveryConfig::default()).unwrap();
-    out.failovers = ring.timing().failovers;
-    out
+    let out = run_simulation_resilient(&ring, sys, cfg(), RecoveryConfig::default()).unwrap();
+    (out, ring.timing().failovers)
 }
 
 fn assert_states_bitwise(a: &ParticleSystem, b: &ParticleSystem) {
@@ -72,16 +71,16 @@ proptest! {
         let mk = || plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
 
         let mut clean_sys = mk();
-        let clean = ring_run(&devices(&[0, 1]), &[], &mut clean_sys);
-        prop_assert_eq!(clean.failovers, 0);
+        let (clean, clean_failovers) = ring_run(&devices(&[0, 1]), &[], &mut clean_sys);
+        prop_assert_eq!(clean_failovers, 0);
         prop_assert_eq!(clean.recoveries, 0);
 
         let devs = devices(&[0, 1]);
         devs[1].faults().schedule(FaultClass::DeviceLoss, event);
         let spares = devices(&[9]);
         let mut sys = mk();
-        let out = ring_run(&devs, &spares, &mut sys);
-        prop_assert_eq!(out.failovers, 1, "spare absorbs the loss inside the evaluation");
+        let (out, failovers) = ring_run(&devs, &spares, &mut sys);
+        prop_assert_eq!(failovers, 1, "spare absorbs the loss inside the evaluation");
         prop_assert_eq!(out.recoveries, 0, "failover never costs a rollback");
         prop_assert_eq!(out.steps_replayed, 0);
         prop_assert!(!devs[1].is_alive());
@@ -110,7 +109,7 @@ fn exhausted_spares_fall_back_to_checkpoint_recovery() {
     let mk = || plummer(PlummerConfig { n, seed: 210, ..PlummerConfig::default() });
 
     let mut clean_sys = mk();
-    let clean = ring_run(&devices(&[0, 1]), &[], &mut clean_sys);
+    let (clean, _) = ring_run(&devices(&[0, 1]), &[], &mut clean_sys);
 
     // No spare pool: the loss surfaces to the driver, which resets the dead
     // card in place, restores the checkpoint, and replays — the same
@@ -118,8 +117,8 @@ fn exhausted_spares_fall_back_to_checkpoint_recovery() {
     let devs = devices(&[0, 1]);
     devs[1].faults().schedule(FaultClass::DeviceLoss, 4);
     let mut sys = mk();
-    let out = ring_run(&devs, &[], &mut sys);
-    assert_eq!(out.failovers, 0, "nothing to promote");
+    let (out, failovers) = ring_run(&devs, &[], &mut sys);
+    assert_eq!(failovers, 0, "nothing to promote");
     assert_eq!(out.recoveries, 1, "driver reset the dead card and replayed");
     assert!(out.steps_replayed > 0);
     assert!(devs[1].is_alive(), "recovery resets the card back into service");
@@ -137,7 +136,7 @@ fn ring_and_single_card_resilient_runs_agree_bitwise() {
     let mk = || plummer(PlummerConfig { n, seed: 211, ..PlummerConfig::default() });
 
     let mut ring_sys = mk();
-    let ring = ring_run(&devices(&[0, 1]), &[], &mut ring_sys);
+    let (ring, _) = ring_run(&devices(&[0, 1]), &[], &mut ring_sys);
     assert_eq!(ring.outcome.kernel, "tenstorrent-wormhole-ring");
 
     let card = Arc::new(

@@ -1,6 +1,6 @@
 //! One-shot summary: runs E1–E3, E6 and E9 and prints the consolidated
 //! paper-vs-measured table (the source of EXPERIMENTS.md's headline rows)
-//! plus the failure-class census.
+//! plus the reset census with and without retries.
 
 use tt_harness::{
     default_run, render_table, run_fault_census, run_fig3, run_fig5, run_scaling, Comparison,
@@ -42,15 +42,14 @@ fn main() {
         sc.strong[0].1, sc.strong[3].1
     );
 
-    // E9: the census by failure class, phrased as the paper reports it.
+    // E9: the reset census, phrased as the paper reports it.
     let fc = run_fault_census(&run, 0x5c25);
     let b = fc.baseline;
     println!("\n=== E9 fault-tolerance census (50 accelerated submissions) ===\n");
     println!(
         "one-shot submissions (paper workflow): {} ran successfully, \
-         {} failed to start due to errors occurring during the device reset phase, \
-         {} lost the card mid-run, {} timed out",
-        b.succeeded, b.failed_reset, b.failed_mid_run, b.failed_timeout
+         {} failed to start due to errors occurring during the device reset phase",
+        b.succeeded, b.failed_reset
     );
     let r = fc.retried;
     println!(
@@ -63,8 +62,7 @@ fn main() {
         r.reset_retries_used
     );
 
-    // Per-job observability columns (RetryCost cycles + CB stall counters)
-    // behind both censuses; schema documented on
+    // Per-job rows behind both censuses; schema documented on
     // `tt_telemetry::csvio::jobs_to_csv`.
     std::fs::create_dir_all("results").ok();
     let baseline_jobs = tt_telemetry::run_campaign(&tt_harness::accel_spec(&run), 50, 0x5c25);

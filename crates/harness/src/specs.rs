@@ -28,33 +28,12 @@ pub fn accel_spec(run: &RunModel) -> JobSpec {
         sleep_seconds: SLEEP_SECONDS,
         cards: run.cards_installed,
         active_card: 3, // the Fig. 4 run used device 3
-        devices: 1,
         card_params: run.card_power_params(),
         host_sim_power_w: run.cpu.total_power(1) + run.cpu.staging_power_w,
         host_idle_power_w: run.cpu.total_power(0),
         reset_failure_prob: RESET_FAILURE_PROB,
         sample_interval: 1.0,
         faults: FaultPolicy::default(),
-    }
-}
-
-/// The accelerated-run job spec spread over a ring of `devices` cards
-/// (the `--devices N` campaign axis). The ring starts at card 0 so any
-/// width up to `cards_installed` fits, and the nominal time comes from the
-/// calibrated strong-scaling model (E6): compute shrinks by the ring
-/// width, the per-step all-gather grows with it.
-///
-/// # Panics
-/// Panics when `devices` is zero or exceeds the installed cards.
-#[must_use]
-pub fn accel_spec_devices(run: &RunModel, devices: usize) -> JobSpec {
-    assert!(devices >= 1, "a ring needs at least one card");
-    assert!(devices <= run.cards_installed, "ring wider than the installed cards");
-    JobSpec {
-        nominal_seconds: run.accel_seconds_multi_device(devices),
-        active_card: 0,
-        devices,
-        ..accel_spec(run)
     }
 }
 
@@ -68,7 +47,6 @@ pub fn cpu_spec(run: &RunModel) -> JobSpec {
         sleep_seconds: SLEEP_SECONDS,
         cards: run.cards_installed,
         active_card: 3,
-        devices: 1,
         card_params: run.card_power_params(),
         host_sim_power_w: run.cpu.total_power(run.cpu_threads),
         host_idle_power_w: run.cpu.total_power(0),
@@ -98,24 +76,5 @@ mod tests {
         assert!((c.nominal_seconds - 672.9).abs() < 10.0);
         assert_eq!(c.reset_failure_prob, 0.0);
         assert!(c.time_jitter_frac > a.time_jitter_frac * 5.0);
-    }
-
-    #[test]
-    fn multi_device_spec_scales_but_not_linearly() {
-        let run = paper_run();
-        let one = accel_spec_devices(&run, 1);
-        assert_eq!(one.devices, 1);
-        assert!((one.nominal_seconds - accel_spec(&run).nominal_seconds).abs() < 1e-9);
-
-        let two = accel_spec_devices(&run, 2);
-        assert_eq!(two.devices, 2);
-        assert_eq!(two.active_card, 0, "the ring starts at card 0");
-        // Faster than one card, slower than the perfect halving: the ring
-        // all-gather eats part of the win.
-        assert!(two.nominal_seconds < one.nominal_seconds);
-        assert!(two.nominal_seconds > one.nominal_seconds / 2.0);
-
-        let four = accel_spec_devices(&run, 4);
-        assert!(four.nominal_seconds < two.nominal_seconds);
     }
 }

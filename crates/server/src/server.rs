@@ -561,8 +561,7 @@ impl<'a> Campaign<'a> {
                 let rt = MultiDevicePipeline::timing(&ring);
                 self.slots[slot].failovers += rt.failovers;
                 match result {
-                    Ok(mut outcome) => {
-                        outcome.failovers = rt.failovers;
+                    Ok(outcome) => {
                         let service_s = rt.device_seconds
                             + rt.comm_seconds
                             + outcome.outcome.timing.as_ref().map_or(0.0, |t| t.io_seconds);

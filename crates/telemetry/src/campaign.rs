@@ -14,13 +14,12 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tensix::{Device, DeviceConfig, FaultConfig, PowerParams, PowerState};
+use tensix::{Device, DeviceConfig, PowerParams, PowerState};
 
 use crate::energy::integrate_samples;
 use crate::ipmi::DcmiPowerMeter;
 use crate::profile::HostPowerProfile;
 use crate::rapl::{read_energy_naive, read_energy_perf, RaplDomain};
-use crate::retry::RetryCost;
 use crate::sample::SampleSeries;
 use crate::stats::standard_normal;
 use crate::ttsmi::TtSmiSampler;
@@ -41,11 +40,6 @@ pub enum FailurePhase {
     /// the paper's "the remaining 24 failed to start due to errors occurring
     /// during the device reset phase".
     Reset,
-    /// The card fell off the bus (or a kernel fault killed the run) inside
-    /// the measurement window.
-    MidRun,
-    /// The job hung and was killed at its wall-clock budget.
-    Timeout,
 }
 
 /// How a job ended.
@@ -57,9 +51,9 @@ pub enum JobOutcome {
     Failed(FailurePhase),
 }
 
-/// Fault-tolerance policy for a campaign. The all-zeros [`Default`] is
-/// exactly the paper's workflow — one reset attempt, no mid-run faults, no
-/// recovery — so the census experiments reproduce unchanged.
+/// Reset-recovery policy for a campaign. The all-zeros [`Default`] is
+/// exactly the paper's workflow — one reset attempt per job (E5); E9 adds
+/// bounded retries.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPolicy {
     /// Extra reset attempts after a failed one (0 = the paper's one-shot
@@ -70,18 +64,6 @@ pub struct FaultPolicy {
     /// [`JobRecord::recovery_overhead_s`], never into the measurement
     /// window.
     pub reset_backoff_s: f64,
-    /// Probability the job hangs mid-run and is killed at its wall-clock
-    /// budget ([`FailurePhase::Timeout`]; accelerated jobs only).
-    pub hang_prob: f64,
-    /// Probability the active card falls off the bus mid-simulation
-    /// (accelerated jobs only).
-    pub mid_run_loss_prob: f64,
-    /// On a mid-run loss, resume from the last host-side checkpoint instead
-    /// of failing the job.
-    pub resume_from_checkpoint: bool,
-    /// Fraction of the simulation redone after a checkpoint resume (the
-    /// work since the last checkpoint).
-    pub checkpoint_redo_frac: f64,
 }
 
 /// Parameters of a job, supplied by the caller (the harness derives them
@@ -99,13 +81,8 @@ pub struct JobSpec {
     pub sleep_seconds: f64,
     /// Cards installed (4).
     pub cards: usize,
-    /// Which card computes (the paper's Fig. 4 run used device 3). For a
-    /// multi-device job this is the first card of the ring.
+    /// Which card computes (the paper's Fig. 4 run used device 3).
     pub active_card: usize,
-    /// Cards computing, as a ring starting at `active_card` (1 = the
-    /// paper's single-card job; `active_card + devices` must fit in
-    /// `cards`).
-    pub devices: usize,
     /// Card wattage parameters (incl. the burst duty from the perf model).
     pub card_params: PowerParams,
     /// Host power during the simulation window, W.
@@ -117,7 +94,7 @@ pub struct JobSpec {
     pub reset_failure_prob: f64,
     /// tt-smi sampling interval, s.
     pub sample_interval: f64,
-    /// Fault-tolerance policy (retries, mid-run faults, checkpoint resume).
+    /// Reset-recovery policy (retries and their backoff).
     pub faults: FaultPolicy,
 }
 
@@ -133,8 +110,8 @@ pub struct JobRecord {
     /// Reset retries consumed before the device came up (0 on the paper's
     /// one-shot policy).
     pub reset_retries_used: u32,
-    /// Virtual time spent on recovery — reset backoff and checkpoint redo —
-    /// outside the measurement window, s.
+    /// Virtual time spent on reset backoff, outside the measurement
+    /// window, s.
     pub recovery_overhead_s: f64,
     /// Simulation wall time (MPI_Wtime window), s.
     pub time_to_solution: Option<f64>,
@@ -167,31 +144,6 @@ pub struct JobRecord {
     pub server_series: SampleSeries,
     /// Simulation window within the job timeline.
     pub sim_window: (f64, f64),
-    /// Cycle-level cost attribution of the job, derived from the modeled
-    /// timeline at the device clock (1 cycle = 1 ns): delivered work in
-    /// `useful_cycles` (including any checkpoint-redone slice, also counted
-    /// in `redo_cycles`), discarded work of failed jobs in `wasted_cycles`
-    /// (a timeout burns its whole window; a mid-run loss is expected to
-    /// burn half of it). Purely derived — no extra randomness — so census
-    /// reproduction is untouched.
-    pub retry_cost: RetryCost,
-    /// CB producer stalls (`cb_reserve_back` blocking) observed by the job.
-    /// The modeled campaign runner does not execute the functional
-    /// pipeline, so it records zero; pipeline-backed runners fill this from
-    /// their launch reports' `CbReport`s.
-    pub cb_producer_stalls: u64,
-    /// CB consumer stalls (`cb_wait_front` blocking). The modeled runner
-    /// records the watchdog's one unresolved wait for a
-    /// [`FailurePhase::Timeout`] job and zero otherwise.
-    pub cb_consumer_stalls: u64,
-    /// Per-ring-card split of [`JobRecord::retry_cost`] (one entry per
-    /// computing card, cycle-exact: the entries sum back to the job total).
-    /// Empty for jobs that died before any card computed.
-    pub device_retry: Vec<RetryCost>,
-    /// Ring members replaced by a spare mid-run. The modeled campaign
-    /// runner records zero (its loss model is job-level); pipeline-backed
-    /// runners fill this from `DriverOutcome::failovers`.
-    pub failovers: u64,
 }
 
 impl JobRecord {
@@ -215,11 +167,6 @@ impl JobRecord {
             host_series: SampleSeries::new("host"),
             server_series: SampleSeries::new("server"),
             sim_window: (0.0, 0.0),
-            retry_cost: RetryCost::default(),
-            cb_producer_stalls: 0,
-            cb_consumer_stalls: 0,
-            device_retry: Vec::new(),
-            failovers: 0,
         }
     }
 
@@ -233,15 +180,6 @@ impl JobRecord {
 /// Run one job.
 #[must_use]
 pub fn run_job(spec: &JobSpec, job_id: usize, seed: u64) -> JobRecord {
-    assert!(spec.devices >= 1, "a job computes on at least one card");
-    assert!(
-        spec.active_card + spec.devices <= spec.cards,
-        "ring of {} cards starting at {} does not fit in {} installed",
-        spec.devices,
-        spec.active_card,
-        spec.cards
-    );
-    let ring = spec.active_card..spec.active_card + spec.devices;
     let mut rng =
         SmallRng::seed_from_u64(seed ^ (job_id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
 
@@ -257,19 +195,6 @@ pub fn run_job(spec: &JobSpec, job_id: usize, seed: u64) -> JobRecord {
                 DeviceConfig {
                     reset_failure_prob: if injected { spec.reset_failure_prob } else { 0.0 },
                     seed: seed.wrapping_add(job_id as u64 * 131),
-                    // Mid-run hang/loss are drawn from the card's own seeded
-                    // FaultPlan streams (ROADMAP "campaign/device fault
-                    // unification"): the one device seed governs both the
-                    // campaign census and launch-level injection.
-                    faults: if injected {
-                        FaultConfig {
-                            kernel_stall_prob: spec.faults.hang_prob,
-                            device_loss_prob: spec.faults.mid_run_loss_prob,
-                            ..FaultConfig::default()
-                        }
-                    } else {
-                        FaultConfig::default()
-                    },
                     ..DeviceConfig::default()
                 },
             )
@@ -305,50 +230,7 @@ pub fn run_job(spec: &JobSpec, job_id: usize, seed: u64) -> JobRecord {
     }
 
     // --- timeline: sleep, simulate, sleep ---------------------------------
-    let mut duration =
-        spec.nominal_seconds * (1.0 + spec.time_jitter_frac * standard_normal(&mut rng));
-
-    // --- mid-run faults ----------------------------------------------------
-    // Hang and loss are drawn from the active card's seeded FaultPlan — the
-    // same per-class streams the launch layer rolls — so one seed governs
-    // both layers. The job rng consumes only the duration draw above and
-    // each fault class has an independent stream, so the no-fault censuses
-    // and every measurement reproduce whichever policy is active.
-    let mut redo_cycles = 0u64;
-    if spec.kind == JobKind::Accelerated {
-        let plan = devices[spec.active_card].faults();
-        if plan.roll_kernel_stall() {
-            let mut rec = JobRecord::failed(job_id, spec.kind, FailurePhase::Timeout);
-            rec.reset_retries_used = reset_retries_used;
-            rec.recovery_overhead_s = recovery_overhead_s;
-            // The hang burned its whole wall-clock budget for nothing, stuck
-            // in one CB wait the watchdog eventually killed.
-            rec.retry_cost.wasted_cycles = model_cycles(duration);
-            rec.device_retry = split_retry(rec.retry_cost, spec.devices);
-            rec.cb_consumer_stalls = 1;
-            return rec;
-        }
-        if plan.roll_device_loss() {
-            if spec.faults.resume_from_checkpoint {
-                // Resume from the last host-side checkpoint: the window
-                // stretches by the redone slice, and the redo is billed as
-                // recovery overhead.
-                let redo = duration * spec.faults.checkpoint_redo_frac;
-                recovery_overhead_s += redo;
-                duration += redo;
-                redo_cycles = model_cycles(redo);
-            } else {
-                let mut rec = JobRecord::failed(job_id, spec.kind, FailurePhase::MidRun);
-                rec.reset_retries_used = reset_retries_used;
-                rec.recovery_overhead_s = recovery_overhead_s;
-                // The loss lands uniformly in the window; bill the expected
-                // half window as discarded work.
-                rec.retry_cost.wasted_cycles = model_cycles(0.5 * duration);
-                rec.device_retry = split_retry(rec.retry_cost, spec.devices);
-                return rec;
-            }
-        }
-    }
+    let duration = spec.nominal_seconds * (1.0 + spec.time_jitter_frac * standard_normal(&mut rng));
     let sim_start = spec.sleep_seconds;
     let sim_end = sim_start + duration;
     let total = sim_end + spec.sleep_seconds;
@@ -356,7 +238,7 @@ pub fn run_job(spec: &JobSpec, job_id: usize, seed: u64) -> JobRecord {
     for d in &devices {
         d.record_power(PowerState::Idle, spec.sleep_seconds);
         let compute_state = match spec.kind {
-            JobKind::Accelerated if ring.contains(&d.id()) => PowerState::ComputeActive,
+            JobKind::Accelerated if d.id() == spec.active_card => PowerState::ComputeActive,
             JobKind::Accelerated => PowerState::PoweredUnused,
             // CPU-only runs leave the cards at their idle baseline.
             JobKind::CpuOnly => PowerState::Idle,
@@ -440,39 +322,7 @@ pub fn run_job(spec: &JobSpec, job_id: usize, seed: u64) -> JobRecord {
         host_series,
         server_series,
         sim_window: (sim_start, sim_end),
-        retry_cost: RetryCost {
-            useful_cycles: model_cycles(duration),
-            wasted_cycles: 0,
-            redo_cycles,
-        },
-        cb_producer_stalls: 0,
-        cb_consumer_stalls: 0,
-        device_retry: split_retry(
-            RetryCost { useful_cycles: model_cycles(duration), wasted_cycles: 0, redo_cycles },
-            spec.devices,
-        ),
-        failovers: 0,
     }
-}
-
-/// Seconds of the modeled timeline at the device clock (1 cycle = 1 ns).
-fn model_cycles(seconds: f64) -> u64 {
-    (seconds * tensix::CLOCK_HZ) as u64
-}
-
-/// Split a job-level [`RetryCost`] evenly across the ring's cards,
-/// cycle-exact (remainders go to the lowest-indexed cards, so the entries
-/// always sum back to the total).
-fn split_retry(total: RetryCost, devices: usize) -> Vec<RetryCost> {
-    let d = devices.max(1) as u64;
-    let share = |v: u64, i: u64| v / d + u64::from(i < v % d);
-    (0..d)
-        .map(|i| RetryCost {
-            useful_cycles: share(total.useful_cycles, i),
-            wasted_cycles: share(total.wasted_cycles, i),
-            redo_cycles: share(total.redo_cycles, i),
-        })
-        .collect()
 }
 
 /// Run a campaign of `jobs` submissions.
@@ -487,8 +337,8 @@ pub fn successes(records: &[JobRecord]) -> Vec<&JobRecord> {
     records.iter().filter(|r| r.success()).collect()
 }
 
-/// Campaign tally by failure class — the structured version of the paper's
-/// "26 ran successfully ... the remaining 24 failed to start".
+/// Campaign tally — the structured version of the paper's "26 ran
+/// successfully ... the remaining 24 failed to start".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignCensus {
     /// Jobs submitted.
@@ -497,37 +347,19 @@ pub struct CampaignCensus {
     pub succeeded: usize,
     /// Jobs that died at device reset (failed to start).
     pub failed_reset: usize,
-    /// Jobs that lost the card mid-simulation.
-    pub failed_mid_run: usize,
-    /// Jobs killed at their wall-clock budget.
-    pub failed_timeout: usize,
     /// Reset retries consumed across the whole campaign.
     pub reset_retries_used: u64,
-    /// Ring members replaced by a spare across the whole campaign
-    /// (pipeline-backed runners only; the modeled runner reports zero).
-    pub failovers: u64,
 }
 
-impl CampaignCensus {
-    /// Failed jobs across all classes.
-    #[must_use]
-    pub fn failed(&self) -> usize {
-        self.failed_reset + self.failed_mid_run + self.failed_timeout
-    }
-}
-
-/// Tally `records` by outcome class.
+/// Tally `records` by outcome.
 #[must_use]
 pub fn census(records: &[JobRecord]) -> CampaignCensus {
     let mut c = CampaignCensus { submitted: records.len(), ..CampaignCensus::default() };
     for r in records {
         c.reset_retries_used += u64::from(r.reset_retries_used);
-        c.failovers += r.failovers;
         match r.outcome {
             JobOutcome::Success => c.succeeded += 1,
             JobOutcome::Failed(FailurePhase::Reset) => c.failed_reset += 1,
-            JobOutcome::Failed(FailurePhase::MidRun) => c.failed_mid_run += 1,
-            JobOutcome::Failed(FailurePhase::Timeout) => c.failed_timeout += 1,
         }
     }
     c
@@ -546,7 +378,6 @@ mod tests {
             sleep_seconds: 120.0,
             cards: 4,
             active_card: 3,
-            devices: 1,
             card_params: PowerParams::default(),
             host_sim_power_w: 152.7,
             host_idle_power_w: 130.0,
@@ -607,40 +438,6 @@ mod tests {
 
     fn spec_sleep() -> f64 {
         120.0
-    }
-
-    #[test]
-    fn ring_job_powers_every_ring_card_and_splits_retry_cycle_exact() {
-        // A 3-card ring starting at card 1: cards 1..4 compute, card 0 is
-        // powered but unused, and the job's retry cycles split across the
-        // ring so the per-device columns sum back to the job total.
-        let spec = JobSpec { active_card: 1, devices: 3, reset_failure_prob: 0.0, ..accel_spec() };
-        let rec = run_job(&spec, 0, 42);
-        assert!(rec.success());
-        let (t0, t1) = rec.sim_window;
-        for s in &rec.card_series[1..4] {
-            let w: Vec<f64> = s.window(t0 + 5.0, t1 - 5.0).iter().map(|p| p.watts).collect();
-            assert!(w.iter().all(|x| (25.4..=33.6).contains(x)), "ring card idle during run");
-        }
-        for p in rec.card_series[0].window(t0 + 5.0, t1 - 5.0) {
-            assert!(p.watts < 20.0, "non-ring card drawing {}", p.watts);
-        }
-        assert_eq!(rec.device_retry.len(), 3);
-        let sum: u64 = rec.device_retry.iter().map(|c| c.useful_cycles).sum();
-        assert_eq!(sum, rec.retry_cost.useful_cycles, "split must be cycle-exact");
-        assert!(
-            rec.device_retry[0].useful_cycles >= rec.device_retry[2].useful_cycles,
-            "remainder cycles go to the lowest-indexed cards"
-        );
-        assert_eq!(rec.failovers, 0, "the modeled runner never promotes a spare");
-        assert_eq!(census(&[rec]).failovers, 0);
-    }
-
-    #[test]
-    fn ring_must_fit_in_the_installed_cards() {
-        let spec = JobSpec { active_card: 3, devices: 2, ..accel_spec() };
-        let err = std::panic::catch_unwind(|| run_job(&spec, 0, 1));
-        assert!(err.is_err(), "ring 3..5 cannot fit in 4 cards");
     }
 
     #[test]
@@ -731,7 +528,7 @@ mod tests {
         // Retry-disabled: the paper's census, seed-deterministic.
         let baseline = census(&run_campaign(&accel_spec(), 50, 7));
         assert!((18..=34).contains(&baseline.succeeded), "{baseline:?}");
-        assert_eq!(baseline.failed_reset, baseline.failed());
+        assert_eq!(baseline.succeeded + baseline.failed_reset, baseline.submitted);
         assert_eq!(baseline.reset_retries_used, 0);
 
         // Same seed with a retry budget: p(all 5 attempts fail) = 0.48^5,
@@ -771,95 +568,6 @@ mod tests {
         assert_eq!(retried.sim_window, healthy.sim_window);
         assert!(retried.recovery_overhead_s >= 5.0, "backoff must be billed");
         assert_eq!(healthy.recovery_overhead_s, 0.0);
-    }
-
-    #[test]
-    fn census_splits_failures_by_class() {
-        let mut spec = accel_spec();
-        spec.reset_failure_prob = 0.3;
-        spec.faults.hang_prob = 0.15;
-        spec.faults.mid_run_loss_prob = 0.25;
-        let c = census(&run_campaign(&spec, 200, 13));
-        assert_eq!(c.submitted, 200);
-        assert_eq!(c.succeeded + c.failed(), c.submitted);
-        assert!(c.failed_reset > 20, "{c:?}");
-        assert!(c.failed_mid_run > 10, "{c:?}");
-        assert!(c.failed_timeout > 5, "{c:?}");
-
-        // Checkpoint resume converts mid-run losses into longer successes.
-        let mut resume = spec;
-        resume.faults.resume_from_checkpoint = true;
-        resume.faults.checkpoint_redo_frac = 0.25;
-        let cr = census(&run_campaign(&resume, 200, 13));
-        assert_eq!(cr.failed_mid_run, 0, "{cr:?}");
-        assert_eq!(cr.succeeded, c.succeeded + c.failed_mid_run, "same rolls, same classes");
-        assert_eq!(cr.failed_timeout, c.failed_timeout);
-        assert_eq!(cr.failed_reset, c.failed_reset);
-    }
-
-    #[test]
-    fn checkpoint_resume_bills_the_redo() {
-        let mut spec = accel_spec();
-        spec.reset_failure_prob = 0.0;
-        spec.faults.mid_run_loss_prob = 1.0;
-        spec.faults.resume_from_checkpoint = true;
-        spec.faults.checkpoint_redo_frac = 0.25;
-        let resumed = run_job(&spec, 0, 42);
-        assert!(resumed.success());
-
-        let mut clean_spec = spec;
-        clean_spec.faults.mid_run_loss_prob = 0.0;
-        let clean = run_job(&clean_spec, 0, 42);
-        let t_resumed = resumed.time_to_solution.unwrap();
-        let t_clean = clean.time_to_solution.unwrap();
-        assert!((t_resumed - 1.25 * t_clean).abs() < 1e-9, "{t_resumed} vs {t_clean}");
-        assert!((resumed.recovery_overhead_s - 0.25 * t_clean).abs() < 1e-9);
-        // The redone slice burns real energy — it must show up.
-        assert!(resumed.total_energy_j.unwrap() > clean.total_energy_j.unwrap());
-    }
-
-    #[test]
-    fn job_observability_columns_are_derived_deterministically() {
-        // Success: the whole window is useful work, nothing wasted.
-        let mut clean = accel_spec();
-        clean.reset_failure_prob = 0.0;
-        let ok = run_job(&clean, 0, 42);
-        let t = ok.time_to_solution.unwrap();
-        assert_eq!(ok.retry_cost.useful_cycles, (t * tensix::CLOCK_HZ) as u64);
-        assert_eq!(ok.retry_cost.wasted_cycles, 0);
-        assert_eq!((ok.cb_producer_stalls, ok.cb_consumer_stalls), (0, 0));
-
-        // Timeout: the whole budget burned, one unresolved CB wait.
-        let mut hang = clean;
-        hang.faults.hang_prob = 1.0;
-        let timed_out = run_job(&hang, 0, 42);
-        assert_eq!(timed_out.outcome, JobOutcome::Failed(FailurePhase::Timeout));
-        assert!(timed_out.retry_cost.wasted_cycles > 0);
-        assert_eq!(timed_out.retry_cost.useful_cycles, 0);
-        assert_eq!(timed_out.cb_consumer_stalls, 1);
-
-        // Checkpoint resume: the redone quarter shows up in redo_cycles,
-        // inside the useful bucket: overhead = 0.25 t / 1.25 t = 0.2.
-        let mut resume = clean;
-        resume.faults.mid_run_loss_prob = 1.0;
-        resume.faults.resume_from_checkpoint = true;
-        resume.faults.checkpoint_redo_frac = 0.25;
-        let resumed = run_job(&resume, 0, 42);
-        assert!(resumed.success());
-        assert!(resumed.retry_cost.redo_cycles > 0);
-        assert!(resumed.retry_cost.redo_cycles <= resumed.retry_cost.useful_cycles);
-        assert!((resumed.retry_cost.overhead_ratio() - 0.2).abs() < 1e-6);
-
-        // Mid-run loss without resume: expected half window discarded.
-        let mut lossy = clean;
-        lossy.faults.mid_run_loss_prob = 1.0;
-        let lost = run_job(&lossy, 0, 42);
-        assert_eq!(lost.outcome, JobOutcome::Failed(FailurePhase::MidRun));
-        assert_eq!(lost.retry_cost.useful_cycles, 0);
-        assert!(lost.retry_cost.wasted_cycles > 0);
-        // Derivations are deterministic: same seed, same columns.
-        let again = run_job(&lossy, 0, 42);
-        assert_eq!(lost.retry_cost, again.retry_cost);
     }
 
     #[test]

@@ -93,28 +93,16 @@ pub fn read_csv(path: &Path) -> io::Result<Vec<SampleSeries>> {
 ///
 /// ```text
 /// job_id,kind,outcome,reset_retries,recovery_s,time_s,card_energy_j,
-/// cpu_energy_j,total_energy_j,peak_w,useful_cycles,wasted_cycles,
-/// redo_cycles,cb_producer_stalls,cb_consumer_stalls,devices,failovers,
-/// dev_retry
+/// cpu_energy_j,total_energy_j,peak_w
 /// ```
 ///
 /// * `kind` — `accel` or `cpu`;
-/// * `outcome` — `success`, `reset`, `mid_run` or `timeout`;
-/// * the three `*_cycles` columns are the job's [`RetryCost`]
-///   (`crate::retry::RetryCost`) at the 1 GHz device clock;
-/// * the two `cb_*_stalls` columns carry the blocking-CB-wait counters
-///   (see [`JobRecord::cb_producer_stalls`] for who fills them);
-/// * `devices` — the job's ring width (0 for a record that never ran);
-/// * `failovers` — ring members a spare replaced mid-run;
-/// * `dev_retry` — per-card [`RetryCost`] packed as
-///   `useful:wasted:redo|useful:wasted:redo|…`, one segment per ring card,
-///   summing cycle-exactly to the three job-level columns.
+/// * `outcome` — `success` or `reset`.
 #[must_use]
 pub fn jobs_to_csv(records: &[JobRecord]) -> String {
     let mut out = String::from(
         "job_id,kind,outcome,reset_retries,recovery_s,time_s,card_energy_j,cpu_energy_j,\
-         total_energy_j,peak_w,useful_cycles,wasted_cycles,redo_cycles,cb_producer_stalls,\
-         cb_consumer_stalls,devices,failovers,dev_retry\n",
+         total_energy_j,peak_w\n",
     );
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.4}"));
     for r in records {
@@ -125,18 +113,10 @@ pub fn jobs_to_csv(records: &[JobRecord]) -> String {
         let outcome = match r.outcome {
             JobOutcome::Success => "success",
             JobOutcome::Failed(FailurePhase::Reset) => "reset",
-            JobOutcome::Failed(FailurePhase::MidRun) => "mid_run",
-            JobOutcome::Failed(FailurePhase::Timeout) => "timeout",
         };
-        let dev_retry = r
-            .device_retry
-            .iter()
-            .map(|c| format!("{}:{}:{}", c.useful_cycles, c.wasted_cycles, c.redo_cycles))
-            .collect::<Vec<_>>()
-            .join("|");
         let _ = writeln!(
             out,
-            "{},{},{},{},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{:.4},{},{},{},{},{}",
             r.job_id,
             kind,
             outcome,
@@ -147,14 +127,6 @@ pub fn jobs_to_csv(records: &[JobRecord]) -> String {
             opt(r.cpu_energy_j),
             opt(r.total_energy_j),
             opt(r.peak_power_w),
-            r.retry_cost.useful_cycles,
-            r.retry_cost.wasted_cycles,
-            r.retry_cost.redo_cycles,
-            r.cb_producer_stalls,
-            r.cb_consumer_stalls,
-            r.device_retry.len(),
-            r.failovers,
-            dev_retry,
         );
     }
     out
@@ -237,43 +209,23 @@ mod tests {
         ok.time_to_solution = Some(301.4);
         ok.total_energy_j = Some(12_345.6);
         ok.peak_power_w = Some(251.0);
-        ok.retry_cost.useful_cycles = 301_400_000_000;
-        ok.retry_cost.redo_cycles = 1_000;
-        ok.cb_consumer_stalls = 7;
-        ok.device_retry = vec![
-            crate::retry::RetryCost {
-                useful_cycles: 150_700_000_000,
-                wasted_cycles: 0,
-                redo_cycles: 500,
-            },
-            crate::retry::RetryCost {
-                useful_cycles: 150_700_000_000,
-                wasted_cycles: 0,
-                redo_cycles: 500,
-            },
-        ];
-        ok.failovers = 1;
-        let mut hung = JobRecord::failed(1, JobKind::Accelerated, FailurePhase::Timeout);
-        hung.retry_cost.wasted_cycles = 99;
-        hung.cb_consumer_stalls = 1;
-        let text = jobs_to_csv(&[ok, hung]);
+        let mut reset = JobRecord::failed(1, JobKind::Accelerated, FailurePhase::Reset);
+        reset.reset_retries_used = 2;
+        reset.recovery_overhead_s = 15.0;
+        let text = jobs_to_csv(&[ok, reset]);
         let mut lines = text.lines();
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("job_id,kind,outcome"));
-        assert!(header.ends_with(
-            "useful_cycles,wasted_cycles,redo_cycles,cb_producer_stalls,cb_consumer_stalls,\
-             devices,failovers,dev_retry"
-        ));
-        let row0 = lines.next().unwrap();
-        assert!(row0.starts_with("0,accel,success,"), "{row0}");
-        assert!(
-            row0.ends_with(",301400000000,0,1000,0,7,2,1,150700000000:0:500|150700000000:0:500"),
-            "{row0}"
+        assert_eq!(
+            lines.next().unwrap(),
+            "job_id,kind,outcome,reset_retries,recovery_s,time_s,card_energy_j,cpu_energy_j,\
+             total_energy_j,peak_w"
         );
+        let row0 = lines.next().unwrap();
+        assert_eq!(row0, "0,accel,success,0,0.0000,301.4000,,,12345.6000,251.0000");
         let row1 = lines.next().unwrap();
-        assert!(row1.contains(",timeout,"), "{row1}");
-        assert!(row1.contains(",,,,,"), "failed job leaves measurement cells empty: {row1}");
-        assert!(row1.ends_with(",0,99,0,0,1,0,0,"), "{row1}");
+        assert_eq!(
+            row1, "1,accel,reset,2,15.0000,,,,,",
+            "failed job leaves measurement cells empty"
+        );
     }
 
     #[test]

@@ -8,18 +8,15 @@
 //! persistence of timestamped samples, discrete [`energy`] integration over
 //! the simulation window, and the [`campaign`] runner that wraps each
 //! simulation in device resets and 120-second sleeps — including the
-//! reset-failure census (26 of 50 accelerated jobs completing).
+//! reset-failure census (26 of 50 accelerated jobs completing) and its
+//! bounded reset-retry variant.
 //!
 //! ## Observability integration
 //!
 //! The measurement substrate also carries the device-trace layer's outputs
 //! (the `tt-trace` crate): [`csvio`] dumps a `tt_trace::MetricsRegistry`
 //! next to the power CSVs ([`csvio::write_metrics_csv`]) and renders
-//! per-job census CSVs whose rows carry cycle-level [`retry::RetryCost`]
-//! attribution and CB stall counters ([`csvio::jobs_to_csv`] documents the
-//! schema). Campaign [`campaign::JobRecord`]s derive those columns purely
-//! from already-drawn quantities, so census reproduction stays
-//! byte-identical with observability on.
+//! per-job census CSVs ([`csvio::jobs_to_csv`] documents the schema).
 
 #![warn(missing_docs)]
 
@@ -31,7 +28,6 @@ pub mod energy;
 pub mod ipmi;
 pub mod profile;
 pub mod rapl;
-pub mod retry;
 pub mod sample;
 pub mod serving;
 pub mod stats;
@@ -49,7 +45,6 @@ pub use campaign::{
 pub use energy::{integrate_samples, integrate_samples_trapezoid};
 pub use profile::HostPowerProfile;
 pub use rapl::{read_energy_naive, read_energy_perf, RaplDomain, RAPL_UNIT_J, RAPL_WRAP};
-pub use retry::RetryCost;
 pub use sample::{PowerSample, SampleSeries};
 pub use serving::{JobDisposition, ServedJob, ServingCensus, TenantCensus};
 pub use stats::{max, mean, min, percentile, standard_normal, std_dev, Histogram};

@@ -1,4 +1,4 @@
-//! Tree-code cost accounting — the Barnes-Hut analogue of [`crate::RetryCost`].
+//! Tree-code cost accounting.
 //!
 //! The direct-sum pipeline reports its work through the three-bucket
 //! `PipelineTiming` (busy / redo / wasted device cycles). A tree-code

@@ -283,12 +283,6 @@ impl Device {
         self.power.lock().mean_energy(t0, t1)
     }
 
-    /// Snapshot of the power timeline (for telemetry).
-    #[must_use]
-    pub fn power_timeline(&self) -> PowerTimeline {
-        self.power.lock().clone()
-    }
-
     /// Reset the device: clears DRAM, L1, stats, clock and power history —
     /// including the paper's slight post-run idle elevation, which "resolves
     /// upon resetting the cards".

@@ -16,8 +16,6 @@
 //! `power_at(t)`, which adds deterministic (seeded) fluctuation so repeated
 //! experiments are reproducible.
 
-use crate::cost::CostModel;
-
 /// Coarse power state of one card.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerState {
@@ -206,14 +204,6 @@ impl PowerTimeline {
 #[must_use]
 pub fn mean_active_power(params: &PowerParams) -> f64 {
     params.active_peak_w * params.burst_duty + params.active_trough_w * (1.0 - params.burst_duty)
-}
-
-/// Hook for relating compute activity to power: the fraction of a program's
-/// time the device spends in bursts, derived from the cost model (currently
-/// the default duty cycle; exposed for ablations).
-#[must_use]
-pub fn burst_duty_from_costs(_model: &CostModel) -> f64 {
-    PowerParams::default().burst_duty
 }
 
 #[cfg(test)]

@@ -119,12 +119,6 @@ impl MemorySink {
         self.len() == 0
     }
 
-    /// Number of epochs opened so far.
-    #[must_use]
-    pub fn epoch_count(&self) -> u32 {
-        self.state.lock().next_epoch
-    }
-
     /// Raw events in arrival order (timestamps still epoch-relative).
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {

@@ -165,12 +165,6 @@ impl DataMovementCtx {
         })
     }
 
-    /// Number of runtime args.
-    #[must_use]
-    pub fn num_args(&self) -> usize {
-        self.args.len()
-    }
-
     /// Cycles accumulated so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -876,11 +870,6 @@ impl ComputeCtx {
     /// `rsqrt_tile(dst)` — precise variant.
     pub fn rsqrt_tile(&mut self, dst: usize) {
         self.sfpu_unary(UnaryOp::Rsqrt, dst);
-    }
-
-    /// `rsqrt_tile(dst)` — fast approximate variant.
-    pub fn rsqrt_tile_fast(&mut self, dst: usize) {
-        self.sfpu_unary(UnaryOp::RsqrtFast, dst);
     }
 
     /// `recip_tile(dst)` — 1/x.

@@ -1,6 +1,6 @@
 //! Persistent worker pool for kernel-instance execution.
 //!
-//! [`crate::queue::CommandQueue::enqueue_program_checked`] used to spawn one
+//! [`crate::queue::CommandQueue::enqueue_program`] used to spawn one
 //! OS thread per kernel instance per launch; an N-body step at paper scale
 //! launches thousands of programs, so thread creation dominated host
 //! wall-clock. The pool keeps kernel threads alive across launches and hands

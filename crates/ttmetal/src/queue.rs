@@ -251,19 +251,6 @@ impl CommandQueue {
         Ok(out)
     }
 
-    /// `EnqueueProgram` with legacy flat error type.
-    ///
-    /// Delegates to [`CommandQueue::enqueue_program_checked`] and folds the
-    /// structured [`LaunchError`] into a [`TensixError`] (device-layer
-    /// errors pass through unchanged, kernel failures become
-    /// [`TensixError::KernelFault`]).
-    ///
-    /// # Errors
-    /// See [`CommandQueue::enqueue_program_checked`].
-    pub fn enqueue_program(&mut self, program: &Program) -> Result<ProgramReport> {
-        self.enqueue_program_checked(program).map_err(TensixError::from)
-    }
-
     /// `EnqueueProgram`: instantiate CBs and semaphores, launch every kernel
     /// instance on its own thread under supervision, join, and aggregate
     /// timing.
@@ -275,7 +262,7 @@ impl CommandQueue {
     ///   [`LaunchError::Stall`] naming the root-cause kernel and core when a
     ///   kernel fails. Sibling kernels are always torn down cleanly via CB
     ///   and semaphore poisoning — a failed launch never wedges the host.
-    pub fn enqueue_program_checked(
+    pub fn enqueue_program(
         &mut self,
         program: &Program,
     ) -> std::result::Result<ProgramReport, LaunchError> {
@@ -609,7 +596,7 @@ impl CommandQueue {
     }
 
     /// Cost of the most recent failed launch, if the last
-    /// [`Self::enqueue_program_checked`] aborted with kernel timings to
+    /// [`Self::enqueue_program`] aborted with kernel timings to
     /// report. Cleared at the start of every launch; taking it leaves `None`.
     /// Retry policies use this to bill discarded attempts to a wasted-time
     /// bucket instead of losing them.
@@ -797,10 +784,10 @@ mod tests {
 
         let err = q.enqueue_program(&p).unwrap_err();
         match err {
-            TensixError::KernelFault { message } => {
+            LaunchError::KernelPanic { message, .. } => {
                 assert!(message.contains("injected failure"), "{message}");
             }
-            other => panic!("expected KernelFault, got {other:?}"),
+            other => panic!("expected KernelPanic, got {other:?}"),
         }
     }
 
@@ -830,7 +817,7 @@ mod tests {
             })),
         );
 
-        let err = q.enqueue_program_checked(&p).unwrap_err();
+        let err = q.enqueue_program(&p).unwrap_err();
         match &err {
             LaunchError::KernelPanic { kernel, message, .. } => {
                 assert_eq!(kernel, "dying-producer");
@@ -870,7 +857,7 @@ mod tests {
 
         let cores = CoreRangeSet::first_n(1, 8);
         let p = doubling_program(cores, &input, &output, n_tiles);
-        let err = q.enqueue_program_checked(&p).unwrap_err();
+        let err = q.enqueue_program(&p).unwrap_err();
         match &err {
             LaunchError::Stall { kernel, core, completed } => {
                 assert_eq!(kernel, "double");
@@ -887,7 +874,7 @@ mod tests {
         assert_eq!(dev.l1_used(CoreCoord::new(0, 0)), 0);
         assert!(dev.is_alive());
         let p2 = doubling_program(CoreRangeSet::first_n(1, 8), &input, &output, n_tiles);
-        q.enqueue_program_checked(&p2).unwrap();
+        q.enqueue_program(&p2).unwrap();
         let result = q.enqueue_read_buffer(&output).unwrap();
         assert_eq!(result[3].get(0, 0), 6.0);
     }
@@ -899,7 +886,7 @@ mod tests {
         let mut q = CommandQueue::new(Arc::clone(&dev));
         let buf = Buffer::new(&dev, DataFormat::Float32, 1).unwrap();
         let p = Program::new();
-        let err = q.enqueue_program_checked(&p).unwrap_err();
+        let err = q.enqueue_program(&p).unwrap_err();
         assert_eq!(err, LaunchError::DeviceLost { device_id: 0 });
         // Every queue operation now fails fast.
         assert!(matches!(
@@ -911,7 +898,7 @@ mod tests {
         dev.reset().unwrap();
         let buf = Buffer::new(&dev, DataFormat::Float32, 1).unwrap();
         q.enqueue_write_buffer(&buf, &[Tile::zeros(DataFormat::Float32)]).unwrap();
-        q.enqueue_program_checked(&Program::new()).unwrap();
+        q.enqueue_program(&Program::new()).unwrap();
     }
 
     #[test]
@@ -935,7 +922,7 @@ mod tests {
         let tiles = vec![Tile::splat(DataFormat::Float32, 1.0); n_tiles];
         q.enqueue_write_buffer(&input, &tiles).unwrap();
         let p = doubling_program(CoreRangeSet::first_n(1, 8), &input, &output, n_tiles);
-        let err = q.enqueue_program_checked(&p).unwrap_err();
+        let err = q.enqueue_program(&p).unwrap_err();
         match &err {
             LaunchError::KernelPanic { kernel, message, .. } => {
                 assert_eq!(kernel, "reader");
@@ -957,7 +944,7 @@ mod tests {
             let tiles = vec![Tile::splat(DataFormat::Float32, 3.0); n_tiles];
             q.enqueue_write_buffer(&input, &tiles).unwrap();
             let p = doubling_program(CoreRangeSet::first_n(1, 8), &input, &output, n_tiles);
-            let report = q.enqueue_program_checked(&p).unwrap();
+            let report = q.enqueue_program(&p).unwrap();
             let out = q.enqueue_read_buffer(&output).unwrap();
             assert_eq!(out[0].get(0, 0), 6.0);
             (report.seconds, dev.faults().stats())
@@ -986,6 +973,6 @@ mod tests {
             CircularBufferConfig::new(400, DataFormat::Float32),
         );
         let err = q.enqueue_program(&p).unwrap_err();
-        assert!(matches!(err, TensixError::L1OutOfMemory { .. }), "{err:?}");
+        assert!(matches!(err, LaunchError::Device(TensixError::L1OutOfMemory { .. })), "{err:?}");
     }
 }

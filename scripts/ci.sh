@@ -157,14 +157,23 @@ echo "==> results/ drift"
 # Every committed results/ file is deterministic output of the code. The
 # serving smoke above rewrote the serving CSVs; regenerate the rest and fail
 # if any file differs from what is committed, so a figure cannot go stale
-# unnoticed. block_speedup and arch_sweep also assert their E15/E14 claims.
+# unnoticed. A new output nobody committed fails too (untracked files show in
+# `git status`; the run-to-run dumps under results/profile/ and
+# results/postmortem/ and results/serving_trace.json are ignored).
+# block_speedup and arch_sweep also assert their E15/E14 claims.
 for bin in accuracy_table arch_sweep clock_sweep n_sweep scaling fig3_time fig4_power \
   fig5_energy campaign_summary block_speedup; do
   echo "$bin"
   cargo run --release --offline --quiet -p tt-harness --bin "$bin" > /dev/null
 done
 cargo run --release --offline --quiet --example energy_campaign > /dev/null
-git diff --exit-code -- results/
+DRIFT=$(git status --porcelain -- results/)
+if [ -n "$DRIFT" ]; then
+  echo "results/ differs from what is committed:"
+  echo "$DRIFT"
+  git diff -- results/
+  exit 1
+fi
 
 echo "==> perfbench build and workload smoke"
 # The repository benchmark is a package of its own outside the workspace,

@@ -217,8 +217,9 @@ fn sim_config(opts: &Options) -> SimulationConfig {
 }
 
 /// Print a driver run: conservation, the active-set launch ledger, the
-/// recovery ledger and the card's virtual-time accounting.
-fn report(out: &DriverOutcome) {
+/// recovery ledger (`failovers` is a ring's spare promotions, zero
+/// elsewhere) and the card's virtual-time accounting.
+fn report(out: &DriverOutcome, failovers: u64) {
     let o = &out.outcome;
     println!(
         "driver ({}): {} steps to t = {:.5}, |dE/E| = {:.3e}",
@@ -234,7 +235,7 @@ fn report(out: &DriverOutcome) {
     );
     println!(
         "failovers: {} | recoveries: {} | steps replayed: {}",
-        out.failovers, out.recoveries, out.steps_replayed
+        failovers, out.recoveries, out.steps_replayed
     );
     if let Some(t) = o.timing {
         println!(
@@ -257,7 +258,7 @@ fn run_ring(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
         (base..base + count).map(|id| Device::new(id, arch.device_config())).collect()
     };
     // One ring leg: the resilient driver over the ring pipeline, honoring
-    // `--force-kernel`; failovers come from the ring's own counters.
+    // `--force-kernel`; failovers are the ring's own counter.
     let run_leg = |devices: &[Arc<Device>],
                    spares: &[Arc<Device>],
                    sys: &mut ParticleSystem,
@@ -274,12 +275,10 @@ fn run_ring(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?,
         );
-        let mut out =
-            run_simulation_resilient(&ring, sys, sim_config(opts), RecoveryConfig::default())
-                .map_err(|e| e.to_string())?;
-        out.failovers = ring.timing().failovers;
+        let out = run_simulation_resilient(&ring, sys, sim_config(opts), RecoveryConfig::default())
+            .map_err(|e| e.to_string())?;
         if !quiet {
-            report(&out);
+            report(&out, ring.timing().failovers);
         }
         Ok(out.outcome)
     };
@@ -386,7 +385,7 @@ fn run_tree(opts: &Options, sys: &mut ParticleSystem) -> Result<(), String> {
     }
     if sys.len() <= ENERGY_CHECK_MAX_N {
         let out = run_block_simulation(&eval, sys, sim_config(opts)).map_err(|e| e.to_string())?;
-        report(&out);
+        report(&out, 0);
     } else {
         // The driver's energy diagnostic is a quadratic host sum; step its
         // scheduler directly instead.
@@ -528,7 +527,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
                 RecoveryConfig::default(),
             )
             .map_err(|e| e.to_string())?;
-            report(&out);
+            report(&out, 0);
         }
         "tree" => run_tree(opts, &mut sys)?,
         "cpu" if opts.blocks => {
@@ -538,7 +537,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             ));
             let out = run_block_simulation(&evaluator, &mut sys, sim_config(opts))
                 .map_err(|e| e.to_string())?;
-            report(&out);
+            report(&out, 0);
         }
         "cpu" => {
             run_with_kernel(

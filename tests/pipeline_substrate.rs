@@ -10,7 +10,7 @@ use tensix::cb::CircularBufferConfig;
 use tensix::grid::CoreRangeSet;
 use tensix::{DataFormat, Device, DeviceConfig, TensixError};
 use ttmetal::cb_index;
-use ttmetal::{CommandQueue, ComputeCtx, ComputeFn, Program};
+use ttmetal::{CommandQueue, ComputeCtx, ComputeFn, LaunchError, Program};
 
 #[test]
 fn force_program_survives_minimal_cb_depths() {
@@ -52,10 +52,10 @@ fn dst_overflow_in_a_kernel_is_a_fault_not_a_hang() {
     );
     let err = queue.enqueue_program(&p).unwrap_err();
     match err {
-        TensixError::KernelFault { message } => {
+        LaunchError::KernelPanic { message, .. } => {
             assert!(message.contains("dst"), "fault should mention dst: {message}");
         }
-        other => panic!("expected KernelFault, got {other:?}"),
+        other => panic!("expected KernelPanic, got {other:?}"),
     }
 }
 
@@ -77,7 +77,7 @@ fn l1_exhaustion_is_reported_before_launch() {
         CircularBufferConfig::new(200, DataFormat::Float32),
     );
     let err = queue.enqueue_program(&p).unwrap_err();
-    assert!(matches!(err, TensixError::L1OutOfMemory { .. }), "{err:?}");
+    assert!(matches!(err, LaunchError::Device(TensixError::L1OutOfMemory { .. })), "{err:?}");
     // The failed launch must not leak L1.
     assert_eq!(device.l1_used(tensix::CoreCoord::new(0, 0)), 0);
 }
