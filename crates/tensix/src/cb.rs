@@ -22,16 +22,10 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::device::DEFAULT_WATCHDOG;
 use crate::dtype::DataFormat;
 use crate::fault::{raise_interrupt, InterruptKind};
 use crate::tile::Tile;
-
-/// Default watchdog budget: how long a blocked CB primitive waits before
-/// declaring the pipeline deadlocked. Real hardware would hang; the simulator
-/// fails loudly instead. Configurable per CB via
-/// [`CircularBuffer::with_timeout`] (the command queue wires in the device's
-/// `watchdog` setting).
-pub const CB_DEADLOCK_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Lock-free predicate re-checks before a blocked CB primitive takes the
 /// mutex and parks on the condvar. With zero-copy (`Arc`) pages the
@@ -154,10 +148,14 @@ pub struct CircularBuffer {
 }
 
 impl CircularBuffer {
-    /// Create an empty CB with the default deadlock watchdog.
+    /// Create an empty CB with the default deadlock watchdog,
+    /// [`DEFAULT_WATCHDOG`]: a blocked primitive that waits that long
+    /// declares the pipeline deadlocked. Real hardware would hang; the
+    /// simulator fails loudly instead. The command queue wires in the
+    /// device's `watchdog` setting through [`CircularBuffer::with_timeout`].
     #[must_use]
     pub fn new(config: CircularBufferConfig) -> Self {
-        Self::with_timeout(config, CB_DEADLOCK_TIMEOUT)
+        Self::with_timeout(config, DEFAULT_WATCHDOG)
     }
 
     /// Create an empty CB with an explicit deadlock-watchdog budget.

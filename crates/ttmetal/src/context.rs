@@ -797,18 +797,18 @@ impl ComputeCtx {
         let costs = self.costs();
         self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::A, a));
         self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
-        let mut acc = if accumulate {
-            self.dst.read_math(dst).unwrap_or_else(|e| panic!("matmul acc: {e}"))
+        let sa = self.src.read(SrcReg::A).unwrap_or_else(|e| panic!("matmul: {e}"));
+        let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("matmul: {e}"));
+        // Accumulation reads the segment back through the math port (a
+        // copy-on-write point if it still shares a CB page); otherwise the
+        // product overwrites the segment's recycled storage.
+        let acc = if accumulate {
+            self.dst.modify(dst).unwrap_or_else(|e| panic!("matmul acc: {e}"))
         } else {
-            Tile::zeros(self.dst.format())
+            self.dst.output(dst).unwrap_or_else(|e| panic!("matmul: {e}"))
         };
-        let (sa, sb) = (
-            self.src.read(SrcReg::A).unwrap_or_else(|e| panic!("matmul: {e}")).clone(),
-            self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("matmul: {e}")).clone(),
-        );
-        let cycles = fpu::matmul_tiles(&costs, &sa, &sb, &mut acc, accumulate);
+        let cycles = fpu::matmul_tiles(&costs, sa, sb, acc, accumulate);
         self.charge_matrix(cycles);
-        self.dst.write(dst, acc).unwrap_or_else(|e| panic!("matmul: {e}"));
     }
 
     // --- FPU broadcast binary ops against dst ---
@@ -828,12 +828,17 @@ impl ComputeCtx {
         let b = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
         let costs = self.costs();
         self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
-        let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("bcast: {e}")).clone();
-        let a = self.dst.read_math(dst).unwrap_or_else(|e| panic!("bcast: {e}"));
-        let mut out = Tile::zeros(self.dst.format());
-        let cycles = fpu::eltwise_binary_bcast(&costs, op, dim, &a, &sb, &mut out);
+        let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("bcast: {e}"));
+        let format = self.dst.format();
+        let acc = self.dst.modify(dst).unwrap_or_else(|e| panic!("bcast: {e}"));
+        if acc.format() != format {
+            // A page `copy_tile`d from a CB of another format: the result
+            // is a math-format tile holding the op of the page's values.
+            let page = std::mem::replace(acc, Tile::zeros(format));
+            acc.as_mut_slice().copy_from_slice(page.as_slice());
+        }
+        let cycles = fpu::eltwise_binary_bcast_in_place(&costs, op, dim, acc, sb);
         self.charge_matrix(cycles);
-        self.dst.write(dst, out).unwrap_or_else(|e| panic!("bcast: {e}"));
     }
 
     /// `add_tiles_bcast` against dst: `dst += bcast(cb[idx])` with row 0
@@ -1148,6 +1153,127 @@ mod tests {
         half.pack_tile(2, 16);
         assert_eq!(whole.cycles() - w0, whole_costs.pack_tile);
         assert_eq!(half.cycles() - h0, half_costs.pack_tile);
+    }
+
+    fn bits(t: &Tile) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A context on a `format` dst file whose CBs 0 and 1 (`format`) and
+    /// 2 (`page_format`) each hold two waited pages of varied values.
+    fn matrix_ctx(format: DataFormat, page_format: DataFormat) -> ComputeCtx {
+        let mut cbs = CbMap::new();
+        for (cb, f) in [(0u8, format), (1, format), (2, page_format)] {
+            let c = CircularBuffer::new(CircularBufferConfig::new(2, f));
+            c.reserve_back(2);
+            for page in 0..2u32 {
+                let mut x = 0x9e37_79b9u32 ^ (u32::from(cb) << 8 | page);
+                let vals: Vec<f32> = (0..tensix::TILE_ELEMS)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 17;
+                        x ^= x << 5;
+                        (x >> 8) as f32 / (1u32 << 24) as f32 * 4.0 - 2.0
+                    })
+                    .collect();
+                c.write_tile(&Tile::from_rowmajor(f, &vals));
+            }
+            c.push_back(2);
+            cbs.insert(cb, c);
+        }
+        let dev = Device::new(0, DeviceConfig::default());
+        let core = CoreCoord::new(0, 0);
+        let mut ctx = ComputeCtx::new(dev, core, format, cbs, SemMap::new(), vec![], None);
+        for cb in 0..3 {
+            ctx.cb_wait_front(cb, 2);
+        }
+        ctx
+    }
+
+    /// The matrix-pipe ops write their dst segment in place, bitwise as
+    /// the `fpu::reference` forms compute into a fresh tile, and never
+    /// through a CB page that a segment still shares after `copy_tile`.
+    #[test]
+    fn matrix_pipe_ops_match_reference_through_recycled_dst() {
+        let c = ComputeCosts::default();
+        let dims = [BroadcastDim::Row, BroadcastDim::Col, BroadcastDim::Scalar];
+        for format in [DataFormat::Float32, DataFormat::Float16b] {
+            let mut ctx = matrix_ctx(format, format);
+            let page = |ctx: &ComputeCtx, cb: u8, i: usize| ctx.cbs[&cb].peek_tile(i);
+            let (a0, a1, b0, b1) =
+                (page(&ctx, 0, 0), page(&ctx, 0, 1), page(&ctx, 1, 0), page(&ctx, 1, 1));
+            // Two iterations, so the second recycles the first's storage.
+            for _ in 0..2 {
+                ctx.tile_regs_acquire();
+                let mut want = Tile::zeros(format);
+                ctx.matmul_tiles(0, 1, 0, 0, 0, false);
+                fpu::reference::matmul_tiles(&c, &a0, &b0, &mut want, false);
+                assert_eq!(bits(&ctx.debug_dst(0)), bits(&want), "{format:?} matmul");
+                ctx.matmul_tiles(0, 1, 1, 1, 0, true);
+                fpu::reference::matmul_tiles(&c, &a1, &b1, &mut want, true);
+                assert_eq!(bits(&ctx.debug_dst(0)), bits(&want), "{format:?} matmul acc");
+                for dim in dims {
+                    for (op, cb) in [(BinaryOp::Add, 1u8), (BinaryOp::Mul, 0)] {
+                        let before = want.clone();
+                        if op == BinaryOp::Add {
+                            ctx.add_tile_bcast(dim, 0, cb, 1);
+                        } else {
+                            ctx.mul_tile_bcast(dim, 0, cb, 1);
+                        }
+                        let b = page(&ctx, cb, 1);
+                        fpu::reference::eltwise_binary_bcast(&c, op, dim, &before, &b, &mut want);
+                        assert_eq!(
+                            bits(&ctx.debug_dst(0)),
+                            bits(&want),
+                            "{format:?} {op:?} {dim:?}"
+                        );
+                    }
+                }
+                // Accumulate and broadcast onto CB pages unpacked into dst.
+                ctx.copy_tile(0, 1, 1);
+                ctx.copy_tile(1, 0, 2);
+                ctx.matmul_tiles(0, 1, 0, 1, 1, true);
+                ctx.add_tile_bcast(BroadcastDim::Col, 2, 0, 0);
+                let mut acc = a1.clone();
+                fpu::reference::matmul_tiles(&c, &a0, &b1, &mut acc, true);
+                assert_eq!(bits(&ctx.debug_dst(1)), bits(&acc), "{format:?} acc onto a page");
+                let mut sum = Tile::zeros(format);
+                fpu::reference::eltwise_binary_bcast(
+                    &c,
+                    BinaryOp::Add,
+                    BroadcastDim::Col,
+                    &b0,
+                    &a0,
+                    &mut sum,
+                );
+                assert_eq!(bits(&ctx.debug_dst(2)), bits(&sum), "{format:?} bcast onto a page");
+                assert_eq!(bits(&page(&ctx, 0, 1)), bits(&a1), "{format:?} CB page kept its bits");
+                assert_eq!(bits(&page(&ctx, 1, 0)), bits(&b0), "{format:?} CB page kept its bits");
+                ctx.tile_regs_commit();
+                ctx.tile_regs_release();
+            }
+        }
+        // A page of another format broadcast against in dst becomes a
+        // math-format result, as if computed into a fresh math-format tile.
+        let mut ctx = matrix_ctx(DataFormat::Float16b, DataFormat::Float32);
+        let p = ctx.cbs[&2].peek_tile(0);
+        let b = ctx.cbs[&1].peek_tile(1);
+        ctx.tile_regs_acquire();
+        ctx.copy_tile(2, 0, 3);
+        ctx.mul_tile_bcast(BroadcastDim::Row, 3, 1, 1);
+        let mut want = Tile::zeros(DataFormat::Float16b);
+        fpu::reference::eltwise_binary_bcast(
+            &c,
+            BinaryOp::Mul,
+            BroadcastDim::Row,
+            &p,
+            &b,
+            &mut want,
+        );
+        let got = ctx.debug_dst(3);
+        assert_eq!(got.format(), DataFormat::Float16b);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(bits(&ctx.cbs[&2].peek_tile(0)), bits(&p), "CB page kept its bits");
     }
 
     #[test]

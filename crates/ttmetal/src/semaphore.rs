@@ -15,12 +15,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use tensix::fault::{raise_interrupt, InterruptKind};
-
-/// Default watchdog budget: how long a blocked wait lasts before the
-/// simulator declares a deadlock. Configurable per semaphore via
-/// [`Semaphore::with_timeout`] (the command queue wires in the device's
-/// `watchdog` setting).
-pub const SEM_DEADLOCK_TIMEOUT: Duration = Duration::from_secs(30);
+use tensix::DEFAULT_WATCHDOG;
 
 #[derive(Debug)]
 struct SemState {
@@ -38,10 +33,13 @@ pub struct Semaphore {
 }
 
 impl Semaphore {
-    /// Semaphore initialized to `initial`, with the default watchdog.
+    /// Semaphore initialized to `initial`, with the default watchdog
+    /// [`DEFAULT_WATCHDOG`]: a wait blocked that long declares a deadlock.
+    /// The command queue wires in the device's `watchdog` setting through
+    /// [`Semaphore::with_timeout`].
     #[must_use]
     pub fn new(initial: u32) -> Self {
-        Self::with_timeout(initial, SEM_DEADLOCK_TIMEOUT)
+        Self::with_timeout(initial, DEFAULT_WATCHDOG)
     }
 
     /// Semaphore initialized to `initial` with an explicit deadlock-watchdog
