@@ -5,7 +5,7 @@
 //! [`DeviceForcePipeline`], the multi-card ring
 //! [`crate::multi_device::MultiDevicePipeline`], and the CPU reference via
 //! [`CpuForceEvaluator`]) behind one trait the simulation drivers are
-//! generic over, so checkpoint/restart, watchdogs and FP64 accumulation
+//! generic over, so checkpoint/restart, retries and FP64 accumulation
 //! work unchanged on any backend.
 //!
 //! Every evaluation is an active-set evaluation: full-N is the

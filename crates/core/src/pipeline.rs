@@ -1617,10 +1617,13 @@ mod tests {
             assert_eq!(t2.io_seconds, t1.io_seconds + t1.io_seconds, "{kind:?}: fresh queue");
 
             // Non-card-loss causes are refused.
-            let err = pipeline
-                .recover_device_loss(LaunchError::Timeout { budget_s: 1.0, elapsed_s: 2.0 })
-                .unwrap_err();
-            assert!(matches!(err, LaunchError::Timeout { .. }), "{kind:?}");
+            let stall = LaunchError::Stall {
+                kernel: "force-compute".into(),
+                core: tensix::CoreCoord::new(0, 0),
+                completed: Vec::new(),
+            };
+            let err = pipeline.recover_device_loss(stall).unwrap_err();
+            assert!(matches!(err, LaunchError::Stall { .. }), "{kind:?}");
             assert_eq!(pipeline.timing(), t2, "{kind:?}: a refused recovery changes nothing");
         }
     }

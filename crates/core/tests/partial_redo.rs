@@ -6,14 +6,12 @@
 //! Two fault flavours are exercised. Injected compute stalls are rolled on
 //! the host thread at spawn, so the faulting core is a deterministic
 //! function of the one-shot schedule — that drives the per-core property
-//! test. Uncorrectable DRAM ECC panics tear down instantly with no
-//! watchdog involvement, which keeps the eight-core acceptance run fast
-//! and the cost comparison immune to host load (the faulting core is then
-//! whichever reader hits the scheduled event, and the partial redo must
-//! cope with any of them).
+//! test. Uncorrectable DRAM ECC panics tear down their core at once,
+//! which keeps the cost comparison immune to host load (the faulting core
+//! is then whichever reader hits the scheduled event, and the partial redo
+//! must cope with any of them).
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -52,11 +50,10 @@ fn small_golden() -> &'static Forces {
 /// Launch order is kernels-outer, cores-inner (reader instances land on
 /// fault events `1..=C`, compute on `C+1..=2C`), so the scheduled one-shot
 /// deterministically picks core `k`'s compute thread. Teardown of a stalled
-/// attempt is watchdog-driven: the stalled core's reader fills its input
-/// CBs, blocks, and deadlock-aborts after the watchdog, which poisons only
-/// that core and wakes the stalled thread. The watchdog therefore has to
-/// beat every *legitimate* wait — on this single-CPU test runner that is
-/// roughly the whole serialized program — with margin to spare.
+/// attempt is deadlock-driven: the stalled core's reader fills its input
+/// CBs and parks, its writer parks on an empty output CB, and once every
+/// instance on the core is parked the core is deadlocked. That tears down
+/// only that core and wakes the stalled thread, with no time budget.
 fn run_with_stall(
     system: &ParticleSystem,
     num_cores: usize,
@@ -71,17 +68,7 @@ fn run_with_stall(
 /// A `num_cores`-core pipeline for `n` particles whose first launch stalls
 /// the force-compute instance on 0-based core `k` (see [`run_with_stall`]).
 fn stalled_pipeline(n: usize, num_cores: usize, k: usize) -> DeviceForcePipeline {
-    let dev = Device::new(
-        0,
-        DeviceConfig {
-            seed: 7 + k as u64,
-            // One-CPU serialization means a legitimate wait can span the
-            // whole program (~1 s per tile of 1024² interactions in debug),
-            // so the budget scales with the tile count.
-            watchdog: Duration::from_secs(4 * num_cores as u64),
-            ..DeviceConfig::default()
-        },
-    );
+    let dev = Device::new(0, DeviceConfig { seed: 7 + k as u64, ..DeviceConfig::default() });
     dev.faults().schedule(FaultClass::KernelStall, (num_cores + k + 1) as u64);
     DeviceForcePipeline::new(dev, n, EPS, num_cores).unwrap()
 }
@@ -100,12 +87,6 @@ fn run_with_dram_fault(
         DeviceConfig {
             faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
             seed: 11,
-            // Interleaved compute threads on one CPU all finish near the end
-            // of the serialized program, so a surviving writer legitimately
-            // waits almost the whole run (~40 s in debug at eight cores).
-            // Teardown here is panic-driven, not watchdog-driven, so a
-            // generous budget costs nothing on the expected path.
-            watchdog: Duration::from_secs(180),
             ..DeviceConfig::default()
         },
     );
@@ -211,8 +192,8 @@ fn eight_core_fault_recovers_within_acceptance_bound() {
 /// the surviving cores' completed work, so its overhead ratio is a
 /// multiple of the partial redo's. Three cores is the smallest split where
 /// the strategies separate (at two cores, `1/C` and `(C-1)/C` coincide).
-/// The fault is the panic-driven DRAM ECC hit, so no watchdog decides the
-/// outcome under a loaded host.
+/// The fault is the panic-driven DRAM ECC hit, so the faulting core is
+/// whichever reader draws it under a loaded host.
 #[test]
 fn full_rerun_costs_multiples_of_partial_redo() {
     let num_cores = 3;

@@ -8,7 +8,8 @@
 //! `cb_throughput` (cross-thread circular-buffer streaming), `tile_ops`
 //! (FPU/SFPU tile math), `job_throughput` (draining the seeded serving
 //! campaign [`tt_harness::bench_campaign`] through `tt-server`),
-//! `serve_trace_overhead` (flight recorder on vs off, asserted ≤ 1.02) and
+//! `serve_trace_overhead` (flight recorder on vs off, bounded by
+//! [`RECORDER_BOUND`]) and
 //! `tree_time_to_solution` (one Barnes-Hut evaluation at N = 1 000 000,
 //! with a matched-N tree-vs-direct comparison in `tree_scaling`).
 //! Deterministic virtual-clock figures are not gated here: they are pinned
@@ -18,7 +19,10 @@
 //! repo root (minting a baseline; mint from a clean tree so `commit` names
 //! the measured code). With `--gate` it reads the committed file instead
 //! and exits 1 if any entry regresses by more than [`TOLERANCE`]; it writes
-//! nothing. Every entry carries `"clock": "host"`.
+//! nothing. Either way every entry is measured and printed first, and a
+//! `serve_trace_overhead` above [`RECORDER_BOUND`] exits 1 too: the gate
+//! fails, and a mint refuses to write the baseline. Every entry carries
+//! `"clock": "host"`.
 //!
 //! Wall-clock numbers are the minimum of several repetitions after a warmup
 //! pass, which keeps the 15% gate usable on a shared CI machine.
@@ -38,6 +42,9 @@ use tt_server::{run_campaign, ServerConfig};
 
 /// Allowed regression of any entry against the committed baseline.
 const TOLERANCE: f64 = 0.15;
+/// Largest allowed `serve_trace_overhead` (ring on / ring off): the
+/// always-on flight recorder must cost under 2%.
+const RECORDER_BOUND: f64 = 1.02;
 /// The committed baseline, at the repo root.
 const BASELINE: &str = "BENCH_pipeline.json";
 /// Particle count for the multi-device ring bench.
@@ -147,8 +154,8 @@ fn bench_job_throughput() -> f64 {
 /// single off/on walls jitter by several percent in either direction; the
 /// estimator is the *median of per-pair ratios* over interleaved off/on
 /// runs — adjacent runs see the same machine load, and the median shrugs
-/// off the heavy I/O tail. Asserts the ring costs <2% and returns the
-/// median ratio (lower is better, baseline ≈ 1.0).
+/// off the heavy I/O tail. Returns the median ratio (lower is better,
+/// baseline ≈ 1.0); `main` checks it against [`RECORDER_BOUND`].
 fn bench_serve_trace_overhead() -> f64 {
     const PAIRS: usize = 9;
     let (cfg_off, arrivals) = bench_campaign(0);
@@ -168,13 +175,8 @@ fn bench_serve_trace_overhead() -> f64 {
         })
         .collect();
     ratios.sort_by(|a, b| a.total_cmp(b));
-    let ratio = ratios[PAIRS / 2];
-    assert!(
-        ratio <= 1.02,
-        "flight-recorder ring must cost <2% vs disabled: median on/off ratio {ratio:.3}x \
-         (pairs: {ratios:?})"
-    );
-    ratio
+    eprintln!("bench_gate:   on/off pair ratios: {ratios:.3?}");
+    ratios[PAIRS / 2]
 }
 
 /// One Barnes-Hut force+jerk evaluation at N = `TREE_N` (θ = 0.6, host
@@ -272,7 +274,9 @@ fn main() {
     eprintln!("bench_gate:   {serve_wall:.4} s");
     eprintln!("bench_gate: serve_trace_overhead (flight-recorder ring on vs off)...");
     let trace_overhead = bench_serve_trace_overhead();
-    eprintln!("bench_gate:   {trace_overhead:.3}x (ring on / ring off; must stay <= 1.02)");
+    eprintln!(
+        "bench_gate:   {trace_overhead:.3}x (ring on / ring off; must stay <= {RECORDER_BOUND})"
+    );
     eprintln!("bench_gate: tree_time_to_solution (n = {TREE_N}, θ = 0.6, one evaluation)...");
     let (tree_wall, tree_interactions) = bench_tree_time_to_solution();
     eprintln!("bench_gate:   {tree_wall:.4} s, {tree_interactions} interactions");
@@ -294,6 +298,11 @@ fn main() {
         ("serve_trace_overhead", "x", trace_overhead),
         ("tree_time_to_solution", "s", tree_wall),
     ];
+    let recorder_broken = trace_overhead > RECORDER_BOUND;
+    let recorder_fail = format!(
+        "bench_gate: FAIL — serve_trace_overhead {trace_overhead:.3}x breaks the recorder bound \
+         <= {RECORDER_BOUND}x"
+    );
 
     if gate {
         let baseline = std::fs::read_to_string(BASELINE).expect("read the committed baseline");
@@ -319,12 +328,21 @@ fn main() {
                 TOLERANCE * 100.0,
                 failed.join(", ")
             );
+        }
+        if recorder_broken {
+            eprintln!("{recorder_fail}");
+        }
+        if recorder_broken || !failed.is_empty() {
             std::process::exit(1);
         }
         eprintln!("bench_gate: every entry within {:.0}% of {BASELINE}", TOLERANCE * 100.0);
         return;
     }
 
+    if recorder_broken {
+        eprintln!("{recorder_fail}; {BASELINE} not written");
+        std::process::exit(1);
+    }
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"commit\": \"{}\",\n", git_commit()));

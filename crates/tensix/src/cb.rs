@@ -18,13 +18,11 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::device::DEFAULT_WATCHDOG;
 use crate::dtype::DataFormat;
-use crate::fault::{raise_interrupt, InterruptKind};
+use crate::fault::{raise_interrupt, CoreWaits, InterruptKind, ObjectWaits};
 use crate::tile::Tile;
 
 /// Lock-free predicate re-checks before a blocked CB primitive takes the
@@ -120,6 +118,8 @@ struct CbState {
     /// Set when the owning program is torn down mid-flight; wakes blocked
     /// kernels with a panic instead of deadlocking.
     poisoned: bool,
+    /// This CB's share of its core's deadlock detection.
+    waits: ObjectWaits,
 }
 
 /// The shared ring: guarded state plus lock-free occupancy mirrors that
@@ -143,27 +143,24 @@ struct CbShared {
 #[derive(Debug, Clone)]
 pub struct CircularBuffer {
     config: CircularBufferConfig,
-    timeout: Duration,
     inner: Arc<CbShared>,
 }
 
 impl CircularBuffer {
-    /// Create an empty CB with the default deadlock watchdog,
-    /// [`DEFAULT_WATCHDOG`]: a blocked primitive that waits that long
-    /// declares the pipeline deadlocked. Real hardware would hang; the
-    /// simulator fails loudly instead. The command queue wires in the
-    /// device's `watchdog` setting through [`CircularBuffer::with_timeout`].
+    /// Create an empty CB outside any launch: its blocked primitives wait
+    /// until satisfied or poisoned.
     #[must_use]
     pub fn new(config: CircularBufferConfig) -> Self {
-        Self::with_timeout(config, DEFAULT_WATCHDOG)
+        Self::on_core(config, None)
     }
 
-    /// Create an empty CB with an explicit deadlock-watchdog budget.
+    /// Create an empty CB on the core `core` detects deadlocks for. Real
+    /// hardware would hang on a deadlocked pipeline; the simulator raises a
+    /// [`InterruptKind::Deadlock`] interrupt in the wait that completes it.
     #[must_use]
-    pub fn with_timeout(config: CircularBufferConfig, timeout: Duration) -> Self {
+    pub fn on_core(config: CircularBufferConfig, core: Option<Arc<CoreWaits>>) -> Self {
         CircularBuffer {
             config,
-            timeout,
             inner: Arc::new(CbShared {
                 state: Mutex::new(CbState {
                     visible: VecDeque::with_capacity(config.num_pages),
@@ -171,6 +168,7 @@ impl CircularBuffer {
                     reserved: 0,
                     stats: CbStats::default(),
                     poisoned: false,
+                    waits: ObjectWaits::new(core),
                 }),
                 cvar: Condvar::new(),
                 visible_count: AtomicUsize::new(0),
@@ -192,8 +190,8 @@ impl CircularBuffer {
     /// # Panics
     /// Panics if `n` exceeds the capacity (would deadlock on hardware).
     /// Raises a typed [`crate::fault::KernelInterrupt`] — caught and
-    /// classified by the command queue — if the CB is poisoned or the
-    /// watchdog budget elapses with no progress.
+    /// classified by the command queue — if the CB is poisoned or the wait
+    /// deadlocks its core.
     pub fn reserve_back(&self, n: usize) -> bool {
         assert!(
             n <= self.config.num_pages,
@@ -207,6 +205,7 @@ impl CircularBuffer {
             inner.used_count.load(Ordering::Acquire) + n <= self.config.num_pages
         });
         let mut st = inner.state.lock();
+        let mut seen = None;
         while st.visible.len() + st.reserved + n > self.config.num_pages {
             if st.poisoned {
                 raise_interrupt(
@@ -215,13 +214,13 @@ impl CircularBuffer {
                 );
             }
             stalled = true;
-            let timed_out = inner.cvar.wait_for(&mut st, self.timeout).timed_out();
-            if timed_out && !st.poisoned {
+            if st.waits.park(&mut seen) {
                 raise_interrupt(
-                    InterruptKind::DeadlockTimeout,
+                    InterruptKind::Deadlock,
                     format!("cb_reserve_back({n}) deadlocked (capacity {})", self.config.num_pages),
                 );
             }
+            inner.cvar.wait(&mut st);
         }
         if stalled {
             st.stats.producer_stalls += 1;
@@ -275,6 +274,7 @@ impl CircularBuffer {
         st.reserved -= n;
         st.stats.pages_pushed += n as u64;
         inner.visible_count.store(st.visible.len(), Ordering::Release);
+        st.waits.changed();
         inner.cvar.notify_all();
     }
 
@@ -284,7 +284,8 @@ impl CircularBuffer {
     ///
     /// # Panics
     /// Panics if `n` exceeds the capacity. Raises a typed
-    /// [`crate::fault::KernelInterrupt`] if poisoned or on watchdog timeout.
+    /// [`crate::fault::KernelInterrupt`] if poisoned or if the wait
+    /// deadlocks its core.
     pub fn wait_front(&self, n: usize) -> bool {
         assert!(
             n <= self.config.num_pages,
@@ -295,6 +296,7 @@ impl CircularBuffer {
         // Lock-free fast path; see `reserve_back`.
         let mut stalled = poll_before_park(|| inner.visible_count.load(Ordering::Acquire) >= n);
         let mut st = inner.state.lock();
+        let mut seen = None;
         while st.visible.len() < n {
             if st.poisoned {
                 raise_interrupt(
@@ -303,13 +305,10 @@ impl CircularBuffer {
                 );
             }
             stalled = true;
-            let timed_out = inner.cvar.wait_for(&mut st, self.timeout).timed_out();
-            if timed_out && !st.poisoned {
-                raise_interrupt(
-                    InterruptKind::DeadlockTimeout,
-                    format!("cb_wait_front({n}) deadlocked"),
-                );
+            if st.waits.park(&mut seen) {
+                raise_interrupt(InterruptKind::Deadlock, format!("cb_wait_front({n}) deadlocked"));
             }
+            inner.cvar.wait(&mut st);
         }
         if stalled {
             st.stats.consumer_stalls += 1;
@@ -351,6 +350,7 @@ impl CircularBuffer {
         st.stats.pages_popped += n as u64;
         inner.visible_count.store(st.visible.len(), Ordering::Release);
         inner.used_count.store(st.visible.len() + st.reserved, Ordering::Release);
+        st.waits.changed();
         inner.cvar.notify_all();
     }
 
@@ -371,7 +371,9 @@ impl CircularBuffer {
     /// [`InterruptKind::Poisoned`]. Used on abnormal program teardown so
     /// sibling kernels unwind cleanly instead of deadlocking.
     pub fn poison(&self) {
-        self.inner.state.lock().poisoned = true;
+        let mut st = self.inner.state.lock();
+        st.poisoned = true;
+        st.waits.changed();
         self.inner.cvar.notify_all();
     }
 }
@@ -380,6 +382,7 @@ impl CircularBuffer {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn cb(pages: usize) -> CircularBuffer {
         CircularBuffer::new(CircularBufferConfig::new(pages, DataFormat::Float32))
@@ -540,18 +543,18 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_timeout_raises_deadlock_interrupt() {
+    fn wait_that_parks_every_instance_raises_deadlock_interrupt() {
         use crate::fault::KernelInterrupt;
 
-        let c = CircularBuffer::with_timeout(
-            CircularBufferConfig::new(1, DataFormat::Float32),
-            Duration::from_millis(20),
-        );
-        // Nobody will ever push: the consumer wait must trip the watchdog.
+        // A core with one instance: its first park is a deadlock.
+        let waits = Arc::new(CoreWaits::default());
+        waits.add_instance();
+        let c =
+            CircularBuffer::on_core(CircularBufferConfig::new(1, DataFormat::Float32), Some(waits));
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait_front(1)))
-            .expect_err("wait must unwind on watchdog timeout");
+            .expect_err("a wait nothing can satisfy must unwind");
         let interrupt = payload.downcast::<KernelInterrupt>().expect("typed interrupt payload");
-        assert_eq!(interrupt.kind, InterruptKind::DeadlockTimeout);
+        assert_eq!(interrupt.kind, InterruptKind::Deadlock);
         assert!(interrupt.detail.contains("cb_wait_front"));
     }
 }

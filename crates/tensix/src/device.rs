@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -26,11 +25,6 @@ use crate::noc::NocModel;
 use crate::power::{PowerState, PowerTimeline};
 use tt_trace::TraceSink;
 
-/// Default watchdog budget for blocking device-side waits (circular buffers
-/// and semaphores). Generous enough that no legitimate kernel ever trips it;
-/// tests shrink it via [`DeviceConfig::watchdog`].
-pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
-
 /// Static device configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceConfig {
@@ -46,10 +40,6 @@ pub struct DeviceConfig {
     /// Mid-run fault injection rates (NoC, DRAM ECC, Ethernet, kernel stalls,
     /// device loss). All zero by default.
     pub faults: FaultConfig,
-    /// Deadlock-watchdog budget for blocking CB/semaphore waits. Waits that
-    /// exceed it are torn down as structured launch failures instead of
-    /// hanging the host. Default: [`DEFAULT_WATCHDOG`] (30 s).
-    pub watchdog: Duration,
 }
 
 impl Default for DeviceConfig {
@@ -60,7 +50,6 @@ impl Default for DeviceConfig {
             reset_failure_prob: 0.0,
             seed: 0,
             faults: FaultConfig::default(),
-            watchdog: DEFAULT_WATCHDOG,
         }
     }
 }
@@ -179,12 +168,6 @@ impl Device {
     #[must_use]
     pub fn faults(&self) -> &FaultPlan {
         &self.fault_plan
-    }
-
-    /// Deadlock-watchdog budget for blocking device-side waits.
-    #[must_use]
-    pub fn watchdog(&self) -> Duration {
-        self.config.watchdog
     }
 
     /// Attach (or with `None`, detach) a trace sink. The sink survives

@@ -53,14 +53,14 @@ pub use catalog::{DeviceArch, DeviceCatalog};
 pub use cb::{CbStats, CircularBuffer, CircularBufferConfig};
 pub use clock::{CycleCounter, DeviceClock, KernelTiming};
 pub use cost::{CostModel, CLOCK_HZ};
-pub use device::{Device, DeviceConfig, ResetStats, DEFAULT_WATCHDOG};
+pub use device::{Device, DeviceConfig, ResetStats};
 pub use dram::{BufferId, DramModel, DramStats, DRAM_CAPACITY, DRAM_CHANNELS};
 pub use dst::DstRegisters;
 pub use dtype::DataFormat;
 pub use error::{Result, TensixError};
 pub use fault::{
-    DramReadFault, FaultClass, FaultConfig, FaultPlan, FaultStats, InterruptKind, KernelInterrupt,
-    ScrubConfig,
+    CoreWaits, DramReadFault, FaultClass, FaultConfig, FaultPlan, FaultStats, InterruptKind,
+    KernelInterrupt, ScrubConfig,
 };
 pub use grid::{CoreCoord, CoreRange, CoreRangeSet, GridSize};
 pub use noc::{NocId, NocModel};

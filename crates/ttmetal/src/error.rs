@@ -2,8 +2,8 @@
 //!
 //! The command queue used to panic the host process when a kernel pipeline
 //! deadlocked. [`LaunchError`] replaces that with a structured result: the
-//! queue supervises every kernel thread, classifies panics, watchdog
-//! timeouts and injected faults, tears sibling kernels down cleanly (CB and
+//! queue supervises every kernel thread, classifies panics, deadlocked
+//! cores and injected faults, tears sibling kernels down cleanly (CB and
 //! semaphore poisoning), and reports *which* kernel on *which* core is the
 //! root cause.
 
@@ -40,13 +40,14 @@ pub enum LaunchError {
         /// Per-core completed-tile inventory at abort time.
         completed: Vec<CoreProgress>,
     },
-    /// A kernel's CB/semaphore wait exceeded the deadlock watchdog.
+    /// A core deadlocked: every unfinished kernel instance on it was parked
+    /// on a CB or semaphore nothing could change any more.
     Deadlock {
         /// Kernel label.
         kernel: String,
         /// Core the instance ran on.
         core: CoreCoord,
-        /// Which wait timed out.
+        /// Which wait deadlocked.
         message: String,
         /// Per-core completed-tile inventory at abort time.
         completed: Vec<CoreProgress>,
@@ -66,13 +67,6 @@ pub enum LaunchError {
         /// Device id that disappeared.
         device_id: usize,
     },
-    /// `finish_with_timeout` exceeded its virtual-time budget.
-    Timeout {
-        /// Allowed virtual seconds.
-        budget_s: f64,
-        /// Virtual seconds actually accumulated.
-        elapsed_s: f64,
-    },
     /// A device-layer error before any kernel ran (e.g. CB config does not
     /// fit in L1).
     Device(TensixError),
@@ -91,7 +85,7 @@ impl LaunchError {
     }
 
     /// Short phase tag for failure taxonomies ("panic", "deadlock",
-    /// "stall", "device-lost", "timeout", "setup").
+    /// "stall", "device-lost", "setup").
     #[must_use]
     pub fn phase(&self) -> &'static str {
         match self {
@@ -99,15 +93,14 @@ impl LaunchError {
             LaunchError::Deadlock { .. } => "deadlock",
             LaunchError::Stall { .. } => "stall",
             LaunchError::DeviceLost { .. } => "device-lost",
-            LaunchError::Timeout { .. } => "timeout",
             LaunchError::Device(_) => "setup",
         }
     }
 
     /// Whether a retry of the same launch can plausibly succeed: true for
     /// one-shot kernel-level faults (panics, deadlocks, stalls), false for
-    /// device loss (needs a reset + rebuild), budget exhaustion and setup
-    /// errors (deterministic, e.g. L1 overflow).
+    /// device loss (needs a reset + rebuild) and setup errors
+    /// (deterministic, e.g. L1 overflow).
     #[must_use]
     pub fn is_transient(&self) -> bool {
         matches!(
@@ -132,8 +125,8 @@ impl LaunchError {
     }
 
     /// Per-core completed-tile inventory of the failed attempt, when the
-    /// supervisor captured one. Empty for device loss, timeout and setup
-    /// errors (no kernel ran or the board is untrustworthy).
+    /// supervisor captured one. Empty for device loss and setup errors (no
+    /// kernel ran or the board is untrustworthy).
     #[must_use]
     pub fn completed_work(&self) -> &[CoreProgress] {
         match self {
@@ -159,9 +152,6 @@ impl fmt::Display for LaunchError {
             }
             LaunchError::DeviceLost { device_id } => {
                 write!(f, "device {device_id} fell off the bus during launch")
-            }
-            LaunchError::Timeout { budget_s, elapsed_s } => {
-                write!(f, "finish exceeded budget: {elapsed_s:.3} s > {budget_s:.3} s")
             }
             LaunchError::Device(e) => write!(f, "{e}"),
         }

@@ -14,7 +14,7 @@
 //!   `copy_tile` / `pack_tile`, FPU `sub_tiles`-style binaries, and SFPU
 //!   calls (`square_tile`, `rsqrt_tile`, `sub_binary_tile`, …);
 //! * [`queue`] — `EnqueueWriteBuffer` / `EnqueueReadBuffer` /
-//!   `EnqueueProgram` / `Finish` with per-program timing reports.
+//!   `EnqueueProgram` with per-program timing reports.
 //!
 //! Each kernel instance runs on a dedicated OS thread, so the
 //! read → compute → write dataflow genuinely overlaps through the circular
@@ -39,5 +39,5 @@ pub use error::{CoreProgress, LaunchError};
 pub use host::{close_device, create_device, open_cluster};
 pub use kernel::{cb_index, ComputeFn, ComputeKernel, DataMovementKernel};
 pub use program::{KernelId, Program};
-pub use queue::{CbReport, CommandQueue, FailedLaunch, ProgramReport, PCIE_BYTES_PER_S};
+pub use queue::{CbReport, CommandQueue, ProgramReport, PCIE_BYTES_PER_S};
 pub use semaphore::Semaphore;

@@ -3,26 +3,29 @@
 //! Mirrors TT-Metalium's `CommandQueue` (`EnqueueWriteBuffer`,
 //! `EnqueueReadBuffer`, `EnqueueProgram`, `Finish`). One simplification: in
 //! the simulator `enqueue_program` executes synchronously and returns a
-//! [`ProgramReport`]; `finish` therefore only reports accumulated virtual
-//! time. The *device-side* concurrency the paper relies on — reader, compute
-//! and writer kernels overlapping through CBs across many cores — is real:
-//! each kernel instance runs on its own OS thread.
+//! [`ProgramReport`] with the launch's virtual time. The *device-side*
+//! concurrency the paper relies on — reader, compute and writer kernels
+//! overlapping through CBs across many cores — is real: each kernel instance
+//! runs on its own OS thread.
 //!
-//! The queue also acts as the **launch supervisor**: kernel panics, CB and
-//! semaphore watchdog timeouts, injected compute stalls and mid-run device
-//! loss are caught, sibling kernels are torn down cleanly (poisoned CBs and
+//! The queue also acts as the **launch supervisor**: kernel panics,
+//! deadlocked cores, injected compute stalls and mid-run device loss are
+//! caught, the faulting core is torn down cleanly (poisoned CBs and
 //! semaphores plus a cancel token, never a hung host thread), and the root
 //! cause is reported as a structured [`LaunchError`] naming the faulting
-//! kernel and core.
+//! kernel and core. Deadlock detection is exact and per core, with no time
+//! budget: a core is deadlocked when every unfinished instance on it is
+//! parked on a CB or semaphore nothing has changed since, or in an injected
+//! stall ([`tensix::CoreWaits`]).
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use tensix::cb::{CbStats, CircularBuffer};
 use tensix::clock::{program_seconds, KernelTiming};
-use tensix::fault::{InterruptKind, KernelInterrupt};
+use tensix::fault::{CoreWaits, InterruptKind, KernelInterrupt};
 use tensix::grid::CoreCoord;
 use tensix::{Device, Result, TensixError, Tile};
 use tt_trace::{RiscRole, SpanEmitter, TraceSink};
@@ -52,61 +55,37 @@ pub struct CbReport {
     pub stats: CbStats,
 }
 
-/// Outcome of one program execution.
+/// Outcome of one program execution, or of one failed attempt (see
+/// [`CommandQueue::take_last_failure`]).
 #[derive(Debug, Clone)]
 pub struct ProgramReport {
     /// Device time of the program: the slowest kernel instance, since the
     /// pipeline overlaps everything else.
     pub seconds: f64,
-    /// Per-kernel-instance timings.
+    /// Per-kernel-instance timings (stalled instances report zero cycles).
     pub timings: Vec<KernelTiming>,
     /// Per-CB statistics, sorted by `(core_index, index)`.
     pub cb_stats: Vec<CbReport>,
 }
 
-/// Virtual-time cost of the most recent *failed* launch, kept by the queue so
-/// retry policies can bill the discarded attempt (its cycles never enter the
-/// queue's `program_seconds`).
-#[derive(Debug, Clone)]
-pub struct FailedLaunch {
-    /// Virtual seconds the failed attempt occupied the device (slowest
-    /// surviving kernel instance).
-    pub seconds: f64,
-    /// Per-kernel-instance timings of the failed attempt (stalled instances
-    /// report zero cycles).
-    pub timings: Vec<KernelTiming>,
-    /// Per-CB statistics of the failed attempt, sorted by
-    /// `(core_index, index)`.
-    pub cb_stats: Vec<CbReport>,
-}
-
-/// Shared flag that wakes a stalled kernel thread early when a sibling
-/// fault already tore the program down.
-#[derive(Clone)]
+/// Shared flag that wakes an injected stall once its core is torn down.
+#[derive(Clone, Default)]
 struct CancelToken(Arc<(Mutex<bool>, Condvar)>);
 
 impl CancelToken {
-    fn new() -> Self {
-        CancelToken(Arc::new((Mutex::new(false), Condvar::new())))
-    }
-
     fn cancel(&self) {
         let (lock, cvar) = &*self.0;
         *lock.lock() = true;
         cvar.notify_all();
     }
 
-    /// Wait until cancelled or `timeout` elapses. Returns whether the token
-    /// was cancelled.
-    fn wait(&self, timeout: Duration) -> bool {
+    /// Wait until cancelled.
+    fn wait(&self) {
         let (lock, cvar) = &*self.0;
         let mut done = lock.lock();
         while !*done {
-            if cvar.wait_for(&mut done, timeout).timed_out() {
-                break;
-            }
+            cvar.wait(&mut done);
         }
-        *done
     }
 }
 
@@ -133,8 +112,7 @@ fn classify_abort(label: &str, core: CoreCoord, e: Box<dyn std::any::Any + Send>
         Ok(interrupt) => {
             let kind = match interrupt.kind {
                 InterruptKind::Poisoned => AbortKind::Poisoned,
-                InterruptKind::DeadlockTimeout => AbortKind::Deadlock,
-                InterruptKind::Stalled => AbortKind::Stall,
+                InterruptKind::Deadlock => AbortKind::Deadlock,
             };
             return KernelAbort {
                 kind,
@@ -169,37 +147,46 @@ fn classify_abort(label: &str, core: CoreCoord, e: Box<dyn std::any::Any + Send>
     }
 }
 
-/// Poison the given CBs and semaphores and trip the cancel token.
+/// One core's share of a launch: its CBs and semaphores, the deadlock
+/// detector they share, and the token its injected stall parks on.
 ///
-/// CBs and semaphores are core-local, so a faulting kernel passes only *its
-/// core's* objects here: siblings on the same core unwind promptly, while
-/// other cores' pipelines are self-contained and run to completion — that is
-/// what makes their completed tile ranges trustworthy for a partial redo.
-/// The cancel token is still global; it only wakes injected-stall threads
-/// early, wherever they are parked.
-fn teardown(cbs: &[CircularBuffer], sems: &[Semaphore], cancel: &CancelToken) {
-    for cb in cbs {
-        cb.poison();
+/// CBs and semaphores are core-local, so a fault tears down only its own
+/// core: siblings there unwind promptly, while other cores' pipelines are
+/// self-contained and run to completion — that is what makes their
+/// completed tile ranges trustworthy for a partial redo.
+#[derive(Clone, Default)]
+struct CoreObjects {
+    cbs: CbMap,
+    sems: SemMap,
+    waits: Arc<CoreWaits>,
+    cancel: CancelToken,
+}
+
+impl CoreObjects {
+    /// Poison the core's CBs and semaphores and wake its injected stall.
+    fn teardown(&self) {
+        for cb in self.cbs.values() {
+            cb.poison();
+        }
+        for sem in self.sems.values() {
+            sem.poison();
+        }
+        self.cancel.cancel();
     }
-    for sem in sems {
-        sem.poison();
-    }
-    cancel.cancel();
 }
 
 /// The command queue of one device.
 pub struct CommandQueue {
     device: Arc<Device>,
     io_seconds: f64,
-    program_seconds: f64,
-    last_failure: Option<FailedLaunch>,
+    last_failure: Option<ProgramReport>,
 }
 
 impl CommandQueue {
     /// Queue for `device`.
     #[must_use]
     pub fn new(device: Arc<Device>) -> Self {
-        CommandQueue { device, io_seconds: 0.0, program_seconds: 0.0, last_failure: None }
+        CommandQueue { device, io_seconds: 0.0, last_failure: None }
     }
 
     /// The device this queue drives.
@@ -276,7 +263,6 @@ impl CommandQueue {
         // reflects only this launch.
         self.device.reset_progress();
         let grid = self.device.grid();
-        let watchdog = self.device.watchdog();
 
         // One trace epoch per launch. The sink is fetched once here; kernel
         // instances get their own emitters, so per-event paths never touch
@@ -284,8 +270,9 @@ impl CommandQueue {
         let sink: Option<Arc<dyn TraceSink>> = self.device.trace_sink().filter(|s| s.enabled());
         let epoch = sink.as_ref().map(|s| s.begin_epoch());
 
-        // Instantiate circular buffers per core and allocate their L1.
-        let mut core_cbs: Vec<(CoreCoord, CbMap)> = Vec::new();
+        // Instantiate each core's circular buffers (allocating their L1) and
+        // semaphores around the core's one deadlock detector.
+        let mut cores: HashMap<CoreCoord, CoreObjects> = HashMap::new();
         for entry in &program.cbs {
             for core in entry.cores.iter() {
                 if let Err(e) = self.device.alloc_l1(core, entry.config.total_bytes()) {
@@ -293,43 +280,18 @@ impl CommandQueue {
                     self.device.free_all_l1();
                     return Err(e.into());
                 }
-                let cb = CircularBuffer::with_timeout(entry.config, watchdog);
-                match core_cbs.iter_mut().find(|(c, _)| *c == core) {
-                    Some((_, map)) => {
-                        map.insert(entry.index, cb);
-                    }
-                    None => {
-                        let mut map = CbMap::new();
-                        map.insert(entry.index, cb);
-                        core_cbs.push((core, map));
-                    }
-                }
+                let objects = cores.entry(core).or_default();
+                let cb = CircularBuffer::on_core(entry.config, Some(Arc::clone(&objects.waits)));
+                objects.cbs.insert(entry.index, cb);
             }
         }
-        let cbs_for = |core: CoreCoord| -> CbMap {
-            core_cbs.iter().find(|(c, _)| *c == core).map(|(_, m)| m.clone()).unwrap_or_default()
-        };
-
-        // Instantiate per-core semaphores.
-        let mut core_sems: Vec<(CoreCoord, SemMap)> = Vec::new();
         for entry in &program.sems {
             for core in entry.cores.iter() {
-                let sem = Semaphore::with_timeout(entry.initial, watchdog);
-                match core_sems.iter_mut().find(|(c, _)| *c == core) {
-                    Some((_, map)) => {
-                        map.insert(entry.index, sem);
-                    }
-                    None => {
-                        let mut map = SemMap::new();
-                        map.insert(entry.index, sem);
-                        core_sems.push((core, map));
-                    }
-                }
+                let objects = cores.entry(core).or_default();
+                let sem = Semaphore::on_core(entry.initial, Some(Arc::clone(&objects.waits)));
+                objects.sems.insert(entry.index, sem);
             }
         }
-        let sems_for = |core: CoreCoord| -> SemMap {
-            core_sems.iter().find(|(c, _)| *c == core).map(|(_, m)| m.clone()).unwrap_or_default()
-        };
 
         // Launch one kernel instance per pool job. Stall injection is rolled
         // here, on the host thread, so the affected instance is a
@@ -337,18 +299,27 @@ impl CommandQueue {
         // the persistent worker pool (reused across launches) and report
         // back tagged with their launch-order index; results are collected
         // back into submission order below, so timing/abort aggregation is
-        // byte-for-byte what the old join-in-order loop produced.
-        let cancel = CancelToken::new();
+        // byte-for-byte what the old join-in-order loop produced. Every
+        // instance is counted on its core before any job runs.
         type KernelOutcome = (KernelTiming, Option<KernelAbort>);
+        type InstanceBody = Box<dyn FnOnce(&CoreObjects) -> KernelOutcome + Send + 'static>;
         // `None` payload = the instance body panicked outside its own
         // catch_unwind (the old `JoinHandle::join` Err arm).
         let (tx, rx) = std::sync::mpsc::channel::<(usize, Option<KernelOutcome>)>();
         let mut jobs: Vec<crate::pool::Job> = Vec::new();
-        let mut submit = |body: Box<dyn FnOnce() -> KernelOutcome + Send + 'static>| {
+        let mut submit = |core: CoreCoord, body: InstanceBody| {
+            let objects = cores.entry(core).or_default().clone();
+            objects.waits.add_instance();
             let idx = jobs.len();
             let tx = tx.clone();
             jobs.push(Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(body)).ok();
+                let outcome = catch_unwind(AssertUnwindSafe(|| body(&objects))).ok();
+                // An aborted instance tears its core down; so does a clean
+                // exit that leaves every sibling on the core parked.
+                let aborted = !matches!(outcome, Some((_, None)));
+                if objects.waits.finish() || aborted {
+                    objects.teardown();
+                }
                 let _ = tx.send((idx, outcome));
             }));
         };
@@ -362,8 +333,6 @@ impl CommandQueue {
                 let device = Arc::clone(&self.device);
                 let label = entry.label.clone();
                 let args = program.args_for(entry, core);
-                let cbs = cbs_for(core);
-                let sems = sems_for(core);
                 let core_index = grid.index_of(core);
                 let tracer = match (&sink, epoch) {
                     (Some(s), Some(e)) => {
@@ -371,86 +340,91 @@ impl CommandQueue {
                     }
                     _ => None,
                 };
-                // Partial teardown: a faulting kernel poisons only its own
-                // core's CBs/semaphores, so surviving cores finish their tile
-                // ranges and only the faulting core's slice needs a redo.
-                let poison_cbs: Vec<CircularBuffer> = cbs.values().cloned().collect();
-                let poison_sems: Vec<Semaphore> = sems.values().cloned().collect();
-                let cancel = cancel.clone();
                 let stall =
                     !self.device.faults().disarmed() && self.device.faults().roll_kernel_stall();
                 if stall {
-                    // The kernel hangs without making progress. The thread
-                    // parks on the cancel token; either a sibling fault
-                    // cancels it early, or its own watchdog expires and it
-                    // initiates teardown itself.
+                    // The kernel hangs without making progress: it parks
+                    // until its core is torn down. If it is the last
+                    // instance there to park, the core is deadlocked and
+                    // the stall's own abort tears it down.
                     let mut tracer = tracer;
-                    submit(Box::new(move || {
-                        if let Some(tr) = tracer.as_mut() {
-                            tr.instant("injected_stall", 0, &[]);
-                        }
-                        if !cancel.wait(device.watchdog()) {
-                            teardown(&poison_cbs, &poison_sems, &cancel);
-                        }
-                        let abort = KernelAbort {
-                            kind: AbortKind::Stall,
-                            kernel: label.clone(),
-                            core,
-                            message: "kernel made no progress (injected stall)".to_string(),
-                        };
-                        (KernelTiming { label, core_index, ..KernelTiming::default() }, Some(abort))
-                    }));
+                    submit(
+                        core,
+                        Box::new(move |objects: &CoreObjects| {
+                            if let Some(tr) = tracer.as_mut() {
+                                tr.instant("injected_stall", 0, &[]);
+                            }
+                            if !objects.waits.park() {
+                                objects.cancel.wait();
+                            }
+                            let abort = KernelAbort {
+                                kind: AbortKind::Stall,
+                                kernel: label.clone(),
+                                core,
+                                message: "kernel made no progress (injected stall)".to_string(),
+                            };
+                            (
+                                KernelTiming { label, core_index, ..KernelTiming::default() },
+                                Some(abort),
+                            )
+                        }),
+                    );
                     continue;
                 }
                 match &entry.body {
                     KernelBody::DataMovement { noc, kernel } => {
                         let noc = *noc;
                         let kernel = Arc::clone(kernel);
-                        submit(Box::new(move || {
-                            let mut ctx =
-                                DataMovementCtx::new(device, core, noc, cbs, sems, args, tracer);
-                            ctx.trace_kernel_begin(&label);
-                            let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
-                            ctx.trace_kernel_end();
-                            let abort = outcome.err().map(|e| {
-                                teardown(&poison_cbs, &poison_sems, &cancel);
-                                classify_abort(&label, core, e)
-                            });
-                            (
-                                KernelTiming {
-                                    label,
-                                    core_index,
-                                    cycles: ctx.take_cycles(),
-                                    ..KernelTiming::default()
-                                },
-                                abort,
-                            )
-                        }));
+                        submit(
+                            core,
+                            Box::new(move |objects: &CoreObjects| {
+                                let (cbs, sems) = (objects.cbs.clone(), objects.sems.clone());
+                                let mut ctx = DataMovementCtx::new(
+                                    device, core, noc, cbs, sems, args, tracer,
+                                );
+                                ctx.trace_kernel_begin(&label);
+                                let outcome =
+                                    catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
+                                ctx.trace_kernel_end();
+                                let abort = outcome.err().map(|e| classify_abort(&label, core, e));
+                                (
+                                    KernelTiming {
+                                        label,
+                                        core_index,
+                                        cycles: ctx.take_cycles(),
+                                        ..KernelTiming::default()
+                                    },
+                                    abort,
+                                )
+                            }),
+                        );
                     }
                     KernelBody::Compute { format, kernel } => {
                         let format = *format;
                         let kernel = Arc::clone(kernel);
-                        submit(Box::new(move || {
-                            let mut ctx =
-                                ComputeCtx::new(device, core, format, cbs, sems, args, tracer);
-                            ctx.trace_kernel_begin(&label);
-                            let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
-                            ctx.trace_kernel_end();
-                            let abort = outcome.err().map(|e| {
-                                teardown(&poison_cbs, &poison_sems, &cancel);
-                                classify_abort(&label, core, e)
-                            });
-                            (
-                                KernelTiming {
-                                    label,
-                                    core_index,
-                                    cycles: ctx.take_cycles(),
-                                    matrix_cycles: ctx.matrix_cycles(),
-                                    vector_cycles: ctx.vector_cycles(),
-                                },
-                                abort,
-                            )
-                        }));
+                        submit(
+                            core,
+                            Box::new(move |objects: &CoreObjects| {
+                                let (cbs, sems) = (objects.cbs.clone(), objects.sems.clone());
+                                let mut ctx =
+                                    ComputeCtx::new(device, core, format, cbs, sems, args, tracer);
+                                ctx.trace_kernel_begin(&label);
+                                let outcome =
+                                    catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
+                                ctx.trace_kernel_end();
+                                let abort = outcome.err().map(|e| classify_abort(&label, core, e));
+                                (
+                                    KernelTiming {
+                                        label,
+                                        core_index,
+                                        cycles: ctx.take_cycles(),
+                                        matrix_cycles: ctx.matrix_cycles(),
+                                        vector_cycles: ctx.vector_cycles(),
+                                    },
+                                    abort,
+                                )
+                            }),
+                        );
                     }
                 }
             }
@@ -496,9 +470,9 @@ impl CommandQueue {
         // Harvest CB statistics before teardown drops the rings: the stats
         // were always counted, this is where they get out.
         let mut cb_stats: Vec<CbReport> = Vec::new();
-        for (core, map) in &core_cbs {
+        for (core, objects) in &cores {
             let core_index = grid.index_of(*core);
-            for (index, cb) in map {
+            for (index, cb) in &objects.cbs {
                 cb_stats.push(CbReport {
                     core: *core,
                     core_index,
@@ -522,8 +496,7 @@ impl CommandQueue {
         if let Some(root) = aborts.into_iter().max_by_key(|a| a.kind) {
             // Inventory the attempt: per-core completed-tile watermarks (for
             // the partial redo) and the attempt's virtual-time cost (for the
-            // wasted-cycle accounting). Failed attempts never enter the
-            // queue's own `program_seconds`.
+            // wasted-cycle accounting).
             let mut inventory_cores: Vec<CoreCoord> = Vec::new();
             for entry in &program.kernels {
                 for core in entry.cores.iter() {
@@ -537,7 +510,7 @@ impl CommandQueue {
                 .map(|core| CoreProgress { core, completed: self.device.progress_of(core) })
                 .collect();
             let seconds = program_seconds(self.device.costs(), &timings);
-            self.last_failure = Some(FailedLaunch { seconds, timings, cb_stats });
+            self.last_failure = Some(ProgramReport { seconds, timings, cb_stats });
             let KernelAbort { kind, kernel, core, message } = root;
             if let Some(s) = &sink {
                 s.host_instant(
@@ -556,31 +529,7 @@ impl CommandQueue {
             });
         }
         let seconds = program_seconds(self.device.costs(), &timings);
-        self.program_seconds += seconds;
         Ok(ProgramReport { seconds, timings, cb_stats })
-    }
-
-    /// `Finish`: total virtual seconds of everything enqueued so far
-    /// (host I/O + program execution).
-    #[must_use]
-    pub fn finish(&self) -> f64 {
-        self.io_seconds + self.program_seconds
-    }
-
-    /// `Finish` with a virtual-time budget: fails instead of silently
-    /// returning when the accumulated work exceeded `budget_s` seconds, or
-    /// when the card fell off the bus.
-    ///
-    /// # Errors
-    /// [`LaunchError::Timeout`] when over budget,
-    /// [`LaunchError::DeviceLost`] when the card is gone.
-    pub fn finish_with_timeout(&self, budget_s: f64) -> std::result::Result<f64, LaunchError> {
-        self.device.ensure_alive()?;
-        let elapsed_s = self.finish();
-        if elapsed_s > budget_s {
-            return Err(LaunchError::Timeout { budget_s, elapsed_s });
-        }
-        Ok(elapsed_s)
     }
 
     /// Virtual seconds spent on host↔device transfers.
@@ -589,18 +538,12 @@ impl CommandQueue {
         self.io_seconds
     }
 
-    /// Virtual seconds spent executing programs.
-    #[must_use]
-    pub fn program_seconds(&self) -> f64 {
-        self.program_seconds
-    }
-
-    /// Cost of the most recent failed launch, if the last
+    /// Report of the most recent failed launch, if the last
     /// [`Self::enqueue_program`] aborted with kernel timings to
     /// report. Cleared at the start of every launch; taking it leaves `None`.
     /// Retry policies use this to bill discarded attempts to a wasted-time
     /// bucket instead of losing them.
-    pub fn take_last_failure(&mut self) -> Option<FailedLaunch> {
+    pub fn take_last_failure(&mut self) -> Option<ProgramReport> {
         self.last_failure.take()
     }
 }
@@ -610,6 +553,7 @@ mod tests {
     use super::*;
     use crate::context::DataMovementCtx;
     use crate::kernel::{cb_index, ComputeFn};
+    use std::time::Duration;
     use tensix::cb::CircularBufferConfig;
     use tensix::fault::{FaultClass, FaultConfig};
     use tensix::grid::CoreRangeSet;
@@ -664,6 +608,22 @@ mod tests {
         output: &Buffer,
         tiles_per_core: usize,
     ) -> Program {
+        doubling_program_with(cores, input, output, tiles_per_core, None, Duration::ZERO)
+    }
+
+    /// [`doubling_program`] with two switches: the reader on `short` sends
+    /// one page fewer than its compute kernel waits for (a genuine
+    /// deadlock on that core only), and the compute kernel sleeps `nap` of
+    /// host time before each push (slow progress, never a deadlock). The
+    /// writer publishes every committed tile to the completion watermark.
+    fn doubling_program_with(
+        cores: CoreRangeSet,
+        input: &Buffer,
+        output: &Buffer,
+        tiles_per_core: usize,
+        short: Option<CoreCoord>,
+        nap: Duration,
+    ) -> Program {
         let mut p = Program::new();
         let cb_cfg = CircularBufferConfig::new(2, DataFormat::Float32);
         p.add_circular_buffer(cores.clone(), cb_index::IN0, cb_cfg);
@@ -678,7 +638,7 @@ mod tests {
             NocId::Noc0,
             Arc::new(move |ctx: &mut DataMovementCtx| {
                 let start = ctx.arg(0) as usize;
-                let count = ctx.arg(1) as usize;
+                let count = ctx.arg(1) as usize - usize::from(short == Some(ctx.core()));
                 for page in start..start + count {
                     ctx.read_page_to_cb(cb_index::IN0, inref, page);
                 }
@@ -696,6 +656,7 @@ mod tests {
                     ctx.copy_tile(cb_index::IN0, 0, 0);
                     ctx.scale_tile(0, 2.0, 0.0);
                     ctx.tile_regs_commit();
+                    std::thread::sleep(nap);
                     ctx.cb_reserve_back(cb_index::OUT0, 1);
                     ctx.pack_tile(0, cb_index::OUT0);
                     ctx.cb_push_back(cb_index::OUT0, 1);
@@ -713,6 +674,7 @@ mod tests {
                 let count = ctx.arg(1) as usize;
                 for page in start..start + count {
                     ctx.write_cb_to_page(cb_index::OUT0, outref, page);
+                    ctx.mark_unit_complete();
                 }
             }),
         );
@@ -752,9 +714,6 @@ mod tests {
         }
         // L1 was freed at teardown.
         assert_eq!(dev.l1_used(CoreCoord::new(0, 0)), 0);
-        assert!(q.finish() >= report.seconds);
-        assert!(q.finish_with_timeout(1.0).is_ok());
-        assert!(matches!(q.finish_with_timeout(0.0), Err(LaunchError::Timeout { .. })));
     }
 
     #[test]
@@ -835,14 +794,7 @@ mod tests {
     /// sibling kernel torn down cleanly, and the queue stays usable.
     #[test]
     fn stalled_compute_kernel_is_cancelled_and_reported() {
-        let dev = Device::new(
-            0,
-            DeviceConfig {
-                watchdog: Duration::from_millis(50),
-                seed: 42,
-                ..DeviceConfig::default()
-            },
-        );
+        let dev = Device::new(0, DeviceConfig { seed: 42, ..DeviceConfig::default() });
         // Launch order is reader, double, writer: stall instance #2, the
         // compute kernel.
         dev.faults().schedule(FaultClass::KernelStall, 2);
@@ -879,6 +831,110 @@ mod tests {
         assert_eq!(result[3].get(0, 0), 6.0);
     }
 
+    /// A genuine deadlock, no fault injected: the reader pushes one page
+    /// fewer than the compute kernel waits for. The launch fails at once as
+    /// a `Deadlock` naming the waiting kernel and core, and the queue stays
+    /// usable.
+    #[test]
+    fn short_producer_deadlocks_its_core() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let n_tiles = 3usize;
+        let input = Buffer::new(&dev, DataFormat::Float32, n_tiles).unwrap();
+        let output = Buffer::new(&dev, DataFormat::Float32, n_tiles).unwrap();
+        let tiles: Vec<Tile> =
+            (0..n_tiles).map(|i| Tile::splat(DataFormat::Float32, i as f32)).collect();
+        q.enqueue_write_buffer(&input, &tiles).unwrap();
+
+        let core = CoreCoord::new(0, 0);
+        let cores = CoreRangeSet::first_n(1, 8);
+        let p = doubling_program_with(
+            cores.clone(),
+            &input,
+            &output,
+            n_tiles,
+            Some(core),
+            Duration::ZERO,
+        );
+        let err = q.enqueue_program(&p).unwrap_err();
+        match &err {
+            LaunchError::Deadlock { kernel, core: at, completed, .. } => {
+                // Whichever of the two waiting kernels parked last names
+                // the deadlock; the reader had already finished.
+                assert!(["double", "writer"].contains(&kernel.as_str()), "{kernel}");
+                assert_eq!(*at, core);
+                assert_eq!(completed, &[CoreProgress { core, completed: n_tiles as u64 - 1 }]);
+            }
+            other => panic!("expected Deadlock, got {other:?}"),
+        }
+        assert_eq!(err.phase(), "deadlock");
+        assert!(err.is_transient());
+        assert_eq!(dev.l1_used(core), 0, "teardown frees the CBs' L1");
+        q.enqueue_program(&doubling_program(cores, &input, &output, n_tiles)).unwrap();
+        let result = q.enqueue_read_buffer(&output).unwrap();
+        assert_eq!(result[2].get(0, 0), 4.0);
+    }
+
+    /// The same fault on core 1 of a two-core program tears down core 1
+    /// only: core 0 completes, and its full watermark is in the inventory.
+    #[test]
+    fn deadlock_on_one_core_spares_the_other() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let per_core = 3usize;
+        let input = Buffer::new(&dev, DataFormat::Float32, 2 * per_core).unwrap();
+        let output = Buffer::new(&dev, DataFormat::Float32, 2 * per_core).unwrap();
+        let tiles: Vec<Tile> =
+            (0..2 * per_core).map(|i| Tile::splat(DataFormat::Float32, i as f32)).collect();
+        q.enqueue_write_buffer(&input, &tiles).unwrap();
+
+        let (core0, core1) = (CoreCoord::new(0, 0), CoreCoord::new(1, 0));
+        let cores = CoreRangeSet::first_n(2, 8);
+        let p =
+            doubling_program_with(cores, &input, &output, per_core, Some(core1), Duration::ZERO);
+        let err = q.enqueue_program(&p).unwrap_err();
+        match &err {
+            LaunchError::Deadlock { kernel, core, completed, .. } => {
+                assert!(["double", "writer"].contains(&kernel.as_str()), "{kernel}");
+                assert_eq!(*core, core1);
+                assert_eq!(
+                    completed,
+                    &[
+                        CoreProgress { core: core0, completed: per_core as u64 },
+                        CoreProgress { core: core1, completed: per_core as u64 - 1 },
+                    ]
+                );
+            }
+            other => panic!("expected Deadlock, got {other:?}"),
+        }
+        let result = q.enqueue_read_buffer(&output).unwrap();
+        for (i, tile) in result.iter().take(per_core).enumerate() {
+            assert_eq!(tile.get(0, 0), 2.0 * i as f32, "core 0 tile {i}");
+        }
+    }
+
+    /// Slow progress is not a deadlock: the compute kernel naps on the host
+    /// between pushes while the writer stays parked, and the launch
+    /// succeeds. This guards against a time budget coming back.
+    #[test]
+    fn slow_kernel_with_parked_writer_is_not_a_deadlock() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let n_tiles = 2usize;
+        let input = Buffer::new(&dev, DataFormat::Float32, n_tiles).unwrap();
+        let output = Buffer::new(&dev, DataFormat::Float32, n_tiles).unwrap();
+        let tiles: Vec<Tile> =
+            (0..n_tiles).map(|i| Tile::splat(DataFormat::Float32, i as f32)).collect();
+        q.enqueue_write_buffer(&input, &tiles).unwrap();
+
+        let cores = CoreRangeSet::first_n(1, 8);
+        let nap = Duration::from_millis(300);
+        let p = doubling_program_with(cores, &input, &output, n_tiles, None, nap);
+        q.enqueue_program(&p).unwrap();
+        let result = q.enqueue_read_buffer(&output).unwrap();
+        assert_eq!(result[1].get(0, 0), 2.0);
+    }
+
     #[test]
     fn injected_device_loss_fails_launch_until_reset() {
         let dev = Device::new(0, DeviceConfig { seed: 5, ..DeviceConfig::default() });
@@ -893,7 +949,6 @@ mod tests {
             q.enqueue_write_buffer(&buf, &[Tile::zeros(DataFormat::Float32)]),
             Err(TensixError::DeviceLost { .. })
         ));
-        assert!(matches!(q.finish_with_timeout(1.0), Err(LaunchError::DeviceLost { .. })));
         // A reset revives the card (DRAM content is gone, so reallocate).
         dev.reset().unwrap();
         let buf = Buffer::new(&dev, DataFormat::Float32, 1).unwrap();

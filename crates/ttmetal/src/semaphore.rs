@@ -5,17 +5,15 @@
 //! `noc_semaphore_set` / `noc_semaphore_inc` / `noc_semaphore_wait` to
 //! implement barriers and producer tokens (real multi-core kernels use them
 //! for multicast hand-shakes). The simulator backs each with a
-//! mutex+condvar counter; waits carry the same deadlock watchdog as CBs, and
-//! the command queue poisons semaphores on abnormal teardown so blocked
-//! waiters unwind with a typed [`tensix::fault::KernelInterrupt`] instead of
-//! hanging.
+//! mutex+condvar counter whose waits share their core's exact deadlock
+//! detection with its CBs ([`tensix::CoreWaits`]), and the command queue
+//! poisons semaphores on abnormal teardown so blocked waiters unwind with a
+//! typed [`tensix::fault::KernelInterrupt`] instead of hanging.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use tensix::fault::{raise_interrupt, InterruptKind};
-use tensix::DEFAULT_WATCHDOG;
+use tensix::fault::{raise_interrupt, CoreWaits, InterruptKind, ObjectWaits};
 
 #[derive(Debug)]
 struct SemState {
@@ -23,51 +21,50 @@ struct SemState {
     /// Set on abnormal program teardown; wakes blocked waiters with a typed
     /// interrupt instead of deadlocking.
     poisoned: bool,
+    /// This semaphore's share of its core's deadlock detection.
+    waits: ObjectWaits,
 }
 
 /// One L1 semaphore (a 32-bit counter). Clones share the counter.
 #[derive(Debug, Clone)]
 pub struct Semaphore {
-    timeout: Duration,
     inner: Arc<(Mutex<SemState>, Condvar)>,
 }
 
 impl Semaphore {
-    /// Semaphore initialized to `initial`, with the default watchdog
-    /// [`DEFAULT_WATCHDOG`]: a wait blocked that long declares a deadlock.
-    /// The command queue wires in the device's `watchdog` setting through
-    /// [`Semaphore::with_timeout`].
+    /// Semaphore initialized to `initial`, outside any launch: its waits
+    /// block until satisfied or poisoned.
     #[must_use]
     pub fn new(initial: u32) -> Self {
-        Self::with_timeout(initial, DEFAULT_WATCHDOG)
+        Self::on_core(initial, None)
     }
 
-    /// Semaphore initialized to `initial` with an explicit deadlock-watchdog
-    /// budget.
+    /// Semaphore initialized to `initial` on the core `core` detects
+    /// deadlocks for: a wait that completes a deadlock raises
+    /// [`InterruptKind::Deadlock`].
     #[must_use]
-    pub fn with_timeout(initial: u32, timeout: Duration) -> Self {
-        Semaphore {
-            timeout,
-            inner: Arc::new((
-                Mutex::new(SemState { value: initial, poisoned: false }),
-                Condvar::new(),
-            )),
-        }
+    pub fn on_core(initial: u32, core: Option<Arc<CoreWaits>>) -> Self {
+        let state = SemState { value: initial, poisoned: false, waits: ObjectWaits::new(core) };
+        Semaphore { inner: Arc::new((Mutex::new(state), Condvar::new())) }
     }
 
     /// `noc_semaphore_set`: overwrite the counter.
     pub fn set(&self, value: u32) {
-        let (lock, cvar) = &*self.inner;
-        lock.lock().value = value;
-        cvar.notify_all();
+        self.update(|st| st.value = value);
     }
 
     /// `noc_semaphore_inc`: add `delta` (wrapping, as the 32-bit counter
     /// does on hardware).
     pub fn inc(&self, delta: u32) {
+        self.update(|st| st.value = st.value.wrapping_add(delta));
+    }
+
+    /// Apply one change and wake every waiter.
+    fn update(&self, change: impl FnOnce(&mut SemState)) {
         let (lock, cvar) = &*self.inner;
         let mut st = lock.lock();
-        st.value = st.value.wrapping_add(delta);
+        change(&mut st);
+        st.waits.changed();
         cvar.notify_all();
     }
 
@@ -80,19 +77,18 @@ impl Semaphore {
     /// Poison the semaphore, waking any blocked waiter with a typed
     /// [`tensix::fault::KernelInterrupt`]. Used on abnormal program teardown.
     pub fn poison(&self) {
-        let (lock, cvar) = &*self.inner;
-        lock.lock().poisoned = true;
-        cvar.notify_all();
+        self.update(|st| st.poisoned = true);
     }
 
     /// `noc_semaphore_wait`: block until the counter equals `target`.
     ///
     /// # Panics
-    /// Raises a typed [`tensix::fault::KernelInterrupt`] if poisoned or
-    /// after the watchdog budget without reaching the target.
+    /// Raises a typed [`tensix::fault::KernelInterrupt`] if poisoned or if
+    /// the wait deadlocks its core.
     pub fn wait(&self, target: u32) {
         let (lock, cvar) = &*self.inner;
         let mut st = lock.lock();
+        let mut seen = None;
         while st.value != target {
             if st.poisoned {
                 raise_interrupt(
@@ -100,13 +96,13 @@ impl Semaphore {
                     format!("semaphore poisoned while waiting for value {target}"),
                 );
             }
-            let timed_out = cvar.wait_for(&mut st, self.timeout).timed_out();
-            if timed_out && !st.poisoned {
+            if st.waits.park(&mut seen) {
                 raise_interrupt(
-                    InterruptKind::DeadlockTimeout,
+                    InterruptKind::Deadlock,
                     format!("noc_semaphore_wait({target}) deadlocked at value {}", st.value),
                 );
             }
+            cvar.wait(&mut st);
         }
     }
 
@@ -114,11 +110,12 @@ impl Semaphore {
     /// pattern).
     ///
     /// # Panics
-    /// Raises a typed [`tensix::fault::KernelInterrupt`] if poisoned or on
-    /// watchdog timeout.
+    /// Raises a typed [`tensix::fault::KernelInterrupt`] if poisoned or if
+    /// the wait deadlocks its core.
     pub fn wait_min(&self, target: u32) {
         let (lock, cvar) = &*self.inner;
         let mut st = lock.lock();
+        let mut seen = None;
         while st.value < target {
             if st.poisoned {
                 raise_interrupt(
@@ -126,13 +123,13 @@ impl Semaphore {
                     format!("semaphore poisoned while waiting for at least {target}"),
                 );
             }
-            let timed_out = cvar.wait_for(&mut st, self.timeout).timed_out();
-            if timed_out && !st.poisoned {
+            if st.waits.park(&mut seen) {
                 raise_interrupt(
-                    InterruptKind::DeadlockTimeout,
+                    InterruptKind::Deadlock,
                     format!("noc_semaphore_wait_min({target}) deadlocked at {}", st.value),
                 );
             }
+            cvar.wait(&mut st);
         }
     }
 }
@@ -141,6 +138,7 @@ impl Semaphore {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
     use tensix::fault::KernelInterrupt;
 
     #[test]
@@ -202,12 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_timeout_raises_deadlock_interrupt() {
-        let s = Semaphore::with_timeout(0, Duration::from_millis(20));
+    fn wait_that_parks_every_instance_raises_deadlock_interrupt() {
+        // A core with one instance: its first park is a deadlock.
+        let waits = Arc::new(CoreWaits::default());
+        waits.add_instance();
+        let s = Semaphore::on_core(0, Some(waits));
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.wait_min(1)))
-            .expect_err("wait must unwind on watchdog timeout");
+            .expect_err("a wait nothing can satisfy must unwind");
         let interrupt = payload.downcast::<KernelInterrupt>().expect("typed interrupt payload");
-        assert_eq!(interrupt.kind, InterruptKind::DeadlockTimeout);
+        assert_eq!(interrupt.kind, InterruptKind::Deadlock);
         assert!(interrupt.detail.contains("wait_min"));
     }
 }
