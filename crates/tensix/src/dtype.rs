@@ -137,12 +137,13 @@ pub fn bfp8_quantize_scalar(x: f32) -> f32 {
 #[must_use]
 pub fn bf16_round(x: f32) -> f32 {
     let bits = x.to_bits();
-    if x.is_nan() {
-        return f32::from_bits((bits & 0xffff_0000) | 0x0041_0000);
-    }
     let lsb = (bits >> 16) & 1;
     let rounded = bits.wrapping_add(0x0000_7fff + lsb) & 0xffff_0000;
-    f32::from_bits(rounded)
+    // A NaN keeps its sign and top payload bits and is made quiet. Both
+    // results are computed and one selected, with no branch, so slice loops
+    // over this function vectorize.
+    let nan = (bits & 0xffff_0000) | 0x0041_0000;
+    f32::from_bits(if x.is_nan() { nan } else { rounded })
 }
 
 /// Convert an `f32` to the nearest IEEE binary16 value, returned as `f32`.

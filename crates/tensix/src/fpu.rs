@@ -9,7 +9,7 @@
 
 use crate::cost::ComputeCosts;
 use crate::sfpu::{binary_scalar, BinaryOp};
-use crate::tile::{row_elems, Tile, TILE_DIM};
+use crate::tile::{row_elems, Tile, TILE_DIM, TILE_ELEMS};
 
 /// Broadcast dimension for `*_tiles_bcast` operations: which part of srcB is
 /// replicated across the tile.
@@ -38,17 +38,58 @@ fn matmul_cost(costs: &ComputeCosts, a: &Tile, b: &Tile) -> u64 {
 /// register, so each lane group of a row is one packed FMA.
 const LANES: usize = 8;
 
-/// Dense tile matmul: `a (32×32) × b (32×32)`, accumulating into `acc` when
+/// Rows the narrow-output path updates at once: eight independent FMA
+/// chains, one register each, enough to hide the FMA latency.
+const NARROW_ROWS: usize = 8;
+
+/// Bits of `-0.0`, the sign bit alone.
+const NEG_ZERO_BITS: u32 = 0x8000_0000;
+/// Bits of `+inf`: magnitudes above it are NaN.
+const INF_BITS: u32 = 0x7f80_0000;
+
+/// `v`'s bits without the sign: zero exactly when `v` is ±0.
+#[inline(always)]
+fn magnitude_bits(v: f32) -> u32 {
+    v.to_bits() << 1
+}
+
+/// Tile matmul: `a (32×32) × b (32×32)`, accumulating into `acc` when
 /// `accumulate` is set (matmul with dst accumulation). Returns cycle cost.
 ///
-/// Two output rows at a time are held in local `[f32; 32]` registers and
-/// updated in [`LANES`]-wide groups from one load of each `b` row. On an
-/// x86-64 release build (`-C target-cpu=native`, AVX2/FMA) each row takes
-/// four packed `vfmadd231ps` per `k`. Updating `acc`'s row in place
-/// instead does not vectorize: LLVM fully unrolls it into 32 scalar
-/// `vfmadd231ss` per `k`, over 10× slower. Each output element still receives its fused multiply-adds in
-/// ascending-`k` order, so results are bitwise identical to the textbook
-/// (i, j, k) nest in [`reference::matmul_tiles`].
+/// Every output element receives its fused multiply-adds in ascending-`k`
+/// order, as in the textbook (i, j, k) nest of [`reference::matmul_tiles`],
+/// so results are bitwise identical to it. Products that are exactly ±0 are
+/// skipped where that provably changes no bit. Two structures qualify, and
+/// they cover the matrix force kernel's operands (inner dimension 3 of 32
+/// in its cross matmuls, 7 of 32 output columns in its accumulate matmuls):
+///
+/// * **Trailing inner dimension.** Columns `k ≥ K` of `a` are all ±0 and
+///   rows `k ≥ K` of `b` all finite, with `K ≥ 1`. Each skipped product is
+///   an exact ±0, and adding ±0 leaves a sum unchanged unless the sum is
+///   itself a zero: `x + ±0 = x` for nonzero `x` (infinities included) and
+///   for the quiet NaN any FMA returns. A `+0` sum stays `+0` under
+///   round-to-nearest. A `-0` sum (from a `-0` accumulator or an FMA
+///   product that underflowed) flips to `+0` on a `+0` product, so every
+///   output left at `-0` finishes the skipped steps of its chain literally.
+/// * **Narrow output.** Lane groups 1–3 of `b` are all ±0. Only lanes 0–7
+///   are computed, [`NARROW_ROWS`] rows at a time. Lanes 8–31 then receive
+///   only exact ±0 products, provided `a` is finite, so they stay `+0`, or
+///   stay the accumulator when no accumulator lane is `-0` or NaN.
+///   A non-finite element of `a` makes all eight computed lanes of its row
+///   non-finite, so those lanes being finite proves the row's `a` finite;
+///   they are stored only then, and otherwise the tile is computed as if
+///   the structure were absent.
+///
+/// Anything else takes the dense loop. Two output rows at a time are held
+/// in local `[f32; 32]` registers and updated in [`LANES`]-wide groups from
+/// one load of each `b` row. On an x86-64 release build
+/// (`-C target-cpu=native`, AVX2/FMA) each row takes four packed
+/// `vfmadd231ps` per `k`. Updating `acc`'s row in place instead does not
+/// vectorize: LLVM fully unrolls it into 32 scalar `vfmadd231ss` per `k`,
+/// over 10× slower. Each loop lives in its own non-inlined function:
+/// with two of them in one body, LLVM scalarized them.
+///
+/// The skips are host work only: the cycle charge is the dense one.
 pub fn matmul_tiles(
     costs: &ComputeCosts,
     a: &Tile,
@@ -58,6 +99,92 @@ pub fn matmul_tiles(
 ) -> u64 {
     let (va, vb) = (a.as_slice(), b.as_slice());
     let out = acc.as_mut_slice();
+    let narrowed = narrow_output(vb)
+        && (!accumulate || zero_sums_keep(out))
+        && matmul_narrow(va, vb, out, accumulate);
+    if !narrowed {
+        let k = live_inner_dim(va);
+        if (1..TILE_DIM).contains(&k) && all_finite(&vb[k * TILE_DIM..]) {
+            matmul_inner_prefix(va, vb, out, accumulate, k);
+            if any_negative_zero(out) {
+                finish_negative_zeros(va, vb, out, k);
+            }
+        } else {
+            matmul_dense(va, vb, out, accumulate);
+        }
+    }
+    matmul_cost(costs, a, b)
+}
+
+/// Per column, the largest of [`magnitude_bits`] down the tile: zero
+/// exactly for columns of ±0. One packed `vpmaxud` per lane group and row.
+/// Integer folds must be written over flat lane groups like this: with a
+/// row-major nest LLVM reorders them into gathers across rows, and a fold
+/// over a whole row it widens to 512-bit registers, which slow the FMA
+/// loops that follow.
+#[inline(never)]
+fn column_magnitudes(v: &[f32; TILE_ELEMS]) -> [[u32; LANES]; TILE_DIM / LANES] {
+    let mut cols = [[0u32; LANES]; TILE_DIM / LANES];
+    for (g, group) in v.chunks_exact(LANES).enumerate() {
+        for (c, x) in cols[g % (TILE_DIM / LANES)].iter_mut().zip(group) {
+            *c = (*c).max(magnitude_bits(*x));
+        }
+    }
+    cols
+}
+
+/// Whether lane groups 1–3 of every row of `b` hold only ±0.
+fn narrow_output(vb: &[f32; TILE_ELEMS]) -> bool {
+    // A dense operand stops here, on its first lane-group-1 entry.
+    magnitude_bits(vb[LANES]) == 0
+        && column_magnitudes(vb)[1..].iter().all(|group| *group == [0; LANES])
+}
+
+/// One past the last column of `a` holding anything but ±0.
+fn live_inner_dim(va: &[f32; TILE_ELEMS]) -> usize {
+    // A dense operand stops here, on its first last-column entry.
+    if magnitude_bits(va[TILE_DIM - 1]) != 0 {
+        return TILE_DIM;
+    }
+    column_magnitudes(va).as_flattened().iter().rposition(|c| *c != 0).map_or(0, |k| k + 1)
+}
+
+/// Whether every value is finite: the largest magnitude among the bit
+/// patterns stays below [`INF_BITS`]. Integer min/max folds compile to
+/// packed `vpmaxud`/`vpminud`; a `bool` fold of float compares goes
+/// through mask registers and is several times slower.
+#[inline(never)]
+fn all_finite(v: &[f32]) -> bool {
+    v.iter().fold(0, |m, x| m.max(x.to_bits() & !NEG_ZERO_BITS)) < INF_BITS
+}
+
+/// Whether no value is `-0` or NaN: accumulator lanes that adding ±0
+/// leaves bitwise unchanged. One pass of the two folds below.
+#[inline(never)]
+fn zero_sums_keep(v: &[f32]) -> bool {
+    let (max, min) = v.iter().fold((0, u32::MAX), |(max, min), x| {
+        let bits = x.to_bits();
+        (max.max(bits & !NEG_ZERO_BITS), min.min(bits ^ NEG_ZERO_BITS))
+    });
+    max <= INF_BITS && min != 0
+}
+
+/// Whether some value is `-0`: the only one whose bits, sign flipped, are 0.
+#[inline(never)]
+fn any_negative_zero(v: &[f32]) -> bool {
+    v.iter().fold(u32::MAX, |m, x| m.min(x.to_bits() ^ NEG_ZERO_BITS)) == 0
+}
+
+/// The register-row loop over row pairs of `va`/`out`, with the inner
+/// dimension cut to `k`.
+#[inline(always)]
+fn matmul_rows(
+    va: &[f32; TILE_ELEMS],
+    vb: &[f32; TILE_ELEMS],
+    out: &mut [f32; TILE_ELEMS],
+    accumulate: bool,
+    k: usize,
+) {
     for (a_rows, out_rows) in va.chunks_exact(2 * TILE_DIM).zip(out.chunks_exact_mut(2 * TILE_DIM))
     {
         let (a0, a1) = a_rows.split_at(TILE_DIM);
@@ -68,7 +195,7 @@ pub fn matmul_tiles(
             r0.copy_from_slice(o0);
             r1.copy_from_slice(o1);
         }
-        for ((x0, x1), b_row) in a0.iter().zip(a1).zip(vb.chunks_exact(TILE_DIM)) {
+        for ((x0, x1), b_row) in a0[..k].iter().zip(&a1[..k]).zip(vb.chunks_exact(TILE_DIM)) {
             let lanes = r0.chunks_exact_mut(LANES).zip(r1.chunks_exact_mut(LANES));
             for ((l0, l1), bl) in lanes.zip(b_row.chunks_exact(LANES)) {
                 for ((y0, y1), bv) in l0.iter_mut().zip(l1.iter_mut()).zip(bl) {
@@ -80,7 +207,91 @@ pub fn matmul_tiles(
         o0.copy_from_slice(&r0);
         o1.copy_from_slice(&r1);
     }
-    matmul_cost(costs, a, b)
+}
+
+/// The dense matmul of the rows of `va` into the rows of `out`.
+#[inline(never)]
+fn matmul_dense(
+    va: &[f32; TILE_ELEMS],
+    vb: &[f32; TILE_ELEMS],
+    out: &mut [f32; TILE_ELEMS],
+    accumulate: bool,
+) {
+    matmul_rows(va, vb, out, accumulate, TILE_DIM);
+}
+
+/// The matmul over inner indices `0..k` only.
+#[inline(never)]
+fn matmul_inner_prefix(
+    va: &[f32; TILE_ELEMS],
+    vb: &[f32; TILE_ELEMS],
+    out: &mut [f32; TILE_ELEMS],
+    accumulate: bool,
+    k: usize,
+) {
+    matmul_rows(va, vb, out, accumulate, k);
+}
+
+/// Runs the skipped steps `k..32` of every output chain that
+/// [`matmul_inner_prefix`] left at `-0`, the one sum they can change.
+#[cold]
+#[inline(never)]
+fn finish_negative_zeros(
+    va: &[f32; TILE_ELEMS],
+    vb: &[f32; TILE_ELEMS],
+    out: &mut [f32; TILE_ELEMS],
+    k: usize,
+) {
+    for (a_row, out_row) in va.chunks_exact(TILE_DIM).zip(out.chunks_exact_mut(TILE_DIM)) {
+        for (j, o) in out_row.iter_mut().enumerate() {
+            if o.to_bits() == NEG_ZERO_BITS {
+                *o = (k..TILE_DIM).fold(*o, |s, kk| a_row[kk].mul_add(vb[kk * TILE_DIM + j], s));
+            }
+        }
+    }
+}
+
+/// Lanes 0–7 of `a × b`, [`NARROW_ROWS`] rows at a time, for a `b` whose
+/// lane groups 1–3 are ±0 (and, accumulating, whose accumulator passes
+/// [`zero_sums_keep`]). Returns whether it wrote the product: not when a
+/// computed lane is non-finite, and then `out` is as it was.
+#[inline(never)]
+fn matmul_narrow(
+    va: &[f32; TILE_ELEMS],
+    vb: &[f32; TILE_ELEMS],
+    out: &mut [f32; TILE_ELEMS],
+    accumulate: bool,
+) -> bool {
+    // Rows' lanes 0–7, stored to `out` only once every one is finite.
+    let mut lanes = [[0.0f32; LANES]; TILE_DIM];
+    if accumulate {
+        for (l, o) in lanes.iter_mut().zip(out.chunks_exact(TILE_DIM)) {
+            l.copy_from_slice(&o[..LANES]);
+        }
+    }
+    for (a_rows, regs) in
+        va.chunks_exact(NARROW_ROWS * TILE_DIM).zip(lanes.chunks_exact_mut(NARROW_ROWS))
+    {
+        for (kk, b_row) in vb.chunks_exact(TILE_DIM).enumerate() {
+            let bl = &b_row[..LANES];
+            for (r, a_row) in regs.iter_mut().zip(a_rows.chunks_exact(TILE_DIM)) {
+                let x = a_row[kk];
+                for (y, bv) in r.iter_mut().zip(bl) {
+                    *y = x.mul_add(*bv, *y);
+                }
+            }
+        }
+    }
+    if !all_finite(lanes.as_flattened()) {
+        return false;
+    }
+    for (l, o) in lanes.iter().zip(out.chunks_exact_mut(TILE_DIM)) {
+        o[..LANES].copy_from_slice(l);
+        if !accumulate {
+            o[LANES..].fill(0.0);
+        }
+    }
+    true
 }
 
 /// Element-wise binary op through the FPU datapath (`sub_tiles` etc.) on
@@ -142,23 +353,44 @@ pub fn eltwise_binary_bcast_in_place(
     b: &Tile,
 ) -> u64 {
     let vb = b.as_slice();
-    // The broadcast `match` is hoisted out of the element loop: each row is
-    // processed with its broadcast operand resolved once (Row broadcast zips
-    // against b's contiguous row 0, Col/Scalar against one splatted value).
-    for (i, row) in acc.as_mut_slice().chunks_exact_mut(TILE_DIM).enumerate() {
-        match dim {
-            BroadcastDim::Row => {
-                for (o, y) in row.iter_mut().zip(&vb[..TILE_DIM]) {
-                    *o = binary_scalar(op, *o, *y);
+    let out = acc.as_mut_slice();
+    // Dispatch `op` and `dim` once per tile, so each arm is one flat packed
+    // loop: against b's row 0 repeated into a whole tile (Row), b's column-0
+    // entry of each lane group's row (Col) or b(0,0) (Scalar). A row-by-row
+    // nest LLVM vectorizes across rows instead, with gathers.
+    macro_rules! bcast {
+        ($f:expr) => {
+            match dim {
+                BroadcastDim::Row => {
+                    let b_row: [f32; TILE_DIM] = vb[..TILE_DIM].try_into().expect("a tile row");
+                    let rows = [b_row; TILE_DIM];
+                    for (o, y) in out.iter_mut().zip(rows.as_flattened()) {
+                        *o = $f(*o, *y);
+                    }
+                }
+                BroadcastDim::Col => {
+                    for (g, group) in out.chunks_exact_mut(LANES).enumerate() {
+                        let y = vb[g / (TILE_DIM / LANES) * TILE_DIM];
+                        for o in group {
+                            *o = $f(*o, y);
+                        }
+                    }
+                }
+                BroadcastDim::Scalar => {
+                    let y = vb[0];
+                    for o in out.iter_mut() {
+                        *o = $f(*o, y);
+                    }
                 }
             }
-            BroadcastDim::Col | BroadcastDim::Scalar => {
-                let bv = if dim == BroadcastDim::Col { vb[i * TILE_DIM] } else { vb[0] };
-                for o in row {
-                    *o = binary_scalar(op, *o, bv);
-                }
-            }
-        }
+        };
+    }
+    match op {
+        BinaryOp::Add => bcast!(|x: f32, y: f32| x + y),
+        BinaryOp::Sub => bcast!(|x: f32, y: f32| x - y),
+        BinaryOp::Mul => bcast!(|x: f32, y: f32| x * y),
+        BinaryOp::Min => bcast!(f32::min),
+        BinaryOp::Max => bcast!(f32::max),
     }
     costs.issue_overhead + costs.fpu_eltwise
 }
@@ -365,6 +597,54 @@ mod tests {
         assert_eq!(out.get(0, 0), (32 * 33 / 2) as f32);
         assert_eq!(out.get(31, 0), (32 * 33 / 2) as f32);
         assert_eq!(out.get(0, 1), 0.0);
+    }
+
+    /// The force kernel's operand shapes: `A_POS` (3 live columns) against
+    /// `B_POST` (3 live rows), and a dense `W` against `SRC_ATTR` (7 live
+    /// output columns).
+    #[test]
+    fn structure_detection_finds_the_force_kernel_shapes() {
+        let mut a_pos = [0.0f32; TILE_ELEMS];
+        let mut attr = [0.0f32; TILE_ELEMS];
+        for i in 0..TILE_DIM {
+            for k in 0..3 {
+                a_pos[i * TILE_DIM + k] = (i + k) as f32 - 7.5;
+            }
+            for j in 0..7 {
+                attr[i * TILE_DIM + j] = (i * j) as f32 * 0.25;
+            }
+        }
+        assert_eq!(live_inner_dim(&a_pos), 3);
+        assert!(narrow_output(&attr));
+        let dense = [1.0f32; TILE_ELEMS];
+        assert_eq!(live_inner_dim(&dense), TILE_DIM);
+        assert!(!narrow_output(&dense));
+        a_pos[TILE_ELEMS - 1] = -0.0;
+        assert_eq!(live_inner_dim(&a_pos), 3, "a -0 column entry is still a zero");
+    }
+
+    /// An FMA whose product underflows turns a `+0` sum into `-0`, and the
+    /// dense chain's next `+0` product turns it back: the inner-prefix path
+    /// must finish those chains, not keep the `-0`.
+    #[test]
+    fn inner_prefix_keeps_the_dense_sign_of_an_underflowed_zero() {
+        let mut a = Tile::zeros(DataFormat::Float32);
+        let mut b = Tile::splat(DataFormat::Float32, 1.0);
+        for i in 0..TILE_DIM {
+            a.set(i, 0, 1.0e-30);
+            b.set(0, i, -1.0e-30);
+        }
+        let mut fast = Tile::zeros(DataFormat::Float32);
+        let mut slow = Tile::zeros(DataFormat::Float32);
+        assert_eq!(live_inner_dim(a.as_slice()), 1);
+        matmul_tiles(&costs(), &a, &b, &mut fast, false);
+        reference::matmul_tiles(&costs(), &a, &b, &mut slow, false);
+        assert_eq!(slow.get(3, 4).to_bits(), 0, "the dense chain ends at +0");
+        assert_eq!(bits(&fast), bits(&slow));
+    }
+
+    fn bits(t: &Tile) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

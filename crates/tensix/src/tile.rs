@@ -149,9 +149,12 @@ impl Tile {
             // FP32 quantization is the identity, so conversion is a share.
             return self.clone();
         }
-        let mut data = *self.data;
-        format.quantize_slice(&mut data);
-        Tile { format, data: Arc::new(data) }
+        // `make_mut` on the shared storage copies it once, straight into the
+        // new allocation, where it is quantized in place.
+        let mut data = Arc::clone(&self.data);
+        let values: &mut [f32; TILE_ELEMS] = Arc::make_mut(&mut data);
+        format.quantize_slice(values);
+        Tile { format, data }
     }
 
     /// Produce the tilized (face-ordered) value sequence: face 0 (rows 0–15,

@@ -6,6 +6,15 @@
 //! (kept alive in `fpu::reference` / `sfpu::reference` as oracles). These
 //! properties are what lets the zero-copy pipeline claim bitwise-identical
 //! forces and cycle accounting.
+//!
+//! One exception is known and kept visible rather than filtered out: when
+//! two NaNs of different payloads meet in one fused multiply-add, the
+//! packed matmul loop and the scalar reference can return different
+//! payloads: an x86 FMA returns the NaN of a fixed operand slot, and the
+//! two loops were compiled with their operands in different slots. The
+//! finite-input properties never meet it. `fpu_matmul_structured_sparsity_matches_reference`, which feeds
+//! infinities and NaNs, therefore compares every non-NaN lane bitwise and
+//! requires NaN lanes to be NaN on both sides.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -41,6 +50,46 @@ fn finite_f32() -> impl Strategy<Value = f32> {
         Just(0.0f32),
         Just(-0.0f32),
     ]
+}
+
+/// An operand value for the structured matmuls: as [`finite_f32`], but no
+/// larger than 1e3, so products never overflow and every fallback is one
+/// the property put there; plus subnormals of either sign, so products
+/// underflow to signed zeros.
+fn operand_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        -1.0e3f32..1.0e3f32,
+        -1.0f32..1.0f32,
+        1.0e-30f32..1.0e-20f32,
+        (1u32..0x0080_0000).prop_map(f32::from_bits),
+        (0x8000_0001u32..0x8080_0000).prop_map(f32::from_bits),
+        Just(0.0f32),
+        Just(-0.0f32),
+    ]
+}
+
+/// A NaN of any payload.
+fn nan_f32() -> impl Strategy<Value = f32> {
+    (0x7f80_0001u32..0x8000_0000).prop_map(f32::from_bits)
+}
+
+/// A few `(index, value)` overrides of a tile's values.
+fn spikes<S: Strategy<Value = f32>>(
+    value: S,
+    max: usize,
+) -> impl Strategy<Value = Vec<(usize, f32)>> {
+    vec((0usize..TILE_ELEMS, value), 0..max)
+}
+
+/// An accumulator lane with no `-0` and no NaN of its own; the property
+/// adds those as spikes.
+fn accumulator_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![-1.0e20f32..1.0e20f32, -1.0f32..1.0f32, Just(0.0f32)]
+}
+
+/// Equal bits, or NaN on both sides.
+fn same_value(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
 }
 
 /// Bit patterns, so NaN payloads and signed zeros must match too.
@@ -204,6 +253,76 @@ proptest! {
                 let cs = fpu::reference::matmul_tiles(&costs, &ta, &tb, &mut slow, i > 0);
                 prop_assert_eq!(cf, cs, "{:?} link {} cycle cost", format, i);
                 prop_assert_eq!(bits(&fast), bits(&slow), "{:?} link {}", format, i);
+            }
+        }
+    }
+
+    /// The structured operands `fpu::matmul_tiles` skips products for,
+    /// against the dense reference, accumulating and not, in every format:
+    /// `a` with its columns from `live` on zeroed, `b` with its lanes from
+    /// `8 · lane_groups` on zeroed, each zero of a drawn sign. The rest of
+    /// both operands mixes subnormals (products that underflow to signed
+    /// zeros) with a few ±inf and NaN spikes, and the accumulator has `-0`
+    /// and NaN spikes, so every fallback to the dense loop is on the path
+    /// too.
+    #[test]
+    fn fpu_matmul_structured_sparsity_matches_reference(
+        operands in (vec(operand_f32(), TILE_ELEMS), vec(operand_f32(), TILE_ELEMS)),
+        zero_signs in vec(0u32..2, TILE_ELEMS),
+        // Biased towards the force kernel's shapes: 3 live columns of `a`,
+        // one lane group of `b`.
+        shape in (prop_oneof![1usize..4, 0usize..TILE_DIM + 1], prop_oneof![Just(1usize), 1usize..5]),
+        acc0 in vec(accumulator_f32(), TILE_ELEMS),
+        operand_spikes in (
+            spikes(prop_oneof![Just(f32::INFINITY), Just(f32::NEG_INFINITY), nan_f32()], 3),
+            spikes(prop_oneof![Just(f32::INFINITY), Just(f32::NEG_INFINITY), nan_f32()], 3),
+        ),
+        acc_spikes in spikes(prop_oneof![Just(-0.0f32), nan_f32()], 8),
+    ) {
+        let costs = ComputeCosts::default();
+        let (live, lane_groups) = shape;
+        let (mut a, mut b) = operands;
+        let mut acc0 = acc0;
+        for (i, v) in operand_spikes.0 {
+            a[i] = v;
+        }
+        for (i, v) in operand_spikes.1 {
+            b[i] = v;
+        }
+        for (i, v) in acc_spikes {
+            acc0[i] = v;
+        }
+        let signed_zero = |i: usize| if zero_signs[i] == 1 { -0.0f32 } else { 0.0 };
+        for (i, v) in a.iter_mut().enumerate() {
+            if i % TILE_DIM >= live {
+                *v = signed_zero(i);
+            }
+        }
+        for (i, v) in b.iter_mut().enumerate() {
+            if i % TILE_DIM >= 8 * lane_groups {
+                *v = signed_zero(i);
+            }
+        }
+        for format in
+            [DataFormat::Float32, DataFormat::Float16b, DataFormat::Float16, DataFormat::Bfp8b]
+        {
+            let ta = Tile::from_rowmajor(format, &a);
+            let tb = Tile::from_rowmajor(format, &b);
+            let base = Tile::from_rowmajor(format, &acc0);
+            for accumulate in [false, true] {
+                let mut fast = base.deep_clone();
+                let mut slow = base.deep_clone();
+                let cf = fpu::matmul_tiles(&costs, &ta, &tb, &mut fast, accumulate);
+                let cs = fpu::reference::matmul_tiles(&costs, &ta, &tb, &mut slow, accumulate);
+                prop_assert_eq!(cf, cs, "{:?} acc={} cycle cost", format, accumulate);
+                for (i, (x, y)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
+                    prop_assert!(
+                        same_value(*x, *y),
+                        "{:?} acc={} live={} lane_groups={} element {}: {:e} ({:#010x}) vs \
+                         reference {:e} ({:#010x})",
+                        format, accumulate, live, lane_groups, i, x, x.to_bits(), y, y.to_bits()
+                    );
+                }
             }
         }
     }

@@ -25,6 +25,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
+echo "==> bitwise guards on the release build"
+# The packed tile-math loops are what the release binaries ship, and
+# optimization decides how they vectorize: run the bitwise-identity
+# properties against the reference forms on the release build too.
+cargo test --release --offline -p tensix --test vectorized_identity
+
 echo "==> traced --profile smoke"
 # Runs the small-N profiled demo: internally asserts the traced run is
 # bitwise-identical to the untraced one and that kernel spans reconcile
