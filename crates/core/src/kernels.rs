@@ -348,15 +348,29 @@ impl DataMovementKernel for WriterKernel {
 // launch's damping plan names, per target block, the source blocks to damp
 // and the page to damp them with. Every row is independent of the others,
 // so a gathered row is bitwise its full-N self.
+//
+// Source reuse (the i-blocking of Nitadori, Makino and Hut): each core
+// takes its target blocks in groups of up to [`MATRIX_GROUP_BLOCKS`], and
+// each source block's pages cross the NoC once per group, serving every
+// block in it. A row still meets the source blocks in order, with the same
+// arithmetic, so the grouping never changes a bit of the forces.
 // ---------------------------------------------------------------------------
 
-/// The matrix-kernel reader: per target block 4 target-operand pages into
-/// IN0, and per source block 5 FP32 pages into IN1 plus the two BF16
-/// SRC_ATTR pages (hi, lo) into IN2 (quantized once by the cached read).
-/// Damping pages go into IN3 in the order the compute kernel uses them: the
-/// first one up front, each later one just before the source block it
-/// damps, and only when it differs from the page held — so a full launch,
-/// whose plan is one page throughout, reads it once.
+/// Target blocks per source pass of the matrix kernel, sized from L1: with
+/// two groups' target operands in IN0 and one Kahan accumulator set per
+/// member in INTERMED2, the matrix program's CBs take 484 KiB of the
+/// 1.5 MiB per core. It divides source traffic by up to 8.
+pub const MATRIX_GROUP_BLOCKS: usize = 8;
+
+/// The matrix-kernel reader, per group of target blocks: the group's 4
+/// target-operand pages per block into IN0, then per source block its 5
+/// FP32 pages into IN1 and the two BF16 SRC_ATTR pages (hi, lo) into IN2
+/// (quantized once by the cached read), then that source block's damping
+/// pages into IN3 in group order. Sources go first: the compute kernel
+/// swaps its damping page only after it holds the source block, so a page
+/// pushed ahead of them would wait on a pop that waits on them. A damping
+/// page is read only when it differs from the page held — so a full
+/// launch, whose plan is one page throughout, reads it once.
 pub struct MatrixReaderKernel {
     /// Target-side buffers `[A_POS, A_VEL, COL_R2, COL_RV]`, one page per
     /// gathered target block.
@@ -379,29 +393,31 @@ impl DataMovementKernel for MatrixReaderKernel {
         let schedule = damping_schedule(|i| ctx.arg(i), start, count);
         let mut held = schedule[0][0].1;
         ctx.read_page_to_cb(IN3, self.diag, held);
-        let chunks = matrix_chunks(num_matrix_blocks(n));
-        for (blk, pairs) in (start..).zip(&schedule) {
-            ctx.trace_span_begin("tile");
-            for buf in self.targets {
-                ctx.read_page_to_cb(IN0, buf, blk);
+        let groups = schedule.chunks(MATRIX_GROUP_BLOCKS);
+        for (first, group) in (start..).step_by(MATRIX_GROUP_BLOCKS).zip(groups) {
+            ctx.trace_span_begin("group");
+            for blk in first..first + group.len() {
+                for buf in self.targets {
+                    ctx.read_page_to_cb(IN0, buf, blk);
+                }
             }
-            let mut damp = pairs.iter().peekable();
-            for &(cs, cc) in &chunks {
-                for j in cs..cs + cc {
-                    if let Some(&(_, page)) = damp.next_if(|&&(src, _)| src == j) {
+            let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
+            for j in 0..num_matrix_blocks(n) {
+                for buf in &self.sources[..5] {
+                    ctx.read_page_to_cb_cached(IN1, *buf, j);
+                }
+                ctx.read_page_to_cb_cached(IN2, self.sources[5], j);
+                ctx.read_page_to_cb_cached(IN2, self.sources[6], j);
+                for pairs in &mut damp {
+                    if let Some(&(_, page)) = pairs.next_if(|&&(src, _)| src == j) {
                         if page != held {
                             ctx.read_page_to_cb(IN3, self.diag, page);
                             held = page;
                         }
                     }
-                    for buf in &self.sources[..5] {
-                        ctx.read_page_to_cb_cached(IN1, *buf, j);
-                    }
-                    ctx.read_page_to_cb_cached(IN2, self.sources[5], j);
-                    ctx.read_page_to_cb_cached(IN2, self.sources[6], j);
                 }
             }
-            ctx.trace_span_end("tile");
+            ctx.trace_span_end("group");
         }
     }
 }
@@ -417,20 +433,20 @@ impl MatrixForceComputeKernel {
     /// One (target block × source block) interaction: FP32 cross matmuls
     /// and the SFPU chain produce W and G, then four BF16 accumulate
     /// matmuls (hi and lo SRC_ATTR per moment tile) fold the block into the
-    /// moment accumulators. `damp` marks a block pair holding some target
-    /// row's self-interaction: the damping page at the front of IN3 adds
-    /// `DIAG_DAMP` on those lanes and `+0.0` everywhere else.
-    fn interact(&self, ctx: &mut ComputeCtx, damp: bool) {
-        ctx.cb_wait_front(IN1, 5);
-        ctx.cb_wait_front(IN2, 2);
-
+    /// moment accumulators at the front of INTERMED2. `a` is the target
+    /// block's first page in IN0 (`4t` for group member `t`); the source
+    /// block is at the front of IN1 and IN2. `damp` marks a block pair
+    /// holding some target row's self-interaction: the damping page at the
+    /// front of IN3 adds `DIAG_DAMP` on those lanes and `+0.0` everywhere
+    /// else.
+    fn interact(&self, ctx: &mut ComputeCtx, a: usize, damp: bool) {
         // --- Phase M1: W and G on the FP32 cross-matmul + SFPU path ------
         ctx.tile_regs_acquire();
-        ctx.matmul_tiles(IN0, IN1, A_POS, B_POST, 0, false); // r_i·r_j
-        ctx.matmul_tiles(IN0, IN1, A_POS, B_VELT, 3, false); // r_i·v_j
-        ctx.matmul_tiles(IN0, IN1, A_VEL, B_POST, 4, false); // v_i·r_j
+        ctx.matmul_tiles(IN0, IN1, a + A_POS, B_POST, 0, false); // r_i·r_j
+        ctx.matmul_tiles(IN0, IN1, a + A_POS, B_VELT, 3, false); // r_i·v_j
+        ctx.matmul_tiles(IN0, IN1, a + A_VEL, B_POST, 4, false); // v_i·r_j
         ctx.scale_tile(0, -2.0, 0.0);
-        ctx.add_tile_bcast(BroadcastDim::Col, 0, IN0, COL_R2);
+        ctx.add_tile_bcast(BroadcastDim::Col, 0, IN0, a + COL_R2);
         ctx.add_tile_bcast(BroadcastDim::Row, 0, IN1, ROW_R2EPS); // s²
         if damp {
             // Self-pairs: s² += DIAG_DAMP on their lanes collapses the
@@ -447,7 +463,7 @@ impl MatrixForceComputeKernel {
         ctx.mul_tile_bcast(BroadcastDim::Row, 2, IN1, ROW_M); // W = m_j/s³
         ctx.add_binary_tile(3, 4); // r_i·v_j + v_i·r_j
         ctx.scale_tile(3, -1.0, 0.0);
-        ctx.add_tile_bcast(BroadcastDim::Col, 3, IN0, COL_RV);
+        ctx.add_tile_bcast(BroadcastDim::Col, 3, IN0, a + COL_RV);
         ctx.add_tile_bcast(BroadcastDim::Row, 3, IN1, ROW_RV); // d·dv
         ctx.mul_binary_tile(3, 1); // (d·dv)/s²
         ctx.scale_tile(3, 3.0, 0.0);
@@ -533,8 +549,6 @@ impl MatrixForceComputeKernel {
 
         ctx.cb_pop_front(INTERMED2, 4);
         ctx.cb_pop_front(INTERMED0, 4);
-        ctx.cb_pop_front(IN1, 5);
-        ctx.cb_pop_front(IN2, 2);
     }
 }
 
@@ -553,64 +567,80 @@ impl ComputeKernel for MatrixForceComputeKernel {
         let mut held = schedule[0][0].1;
         ctx.cb_wait_front(IN3, 1);
         let chunks = matrix_chunks(num_matrix_blocks(n));
-        for pairs in &schedule {
-            ctx.trace_span_begin("tile");
-            ctx.cb_wait_front(IN0, 4);
-            let mut damp = pairs.iter().peekable();
+        for group in schedule.chunks(MATRIX_GROUP_BLOCKS) {
+            ctx.trace_span_begin("group");
+            let k = group.len();
+            ctx.cb_wait_front(IN0, 4 * k);
+            let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
             for &(cs, cc) in &chunks {
-                // Zero the moment accumulators and their Kahan compensation
-                // tiles for this chunk.
-                ctx.cb_reserve_back(INTERMED2, 4);
+                // Zero each member's moment accumulators and their Kahan
+                // compensation tiles for this chunk: k sets of 4 in the
+                // INTERMED2 ring, member 0's at the front.
+                ctx.cb_reserve_back(INTERMED2, 4 * k);
                 ctx.tile_regs_acquire();
-                for k in 0..4 {
-                    ctx.fill_tile(k, 0.0);
+                for r in 0..4 {
+                    ctx.fill_tile(r, 0.0);
                 }
                 ctx.tile_regs_commit();
-                for k in 0..4 {
-                    ctx.pack_tile(k, INTERMED2);
-                }
-                ctx.cb_push_back(INTERMED2, 4);
-                ctx.tile_regs_release();
-
-                for j in cs..cs + cc {
-                    let due = damp.next_if(|&&(src, _)| src == j);
-                    if let Some(&(_, page)) = due {
-                        if page != held {
-                            ctx.cb_pop_front(IN3, 1);
-                            ctx.cb_wait_front(IN3, 1);
-                            held = page;
-                        }
+                for _ in 0..k {
+                    for r in 0..4 {
+                        ctx.pack_tile(r, INTERMED2);
                     }
-                    self.interact(ctx, due.is_some());
+                }
+                ctx.cb_push_back(INTERMED2, 4 * k);
+                ctx.tile_regs_release();
+
+                // Each source block serves every member in turn; a member
+                // takes its set from the ring's front and pushes it back,
+                // so the ring is in member order again after the block.
+                for j in cs..cs + cc {
+                    ctx.cb_wait_front(IN1, 5);
+                    ctx.cb_wait_front(IN2, 2);
+                    for (t, pairs) in damp.iter_mut().enumerate() {
+                        let due = pairs.next_if(|&&(src, _)| src == j);
+                        if let Some(&(_, page)) = due {
+                            if page != held {
+                                ctx.cb_pop_front(IN3, 1);
+                                ctx.cb_wait_front(IN3, 1);
+                                held = page;
+                            }
+                        }
+                        self.interact(ctx, 4 * t, due.is_some());
+                    }
+                    ctx.cb_pop_front(IN1, 5);
+                    ctx.cb_pop_front(IN2, 2);
                 }
 
-                // Flush the chunk partials to the output CB, folding the
-                // compensation back in so the host combine sees one tile per
-                // moment accumulator, exactly as before.
-                ctx.cb_wait_front(INTERMED2, 4);
-                ctx.cb_reserve_back(OUT0, 2);
-                ctx.tile_regs_acquire();
-                ctx.copy_tile(INTERMED2, 0, 0);
-                ctx.copy_tile(INTERMED2, 2, 1);
-                ctx.add_binary_tile(0, 1); // accW + cW
-                ctx.copy_tile(INTERMED2, 1, 2);
-                ctx.copy_tile(INTERMED2, 3, 3);
-                ctx.add_binary_tile(2, 3); // accG + cG
-                ctx.tile_regs_commit();
-                ctx.pack_tile(0, OUT0);
-                ctx.pack_tile(2, OUT0);
-                ctx.cb_push_back(OUT0, 2);
-                ctx.tile_regs_release();
-                ctx.cb_pop_front(INTERMED2, 4);
+                // Flush each member's chunk partials to the output CB,
+                // folding the compensation back in so the host combine sees
+                // one tile per moment accumulator.
+                for _ in 0..k {
+                    ctx.cb_wait_front(INTERMED2, 4);
+                    ctx.cb_reserve_back(OUT0, 2);
+                    ctx.tile_regs_acquire();
+                    ctx.copy_tile(INTERMED2, 0, 0);
+                    ctx.copy_tile(INTERMED2, 2, 1);
+                    ctx.add_binary_tile(0, 1); // accW + cW
+                    ctx.copy_tile(INTERMED2, 1, 2);
+                    ctx.copy_tile(INTERMED2, 3, 3);
+                    ctx.add_binary_tile(2, 3); // accG + cG
+                    ctx.tile_regs_commit();
+                    ctx.pack_tile(0, OUT0);
+                    ctx.pack_tile(2, OUT0);
+                    ctx.cb_push_back(OUT0, 2);
+                    ctx.tile_regs_release();
+                    ctx.cb_pop_front(INTERMED2, 4);
+                }
             }
-            ctx.cb_pop_front(IN0, 4);
-            ctx.trace_span_end("tile");
+            ctx.cb_pop_front(IN0, 4 * k);
+            ctx.trace_span_end("group");
         }
     }
 }
 
-/// The matrix-kernel writer: per target block, per source chunk, the W-
-/// and G-moment partial tiles to DRAM at page `block · num_chunks + chunk`.
+/// The matrix-kernel writer: per group of target blocks, chunk by chunk,
+/// each member's W- and G-moment partial tiles to DRAM at page
+/// `block · num_chunks + chunk`.
 pub struct MatrixWriterKernel {
     /// Output buffers `[W_moments, G_moments]`, each
     /// `num_blocks · num_chunks` pages.
@@ -623,16 +653,21 @@ impl DataMovementKernel for MatrixWriterKernel {
     fn run(&self, ctx: &mut DataMovementCtx) {
         let start = ctx.arg(args::START_TILE) as usize;
         let count = ctx.arg(args::TILE_COUNT) as usize;
-        for blk in start..start + count {
-            ctx.trace_span_begin("tile");
+        for first in (start..start + count).step_by(MATRIX_GROUP_BLOCKS) {
+            ctx.trace_span_begin("group");
+            let group = first..(first + MATRIX_GROUP_BLOCKS).min(start + count);
             for c in 0..self.num_chunks {
-                ctx.write_cb_to_page(OUT0, self.outputs[0], blk * self.num_chunks + c);
-                ctx.write_cb_to_page(OUT0, self.outputs[1], blk * self.num_chunks + c);
+                for blk in group.clone() {
+                    ctx.write_cb_to_page(OUT0, self.outputs[0], blk * self.num_chunks + c);
+                    ctx.write_cb_to_page(OUT0, self.outputs[1], blk * self.num_chunks + c);
+                }
             }
-            // Every chunk partial of this block is in DRAM: publish the
-            // redo watermark.
-            ctx.mark_unit_complete();
-            ctx.trace_span_end("tile");
+            // Every chunk partial of the group is in DRAM only after its
+            // last chunk: publish the members' redo watermarks together.
+            for _ in group {
+                ctx.mark_unit_complete();
+            }
+            ctx.trace_span_end("group");
         }
     }
 }

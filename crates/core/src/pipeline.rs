@@ -48,7 +48,7 @@ use ttmetal::{Buffer, CommandQueue, LaunchError, Program, ProgramReport};
 use crate::evaluator::ActiveSet;
 use crate::kernels::{
     ForceComputeKernel, MatrixForceComputeKernel, MatrixReaderKernel, MatrixWriterKernel,
-    ReaderKernel, WriterKernel,
+    ReaderKernel, WriterKernel, MATRIX_GROUP_BLOCKS,
 };
 use crate::layout::matrix_pages::ATTR_COLS;
 use crate::layout::{
@@ -1169,8 +1169,9 @@ fn build_program(
     program
 }
 
-/// Assemble the matrix-pipe force program: FP32 operand CBs, BF16 CBs for
-/// the quantized W/G and `SRC_ATTR` pages feeding the full-rate accumulate
+/// Assemble the matrix-pipe force program: FP32 operand CBs sized for
+/// groups of [`MATRIX_GROUP_BLOCKS`] target blocks, BF16 CBs for the
+/// quantized W/G and `SRC_ATTR` pages feeding the full-rate accumulate
 /// matmuls, and runtime args in 32-particle *block* units carrying the full
 /// set's damping plan (a subset launch rewrites both).
 #[allow(clippy::too_many_arguments)]
@@ -1187,10 +1188,12 @@ fn build_matrix_program(
 ) -> Program {
     let f32f = DataFormat::Float32;
     let bf16 = DataFormat::Float16b;
+    let group = MATRIX_GROUP_BLOCKS;
     let mut program = Program::new();
-    // IN0: 4 target-operand pages per block (A_POS, A_VEL, COL_R2, COL_RV).
-    program.add_circular_buffer(cores.clone(), IN0, CircularBufferConfig::new(8, f32f));
-    // IN1: 5 FP32 source pages per source block.
+    // IN0: 4 target-operand pages per block (A_POS, A_VEL, COL_R2, COL_RV),
+    // for two groups: the next group's targets land while one is computed.
+    program.add_circular_buffer(cores.clone(), IN0, CircularBufferConfig::new(8 * group, f32f));
+    // IN1: 5 FP32 source pages per source block, read once per group.
     program.add_circular_buffer(cores.clone(), IN1, CircularBufferConfig::new(10, f32f));
     // IN2: the BF16 SRC_ATTR hi/lo pages (quantized once by the cached read).
     program.add_circular_buffer(cores.clone(), IN2, CircularBufferConfig::new(4, bf16));
@@ -1201,8 +1204,13 @@ fn build_matrix_program(
     // INTERMED1: FP32 W/G staging for the hi/lo residual pass.
     program.add_circular_buffer(cores.clone(), INTERMED1, CircularBufferConfig::new(2, f32f));
     // INTERMED2: the FP32 moment-accumulator ring — (W-moments, G-moments)
-    // plus their Kahan compensation tiles (cW, cG), double-buffered.
-    program.add_circular_buffer(cores.clone(), INTERMED2, CircularBufferConfig::new(8, f32f));
+    // plus their Kahan compensation tiles (cW, cG) — one set per group
+    // member and room for the member's next set.
+    program.add_circular_buffer(
+        cores.clone(),
+        INTERMED2,
+        CircularBufferConfig::new(4 * group + 4, f32f),
+    );
     program.add_circular_buffer(cores.clone(), OUT0, CircularBufferConfig::new(4, f32f));
 
     let reader = program.add_data_movement_kernel(
@@ -1333,6 +1341,37 @@ mod tests {
         // Both sizes fill two tiles, so they move the same bytes: the source
         // stream scales with tiles, not particles.
         assert_eq!(traffic[0], traffic[1]);
+    }
+
+    #[test]
+    fn matrix_source_pages_cross_once_per_target_group() {
+        // N = 1024 on 2 cores: 32 target blocks, 16 per core, so 2 groups
+        // of 8 per core. The reader moves each target block's 4 pages once,
+        // all 32 source blocks' 7 pages once per group and, on a full
+        // launch, the one damping page once per core. DRAM also serves the
+        // host readback: 8 chunk partials of both moment buffers per block.
+        let (n, cores) = (1024, 2);
+        let sys = plummer(PlummerConfig { n, seed: 124, ..PlummerConfig::default() });
+        let dev = device();
+        let pipeline = DeviceForcePipeline::new_with_kernel(
+            Arc::clone(&dev),
+            n,
+            0.01,
+            cores,
+            ForceKernelKind::Matrix,
+        )
+        .unwrap();
+        let noc_reads = || dev.noc().read_bytes(NocId::Noc0) + dev.noc().read_bytes(NocId::Noc1);
+        let dram_reads = || dev.dram().stats().read_bytes.iter().sum::<u64>();
+        let (noc0, dram0) = (noc_reads(), dram_reads());
+        pipeline.evaluate_checked(&sys).unwrap();
+
+        let (blocks, per_core, chunks): (usize, usize, usize) = (32, 16, 8);
+        let groups = cores * per_core.div_ceil(MATRIX_GROUP_BLOCKS);
+        let page = DataFormat::Float32.tile_bytes();
+        let kernel_pages = 4 * blocks + 7 * blocks * groups + cores;
+        assert_eq!(noc_reads() - noc0, (kernel_pages * page) as u64);
+        assert_eq!(dram_reads() - dram0, ((kernel_pages + 2 * blocks * chunks) * page) as u64);
     }
 
     #[test]

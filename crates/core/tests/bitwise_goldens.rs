@@ -379,3 +379,46 @@ fn driver_golden_block_single_card() {
         "Some(PipelineTiming { device_seconds: 0.013035176000000004, io_seconds: 0.00015889066666666406, evaluations: 49, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 13193446, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 })",
     );
 }
+
+// ---------------------------------------------------------------------------
+// Matrix-kernel force goldens: FNV digests of full and subset rows, minted
+// at commit ef24cbd, whose kernel streamed every source block once per
+// target block.
+// Each row keeps its source order and arithmetic however the kernel
+// schedules its blocks, so the digests pin the forces bit for bit. The
+// per-core block counts fall below, at, above and off a multiple of the
+// kernel's target-group size.
+// ---------------------------------------------------------------------------
+
+/// `(n, cores, full-row digest, subset-row digest)`.
+const MATRIX_GOLDENS: [(usize, usize, u64, u64); 5] = [
+    (96, 1, 0xae38_fe75_c9d1_9004, 0xa8ff_fce1_5f57_1d47),
+    (611, 1, 0x6e6b_6358_18da_94f1, 0x344b_bc4e_a030_b1ab),
+    (1012, 2, 0xed5b_25eb_8d61_0c4a, 0xdc5b_6acd_ef27_040f),
+    (2548, 2, 0x7cb1_bdee_785b_9a00, 0x88f7_822f_2ba2_9768),
+    (3000, 3, 0x4531_5b22_3a72_5f24, 0xe2fe_bdda_22e1_57b1),
+];
+
+#[test]
+fn matrix_kernel_rows_are_pinned() {
+    use nbody_tt::{ActiveSet, ForceKernelKind};
+
+    let eps = 0.02;
+    let mut digests = Vec::new();
+    for (n, cores, _, _) in MATRIX_GOLDENS {
+        let sys = plummer(PlummerConfig { n, seed: n as u64, ..PlummerConfig::default() });
+        let device = Device::new(0, DeviceConfig::default());
+        let pipeline =
+            DeviceForcePipeline::new_with_kernel(device, n, eps, cores, ForceKernelKind::Matrix)
+                .unwrap();
+        let full = forces_hash(&pipeline.evaluate_checked(&sys).unwrap());
+        // About 40% of the rows, scattered: gathered blocks take their
+        // self-pairs from several source blocks and damping pages.
+        let mix = |i: u64| (n as u64 ^ i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57;
+        let subset =
+            ActiveSet::from_indices((0..n).filter(|&i| mix(i as u64) % 5 < 2).collect(), n);
+        let rows = forces_hash(&pipeline.evaluate_active(&sys, &subset).unwrap());
+        digests.push((n, cores, full, rows));
+    }
+    assert_eq!(digests, MATRIX_GOLDENS);
+}

@@ -221,3 +221,41 @@ fn full_rerun_costs_multiples_of_partial_redo() {
         partial.retry_overhead_ratio()
     );
 }
+
+/// The matrix kernel publishes a group's redo watermarks together, after
+/// the group's last chunk. At N = 512 on one core (16 blocks, 2 groups of
+/// 8), an uncorrectable DRAM hit on read 250 lands on source block 10 of
+/// the second group. By then the compute kernel has flushed that group's
+/// first chunk, which needs the writer past the first group's watermarks:
+/// the redo re-launches exactly the second group's 8 blocks and lands
+/// bitwise on a fault-free run.
+#[test]
+fn matrix_redo_resumes_after_the_last_complete_group() {
+    use nbody_tt::ForceKernelKind;
+
+    let n = 512;
+    let sys = plummer(PlummerConfig { n, seed: 205, ..PlummerConfig::default() });
+    let matrix = |dev| {
+        DeviceForcePipeline::new_with_kernel(dev, n, EPS, 1, ForceKernelKind::Matrix).unwrap()
+    };
+    let clean = matrix(Device::new(0, DeviceConfig::default())).evaluate_checked(&sys).unwrap();
+
+    let dev = Device::new(
+        0,
+        DeviceConfig {
+            faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
+            seed: 13,
+            ..DeviceConfig::default()
+        },
+    );
+    dev.faults().schedule(FaultClass::DramRead, 250);
+    let pipeline = matrix(dev);
+    let forces = pipeline.evaluate_with_retry(&sys, RetryPolicy::default()).unwrap();
+    assert_eq!(forces.acc, clean.acc, "acc must land bitwise after the redo");
+    assert_eq!(forces.jerk, clean.jerk);
+
+    let t = pipeline.timing();
+    assert_eq!((t.evaluations, t.retries, t.partial_redos), (1, 1, 1));
+    let redo_frac = t.redo_cycles as f64 / t.busy_cycles as f64;
+    assert!(redo_frac > 0.4 && redo_frac < 0.6, "redo fraction {redo_frac:.4} is not one group");
+}

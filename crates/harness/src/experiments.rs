@@ -328,7 +328,7 @@ mod tests {
         // Integer cycle counts, exact: a kernel or cost-table change shows
         // here instead of drifting inside a tolerance.
         assert_eq!(kernel_cycles(ForceKernelKind::Elementwise).0, 5_661_368);
-        assert_eq!(kernel_cycles(ForceKernelKind::Matrix).0, 5_100_168);
+        assert_eq!(kernel_cycles(ForceKernelKind::Matrix).0, 5_006_536);
     }
 
     #[test]

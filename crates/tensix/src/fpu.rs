@@ -58,7 +58,11 @@ fn magnitude_bits(v: f32) -> u32 {
 ///
 /// Every output element receives its fused multiply-adds in ascending-`k`
 /// order, as in the textbook (i, j, k) nest of [`reference::matmul_tiles`],
-/// so results are bitwise identical to it. Products that are exactly ±0 are
+/// so results are bitwise identical to it, with one exception: where two
+/// NaNs of different payloads meet in one FMA, the two loops may return
+/// different payloads (an x86 FMA returns the NaN of a fixed operand slot,
+/// and the loops hold their operands in different slots). Such a lane is
+/// NaN on both sides. Products that are exactly ±0 are
 /// skipped where that provably changes no bit. Two structures qualify, and
 /// they cover the matrix force kernel's operands (inner dimension 3 of 32
 /// in its cross matmuls, 7 of 32 output columns in its accumulate matmuls):

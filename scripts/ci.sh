@@ -159,6 +159,17 @@ echo "$MATRIX_OUT"
 echo "$MATRIX_OUT" | grep -q "device catalog: n150"
 echo "$MATRIX_OUT" | grep -q "device-vs-direct accuracy: PASS"
 
+echo "==> matrix-kernel tail-group smoke"
+# The matrix kernel takes each core's target blocks in groups of up to 8.
+# N = 1012 on 3 cores gives 11/11/10 blocks (the last one padded), so every
+# core runs a full group and a tail group; the smokes above give whole
+# groups only. (N = 1000 splits the same way but its forces miss the
+# matrix bound at the default softening, with or without groups.)
+MATRIX_TAIL_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
+  --n 1012 --steps 2 --cores 3 --force-kernel matrix --verify-direct)
+echo "$MATRIX_TAIL_OUT"
+echo "$MATRIX_TAIL_OUT" | grep -q "device-vs-direct accuracy: PASS"
+
 echo "==> results/ drift"
 # Every committed results/ file is deterministic output of the code. The
 # serving smoke above rewrote the serving CSVs; regenerate the rest and fail
