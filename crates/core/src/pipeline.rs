@@ -1327,15 +1327,31 @@ mod tests {
         // Per target tile, one evaluation ships 6 target and 7 packed source
         // pages up and 6 result pages down: the perf model's packed data
         // path, not the paper's 7 n replicated source pages.
+        // On the device, the reader moves 6 target and 7·⌈n/1024⌉ source
+        // pages per target tile over the NoC; DRAM serves those reads plus
+        // the 6 result pages per tile of the host readback.
         let model = crate::perf_model::WormholePerfModel::default();
+        let page = DataFormat::Float32.tile_bytes() as u64;
         let mut traffic = Vec::new();
         for n in [1025, 2048] {
             let sys = plummer(PlummerConfig { n, seed: 122, ..PlummerConfig::default() });
             let dev = device();
             let pipeline = DeviceForcePipeline::new(Arc::clone(&dev), n, 0.01, 1).unwrap();
+            let noc_reads =
+                || dev.noc().read_bytes(NocId::Noc0) + dev.noc().read_bytes(NocId::Noc1);
+            let dram_reads = || dev.dram().stats().read_bytes.iter().sum::<u64>();
+            let (noc0, dram0) = (noc_reads(), dram_reads());
             pipeline.evaluate_checked(&sys).unwrap();
             let (io, modeled) = (pipeline.timing().io_seconds, model.io_seconds_optimized(n));
             assert!((io - modeled).abs() <= 1e-12 * modeled, "n = {n}: io {io} vs {modeled}");
+            let tiles = n.div_ceil(TILE_ELEMS) as u64;
+            let reader_pages = tiles * (6 + 7 * tiles);
+            assert_eq!(noc_reads() - noc0, reader_pages * page, "n = {n}: NoC read bytes");
+            assert_eq!(
+                dram_reads() - dram0,
+                (reader_pages + 6 * tiles) * page,
+                "n = {n}: DRAM read bytes"
+            );
             traffic.push((dev.noc().total_bytes(), dev.dram().stats().total_bytes()));
         }
         // Both sizes fill two tiles, so they move the same bytes: the source

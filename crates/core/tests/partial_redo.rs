@@ -11,7 +11,7 @@
 //! is then whichever reader hits the scheduled event, and the partial redo
 //! must cope with any of them).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -258,4 +258,53 @@ fn matrix_redo_resumes_after_the_last_complete_group() {
     assert_eq!((t.evaluations, t.retries, t.partial_redos), (1, 1, 1));
     let redo_frac = t.redo_cycles as f64 / t.busy_cycles as f64;
     assert!(redo_frac > 0.4 && redo_frac < 0.6, "redo fraction {redo_frac:.4} is not one group");
+}
+
+/// FNV-1a over the bit patterns of every acceleration and jerk component.
+fn forces_digest(f: &Forces) -> u64 {
+    f.acc.iter().chain(&f.jerk).flatten().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
+/// A fault on a source page's second read of a launch. At N = 2048 on one
+/// core the reader takes 2 target tiles, each a pass of 6 target pages and
+/// the 14 packed source pages, so read 27 is source page 0's second read
+/// (tile 1's first source page). By then the compute kernel has pushed
+/// tile 0's results, which the writer drains without waiting, so the
+/// redo re-launches exactly tile 1 and the timing is pinned bit for bit.
+#[test]
+fn fault_on_a_repeated_source_read_redoes_the_second_tile() {
+    let n = 2 * TILE_ELEMS;
+    let sys = plummer(PlummerConfig { n, seed: 206, ..PlummerConfig::default() });
+    let clean = DeviceForcePipeline::new(Device::new(0, DeviceConfig::default()), n, EPS, 1)
+        .unwrap()
+        .evaluate_checked(&sys)
+        .unwrap();
+
+    let dev = Device::new(
+        0,
+        DeviceConfig {
+            faults: FaultConfig { dram_uncorrectable_frac: 1.0, ..FaultConfig::default() },
+            seed: 17,
+            ..DeviceConfig::default()
+        },
+    );
+    dev.faults().schedule(FaultClass::DramRead, 6 + 14 + 6 + 1);
+    let pipeline = DeviceForcePipeline::new(Arc::clone(&dev), n, EPS, 1).unwrap();
+    let forces = pipeline.evaluate_with_retry(&sys, RetryPolicy::default()).unwrap();
+    assert_eq!(forces.acc, clean.acc, "acc must land bitwise after the redo");
+    assert_eq!(forces.jerk, clean.jerk);
+    assert_eq!(dev.faults().stats().dram_uncorrectable, 1);
+    assert_eq!(forces_digest(&forces), 0xa513_22e4_0b05_c5ad);
+
+    let t = pipeline.timing();
+    assert_eq!((t.retries, t.partial_redos), (1, 1));
+    assert_eq!(
+        format!("{t:?}"),
+        "PipelineTiming { device_seconds: 0.008492224499506026, io_seconds: 6.485333333333331e-6, evaluations: 1, last_eval_cycles: 5661712, last_matrix_cycles: 368640, last_vector_cycles: 2613680, retries: 1, retry_backoff_seconds: 0.25, busy_cycles: 8499463, wasted_cycles: 2833655, wasted_seconds: 0.252830855500494, redo_cycles: 5665807, redo_seconds: 0.005661368, partial_redos: 1 }"
+    );
 }
