@@ -122,13 +122,10 @@ impl DataMovementKernel for ReaderKernel {
             for buf in self.targets {
                 ctx.read_page_to_cb(IN0, buf, tile);
             }
-            // Inner loop: the packed source tiles. Source buffers are
-            // immutable for the whole launch, so the cached read fetches and
-            // converts each page once and replays only the cycle accounting
-            // on the other `count - 1` passes.
+            // Inner loop: the packed source tiles.
             for s in 0..src_tiles {
                 for buf in self.sources {
-                    ctx.read_page_to_cb_cached(IN1, buf, s);
+                    ctx.read_page_to_cb(IN1, buf, s);
                 }
             }
             ctx.trace_span_end("tile");
@@ -365,7 +362,7 @@ pub const MATRIX_GROUP_BLOCKS: usize = 8;
 /// The matrix-kernel reader, per group of target blocks: the group's 4
 /// target-operand pages per block into IN0, then per source block its 5
 /// FP32 pages into IN1 and the two BF16 SRC_ATTR pages (hi, lo) into IN2
-/// (quantized once by the cached read), then that source block's damping
+/// (quantized by the CB as they land), then that source block's damping
 /// pages into IN3 in group order. Sources go first: the compute kernel
 /// swaps its damping page only after it holds the source block, so a page
 /// pushed ahead of them would wait on a pop that waits on them. A damping
@@ -404,10 +401,10 @@ impl DataMovementKernel for MatrixReaderKernel {
             let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
             for j in 0..num_matrix_blocks(n) {
                 for buf in &self.sources[..5] {
-                    ctx.read_page_to_cb_cached(IN1, *buf, j);
+                    ctx.read_page_to_cb(IN1, *buf, j);
                 }
-                ctx.read_page_to_cb_cached(IN2, self.sources[5], j);
-                ctx.read_page_to_cb_cached(IN2, self.sources[6], j);
+                ctx.read_page_to_cb(IN2, self.sources[5], j);
+                ctx.read_page_to_cb(IN2, self.sources[6], j);
                 for pairs in &mut damp {
                     if let Some(&(_, page)) = pairs.next_if(|&&(src, _)| src == j) {
                         if page != held {

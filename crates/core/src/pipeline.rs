@@ -1195,7 +1195,7 @@ fn build_matrix_program(
     program.add_circular_buffer(cores.clone(), IN0, CircularBufferConfig::new(8 * group, f32f));
     // IN1: 5 FP32 source pages per source block, read once per group.
     program.add_circular_buffer(cores.clone(), IN1, CircularBufferConfig::new(10, f32f));
-    // IN2: the BF16 SRC_ATTR hi/lo pages (quantized once by the cached read).
+    // IN2: the BF16 SRC_ATTR hi/lo pages (the CB quantizes each page read).
     program.add_circular_buffer(cores.clone(), IN2, CircularBufferConfig::new(4, bf16));
     // IN3: the FP32 damping page in use, held until the plan moves on.
     program.add_circular_buffer(cores.clone(), IN3, CircularBufferConfig::new(1, f32f));

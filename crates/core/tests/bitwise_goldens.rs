@@ -140,8 +140,8 @@ fn pipeline_matches_scalar_emulation_bitwise_single_core() {
 
 #[test]
 fn pipeline_matches_scalar_emulation_bitwise_multi_core() {
-    // Two target tiles split over two cores: the cached reader path runs
-    // per kernel instance, so both instances must stay lane-exact.
+    // Two target tiles split over two cores: the reader runs per kernel
+    // instance, so both instances must stay lane-exact.
     let (n, seed, eps) = (1500usize, 95u64, 0.02f64);
     let sys = plummer(PlummerConfig { n, seed, ..PlummerConfig::default() });
     let device = Device::new(0, DeviceConfig::default());

@@ -152,36 +152,6 @@ impl DramModel {
         Ok(tile)
     }
 
-    /// Account a page read without fetching the data — byte counters,
-    /// transaction count and bank-conflict tracking advance exactly as for
-    /// [`DramModel::read_tile`].
-    ///
-    /// Used by per-launch read caches: a cache hit skips the host-side fetch
-    /// but must leave [`DramStats`] bitwise-identical to an uncached run,
-    /// because on hardware the transaction still crosses the NoC and DRAM.
-    ///
-    /// # Errors
-    /// [`TensixError::InvalidAddress`] for unknown buffers or out-of-range
-    /// pages.
-    pub fn account_read(&self, id: BufferId, page: usize) -> Result<()> {
-        let mut st = self.state.write();
-        let buf = st.buffers.get(&id).ok_or(TensixError::InvalidAddress {
-            addr: id.0,
-            context: "DRAM read from unallocated buffer",
-        })?;
-        if page >= buf.num_tiles {
-            return Err(TensixError::InvalidAddress {
-                addr: page as u64,
-                context: "DRAM read past end of buffer",
-            });
-        }
-        let bytes = buf.format.tile_bytes() as u64;
-        let channel = Self::channel_of_page(page);
-        st.stats.read_bytes[channel] += bytes;
-        st.account(channel);
-        Ok(())
-    }
-
     /// Read a contiguous range of pages starting at page 0 under one lock
     /// acquisition, accounting each page exactly as [`DramModel::read_tile`]
     /// would (same per-page byte/transaction/bank-conflict sequence).

@@ -1,11 +1,14 @@
 //! Kernel execution contexts — the in-kernel API surface.
 //!
-//! [`DataMovementCtx`] exposes what `dataflow_api.h` gives a reader/writer
-//! kernel: NoC async reads/writes against interleaved DRAM buffers and the
-//! consumer/producer halves of the CB protocol. [`ComputeCtx`] exposes the
-//! compute-kernel LLK calls the paper names (`sub_binary_tile`,
-//! `square_tile`, `rsqrt_tile`, `copy_tile`, `pack_tile`, …) plus the
-//! `tile_regs_*` dst-ownership protocol.
+//! [`KernelCtx`] holds what every kernel instance shares, as TT-Metalium's
+//! reader and compute kernels share one CB API: the core's circular buffers
+//! and semaphores, runtime args, the cycle counter and the trace hooks.
+//! [`DataMovementCtx`] adds what `dataflow_api.h` gives a reader/writer
+//! kernel: NoC async reads/writes against interleaved DRAM buffers.
+//! [`ComputeCtx`] adds the compute-kernel LLK calls the paper names
+//! (`sub_binary_tile`, `square_tile`, `rsqrt_tile`, `copy_tile`,
+//! `pack_tile`, …) plus the `tile_regs_*` dst-ownership protocol. Both reach
+//! the shared calls through `Deref`.
 //!
 //! Every operation charges its cycle cost to the context's counter; the
 //! queue aggregates counters into the device's virtual time.
@@ -17,6 +20,7 @@
 //! only and panic on a half-tile context.
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use tensix::cb::CircularBuffer;
@@ -39,20 +43,12 @@ pub type CbMap = HashMap<u8, CircularBuffer>;
 /// Map of semaphore index → instantiated semaphore for one core.
 pub type SemMap = HashMap<u8, Semaphore>;
 
-fn sem_of(sems: &SemMap, core: CoreCoord, index: u8) -> &Semaphore {
-    sems.get(&index).unwrap_or_else(|| panic!("semaphore {index} is not configured on core {core}"))
-}
-
-fn cb_of(cbs: &CbMap, core: CoreCoord, index: u8) -> &CircularBuffer {
-    cbs.get(&index)
-        .unwrap_or_else(|| panic!("circular buffer {index} is not configured on core {core}"))
-}
-
-/// Context handed to a [`crate::kernel::DataMovementKernel`].
-pub struct DataMovementCtx {
+/// The state and calls every kernel instance shares: its device and core,
+/// the core's CBs and semaphores, its runtime args, cycle counter and trace
+/// emitter. [`DataMovementCtx`] and [`ComputeCtx`] deref to it.
+pub struct KernelCtx {
     device: Arc<Device>,
     core: CoreCoord,
-    noc: NocId,
     cbs: CbMap,
     sems: SemMap,
     args: Vec<u32>,
@@ -60,36 +56,37 @@ pub struct DataMovementCtx {
     /// Per-instance trace emitter; `None` when tracing is off (the
     /// zero-cost path — every hook is a single branch).
     tracer: Option<SpanEmitter>,
-    /// Per-launch cache of source pages already fetched and converted to a
-    /// CB's format, keyed by (buffer id, page). Used by
-    /// [`Self::read_page_to_cb_cached`]: reader kernels that stream the same
-    /// source pages once per target tile pay the host-side fetch + format
-    /// conversion only once per launch. Cycle accounting, DRAM/NoC stats,
-    /// fault rolls and trace events are replayed identically on hits, so
-    /// everything observable about the simulated device is unchanged.
-    read_cache: HashMap<(u64, usize), Tile>,
 }
 
-impl DataMovementCtx {
+impl KernelCtx {
     pub(crate) fn new(
         device: Arc<Device>,
         core: CoreCoord,
-        noc: NocId,
         cbs: CbMap,
         sems: SemMap,
         args: Vec<u32>,
         tracer: Option<SpanEmitter>,
     ) -> Self {
-        DataMovementCtx {
-            device,
-            core,
-            noc,
-            cbs,
-            sems,
-            args,
-            counter: CycleCounter::new(),
-            tracer,
-            read_cache: HashMap::new(),
+        KernelCtx { device, core, cbs, sems, args, counter: CycleCounter::new(), tracer }
+    }
+
+    fn cb(&self, index: u8) -> &CircularBuffer {
+        self.cbs.get(&index).unwrap_or_else(|| {
+            panic!("circular buffer {index} is not configured on core {}", self.core)
+        })
+    }
+
+    fn sem(&self, index: u8) -> &Semaphore {
+        self.sems
+            .get(&index)
+            .unwrap_or_else(|| panic!("semaphore {index} is not configured on core {}", self.core))
+    }
+
+    /// Emit a trace instant at the current virtual time.
+    fn trace_instant(&mut self, name: &str, args: &[(&str, u64)]) {
+        let ts = self.counter.cycles();
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.instant(name, ts, args);
         }
     }
 
@@ -114,10 +111,7 @@ impl DataMovementCtx {
     /// Open the whole-kernel span (the launch supervisor calls this right
     /// before `run`).
     pub(crate) fn trace_kernel_begin(&mut self, label: &str) {
-        let ts = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.span_begin(label, ts);
-        }
+        self.trace_span_begin(label);
     }
 
     /// Close the whole-kernel span and any spans an aborting kernel left
@@ -132,19 +126,19 @@ impl DataMovementCtx {
     /// `noc_semaphore_set`: overwrite semaphore `index` on this core.
     pub fn noc_semaphore_set(&mut self, index: u8, value: u32) {
         self.counter.add(self.device.costs().compute.cb_op);
-        sem_of(&self.sems, self.core, index).set(value);
+        self.sem(index).set(value);
     }
 
     /// `noc_semaphore_inc`: add to semaphore `index` on this core.
     pub fn noc_semaphore_inc(&mut self, index: u8, delta: u32) {
         self.counter.add(self.device.costs().compute.cb_op);
-        sem_of(&self.sems, self.core, index).inc(delta);
+        self.sem(index).inc(delta);
     }
 
     /// `noc_semaphore_wait`: block until semaphore `index` equals `target`.
     pub fn noc_semaphore_wait(&mut self, index: u8, target: u32) {
         self.counter.add(self.device.costs().compute.cb_op);
-        sem_of(&self.sems, self.core, index).wait(target);
+        self.sem(index).wait(target);
     }
 
     /// The core this kernel instance runs on.
@@ -171,8 +165,77 @@ impl DataMovementCtx {
         self.counter.cycles()
     }
 
-    pub(crate) fn take_cycles(&self) -> u64 {
-        self.counter.cycles()
+    /// Producer: block until `n` pages are free in `cb` and reserve them.
+    pub fn cb_reserve_back(&mut self, cb: u8, n: usize) {
+        self.counter.add(self.device.costs().compute.cb_op);
+        if self.cb(cb).reserve_back(n) {
+            self.trace_instant("cb_stall", &[("cb", u64::from(cb)), ("producer", 1)]);
+        }
+    }
+
+    /// Producer: write one tile into space reserved in `cb`, quantized to
+    /// the CB's format.
+    pub fn cb_write_tile(&mut self, cb: u8, tile: &Tile) {
+        self.counter.add(self.device.costs().compute.unpack_tile);
+        self.cb(cb).write_tile(tile);
+    }
+
+    /// Producer: publish `n` written pages.
+    pub fn cb_push_back(&mut self, cb: u8, n: usize) {
+        self.counter.add(self.device.costs().compute.cb_op);
+        self.cb(cb).push_back(n);
+    }
+
+    /// Consumer: block until `n` pages are visible.
+    pub fn cb_wait_front(&mut self, cb: u8, n: usize) {
+        self.counter.add(self.device.costs().compute.cb_op);
+        if self.cb(cb).wait_front(n) {
+            self.trace_instant("cb_stall", &[("cb", u64::from(cb)), ("producer", 0)]);
+        }
+    }
+
+    /// Consumer: read the `idx`-th visible page without consuming.
+    #[must_use]
+    pub fn cb_peek_tile(&mut self, cb: u8, idx: usize) -> Tile {
+        self.counter.add(self.device.costs().compute.unpack_tile);
+        self.cb(cb).peek_tile(idx)
+    }
+
+    /// Consumer: release `n` pages.
+    pub fn cb_pop_front(&mut self, cb: u8, n: usize) {
+        self.counter.add(self.device.costs().compute.cb_op);
+        self.cb(cb).pop_front(n);
+    }
+}
+
+/// Context handed to a [`crate::kernel::DataMovementKernel`]: the shared
+/// [`KernelCtx`] plus the NoC the kernel is bound to.
+pub struct DataMovementCtx {
+    kernel: KernelCtx,
+    noc: NocId,
+}
+
+impl Deref for DataMovementCtx {
+    type Target = KernelCtx;
+
+    fn deref(&self) -> &KernelCtx {
+        &self.kernel
+    }
+}
+
+impl DerefMut for DataMovementCtx {
+    fn deref_mut(&mut self) -> &mut KernelCtx {
+        &mut self.kernel
+    }
+}
+
+impl DataMovementCtx {
+    pub(crate) fn new(kernel: KernelCtx, noc: NocId) -> Self {
+        DataMovementCtx { kernel, noc }
+    }
+
+    pub(crate) fn into_kernel(self) -> KernelCtx {
+        self.kernel
     }
 
     /// Publish one completed work unit to the device's per-core completion
@@ -180,7 +243,7 @@ impl DataMovementCtx {
     /// committed to DRAM, so a partial redo after a fault can resume the
     /// faulting core at a tile boundary while trusting survivors' watermarks.
     pub fn mark_unit_complete(&self) {
-        self.device.record_progress(self.core);
+        self.kernel.device.record_progress(self.kernel.core);
     }
 
     /// Async NoC read of one tile page from an interleaved DRAM buffer
@@ -197,33 +260,22 @@ impl DataMovementCtx {
     /// charges the correction latency.
     #[must_use]
     pub fn noc_async_read_tile(&mut self, buf: BufferRef, page: usize) -> Tile {
-        self.charge_noc_read(buf, page);
-        self.device
-            .dram()
-            .read_tile(buf.id, page)
-            .unwrap_or_else(|e| panic!("noc_async_read_tile({page}): {e}"))
-    }
-
-    /// Everything [`Self::noc_async_read_tile`] does *except* the host-side
-    /// data fetch: NoC cycle charge and traffic stats, fault rolls (in the
-    /// same RNG order), and the `noc_read` trace event. Shared with the
-    /// cache-hit path of [`Self::read_page_to_cb_cached`], which must be
-    /// indistinguishable from a real read in everything but host work.
-    fn charge_noc_read(&mut self, buf: BufferRef, page: usize) {
+        let noc = self.noc;
+        let k = &mut self.kernel;
         let bytes = buf.format.tile_bytes();
         // DRAM banks sit on the chip perimeter; charge a representative hop
         // count from this core to the bank for page's channel.
         let hops = 2 + tensix::dram::DramModel::channel_of_page(page) % 4;
-        let start = self.counter.cycles();
-        let cycles = self.device.noc().read(self.device.costs(), self.noc, bytes, hops);
-        self.counter.add(cycles);
-        let plan = self.device.faults();
+        let start = k.counter.cycles();
+        let cycles = k.device.noc().read(k.device.costs(), noc, bytes, hops);
+        k.counter.add(cycles);
+        let plan = k.device.faults();
         if !plan.disarmed() {
             if plan.roll_noc_transient() {
                 // One hardware retransmit: charge the transfer again.
-                self.counter.add(cycles);
-                let ts = self.counter.cycles();
-                if let Some(tr) = self.tracer.as_mut() {
+                k.counter.add(cycles);
+                let ts = k.counter.cycles();
+                if let Some(tr) = k.tracer.as_mut() {
                     tr.instant("noc_retransmit", ts, &[("page", page as u64)]);
                 }
                 if plan.roll_noc_transient() {
@@ -239,23 +291,23 @@ impl DataMovementCtx {
             // errors decay between sweeps and escalation tracks time.
             let slowdown = plan.dram_scrub_slowdown();
             if slowdown > 1.0 {
-                self.counter.add((cycles as f64 * (slowdown - 1.0)).round() as u64);
+                k.counter.add((cycles as f64 * (slowdown - 1.0)).round() as u64);
             }
-            let now_s = self.device.clock().now()
-                + self.device.costs().cycles_to_seconds(self.counter.cycles());
+            let now_s =
+                k.device.clock().now() + k.device.costs().cycles_to_seconds(k.counter.cycles());
             match plan.roll_dram_read_at(now_s) {
                 DramReadFault::None => {}
                 // The GDDR6 controller fixed the word inline; small latency.
                 DramReadFault::Corrected => {
-                    self.counter.add(self.device.costs().compute.cb_op);
+                    k.counter.add(k.device.costs().compute.cb_op);
                 }
                 DramReadFault::Uncorrectable => {
                     std::panic::panic_any(TensixError::DramEccUncorrectable { page });
                 }
             }
         }
-        let end = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
+        let end = k.counter.cycles();
+        if let Some(tr) = k.tracer.as_mut() {
             tr.complete(
                 "noc_read",
                 start,
@@ -263,6 +315,10 @@ impl DataMovementCtx {
                 &[("bytes", bytes as u64), ("page", page as u64)],
             );
         }
+        k.device
+            .dram()
+            .read_tile(buf.id, page)
+            .unwrap_or_else(|e| panic!("noc_async_read_tile({page}): {e}"))
     }
 
     /// Async NoC write of one tile page to an interleaved DRAM buffer
@@ -273,16 +329,18 @@ impl DataMovementCtx {
     /// typed [`TensixError::NocTransactionFailed`] panic after a failed
     /// retransmit.
     pub fn noc_async_write_tile(&mut self, buf: BufferRef, page: usize, tile: &Tile) {
+        let noc = self.noc;
+        let k = &mut self.kernel;
         let bytes = buf.format.tile_bytes();
         let hops = 2 + tensix::dram::DramModel::channel_of_page(page) % 4;
-        let start = self.counter.cycles();
-        let cycles = self.device.noc().write(self.device.costs(), self.noc, bytes, hops);
-        self.counter.add(cycles);
-        let plan = self.device.faults();
+        let start = k.counter.cycles();
+        let cycles = k.device.noc().write(k.device.costs(), noc, bytes, hops);
+        k.counter.add(cycles);
+        let plan = k.device.faults();
         if !plan.disarmed() && plan.roll_noc_transient() {
-            self.counter.add(cycles);
-            let ts = self.counter.cycles();
-            if let Some(tr) = self.tracer.as_mut() {
+            k.counter.add(cycles);
+            let ts = k.counter.cycles();
+            if let Some(tr) = k.tracer.as_mut() {
                 tr.instant("noc_retransmit", ts, &[("page", page as u64)]);
             }
             if plan.roll_noc_transient() {
@@ -292,8 +350,8 @@ impl DataMovementCtx {
                 });
             }
         }
-        let end = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
+        let end = k.counter.cycles();
+        if let Some(tr) = k.tracer.as_mut() {
             tr.complete(
                 "noc_write",
                 start,
@@ -301,7 +359,7 @@ impl DataMovementCtx {
                 &[("bytes", bytes as u64), ("page", page as u64)],
             );
         }
-        self.device
+        k.device
             .dram()
             .write_tile(buf.id, page, tile)
             .unwrap_or_else(|e| panic!("noc_async_write_tile({page}): {e}"));
@@ -311,56 +369,7 @@ impl DataMovementCtx {
     /// outstanding transactions. Functionally a no-op here (transfers are
     /// eager); charges a small synchronization cost.
     pub fn noc_barrier(&mut self) {
-        self.counter.add(self.device.costs().compute.cb_op);
-    }
-
-    /// Producer: block until `n` pages are free in `cb` and reserve them.
-    pub fn cb_reserve_back(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        let stalled = cb_of(&self.cbs, self.core, cb).reserve_back(n);
-        if stalled {
-            let ts = self.counter.cycles();
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.instant("cb_stall", ts, &[("cb", u64::from(cb)), ("producer", 1)]);
-            }
-        }
-    }
-
-    /// Producer: write one tile into space reserved in `cb`.
-    pub fn cb_write_tile(&mut self, cb: u8, tile: &Tile) {
-        self.counter.add(self.device.costs().compute.unpack_tile);
-        cb_of(&self.cbs, self.core, cb).write_tile(tile);
-    }
-
-    /// Producer: publish `n` written pages.
-    pub fn cb_push_back(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        cb_of(&self.cbs, self.core, cb).push_back(n);
-    }
-
-    /// Consumer: block until `n` pages are visible.
-    pub fn cb_wait_front(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        let stalled = cb_of(&self.cbs, self.core, cb).wait_front(n);
-        if stalled {
-            let ts = self.counter.cycles();
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.instant("cb_stall", ts, &[("cb", u64::from(cb)), ("producer", 0)]);
-            }
-        }
-    }
-
-    /// Consumer: read the `idx`-th visible page without consuming.
-    #[must_use]
-    pub fn cb_peek_tile(&mut self, cb: u8, idx: usize) -> Tile {
-        self.counter.add(self.device.costs().compute.unpack_tile);
-        cb_of(&self.cbs, self.core, cb).peek_tile(idx)
-    }
-
-    /// Consumer: release `n` pages.
-    pub fn cb_pop_front(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        cb_of(&self.cbs, self.core, cb).pop_front(n);
+        self.kernel.counter.add(self.kernel.device.costs().compute.cb_op);
     }
 
     /// Convenience reader idiom: reserve, NoC-read a DRAM page into the CB,
@@ -371,47 +380,6 @@ impl DataMovementCtx {
         let tile = self.noc_async_read_tile(buf, page);
         self.noc_barrier();
         self.cb_write_tile(cb, &tile);
-        self.cb_push_back(cb, 1);
-    }
-
-    /// Like [`Self::read_page_to_cb`], but with a per-launch page cache for
-    /// source buffers the kernel re-reads many times (the N-body reader
-    /// streams all source tiles once per *target* tile). The first read of a
-    /// page fetches and format-converts it once; later reads replay the
-    /// identical NoC cycle charges, DRAM/NoC statistics, fault rolls and
-    /// trace events, but reuse the converted tile (an `Arc` bump) instead of
-    /// fetching from the host DRAM model again.
-    ///
-    /// Only safe for buffers that are immutable for the duration of the
-    /// launch — the cache is never invalidated before the kernel instance
-    /// ends. Writer-updated buffers must use [`Self::read_page_to_cb`].
-    ///
-    /// # Panics
-    /// As [`Self::noc_async_read_tile`].
-    pub fn read_page_to_cb_cached(&mut self, cb: u8, buf: BufferRef, page: usize) {
-        self.cb_reserve_back(cb, 1);
-        let key = (buf.id.0, page);
-        if self.read_cache.contains_key(&key) {
-            self.charge_noc_read(buf, page);
-            self.device
-                .dram()
-                .account_read(buf.id, page)
-                .unwrap_or_else(|e| panic!("read_page_to_cb_cached({page}): {e}"));
-            self.noc_barrier();
-            let tile = self.read_cache.get(&key).expect("checked above").clone();
-            self.cb_write_tile(cb, &tile);
-        } else {
-            let tile = self.noc_async_read_tile(buf, page);
-            self.noc_barrier();
-            // Convert to the CB's format up front so cache hits skip the
-            // quantization too; `cb_write_tile` then sees a format match and
-            // only bumps the refcount. Bitwise identical to converting inside
-            // the CB — the quantizer is deterministic.
-            let cb_format = cb_of(&self.cbs, self.core, cb).config().format;
-            let converted = if tile.format() == cb_format { tile } else { tile.convert(cb_format) };
-            self.cb_write_tile(cb, &converted);
-            self.read_cache.insert(key, converted);
-        }
         self.cb_push_back(cb, 1);
     }
 
@@ -426,16 +394,13 @@ impl DataMovementCtx {
     }
 }
 
-/// Context handed to a [`crate::kernel::ComputeKernel`].
+/// Context handed to a [`crate::kernel::ComputeKernel`]: the shared
+/// [`KernelCtx`] plus the dst and src register files and the per-pipe
+/// cycle counters.
 pub struct ComputeCtx {
-    device: Arc<Device>,
-    core: CoreCoord,
-    cbs: CbMap,
-    sems: SemMap,
-    args: Vec<u32>,
+    kernel: KernelCtx,
     dst: DstRegisters,
     src: SrcRegisters,
-    counter: CycleCounter,
     /// Cycles charged to the matrix (FPU) pipe: matmuls, FPU element-wise
     /// and broadcast ops.
     matrix_cycles: u64,
@@ -445,34 +410,36 @@ pub struct ComputeCtx {
     /// Rows of the tiles the element-wise ops work on: 32, or 16 for half
     /// tiles.
     tile_rows: usize,
-    /// Per-instance trace emitter; `None` when tracing is off.
-    tracer: Option<SpanEmitter>,
+}
+
+impl Deref for ComputeCtx {
+    type Target = KernelCtx;
+
+    fn deref(&self) -> &KernelCtx {
+        &self.kernel
+    }
+}
+
+impl DerefMut for ComputeCtx {
+    fn deref_mut(&mut self) -> &mut KernelCtx {
+        &mut self.kernel
+    }
 }
 
 impl ComputeCtx {
-    pub(crate) fn new(
-        device: Arc<Device>,
-        core: CoreCoord,
-        format: DataFormat,
-        cbs: CbMap,
-        sems: SemMap,
-        args: Vec<u32>,
-        tracer: Option<SpanEmitter>,
-    ) -> Self {
+    pub(crate) fn new(kernel: KernelCtx, format: DataFormat) -> Self {
         ComputeCtx {
-            device,
-            core,
-            cbs,
-            sems,
-            args,
+            kernel,
             dst: DstRegisters::new(format),
             src: SrcRegisters::new(),
-            counter: CycleCounter::new(),
             matrix_cycles: 0,
             vector_cycles: 0,
             tile_rows: TILE_DIM,
-            tracer,
         }
+    }
+
+    pub(crate) fn into_kernel(self) -> KernelCtx {
+        self.kernel
     }
 
     /// Set the row count of the tiles the element-wise ops work on, once at
@@ -494,7 +461,7 @@ impl ComputeCtx {
 
     /// The device's compute cost table.
     fn costs(&self) -> ComputeCosts {
-        self.device.costs().compute
+        self.kernel.device.costs().compute
     }
 
     /// The cost table at the context's tile row count, for the passes this
@@ -515,87 +482,14 @@ impl ComputeCtx {
 
     /// Charge `cycles` to the kernel total and to the matrix (FPU) pipe.
     fn charge_matrix(&mut self, cycles: u64) {
-        self.counter.add(cycles);
+        self.kernel.counter.add(cycles);
         self.matrix_cycles += cycles;
     }
 
     /// Charge `cycles` to the kernel total and to the vector (SFPU) pipe.
     fn charge_vector(&mut self, cycles: u64) {
-        self.counter.add(cycles);
+        self.kernel.counter.add(cycles);
         self.vector_cycles += cycles;
-    }
-
-    /// Open a named trace span at the current virtual time. No-op (and
-    /// free of virtual cycles) when tracing is off. Spans must be closed
-    /// with [`Self::trace_span_end`] in LIFO order.
-    pub fn trace_span_begin(&mut self, name: &str) {
-        let ts = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.span_begin(name, ts);
-        }
-    }
-
-    /// Close the innermost open trace span (which must be `name`).
-    pub fn trace_span_end(&mut self, name: &str) {
-        let ts = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.span_end(name, ts);
-        }
-    }
-
-    /// Open the whole-kernel span.
-    pub(crate) fn trace_kernel_begin(&mut self, label: &str) {
-        let ts = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.span_begin(label, ts);
-        }
-    }
-
-    /// Close the whole-kernel span and anything an abort left open.
-    pub(crate) fn trace_kernel_end(&mut self) {
-        let ts = self.counter.cycles();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.close_all(ts);
-        }
-    }
-
-    /// `noc_semaphore_inc` from the compute kernel.
-    pub fn noc_semaphore_inc(&mut self, index: u8, delta: u32) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        sem_of(&self.sems, self.core, index).inc(delta);
-    }
-
-    /// `noc_semaphore_wait` from the compute kernel.
-    pub fn noc_semaphore_wait(&mut self, index: u8, target: u32) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        sem_of(&self.sems, self.core, index).wait(target);
-    }
-
-    /// The core this kernel instance runs on.
-    #[must_use]
-    pub fn core(&self) -> CoreCoord {
-        self.core
-    }
-
-    /// Per-core runtime arguments.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn arg(&self, i: usize) -> u32 {
-        *self.args.get(i).unwrap_or_else(|| {
-            panic!("runtime arg {i} missing on core {} ({} provided)", self.core, self.args.len())
-        })
-    }
-
-    /// Cycles accumulated so far.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.counter.cycles()
-    }
-
-    pub(crate) fn take_cycles(&self) -> u64 {
-        self.counter.cycles()
     }
 
     /// Cycles charged to the matrix (FPU) pipe so far.
@@ -615,44 +509,6 @@ impl ComputeCtx {
     #[must_use]
     pub fn dst_capacity(&self) -> usize {
         self.dst.capacity()
-    }
-
-    // --- CB protocol (consumer/producer sides used by compute) ---
-
-    /// Block until `n` pages are visible in `cb`.
-    pub fn cb_wait_front(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        let stalled = cb_of(&self.cbs, self.core, cb).wait_front(n);
-        if stalled {
-            let ts = self.counter.cycles();
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.instant("cb_stall", ts, &[("cb", u64::from(cb)), ("producer", 0)]);
-            }
-        }
-    }
-
-    /// Release `n` pages from `cb`.
-    pub fn cb_pop_front(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        cb_of(&self.cbs, self.core, cb).pop_front(n);
-    }
-
-    /// Reserve `n` pages in `cb` for packing results.
-    pub fn cb_reserve_back(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        let stalled = cb_of(&self.cbs, self.core, cb).reserve_back(n);
-        if stalled {
-            let ts = self.counter.cycles();
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.instant("cb_stall", ts, &[("cb", u64::from(cb)), ("producer", 1)]);
-            }
-        }
-    }
-
-    /// Publish `n` packed pages.
-    pub fn cb_push_back(&mut self, cb: u8, n: usize) {
-        self.counter.add(self.device.costs().compute.cb_op);
-        cb_of(&self.cbs, self.core, cb).push_back(n);
     }
 
     // --- dst register protocol ---
@@ -677,8 +533,8 @@ impl ComputeCtx {
     /// `copy_tile`: unpack the `idx`-th visible page of `cb` into dst
     /// segment `dst_idx`.
     pub fn copy_tile(&mut self, cb: u8, idx: usize, dst_idx: usize) {
-        let tile = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
-        self.counter.add(self.row_costs().copy_tile);
+        let tile = self.kernel.cb(cb).peek_tile(idx);
+        self.kernel.counter.add(self.row_costs().copy_tile);
         self.dst.write(dst_idx, tile).unwrap_or_else(|e| panic!("copy_tile: {e}"));
     }
 
@@ -696,10 +552,10 @@ impl ComputeCtx {
     /// Panics if `lane >= 1024`.
     pub fn copy_tile_lane_broadcast(&mut self, cb: u8, idx: usize, lane: usize, dst_idx: usize) {
         assert!(lane < tensix::TILE_ELEMS, "lane {lane} out of range");
-        let src = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
+        let src = self.kernel.cb(cb).peek_tile(idx);
         let value = self.dst.format().quantize(src.as_slice()[lane]);
         let costs = self.row_costs();
-        self.counter.add(costs.issue_overhead + costs.unpack_tile);
+        self.kernel.counter.add(costs.issue_overhead + costs.unpack_tile);
         let out = self.dst.output(dst_idx).unwrap_or_else(|e| panic!("lane broadcast: {e}"));
         out.as_mut_slice()[..row_elems(self.tile_rows)].fill(value);
     }
@@ -721,13 +577,19 @@ impl ComputeCtx {
         dst: usize,
     ) {
         assert!(lane < tensix::TILE_ELEMS, "lane {lane} out of range");
-        let src = cb_of(&self.cbs, self.core, cb_src).peek_tile(i_src);
-        let tgt = cb_of(&self.cbs, self.core, cb_tgt).peek_tile(i_tgt);
+        let src = self.kernel.cb(cb_src).peek_tile(i_src);
+        let tgt = self.kernel.cb(cb_tgt).peek_tile(i_tgt);
         let (costs, rows) = (self.costs(), self.tile_rows);
         // Stride-0 unpack of the source lane into srcA, full unpack of the
         // target tile into srcB.
-        self.counter.add(self.src.unpack_lane_broadcast(&costs, rows, SrcReg::A, &src, lane));
-        self.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::B, tgt));
+        self.kernel.counter.add(self.src.unpack_lane_broadcast(
+            &costs,
+            rows,
+            SrcReg::A,
+            &src,
+            lane,
+        ));
+        self.kernel.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::B, tgt));
         self.fpu_eltwise_to_dst(BinaryOp::Sub, dst, "sub lane bcast");
     }
 
@@ -747,8 +609,8 @@ impl ComputeCtx {
     /// Requires [`ComputeCtx::tile_regs_commit`] first.
     pub fn pack_tile(&mut self, dst_idx: usize, cb: u8) {
         let tile = self.dst.read_pack(dst_idx).unwrap_or_else(|e| panic!("pack_tile: {e}"));
-        self.counter.add(self.row_costs().pack_tile);
-        cb_of(&self.cbs, self.core, cb).write_tile(&tile);
+        self.kernel.counter.add(self.row_costs().pack_tile);
+        self.kernel.cb(cb).write_tile(&tile);
     }
 
     // --- FPU element-wise binary ops from CBs (add_tiles / sub_tiles /
@@ -756,11 +618,11 @@ impl ComputeCtx {
 
     fn fpu_binary(&mut self, op: BinaryOp, cb_a: u8, cb_b: u8, ia: usize, ib: usize, dst: usize) {
         // UNPACK: CB pages into srcA/srcB; MATH: FPU consumes the pair.
-        let a = cb_of(&self.cbs, self.core, cb_a).peek_tile(ia);
-        let b = cb_of(&self.cbs, self.core, cb_b).peek_tile(ib);
+        let a = self.kernel.cb(cb_a).peek_tile(ia);
+        let b = self.kernel.cb(cb_b).peek_tile(ib);
         let (costs, rows) = (self.costs(), self.tile_rows);
-        self.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::A, a));
-        self.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::B, b));
+        self.kernel.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::A, a));
+        self.kernel.counter.add(self.src.unpack_tile(&costs, rows, SrcReg::B, b));
         self.fpu_eltwise_to_dst(op, dst, "fpu binary");
     }
 
@@ -792,11 +654,11 @@ impl ComputeCtx {
         accumulate: bool,
     ) {
         self.require_whole_tiles("matmul_tiles");
-        let a = cb_of(&self.cbs, self.core, cb_a).peek_tile(ia);
-        let b = cb_of(&self.cbs, self.core, cb_b).peek_tile(ib);
+        let a = self.kernel.cb(cb_a).peek_tile(ia);
+        let b = self.kernel.cb(cb_b).peek_tile(ib);
         let costs = self.costs();
-        self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::A, a));
-        self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
+        self.kernel.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::A, a));
+        self.kernel.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
         let sa = self.src.read(SrcReg::A).unwrap_or_else(|e| panic!("matmul: {e}"));
         let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("matmul: {e}"));
         // Accumulation reads the segment back through the math port (a
@@ -825,9 +687,9 @@ impl ComputeCtx {
         idx: usize,
     ) {
         self.require_whole_tiles("broadcast ops");
-        let b = cb_of(&self.cbs, self.core, cb).peek_tile(idx);
+        let b = self.kernel.cb(cb).peek_tile(idx);
         let costs = self.costs();
-        self.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
+        self.kernel.counter.add(self.src.unpack_tile(&costs, TILE_DIM, SrcReg::B, b));
         let sb = self.src.read(SrcReg::B).unwrap_or_else(|e| panic!("bcast: {e}"));
         let format = self.dst.format();
         let acc = self.dst.modify(dst).unwrap_or_else(|e| panic!("bcast: {e}"));
@@ -867,29 +729,9 @@ impl ComputeCtx {
         self.sfpu_unary(UnaryOp::Square, dst);
     }
 
-    /// `sqrt_tile(dst)`.
-    pub fn sqrt_tile(&mut self, dst: usize) {
-        self.sfpu_unary(UnaryOp::Sqrt, dst);
-    }
-
     /// `rsqrt_tile(dst)` — precise variant.
     pub fn rsqrt_tile(&mut self, dst: usize) {
         self.sfpu_unary(UnaryOp::Rsqrt, dst);
-    }
-
-    /// `recip_tile(dst)` — 1/x.
-    pub fn recip_tile(&mut self, dst: usize) {
-        self.sfpu_unary(UnaryOp::Recip, dst);
-    }
-
-    /// `exp_tile(dst)`.
-    pub fn exp_tile(&mut self, dst: usize) {
-        self.sfpu_unary(UnaryOp::Exp, dst);
-    }
-
-    /// `abs_tile(dst)`.
-    pub fn abs_tile(&mut self, dst: usize) {
-        self.sfpu_unary(UnaryOp::Abs, dst);
     }
 
     /// `negative_tile(dst)`.
@@ -977,15 +819,9 @@ mod tests {
         cbs.insert(0, CircularBuffer::new(cfg));
         cbs.insert(1, CircularBuffer::new(cfg));
         cbs.insert(16, CircularBuffer::new(cfg));
-        ComputeCtx::new(
-            dev,
-            CoreCoord::new(0, 0),
-            DataFormat::Float32,
-            cbs,
-            SemMap::new(),
-            vec![3, 7],
-            None,
-        )
+        let kernel =
+            KernelCtx::new(dev, CoreCoord::new(0, 0), cbs, SemMap::new(), vec![3, 7], None);
+        ComputeCtx::new(kernel, DataFormat::Float32)
     }
 
     fn feed(ctx: &ComputeCtx, cb: u8, v: f32) {
@@ -1183,7 +1019,8 @@ mod tests {
         }
         let dev = Device::new(0, DeviceConfig::default());
         let core = CoreCoord::new(0, 0);
-        let mut ctx = ComputeCtx::new(dev, core, format, cbs, SemMap::new(), vec![], None);
+        let mut ctx =
+            ComputeCtx::new(KernelCtx::new(dev, core, cbs, SemMap::new(), vec![], None), format);
         for cb in 0..3 {
             ctx.cb_wait_front(cb, 2);
         }

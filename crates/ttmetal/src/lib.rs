@@ -9,8 +9,9 @@
 //! * [`program`] — kernels, circular-buffer declarations, runtime args;
 //! * [`kernel`] — the [`DataMovementKernel`] / [`ComputeKernel`] traits and
 //!   CB index conventions;
-//! * [`context`] — the in-kernel API: `cb_wait_front` / `cb_pop_front` /
-//!   `cb_reserve_back` / `cb_push_back`, NoC async reads/writes,
+//! * [`context`] — the in-kernel API: [`KernelCtx`]'s `cb_wait_front` /
+//!   `cb_pop_front` / `cb_reserve_back` / `cb_push_back`, shared by both
+//!   kernel kinds, NoC async reads/writes,
 //!   `copy_tile` / `pack_tile`, FPU `sub_tiles`-style binaries, and SFPU
 //!   calls (`square_tile`, `rsqrt_tile`, `sub_binary_tile`, …);
 //! * [`queue`] — `EnqueueWriteBuffer` / `EnqueueReadBuffer` /
@@ -34,7 +35,7 @@ pub mod queue;
 pub mod semaphore;
 
 pub use buffer::{Buffer, BufferRef};
-pub use context::{CbMap, ComputeCtx, DataMovementCtx, SemMap};
+pub use context::{CbMap, ComputeCtx, DataMovementCtx, KernelCtx, SemMap};
 pub use error::{CoreProgress, LaunchError};
 pub use host::{close_device, create_device, open_cluster};
 pub use kernel::{cb_index, ComputeFn, ComputeKernel, DataMovementKernel};

@@ -8,21 +8,57 @@
 //! step).
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use tensix::cb::CircularBufferConfig;
 use tensix::grid::{CoreCoord, CoreRange, CoreRangeSet};
 use tensix::{DataFormat, NocId};
+use tt_trace::RiscRole;
 
+use crate::context::{ComputeCtx, DataMovementCtx, KernelCtx};
 use crate::kernel::{cb_index, ComputeKernel, DataMovementKernel};
 
 /// Handle to a kernel added to a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelId(pub(crate) usize);
 
+#[derive(Clone)]
 pub(crate) enum KernelBody {
     DataMovement { noc: NocId, kernel: Arc<dyn DataMovementKernel> },
     Compute { format: DataFormat, kernel: Arc<dyn ComputeKernel> },
+}
+
+impl KernelBody {
+    /// The RISC-V core that runs the kernel: a data-movement kernel's NoC
+    /// picks BRISC or NCRISC; compute runs on the TRISCs.
+    pub(crate) fn role(&self) -> RiscRole {
+        match self {
+            KernelBody::DataMovement { noc: NocId::Noc0, .. } => RiscRole::Brisc,
+            KernelBody::DataMovement { .. } => RiscRole::Ncrisc,
+            KernelBody::Compute { .. } => RiscRole::Trisc,
+        }
+    }
+
+    /// Run the kernel once in its role's context around `ctx`, catching a
+    /// panic. Returns `ctx` with the cycles it charged, the compute
+    /// instance's `[matrix, vector]` pipe cycles (zero for data movement)
+    /// and the panic payload, if any.
+    pub(crate) fn run(&self, ctx: KernelCtx) -> (KernelCtx, [u64; 2], std::thread::Result<()>) {
+        match self {
+            KernelBody::DataMovement { noc, kernel } => {
+                let mut ctx = DataMovementCtx::new(ctx, *noc);
+                let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
+                (ctx.into_kernel(), [0, 0], outcome)
+            }
+            KernelBody::Compute { format, kernel } => {
+                let mut ctx = ComputeCtx::new(ctx, *format);
+                let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
+                let pipes = [ctx.matrix_cycles(), ctx.vector_cycles()];
+                (ctx.into_kernel(), pipes, outcome)
+            }
+        }
+    }
 }
 
 pub(crate) struct KernelEntry {
@@ -215,14 +251,7 @@ impl Program {
             .map(|entry| KernelEntry {
                 label: entry.label.clone(),
                 cores: restrict(&entry.cores),
-                body: match &entry.body {
-                    KernelBody::DataMovement { noc, kernel } => {
-                        KernelBody::DataMovement { noc: *noc, kernel: Arc::clone(kernel) }
-                    }
-                    KernelBody::Compute { format, kernel } => {
-                        KernelBody::Compute { format: *format, kernel: Arc::clone(kernel) }
-                    }
-                },
+                body: entry.body.clone(),
                 runtime_args: entry
                     .runtime_args
                     .iter()

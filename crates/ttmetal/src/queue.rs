@@ -28,12 +28,12 @@ use tensix::clock::{program_seconds, KernelTiming};
 use tensix::fault::{CoreWaits, InterruptKind, KernelInterrupt};
 use tensix::grid::CoreCoord;
 use tensix::{Device, Result, TensixError, Tile};
-use tt_trace::{RiscRole, SpanEmitter, TraceSink};
+use tt_trace::{SpanEmitter, TraceSink};
 
 use crate::buffer::Buffer;
-use crate::context::{CbMap, ComputeCtx, DataMovementCtx, SemMap};
+use crate::context::{CbMap, KernelCtx, SemMap};
 use crate::error::{CoreProgress, LaunchError};
-use crate::program::{KernelBody, Program};
+use crate::program::Program;
 use crate::semaphore::Semaphore;
 
 /// Effective host↔device bandwidth over PCIe 4.0 x16, bytes/s.
@@ -324,20 +324,18 @@ impl CommandQueue {
             }));
         };
         for entry in &program.kernels {
-            let role = match &entry.body {
-                KernelBody::DataMovement { noc: tensix::NocId::Noc0, .. } => RiscRole::Brisc,
-                KernelBody::DataMovement { .. } => RiscRole::Ncrisc,
-                KernelBody::Compute { .. } => RiscRole::Trisc,
-            };
             for core in entry.cores.iter() {
                 let device = Arc::clone(&self.device);
                 let label = entry.label.clone();
                 let args = program.args_for(entry, core);
                 let core_index = grid.index_of(core);
-                let tracer = match (&sink, epoch) {
-                    (Some(s), Some(e)) => {
-                        Some(SpanEmitter::new(Arc::clone(s), e, core_index as u32, role))
-                    }
+                let mut tracer = match (&sink, epoch) {
+                    (Some(s), Some(e)) => Some(SpanEmitter::new(
+                        Arc::clone(s),
+                        e,
+                        core_index as u32,
+                        entry.body.role(),
+                    )),
                     _ => None,
                 };
                 let stall =
@@ -347,7 +345,6 @@ impl CommandQueue {
                     // until its core is torn down. If it is the last
                     // instance there to park, the core is deadlocked and
                     // the stall's own abort tears it down.
-                    let mut tracer = tracer;
                     submit(
                         core,
                         Box::new(move |objects: &CoreObjects| {
@@ -371,62 +368,29 @@ impl CommandQueue {
                     );
                     continue;
                 }
-                match &entry.body {
-                    KernelBody::DataMovement { noc, kernel } => {
-                        let noc = *noc;
-                        let kernel = Arc::clone(kernel);
-                        submit(
-                            core,
-                            Box::new(move |objects: &CoreObjects| {
-                                let (cbs, sems) = (objects.cbs.clone(), objects.sems.clone());
-                                let mut ctx = DataMovementCtx::new(
-                                    device, core, noc, cbs, sems, args, tracer,
-                                );
-                                ctx.trace_kernel_begin(&label);
-                                let outcome =
-                                    catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
-                                ctx.trace_kernel_end();
-                                let abort = outcome.err().map(|e| classify_abort(&label, core, e));
-                                (
-                                    KernelTiming {
-                                        label,
-                                        core_index,
-                                        cycles: ctx.take_cycles(),
-                                        ..KernelTiming::default()
-                                    },
-                                    abort,
-                                )
-                            }),
-                        );
-                    }
-                    KernelBody::Compute { format, kernel } => {
-                        let format = *format;
-                        let kernel = Arc::clone(kernel);
-                        submit(
-                            core,
-                            Box::new(move |objects: &CoreObjects| {
-                                let (cbs, sems) = (objects.cbs.clone(), objects.sems.clone());
-                                let mut ctx =
-                                    ComputeCtx::new(device, core, format, cbs, sems, args, tracer);
-                                ctx.trace_kernel_begin(&label);
-                                let outcome =
-                                    catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
-                                ctx.trace_kernel_end();
-                                let abort = outcome.err().map(|e| classify_abort(&label, core, e));
-                                (
-                                    KernelTiming {
-                                        label,
-                                        core_index,
-                                        cycles: ctx.take_cycles(),
-                                        matrix_cycles: ctx.matrix_cycles(),
-                                        vector_cycles: ctx.vector_cycles(),
-                                    },
-                                    abort,
-                                )
-                            }),
-                        );
-                    }
-                }
+                let body = entry.body.clone();
+                submit(
+                    core,
+                    Box::new(move |objects: &CoreObjects| {
+                        let (cbs, sems) = (objects.cbs.clone(), objects.sems.clone());
+                        let mut ctx = KernelCtx::new(device, core, cbs, sems, args, tracer);
+                        ctx.trace_kernel_begin(&label);
+                        let (mut ctx, [matrix_cycles, vector_cycles], outcome) = body.run(ctx);
+                        ctx.trace_kernel_end();
+                        let abort = outcome.err().map(|e| classify_abort(&label, core, e));
+                        let cycles = ctx.cycles();
+                        (
+                            KernelTiming {
+                                label,
+                                core_index,
+                                cycles,
+                                matrix_cycles,
+                                vector_cycles,
+                            },
+                            abort,
+                        )
+                    }),
+                );
             }
         }
         drop(tx);
@@ -551,7 +515,7 @@ impl CommandQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::DataMovementCtx;
+    use crate::context::{ComputeCtx, DataMovementCtx};
     use crate::kernel::{cb_index, ComputeFn};
     use std::time::Duration;
     use tensix::cb::CircularBufferConfig;
