@@ -213,6 +213,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> perfbench clippy and fmt"
+# perfbench is outside the workspace, so the two lints above skip it. Lint
+# it on its own, so an API change in ttmetal or tensix cannot leave the
+# benchmark with warnings nobody sees.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+
 if [ "$RUN_BENCH" = 1 ]; then
   echo "==> bench regression gate"
   cargo run --release --offline -p tt-harness --bin bench_gate -- --gate

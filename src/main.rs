@@ -443,13 +443,13 @@ fn verify_device_against_direct(
     let (acc_bound, jerk_bound) =
         (scale * nbody::accuracy::ACC_TOLERANCE, scale * nbody::accuracy::JERK_TOLERANCE);
     let ok = cmp.max_acc_error <= acc_bound && cmp.max_jerk_error <= jerk_bound;
-    let verdict = if ok { "PASS" } else { "FAIL" };
     println!(
-        "device-vs-direct accuracy: {verdict} ({} kernel: acc err {:.3e} <= {acc_bound:.1e}, \
-         jerk err {:.3e} <= {jerk_bound:.1e})",
-        pipeline.kernel_kind().name(),
-        cmp.max_acc_error,
-        cmp.max_jerk_error
+        "{}",
+        device_verdict(
+            pipeline.kernel_kind().name(),
+            (cmp.max_acc_error, acc_bound),
+            (cmp.max_jerk_error, jerk_bound)
+        )
     );
     if ok {
         Ok(())
@@ -461,6 +461,25 @@ fn verify_device_against_direct(
             pipeline.kernel_kind().name()
         ))
     }
+}
+
+/// The device-vs-direct verdict line for `(error, bound)` pairs of the
+/// acceleration and the jerk: each error prints `<=` its bound when within
+/// it and `>` when over it.
+fn device_verdict(kernel: &str, acc: (f64, f64), jerk: (f64, f64)) -> String {
+    let within = |(err, bound): (f64, f64)| err <= bound;
+    let op = |pair| if within(pair) { "<=" } else { ">" };
+    let verdict = if within(acc) && within(jerk) { "PASS" } else { "FAIL" };
+    format!(
+        "device-vs-direct accuracy: {verdict} ({kernel} kernel: acc err {:.3e} {} {:.1e}, \
+         jerk err {:.3e} {} {:.1e})",
+        acc.0,
+        op(acc),
+        acc.1,
+        jerk.0,
+        op(jerk),
+        jerk.1
+    )
 }
 
 fn cmd_run(opts: &Options) -> Result<(), String> {
@@ -685,6 +704,25 @@ mod tests {
         assert!(o.blocks);
         assert!((o.eta - 0.01).abs() < 1e-12);
         assert_eq!(o.levels, 8);
+    }
+
+    #[test]
+    fn device_verdict_marks_each_error_against_its_bound() {
+        assert_eq!(
+            device_verdict("elementwise", (2.5e-4, 5e-4), (1e-3, 1e-3)),
+            "device-vs-direct accuracy: PASS (elementwise kernel: acc err 2.500e-4 <= 5.0e-4, \
+             jerk err 1.000e-3 <= 1.0e-3)"
+        );
+        assert_eq!(
+            device_verdict("matrix", (2.171e-3, 1e-3), (1.5e-3, 2e-3)),
+            "device-vs-direct accuracy: FAIL (matrix kernel: acc err 2.171e-3 > 1.0e-3, \
+             jerk err 1.500e-3 <= 2.0e-3)"
+        );
+        assert_eq!(
+            device_verdict("matrix", (1e-4, 1e-3), (f64::NAN, 2e-3)),
+            "device-vs-direct accuracy: FAIL (matrix kernel: acc err 1.000e-4 <= 1.0e-3, \
+             jerk err NaN > 2.0e-3)"
+        );
     }
 
     #[test]
