@@ -324,18 +324,16 @@ impl CommandQueue {
             }));
         };
         for entry in &program.kernels {
+            let role = entry.body.role();
             for core in entry.cores.iter() {
                 let device = Arc::clone(&self.device);
                 let label = entry.label.clone();
                 let args = program.args_for(entry, core);
                 let core_index = grid.index_of(core);
                 let mut tracer = match (&sink, epoch) {
-                    (Some(s), Some(e)) => Some(SpanEmitter::new(
-                        Arc::clone(s),
-                        e,
-                        core_index as u32,
-                        entry.body.role(),
-                    )),
+                    (Some(s), Some(e)) => {
+                        Some(SpanEmitter::new(Arc::clone(s), e, core_index as u32, role))
+                    }
                     _ => None,
                 };
                 let stall =
