@@ -17,7 +17,10 @@
 //!    driver under DRAM faults and a card loss, on a ring and on the host
 //!    tree, plus block steps on one card — so every launch the driver
 //!    makes, and every host FP64 predict/correct, is pinned end to end.
+//! 4. Wide launches: one evaluation on 8 cores (half tiles) and one on 64
+//!    cores (matrix blocks), pinning forces, timing and per-CB traffic.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use nbody::ic::{plummer, PlummerConfig};
@@ -421,4 +424,94 @@ fn matrix_kernel_rows_are_pinned() {
         digests.push((n, cores, full, rows));
     }
     assert_eq!(digests, MATRIX_GOLDENS);
+}
+
+/// Per-CB traffic of a launch, grouped per core: each core's
+/// `(cb index, pages_pushed, pages_popped, max_occupancy)` rows in CB order.
+/// Stall counts are left out: they say how the host scheduled the kernels,
+/// not what the kernels did.
+fn cb_traffic(report: &ttmetal::ProgramReport) -> Vec<Vec<(u8, u64, u64, usize)>> {
+    let mut cores: Vec<Vec<(u8, u64, u64, usize)>> = Vec::new();
+    let mut last_core = None;
+    for cb in &report.cb_stats {
+        if last_core != Some(cb.core_index) {
+            cores.push(Vec::new());
+            last_core = Some(cb.core_index);
+        }
+        let s = cb.stats;
+        cores.last_mut().unwrap().push((cb.index, s.pages_pushed, s.pages_popped, s.max_occupancy));
+    }
+    cores
+}
+
+/// Pin one evaluation at the core counts the paper point runs: forces,
+/// the whole `PipelineTiming` and every core's CB traffic, which must be
+/// the same on each core because each runs one equal work unit. Each CB's
+/// row is `(index, pages_pushed, pages_popped, max_occupancy range)`.
+fn assert_wide_golden(
+    kind: nbody_tt::ForceKernelKind,
+    (n, eps, cores): (usize, f64, usize),
+    hash: u64,
+    timing: &str,
+    per_core: &[(u8, u64, u64, RangeInclusive<usize>)],
+) {
+    let sys = plummer(PlummerConfig { n, seed: n as u64, ..PlummerConfig::default() });
+    let device = Device::new(0, DeviceConfig::default());
+    let pipeline = DeviceForcePipeline::new_with_kernel(device, n, eps, cores, kind).unwrap();
+    assert_eq!(pipeline.sizing(n).units, cores, "one work unit per core");
+    let f = pipeline.evaluate_checked(&sys).unwrap();
+    assert_eq!(forces_hash(&f), hash, "forces hash {:#018x}", forces_hash(&f));
+    assert_eq!(format!("{:?}", pipeline.timing()), timing);
+    let traffic = cb_traffic(&pipeline.last_launch_report().unwrap());
+    assert_eq!(traffic.len(), cores);
+    for (core, rows) in traffic.iter().enumerate() {
+        let fits = rows.len() == per_core.len()
+            && rows.iter().zip(per_core).all(
+                |(&(cb, push, pop, occ), (pcb, ppush, ppop, pocc))| {
+                    (cb, push, pop) == (*pcb, *ppush, *ppop) && pocc.contains(&occ)
+                },
+            );
+        assert!(fits, "core {core}: {rows:?}");
+    }
+}
+
+#[test]
+fn eight_core_half_tile_launch_is_pinned() {
+    assert_wide_golden(
+        nbody_tt::ForceKernelKind::Elementwise,
+        (4096, 0.01, 8),
+        0xf695_b2bd_b73f_542c,
+        "PipelineTiming { device_seconds: 0.006209976, io_seconds: 2.1162666666666656e-5, evaluations: 1, last_eval_cycles: 6209976, last_matrix_cycles: 442368, last_vector_cycles: 2867320, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 49734640, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 }",
+        &[
+            (0, 6, 6, 6..=6),
+            (1, 28, 28, 14..=14),
+            (16, 6, 6, 6..=6),
+            (24, 24576, 24576, 6..=6),
+            (25, 8192, 8192, 2..=2),
+            (26, 24582, 24582, 12..=12),
+        ],
+    );
+}
+
+#[test]
+fn sixty_four_core_matrix_launch_is_pinned() {
+    assert_wide_golden(
+        nbody_tt::ForceKernelKind::Matrix,
+        (2048, 0.02, 64),
+        0xab7d_69a2_f8b5_bcaf,
+        "PipelineTiming { device_seconds: 0.000159388, io_seconds: 0.00029508266666666665, evaluations: 1, last_eval_cycles: 159388, last_matrix_cycles: 20992, last_vector_cycles: 76260, retries: 0, retry_backoff_seconds: 0.0, busy_cycles: 15339096, wasted_cycles: 0, wasted_seconds: 0.0, redo_cycles: 0, redo_seconds: 0.0, partial_redos: 0 }",
+        &[
+            (0, 4, 4, 4..=4),
+            (1, 320, 320, 10..=10),
+            (2, 128, 128, 4..=4),
+            (3, 1, 0, 1..=1),
+            // The writer drains each two-page output chunk while the compute
+            // kernel works on the next one, or after it: before kernels ran
+            // as cooperative tasks, the host's thread schedule picked 2 or 4.
+            (16, 16, 16, 2..=4),
+            (24, 256, 256, 4..=4),
+            (25, 128, 128, 2..=2),
+            (26, 288, 288, 8..=8),
+        ],
+    );
 }
