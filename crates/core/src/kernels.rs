@@ -48,7 +48,9 @@
 use tensix::fpu::BroadcastDim;
 use tensix::TILE_ELEMS;
 use ttmetal::cb_index::{IN0, IN1, IN2, IN3, INTERMED0, INTERMED1, INTERMED2, OUT0};
-use ttmetal::{BufferRef, ComputeCtx, ComputeKernel, DataMovementCtx, DataMovementKernel};
+use ttmetal::{
+    BufferRef, ComputeCtx, ComputeKernel, DataMovementCtx, DataMovementKernel, KernelFuture,
+};
 
 use crate::layout::matrix_pages::{
     A_POS, A_VEL, B_POST, B_VELT, COL_R2, COL_RV, ROW_M, ROW_R2EPS, ROW_RV,
@@ -112,24 +114,26 @@ pub struct ReaderKernel {
 }
 
 impl DataMovementKernel for ReaderKernel {
-    fn run(&self, ctx: &mut DataMovementCtx) {
-        let start = ctx.arg(args::START_TILE) as usize;
-        let count = ctx.arg(args::TILE_COUNT) as usize;
-        let src_tiles = (ctx.arg(args::NUM_SOURCES) as usize).div_ceil(TILE_ELEMS);
-        for tile in start..start + count {
-            ctx.trace_span_begin("tile");
-            // Outer loop: the packed target tile of each quantity.
-            for buf in self.targets {
-                ctx.read_page_to_cb(IN0, buf, tile);
-            }
-            // Inner loop: the packed source tiles.
-            for s in 0..src_tiles {
-                for buf in self.sources {
-                    ctx.read_page_to_cb(IN1, buf, s);
+    fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a> {
+        Box::pin(async move {
+            let start = ctx.arg(args::START_TILE) as usize;
+            let count = ctx.arg(args::TILE_COUNT) as usize;
+            let src_tiles = (ctx.arg(args::NUM_SOURCES) as usize).div_ceil(TILE_ELEMS);
+            for tile in start..start + count {
+                ctx.trace_span_begin("tile");
+                // Outer loop: the packed target tile of each quantity.
+                for buf in self.targets {
+                    ctx.read_page_to_cb(IN0, buf, tile).await;
                 }
+                // Inner loop: the packed source tiles.
+                for s in 0..src_tiles {
+                    for buf in self.sources {
+                        ctx.read_page_to_cb(IN1, buf, s).await;
+                    }
+                }
+                ctx.trace_span_end("tile");
             }
-            ctx.trace_span_end("tile");
-        }
+        })
     }
 }
 
@@ -145,7 +149,7 @@ impl ForceComputeKernel {
     /// Per-source inner body: evaluates the unit's target lanes (1024, or
     /// 512 on a half tile) against source particle `lane` of the packed
     /// source tile at the front of `IN1`.
-    fn interact(&self, ctx: &mut ComputeCtx, lane: usize) {
+    async fn interact(&self, ctx: &mut ComputeCtx, lane: usize) {
         // --- Phase A: displacements into the staging CB -----------------
         // dx = xj − xi and the velocity analogues: FPU subtract with the
         // source lane unpacked stride-0 into srcA.
@@ -155,13 +159,13 @@ impl ForceComputeKernel {
             ctx.sub_tiles_lane_bcast(IN1, IN0, 1 + axis, axis, lane, DX + axis);
         }
         ctx.tile_regs_commit();
-        ctx.cb_reserve_back(INTERMED0, 6);
+        ctx.cb_reserve_back(INTERMED0, 6).await;
         for k in 0..6 {
             ctx.pack_tile(k, INTERMED0);
         }
         ctx.cb_push_back(INTERMED0, 6);
         ctx.tile_regs_release();
-        ctx.cb_wait_front(INTERMED0, 6);
+        ctx.cb_wait_front(INTERMED0, 6).await;
 
         // --- Phase B: w = m/s³ and rv3 = 3 (d·dv)/s² ---------------------
         ctx.tile_regs_acquire();
@@ -189,17 +193,17 @@ impl ForceComputeKernel {
         ctx.mul_binary_tile(4, 1); // (d·dv)/s²
         ctx.scale_tile(4, 3.0, 0.0); // rv3
         ctx.tile_regs_commit();
-        ctx.cb_reserve_back(INTERMED1, 2);
+        ctx.cb_reserve_back(INTERMED1, 2).await;
         ctx.pack_tile(2, INTERMED1); // w
         ctx.pack_tile(4, INTERMED1); // rv3
         ctx.cb_push_back(INTERMED1, 2);
         ctx.tile_regs_release();
-        ctx.cb_wait_front(INTERMED1, 2);
+        ctx.cb_wait_front(INTERMED1, 2).await;
 
         // --- Phase C1: acceleration accumulation -------------------------
         // acc_a += w · d_a, reading the old accumulators from the ring.
-        ctx.cb_wait_front(INTERMED2, 6);
-        ctx.cb_reserve_back(INTERMED2, 6);
+        ctx.cb_wait_front(INTERMED2, 6).await;
+        ctx.cb_reserve_back(INTERMED2, 6).await;
         ctx.tile_regs_acquire();
         for axis in 0..3 {
             ctx.copy_tile(INTERMED2, axis, axis);
@@ -247,55 +251,57 @@ impl ForceComputeKernel {
 }
 
 impl ComputeKernel for ForceComputeKernel {
-    fn run(&self, ctx: &mut ComputeCtx) {
-        assert!(self.eps_squared > 0.0, "device force kernel requires softening > 0");
-        let count = ctx.arg(args::TILE_COUNT) as usize;
-        let n = ctx.arg(args::NUM_SOURCES) as usize;
-        ctx.set_tile_rows(ctx.arg(args::TILE_ROWS) as usize);
-        for _tile in 0..count {
-            ctx.trace_span_begin("tile");
-            ctx.cb_wait_front(IN0, 6);
+    fn run<'a>(&'a self, ctx: &'a mut ComputeCtx) -> KernelFuture<'a> {
+        Box::pin(async move {
+            assert!(self.eps_squared > 0.0, "device force kernel requires softening > 0");
+            let count = ctx.arg(args::TILE_COUNT) as usize;
+            let n = ctx.arg(args::NUM_SOURCES) as usize;
+            ctx.set_tile_rows(ctx.arg(args::TILE_ROWS) as usize);
+            for _tile in 0..count {
+                ctx.trace_span_begin("tile");
+                ctx.cb_wait_front(IN0, 6).await;
 
-            // Zero the six accumulators.
-            ctx.cb_reserve_back(INTERMED2, 6);
-            ctx.tile_regs_acquire();
-            for k in 0..6 {
-                ctx.fill_tile(k, 0.0);
-            }
-            ctx.tile_regs_commit();
-            for k in 0..6 {
-                ctx.pack_tile(k, INTERMED2);
-            }
-            ctx.cb_push_back(INTERMED2, 6);
-            ctx.tile_regs_release();
-
-            // Sources j = 0..n in order, one packed tile at a time; the lane
-            // loop stops at n, so the last tile's padding lanes cost nothing.
-            for first in (0..n).step_by(TILE_ELEMS) {
-                ctx.cb_wait_front(IN1, 7);
-                for lane in 0..TILE_ELEMS.min(n - first) {
-                    self.interact(ctx, lane);
+                // Zero the six accumulators.
+                ctx.cb_reserve_back(INTERMED2, 6).await;
+                ctx.tile_regs_acquire();
+                for k in 0..6 {
+                    ctx.fill_tile(k, 0.0);
                 }
-                ctx.cb_pop_front(IN1, 7);
-            }
+                ctx.tile_regs_commit();
+                for k in 0..6 {
+                    ctx.pack_tile(k, INTERMED2);
+                }
+                ctx.cb_push_back(INTERMED2, 6);
+                ctx.tile_regs_release();
 
-            // Drain the final accumulators to the output CB.
-            ctx.cb_wait_front(INTERMED2, 6);
-            ctx.cb_reserve_back(OUT0, 6);
-            ctx.tile_regs_acquire();
-            for k in 0..6 {
-                ctx.copy_tile(INTERMED2, k, k);
+                // Sources j = 0..n in order, one packed tile at a time; the lane
+                // loop stops at n, so the last tile's padding lanes cost nothing.
+                for first in (0..n).step_by(TILE_ELEMS) {
+                    ctx.cb_wait_front(IN1, 7).await;
+                    for lane in 0..TILE_ELEMS.min(n - first) {
+                        self.interact(ctx, lane).await;
+                    }
+                    ctx.cb_pop_front(IN1, 7);
+                }
+
+                // Drain the final accumulators to the output CB.
+                ctx.cb_wait_front(INTERMED2, 6).await;
+                ctx.cb_reserve_back(OUT0, 6).await;
+                ctx.tile_regs_acquire();
+                for k in 0..6 {
+                    ctx.copy_tile(INTERMED2, k, k);
+                }
+                ctx.tile_regs_commit();
+                for k in 0..6 {
+                    ctx.pack_tile(k, OUT0);
+                }
+                ctx.cb_push_back(OUT0, 6);
+                ctx.tile_regs_release();
+                ctx.cb_pop_front(INTERMED2, 6);
+                ctx.cb_pop_front(IN0, 6);
+                ctx.trace_span_end("tile");
             }
-            ctx.tile_regs_commit();
-            for k in 0..6 {
-                ctx.pack_tile(k, OUT0);
-            }
-            ctx.cb_push_back(OUT0, 6);
-            ctx.tile_regs_release();
-            ctx.cb_pop_front(INTERMED2, 6);
-            ctx.cb_pop_front(IN0, 6);
-            ctx.trace_span_end("tile");
-        }
+        })
     }
 }
 
@@ -306,19 +312,21 @@ pub struct WriterKernel {
 }
 
 impl DataMovementKernel for WriterKernel {
-    fn run(&self, ctx: &mut DataMovementCtx) {
-        let start = ctx.arg(args::START_TILE) as usize;
-        let count = ctx.arg(args::TILE_COUNT) as usize;
-        for tile in start..start + count {
-            ctx.trace_span_begin("tile");
-            for buf in self.outputs {
-                ctx.write_cb_to_page(OUT0, buf, tile);
+    fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a> {
+        Box::pin(async move {
+            let start = ctx.arg(args::START_TILE) as usize;
+            let count = ctx.arg(args::TILE_COUNT) as usize;
+            for tile in start..start + count {
+                ctx.trace_span_begin("tile");
+                for buf in self.outputs {
+                    ctx.write_cb_to_page(OUT0, buf, tile).await;
+                }
+                // All six result pages for this tile are in DRAM: publish the
+                // watermark so a partial redo can resume at the next tile.
+                ctx.mark_unit_complete();
+                ctx.trace_span_end("tile");
             }
-            // All six result pages for this tile are in DRAM: publish the
-            // watermark so a partial redo can resume at the next tile.
-            ctx.mark_unit_complete();
-            ctx.trace_span_end("tile");
-        }
+        })
     }
 }
 
@@ -380,42 +388,44 @@ pub struct MatrixReaderKernel {
 }
 
 impl DataMovementKernel for MatrixReaderKernel {
-    fn run(&self, ctx: &mut DataMovementCtx) {
-        let start = ctx.arg(args::START_TILE) as usize;
-        let count = ctx.arg(args::TILE_COUNT) as usize;
-        let n = ctx.arg(args::NUM_SOURCES) as usize;
-        if count == 0 {
-            return;
-        }
-        let schedule = damping_schedule(|i| ctx.arg(i), start, count);
-        let mut held = schedule[0][0].1;
-        ctx.read_page_to_cb(IN3, self.diag, held);
-        let groups = schedule.chunks(MATRIX_GROUP_BLOCKS);
-        for (first, group) in (start..).step_by(MATRIX_GROUP_BLOCKS).zip(groups) {
-            ctx.trace_span_begin("group");
-            for blk in first..first + group.len() {
-                for buf in self.targets {
-                    ctx.read_page_to_cb(IN0, buf, blk);
-                }
+    fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a> {
+        Box::pin(async move {
+            let start = ctx.arg(args::START_TILE) as usize;
+            let count = ctx.arg(args::TILE_COUNT) as usize;
+            let n = ctx.arg(args::NUM_SOURCES) as usize;
+            if count == 0 {
+                return;
             }
-            let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
-            for j in 0..num_matrix_blocks(n) {
-                for buf in &self.sources[..5] {
-                    ctx.read_page_to_cb(IN1, *buf, j);
+            let schedule = damping_schedule(|i| ctx.arg(i), start, count);
+            let mut held = schedule[0][0].1;
+            ctx.read_page_to_cb(IN3, self.diag, held).await;
+            let groups = schedule.chunks(MATRIX_GROUP_BLOCKS);
+            for (first, group) in (start..).step_by(MATRIX_GROUP_BLOCKS).zip(groups) {
+                ctx.trace_span_begin("group");
+                for blk in first..first + group.len() {
+                    for buf in self.targets {
+                        ctx.read_page_to_cb(IN0, buf, blk).await;
+                    }
                 }
-                ctx.read_page_to_cb(IN2, self.sources[5], j);
-                ctx.read_page_to_cb(IN2, self.sources[6], j);
-                for pairs in &mut damp {
-                    if let Some(&(_, page)) = pairs.next_if(|&&(src, _)| src == j) {
-                        if page != held {
-                            ctx.read_page_to_cb(IN3, self.diag, page);
-                            held = page;
+                let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
+                for j in 0..num_matrix_blocks(n) {
+                    for buf in &self.sources[..5] {
+                        ctx.read_page_to_cb(IN1, *buf, j).await;
+                    }
+                    ctx.read_page_to_cb(IN2, self.sources[5], j).await;
+                    ctx.read_page_to_cb(IN2, self.sources[6], j).await;
+                    for pairs in &mut damp {
+                        if let Some(&(_, page)) = pairs.next_if(|&&(src, _)| src == j) {
+                            if page != held {
+                                ctx.read_page_to_cb(IN3, self.diag, page).await;
+                                held = page;
+                            }
                         }
                     }
                 }
+                ctx.trace_span_end("group");
             }
-            ctx.trace_span_end("group");
-        }
+        })
     }
 }
 
@@ -436,7 +446,7 @@ impl MatrixForceComputeKernel {
     /// holding some target row's self-interaction: the damping page at the
     /// front of IN3 adds `DIAG_DAMP` on those lanes and `+0.0` everywhere
     /// else.
-    fn interact(&self, ctx: &mut ComputeCtx, a: usize, damp: bool) {
+    async fn interact(&self, ctx: &mut ComputeCtx, a: usize, damp: bool) {
         // --- Phase M1: W and G on the FP32 cross-matmul + SFPU path ------
         ctx.tile_regs_acquire();
         ctx.matmul_tiles(IN0, IN1, a + A_POS, B_POST, 0, false); // r_i·r_j
@@ -468,8 +478,8 @@ impl MatrixForceComputeKernel {
         ctx.tile_regs_commit();
         // W_hi/G_hi: quantized to BF16 by the INTERMED0 pack; the FP32
         // copies park in INTERMED1 for the residual pass.
-        ctx.cb_reserve_back(INTERMED0, 2);
-        ctx.cb_reserve_back(INTERMED1, 2);
+        ctx.cb_reserve_back(INTERMED0, 2).await;
+        ctx.cb_reserve_back(INTERMED1, 2).await;
         ctx.pack_tile(2, INTERMED0); // W_hi = bf16(W)
         ctx.pack_tile(3, INTERMED0); // G_hi = bf16(G)
         ctx.pack_tile(2, INTERMED1); // W (FP32)
@@ -482,9 +492,9 @@ impl MatrixForceComputeKernel {
         // W_lo = bf16(W − bf16(W)) — the same hi/lo split the host applies
         // to SRC_ATTR, so the accumulate matmuls see W and G to ~16
         // mantissa bits while every operand stays BF16 (full MAC rate).
-        ctx.cb_wait_front(INTERMED0, 2);
-        ctx.cb_wait_front(INTERMED1, 2);
-        ctx.cb_reserve_back(INTERMED0, 2);
+        ctx.cb_wait_front(INTERMED0, 2).await;
+        ctx.cb_wait_front(INTERMED1, 2).await;
+        ctx.cb_reserve_back(INTERMED0, 2).await;
         ctx.tile_regs_acquire();
         ctx.copy_tile(INTERMED1, 0, 0); // W
         ctx.copy_tile(INTERMED0, 0, 1); // dequantized W_hi
@@ -507,9 +517,9 @@ impl MatrixForceComputeKernel {
         // Kahan two-sum: the ring carries a compensation tile (cW, cG) next
         // to each accumulator, so the per-chunk sums do not drift with
         // source count the way naive FP32 accumulation does.
-        ctx.cb_wait_front(INTERMED0, 4);
-        ctx.cb_wait_front(INTERMED2, 4);
-        ctx.cb_reserve_back(INTERMED2, 4);
+        ctx.cb_wait_front(INTERMED0, 4).await;
+        ctx.cb_wait_front(INTERMED2, 4).await;
+        ctx.cb_reserve_back(INTERMED2, 4).await;
         ctx.tile_regs_acquire();
         ctx.fill_tile(0, 0.0); // block delta, W moments
         ctx.fill_tile(1, 0.0); // block delta, G moments
@@ -550,88 +560,90 @@ impl MatrixForceComputeKernel {
 }
 
 impl ComputeKernel for MatrixForceComputeKernel {
-    fn run(&self, ctx: &mut ComputeCtx) {
-        assert!(self.eps_squared > 0.0, "device force kernel requires softening > 0");
-        let start = ctx.arg(args::START_TILE) as usize;
-        let count = ctx.arg(args::TILE_COUNT) as usize;
-        let n = ctx.arg(args::NUM_SOURCES) as usize;
-        if count == 0 {
-            return;
-        }
-        // The damping page at the front of IN3 is held until the plan
-        // needs a different one, mirroring the reader's pushes.
-        let schedule = damping_schedule(|i| ctx.arg(i), start, count);
-        let mut held = schedule[0][0].1;
-        ctx.cb_wait_front(IN3, 1);
-        let chunks = matrix_chunks(num_matrix_blocks(n));
-        for group in schedule.chunks(MATRIX_GROUP_BLOCKS) {
-            ctx.trace_span_begin("group");
-            let k = group.len();
-            ctx.cb_wait_front(IN0, 4 * k);
-            let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
-            for &(cs, cc) in &chunks {
-                // Zero each member's moment accumulators and their Kahan
-                // compensation tiles for this chunk: k sets of 4 in the
-                // INTERMED2 ring, member 0's at the front.
-                ctx.cb_reserve_back(INTERMED2, 4 * k);
-                ctx.tile_regs_acquire();
-                for r in 0..4 {
-                    ctx.fill_tile(r, 0.0);
-                }
-                ctx.tile_regs_commit();
-                for _ in 0..k {
-                    for r in 0..4 {
-                        ctx.pack_tile(r, INTERMED2);
-                    }
-                }
-                ctx.cb_push_back(INTERMED2, 4 * k);
-                ctx.tile_regs_release();
-
-                // Each source block serves every member in turn; a member
-                // takes its set from the ring's front and pushes it back,
-                // so the ring is in member order again after the block.
-                for j in cs..cs + cc {
-                    ctx.cb_wait_front(IN1, 5);
-                    ctx.cb_wait_front(IN2, 2);
-                    for (t, pairs) in damp.iter_mut().enumerate() {
-                        let due = pairs.next_if(|&&(src, _)| src == j);
-                        if let Some(&(_, page)) = due {
-                            if page != held {
-                                ctx.cb_pop_front(IN3, 1);
-                                ctx.cb_wait_front(IN3, 1);
-                                held = page;
-                            }
-                        }
-                        self.interact(ctx, 4 * t, due.is_some());
-                    }
-                    ctx.cb_pop_front(IN1, 5);
-                    ctx.cb_pop_front(IN2, 2);
-                }
-
-                // Flush each member's chunk partials to the output CB,
-                // folding the compensation back in so the host combine sees
-                // one tile per moment accumulator.
-                for _ in 0..k {
-                    ctx.cb_wait_front(INTERMED2, 4);
-                    ctx.cb_reserve_back(OUT0, 2);
-                    ctx.tile_regs_acquire();
-                    ctx.copy_tile(INTERMED2, 0, 0);
-                    ctx.copy_tile(INTERMED2, 2, 1);
-                    ctx.add_binary_tile(0, 1); // accW + cW
-                    ctx.copy_tile(INTERMED2, 1, 2);
-                    ctx.copy_tile(INTERMED2, 3, 3);
-                    ctx.add_binary_tile(2, 3); // accG + cG
-                    ctx.tile_regs_commit();
-                    ctx.pack_tile(0, OUT0);
-                    ctx.pack_tile(2, OUT0);
-                    ctx.cb_push_back(OUT0, 2);
-                    ctx.tile_regs_release();
-                    ctx.cb_pop_front(INTERMED2, 4);
-                }
+    fn run<'a>(&'a self, ctx: &'a mut ComputeCtx) -> KernelFuture<'a> {
+        Box::pin(async move {
+            assert!(self.eps_squared > 0.0, "device force kernel requires softening > 0");
+            let start = ctx.arg(args::START_TILE) as usize;
+            let count = ctx.arg(args::TILE_COUNT) as usize;
+            let n = ctx.arg(args::NUM_SOURCES) as usize;
+            if count == 0 {
+                return;
             }
-            ctx.cb_pop_front(IN0, 4 * k);
-            ctx.trace_span_end("group");
-        }
+            // The damping page at the front of IN3 is held until the plan
+            // needs a different one, mirroring the reader's pushes.
+            let schedule = damping_schedule(|i| ctx.arg(i), start, count);
+            let mut held = schedule[0][0].1;
+            ctx.cb_wait_front(IN3, 1).await;
+            let chunks = matrix_chunks(num_matrix_blocks(n));
+            for group in schedule.chunks(MATRIX_GROUP_BLOCKS) {
+                ctx.trace_span_begin("group");
+                let k = group.len();
+                ctx.cb_wait_front(IN0, 4 * k).await;
+                let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
+                for &(cs, cc) in &chunks {
+                    // Zero each member's moment accumulators and their Kahan
+                    // compensation tiles for this chunk: k sets of 4 in the
+                    // INTERMED2 ring, member 0's at the front.
+                    ctx.cb_reserve_back(INTERMED2, 4 * k).await;
+                    ctx.tile_regs_acquire();
+                    for r in 0..4 {
+                        ctx.fill_tile(r, 0.0);
+                    }
+                    ctx.tile_regs_commit();
+                    for _ in 0..k {
+                        for r in 0..4 {
+                            ctx.pack_tile(r, INTERMED2);
+                        }
+                    }
+                    ctx.cb_push_back(INTERMED2, 4 * k);
+                    ctx.tile_regs_release();
+
+                    // Each source block serves every member in turn; a member
+                    // takes its set from the ring's front and pushes it back,
+                    // so the ring is in member order again after the block.
+                    for j in cs..cs + cc {
+                        ctx.cb_wait_front(IN1, 5).await;
+                        ctx.cb_wait_front(IN2, 2).await;
+                        for (t, pairs) in damp.iter_mut().enumerate() {
+                            let due = pairs.next_if(|&&(src, _)| src == j);
+                            if let Some(&(_, page)) = due {
+                                if page != held {
+                                    ctx.cb_pop_front(IN3, 1);
+                                    ctx.cb_wait_front(IN3, 1).await;
+                                    held = page;
+                                }
+                            }
+                            self.interact(ctx, 4 * t, due.is_some()).await;
+                        }
+                        ctx.cb_pop_front(IN1, 5);
+                        ctx.cb_pop_front(IN2, 2);
+                    }
+
+                    // Flush each member's chunk partials to the output CB,
+                    // folding the compensation back in so the host combine sees
+                    // one tile per moment accumulator.
+                    for _ in 0..k {
+                        ctx.cb_wait_front(INTERMED2, 4).await;
+                        ctx.cb_reserve_back(OUT0, 2).await;
+                        ctx.tile_regs_acquire();
+                        ctx.copy_tile(INTERMED2, 0, 0);
+                        ctx.copy_tile(INTERMED2, 2, 1);
+                        ctx.add_binary_tile(0, 1); // accW + cW
+                        ctx.copy_tile(INTERMED2, 1, 2);
+                        ctx.copy_tile(INTERMED2, 3, 3);
+                        ctx.add_binary_tile(2, 3); // accG + cG
+                        ctx.tile_regs_commit();
+                        ctx.pack_tile(0, OUT0);
+                        ctx.pack_tile(2, OUT0);
+                        ctx.cb_push_back(OUT0, 2);
+                        ctx.tile_regs_release();
+                        ctx.cb_pop_front(INTERMED2, 4);
+                    }
+                }
+                ctx.cb_pop_front(IN0, 4 * k);
+                ctx.trace_span_end("group");
+            }
+        })
     }
 }
 
@@ -647,24 +659,28 @@ pub struct MatrixWriterKernel {
 }
 
 impl DataMovementKernel for MatrixWriterKernel {
-    fn run(&self, ctx: &mut DataMovementCtx) {
-        let start = ctx.arg(args::START_TILE) as usize;
-        let count = ctx.arg(args::TILE_COUNT) as usize;
-        for first in (start..start + count).step_by(MATRIX_GROUP_BLOCKS) {
-            ctx.trace_span_begin("group");
-            let group = first..(first + MATRIX_GROUP_BLOCKS).min(start + count);
-            for c in 0..self.num_chunks {
-                for blk in group.clone() {
-                    ctx.write_cb_to_page(OUT0, self.outputs[0], blk * self.num_chunks + c);
-                    ctx.write_cb_to_page(OUT0, self.outputs[1], blk * self.num_chunks + c);
+    fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a> {
+        Box::pin(async move {
+            let start = ctx.arg(args::START_TILE) as usize;
+            let count = ctx.arg(args::TILE_COUNT) as usize;
+            for first in (start..start + count).step_by(MATRIX_GROUP_BLOCKS) {
+                ctx.trace_span_begin("group");
+                let group = first..(first + MATRIX_GROUP_BLOCKS).min(start + count);
+                for c in 0..self.num_chunks {
+                    for blk in group.clone() {
+                        ctx.write_cb_to_page(OUT0, self.outputs[0], blk * self.num_chunks + c)
+                            .await;
+                        ctx.write_cb_to_page(OUT0, self.outputs[1], blk * self.num_chunks + c)
+                            .await;
+                    }
                 }
+                // Every chunk partial of the group is in DRAM only after its
+                // last chunk: publish the members' redo watermarks together.
+                for _ in group {
+                    ctx.mark_unit_complete();
+                }
+                ctx.trace_span_end("group");
             }
-            // Every chunk partial of the group is in DRAM only after its
-            // last chunk: publish the members' redo watermarks together.
-            for _ in group {
-                ctx.mark_unit_complete();
-            }
-            ctx.trace_span_end("group");
-        }
+        })
     }
 }

@@ -4,12 +4,12 @@
 //! overhead stays near `1/num_cores` instead of the full re-run's ~1.
 //!
 //! Two fault flavours are exercised. Injected compute stalls are rolled on
-//! the host thread at spawn, so the faulting core is a deterministic
-//! function of the one-shot schedule — that drives the per-core property
-//! test. Uncorrectable DRAM ECC panics tear down their core at once,
-//! which keeps the cost comparison immune to host load (the faulting core
-//! is then whichever reader hits the scheduled event, and the partial redo
-//! must cope with any of them).
+//! the launching thread, so the faulting core is a deterministic function
+//! of the one-shot schedule — that drives the per-core property test.
+//! Uncorrectable DRAM ECC panics stop their reader early, which keeps the
+//! cost comparison immune to host load (the faulting core is then whichever
+//! reader hits the scheduled event, and the partial redo must cope with any
+//! of them).
 
 use std::sync::{Arc, OnceLock};
 
@@ -49,11 +49,11 @@ fn small_golden() -> &'static Forces {
 ///
 /// Launch order is kernels-outer, cores-inner (reader instances land on
 /// fault events `1..=C`, compute on `C+1..=2C`), so the scheduled one-shot
-/// deterministically picks core `k`'s compute thread. Teardown of a stalled
-/// attempt is deadlock-driven: the stalled core's reader fills its input
-/// CBs and parks, its writer parks on an empty output CB, and once every
-/// instance on the core is parked the core is deadlocked. That tears down
-/// only that core and wakes the stalled thread, with no time budget.
+/// deterministically picks core `k`'s compute instance. The stalled
+/// attempt ends when its core stops moving: the stalled core's reader
+/// fills its input CBs and waits, its writer waits on an empty output CB,
+/// and once no task there can move the core's launch is over. Only that
+/// core is affected, with no time budget.
 fn run_with_stall(
     system: &ParticleSystem,
     num_cores: usize,
@@ -75,8 +75,8 @@ fn stalled_pipeline(n: usize, num_cores: usize, k: usize) -> DeviceForcePipeline
 
 /// Fail the 5th DRAM read of a `num_cores`-core launch with an
 /// uncorrectable ECC hit and run one evaluation under `policy`. The reader
-/// that draws it panics long before any tile completes, which tears down
-/// only its core at once; the survivors run to the end.
+/// that draws it panics long before any tile completes, which stops only
+/// its core; the survivors run to the end.
 fn run_with_dram_fault(
     system: &ParticleSystem,
     num_cores: usize,

@@ -5,7 +5,8 @@
 //! per-layer metrics on both clocks. This binary keeps only the host
 //! wall-clock entries no `perfbench` workload covers:
 //! `multi_device_time_to_solution` (one evaluation on a 2-card ring),
-//! `cb_throughput` (cross-thread circular-buffer streaming), `tile_ops`
+//! `cb_throughput` (circular-buffer streaming between one core's kernel
+//! tasks), `tile_ops`
 //! (FPU/SFPU tile math), `job_throughput` (draining the seeded serving
 //! campaign [`tt_harness::bench_campaign`] through `tt-server`),
 //! `serve_trace_overhead` (flight recorder on vs off, bounded by
@@ -27,18 +28,20 @@
 //! Wall-clock numbers are the minimum of several repetitions after a warmup
 //! pass, which keeps the 15% gate usable on a shared CI machine.
 
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 use nbody::force::{ForceKernel, SimdKernel};
 use nbody::ic::{plummer, PlummerConfig};
 use nbody_tt::{ForceEvaluator, MultiDevicePipeline, TreeConfig, TreeForceEvaluator};
-use tensix::cb::{CircularBuffer, CircularBufferConfig};
+use tensix::cb::CircularBufferConfig;
 use tensix::cost::ComputeCosts;
+use tensix::grid::CoreRangeSet;
 use tensix::tile::{Tile, TILE_DIM};
-use tensix::{fpu, sfpu, DataFormat, Device, DeviceConfig};
+use tensix::{fpu, sfpu, DataFormat, Device, DeviceConfig, NocId};
 use tt_harness::bench_campaign;
 use tt_server::{run_campaign, ServerConfig};
+use ttmetal::{cb_index, CommandQueue, DataMovementCtx, Program};
 
 /// Allowed regression of any entry against the committed baseline.
 const TOLERANCE: f64 = 0.15;
@@ -92,29 +95,42 @@ fn bench_multi_device_time_to_solution() -> f64 {
 }
 
 /// Producer/consumer tile streaming through one circular buffer — the
-/// synchronization fabric of the read/compute/write pipeline.
+/// synchronization fabric of the read/compute/write pipeline: two kernels
+/// of one core, run as the command queue's cooperative tasks.
 fn bench_cb_throughput() -> f64 {
-    let cb = CircularBuffer::new(CircularBufferConfig::new(8, DataFormat::Float32));
+    let device = Device::new(0, DeviceConfig::default());
+    let mut queue = CommandQueue::new(Arc::clone(&device));
+    let core = CoreRangeSet::first_n(1, 8);
+    let mut program = Program::new();
+    let config = CircularBufferConfig::new(8, DataFormat::Float32);
+    program.add_circular_buffer(core.clone(), cb_index::IN0, config);
+    program.add_data_movement_kernel(
+        "producer",
+        core.clone(),
+        NocId::Noc0,
+        Arc::new(async |ctx: &mut DataMovementCtx| {
+            let t = Tile::splat(DataFormat::Float32, 1.0);
+            for _ in 0..CB_TILES {
+                ctx.cb_reserve_back(cb_index::IN0, 1).await;
+                ctx.cb_write_tile(cb_index::IN0, &t);
+                ctx.cb_push_back(cb_index::IN0, 1);
+            }
+        }),
+    );
+    program.add_data_movement_kernel(
+        "consumer",
+        core,
+        NocId::Noc1,
+        Arc::new(async |ctx: &mut DataMovementCtx| {
+            for _ in 0..CB_TILES {
+                ctx.cb_wait_front(cb_index::IN0, 1).await;
+                let _t = ctx.cb_peek_tile(cb_index::IN0, 0);
+                ctx.cb_pop_front(cb_index::IN0, 1);
+            }
+        }),
+    );
     min_secs(REPS, || {
-        thread::scope(|scope| {
-            let producer = cb.clone();
-            scope.spawn(move || {
-                let t = Tile::splat(DataFormat::Float32, 1.0);
-                for _ in 0..CB_TILES {
-                    producer.reserve_back(1);
-                    producer.write_tile(&t);
-                    producer.push_back(1);
-                }
-            });
-            let consumer = cb.clone();
-            scope.spawn(move || {
-                for _ in 0..CB_TILES {
-                    consumer.wait_front(1);
-                    let _t = consumer.peek_tile(0);
-                    consumer.pop_front(1);
-                }
-            });
-        });
+        queue.enqueue_program(&program).unwrap();
     })
 }
 

@@ -43,18 +43,15 @@ pub mod server;
 pub mod wfq;
 
 /// Install a process-wide panic hook that silences the panics the resilient
-/// driver *catches by design* — device faults surfacing as
-/// [`tensix::TensixError`] payloads and kernel-thread [`tensix::KernelInterrupt`]s —
-/// while leaving every other panic's report intact. Without this, a storm
+/// driver *catches by design* — device faults surfacing in kernels as
+/// [`tensix::TensixError`] payloads — while leaving every other panic's
+/// report intact. Without this, a storm
 /// campaign sprays one default-hook backtrace per injected fault even
 /// though every one of them is handled. Call once at binary startup.
 pub fn install_fault_panic_filter() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let p = info.payload();
-        if p.downcast_ref::<tensix::TensixError>().is_none()
-            && p.downcast_ref::<tensix::KernelInterrupt>().is_none()
-        {
+        if info.payload().downcast_ref::<tensix::TensixError>().is_none() {
             default_hook(info);
         }
     }));

@@ -1,6 +1,6 @@
 //! Virtual time: per-kernel cycle counters and the device-level clock.
 //!
-//! The simulator never ties results to host wall-clock. Every kernel thread
+//! The simulator never ties results to host wall-clock. Every kernel instance
 //! accumulates cycles from the cost tables; a program's device time is the
 //! maximum across its kernel contexts (kernels on different cores and the
 //! three pipeline stages within a core run concurrently); and the device

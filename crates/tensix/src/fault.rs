@@ -13,9 +13,9 @@
 //!   ([`crate::TensixError::DramEccUncorrectable`]);
 //! * ERISC link flaps on the chip-to-chip Ethernet ports (retransmit cost,
 //!   or [`crate::TensixError::EthLinkDown`] when the flap persists);
-//! * compute-kernel stalls/hangs (the kernel never makes progress; the
-//!   hang deadlocks its core, which [`CoreWaits`] detects exactly and the
-//!   command queue converts into a structured error);
+//! * compute-kernel stalls/hangs (the kernel never makes progress; once
+//!   the rest of its core can no longer move either, the command queue
+//!   reports the stall as a structured error);
 //! * mid-run device loss (the card falls off the PCIe bus; every subsequent
 //!   operation fails with [`crate::TensixError::DeviceLost`] until a reset).
 //!
@@ -27,7 +27,6 @@
 //! index instead of a probability.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -446,126 +445,6 @@ impl FaultPlan {
     }
 }
 
-/// Why a blocked kernel primitive aborted the kernel. Carried as a typed
-/// panic payload (`std::panic::panic_any`) from the CB/semaphore waits to
-/// the command queue's supervisor, which classifies the program failure
-/// from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterruptKind {
-    /// Woken by poisoning during abnormal program teardown — a *secondary*
-    /// victim, not the root cause.
-    Poisoned,
-    /// The wait completed a deadlock: every unfinished instance on the core
-    /// is parked on an object nothing can change any more ([`CoreWaits`]).
-    Deadlock,
-}
-
-/// Typed panic payload raised by blocked primitives so the supervisor can
-/// tell a root-cause deadlock from its poisoned victims.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelInterrupt {
-    /// Classification.
-    pub kind: InterruptKind,
-    /// Human-readable detail (primitive, arguments, watched state).
-    pub detail: String,
-}
-
-impl std::fmt::Display for KernelInterrupt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self.kind {
-            InterruptKind::Poisoned => "poisoned",
-            InterruptKind::Deadlock => "deadlock",
-        };
-        write!(f, "{kind}: {}", self.detail)
-    }
-}
-
-/// Abort the current kernel with a typed [`KernelInterrupt`] payload.
-pub fn raise_interrupt(kind: InterruptKind, detail: String) -> ! {
-    std::panic::panic_any(KernelInterrupt { kind, detail });
-}
-
-/// Exact deadlock detection for the kernel instances of one core.
-///
-/// CBs and semaphores are core-local, so only a core's own instances can
-/// satisfy its waits. The core is therefore deadlocked exactly when every
-/// unfinished instance is parked on an object that has not changed since it
-/// parked. The detector counts both: `live` instances, and `parked` ones no
-/// change has signalled yet ([`ObjectWaits`] keeps the per-object side).
-/// There is no time budget, so slow progress is never mistaken for none.
-#[derive(Debug, Default)]
-pub struct CoreWaits(Mutex<(usize, usize)>);
-
-impl CoreWaits {
-    /// One more kernel instance will run on the core. Every instance is
-    /// added before any of them runs.
-    pub fn add_instance(&self) {
-        self.0.lock().0 += 1;
-    }
-
-    /// An instance parks. Returns whether that leaves every live instance
-    /// of the core parked: a deadlock.
-    pub fn park(&self) -> bool {
-        let (live, parked) = &mut *self.0.lock();
-        *parked += 1;
-        *parked == *live
-    }
-
-    /// An instance finished. Returns whether every instance still live is
-    /// parked, so that its exit left the core deadlocked.
-    pub fn finish(&self) -> bool {
-        let (live, parked) = &mut *self.0.lock();
-        *live -= 1;
-        *live > 0 && *parked == *live
-    }
-
-    /// `n` parked instances were woken by a change to what they wait on.
-    fn unpark(&self, n: usize) {
-        self.0.lock().1 -= n;
-    }
-}
-
-/// One CB's or semaphore's side of its core's [`CoreWaits`], kept under the
-/// object's own lock. Objects built outside a launch have no core: their
-/// waits block until satisfied or poisoned.
-#[derive(Debug)]
-pub struct ObjectWaits {
-    core: Option<Arc<CoreWaits>>,
-    /// Bumped by every change to the object.
-    epoch: u64,
-    /// Waiters counted parked on the object since its last change.
-    parked: usize,
-}
-
-impl ObjectWaits {
-    /// The waits of an object on the core `core` detects deadlocks for.
-    #[must_use]
-    pub fn new(core: Option<Arc<CoreWaits>>) -> Self {
-        ObjectWaits { core, epoch: 0, parked: 0 }
-    }
-
-    /// Count the caller parked on the object, unless it already is since
-    /// the epoch `seen` (a spurious wakeup). Returns whether its core is
-    /// now deadlocked.
-    pub fn park(&mut self, seen: &mut Option<u64>) -> bool {
-        let Some(core) = &self.core else { return false };
-        if seen.replace(self.epoch) == Some(self.epoch) {
-            return false;
-        }
-        self.parked += 1;
-        core.park()
-    }
-
-    /// The object changed: every waiter it wakes stops counting as parked.
-    pub fn changed(&mut self) {
-        self.epoch += 1;
-        if let (Some(core), woken @ 1..) = (&self.core, self.parked) {
-            core.unpark(woken);
-            self.parked = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,16 +603,5 @@ mod tests {
             FaultPlan::new(0, 0, scrub_cfg).dram_scrub_slowdown() > 1.0,
             "scrub steals read bandwidth"
         );
-    }
-
-    #[test]
-    fn interrupt_payload_roundtrips_through_panic() {
-        let caught = std::panic::catch_unwind(|| {
-            raise_interrupt(InterruptKind::Deadlock, "cb_wait_front(2)".into());
-        })
-        .unwrap_err();
-        let payload = caught.downcast_ref::<KernelInterrupt>().expect("typed payload");
-        assert_eq!(payload.kind, InterruptKind::Deadlock);
-        assert!(payload.to_string().contains("cb_wait_front"));
     }
 }

@@ -50,7 +50,7 @@ pub mod storm;
 pub mod tile;
 
 pub use catalog::{DeviceArch, DeviceCatalog};
-pub use cb::{CbStats, CircularBuffer, CircularBufferConfig};
+pub use cb::{CbStats, ChangeCounter, CircularBuffer, CircularBufferConfig};
 pub use clock::{CycleCounter, DeviceClock, KernelTiming};
 pub use cost::{CostModel, CLOCK_HZ};
 pub use device::{Device, DeviceConfig, ResetStats};
@@ -58,10 +58,7 @@ pub use dram::{BufferId, DramModel, DramStats, DRAM_CAPACITY, DRAM_CHANNELS};
 pub use dst::DstRegisters;
 pub use dtype::DataFormat;
 pub use error::{Result, TensixError};
-pub use fault::{
-    CoreWaits, DramReadFault, FaultClass, FaultConfig, FaultPlan, FaultStats, InterruptKind,
-    KernelInterrupt, ScrubConfig,
-};
+pub use fault::{DramReadFault, FaultClass, FaultConfig, FaultPlan, FaultStats, ScrubConfig};
 pub use grid::{CoreCoord, CoreRange, CoreRangeSet, GridSize};
 pub use noc::{NocId, NocModel};
 pub use power::{PowerParams, PowerState, PowerTimeline};

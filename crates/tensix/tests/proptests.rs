@@ -1,5 +1,9 @@
 //! Property-based tests on the device substrate's core invariants.
 
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tensix::cb::{CircularBuffer, CircularBufferConfig};
@@ -89,33 +93,49 @@ proptest! {
         }
     }
 
-    /// CB streaming preserves every page in order for any (depth, count).
+    /// A producer task and a consumer task streaming through one CB keep
+    /// every page in FIFO order and never hold more than the CB's depth,
+    /// whichever of them is polled at each step.
     #[test]
-    fn cb_preserves_page_stream(depth in 1usize..8, count in 1usize..40) {
+    fn cb_stream_survives_any_interleaving(
+        depth in 1usize..8,
+        count in 1usize..40,
+        schedule in vec(0usize..2, 0..160),
+    ) {
         let cb = CircularBuffer::new(CircularBufferConfig::new(depth, DataFormat::Float32));
-        let producer = cb.clone();
-        let consumer = cb.clone();
-        let seen = std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..count {
-                    producer.reserve_back(1);
-                    producer.write_tile(&Tile::splat(DataFormat::Float32, i as f32));
-                    producer.push_back(1);
-                }
-            });
-            let h = s.spawn(move || {
-                let mut seen = Vec::with_capacity(count);
-                for _ in 0..count {
-                    consumer.wait_front(1);
-                    seen.push(consumer.peek_tile(0).get(0, 0));
-                    consumer.pop_front(1);
-                }
-                seen
-            });
-            h.join().unwrap()
+        let mut producer = pin!(async {
+            for i in 0..count {
+                cb.reserve_back(1).await;
+                cb.write_tile(&Tile::splat(DataFormat::Float32, i as f32));
+                cb.push_back(1);
+            }
         });
+        let mut consumer = pin!(async {
+            let mut seen = Vec::with_capacity(count);
+            for _ in 0..count {
+                cb.wait_front(1).await;
+                seen.push(cb.peek_tile(0).get(0, 0));
+                cb.pop_front(1);
+            }
+            seen
+        });
+        let mut cx = Context::from_waker(Waker::noop());
+        let (mut produced, mut seen) = (false, None);
+        // The random schedule, then strict alternation until both finish.
+        let alternate = [true, false].into_iter().cycle().take(4 * count + 4);
+        for poll_producer in schedule.into_iter().map(|s| s == 1).chain(alternate) {
+            if poll_producer && !produced {
+                produced = producer.as_mut().poll(&mut cx).is_ready();
+            } else if !poll_producer && seen.is_none() {
+                if let Poll::Ready(s) = consumer.as_mut().poll(&mut cx) {
+                    seen = Some(s);
+                }
+            }
+            prop_assert!(cb.pages_visible() <= depth);
+        }
+        prop_assert!(produced);
         let expected: Vec<f32> = (0..count).map(|i| i as f32).collect();
-        prop_assert_eq!(seen, expected);
+        prop_assert_eq!(seen, Some(expected));
         let stats = cb.stats();
         prop_assert_eq!(stats.pages_pushed, count as u64);
         prop_assert_eq!(stats.pages_popped, count as u64);

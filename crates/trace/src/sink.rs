@@ -9,7 +9,7 @@ use crate::event::{EventKind, RiscRole, TraceEvent, HOST_CORE};
 
 /// Destination for trace events.
 ///
-/// Implementations must be cheap to call from kernel threads: the
+/// Implementations must be cheap to call from kernel instances: the
 /// simulator fetches the sink once per launch and each kernel instance
 /// writes through its own [`SpanEmitter`], so a single short lock per
 /// event is acceptable, but nothing here may touch the virtual clock.

@@ -83,7 +83,7 @@ impl KernelCtx {
     }
 
     /// Emit a trace instant at the current virtual time.
-    fn trace_instant(&mut self, name: &str, args: &[(&str, u64)]) {
+    pub(crate) fn trace_instant(&mut self, name: &str, args: &[(&str, u64)]) {
         let ts = self.counter.cycles();
         if let Some(tr) = self.tracer.as_mut() {
             tr.instant(name, ts, args);
@@ -135,10 +135,10 @@ impl KernelCtx {
         self.sem(index).inc(delta);
     }
 
-    /// `noc_semaphore_wait`: block until semaphore `index` equals `target`.
-    pub fn noc_semaphore_wait(&mut self, index: u8, target: u32) {
+    /// `noc_semaphore_wait`: wait until semaphore `index` equals `target`.
+    pub async fn noc_semaphore_wait(&mut self, index: u8, target: u32) {
         self.counter.add(self.device.costs().compute.cb_op);
-        self.sem(index).wait(target);
+        self.sem(index).wait(target).await;
     }
 
     /// The core this kernel instance runs on.
@@ -165,10 +165,10 @@ impl KernelCtx {
         self.counter.cycles()
     }
 
-    /// Producer: block until `n` pages are free in `cb` and reserve them.
-    pub fn cb_reserve_back(&mut self, cb: u8, n: usize) {
+    /// Producer: wait until `n` pages are free in `cb` and reserve them.
+    pub async fn cb_reserve_back(&mut self, cb: u8, n: usize) {
         self.counter.add(self.device.costs().compute.cb_op);
-        if self.cb(cb).reserve_back(n) {
+        if self.cb(cb).reserve_back(n).await {
             self.trace_instant("cb_stall", &[("cb", u64::from(cb)), ("producer", 1)]);
         }
     }
@@ -186,10 +186,10 @@ impl KernelCtx {
         self.cb(cb).push_back(n);
     }
 
-    /// Consumer: block until `n` pages are visible.
-    pub fn cb_wait_front(&mut self, cb: u8, n: usize) {
+    /// Consumer: wait until `n` pages are visible.
+    pub async fn cb_wait_front(&mut self, cb: u8, n: usize) {
         self.counter.add(self.device.costs().compute.cb_op);
-        if self.cb(cb).wait_front(n) {
+        if self.cb(cb).wait_front(n).await {
             self.trace_instant("cb_stall", &[("cb", u64::from(cb)), ("producer", 0)]);
         }
     }
@@ -375,8 +375,8 @@ impl DataMovementCtx {
     /// Convenience reader idiom: reserve, NoC-read a DRAM page into the CB,
     /// push. One call per tile keeps reader kernels close to the TT-Metalium
     /// originals without the pointer plumbing.
-    pub fn read_page_to_cb(&mut self, cb: u8, buf: BufferRef, page: usize) {
-        self.cb_reserve_back(cb, 1);
+    pub async fn read_page_to_cb(&mut self, cb: u8, buf: BufferRef, page: usize) {
+        self.cb_reserve_back(cb, 1).await;
         let tile = self.noc_async_read_tile(buf, page);
         self.noc_barrier();
         self.cb_write_tile(cb, &tile);
@@ -385,8 +385,8 @@ impl DataMovementCtx {
 
     /// Convenience writer idiom: wait on a CB page, NoC-write it to DRAM,
     /// pop.
-    pub fn write_cb_to_page(&mut self, cb: u8, buf: BufferRef, page: usize) {
-        self.cb_wait_front(cb, 1);
+    pub async fn write_cb_to_page(&mut self, cb: u8, buf: BufferRef, page: usize) {
+        self.cb_wait_front(cb, 1).await;
         let tile = self.cb_peek_tile(cb, 0);
         self.noc_async_write_tile(buf, page, &tile);
         self.noc_barrier();
@@ -824,9 +824,18 @@ mod tests {
         ComputeCtx::new(kernel, DataFormat::Float32)
     }
 
+    /// Run a wait that must not have to wait.
+    fn ready<F: std::future::Future>(wait: F) -> F::Output {
+        let cx = &mut std::task::Context::from_waker(std::task::Waker::noop());
+        match std::pin::pin!(wait).poll(cx) {
+            std::task::Poll::Ready(out) => out,
+            std::task::Poll::Pending => panic!("the wait would stall"),
+        }
+    }
+
     fn feed(ctx: &ComputeCtx, cb: u8, v: f32) {
         let c = ctx.cbs.get(&cb).unwrap();
-        c.reserve_back(1);
+        assert!(c.try_reserve_back(1));
         c.write_tile(&Tile::splat(DataFormat::Float32, v));
         c.push_back(1);
     }
@@ -850,22 +859,22 @@ mod tests {
         let mut ctx = mk_compute_ctx();
         feed(&ctx, 0, 5.0);
         feed(&ctx, 1, 1.0);
-        ctx.cb_wait_front(0, 1);
-        ctx.cb_wait_front(1, 1);
+        ready(ctx.cb_wait_front(0, 1));
+        ready(ctx.cb_wait_front(1, 1));
         ctx.tile_regs_acquire();
         ctx.sub_tiles(0, 1, 0, 0, 0); // 4.0
         ctx.square_tile(0); // 16.0
         ctx.rsqrt_tile(0); // 0.25
         assert_eq!(ctx.debug_dst(0).get(0, 0), 0.25);
         ctx.tile_regs_commit();
-        ctx.cb_reserve_back(16, 1);
+        ready(ctx.cb_reserve_back(16, 1));
         ctx.pack_tile(0, 16);
         ctx.cb_push_back(16, 1);
         ctx.tile_regs_release();
         ctx.cb_pop_front(0, 1);
         ctx.cb_pop_front(1, 1);
         let out = ctx.cbs.get(&16).unwrap();
-        out.wait_front(1);
+        assert!(out.has_front(1));
         assert_eq!(out.peek_tile(0).get(0, 0), 0.25);
         assert!(ctx.cycles() > 0);
     }
@@ -875,8 +884,8 @@ mod tests {
         let mut ctx = mk_compute_ctx();
         feed(&ctx, 0, 2.0);
         feed(&ctx, 1, 3.0);
-        ctx.cb_wait_front(0, 1);
-        ctx.cb_wait_front(1, 1);
+        ready(ctx.cb_wait_front(0, 1));
+        ready(ctx.cb_wait_front(1, 1));
         ctx.tile_regs_acquire();
         ctx.copy_tile(0, 0, 0);
         ctx.copy_tile(1, 0, 1);
@@ -900,8 +909,8 @@ mod tests {
         let mut ctx = mk_compute_ctx();
         feed(&ctx, 0, 1.0); // all-ones
         feed(&ctx, 1, 2.0);
-        ctx.cb_wait_front(0, 1);
-        ctx.cb_wait_front(1, 1);
+        ready(ctx.cb_wait_front(0, 1));
+        ready(ctx.cb_wait_front(1, 1));
         ctx.tile_regs_acquire();
         ctx.matmul_tiles(0, 1, 0, 0, 0, false);
         // (1*2) summed over k=32 = 64 in every cell.
@@ -920,11 +929,11 @@ mod tests {
         let vals: Vec<f32> = (0..1024).map(|i| 1.0 + (i % 113) as f32 * 0.37).collect();
         for (cb, scale) in [(0u8, 1.0f32), (1, -0.5)] {
             let c = ctx.cbs.get(&cb).unwrap();
-            c.reserve_back(1);
+            assert!(c.try_reserve_back(1));
             let scaled: Vec<f32> = vals.iter().map(|v| v * scale).collect();
             c.write_tile(&Tile::from_rowmajor(DataFormat::Float32, &scaled));
             c.push_back(1);
-            ctx.cb_wait_front(cb, 1);
+            ready(ctx.cb_wait_front(cb, 1));
         }
         ctx
     }
@@ -982,7 +991,7 @@ mod tests {
         }
         for ctx in [&mut whole, &mut half] {
             ctx.tile_regs_commit();
-            ctx.cb_reserve_back(16, 1);
+            ready(ctx.cb_reserve_back(16, 1));
         }
         let (w0, h0) = (whole.cycles(), half.cycles());
         whole.pack_tile(2, 16);
@@ -1001,7 +1010,7 @@ mod tests {
         let mut cbs = CbMap::new();
         for (cb, f) in [(0u8, format), (1, format), (2, page_format)] {
             let c = CircularBuffer::new(CircularBufferConfig::new(2, f));
-            c.reserve_back(2);
+            assert!(c.try_reserve_back(2));
             for page in 0..2u32 {
                 let mut x = 0x9e37_79b9u32 ^ (u32::from(cb) << 8 | page);
                 let vals: Vec<f32> = (0..tensix::TILE_ELEMS)
@@ -1022,7 +1031,7 @@ mod tests {
         let mut ctx =
             ComputeCtx::new(KernelCtx::new(dev, core, cbs, SemMap::new(), vec![], None), format);
         for cb in 0..3 {
-            ctx.cb_wait_front(cb, 2);
+            ready(ctx.cb_wait_front(cb, 2));
         }
         ctx
     }
@@ -1134,7 +1143,7 @@ mod tests {
     #[should_panic(expected = "not configured")]
     fn unknown_cb_panics() {
         let mut ctx = mk_compute_ctx();
-        ctx.cb_wait_front(9, 1);
+        ready(ctx.cb_wait_front(9, 1));
     }
 
     #[test]

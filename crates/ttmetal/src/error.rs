@@ -2,10 +2,10 @@
 //!
 //! The command queue used to panic the host process when a kernel pipeline
 //! deadlocked. [`LaunchError`] replaces that with a structured result: the
-//! queue supervises every kernel thread, classifies panics, deadlocked
-//! cores and injected faults, tears sibling kernels down cleanly (CB and
-//! semaphore poisoning), and reports *which* kernel on *which* core is the
-//! root cause.
+//! queue supervises every kernel instance, classifies panics, deadlocked
+//! cores and injected faults, drops the faulting core's waiting kernels
+//! once the core stops moving, and reports *which* kernel on *which* core
+//! is the root cause.
 
 use std::fmt;
 
@@ -40,20 +40,21 @@ pub enum LaunchError {
         /// Per-core completed-tile inventory at abort time.
         completed: Vec<CoreProgress>,
     },
-    /// A core deadlocked: every unfinished kernel instance on it was parked
-    /// on a CB or semaphore nothing could change any more.
+    /// A core deadlocked: every unfinished kernel instance on it waited on
+    /// a CB or semaphore nothing could change any more. `kernel` is the
+    /// first of them in launch order.
     Deadlock {
         /// Kernel label.
         kernel: String,
         /// Core the instance ran on.
         core: CoreCoord,
-        /// Which wait deadlocked.
+        /// What the deadlock looked like.
         message: String,
         /// Per-core completed-tile inventory at abort time.
         completed: Vec<CoreProgress>,
     },
     /// A kernel hung without making progress (injected compute stall); the
-    /// supervisor cancelled it and tore the rest of the program down.
+    /// supervisor dropped it once the rest of its core stopped moving.
     Stall {
         /// Kernel label.
         kernel: String,

@@ -4,16 +4,24 @@
 //! two *data-movement* kernels (on the RISC-V NC and B cores, one per NoC)
 //! and one *compute* kernel (driving the UNPACK/MATH/PACK trio). In the
 //! simulator a kernel is a Rust value implementing [`DataMovementKernel`] or
-//! [`ComputeKernel`]; the command queue runs each on its own OS thread, so
-//! the read → compute → write pipeline genuinely overlaps through the
-//! circular buffers, as in the paper's dataflow execution model.
+//! [`ComputeKernel`], whose body is an `async` block: the CB and semaphore
+//! waits are `.await` points. The command queue runs a core's kernels as
+//! cooperative tasks on one host thread, so the read → compute → write
+//! pipeline interleaves through the circular buffers, as in the paper's
+//! dataflow execution model.
 //!
 //! Kernels signal fatal errors by panicking (the hardware analogue is a
-//! hung/asserted core); the queue converts panics into
-//! [`tensix::TensixError::KernelFault`] and poisons the program's CBs so the
-//! remaining kernels terminate instead of deadlocking.
+//! hung/asserted core); the queue reports the panic as a
+//! [`crate::LaunchError`] once the rest of the core has stopped moving.
+
+use std::future::Future;
+use std::pin::Pin;
 
 use crate::context::{ComputeCtx, DataMovementCtx};
+
+/// One run of a kernel body: a future borrowing the kernel and its context.
+/// It is polled on the thread that created it, so it need not be `Send`.
+pub type KernelFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
 
 /// Circular-buffer indices, following the TT-Metalium convention.
 pub mod cb_index {
@@ -66,33 +74,33 @@ pub mod cb_index {
 pub trait DataMovementKernel: Send + Sync {
     /// Kernel body. Runs once per enqueue on every core in the kernel's core
     /// set, with per-core runtime arguments available through the context.
-    fn run(&self, ctx: &mut DataMovementCtx);
+    fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a>;
 }
 
 /// A compute kernel, executed on the UNPACK/MATH/PACK compute cores.
 pub trait ComputeKernel: Send + Sync {
     /// Kernel body.
-    fn run(&self, ctx: &mut ComputeCtx);
+    fn run<'a>(&'a self, ctx: &'a mut ComputeCtx) -> KernelFuture<'a>;
 }
 
 impl<F> DataMovementKernel for F
 where
-    F: Fn(&mut DataMovementCtx) + Send + Sync,
+    F: AsyncFn(&mut DataMovementCtx) + Send + Sync,
 {
-    fn run(&self, ctx: &mut DataMovementCtx) {
-        self(ctx);
+    fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a> {
+        Box::pin(self(ctx))
     }
 }
 
-/// Wrapper so plain closures can serve as compute kernels without clashing
-/// with the blanket data-movement impl.
+/// Wrapper so `async` closures can serve as compute kernels without
+/// clashing with the blanket data-movement impl.
 pub struct ComputeFn<F>(pub F);
 
 impl<F> ComputeKernel for ComputeFn<F>
 where
-    F: Fn(&mut ComputeCtx) + Send + Sync,
+    F: AsyncFn(&mut ComputeCtx) + Send + Sync,
 {
-    fn run(&self, ctx: &mut ComputeCtx) {
-        self.0(ctx);
+    fn run<'a>(&'a self, ctx: &'a mut ComputeCtx) -> KernelFuture<'a> {
+        Box::pin((self.0)(ctx))
     }
 }

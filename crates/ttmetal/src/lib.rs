@@ -17,10 +17,11 @@
 //! * [`queue`] — `EnqueueWriteBuffer` / `EnqueueReadBuffer` /
 //!   `EnqueueProgram` with per-program timing reports.
 //!
-//! Each kernel instance runs on a dedicated OS thread, so the
-//! read → compute → write dataflow genuinely overlaps through the circular
-//! buffers, with real back-pressure — the execution model Section 2 of the
-//! paper describes.
+//! Kernel bodies are `async`: a core's kernel instances run as cooperative
+//! tasks on one host thread, so the read → compute → write dataflow
+//! interleaves through the circular buffers with real back-pressure — the
+//! execution model Section 2 of the paper describes — while a launch needs
+//! no more host threads than the host has.
 
 #![warn(missing_docs)]
 
@@ -38,7 +39,7 @@ pub use buffer::{Buffer, BufferRef};
 pub use context::{CbMap, ComputeCtx, DataMovementCtx, KernelCtx, SemMap};
 pub use error::{CoreProgress, LaunchError};
 pub use host::{close_device, create_device, open_cluster};
-pub use kernel::{cb_index, ComputeFn, ComputeKernel, DataMovementKernel};
+pub use kernel::{cb_index, ComputeFn, ComputeKernel, DataMovementKernel, KernelFuture};
 pub use program::{KernelId, Program};
 pub use queue::{CbReport, CommandQueue, ProgramReport, PCIE_BYTES_PER_S};
 pub use semaphore::Semaphore;

@@ -8,7 +8,6 @@
 //! step).
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use tensix::cb::CircularBufferConfig;
@@ -17,7 +16,7 @@ use tensix::{DataFormat, NocId};
 use tt_trace::RiscRole;
 
 use crate::context::{ComputeCtx, DataMovementCtx, KernelCtx};
-use crate::kernel::{cb_index, ComputeKernel, DataMovementKernel};
+use crate::kernel::{cb_index, ComputeKernel, DataMovementKernel, KernelFuture};
 
 /// Handle to a kernel added to a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,22 +39,51 @@ impl KernelBody {
         }
     }
 
-    /// Run the kernel once in its role's context around `ctx`, catching a
-    /// panic. Returns `ctx` with the cycles it charged, the compute
-    /// instance's `[matrix, vector]` pipe cycles (zero for data movement)
-    /// and the panic payload, if any.
-    pub(crate) fn run(&self, ctx: KernelCtx) -> (KernelCtx, [u64; 2], std::thread::Result<()>) {
+    /// Wrap `ctx` in the context of the kernel's role.
+    pub(crate) fn context(&self, ctx: KernelCtx) -> RoleCtx {
         match self {
-            KernelBody::DataMovement { noc, kernel } => {
-                let mut ctx = DataMovementCtx::new(ctx, *noc);
-                let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
-                (ctx.into_kernel(), [0, 0], outcome)
+            KernelBody::DataMovement { noc, .. } => {
+                RoleCtx::DataMovement(DataMovementCtx::new(ctx, *noc))
             }
-            KernelBody::Compute { format, kernel } => {
-                let mut ctx = ComputeCtx::new(ctx, *format);
-                let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut ctx)));
+            KernelBody::Compute { format, .. } => RoleCtx::Compute(ComputeCtx::new(ctx, *format)),
+        }
+    }
+
+    /// One run of the kernel on `ctx`, which [`Self::context`] made.
+    pub(crate) fn start<'a>(&'a self, ctx: &'a mut RoleCtx) -> KernelFuture<'a> {
+        match (self, ctx) {
+            (KernelBody::DataMovement { kernel, .. }, RoleCtx::DataMovement(ctx)) => {
+                kernel.run(ctx)
+            }
+            (KernelBody::Compute { kernel, .. }, RoleCtx::Compute(ctx)) => kernel.run(ctx),
+            _ => unreachable!("a kernel runs in its own role's context"),
+        }
+    }
+}
+
+/// A kernel instance's context in the form its role's kernel takes.
+pub(crate) enum RoleCtx {
+    DataMovement(DataMovementCtx),
+    Compute(ComputeCtx),
+}
+
+impl RoleCtx {
+    /// The shared context.
+    pub(crate) fn kernel(&mut self) -> &mut KernelCtx {
+        match self {
+            RoleCtx::DataMovement(ctx) => ctx,
+            RoleCtx::Compute(ctx) => ctx,
+        }
+    }
+
+    /// The shared context back, with the compute instance's
+    /// `[matrix, vector]` pipe cycles (zero for data movement).
+    pub(crate) fn finish(self) -> (KernelCtx, [u64; 2]) {
+        match self {
+            RoleCtx::DataMovement(ctx) => (ctx.into_kernel(), [0, 0]),
+            RoleCtx::Compute(ctx) => {
                 let pipes = [ctx.matrix_cycles(), ctx.vector_cycles()];
-                (ctx.into_kernel(), pipes, outcome)
+                (ctx.into_kernel(), pipes)
             }
         }
     }
@@ -288,7 +316,7 @@ mod tests {
     }
 
     fn noop_dm() -> Arc<dyn DataMovementKernel> {
-        Arc::new(|_ctx: &mut DataMovementCtx| {})
+        Arc::new(async |_ctx: &mut DataMovementCtx| {})
     }
 
     #[test]

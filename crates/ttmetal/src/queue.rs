@@ -5,27 +5,34 @@
 //! the simulator `enqueue_program` executes synchronously and returns a
 //! [`ProgramReport`] with the launch's virtual time. The *device-side*
 //! concurrency the paper relies on — reader, compute and writer kernels
-//! overlapping through CBs across many cores — is real: each kernel instance
-//! runs on its own OS thread.
+//! overlapping through CBs on every core — runs as cooperative tasks: one
+//! job per core polls the core's kernel futures in launch order on one host
+//! thread, and the cores' jobs share the worker pool ([`crate::pool`]).
+//! CBs and semaphores are core-local, so no wait ever needs a kernel on
+//! another core, or another thread, to move.
 //!
 //! The queue also acts as the **launch supervisor**: kernel panics,
 //! deadlocked cores, injected compute stalls and mid-run device loss are
-//! caught, the faulting core is torn down cleanly (poisoned CBs and
-//! semaphores plus a cancel token, never a hung host thread), and the root
-//! cause is reported as a structured [`LaunchError`] naming the faulting
-//! kernel and core. Deadlock detection is exact and per core, with no time
-//! budget: a core is deadlocked when every unfinished instance on it is
-//! parked on a CB or semaphore nothing has changed since, or in an injected
-//! stall ([`tensix::CoreWaits`]).
+//! caught, and the root cause is reported as a structured [`LaunchError`]
+//! naming the faulting kernel and core. A panicking kernel's task stops and
+//! an injected stall is a task that never finishes; the rest of the core
+//! runs on until it is *quiescent*: a round of polls in which no task
+//! finishes and no CB or semaphore changes ([`ChangeCounter`]) leaves every
+//! task waiting where it was. That test is exact, with no time budget. At
+//! quiescence a core with a panicked or stalled task reports it, and every
+//! task still waiting is its victim; otherwise the first task still waiting
+//! in launch order is the root cause of a deadlock. The waiting tasks are
+//! then dropped. A fault stops only its own core: other cores' pipelines
+//! are self-contained and run to completion, which is what makes their
+//! completed tile ranges trustworthy for a partial redo.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
-use parking_lot::{Condvar, Mutex};
-use tensix::cb::{CbStats, CircularBuffer};
+use tensix::cb::{CbStats, ChangeCounter, CircularBuffer};
 use tensix::clock::{program_seconds, KernelTiming};
-use tensix::fault::{CoreWaits, InterruptKind, KernelInterrupt};
 use tensix::grid::CoreCoord;
 use tensix::{Device, Result, TensixError, Tile};
 use tt_trace::{SpanEmitter, TraceSink};
@@ -33,7 +40,8 @@ use tt_trace::{SpanEmitter, TraceSink};
 use crate::buffer::Buffer;
 use crate::context::{CbMap, KernelCtx, SemMap};
 use crate::error::{CoreProgress, LaunchError};
-use crate::program::Program;
+use crate::kernel::KernelFuture;
+use crate::program::{KernelBody, Program, RoleCtx};
 use crate::semaphore::Semaphore;
 
 /// Effective host↔device bandwidth over PCIe 4.0 x16, bytes/s.
@@ -68,32 +76,9 @@ pub struct ProgramReport {
     pub cb_stats: Vec<CbReport>,
 }
 
-/// Shared flag that wakes an injected stall once its core is torn down.
-#[derive(Clone, Default)]
-struct CancelToken(Arc<(Mutex<bool>, Condvar)>);
-
-impl CancelToken {
-    fn cancel(&self) {
-        let (lock, cvar) = &*self.0;
-        *lock.lock() = true;
-        cvar.notify_all();
-    }
-
-    /// Wait until cancelled.
-    fn wait(&self) {
-        let (lock, cvar) = &*self.0;
-        let mut done = lock.lock();
-        while !*done {
-            cvar.wait(&mut done);
-        }
-    }
-}
-
-/// Root-cause priority, ascending: a poisoned sibling is always a victim, a
-/// genuine stall always the cause.
+/// Root-cause priority, ascending: a genuine stall always wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum AbortKind {
-    Poisoned,
     Deadlock,
     Panic,
     Stall,
@@ -107,72 +92,103 @@ struct KernelAbort {
     message: String,
 }
 
-fn classify_abort(label: &str, core: CoreCoord, e: Box<dyn std::any::Any + Send>) -> KernelAbort {
-    let e = match e.downcast::<KernelInterrupt>() {
-        Ok(interrupt) => {
-            let kind = match interrupt.kind {
-                InterruptKind::Poisoned => AbortKind::Poisoned,
-                InterruptKind::Deadlock => AbortKind::Deadlock,
-            };
-            return KernelAbort {
-                kind,
-                kernel: label.to_string(),
-                core,
-                message: interrupt.detail,
-            };
-        }
-        Err(e) => e,
-    };
-    let e = match e.downcast::<TensixError>() {
-        Ok(te) => {
-            return KernelAbort {
-                kind: AbortKind::Panic,
-                kernel: label.to_string(),
-                core,
-                message: te.to_string(),
-            };
-        }
-        Err(e) => e,
-    };
-    let detail = e
-        .downcast_ref::<String>()
+/// The message of a kernel's panic payload.
+fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+    if let Some(te) = e.downcast_ref::<TensixError>() {
+        return te.to_string();
+    }
+    e.downcast_ref::<String>()
         .map(String::as_str)
         .or_else(|| e.downcast_ref::<&str>().copied())
-        .unwrap_or("unknown panic");
-    KernelAbort {
-        kind: AbortKind::Panic,
-        kernel: label.to_string(),
-        core,
-        message: detail.to_string(),
-    }
+        .unwrap_or("unknown panic")
+        .to_string()
 }
 
-/// One core's share of a launch: its CBs and semaphores, the deadlock
-/// detector they share, and the token its injected stall parks on.
-///
-/// CBs and semaphores are core-local, so a fault tears down only its own
-/// core: siblings there unwind promptly, while other cores' pipelines are
-/// self-contained and run to completion — that is what makes their
-/// completed tile ranges trustworthy for a partial redo.
-#[derive(Clone, Default)]
-struct CoreObjects {
-    cbs: CbMap,
-    sems: SemMap,
-    waits: Arc<CoreWaits>,
-    cancel: CancelToken,
+/// One kernel instance of a launch, with its place in launch order
+/// (kernels outer, cores inner).
+struct Instance {
+    order: usize,
+    label: String,
+    core_index: usize,
+    body: KernelBody,
+    /// Rolled at launch: the instance hangs without making progress.
+    stalled: bool,
+    ctx: RoleCtx,
 }
 
-impl CoreObjects {
-    /// Poison the core's CBs and semaphores and wake its injected stall.
-    fn teardown(&self) {
-        for cb in self.cbs.values() {
-            cb.poison();
+/// One core's share of a launch: its instances in launch order and the
+/// counter their CBs and semaphores bump.
+struct CoreRun {
+    core: CoreCoord,
+    changes: ChangeCounter,
+    instances: Vec<Instance>,
+}
+
+/// A finished instance: its place in launch order, timing and abort.
+type Outcome = (usize, KernelTiming, Option<KernelAbort>);
+
+/// Run one core's instances as cooperative tasks until the core is
+/// quiescent, then classify what is left (see the module docs).
+fn run_core(run: CoreRun) -> Vec<Outcome> {
+    let CoreRun { core, changes, mut instances } = run;
+    let mut aborts: Vec<Option<(AbortKind, String)>> = instances
+        .iter()
+        .map(|i| {
+            i.stalled.then(|| (AbortKind::Stall, "kernel made no progress (injected stall)".into()))
+        })
+        .collect();
+    {
+        let mut tasks: Vec<Option<KernelFuture<'_>>> = instances
+            .iter_mut()
+            .map(|Instance { body, stalled, ctx, .. }| {
+                Some(if *stalled { Box::pin(std::future::pending()) } else { body.start(ctx) })
+            })
+            .collect();
+        let mut cx = Context::from_waker(Waker::noop());
+        loop {
+            let seen = changes.get();
+            let mut finished = false;
+            for (slot, abort) in tasks.iter_mut().zip(&mut aborts) {
+                let Some(task) = slot else { continue };
+                match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+                    Ok(Poll::Pending) => continue,
+                    Ok(Poll::Ready(())) => {}
+                    Err(payload) => *abort = Some((AbortKind::Panic, panic_message(&*payload))),
+                }
+                *slot = None;
+                finished = true;
+            }
+            if !finished && changes.get() == seen {
+                break;
+            }
         }
-        for sem in self.sems.values() {
-            sem.poison();
+        // Quiescent. Without a panic or stall to blame, the first task still
+        // waiting is the deadlock's root cause; the others are victims.
+        if aborts.iter().all(Option::is_none) {
+            if let Some(i) = tasks.iter().position(Option::is_some) {
+                let message = "no kernel on the core can move: each waits on a CB or semaphore \
+                               no running kernel will change";
+                aborts[i] = Some((AbortKind::Deadlock, message.to_string()));
+            }
         }
-        self.cancel.cancel();
     }
+    instances
+        .into_iter()
+        .zip(aborts)
+        .map(|(Instance { order, label, core_index, ctx, .. }, abort)| {
+            let (mut ctx, [matrix_cycles, vector_cycles]) = ctx.finish();
+            ctx.trace_kernel_end();
+            let abort = abort.map(|(kind, message)| KernelAbort {
+                kind,
+                kernel: label.clone(),
+                core,
+                message,
+            });
+            let cycles = ctx.cycles();
+            let timing = KernelTiming { label, core_index, cycles, matrix_cycles, vector_cycles };
+            (order, timing, abort)
+        })
+        .collect()
 }
 
 /// The command queue of one device.
@@ -238,17 +254,16 @@ impl CommandQueue {
         Ok(out)
     }
 
-    /// `EnqueueProgram`: instantiate CBs and semaphores, launch every kernel
-    /// instance on its own thread under supervision, join, and aggregate
-    /// timing.
+    /// `EnqueueProgram`: instantiate CBs and semaphores, run every core's
+    /// kernel instances under supervision, and aggregate timing.
     ///
     /// # Errors
     /// * [`LaunchError::Device`] if the CB configuration does not fit in L1;
     /// * [`LaunchError::DeviceLost`] if the card is (or falls) off the bus;
     /// * [`LaunchError::KernelPanic`] / [`LaunchError::Deadlock`] /
     ///   [`LaunchError::Stall`] naming the root-cause kernel and core when a
-    ///   kernel fails. Sibling kernels are always torn down cleanly via CB
-    ///   and semaphore poisoning — a failed launch never wedges the host.
+    ///   kernel fails. The faulting core's waiting kernels are dropped once
+    ///   it stops moving — a failed launch never wedges the host.
     pub fn enqueue_program(
         &mut self,
         program: &Program,
@@ -271,8 +286,8 @@ impl CommandQueue {
         let epoch = sink.as_ref().map(|s| s.begin_epoch());
 
         // Instantiate each core's circular buffers (allocating their L1) and
-        // semaphores around the core's one deadlock detector.
-        let mut cores: HashMap<CoreCoord, CoreObjects> = HashMap::new();
+        // semaphores around the core's one change counter.
+        let mut cores: HashMap<CoreCoord, (CbMap, SemMap, ChangeCounter)> = HashMap::new();
         for entry in &program.cbs {
             for core in entry.cores.iter() {
                 if let Err(e) = self.device.alloc_l1(core, entry.config.total_bytes()) {
@@ -280,161 +295,78 @@ impl CommandQueue {
                     self.device.free_all_l1();
                     return Err(e.into());
                 }
-                let objects = cores.entry(core).or_default();
-                let cb = CircularBuffer::on_core(entry.config, Some(Arc::clone(&objects.waits)));
-                objects.cbs.insert(entry.index, cb);
+                let (cbs, _, changes) = cores.entry(core).or_default();
+                cbs.insert(entry.index, CircularBuffer::on_core(entry.config, changes.clone()));
             }
         }
         for entry in &program.sems {
             for core in entry.cores.iter() {
-                let objects = cores.entry(core).or_default();
-                let sem = Semaphore::on_core(entry.initial, Some(Arc::clone(&objects.waits)));
-                objects.sems.insert(entry.index, sem);
+                let (_, sems, changes) = cores.entry(core).or_default();
+                sems.insert(entry.index, Semaphore::on_core(entry.initial, changes.clone()));
             }
         }
 
-        // Launch one kernel instance per pool job. Stall injection is rolled
-        // here, on the host thread, so the affected instance is a
-        // deterministic function of the seed and launch order. Jobs run on
-        // the persistent worker pool (reused across launches) and report
-        // back tagged with their launch-order index; results are collected
-        // back into submission order below, so timing/abort aggregation is
-        // byte-for-byte what the old join-in-order loop produced. Every
-        // instance is counted on its core before any job runs.
-        type KernelOutcome = (KernelTiming, Option<KernelAbort>);
-        type InstanceBody = Box<dyn FnOnce(&CoreObjects) -> KernelOutcome + Send + 'static>;
-        // `None` payload = the instance body panicked outside its own
-        // catch_unwind (the old `JoinHandle::join` Err arm).
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Option<KernelOutcome>)>();
-        let mut jobs: Vec<crate::pool::Job> = Vec::new();
-        let mut submit = |core: CoreCoord, body: InstanceBody| {
-            let objects = cores.entry(core).or_default().clone();
-            objects.waits.add_instance();
-            let idx = jobs.len();
-            let tx = tx.clone();
-            jobs.push(Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| body(&objects))).ok();
-                // An aborted instance tears its core down; so does a clean
-                // exit that leaves every sibling on the core parked.
-                let aborted = !matches!(outcome, Some((_, None)));
-                if objects.waits.finish() || aborted {
-                    objects.teardown();
-                }
-                let _ = tx.send((idx, outcome));
-            }));
-        };
+        // Group the kernel instances by core, in launch order. Stall
+        // injection is rolled here, on the host thread, so the affected
+        // instance is a deterministic function of the seed and launch order.
+        let mut runs: Vec<CoreRun> = Vec::new();
+        let mut run_of: HashMap<CoreCoord, usize> = HashMap::new();
+        let mut order = 0;
         for entry in &program.kernels {
             let role = entry.body.role();
             for core in entry.cores.iter() {
-                let device = Arc::clone(&self.device);
-                let label = entry.label.clone();
-                let args = program.args_for(entry, core);
                 let core_index = grid.index_of(core);
-                let mut tracer = match (&sink, epoch) {
+                let tracer = match (&sink, epoch) {
                     (Some(s), Some(e)) => {
                         Some(SpanEmitter::new(Arc::clone(s), e, core_index as u32, role))
                     }
                     _ => None,
                 };
-                let stall =
+                let stalled =
                     !self.device.faults().disarmed() && self.device.faults().roll_kernel_stall();
-                if stall {
-                    // The kernel hangs without making progress: it parks
-                    // until its core is torn down. If it is the last
-                    // instance there to park, the core is deadlocked and
-                    // the stall's own abort tears it down.
-                    submit(
-                        core,
-                        Box::new(move |objects: &CoreObjects| {
-                            if let Some(tr) = tracer.as_mut() {
-                                tr.instant("injected_stall", 0, &[]);
-                            }
-                            if !objects.waits.park() {
-                                objects.cancel.wait();
-                            }
-                            let abort = KernelAbort {
-                                kind: AbortKind::Stall,
-                                kernel: label.clone(),
-                                core,
-                                message: "kernel made no progress (injected stall)".to_string(),
-                            };
-                            (
-                                KernelTiming { label, core_index, ..KernelTiming::default() },
-                                Some(abort),
-                            )
-                        }),
-                    );
-                    continue;
-                }
-                let body = entry.body.clone();
-                submit(
+                let (cbs, sems, changes) = cores.entry(core).or_default();
+                let args = program.args_for(entry, core);
+                let ctx = KernelCtx::new(
+                    Arc::clone(&self.device),
                     core,
-                    Box::new(move |objects: &CoreObjects| {
-                        let (cbs, sems) = (objects.cbs.clone(), objects.sems.clone());
-                        let mut ctx = KernelCtx::new(device, core, cbs, sems, args, tracer);
-                        ctx.trace_kernel_begin(&label);
-                        let (mut ctx, [matrix_cycles, vector_cycles], outcome) = body.run(ctx);
-                        ctx.trace_kernel_end();
-                        let abort = outcome.err().map(|e| classify_abort(&label, core, e));
-                        let cycles = ctx.cycles();
-                        (
-                            KernelTiming {
-                                label,
-                                core_index,
-                                cycles,
-                                matrix_cycles,
-                                vector_cycles,
-                            },
-                            abort,
-                        )
-                    }),
+                    cbs.clone(),
+                    sems.clone(),
+                    args,
+                    tracer,
                 );
-            }
-        }
-        drop(tx);
-
-        let instance_count = jobs.len();
-        let batch = crate::pool::WorkerPool::global().submit_batch(jobs);
-        let mut slots: Vec<Option<Option<KernelOutcome>>> = Vec::new();
-        slots.resize_with(instance_count, || None);
-        for _ in 0..instance_count {
-            // Every job sends exactly once (the pool keeps workers alive
-            // through panics), so recv cannot hang short of worker death —
-            // treat a hung-up channel like a crashed instance.
-            match rx.recv() {
-                Ok((idx, outcome)) => slots[idx] = Some(outcome),
-                Err(_) => break,
-            }
-        }
-        // Return only once the workers have retired this launch's jobs, so
-        // the next launch finds them idle instead of growing the pool.
-        batch.wait();
-
-        let mut timings = Vec::with_capacity(instance_count);
-        let mut aborts: Vec<KernelAbort> = Vec::new();
-        for slot in slots {
-            match slot.flatten() {
-                Some((timing, abort)) => {
-                    timings.push(timing);
-                    if let Some(a) = abort {
-                        aborts.push(a);
-                    }
+                let mut ctx = entry.body.context(ctx);
+                if stalled {
+                    ctx.kernel().trace_instant("injected_stall", &[]);
+                } else {
+                    ctx.kernel().trace_kernel_begin(&entry.label);
                 }
-                None => aborts.push(KernelAbort {
-                    kind: AbortKind::Panic,
-                    kernel: "<supervisor>".to_string(),
-                    core: CoreCoord::new(0, 0),
-                    message: "kernel thread aborted".to_string(),
-                }),
+                let run = *run_of.entry(core).or_insert_with(|| {
+                    runs.push(CoreRun { core, changes: changes.clone(), instances: Vec::new() });
+                    runs.len() - 1
+                });
+                let label = entry.label.clone();
+                let body = entry.body.clone();
+                runs[run].instances.push(Instance { order, label, core_index, body, stalled, ctx });
+                order += 1;
             }
+        }
+
+        let mut outcomes: Vec<Outcome> =
+            crate::pool::WorkerPool::global().map(runs, run_core).into_iter().flatten().collect();
+        outcomes.sort_by_key(|(order, ..)| *order);
+        let mut timings = Vec::with_capacity(outcomes.len());
+        let mut aborts: Vec<KernelAbort> = Vec::new();
+        for (_, timing, abort) in outcomes {
+            timings.push(timing);
+            aborts.extend(abort);
         }
 
         // Harvest CB statistics before teardown drops the rings: the stats
         // were always counted, this is where they get out.
         let mut cb_stats: Vec<CbReport> = Vec::new();
-        for (core, objects) in &cores {
+        for (core, (cbs, ..)) in &cores {
             let core_index = grid.index_of(*core);
-            for (index, cb) in &objects.cbs {
+            for (index, cb) in cbs {
                 cb_stats.push(CbReport {
                     core: *core,
                     core_index,
@@ -483,11 +415,7 @@ impl CommandQueue {
             return Err(match kind {
                 AbortKind::Stall => LaunchError::Stall { kernel, core, completed },
                 AbortKind::Panic => LaunchError::KernelPanic { kernel, core, message, completed },
-                // A launch whose best root cause is a poisoned victim still
-                // reports where the pipeline stopped.
-                AbortKind::Deadlock | AbortKind::Poisoned => {
-                    LaunchError::Deadlock { kernel, core, message, completed }
-                }
+                AbortKind::Deadlock => LaunchError::Deadlock { kernel, core, message, completed },
             });
         }
         let seconds = program_seconds(self.device.costs(), &timings);
@@ -598,11 +526,11 @@ mod tests {
             "reader",
             cores.clone(),
             NocId::Noc0,
-            Arc::new(move |ctx: &mut DataMovementCtx| {
+            Arc::new(async move |ctx: &mut DataMovementCtx| {
                 let start = ctx.arg(0) as usize;
                 let count = ctx.arg(1) as usize - usize::from(short == Some(ctx.core()));
                 for page in start..start + count {
-                    ctx.read_page_to_cb(cb_index::IN0, inref, page);
+                    ctx.read_page_to_cb(cb_index::IN0, inref, page).await;
                 }
             }),
         );
@@ -610,16 +538,16 @@ mod tests {
             "double",
             cores.clone(),
             DataFormat::Float32,
-            Arc::new(ComputeFn(move |ctx: &mut ComputeCtx| {
+            Arc::new(ComputeFn(async move |ctx: &mut ComputeCtx| {
                 let count = ctx.arg(1) as usize;
                 for _ in 0..count {
-                    ctx.cb_wait_front(cb_index::IN0, 1);
+                    ctx.cb_wait_front(cb_index::IN0, 1).await;
                     ctx.tile_regs_acquire();
                     ctx.copy_tile(cb_index::IN0, 0, 0);
                     ctx.scale_tile(0, 2.0, 0.0);
                     ctx.tile_regs_commit();
                     std::thread::sleep(nap);
-                    ctx.cb_reserve_back(cb_index::OUT0, 1);
+                    ctx.cb_reserve_back(cb_index::OUT0, 1).await;
                     ctx.pack_tile(0, cb_index::OUT0);
                     ctx.cb_push_back(cb_index::OUT0, 1);
                     ctx.tile_regs_release();
@@ -631,11 +559,11 @@ mod tests {
             "writer",
             cores.clone(),
             NocId::Noc1,
-            Arc::new(move |ctx: &mut DataMovementCtx| {
+            Arc::new(async move |ctx: &mut DataMovementCtx| {
                 let start = ctx.arg(0) as usize;
                 let count = ctx.arg(1) as usize;
                 for page in start..start + count {
-                    ctx.write_cb_to_page(cb_index::OUT0, outref, page);
+                    ctx.write_cb_to_page(cb_index::OUT0, outref, page).await;
                     ctx.mark_unit_complete();
                 }
             }),
@@ -692,14 +620,14 @@ mod tests {
             "dying-producer",
             cores.clone(),
             NocId::Noc0,
-            Arc::new(|_ctx: &mut DataMovementCtx| panic!("injected failure")),
+            Arc::new(async |_ctx: &mut DataMovementCtx| panic!("injected failure")),
         );
         p.add_compute_kernel(
             "blocked-consumer",
             cores.clone(),
             DataFormat::Float32,
-            Arc::new(ComputeFn(|ctx: &mut ComputeCtx| {
-                ctx.cb_wait_front(cb_index::IN0, 1);
+            Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| {
+                ctx.cb_wait_front(cb_index::IN0, 1).await;
             })),
         );
 
@@ -727,14 +655,14 @@ mod tests {
             "dying-producer",
             cores.clone(),
             NocId::Noc0,
-            Arc::new(|_ctx: &mut DataMovementCtx| panic!("injected failure")),
+            Arc::new(async |_ctx: &mut DataMovementCtx| panic!("injected failure")),
         );
         p.add_compute_kernel(
             "blocked-consumer",
             cores,
             DataFormat::Float32,
-            Arc::new(ComputeFn(|ctx: &mut ComputeCtx| {
-                ctx.cb_wait_front(cb_index::IN0, 1);
+            Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| {
+                ctx.cb_wait_front(cb_index::IN0, 1).await;
             })),
         );
 
@@ -821,9 +749,9 @@ mod tests {
         let err = q.enqueue_program(&p).unwrap_err();
         match &err {
             LaunchError::Deadlock { kernel, core: at, completed, .. } => {
-                // Whichever of the two waiting kernels parked last names
-                // the deadlock; the reader had already finished.
-                assert!(["double", "writer"].contains(&kernel.as_str()), "{kernel}");
+                // The reader has finished; the compute kernel is the first
+                // of the two waiting kernels in launch order.
+                assert_eq!(kernel, "double");
                 assert_eq!(*at, core);
                 assert_eq!(completed, &[CoreProgress { core, completed: n_tiles as u64 - 1 }]);
             }
@@ -857,7 +785,7 @@ mod tests {
         let err = q.enqueue_program(&p).unwrap_err();
         match &err {
             LaunchError::Deadlock { kernel, core, completed, .. } => {
-                assert!(["double", "writer"].contains(&kernel.as_str()), "{kernel}");
+                assert_eq!(kernel, "double");
                 assert_eq!(*core, core1);
                 assert_eq!(
                     completed,
@@ -876,8 +804,8 @@ mod tests {
     }
 
     /// Slow progress is not a deadlock: the compute kernel naps on the host
-    /// between pushes while the writer stays parked, and the launch
-    /// succeeds. This guards against a time budget coming back.
+    /// between pushes while the writer waits, and the launch succeeds.
+    /// This guards against a time budget coming back.
     #[test]
     fn slow_kernel_with_parked_writer_is_not_a_deadlock() {
         let dev = device();
@@ -895,6 +823,50 @@ mod tests {
         q.enqueue_program(&p).unwrap();
         let result = q.enqueue_read_buffer(&output).unwrap();
         assert_eq!(result[1].get(0, 0), 2.0);
+    }
+
+    /// A launch on every core of the grid runs on the launching thread
+    /// plus a pool that never holds more threads than the host has.
+    #[test]
+    fn sixty_four_core_launch_stays_within_the_host_threads() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let input = Buffer::new(&dev, DataFormat::Float32, 128).unwrap();
+        let output = Buffer::new(&dev, DataFormat::Float32, 128).unwrap();
+        let tiles: Vec<Tile> =
+            (0..128).map(|i| Tile::splat(DataFormat::Float32, i as f32)).collect();
+        q.enqueue_write_buffer(&input, &tiles).unwrap();
+        let p = doubling_program(CoreRangeSet::first_n(64, 8), &input, &output, 2);
+        assert_eq!(q.enqueue_program(&p).unwrap().timings.len(), 3 * 64);
+        assert_eq!(q.enqueue_read_buffer(&output).unwrap()[127].get(0, 0), 254.0);
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+            let workers = tasks
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .filter(|name| name.starts_with("tensix-worker"))
+                .count();
+            assert!(workers < host, "{workers} pool threads on a {host}-thread host");
+        }
+    }
+
+    /// Two identical launches report identical CB statistics, stall counts
+    /// included: a core's tasks run in one order whatever the host does.
+    #[test]
+    fn identical_launches_report_identical_cb_stats() {
+        let run = || {
+            let dev = device();
+            let mut q = CommandQueue::new(Arc::clone(&dev));
+            let input = Buffer::new(&dev, DataFormat::Float32, 16).unwrap();
+            let output = Buffer::new(&dev, DataFormat::Float32, 16).unwrap();
+            q.enqueue_write_buffer(&input, &vec![Tile::zeros(DataFormat::Float32); 16]).unwrap();
+            let p = doubling_program(CoreRangeSet::first_n(2, 8), &input, &output, 8);
+            q.enqueue_program(&p).unwrap().cb_stats
+        };
+        let first = run();
+        assert!(first.iter().any(|cb| cb.stats.producer_stalls + cb.stats.consumer_stalls > 0));
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

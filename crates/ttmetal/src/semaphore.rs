@@ -4,142 +4,78 @@
 //! `CreateSemaphore` allocates a 32-bit counter per core, and kernels use
 //! `noc_semaphore_set` / `noc_semaphore_inc` / `noc_semaphore_wait` to
 //! implement barriers and producer tokens (real multi-core kernels use them
-//! for multicast hand-shakes). The simulator backs each with a
-//! mutex+condvar counter whose waits share their core's exact deadlock
-//! detection with its CBs ([`tensix::CoreWaits`]), and the command queue
-//! poisons semaphores on abnormal teardown so blocked waiters unwind with a
-//! typed [`tensix::fault::KernelInterrupt`] instead of hanging.
+//! for multicast hand-shakes). The simulator backs each with an atomic
+//! counter. A wait is a future over the counter's value, pending until a
+//! peer kernel on the same core sets or increments it; each set and
+//! increment bumps the core's [`ChangeCounter`], as CB pushes and pops do.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-use tensix::fault::{raise_interrupt, CoreWaits, InterruptKind, ObjectWaits};
-
-#[derive(Debug)]
-struct SemState {
-    value: u32,
-    /// Set on abnormal program teardown; wakes blocked waiters with a typed
-    /// interrupt instead of deadlocking.
-    poisoned: bool,
-    /// This semaphore's share of its core's deadlock detection.
-    waits: ObjectWaits,
-}
+use tensix::cb::{until, ChangeCounter};
 
 /// One L1 semaphore (a 32-bit counter). Clones share the counter.
 #[derive(Debug, Clone)]
 pub struct Semaphore {
-    inner: Arc<(Mutex<SemState>, Condvar)>,
+    value: Arc<AtomicU32>,
+    changes: ChangeCounter,
 }
 
 impl Semaphore {
-    /// Semaphore initialized to `initial`, outside any launch: its waits
-    /// block until satisfied or poisoned.
+    /// Semaphore initialized to `initial`, with a change counter of its own.
     #[must_use]
     pub fn new(initial: u32) -> Self {
-        Self::on_core(initial, None)
+        Self::on_core(initial, ChangeCounter::default())
     }
 
-    /// Semaphore initialized to `initial` on the core `core` detects
-    /// deadlocks for: a wait that completes a deadlock raises
-    /// [`InterruptKind::Deadlock`].
+    /// Semaphore initialized to `initial` on the core whose changes
+    /// `changes` counts.
     #[must_use]
-    pub fn on_core(initial: u32, core: Option<Arc<CoreWaits>>) -> Self {
-        let state = SemState { value: initial, poisoned: false, waits: ObjectWaits::new(core) };
-        Semaphore { inner: Arc::new((Mutex::new(state), Condvar::new())) }
+    pub fn on_core(initial: u32, changes: ChangeCounter) -> Self {
+        Semaphore { value: Arc::new(AtomicU32::new(initial)), changes }
     }
 
     /// `noc_semaphore_set`: overwrite the counter.
     pub fn set(&self, value: u32) {
-        self.update(|st| st.value = value);
+        self.value.store(value, Ordering::Relaxed);
+        self.changes.bump();
     }
 
     /// `noc_semaphore_inc`: add `delta` (wrapping, as the 32-bit counter
     /// does on hardware).
     pub fn inc(&self, delta: u32) {
-        self.update(|st| st.value = st.value.wrapping_add(delta));
-    }
-
-    /// Apply one change and wake every waiter.
-    fn update(&self, change: impl FnOnce(&mut SemState)) {
-        let (lock, cvar) = &*self.inner;
-        let mut st = lock.lock();
-        change(&mut st);
-        st.waits.changed();
-        cvar.notify_all();
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.changes.bump();
     }
 
     /// Current value.
     #[must_use]
     pub fn value(&self) -> u32 {
-        self.inner.0.lock().value
+        self.value.load(Ordering::Relaxed)
     }
 
-    /// Poison the semaphore, waking any blocked waiter with a typed
-    /// [`tensix::fault::KernelInterrupt`]. Used on abnormal program teardown.
-    pub fn poison(&self) {
-        self.update(|st| st.poisoned = true);
-    }
-
-    /// `noc_semaphore_wait`: block until the counter equals `target`.
-    ///
-    /// # Panics
-    /// Raises a typed [`tensix::fault::KernelInterrupt`] if poisoned or if
-    /// the wait deadlocks its core.
-    pub fn wait(&self, target: u32) {
-        let (lock, cvar) = &*self.inner;
-        let mut st = lock.lock();
-        let mut seen = None;
-        while st.value != target {
-            if st.poisoned {
-                raise_interrupt(
-                    InterruptKind::Poisoned,
-                    format!("semaphore poisoned while waiting for value {target}"),
-                );
-            }
-            if st.waits.park(&mut seen) {
-                raise_interrupt(
-                    InterruptKind::Deadlock,
-                    format!("noc_semaphore_wait({target}) deadlocked at value {}", st.value),
-                );
-            }
-            cvar.wait(&mut st);
-        }
+    /// `noc_semaphore_wait`: wait until the counter equals `target`.
+    pub async fn wait(&self, target: u32) {
+        until(|| self.value() == target).await;
     }
 
     /// Wait until the counter is at least `target` (the common token
     /// pattern).
-    ///
-    /// # Panics
-    /// Raises a typed [`tensix::fault::KernelInterrupt`] if poisoned or if
-    /// the wait deadlocks its core.
-    pub fn wait_min(&self, target: u32) {
-        let (lock, cvar) = &*self.inner;
-        let mut st = lock.lock();
-        let mut seen = None;
-        while st.value < target {
-            if st.poisoned {
-                raise_interrupt(
-                    InterruptKind::Poisoned,
-                    format!("semaphore poisoned while waiting for at least {target}"),
-                );
-            }
-            if st.waits.park(&mut seen) {
-                raise_interrupt(
-                    InterruptKind::Deadlock,
-                    format!("noc_semaphore_wait_min({target}) deadlocked at {}", st.value),
-                );
-            }
-            cvar.wait(&mut st);
-        }
+    pub async fn wait_min(&self, target: u32) {
+        until(|| self.value() >= target).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Duration;
-    use tensix::fault::KernelInterrupt;
+    use std::future::Future;
+    use std::pin::pin;
+    use std::task::{Context, Poll, Waker};
+
+    fn poll<F: Future>(f: std::pin::Pin<&mut F>) -> Poll<F::Output> {
+        f.poll(&mut Context::from_waker(Waker::noop()))
+    }
 
     #[test]
     fn set_inc_value() {
@@ -154,61 +90,31 @@ mod tests {
     }
 
     #[test]
-    fn wait_blocks_until_target() {
+    fn wait_resolves_at_target() {
         let s = Semaphore::new(0);
-        let s2 = s.clone();
-        let waiter = thread::spawn(move || {
-            s2.wait(4);
-            s2.value()
-        });
-        thread::sleep(Duration::from_millis(30));
+        let mut wait = pin!(s.wait(4));
+        assert_eq!(poll(wait.as_mut()), Poll::Pending);
         s.inc(2);
-        thread::sleep(Duration::from_millis(10));
-        assert!(!waiter.is_finished(), "must still be blocked at 2");
+        assert_eq!(poll(wait.as_mut()), Poll::Pending, "must still wait at 2");
         s.inc(2);
-        assert_eq!(waiter.join().unwrap(), 4);
+        assert_eq!(poll(wait.as_mut()), Poll::Ready(()));
     }
 
     #[test]
     fn producer_token_barrier() {
         // Four producers each post a token; a consumer proceeds at 4 —
-        // the multicast-receiver handshake pattern.
-        let s = Semaphore::new(0);
-        thread::scope(|scope| {
-            for _ in 0..4 {
-                let p = s.clone();
-                scope.spawn(move || p.inc(1));
-            }
-            let c = s.clone();
-            scope.spawn(move || c.wait_min(4)).join().unwrap();
-        });
-        assert_eq!(s.value(), 4);
-    }
-
-    #[test]
-    fn poison_wakes_blocked_waiter_with_typed_interrupt() {
-        let s = Semaphore::new(0);
-        let s2 = s.clone();
-        thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            s2.poison();
-        });
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.wait(1)))
-            .expect_err("wait must unwind once poisoned");
-        let interrupt = payload.downcast::<KernelInterrupt>().expect("typed interrupt payload");
-        assert_eq!(interrupt.kind, InterruptKind::Poisoned);
-    }
-
-    #[test]
-    fn wait_that_parks_every_instance_raises_deadlock_interrupt() {
-        // A core with one instance: its first park is a deadlock.
-        let waits = Arc::new(CoreWaits::default());
-        waits.add_instance();
-        let s = Semaphore::on_core(0, Some(waits));
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.wait_min(1)))
-            .expect_err("a wait nothing can satisfy must unwind");
-        let interrupt = payload.downcast::<KernelInterrupt>().expect("typed interrupt payload");
-        assert_eq!(interrupt.kind, InterruptKind::Deadlock);
-        assert!(interrupt.detail.contains("wait_min"));
+        // the multicast-receiver handshake pattern. Every post counts as a
+        // change.
+        let changes = ChangeCounter::default();
+        let s = Semaphore::on_core(0, changes.clone());
+        let mut consumer = pin!(s.wait_min(4));
+        for posted in 1..=4 {
+            assert_eq!(poll(consumer.as_mut()), Poll::Pending);
+            s.inc(1);
+            assert_eq!(changes.get(), posted);
+        }
+        assert_eq!(poll(consumer.as_mut()), Poll::Ready(()));
+        s.set(9);
+        assert_eq!((s.value(), changes.get()), (9, 5));
     }
 }

@@ -38,10 +38,10 @@ fn writer_paces_reader_through_semaphore() {
         "gated-reader",
         cores.clone(),
         NocId::Noc0,
-        Arc::new(move |ctx: &mut DataMovementCtx| {
-            ctx.noc_semaphore_wait(SEM_READY, 1);
+        Arc::new(async move |ctx: &mut DataMovementCtx| {
+            ctx.noc_semaphore_wait(SEM_READY, 1).await;
             for page in 0..n_tiles {
-                ctx.read_page_to_cb(cb_index::IN0, inref, page);
+                ctx.read_page_to_cb(cb_index::IN0, inref, page).await;
             }
         }),
     );
@@ -50,14 +50,14 @@ fn writer_paces_reader_through_semaphore() {
         "negate",
         cores.clone(),
         DataFormat::Float32,
-        Arc::new(ComputeFn(move |ctx: &mut ComputeCtx| {
+        Arc::new(ComputeFn(async move |ctx: &mut ComputeCtx| {
             for _ in 0..n_tiles {
-                ctx.cb_wait_front(cb_index::IN0, 1);
+                ctx.cb_wait_front(cb_index::IN0, 1).await;
                 ctx.tile_regs_acquire();
                 ctx.copy_tile(cb_index::IN0, 0, 0);
                 ctx.negative_tile(0);
                 ctx.tile_regs_commit();
-                ctx.cb_reserve_back(cb_index::OUT0, 1);
+                ctx.cb_reserve_back(cb_index::OUT0, 1).await;
                 ctx.pack_tile(0, cb_index::OUT0);
                 ctx.cb_push_back(cb_index::OUT0, 1);
                 ctx.tile_regs_release();
@@ -70,10 +70,10 @@ fn writer_paces_reader_through_semaphore() {
         "token-writer",
         cores,
         NocId::Noc1,
-        Arc::new(move |ctx: &mut DataMovementCtx| {
+        Arc::new(async move |ctx: &mut DataMovementCtx| {
             ctx.noc_semaphore_inc(SEM_READY, 1);
             for page in 0..n_tiles {
-                ctx.write_cb_to_page(cb_index::OUT0, outref, page);
+                ctx.write_cb_to_page(cb_index::OUT0, outref, page).await;
             }
         }),
     );
@@ -95,7 +95,7 @@ fn unknown_semaphore_is_a_fault() {
         "bad",
         cores,
         NocId::Noc0,
-        Arc::new(|ctx: &mut DataMovementCtx| {
+        Arc::new(async |ctx: &mut DataMovementCtx| {
             ctx.noc_semaphore_inc(9, 1); // never declared
         }),
     );

@@ -170,6 +170,15 @@ MATRIX_TAIL_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
 echo "$MATRIX_TAIL_OUT"
 echo "$MATRIX_TAIL_OUT" | grep -q "device-vs-direct accuracy: PASS"
 
+echo "==> 64-core launch smoke"
+# Every Tensix core of the grid in one launch: 64 matrix blocks, one per
+# core, so 192 kernel instances run as cooperative tasks on at most the
+# host's threads. No other CLI smoke launches 64 cores.
+WIDE_OUT=$(cargo run --release --offline --bin tt-nbody -- run \
+  --force-kernel matrix --n 2048 --cores 64 --steps 1 --eps 0.02 --verify-direct)
+echo "$WIDE_OUT"
+echo "$WIDE_OUT" | grep -q "device-vs-direct accuracy: PASS"
+
 echo "==> results/ drift"
 # Every committed results/ file is deterministic output of the code. The
 # serving smoke above rewrote the serving CSVs; regenerate the rest and fail

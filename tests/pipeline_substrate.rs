@@ -42,7 +42,7 @@ fn dst_overflow_in_a_kernel_is_a_fault_not_a_hang() {
         "dst-overflow",
         cores,
         DataFormat::Float32,
-        Arc::new(ComputeFn(|ctx: &mut ComputeCtx| {
+        Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| {
             ctx.tile_regs_acquire();
             for i in 0..9 {
                 // FP32 capacity is 8: the 9th write must fault.
