@@ -45,9 +45,9 @@ pub mod wfq;
 /// Install a process-wide panic hook that silences the panics the resilient
 /// driver *catches by design* — device faults surfacing in kernels as
 /// [`tensix::TensixError`] payloads — while leaving every other panic's
-/// report intact. Without this, a storm
-/// campaign sprays one default-hook backtrace per injected fault even
-/// though every one of them is handled. Call once at binary startup.
+/// report intact. Without this, a storm campaign sprays one default-hook
+/// backtrace per injected fault even though every one of them is handled.
+/// Call once at binary startup.
 pub fn install_fault_panic_filter() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {

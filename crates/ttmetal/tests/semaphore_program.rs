@@ -102,3 +102,35 @@ fn unknown_semaphore_is_a_fault() {
     let err = queue.enqueue_program(&p).unwrap_err();
     assert!(err.to_string().contains("semaphore 9"), "{err}");
 }
+
+/// A token nobody posts deadlocks its core the way an empty CB does: the
+/// waiter is the first kernel still waiting, and the kernel that set the
+/// semaphore to the wrong value has finished.
+#[test]
+fn token_nobody_posts_deadlocks_the_core() {
+    let device = Device::new(0, DeviceConfig::default());
+    let mut queue = CommandQueue::new(Arc::clone(&device));
+    let cores = CoreRangeSet::first_n(1, 8);
+    let mut p = Program::new();
+    p.add_semaphore(cores.clone(), SEM_READY, 0);
+    p.add_data_movement_kernel(
+        "waiter",
+        cores.clone(),
+        NocId::Noc0,
+        Arc::new(async |ctx: &mut DataMovementCtx| {
+            ctx.noc_semaphore_wait(SEM_READY, 2).await;
+        }),
+    );
+    p.add_data_movement_kernel(
+        "setter",
+        cores,
+        NocId::Noc1,
+        Arc::new(async |ctx: &mut DataMovementCtx| {
+            ctx.noc_semaphore_set(SEM_READY, 1);
+        }),
+    );
+    match queue.enqueue_program(&p).unwrap_err() {
+        ttmetal::LaunchError::Deadlock { kernel, .. } => assert_eq!(kernel, "waiter"),
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
+}
