@@ -39,40 +39,40 @@ impl KernelBody {
         }
     }
 
-    /// Wrap `ctx` in the context of the kernel's role.
-    pub(crate) fn context(&self, ctx: KernelCtx) -> RoleCtx {
+    /// One instance of the kernel, running in its role's context around
+    /// `ctx`.
+    pub(crate) fn instance(&self, ctx: KernelCtx) -> KernelRun {
         match self {
-            KernelBody::DataMovement { noc, .. } => {
-                RoleCtx::DataMovement(DataMovementCtx::new(ctx, *noc))
+            KernelBody::DataMovement { noc, kernel } => {
+                KernelRun::DataMovement(Arc::clone(kernel), DataMovementCtx::new(ctx, *noc))
             }
-            KernelBody::Compute { format, .. } => RoleCtx::Compute(ComputeCtx::new(ctx, *format)),
-        }
-    }
-
-    /// One run of the kernel on `ctx`, which [`Self::context`] made.
-    pub(crate) fn start<'a>(&'a self, ctx: &'a mut RoleCtx) -> KernelFuture<'a> {
-        match (self, ctx) {
-            (KernelBody::DataMovement { kernel, .. }, RoleCtx::DataMovement(ctx)) => {
-                kernel.run(ctx)
+            KernelBody::Compute { format, kernel } => {
+                KernelRun::Compute(Arc::clone(kernel), ComputeCtx::new(ctx, *format))
             }
-            (KernelBody::Compute { kernel, .. }, RoleCtx::Compute(ctx)) => kernel.run(ctx),
-            _ => unreachable!("a kernel runs in its own role's context"),
         }
     }
 }
 
-/// A kernel instance's context in the form its role's kernel takes.
-pub(crate) enum RoleCtx {
-    DataMovement(DataMovementCtx),
-    Compute(ComputeCtx),
+/// One kernel instance: the kernel and its role's context.
+pub(crate) enum KernelRun {
+    DataMovement(Arc<dyn DataMovementKernel>, DataMovementCtx),
+    Compute(Arc<dyn ComputeKernel>, ComputeCtx),
 }
 
-impl RoleCtx {
+impl KernelRun {
+    /// The kernel's run on its context.
+    pub(crate) fn start(&mut self) -> KernelFuture<'_> {
+        match self {
+            KernelRun::DataMovement(kernel, ctx) => kernel.run(ctx),
+            KernelRun::Compute(kernel, ctx) => kernel.run(ctx),
+        }
+    }
+
     /// The shared context.
-    pub(crate) fn kernel(&mut self) -> &mut KernelCtx {
+    pub(crate) fn ctx(&mut self) -> &mut KernelCtx {
         match self {
-            RoleCtx::DataMovement(ctx) => ctx,
-            RoleCtx::Compute(ctx) => ctx,
+            KernelRun::DataMovement(_, ctx) => ctx,
+            KernelRun::Compute(_, ctx) => ctx,
         }
     }
 
@@ -80,8 +80,8 @@ impl RoleCtx {
     /// `[matrix, vector]` pipe cycles (zero for data movement).
     pub(crate) fn finish(self) -> (KernelCtx, [u64; 2]) {
         match self {
-            RoleCtx::DataMovement(ctx) => (ctx.into_kernel(), [0, 0]),
-            RoleCtx::Compute(ctx) => {
+            KernelRun::DataMovement(_, ctx) => (ctx.into_kernel(), [0, 0]),
+            KernelRun::Compute(_, ctx) => {
                 let pipes = [ctx.matrix_cycles(), ctx.vector_cycles()];
                 (ctx.into_kernel(), pipes)
             }

@@ -7,7 +7,7 @@
 //! concurrency the paper relies on — reader, compute and writer kernels
 //! overlapping through CBs on every core — runs as cooperative tasks: one
 //! job per core polls the core's kernel futures in launch order on one host
-//! thread, and the cores' jobs share the worker pool ([`crate::pool`]).
+//! thread, and the cores' jobs share the persistent worker pool.
 //! CBs and semaphores are core-local, so no wait ever needs a kernel on
 //! another core, or another thread, to move.
 //!
@@ -41,7 +41,7 @@ use crate::buffer::Buffer;
 use crate::context::{CbMap, KernelCtx, SemMap};
 use crate::error::{CoreProgress, LaunchError};
 use crate::kernel::KernelFuture;
-use crate::program::{KernelBody, Program, RoleCtx};
+use crate::program::{KernelRun, Program};
 use crate::semaphore::Semaphore;
 
 /// Effective host↔device bandwidth over PCIe 4.0 x16, bytes/s.
@@ -110,10 +110,9 @@ struct Instance {
     order: usize,
     label: String,
     core_index: usize,
-    body: KernelBody,
     /// Rolled at launch: the instance hangs without making progress.
     stalled: bool,
-    ctx: RoleCtx,
+    run: KernelRun,
 }
 
 /// One core's share of a launch: its instances in launch order and the
@@ -140,8 +139,8 @@ fn run_core(run: CoreRun) -> Vec<Outcome> {
     {
         let mut tasks: Vec<Option<KernelFuture<'_>>> = instances
             .iter_mut()
-            .map(|Instance { body, stalled, ctx, .. }| {
-                Some(if *stalled { Box::pin(std::future::pending()) } else { body.start(ctx) })
+            .map(|Instance { stalled, run, .. }| {
+                Some(if *stalled { Box::pin(std::future::pending()) } else { run.start() })
             })
             .collect();
         let mut cx = Context::from_waker(Waker::noop());
@@ -175,8 +174,8 @@ fn run_core(run: CoreRun) -> Vec<Outcome> {
     instances
         .into_iter()
         .zip(aborts)
-        .map(|(Instance { order, label, core_index, ctx, .. }, abort)| {
-            let (mut ctx, [matrix_cycles, vector_cycles]) = ctx.finish();
+        .map(|(Instance { order, label, core_index, run, .. }, abort)| {
+            let (mut ctx, [matrix_cycles, vector_cycles]) = run.finish();
             ctx.trace_kernel_end();
             let abort = abort.map(|(kind, message)| KernelAbort {
                 kind,
@@ -309,7 +308,7 @@ impl CommandQueue {
         // Group the kernel instances by core, in launch order. Stall
         // injection is rolled here, on the host thread, so the affected
         // instance is a deterministic function of the seed and launch order.
-        let mut runs: Vec<CoreRun> = Vec::new();
+        let mut core_runs: Vec<CoreRun> = Vec::new();
         let mut run_of: HashMap<CoreCoord, usize> = HashMap::new();
         let mut order = 0;
         for entry in &program.kernels {
@@ -334,25 +333,28 @@ impl CommandQueue {
                     args,
                     tracer,
                 );
-                let mut ctx = entry.body.context(ctx);
+                let mut run = entry.body.instance(ctx);
                 if stalled {
-                    ctx.kernel().trace_instant("injected_stall", &[]);
+                    run.ctx().trace_instant("injected_stall", &[]);
                 } else {
-                    ctx.kernel().trace_kernel_begin(&entry.label);
+                    run.ctx().trace_kernel_begin(&entry.label);
                 }
-                let run = *run_of.entry(core).or_insert_with(|| {
-                    runs.push(CoreRun { core, changes: changes.clone(), instances: Vec::new() });
-                    runs.len() - 1
+                let slot = *run_of.entry(core).or_insert_with(|| {
+                    let instances = Vec::new();
+                    core_runs.push(CoreRun { core, changes: changes.clone(), instances });
+                    core_runs.len() - 1
                 });
                 let label = entry.label.clone();
-                let body = entry.body.clone();
-                runs[run].instances.push(Instance { order, label, core_index, body, stalled, ctx });
+                core_runs[slot].instances.push(Instance { order, label, core_index, stalled, run });
                 order += 1;
             }
         }
 
-        let mut outcomes: Vec<Outcome> =
-            crate::pool::WorkerPool::global().map(runs, run_core).into_iter().flatten().collect();
+        let mut outcomes: Vec<Outcome> = crate::pool::WorkerPool::global()
+            .map(core_runs, run_core)
+            .into_iter()
+            .flatten()
+            .collect();
         outcomes.sort_by_key(|(order, ..)| *order);
         let mut timings = Vec::with_capacity(outcomes.len());
         let mut aborts: Vec<KernelAbort> = Vec::new();
