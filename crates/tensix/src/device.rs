@@ -333,6 +333,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DramRequester;
     use crate::dtype::DataFormat;
     use crate::tile::Tile;
 
@@ -359,12 +360,14 @@ mod tests {
     fn reset_clears_state() {
         let dev = Device::new(0, DeviceConfig::default());
         let id = dev.dram().allocate(DataFormat::Float32, 2).unwrap();
-        dev.dram().write_tile(id, 0, &Tile::splat(DataFormat::Float32, 1.0)).unwrap();
+        dev.dram()
+            .write_tile(DramRequester::Host, id, 0, &Tile::splat(DataFormat::Float32, 1.0))
+            .unwrap();
         dev.record_power(PowerState::ComputeActive, 10.0);
         assert!(dev.clock().now() > 0.0);
         dev.reset().unwrap();
         assert_eq!(dev.clock().now(), 0.0);
-        assert!(dev.dram().read_tile(id, 0).is_err());
+        assert!(dev.dram().read_tile(DramRequester::Host, id, 0).is_err());
         assert_eq!(dev.reset_stats().attempted, 1);
         assert_eq!(dev.reset_stats().failed, 0);
     }

@@ -14,6 +14,7 @@ use parking_lot::RwLock;
 
 use crate::dtype::DataFormat;
 use crate::error::{Result, TensixError};
+use crate::grid::CoreCoord;
 use crate::tile::Tile;
 
 /// Number of GDDR6 channels on a Wormhole.
@@ -25,6 +26,16 @@ pub const DRAM_CAPACITY: u64 = 12 * 1024 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub u64);
 
+/// The stream a DRAM transaction belongs to: a core's NoC traffic, or the
+/// host's PCIe transfers. Bank conflicts are counted within each stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DramRequester {
+    /// Host reads and writes over PCIe.
+    Host,
+    /// The kernels of one Tensix core.
+    Core(CoreCoord),
+}
+
 /// Per-channel and aggregate traffic statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
@@ -34,9 +45,11 @@ pub struct DramStats {
     pub write_bytes: [u64; DRAM_CHANNELS],
     /// Total read/write transactions.
     pub transactions: u64,
-    /// Back-to-back transactions that hit the same channel as their
-    /// predecessor. Interleaved layouts keep this near zero; a high
-    /// count signals pathological page striding (bank camping).
+    /// Transactions that hit the same channel as their requester's
+    /// previous transaction. Interleaved layouts keep this near zero; a
+    /// high count signals pathological page striding (bank camping).
+    /// Counting per requester keeps it a property of each core's access
+    /// pattern, whatever order the host runs the cores in.
     pub bank_conflicts: u64,
 }
 
@@ -64,17 +77,17 @@ struct DramState {
     next_id: u64,
     allocated_bytes: u64,
     stats: DramStats,
-    /// Channel of the most recent transaction, for conflict detection.
-    last_channel: Option<usize>,
+    /// Channel of each requester's most recent transaction, for conflict
+    /// detection.
+    last_channel: HashMap<DramRequester, usize>,
 }
 
 impl DramState {
-    fn account(&mut self, channel: usize) {
+    fn account(&mut self, from: DramRequester, channel: usize) {
         self.stats.transactions += 1;
-        if self.last_channel == Some(channel) {
+        if self.last_channel.insert(from, channel) == Some(channel) {
             self.stats.bank_conflicts += 1;
         }
-        self.last_channel = Some(channel);
     }
 }
 
@@ -127,12 +140,13 @@ impl DramModel {
         page % DRAM_CHANNELS
     }
 
-    /// Read page (tile) `page` of buffer `id`, accounting the traffic.
+    /// Read page (tile) `page` of buffer `id` for `from`, accounting the
+    /// traffic.
     ///
     /// # Errors
     /// [`TensixError::InvalidAddress`] for unknown buffers or out-of-range
     /// pages.
-    pub fn read_tile(&self, id: BufferId, page: usize) -> Result<Tile> {
+    pub fn read_tile(&self, from: DramRequester, id: BufferId, page: usize) -> Result<Tile> {
         let mut st = self.state.write();
         let buf = st.buffers.get(&id).ok_or(TensixError::InvalidAddress {
             addr: id.0,
@@ -148,13 +162,14 @@ impl DramModel {
         let bytes = buf.format.tile_bytes() as u64;
         let channel = Self::channel_of_page(page);
         st.stats.read_bytes[channel] += bytes;
-        st.account(channel);
+        st.account(from, channel);
         Ok(tile)
     }
 
-    /// Read a contiguous range of pages starting at page 0 under one lock
-    /// acquisition, accounting each page exactly as [`DramModel::read_tile`]
-    /// would (same per-page byte/transaction/bank-conflict sequence).
+    /// Host read of a contiguous range of pages starting at page 0 under
+    /// one lock acquisition, accounting each page exactly as
+    /// [`DramModel::read_tile`] from [`DramRequester::Host`] would (same
+    /// per-page byte/transaction/bank-conflict sequence).
     ///
     /// # Errors
     /// [`TensixError::InvalidAddress`] for unknown buffers or if `count`
@@ -180,14 +195,15 @@ impl DramModel {
             );
             let channel = Self::channel_of_page(page);
             st.stats.read_bytes[channel] += bytes;
-            st.account(channel);
+            st.account(DramRequester::Host, channel);
         }
         Ok(tiles)
     }
 
-    /// Write `tiles` to consecutive pages starting at page 0 under one lock
-    /// acquisition, quantizing to the buffer's format and accounting each
-    /// page exactly as [`DramModel::write_tile`] would.
+    /// Host write of `tiles` to consecutive pages starting at page 0 under
+    /// one lock acquisition, quantizing to the buffer's format and
+    /// accounting each page exactly as [`DramModel::write_tile`] from
+    /// [`DramRequester::Host`] would.
     ///
     /// # Errors
     /// [`TensixError::InvalidAddress`] for unknown buffers or if the tile
@@ -211,18 +227,24 @@ impl DramModel {
             st.buffers.get_mut(&id).expect("checked above").pages.insert(page, stored);
             let channel = Self::channel_of_page(page);
             st.stats.write_bytes[channel] += bytes;
-            st.account(channel);
+            st.account(DramRequester::Host, channel);
         }
         Ok(())
     }
 
-    /// Write page (tile) `page` of buffer `id`, quantizing to the buffer's
-    /// format and accounting the traffic.
+    /// Write page (tile) `page` of buffer `id` for `from`, quantizing to
+    /// the buffer's format and accounting the traffic.
     ///
     /// # Errors
     /// [`TensixError::InvalidAddress`] for unknown buffers or out-of-range
     /// pages.
-    pub fn write_tile(&self, id: BufferId, page: usize, tile: &Tile) -> Result<()> {
+    pub fn write_tile(
+        &self,
+        from: DramRequester,
+        id: BufferId,
+        page: usize,
+        tile: &Tile,
+    ) -> Result<()> {
         let mut st = self.state.write();
         let buf = st.buffers.get_mut(&id).ok_or(TensixError::InvalidAddress {
             addr: id.0,
@@ -240,7 +262,7 @@ impl DramModel {
         let bytes = format.tile_bytes() as u64;
         let channel = Self::channel_of_page(page);
         st.stats.write_bytes[channel] += bytes;
-        st.account(channel);
+        st.account(from, channel);
         Ok(())
     }
 
@@ -272,7 +294,7 @@ impl DramModel {
     pub fn reset_stats(&self) {
         let mut st = self.state.write();
         st.stats = DramStats::default();
-        st.last_channel = None;
+        st.last_channel.clear();
     }
 
     /// Drop every buffer (device reset).
@@ -281,22 +303,23 @@ impl DramModel {
         st.buffers.clear();
         st.allocated_bytes = 0;
         st.stats = DramStats::default();
-        st.last_channel = None;
+        st.last_channel.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DramRequester::Host;
 
     #[test]
     fn allocate_read_write_roundtrip() {
         let dram = DramModel::new();
         let id = dram.allocate(DataFormat::Float32, 4).unwrap();
         let t = Tile::splat(DataFormat::Float32, 2.5);
-        dram.write_tile(id, 2, &t).unwrap();
-        assert_eq!(dram.read_tile(id, 2).unwrap().get(0, 0), 2.5);
-        assert_eq!(dram.read_tile(id, 0).unwrap().get(0, 0), 0.0);
+        dram.write_tile(Host, id, 2, &t).unwrap();
+        assert_eq!(dram.read_tile(Host, id, 2).unwrap().get(0, 0), 2.5);
+        assert_eq!(dram.read_tile(Host, id, 0).unwrap().get(0, 0), 0.0);
         assert_eq!(dram.buffer_len(id).unwrap(), 4);
     }
 
@@ -314,13 +337,13 @@ mod tests {
         let id = dram.allocate(DataFormat::Float32, 12).unwrap();
         let t = Tile::zeros(DataFormat::Float32);
         for p in 0..12 {
-            dram.write_tile(id, p, &t).unwrap();
+            dram.write_tile(Host, id, p, &t).unwrap();
         }
         let stats = dram.stats();
         // 12 pages over 6 channels: 2 tiles (8192 B) each.
         assert!(stats.write_bytes.iter().all(|b| *b == 2 * 4096));
         assert_eq!(stats.transactions, 12);
-        dram.read_tile(id, 0).unwrap();
+        dram.read_tile(Host, id, 0).unwrap();
         assert_eq!(dram.stats().read_bytes[0], 4096);
         dram.reset_stats();
         assert_eq!(dram.stats().total_bytes(), 0);
@@ -333,17 +356,36 @@ mod tests {
         let t = Tile::zeros(DataFormat::Float32);
         // Sequential pages round-robin the channels: no conflicts.
         for p in 0..12 {
-            dram.write_tile(id, p, &t).unwrap();
+            dram.write_tile(Host, id, p, &t).unwrap();
         }
         assert_eq!(dram.stats().bank_conflicts, 0);
         // Stride-6 pages camp on channel 0: every access after the first
         // conflicts with its predecessor.
         for p in [0, 6, 12] {
-            dram.read_tile(id, p).unwrap();
+            dram.read_tile(Host, id, p).unwrap();
         }
         assert_eq!(dram.stats().bank_conflicts, 2);
         dram.reset_stats();
         assert_eq!(dram.stats().bank_conflicts, 0);
+    }
+
+    #[test]
+    fn bank_conflicts_are_counted_within_each_requester() {
+        let dram = DramModel::new();
+        let id = dram.allocate(DataFormat::Float32, 12).unwrap();
+        let (a, b) = (CoreCoord::new(0, 0), CoreCoord::new(1, 0));
+        // Two cores each stream channels 0, 1, 2: interleaved back to back
+        // on the device, but neither core repeats a channel.
+        for p in 0..3 {
+            dram.read_tile(DramRequester::Core(a), id, p).unwrap();
+            dram.read_tile(DramRequester::Core(b), id, p + 6).unwrap();
+        }
+        assert_eq!(dram.stats().bank_conflicts, 0);
+        // The host's transfers are a stream of their own.
+        dram.read_tile(Host, id, 2).unwrap();
+        assert_eq!(dram.stats().bank_conflicts, 0);
+        dram.read_tile(DramRequester::Core(b), id, 2).unwrap();
+        assert_eq!(dram.stats().bank_conflicts, 1, "core b hit channel 2 twice in a row");
     }
 
     #[test]
@@ -361,9 +403,9 @@ mod tests {
     fn out_of_range_access_errors() {
         let dram = DramModel::new();
         let id = dram.allocate(DataFormat::Float32, 1).unwrap();
-        assert!(dram.read_tile(id, 1).is_err());
-        assert!(dram.write_tile(id, 9, &Tile::zeros(DataFormat::Float32)).is_err());
-        assert!(dram.read_tile(BufferId(999), 0).is_err());
+        assert!(dram.read_tile(Host, id, 1).is_err());
+        assert!(dram.write_tile(Host, id, 9, &Tile::zeros(DataFormat::Float32)).is_err());
+        assert!(dram.read_tile(Host, BufferId(999), 0).is_err());
     }
 
     #[test]
@@ -371,17 +413,17 @@ mod tests {
         let dram = DramModel::new();
         let id = dram.allocate(DataFormat::Float16b, 1).unwrap();
         let t = Tile::splat(DataFormat::Float32, 1.0 + 1.0 / 1024.0);
-        dram.write_tile(id, 0, &t).unwrap();
-        assert_eq!(dram.read_tile(id, 0).unwrap().get(0, 0), 1.0);
+        dram.write_tile(Host, id, 0, &t).unwrap();
+        assert_eq!(dram.read_tile(Host, id, 0).unwrap().get(0, 0), 1.0);
     }
 
     #[test]
     fn clear_resets_everything() {
         let dram = DramModel::new();
         let id = dram.allocate(DataFormat::Float32, 8).unwrap();
-        dram.write_tile(id, 0, &Tile::zeros(DataFormat::Float32)).unwrap();
+        dram.write_tile(Host, id, 0, &Tile::zeros(DataFormat::Float32)).unwrap();
         dram.clear();
         assert_eq!(dram.allocated_bytes(), 0);
-        assert!(dram.read_tile(id, 0).is_err());
+        assert!(dram.read_tile(Host, id, 0).is_err());
     }
 }

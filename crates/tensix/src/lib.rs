@@ -54,7 +54,7 @@ pub use cb::{CbStats, ChangeCounter, CircularBuffer, CircularBufferConfig};
 pub use clock::{CycleCounter, DeviceClock, KernelTiming};
 pub use cost::{CostModel, CLOCK_HZ};
 pub use device::{Device, DeviceConfig, ResetStats};
-pub use dram::{BufferId, DramModel, DramStats, DRAM_CAPACITY, DRAM_CHANNELS};
+pub use dram::{BufferId, DramModel, DramRequester, DramStats, DRAM_CAPACITY, DRAM_CHANNELS};
 pub use dst::DstRegisters;
 pub use dtype::DataFormat;
 pub use error::{Result, TensixError};

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use tensix::dram::BufferId;
-use tensix::{DataFormat, Device, Result, Tile};
+use tensix::{DataFormat, Device, DramRequester, Result, Tile};
 
 /// A copyable, kernel-side reference to a DRAM buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,7 @@ impl Buffer {
     /// # Errors
     /// Out-of-range page.
     pub fn debug_read_tile(&self, page: usize) -> Result<Tile> {
-        self.device.dram().read_tile(self.reference.id, page)
+        self.device.dram().read_tile(DramRequester::Host, self.reference.id, page)
     }
 }
 
@@ -113,7 +113,12 @@ mod tests {
         let dev = Device::new(0, DeviceConfig::default());
         let buf = Buffer::new(&dev, DataFormat::Float32, 2).unwrap();
         dev.dram()
-            .write_tile(buf.reference().id, 1, &Tile::splat(DataFormat::Float32, 4.5))
+            .write_tile(
+                DramRequester::Host,
+                buf.reference().id,
+                1,
+                &Tile::splat(DataFormat::Float32, 4.5),
+            )
             .unwrap();
         assert_eq!(buf.debug_read_tile(1).unwrap().get(0, 0), 4.5);
         assert!(buf.debug_read_tile(2).is_err());

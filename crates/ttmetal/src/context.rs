@@ -19,7 +19,6 @@
 //! per-element pass at half. Matmul and broadcast ops take whole tiles
 //! only and panic on a half-tile context.
 
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -31,17 +30,60 @@ use tensix::fpu::{self, BroadcastDim};
 use tensix::grid::CoreCoord;
 use tensix::sfpu::{self, BinaryOp, UnaryOp};
 use tensix::srcreg::{SrcReg, SrcRegisters};
-use tensix::{row_elems, CycleCounter, DataFormat, Device, NocId, TensixError, Tile, TILE_DIM};
+use tensix::{
+    row_elems, CycleCounter, DataFormat, Device, DramRequester, NocId, TensixError, Tile, TILE_DIM,
+};
 use tt_trace::SpanEmitter;
 
 use crate::buffer::BufferRef;
-use crate::semaphore::Semaphore;
+use crate::kernel::cb_index::NUM_CBS;
+use crate::semaphore::{Semaphore, NUM_SEMAPHORES};
 
-/// Map of CB index → instantiated circular buffer for one core.
-pub type CbMap = HashMap<u8, CircularBuffer>;
+/// One core's objects of one kind, looked up by their `u8` index in a
+/// fixed array of `N` slots: every CB or semaphore call of a kernel goes
+/// through [`SlotArray::get`], so it is one bounds check, not a hash.
+#[derive(Debug, Clone)]
+pub struct SlotArray<T, const N: usize>([Option<T>; N]);
 
-/// Map of semaphore index → instantiated semaphore for one core.
-pub type SemMap = HashMap<u8, Semaphore>;
+impl<T, const N: usize> Default for SlotArray<T, N> {
+    fn default() -> Self {
+        SlotArray(std::array::from_fn(|_| None))
+    }
+}
+
+impl<T, const N: usize> SlotArray<T, N> {
+    /// No slot filled.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fill slot `index`, replacing what it held.
+    ///
+    /// # Panics
+    /// Panics if `index` is not below `N`.
+    pub fn insert(&mut self, index: u8, value: T) {
+        assert!(usize::from(index) < N, "slot {index} out of range (0..{N})");
+        self.0[usize::from(index)] = Some(value);
+    }
+
+    /// The object in slot `index`, if one was inserted.
+    #[must_use]
+    pub fn get(&self, index: u8) -> Option<&T> {
+        self.0.get(usize::from(index))?.as_ref()
+    }
+
+    /// The filled slots in index order.
+    pub fn iter(&self) -> impl Iterator<Item = (u8, &T)> {
+        (0u8..).zip(&self.0).filter_map(|(i, slot)| Some((i, slot.as_ref()?)))
+    }
+}
+
+/// One core's instantiated circular buffers, by CB index.
+pub type CbMap = SlotArray<CircularBuffer, NUM_CBS>;
+
+/// One core's instantiated semaphores, by semaphore index.
+pub type SemMap = SlotArray<Semaphore, NUM_SEMAPHORES>;
 
 /// The state and calls every kernel instance shares: its device and core,
 /// the core's CBs and semaphores, its runtime args, cycle counter and trace
@@ -71,14 +113,14 @@ impl KernelCtx {
     }
 
     fn cb(&self, index: u8) -> &CircularBuffer {
-        self.cbs.get(&index).unwrap_or_else(|| {
+        self.cbs.get(index).unwrap_or_else(|| {
             panic!("circular buffer {index} is not configured on core {}", self.core)
         })
     }
 
     fn sem(&self, index: u8) -> &Semaphore {
         self.sems
-            .get(&index)
+            .get(index)
             .unwrap_or_else(|| panic!("semaphore {index} is not configured on core {}", self.core))
     }
 
@@ -317,7 +359,7 @@ impl DataMovementCtx {
         }
         k.device
             .dram()
-            .read_tile(buf.id, page)
+            .read_tile(DramRequester::Core(k.core), buf.id, page)
             .unwrap_or_else(|e| panic!("noc_async_read_tile({page}): {e}"))
     }
 
@@ -361,7 +403,7 @@ impl DataMovementCtx {
         }
         k.device
             .dram()
-            .write_tile(buf.id, page, tile)
+            .write_tile(DramRequester::Core(k.core), buf.id, page, tile)
             .unwrap_or_else(|e| panic!("noc_async_write_tile({page}): {e}"));
     }
 
@@ -834,10 +876,27 @@ mod tests {
     }
 
     fn feed(ctx: &ComputeCtx, cb: u8, v: f32) {
-        let c = ctx.cbs.get(&cb).unwrap();
+        let c = ctx.cbs.get(cb).unwrap();
         assert!(c.try_reserve_back(1));
         c.write_tile(&Tile::splat(DataFormat::Float32, v));
         c.push_back(1);
+    }
+
+    #[test]
+    fn slot_arrays_look_up_by_index() {
+        let mut slots: SlotArray<&str, 4> = SlotArray::new();
+        slots.insert(3, "three");
+        slots.insert(1, "one");
+        assert_eq!(slots.get(1), Some(&"one"));
+        assert_eq!(slots.get(0), None);
+        assert_eq!(slots.get(200), None, "an index past the array is simply absent");
+        assert_eq!(slots.iter().collect::<Vec<_>>(), [(1, &"one"), (3, &"three")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 4 out of range (0..4)")]
+    fn slot_array_insert_is_range_checked() {
+        SlotArray::<u32, 4>::new().insert(4, 0);
     }
 
     #[test]
@@ -873,7 +932,7 @@ mod tests {
         ctx.tile_regs_release();
         ctx.cb_pop_front(0, 1);
         ctx.cb_pop_front(1, 1);
-        let out = ctx.cbs.get(&16).unwrap();
+        let out = ctx.cbs.get(16).unwrap();
         assert!(out.has_front(1));
         assert_eq!(out.peek_tile(0).get(0, 0), 0.25);
         assert!(ctx.cycles() > 0);
@@ -928,7 +987,7 @@ mod tests {
         ctx.set_tile_rows(rows);
         let vals: Vec<f32> = (0..1024).map(|i| 1.0 + (i % 113) as f32 * 0.37).collect();
         for (cb, scale) in [(0u8, 1.0f32), (1, -0.5)] {
-            let c = ctx.cbs.get(&cb).unwrap();
+            let c = ctx.cbs.get(cb).unwrap();
             assert!(c.try_reserve_back(1));
             let scaled: Vec<f32> = vals.iter().map(|v| v * scale).collect();
             c.write_tile(&Tile::from_rowmajor(DataFormat::Float32, &scaled));
@@ -1045,7 +1104,7 @@ mod tests {
         let dims = [BroadcastDim::Row, BroadcastDim::Col, BroadcastDim::Scalar];
         for format in [DataFormat::Float32, DataFormat::Float16b] {
             let mut ctx = matrix_ctx(format, format);
-            let page = |ctx: &ComputeCtx, cb: u8, i: usize| ctx.cbs[&cb].peek_tile(i);
+            let page = |ctx: &ComputeCtx, cb: u8, i: usize| ctx.cbs.get(cb).unwrap().peek_tile(i);
             let (a0, a1, b0, b1) =
                 (page(&ctx, 0, 0), page(&ctx, 0, 1), page(&ctx, 1, 0), page(&ctx, 1, 1));
             // Two iterations, so the second recycles the first's storage.
@@ -1102,8 +1161,8 @@ mod tests {
         // A page of another format broadcast against in dst becomes a
         // math-format result, as if computed into a fresh math-format tile.
         let mut ctx = matrix_ctx(DataFormat::Float16b, DataFormat::Float32);
-        let p = ctx.cbs[&2].peek_tile(0);
-        let b = ctx.cbs[&1].peek_tile(1);
+        let p = ctx.cbs.get(2).unwrap().peek_tile(0);
+        let b = ctx.cbs.get(1).unwrap().peek_tile(1);
         ctx.tile_regs_acquire();
         ctx.copy_tile(2, 0, 3);
         ctx.mul_tile_bcast(BroadcastDim::Row, 3, 1, 1);
@@ -1119,7 +1178,7 @@ mod tests {
         let got = ctx.debug_dst(3);
         assert_eq!(got.format(), DataFormat::Float16b);
         assert_eq!(bits(&got), bits(&want));
-        assert_eq!(bits(&ctx.cbs[&2].peek_tile(0)), bits(&p), "CB page kept its bits");
+        assert_eq!(bits(&ctx.cbs.get(2).unwrap().peek_tile(0)), bits(&p), "CB page kept its bits");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use tt_trace::RiscRole;
 
 use crate::context::{ComputeCtx, DataMovementCtx, KernelCtx};
 use crate::kernel::{cb_index, ComputeKernel, DataMovementKernel, KernelFuture};
+use crate::semaphore::NUM_SEMAPHORES;
 
 /// Handle to a kernel added to a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,8 +160,13 @@ impl Program {
     /// hardware (semaphores live in core-local L1).
     ///
     /// # Panics
-    /// Panics on a duplicate declaration for overlapping cores.
+    /// Panics on an out-of-range semaphore index or a duplicate declaration
+    /// for overlapping cores.
     pub fn add_semaphore(&mut self, cores: CoreRangeSet, index: u8, initial: u32) {
+        assert!(
+            usize::from(index) < NUM_SEMAPHORES,
+            "semaphore index {index} out of range (0..{NUM_SEMAPHORES})"
+        );
         for existing in &self.sems {
             if existing.index == index {
                 let dup = existing.cores.iter().any(|c| cores.contains(c));
@@ -350,6 +356,14 @@ mod tests {
     fn cb_index_range_checked() {
         let mut p = Program::new();
         p.add_circular_buffer(cores(1), 32, CircularBufferConfig::new(1, DataFormat::Float32));
+    }
+
+    #[test]
+    #[should_panic(expected = "semaphore index 16 out of range")]
+    fn semaphore_index_range_checked() {
+        let mut p = Program::new();
+        p.add_semaphore(cores(1), 15, 0);
+        p.add_semaphore(cores(1), 16, 0);
     }
 
     #[test]

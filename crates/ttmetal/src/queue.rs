@@ -368,13 +368,8 @@ impl CommandQueue {
         let mut cb_stats: Vec<CbReport> = Vec::new();
         for (core, (cbs, ..)) in &cores {
             let core_index = grid.index_of(*core);
-            for (index, cb) in cbs {
-                cb_stats.push(CbReport {
-                    core: *core,
-                    core_index,
-                    index: *index,
-                    stats: cb.stats(),
-                });
+            for (index, cb) in cbs.iter() {
+                cb_stats.push(CbReport { core: *core, core_index, index, stats: cb.stats() });
             }
         }
         cb_stats.sort_by_key(|r| (r.core_index, r.index));
@@ -868,6 +863,37 @@ mod tests {
         assert!(first.iter().any(|cb| cb.stats.producer_stalls + cb.stats.consumer_stalls > 0));
         for _ in 0..8 {
             assert_eq!(run(), first);
+        }
+    }
+
+    /// Two cores that each camp on one DRAM channel report the same bank
+    /// conflicts launch after launch: each core's reads are counted in
+    /// their own order, however the host interleaves the two cores.
+    #[test]
+    fn identical_launches_report_identical_bank_conflicts() {
+        const READS: usize = 200;
+        let run = || {
+            let dev = device();
+            let mut q = CommandQueue::new(Arc::clone(&dev));
+            let input = Buffer::new(&dev, DataFormat::Float32, 6 * READS).unwrap();
+            let inref = input.reference();
+            let mut p = Program::new();
+            p.add_data_movement_kernel(
+                "camper",
+                CoreRangeSet::first_n(2, 8),
+                NocId::Noc0,
+                Arc::new(async move |ctx: &mut DataMovementCtx| {
+                    // Core x reads only pages on channel x.
+                    for i in 0..READS {
+                        let _ = ctx.noc_async_read_tile(inref, ctx.core().x + 6 * i);
+                    }
+                }),
+            );
+            q.enqueue_program(&p).unwrap();
+            dev.dram().stats().bank_conflicts
+        };
+        for _ in 0..9 {
+            assert_eq!(run(), 2 * (READS as u64 - 1));
         }
     }
 

@@ -14,6 +14,10 @@ use std::sync::Arc;
 
 use tensix::cb::{until, ChangeCounter};
 
+/// Semaphore slots per core: a program's semaphore indices are
+/// `0..NUM_SEMAPHORES`.
+pub const NUM_SEMAPHORES: usize = 16;
+
 /// One L1 semaphore (a 32-bit counter). Clones share the counter.
 #[derive(Debug, Clone)]
 pub struct Semaphore {

@@ -28,8 +28,12 @@ cargo test -q --offline --workspace
 echo "==> bitwise guards on the release build"
 # The packed tile-math loops are what the release binaries ship, and
 # optimization decides how they vectorize: run the bitwise-identity
-# properties against the reference forms on the release build too.
+# properties against the reference forms on the release build too, the
+# end-to-end forces and timing goldens on the code perfbench ships, and
+# the allocation budget of a warm one-core evaluation.
 cargo test --release --offline -p tensix --test vectorized_identity
+cargo test --release --offline -p nbody-tt --test bitwise_goldens
+cargo test --release --offline -p nbody-tt --test alloc_budget
 
 echo "==> traced --profile smoke"
 # Runs the small-N profiled demo: internally asserts the traced run is
