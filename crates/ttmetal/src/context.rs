@@ -93,7 +93,7 @@ pub struct KernelCtx {
     core: CoreCoord,
     cbs: CbMap,
     sems: SemMap,
-    args: Vec<u32>,
+    args: Arc<[u32]>,
     counter: CycleCounter,
     /// Per-instance trace emitter; `None` when tracing is off (the
     /// zero-cost path — every hook is a single branch).
@@ -106,7 +106,7 @@ impl KernelCtx {
         core: CoreCoord,
         cbs: CbMap,
         sems: SemMap,
-        args: Vec<u32>,
+        args: Arc<[u32]>,
         tracer: Option<SpanEmitter>,
     ) -> Self {
         KernelCtx { device, core, cbs, sems, args, counter: CycleCounter::new(), tracer }
@@ -862,7 +862,7 @@ mod tests {
         cbs.insert(1, CircularBuffer::new(cfg));
         cbs.insert(16, CircularBuffer::new(cfg));
         let kernel =
-            KernelCtx::new(dev, CoreCoord::new(0, 0), cbs, SemMap::new(), vec![3, 7], None);
+            KernelCtx::new(dev, CoreCoord::new(0, 0), cbs, SemMap::new(), [3, 7].into(), None);
         ComputeCtx::new(kernel, DataFormat::Float32)
     }
 
@@ -1088,7 +1088,7 @@ mod tests {
         let dev = Device::new(0, DeviceConfig::default());
         let core = CoreCoord::new(0, 0);
         let mut ctx =
-            ComputeCtx::new(KernelCtx::new(dev, core, cbs, SemMap::new(), vec![], None), format);
+            ComputeCtx::new(KernelCtx::new(dev, core, cbs, SemMap::new(), [].into(), None), format);
         for cb in 0..3 {
             ready(ctx.cb_wait_front(cb, 2));
         }

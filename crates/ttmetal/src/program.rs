@@ -90,27 +90,25 @@ impl KernelRun {
     }
 }
 
+/// A kernel declaration. Its label and core set sit behind `Arc`s, so a
+/// slice shares them instead of copying them.
 pub(crate) struct KernelEntry {
-    pub label: String,
-    pub cores: CoreRangeSet,
+    pub label: Arc<str>,
+    pub cores: Arc<CoreRangeSet>,
     pub body: KernelBody,
-    /// Per-core runtime args; `common_args` apply to cores without a
-    /// specific entry.
-    pub runtime_args: HashMap<CoreCoord, Vec<u32>>,
-    pub common_args: Vec<u32>,
 }
 
 /// Circular buffer declaration.
 pub(crate) struct CbEntry {
     pub index: u8,
-    pub cores: CoreRangeSet,
+    pub cores: Arc<CoreRangeSet>,
     pub config: CircularBufferConfig,
 }
 
 /// Semaphore declaration (`CreateSemaphore`).
 pub(crate) struct SemEntry {
     pub index: u8,
-    pub cores: CoreRangeSet,
+    pub cores: Arc<CoreRangeSet>,
     pub initial: u32,
 }
 
@@ -120,6 +118,9 @@ pub struct Program {
     pub(crate) kernels: Vec<KernelEntry>,
     pub(crate) cbs: Vec<CbEntry>,
     pub(crate) sems: Vec<SemEntry>,
+    /// Runtime args by (kernel index, core); an instance without an entry
+    /// gets none.
+    args: HashMap<(usize, CoreCoord), Arc<[u32]>>,
 }
 
 impl Program {
@@ -152,7 +153,7 @@ impl Program {
                 assert!(!dup, "CB {index} declared twice for overlapping cores");
             }
         }
-        self.cbs.push(CbEntry { index, cores, config });
+        self.cbs.push(CbEntry { index, cores: Arc::new(cores), config });
     }
 
     /// Declare semaphore `index` initialized to `initial` on every core in
@@ -173,7 +174,7 @@ impl Program {
                 assert!(!dup, "semaphore {index} declared twice for overlapping cores");
             }
         }
-        self.sems.push(SemEntry { index, cores, initial });
+        self.sems.push(SemEntry { index, cores: Arc::new(cores), initial });
     }
 
     /// Add a data-movement kernel on `cores`, bound to `noc`
@@ -186,11 +187,9 @@ impl Program {
         kernel: Arc<dyn DataMovementKernel>,
     ) -> KernelId {
         self.kernels.push(KernelEntry {
-            label: label.into(),
-            cores,
+            label: label.into().into(),
+            cores: Arc::new(cores),
             body: KernelBody::DataMovement { noc, kernel },
-            runtime_args: HashMap::new(),
-            common_args: Vec::new(),
         });
         KernelId(self.kernels.len() - 1)
     }
@@ -205,11 +204,9 @@ impl Program {
         kernel: Arc<dyn ComputeKernel>,
     ) -> KernelId {
         self.kernels.push(KernelEntry {
-            label: label.into(),
-            cores,
+            label: label.into().into(),
+            cores: Arc::new(cores),
             body: KernelBody::Compute { format, kernel },
-            runtime_args: HashMap::new(),
-            common_args: Vec::new(),
         });
         KernelId(self.kernels.len() - 1)
     }
@@ -218,21 +215,19 @@ impl Program {
     ///
     /// # Panics
     /// Panics if `core` is not in the kernel's core set.
-    pub fn set_runtime_args(&mut self, kernel: KernelId, core: CoreCoord, args: Vec<u32>) {
-        let entry = &mut self.kernels[kernel.0];
+    pub fn set_runtime_args(
+        &mut self,
+        kernel: KernelId,
+        core: CoreCoord,
+        args: impl Into<Arc<[u32]>>,
+    ) {
+        let entry = &self.kernels[kernel.0];
         assert!(
             entry.cores.contains(core),
             "core {core} is not in the core set of kernel '{}'",
             entry.label
         );
-        entry.runtime_args.insert(core, args);
-    }
-
-    /// Set args shared by every core of the kernel
-    /// (`SetCommonRuntimeArgs`). Per-core args, when present, take
-    /// precedence.
-    pub fn set_common_runtime_args(&mut self, kernel: KernelId, args: Vec<u32>) {
-        self.kernels[kernel.0].common_args = args;
+        self.args.insert((kernel.0, core), args.into());
     }
 
     /// Number of kernels.
@@ -247,67 +242,76 @@ impl Program {
         self.cbs.iter().filter(|e| e.cores.contains(core)).map(|e| e.config.total_bytes()).sum()
     }
 
-    pub(crate) fn args_for(&self, kernel: &KernelEntry, core: CoreCoord) -> Vec<u32> {
-        kernel.runtime_args.get(&core).cloned().unwrap_or_else(|| kernel.common_args.clone())
+    /// The runtime args of kernel number `kernel` on `core`.
+    pub(crate) fn args_for(&self, kernel: usize, core: CoreCoord) -> Arc<[u32]> {
+        self.args.get(&(kernel, core)).cloned().unwrap_or_default()
     }
 
     /// Set per-core runtime args for `core` on *every* kernel whose core set
     /// contains it. Programs like the force pipeline hand identical
     /// `[start, count, …]` args to their reader/compute/writer trio, so a
-    /// partial redo can rewrite one core's tile window in a single call
-    /// without holding on to [`KernelId`]s.
-    pub fn set_runtime_args_all_kernels(&mut self, core: CoreCoord, args: Vec<u32>) {
-        for entry in &mut self.kernels {
+    /// launch can set one core's tile window in a single call without
+    /// holding on to [`KernelId`]s. The kernels share one copy of `args`.
+    pub fn set_runtime_args_all_kernels(&mut self, core: CoreCoord, args: impl Into<Arc<[u32]>>) {
+        let args = args.into();
+        for (k, entry) in self.kernels.iter().enumerate() {
             if entry.cores.contains(core) {
-                entry.runtime_args.insert(core, args.clone());
+                self.args.insert((k, core), Arc::clone(&args));
             }
         }
     }
 
     /// Restrict the program to `cores`: kernels keep their order (and hence
-    /// their [`KernelId`]s and launch-event ordering) but run only on the
-    /// intersection of their core set with `cores`; CB and semaphore
-    /// declarations outside `cores` are dropped. Runtime args are cloned, so
-    /// the slice can be re-targeted with
+    /// their [`KernelId`]s) but run only on those of `cores` in their core
+    /// set, in the order of `cores`; CB and semaphore declarations outside
+    /// `cores` are dropped. The slice shares the program's declarations and
+    /// runtime args, so it can be given its own args with
     /// [`Self::set_runtime_args_all_kernels`] without disturbing the
-    /// original program. This is the re-launch unit of a partial redo: only
-    /// the faulting cores' slice is enqueued again.
+    /// original program. A force launch slices its card's template program
+    /// this way, and a partial redo slices the faulting cores again.
     #[must_use]
     pub fn slice_for_cores(&self, cores: &[CoreCoord]) -> Program {
-        let restrict = |set: &CoreRangeSet| -> CoreRangeSet {
-            let singles: Vec<CoreRange> =
-                set.iter().filter(|c| cores.contains(c)).map(CoreRange::single).collect();
-            CoreRangeSet::new(singles)
+        let set_of = |cores: &mut dyn Iterator<Item = &CoreCoord>| {
+            Arc::new(CoreRangeSet::new(cores.map(|&c| CoreRange::single(c)).collect()))
+        };
+        // Declarations on every sliced core (all of them, in a template)
+        // share one restricted set.
+        let all = set_of(&mut cores.iter());
+        let restrict = |set: &Arc<CoreRangeSet>| {
+            if cores.iter().all(|&c| set.contains(c)) {
+                Arc::clone(&all)
+            } else {
+                set_of(&mut cores.iter().filter(|&&c| set.contains(c)))
+            }
         };
         let kernels = self
             .kernels
             .iter()
             .map(|entry| KernelEntry {
-                label: entry.label.clone(),
+                label: Arc::clone(&entry.label),
                 cores: restrict(&entry.cores),
                 body: entry.body.clone(),
-                runtime_args: entry
-                    .runtime_args
-                    .iter()
-                    .filter(|(c, _)| cores.contains(c))
-                    .map(|(c, a)| (*c, a.clone()))
-                    .collect(),
-                common_args: entry.common_args.clone(),
             })
             .collect();
         let cbs = self
             .cbs
             .iter()
             .map(|e| CbEntry { index: e.index, cores: restrict(&e.cores), config: e.config })
-            .filter(|e| e.cores.iter().next().is_some())
+            .filter(|e| e.cores.num_cores() > 0)
             .collect();
         let sems = self
             .sems
             .iter()
             .map(|e| SemEntry { index: e.index, cores: restrict(&e.cores), initial: e.initial })
-            .filter(|e| e.cores.iter().next().is_some())
+            .filter(|e| e.cores.num_cores() > 0)
             .collect();
-        Program { kernels, cbs, sems }
+        let args = self
+            .args
+            .iter()
+            .filter(|((_, c), _)| cores.contains(c))
+            .map(|(key, a)| (*key, Arc::clone(a)))
+            .collect();
+        Program { kernels, cbs, sems, args }
     }
 }
 
@@ -332,14 +336,13 @@ mod tests {
         p.add_circular_buffer(cores(4), cb_index::IN0, cfg);
         p.add_circular_buffer(cores(4), cb_index::OUT0, cfg);
         let k = p.add_data_movement_kernel("reader", cores(4), NocId::Noc0, noop_dm());
-        p.set_common_runtime_args(k, vec![1, 2]);
         p.set_runtime_args(k, CoreCoord::new(0, 0), vec![9]);
         assert_eq!(p.num_kernels(), 1);
         assert_eq!(p.cb_bytes_on_core(CoreCoord::new(0, 0)), 2 * 2 * 4096);
         assert_eq!(p.cb_bytes_on_core(CoreCoord::new(7, 7)), 0);
-        // Per-core args override common args.
-        assert_eq!(p.args_for(&p.kernels[0], CoreCoord::new(0, 0)), vec![9]);
-        assert_eq!(p.args_for(&p.kernels[0], CoreCoord::new(1, 0)), vec![1, 2]);
+        // A core without args of its own gets none.
+        assert_eq!(*p.args_for(0, CoreCoord::new(0, 0)), [9]);
+        assert!(p.args_for(0, CoreCoord::new(1, 0)).is_empty());
     }
 
     #[test]
@@ -389,14 +392,14 @@ mod tests {
         // requested core survives.
         assert_eq!(slice.num_kernels(), 1);
         assert_eq!(slice.kernels[0].cores.iter().collect::<Vec<_>>(), vec![target]);
-        assert_eq!(slice.args_for(&slice.kernels[0], target), vec![2, 1]);
+        assert_eq!(*slice.args_for(0, target), [2, 1]);
         assert_eq!(slice.cbs.len(), 1);
         assert!(slice.cb_bytes_on_core(target) > 0);
         assert_eq!(slice.cb_bytes_on_core(CoreCoord::new(0, 0)), 0);
         // Re-targeting the slice leaves the original program untouched.
         slice.set_runtime_args_all_kernels(target, vec![7, 9]);
-        assert_eq!(slice.args_for(&slice.kernels[0], target), vec![7, 9]);
-        assert_eq!(p.args_for(&p.kernels[0], target), vec![2, 1]);
+        assert_eq!(*slice.args_for(0, target), [7, 9]);
+        assert_eq!(*p.args_for(0, target), [2, 1]);
     }
 
     #[test]

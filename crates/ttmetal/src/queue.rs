@@ -311,7 +311,7 @@ impl CommandQueue {
         let mut core_runs: Vec<CoreRun> = Vec::new();
         let mut run_of: HashMap<CoreCoord, usize> = HashMap::new();
         let mut order = 0;
-        for entry in &program.kernels {
+        for (k, entry) in program.kernels.iter().enumerate() {
             let role = entry.body.role();
             for core in entry.cores.iter() {
                 let core_index = grid.index_of(core);
@@ -324,7 +324,7 @@ impl CommandQueue {
                 let stalled =
                     !self.device.faults().disarmed() && self.device.faults().roll_kernel_stall();
                 let (cbs, sems, changes) = cores.entry(core).or_default();
-                let args = program.args_for(entry, core);
+                let args = program.args_for(k, core);
                 let ctx = KernelCtx::new(
                     Arc::clone(&self.device),
                     core,
@@ -340,11 +340,11 @@ impl CommandQueue {
                     run.ctx().trace_kernel_begin(&entry.label);
                 }
                 let slot = *run_of.entry(core).or_insert_with(|| {
-                    let instances = Vec::new();
+                    let instances = Vec::with_capacity(program.kernels.len());
                     core_runs.push(CoreRun { core, changes: changes.clone(), instances });
                     core_runs.len() - 1
                 });
-                let label = entry.label.clone();
+                let label = entry.label.to_string();
                 core_runs[slot].instances.push(Instance { order, label, core_index, stalled, run });
                 order += 1;
             }
