@@ -42,7 +42,7 @@ pub const MATRIX_BLOCK: usize = TILE_DIM;
 pub const MATRIX_MAX_CHUNKS: usize = 8;
 
 /// Per-axis particle quantities in FP32, the host-side staging format.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HostArrays {
     /// Particle count (unpadded).
     pub n: usize,
@@ -98,23 +98,25 @@ pub fn tilize_targets(arrays: &HostArrays, rows: usize) -> [Vec<Tile>; 6] {
     ]
 }
 
-/// Gather the `active` targets of `arrays` into a dense prefix — the host
-/// side of dynamic tile packing. The result has `n = active.len()`; tilized
-/// (via [`tilize_targets`] or [`matrix_target_view`]), its pad lanes park at
-/// [`PAD_POSITION`] with zero velocity exactly like a full-N tail, so an
-/// active-set launch rounds up to whole work units without contributing
-/// spurious forces.
+/// Gather the `active` targets of `arrays` into `out` as a dense prefix,
+/// reusing `out`'s storage — the host side of dynamic tile packing. `out`
+/// gets `n = active.len()`; tilized (via [`tilize_targets`] or
+/// [`matrix_target_view`]), its pad lanes park at [`PAD_POSITION`] with zero
+/// velocity exactly like a full-N tail, so an active-set launch rounds up
+/// to whole work units without contributing spurious forces.
 ///
 /// # Panics
 /// Panics if an index is out of range.
-#[must_use]
-pub fn gather_active_targets(arrays: &HostArrays, active: &[usize]) -> HostArrays {
-    let pick = |src: &Vec<f32>| -> Vec<f32> { active.iter().map(|&i| src[i]).collect() };
-    HostArrays {
-        n: active.len(),
-        mass: pick(&arrays.mass),
-        pos: [pick(&arrays.pos[0]), pick(&arrays.pos[1]), pick(&arrays.pos[2])],
-        vel: [pick(&arrays.vel[0]), pick(&arrays.vel[1]), pick(&arrays.vel[2])],
+pub fn gather_active_targets(arrays: &HostArrays, active: &[usize], out: &mut HostArrays) {
+    let pick = |src: &[f32], dst: &mut Vec<f32>| {
+        dst.clear();
+        dst.extend(active.iter().map(|&i| src[i]));
+    };
+    out.n = active.len();
+    pick(&arrays.mass, &mut out.mass);
+    for axis in 0..3 {
+        pick(&arrays.pos[axis], &mut out.pos[axis]);
+        pick(&arrays.vel[axis], &mut out.vel[axis]);
     }
 }
 

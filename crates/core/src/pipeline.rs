@@ -379,10 +379,6 @@ pub struct DeviceForcePipeline {
     /// each target block's moment sums are flushed once per chunk, so the
     /// output buffers hold `num_blocks · num_chunks` partial pages.
     num_chunks: usize,
-    /// Per-core `(core, start_tile, tile_count)` of the Fig. 2 outer-loop
-    /// split — the ground truth a partial redo validates fault inventories
-    /// against.
-    core_ranges: Vec<(CoreCoord, usize, usize)>,
     /// The card-resident state, behind the one lock a launch holds from
     /// its input writes to its readback.
     card: Mutex<Card>,
@@ -401,14 +397,16 @@ pub struct DeviceForcePipeline {
 /// ledger.
 struct Card {
     queue: CommandQueue,
+    /// The template every launch slices: the card's CBs and kernels on
+    /// all its cores, with no runtime args.
     program: Program,
     target_bufs: Vec<Buffer>,
     source_bufs: Vec<Buffer>,
     output_bufs: Vec<Buffer>,
-    /// FP32 host view of the most recent launch's gathered targets — the
-    /// matrix kernel's host combine needs the exact quantized operands the
-    /// device saw.
-    host: Option<HostArrays>,
+    /// FP32 host view of the most recent launch's gathered targets, refilled
+    /// in place by every launch — the matrix kernel's host combine needs
+    /// the exact quantized operands the device saw.
+    targets: HostArrays,
 }
 
 impl Card {
@@ -449,29 +447,10 @@ impl Card {
         };
 
         let cores = CoreRangeSet::first_n(num_cores, device.grid().x);
+        let (t, s, o) = (&target_bufs, &source_bufs, &output_bufs);
         let program = match kind {
-            ForceKernelKind::Elementwise => build_program(
-                &cores,
-                &target_bufs,
-                &source_bufs,
-                &output_bufs,
-                eps,
-                LaunchSizing::of(kind, n, num_cores),
-                n,
-                num_cores,
-                format,
-            ),
-            ForceKernelKind::Matrix => build_matrix_program(
-                &cores,
-                &target_bufs,
-                &source_bufs,
-                &output_bufs,
-                eps,
-                work_units,
-                n,
-                num_cores,
-                num_chunks,
-            ),
+            ForceKernelKind::Elementwise => build_program(&cores, t, s, o, eps, format),
+            ForceKernelKind::Matrix => build_matrix_program(&cores, t, s, o, eps, num_chunks),
         };
         Ok(Card {
             queue: CommandQueue::new(Arc::clone(device)),
@@ -479,7 +458,7 @@ impl Card {
             target_bufs,
             source_bufs,
             output_bufs,
-            host: None,
+            targets: HostArrays::default(),
         })
     }
 }
@@ -566,11 +545,6 @@ impl DeviceForcePipeline {
             ForceKernelKind::Matrix => matrix_chunks(kind.work_units(n)).len(),
         };
         let card = Card::build(&device, n, eps, num_cores, format, kind, num_chunks)?;
-        let core_ranges = CoreRangeSet::first_n(num_cores, grid.x)
-            .iter()
-            .zip(split_tiles_to_cores(LaunchSizing::of(kind, n, num_cores).units, num_cores))
-            .map(|(core, (start, count))| (core, start, count))
-            .collect();
 
         Ok(DeviceForcePipeline {
             device,
@@ -580,7 +554,6 @@ impl DeviceForcePipeline {
             format,
             kind,
             num_chunks,
-            core_ranges,
             card: Mutex::new(card),
             timing: Mutex::new(PipelineTiming::default()),
             retired: Mutex::new(PipelineTiming::default()),
@@ -740,9 +713,8 @@ impl DeviceForcePipeline {
         let mut card = self.card.lock();
         let card = &mut *card;
         let plan = self.write_inputs(card, system, active, sizing)?;
-        let slice = (!active.is_full()).then(|| self.active_ranges(sizing));
-        let ranges = slice.as_deref().unwrap_or(&self.core_ranges);
-        let program = slice.as_deref().map(|r| self.program_slice(&card.program, r, &plan));
+        let ranges = self.active_ranges(sizing);
+        let program = self.program_slice(&card.program, &ranges, &plan);
 
         // Tiles already delivered per core (across attempts); kept work of
         // failed attempts, to be billed only when an attempt finally lands.
@@ -759,8 +731,7 @@ impl DeviceForcePipeline {
 
         loop {
             let is_redo = redo.is_some();
-            let current = redo.as_ref().or(program.as_ref()).unwrap_or(&card.program);
-            match card.queue.enqueue_program(current) {
+            let e = match card.queue.enqueue_program(redo.as_ref().unwrap_or(&program)) {
                 Ok(report) => {
                     let cycles: u64 = report.timings.iter().map(|k| k.cycles).sum();
                     max_fc = max_compute_cycles(max_fc, &report.timings);
@@ -778,128 +749,111 @@ impl DeviceForcePipeline {
                     *self.last_report.lock() = Some(report);
                     return Ok(forces);
                 }
-                Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                    let failed = card.queue.take_last_failure();
-                    let (cycles, seconds, timings) = match &failed {
-                        Some(f) => (
-                            f.timings.iter().map(|k| k.cycles).sum::<u64>(),
-                            f.seconds,
-                            &f.timings[..],
-                        ),
-                        None => (0, 0.0, &[][..]),
-                    };
-                    let salvage = if policy.partial_redo {
-                        salvage_attempt(ranges, e.completed_work(), &done)
-                    } else {
-                        None
-                    };
-                    if let Some(sink) = self.device.trace_sink().filter(|s| s.enabled()) {
-                        sink.host_instant(
-                            "retry",
-                            &[
-                                ("attempt", u64::from(attempt)),
-                                ("partial", u64::from(salvage.is_some())),
-                            ],
-                        );
-                    }
-                    let mut t = self.timing.lock();
-                    t.retries += 1;
-                    // The backoff wait is dead time on the device: charge it
-                    // to the wasted bucket as well as the backoff ledger.
-                    let backoff = policy.backoff_s(attempt);
-                    t.retry_backoff_seconds += backoff;
-                    t.wasted_seconds += backoff;
-                    match salvage {
-                        Some(fresh) => {
-                            // Keep survivors' finished tiles: split the
-                            // attempt's cycles by each core's delivered
-                            // fraction of its remaining range.
-                            let grid = self.device.grid();
-                            let mut kept = 0u64;
-                            for k in timings {
-                                let frac = ranges
-                                    .iter()
-                                    .position(|(core, _, _)| grid.index_of(*core) == k.core_index)
-                                    .map_or(0.0, |i| {
-                                        delivered_frac(ranges[i].2, fresh[i], done[i])
-                                    });
-                                kept += scale_cycles(k.cycles, frac);
-                            }
-                            let kept_frac =
-                                if cycles > 0 { kept as f64 / cycles as f64 } else { 0.0 };
-                            t.wasted_cycles += cycles - kept;
-                            t.wasted_seconds += seconds * (1.0 - kept_frac);
-                            t.partial_redos += 1;
-                            drop(t);
-                            max_fc = max_compute_cycles(max_fc, timings);
-                            kept_busy_cycles += kept;
-                            kept_seconds += seconds * kept_frac;
-                            if is_redo {
-                                kept_redo_cycles += kept;
-                                kept_redo_seconds += seconds * kept_frac;
-                            }
-                            for (d, f) in done.iter_mut().zip(&fresh) {
-                                *d += f;
-                            }
-                            // Re-launch only the incomplete cores, each
-                            // window advanced past its delivered prefix.
-                            let remaining: Vec<(CoreCoord, usize, usize)> = ranges
-                                .iter()
-                                .zip(&done)
-                                .filter(|((_, _, count), d)| **d < *count as u64)
-                                .map(|(&(core, start, count), &d)| {
-                                    (core, start + d as usize, count - d as usize)
-                                })
-                                .collect();
-                            redo = Some(self.program_slice(&card.program, &remaining, &plan));
-                        }
-                        None => {
-                            // Full re-run: this attempt and everything kept
-                            // from earlier attempts is discarded work.
-                            t.wasted_cycles += cycles + kept_busy_cycles;
-                            t.wasted_seconds += seconds + kept_seconds;
-                            drop(t);
-                            kept_busy_cycles = 0;
-                            kept_redo_cycles = 0;
-                            kept_seconds = 0.0;
-                            kept_redo_seconds = 0.0;
-                            max_fc = [0; 3];
-                            done.iter_mut().for_each(|d| *d = 0);
-                            redo = None;
-                        }
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    // Terminal failure: everything this call burned is waste.
-                    let (cycles, seconds) = match card.queue.take_last_failure() {
-                        Some(f) => (f.timings.iter().map(|k| k.cycles).sum::<u64>(), f.seconds),
-                        None => (0, 0.0),
-                    };
-                    let mut t = self.timing.lock();
-                    t.wasted_cycles += cycles + kept_busy_cycles;
-                    t.wasted_seconds += seconds + kept_seconds;
-                    return Err(e);
+                Err(e) => e,
+            };
+            let failed = card.queue.take_last_failure();
+            let timings = failed.as_ref().map_or(&[][..], |f| &f.timings[..]);
+            let cycles: u64 = timings.iter().map(|k| k.cycles).sum();
+            let seconds = failed.as_ref().map_or(0.0, |f| f.seconds);
+            let retry = e.is_transient() && attempt < policy.max_retries;
+            let salvage = if retry && policy.partial_redo {
+                salvage_attempt(&ranges, e.completed_work(), &done)
+            } else {
+                None
+            };
+            if retry {
+                if let Some(sink) = self.device.trace_sink().filter(|s| s.enabled()) {
+                    sink.host_instant(
+                        "retry",
+                        &[
+                            ("attempt", u64::from(attempt)),
+                            ("partial", u64::from(salvage.is_some())),
+                        ],
+                    );
                 }
             }
+            let mut t = self.timing.lock();
+            if retry {
+                t.retries += 1;
+                // The backoff wait is dead time on the device: charge it to
+                // the wasted bucket as well as the backoff ledger.
+                let backoff = policy.backoff_s(attempt);
+                t.retry_backoff_seconds += backoff;
+                t.wasted_seconds += backoff;
+                attempt += 1;
+            }
+            let Some(fresh) = salvage else {
+                // A full re-run, or the end of the call: this attempt and
+                // everything kept from earlier attempts is discarded work.
+                t.wasted_cycles += cycles + kept_busy_cycles;
+                t.wasted_seconds += seconds + kept_seconds;
+                drop(t);
+                if !retry {
+                    return Err(e);
+                }
+                kept_busy_cycles = 0;
+                kept_redo_cycles = 0;
+                kept_seconds = 0.0;
+                kept_redo_seconds = 0.0;
+                max_fc = [0; 3];
+                done.iter_mut().for_each(|d| *d = 0);
+                redo = None;
+                continue;
+            };
+            // Keep survivors' finished tiles: split the attempt's cycles by
+            // each core's delivered fraction of its remaining range.
+            let grid = self.device.grid();
+            let mut kept = 0u64;
+            for k in timings {
+                let frac = ranges
+                    .iter()
+                    .position(|(core, _, _)| grid.index_of(*core) == k.core_index)
+                    .map_or(0.0, |i| delivered_frac(ranges[i].2, fresh[i], done[i]));
+                kept += scale_cycles(k.cycles, frac);
+            }
+            let kept_frac = if cycles > 0 { kept as f64 / cycles as f64 } else { 0.0 };
+            t.wasted_cycles += cycles - kept;
+            t.wasted_seconds += seconds * (1.0 - kept_frac);
+            t.partial_redos += 1;
+            drop(t);
+            max_fc = max_compute_cycles(max_fc, timings);
+            kept_busy_cycles += kept;
+            kept_seconds += seconds * kept_frac;
+            if is_redo {
+                kept_redo_cycles += kept;
+                kept_redo_seconds += seconds * kept_frac;
+            }
+            for (d, f) in done.iter_mut().zip(&fresh) {
+                *d += f;
+            }
+            // Re-launch only the incomplete cores, each window advanced past
+            // its delivered prefix.
+            let remaining: Vec<(CoreCoord, usize, usize)> = ranges
+                .iter()
+                .zip(&done)
+                .filter(|((_, _, count), d)| **d < *count as u64)
+                .map(|(&(core, start, count), &d)| (core, start + d as usize, count - d as usize))
+                .collect();
+            redo = Some(self.program_slice(&card.program, &remaining, &plan));
         }
     }
 
-    /// The active launch's `(core, start, count)` ranges: the first
-    /// `sizing.cores` cores, splitting the *active* work-unit count — the
-    /// launch grid is sized by the work that exists, not by `n`.
+    /// The launch's `(core, start, count)` ranges: the first `sizing.cores`
+    /// cores of the Fig. 2 split over the launch's work units — the launch
+    /// grid is sized by the work that exists, not by `n`.
     fn active_ranges(&self, sizing: LaunchSizing) -> Vec<(CoreCoord, usize, usize)> {
-        self.core_ranges
-            .iter()
-            .zip(split_tiles_to_cores(sizing.units, sizing.cores))
-            .map(|(&(core, _, _), (start, count))| (core, start, count))
+        let width = self.device.grid().x;
+        split_tiles_to_cores(sizing.units, sizing.cores)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, count))| (CoreCoord::new(i % width, i / width), start, count))
             .collect()
     }
 
-    /// `program` restricted to `ranges`' cores, each core's runtime args
-    /// rewritten to its `[start, count, n]` window followed by the launch's
-    /// `plan` args (the matrix damping plan; the unit's tile rows for
-    /// elementwise).
+    /// The card's template `program` restricted to `ranges`' cores, each
+    /// core's runtime args set to its `[start, count, n]` window followed
+    /// by the launch's `plan` args (the matrix damping plan; the unit's
+    /// tile rows for elementwise).
     fn program_slice(
         &self,
         program: &Program,
@@ -930,9 +884,8 @@ impl DeviceForcePipeline {
         sizing: LaunchSizing,
     ) -> std::result::Result<Vec<u32>, LaunchError> {
         let arrays = HostArrays::from_system(system);
-        let gathered =
-            (!active.is_full()).then(|| gather_active_targets(&arrays, active.indices()));
-        let targets = gathered.as_ref().unwrap_or(&arrays);
+        gather_active_targets(&arrays, active.indices(), &mut card.targets);
+        let targets = &card.targets;
         match self.kind {
             ForceKernelKind::Elementwise => {
                 let rows = sizing.tile_rows();
@@ -955,7 +908,6 @@ impl DeviceForcePipeline {
                 }
                 let plan = damping_plan(active.indices());
                 card.queue.enqueue_write_buffer(&card.source_bufs[7], &plan.pages)?;
-                card.host = Some(gathered.unwrap_or(arrays));
                 Ok(plan.args)
             }
         }
@@ -997,8 +949,7 @@ impl DeviceForcePipeline {
                 let pages = sizing.units * self.num_chunks;
                 let w_tiles = card.queue.enqueue_read_pages(&card.output_bufs[0], pages)?;
                 let g_tiles = card.queue.enqueue_read_pages(&card.output_bufs[1], pages)?;
-                let host = card.host.as_ref().expect("matrix combine before write_inputs");
-                Ok(self.combine_moments(host, &w_tiles, &g_tiles))
+                Ok(self.combine_moments(&card.targets, &w_tiles, &g_tiles))
             }
         }
     }
@@ -1116,16 +1067,14 @@ fn scale_cycles(cycles: u64, frac: f64) -> u64 {
     ((cycles as f64 * frac).round() as u64).min(cycles)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Assemble the elementwise force program's template: `format` CBs and
+/// the reader/compute/writer trio on every core of `cores`.
 fn build_program(
     cores: &CoreRangeSet,
     targets: &[Buffer],
     sources: &[Buffer],
     outputs: &[Buffer],
     eps: f64,
-    sizing: LaunchSizing,
-    n: usize,
-    num_cores: usize,
     format: DataFormat,
 ) -> Program {
     let f = format;
@@ -1137,7 +1086,7 @@ fn build_program(
     program.add_circular_buffer(cores.clone(), INTERMED2, CircularBufferConfig::new(12, f));
     program.add_circular_buffer(cores.clone(), OUT0, CircularBufferConfig::new(12, f));
 
-    let reader = program.add_data_movement_kernel(
+    program.add_data_movement_kernel(
         "reader",
         cores.clone(),
         NocId::Noc0,
@@ -1146,44 +1095,32 @@ fn build_program(
             sources: std::array::from_fn(|i| sources[i].reference()),
         }),
     );
-    let compute = program.add_compute_kernel(
+    program.add_compute_kernel(
         "force-compute",
         cores.clone(),
         f,
         Arc::new(ForceComputeKernel { eps_squared: (eps * eps) as f32 }),
     );
-    let writer = program.add_data_movement_kernel(
+    program.add_data_movement_kernel(
         "writer",
         cores.clone(),
         NocId::Noc1,
         Arc::new(WriterKernel { outputs: std::array::from_fn(|i| outputs[i].reference()) }),
     );
-
-    let split = split_tiles_to_cores(sizing.units, num_cores);
-    for (core, (start, count)) in cores.iter().zip(split) {
-        let args = launch_args(start, count, n, &[sizing.tile_rows() as u32]);
-        program.set_runtime_args(reader, core, args.clone());
-        program.set_runtime_args(compute, core, args.clone());
-        program.set_runtime_args(writer, core, args);
-    }
     program
 }
 
-/// Assemble the matrix-pipe force program: FP32 operand CBs sized for
-/// groups of [`MATRIX_GROUP_BLOCKS`] target blocks, BF16 CBs for the
-/// quantized W/G and `SRC_ATTR` pages feeding the full-rate accumulate
-/// matmuls, and runtime args in 32-particle *block* units carrying the full
-/// set's damping plan (a subset launch rewrites both).
-#[allow(clippy::too_many_arguments)]
+/// Assemble the matrix-pipe force program's template: FP32 operand CBs
+/// sized for groups of [`MATRIX_GROUP_BLOCKS`] target blocks, and BF16 CBs
+/// for the quantized W/G and `SRC_ATTR` pages feeding the full-rate
+/// accumulate matmuls. Each launch's args count 32-particle *blocks* and
+/// carry its damping plan.
 fn build_matrix_program(
     cores: &CoreRangeSet,
     targets: &[Buffer],
     sources: &[Buffer],
     outputs: &[Buffer],
     eps: f64,
-    num_blocks: usize,
-    n: usize,
-    num_cores: usize,
     num_chunks: usize,
 ) -> Program {
     let f32f = DataFormat::Float32;
@@ -1213,7 +1150,7 @@ fn build_matrix_program(
     );
     program.add_circular_buffer(cores.clone(), OUT0, CircularBufferConfig::new(4, f32f));
 
-    let reader = program.add_data_movement_kernel(
+    program.add_data_movement_kernel(
         "reader",
         cores.clone(),
         NocId::Noc0,
@@ -1236,13 +1173,13 @@ fn build_matrix_program(
             diag: sources[7].reference(),
         }),
     );
-    let compute = program.add_compute_kernel(
+    program.add_compute_kernel(
         "force-compute",
         cores.clone(),
         f32f,
         Arc::new(MatrixForceComputeKernel { eps_squared: (eps * eps) as f32 }),
     );
-    let writer = program.add_data_movement_kernel(
+    program.add_data_movement_kernel(
         "writer",
         cores.clone(),
         NocId::Noc1,
@@ -1251,24 +1188,12 @@ fn build_matrix_program(
             num_chunks,
         }),
     );
-
-    // The full set's damping plan: block b on the one DIAG_DAMP·I page.
-    let plan = damping_plan(&(0..n).collect::<Vec<_>>()).args;
-    let split = split_tiles_to_cores(num_blocks, num_cores);
-    for (core, (start, count)) in cores.iter().zip(split) {
-        let args = launch_args(start, count, n, &plan);
-        program.set_runtime_args(reader, core, args.clone());
-        program.set_runtime_args(compute, core, args.clone());
-        program.set_runtime_args(writer, core, args);
-    }
     program
 }
 
 /// One core's runtime args: its `[start, count, n]` window, then `plan`.
-fn launch_args(start: usize, count: usize, n: usize, plan: &[u32]) -> Vec<u32> {
-    let mut args = vec![start as u32, count as u32, n as u32];
-    args.extend_from_slice(plan);
-    args
+fn launch_args(start: usize, count: usize, n: usize, plan: &[u32]) -> Arc<[u32]> {
+    [start as u32, count as u32, n as u32].into_iter().chain(plan.iter().copied()).collect()
 }
 
 #[cfg(test)]
