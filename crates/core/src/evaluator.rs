@@ -303,7 +303,7 @@ impl<K: ForceKernel> ForceEvaluator for CpuForceEvaluator<K> {
         system: &ParticleSystem,
         _policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
-        Ok(self.kernel.compute(system))
+        self.evaluate_active(system, &ActiveSet::full(self.n))
     }
 
     fn evaluate_active(
@@ -314,12 +314,10 @@ impl<K: ForceKernel> ForceEvaluator for CpuForceEvaluator<K> {
         if active.is_empty() {
             return Ok(Forces::zeros(0));
         }
-        if active.is_full() {
-            return Ok(self.kernel.compute(system));
-        }
         // Permute the active targets to the front and compute the contiguous
         // prefix against all sources — O(|A|·N). The permuted source order is
-        // deterministic in the active set, so block-step runs replay bitwise.
+        // deterministic in the active set, so block-step runs replay bitwise;
+        // for the full set the permutation is the identity.
         let n = system.len();
         let mut in_active = vec![false; n];
         for &i in active.indices() {

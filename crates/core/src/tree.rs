@@ -406,10 +406,10 @@ fn pairwise(
 type LeafRows = Vec<(u32, Vec3, Vec3)>;
 
 /// Evaluate one leaf's targets on the host (far multipoles + near direct
-/// pairs), appending rows to `out`. When `mask` is present only marked
-/// targets get rows — sources are unaffected, so each computed row is
-/// bitwise identical to the full-evaluation row. Returns (far, near)
-/// interaction counts.
+/// pairs), appending rows to `out`. Only targets marked in `mask` get
+/// rows — sources are unaffected, so each computed row is bitwise
+/// identical to the full-evaluation row. Returns (far, near) interaction
+/// counts.
 #[allow(clippy::too_many_arguments)]
 fn eval_leaf_host(
     tree: &Octree,
@@ -418,7 +418,7 @@ fn eval_leaf_host(
     e2: f64,
     far: &[u32],
     near: &[u32],
-    mask: Option<&[bool]>,
+    mask: &[bool],
     out: &mut LeafRows,
 ) -> (u64, u64) {
     let node = &tree.nodes[leaf as usize];
@@ -427,7 +427,7 @@ fn eval_leaf_host(
     let mut near_count = 0u64;
     for &pi in &tree.order[start..end] {
         let i = pi as usize;
-        if mask.is_some_and(|m| !m[i]) {
+        if !mask[i] {
             continue;
         }
         let (pos, vel) = (sys.pos[i], sys.vel[i]);
@@ -558,17 +558,17 @@ impl TreeForceEvaluator {
         }
     }
 
-    /// Full evaluation: build, walk, far + near. Device patch launches run
-    /// through the pipeline's one launch driver under `policy`. A
-    /// `mask` restricts which targets get rows (leaves with no marked
-    /// target are skipped outright); sources — and therefore the tree,
-    /// the interaction lists, and every computed row — are untouched, so
-    /// masked rows are bitwise identical to the full evaluation's.
+    /// One evaluation: build, walk, far + near. Device patch launches run
+    /// through the pipeline's one launch driver under `policy`. `mask`
+    /// marks which targets get rows (all of them for the full set; leaves
+    /// with no marked target are skipped outright); sources — and
+    /// therefore the tree, the interaction lists, and every computed row —
+    /// are untouched, so each row is the same bits under any mask.
     fn evaluate_tree(
         &self,
         sys: &ParticleSystem,
         policy: RetryPolicy,
-        mask: Option<&[bool]>,
+        mask: &[bool],
     ) -> std::result::Result<Forces, LaunchError> {
         assert_eq!(sys.len(), self.n, "evaluator built for n = {}", self.n);
 
@@ -595,29 +595,26 @@ impl TreeForceEvaluator {
 
     /// Host walk: leaves are chunked over threads; every thread writes
     /// rows for its own leaves only, so any thread count produces the
-    /// same bits. A `mask` drops leaves with no marked target before the
+    /// same bits. `mask` drops leaves with no marked target before the
     /// thread split and skips unmarked targets inside surviving leaves.
     fn near_host(
         &self,
         sys: &ParticleSystem,
         tree: &Octree,
-        mask: Option<&[bool]>,
+        mask: &[bool],
     ) -> (Forces, f64, f64, u64, u64) {
         let t0 = Instant::now();
-        let live: Vec<u32> = match mask {
-            None => tree.leaf_ids.clone(),
-            Some(m) => tree
-                .leaf_ids
-                .iter()
-                .copied()
-                .filter(|&lid| {
-                    let l = &tree.nodes[lid as usize];
-                    tree.order[l.start as usize..(l.start + l.count) as usize]
-                        .iter()
-                        .any(|&pi| m[pi as usize])
-                })
-                .collect(),
-        };
+        let live: Vec<u32> = tree
+            .leaf_ids
+            .iter()
+            .copied()
+            .filter(|&lid| {
+                let l = &tree.nodes[lid as usize];
+                tree.order[l.start as usize..(l.start + l.count) as usize]
+                    .iter()
+                    .any(|&pi| mask[pi as usize])
+            })
+            .collect();
         let threads = self.effective_threads().min(live.len()).max(1);
         let chunk = live.len().div_ceil(threads).max(1);
         let results: Vec<(LeafRows, u64, u64)> = std::thread::scope(|scope| {
@@ -668,7 +665,7 @@ impl TreeForceEvaluator {
 
     /// Hybrid walk: host far-field, device near-field patches. Sequential
     /// over leaves — patch launches serialize on the device queue anyway,
-    /// and the fixed order keeps timing/fault streams deterministic. A
+    /// and the fixed order keeps timing/fault streams deterministic.
     /// `mask` skips leaves with no marked target entirely; surviving
     /// leaves still launch their full patch (unmarked leaf members remain
     /// sources for the marked ones), but only marked rows are read out —
@@ -678,7 +675,7 @@ impl TreeForceEvaluator {
         sys: &ParticleSystem,
         tree: &Octree,
         policy: RetryPolicy,
-        mask: Option<&[bool]>,
+        mask: &[bool],
     ) -> std::result::Result<(Forces, f64, f64, u64, u64), LaunchError> {
         let NearField::Device(dn) = &self.near else {
             unreachable!("near_device called on host evaluator")
@@ -698,7 +695,7 @@ impl TreeForceEvaluator {
             let node = &tree.nodes[leaf as usize];
             let (start, end) = (node.start as usize, (node.start + node.count) as usize);
             let targets = &tree.order[start..end];
-            let is_live = |pi: u32| mask.is_none_or(|m| m[pi as usize]);
+            let is_live = |pi: u32| mask[pi as usize];
             if !targets.iter().any(|&pi| is_live(pi)) {
                 continue;
             }
@@ -810,7 +807,7 @@ impl ForceEvaluator for TreeForceEvaluator {
         system: &ParticleSystem,
         policy: RetryPolicy,
     ) -> std::result::Result<Forces, LaunchError> {
-        self.evaluate_tree(system, policy, None)
+        self.evaluate_active_with_retry(system, &ActiveSet::full(self.n), policy)
     }
 
     fn evaluate_active(
@@ -833,14 +830,11 @@ impl ForceEvaluator for TreeForceEvaluator {
         if active.is_empty() {
             return Ok(Forces { acc: Vec::new(), jerk: Vec::new() });
         }
-        if active.is_full() {
-            return self.evaluate_tree(system, policy, None);
-        }
         let mut mask = vec![false; self.n];
         for &i in active.indices() {
             mask[i] = true;
         }
-        let full = self.evaluate_tree(system, policy, Some(&mask))?;
+        let full = self.evaluate_tree(system, policy, &mask)?;
         Ok(gather_rows(&full, active))
     }
 
