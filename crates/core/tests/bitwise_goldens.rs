@@ -19,6 +19,8 @@
 //!    makes, and every host FP64 predict/correct, is pinned end to end.
 //! 4. Wide launches: one evaluation on 8 cores (half tiles) and one on 64
 //!    cores (matrix blocks), pinning forces, timing and per-CB traffic.
+//!    A full launch with fewer work units than cores runs the busy cores
+//!    only.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -514,4 +516,41 @@ fn sixty_four_core_matrix_launch_is_pinned() {
             (26, 288, 288, 8..=8),
         ],
     );
+}
+
+/// A full-N launch with fewer work units than cores runs only the busy
+/// cores: three kernel instances on each, none on the idle ones. Its forces
+/// are the one-core pipeline's bits, and its busy cycles are the sum of the
+/// instances it reports.
+#[test]
+fn full_launch_with_fewer_units_than_cores_runs_only_busy_cores() {
+    use nbody_tt::ForceKernelKind::{Elementwise, Matrix};
+
+    // Elementwise: one half-tile unit on 4 cores; matrix: 3 blocks on 8.
+    for (kind, cores, units) in [(Elementwise, 4, 1), (Matrix, 8, 3)] {
+        let n = 96;
+        let sys = plummer(PlummerConfig { n, seed: 28, ..PlummerConfig::default() });
+        let run = |cores| {
+            let device = Device::new(0, DeviceConfig::default());
+            let pipeline =
+                DeviceForcePipeline::new_with_kernel(device, n, 0.01, cores, kind).unwrap();
+            let forces = pipeline.evaluate_checked(&sys).unwrap();
+            (pipeline, forces)
+        };
+        let (_, one_core) = run(1);
+        let (wide, forces) = run(cores);
+        assert_eq!(wide.sizing(n).units, units, "{kind:?}");
+        assert_eq!(forces.acc, one_core.acc, "{kind:?}");
+        assert_eq!(forces.jerk, one_core.jerk, "{kind:?}");
+
+        let report = wide.last_launch_report().unwrap();
+        let mut instances = vec![0; cores];
+        for k in &report.timings {
+            instances[k.core_index] += 1;
+        }
+        let want: Vec<usize> = (0..cores).map(|c| if c < units { 3 } else { 0 }).collect();
+        assert_eq!(instances, want, "{kind:?}: kernel instances per core");
+        let reported: u64 = report.timings.iter().map(|k| k.cycles).sum();
+        assert_eq!(wide.timing().busy_cycles, reported, "{kind:?}");
+    }
 }
