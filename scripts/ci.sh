@@ -29,10 +29,12 @@ echo "==> bitwise guards on the release build"
 # The packed tile-math loops are what the release binaries ship, and
 # optimization decides how they vectorize: run the bitwise-identity
 # properties against the reference forms on the release build too, the
-# end-to-end forces and timing goldens on the code perfbench ships, and
-# the allocation budget of a warm one-core evaluation.
+# end-to-end forces and timing goldens on the code perfbench ships, the
+# partial-redo path's pinned timing, and the allocation budget of a warm
+# one-core evaluation.
 cargo test --release --offline -p tensix --test vectorized_identity
 cargo test --release --offline -p nbody-tt --test bitwise_goldens
+cargo test --release --offline -p nbody-tt --test partial_redo
 cargo test --release --offline -p nbody-tt --test alloc_budget
 
 echo "==> traced --profile smoke"
