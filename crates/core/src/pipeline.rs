@@ -709,9 +709,24 @@ impl DeviceForcePipeline {
         if active.is_empty() {
             return Ok(Forces::zeros(0));
         }
-        let sizing = self.sizing(active.len());
         let mut card = self.card.lock();
-        let card = &mut *card;
+        let result = self.drive(&mut card, system, active, policy);
+        // Every exit bills the PCIe traffic it caused, a failed one too:
+        // card-loss recovery replaces the queue and its ledger.
+        self.timing.lock().io_seconds = card.queue.io_seconds();
+        result
+    }
+
+    /// [`Self::launch`] on the locked `card`: write the inputs, then run
+    /// attempts until one lands or the failure is terminal.
+    fn drive(
+        &self,
+        card: &mut Card,
+        system: &ParticleSystem,
+        active: &ActiveSet,
+        policy: RetryPolicy,
+    ) -> std::result::Result<Forces, LaunchError> {
+        let sizing = self.sizing(active.len());
         let plan = self.write_inputs(card, system, active, sizing)?;
         let ranges = self.active_ranges(sizing);
         let program = self.program_slice(&card.program, &ranges, &plan);
@@ -744,7 +759,6 @@ impl DeviceForcePipeline {
                         kept_redo_seconds + if is_redo { report.seconds } else { 0.0 };
                     t.evaluations += 1;
                     [t.last_eval_cycles, t.last_matrix_cycles, t.last_vector_cycles] = max_fc;
-                    t.io_seconds = card.queue.io_seconds();
                     drop(t);
                     *self.last_report.lock() = Some(report);
                     return Ok(forces);
@@ -1585,6 +1599,9 @@ mod tests {
             dev.faults().schedule(FaultClass::DeviceLoss, 1);
             let err = pipeline.evaluate_checked(&sys).unwrap_err();
             assert!(err.is_card_loss(), "{kind:?}: {err:?}");
+            // The lost launch's input writes crossed PCIe and are billed.
+            let lost_io = pipeline.timing().io_seconds;
+            assert!(lost_io > t1.io_seconds, "{kind:?}: lost launch's writes billed");
             pipeline.recover_device_loss(err).unwrap();
             assert!(dev.is_alive());
             assert_eq!(pipeline.kernel_kind(), kind, "recovery keeps the kernel kind");
@@ -1594,7 +1611,7 @@ mod tests {
             let t2 = pipeline.timing();
             assert_eq!(t2.evaluations, 2, "{kind:?}: lost incarnation's accounting carried");
             assert_eq!(t2.busy_cycles, 2 * t1.busy_cycles, "{kind:?}");
-            assert_eq!(t2.io_seconds, t1.io_seconds + t1.io_seconds, "{kind:?}: fresh queue");
+            assert_eq!(t2.io_seconds, lost_io + t1.io_seconds, "{kind:?}: fresh queue");
 
             // Non-card-loss causes are refused.
             let stall = LaunchError::Stall {

@@ -332,7 +332,7 @@ fn driver_golden_shared_resilient_faults() {
         &sys,
         out.outcome.timing,
         0x99140fee706f720d,
-        "Some(PipelineTiming { device_seconds: 0.002128192, io_seconds: 2.5941333333333356e-5, evaluations: 8, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 1, retry_backoff_seconds: 0.25, busy_cycles: 2154032, wasted_cycles: 834, wasted_seconds: 0.250000818, redo_cycles: 269254, redo_seconds: 0.000266024, partial_redos: 1 })",
+        "Some(PipelineTiming { device_seconds: 0.002128192, io_seconds: 2.8160000000000042e-5, evaluations: 8, last_eval_cycles: 266024, last_matrix_cycles: 17280, last_vector_cycles: 122712, retries: 1, retry_backoff_seconds: 0.25, busy_cycles: 2154032, wasted_cycles: 834, wasted_seconds: 0.250000818, redo_cycles: 269254, redo_seconds: 0.000266024, partial_redos: 1 })",
     );
 }
 

@@ -235,7 +235,7 @@ mod tests {
         let census = tt_server::run_campaign(&cfg, &arrivals, None).census;
         assert!(census.zero_lost_jobs(), "bench campaign lost a job");
         // Virtual seconds, to the bit: any change is a serving-policy change.
-        assert_eq!(census.p99_latency_s.to_bits(), 0.0010965160000000005f64.to_bits());
+        assert_eq!(census.p99_latency_s.to_bits(), 0.0011004430400000011f64.to_bits());
     }
 
     #[test]
