@@ -40,7 +40,7 @@ pub use loadgen::{bench_campaign, generate_load, LoadConfig, LoadGenError};
 pub use plot::{render_histogram, render_timeseries};
 pub use profile::{
     harvest_metrics, maybe_run_profile, run_profiled_demo, KernelRow, ProfileArtifacts,
-    ProfileReport, StallAttribution,
+    ProfileReport,
 };
 pub use report::{all_within, render_table, Comparison};
 pub use specs::{accel_spec, cpu_spec, ACCEL_TIME_JITTER, CPU_TIME_JITTER, RESET_FAILURE_PROB};

@@ -1,16 +1,11 @@
-//! Pipeline profiling: per-kernel/per-core time breakdown, stall
-//! attribution, and the `--profile` traced demo run.
+//! Pipeline profiling: per-kernel/per-core time breakdown and the
+//! `--profile` traced demo run.
 //!
-//! [`ProfileReport`] digests a launch's [`ProgramReport`] (kernel timings +
-//! per-CB statistics) into the view an operator actually wants: where did
-//! each core spend its cycles, and when a kernel sat idle, which circular
-//! buffer was it blocked on ("core 3 writer blocked on cb 16 as consumer,
-//! 41 % of cycles"). Attribution uses the force pipeline's fixed CB
-//! topology — `IN0`/`IN1` are fed by the reader and drained by the compute
-//! kernel, the `INTERMED*` ring is compute-internal (the dst-register spill
-//! ring), `OUT0` is fed by compute and drained by the writer — so a
-//! producer stall on `IN0` charges the reader and a consumer stall on
-//! `OUT0` charges the writer.
+//! [`ProfileReport`] digests a launch's kernel timings into where each core
+//! spent its cycles: every kernel instance's busy share of its core's
+//! critical path. It attributes no idle time to CB waits: a CB stall count
+//! records the executor's poll order (a wait whose first poll was
+//! pending), not device time.
 //!
 //! [`run_profiled_demo`] is the end-to-end observability check behind the
 //! `--profile` flag: it runs one small force evaluation twice on
@@ -50,25 +45,6 @@ pub struct KernelRow {
     pub busy_frac: f64,
 }
 
-/// One attributed stall source: a kernel's idle time charged to a CB.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StallAttribution {
-    /// Linear core index.
-    pub core_index: usize,
-    /// The blocked kernel's label.
-    pub kernel: String,
-    /// The circular buffer it blocked on.
-    pub cb: u8,
-    /// `"producer"` (blocked in `cb_reserve_back`, the CB was full) or
-    /// `"consumer"` (blocked in `cb_wait_front`, the CB was empty).
-    pub role: &'static str,
-    /// Number of blocking waits.
-    pub stalls: u64,
-    /// Estimated fraction of the core's cycles this stall source cost:
-    /// the kernel's idle fraction split across its stall sources by count.
-    pub attributed_frac: f64,
-}
-
 /// Per-kernel/per-core profile of one launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
@@ -76,23 +52,6 @@ pub struct ProfileReport {
     pub rows: Vec<KernelRow>,
     /// Per-core critical-path cycles (the slowest instance on each core).
     pub core_cycles: Vec<(usize, u64)>,
-    /// Stall sources sorted by `attributed_frac`, largest first.
-    pub stalls: Vec<StallAttribution>,
-}
-
-/// The force pipeline's CB topology: which kernel blocks on which side of
-/// each CB. `None` means the stall cannot occur in this pipeline (nobody
-/// ever waits there).
-fn cb_roles(cb: u8) -> (Option<&'static str>, Option<&'static str>) {
-    match cb {
-        // (producer-side waiter, consumer-side waiter)
-        cb_index::IN0 | cb_index::IN1 => (Some("reader"), Some("force-compute")),
-        cb_index::OUT0 => (Some("force-compute"), Some("writer")),
-        c if (cb_index::INTERMED0..=cb_index::INTERMED5).contains(&c) => {
-            (Some("force-compute"), Some("force-compute"))
-        }
-        _ => (None, None),
-    }
 }
 
 impl ProfileReport {
@@ -121,68 +80,8 @@ impl ProfileReport {
             .collect();
         rows.sort_by(|a, b| (a.core_index, &a.label).cmp(&(b.core_index, &b.label)));
 
-        // Stall counts per (core, kernel): needed to split each kernel's
-        // idle fraction across its stall sources.
-        let mut per_kernel_stalls: BTreeMap<(usize, &'static str), u64> = BTreeMap::new();
-        let mut sources: Vec<(usize, &'static str, u8, &'static str, u64)> = Vec::new();
-        for cb in &report.cb_stats {
-            let (producer, consumer) = cb_roles(cb.index);
-            if cb.stats.producer_stalls > 0 {
-                if let Some(k) = producer {
-                    *per_kernel_stalls.entry((cb.core_index, k)).or_insert(0) +=
-                        cb.stats.producer_stalls;
-                    sources.push((
-                        cb.core_index,
-                        k,
-                        cb.index,
-                        "producer",
-                        cb.stats.producer_stalls,
-                    ));
-                }
-            }
-            if cb.stats.consumer_stalls > 0 {
-                if let Some(k) = consumer {
-                    *per_kernel_stalls.entry((cb.core_index, k)).or_insert(0) +=
-                        cb.stats.consumer_stalls;
-                    sources.push((
-                        cb.core_index,
-                        k,
-                        cb.index,
-                        "consumer",
-                        cb.stats.consumer_stalls,
-                    ));
-                }
-            }
-        }
-
-        let mut stalls: Vec<StallAttribution> = sources
-            .into_iter()
-            .map(|(core_index, kernel, cb, role, count)| {
-                let idle_frac = rows
-                    .iter()
-                    .find(|r| r.core_index == core_index && r.label == kernel)
-                    .map_or(0.0, |r| 1.0 - r.busy_frac);
-                let total = per_kernel_stalls.get(&(core_index, kernel)).copied().unwrap_or(0);
-                let share = if total > 0 { count as f64 / total as f64 } else { 0.0 };
-                StallAttribution {
-                    core_index,
-                    kernel: kernel.to_string(),
-                    cb,
-                    role,
-                    stalls: count,
-                    attributed_frac: idle_frac * share,
-                }
-            })
-            .collect();
-        stalls.sort_by(|a, b| {
-            b.attributed_frac
-                .partial_cmp(&a.attributed_frac)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (a.core_index, a.cb).cmp(&(b.core_index, b.cb)))
-        });
-
         let core_cycles = core_max.into_iter().collect();
-        ProfileReport { rows, core_cycles, stalls }
+        ProfileReport { rows, core_cycles }
     }
 
     /// Sum of all kernel-instance cycles (reconciles with
@@ -192,9 +91,9 @@ impl ProfileReport {
         self.rows.iter().map(|r| r.cycles).sum()
     }
 
-    /// Render the per-kernel breakdown and the top-`n` stall sources.
+    /// Render the per-kernel breakdown.
     #[must_use]
-    pub fn render(&self, top_n: usize) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("per-kernel time breakdown (busy% of the core's critical path):\n");
         out.push_str("  core  kernel          cycles      busy%\n");
@@ -206,22 +105,6 @@ impl ProfileReport {
                 r.label,
                 r.cycles,
                 r.busy_frac * 100.0
-            );
-        }
-        out.push_str("\ntop stall sources (idle time attributed to CBs):\n");
-        if self.stalls.is_empty() {
-            out.push_str("  none: no blocking CB waits recorded\n");
-        }
-        for s in self.stalls.iter().take(top_n) {
-            let _ = writeln!(
-                out,
-                "  core {} {} blocked on cb {} as {}: {} waits, ~{:.1}% of core cycles",
-                s.core_index,
-                s.kernel,
-                s.cb,
-                s.role,
-                s.stalls,
-                s.attributed_frac * 100.0
             );
         }
         out
@@ -440,7 +323,7 @@ pub fn maybe_run_profile() -> bool {
     let out_dir = Path::new("results/profile");
     let artifacts = run_profiled_demo(1024, 2, out_dir);
     println!("=== pipeline profile (N = 1024, 2 cores) ===\n");
-    println!("{}", artifacts.report.render(8));
+    println!("{}", artifacts.report.render());
     println!(
         "{} trace events | busy {} cycles | trace: {}",
         artifacts.trace_events,
@@ -464,10 +347,8 @@ pub fn maybe_run_profile() -> bool {
 mod tests {
     use super::*;
     use tensix::clock::KernelTiming;
-    use ttmetal::CbReport;
 
     fn mk_report() -> ProgramReport {
-        let core = tensix::CoreCoord { x: 0, y: 0 };
         ProgramReport {
             seconds: 1e-6,
             timings: vec![
@@ -493,32 +374,7 @@ mod tests {
                     vector_cycles: 0,
                 },
             ],
-            cb_stats: vec![
-                CbReport {
-                    core,
-                    core_index: 0,
-                    index: cb_index::IN0,
-                    stats: tensix::CbStats {
-                        pages_pushed: 60,
-                        pages_popped: 60,
-                        max_occupancy: 6,
-                        producer_stalls: 3,
-                        consumer_stalls: 0,
-                    },
-                },
-                CbReport {
-                    core,
-                    core_index: 0,
-                    index: cb_index::OUT0,
-                    stats: tensix::CbStats {
-                        pages_pushed: 12,
-                        pages_popped: 12,
-                        max_occupancy: 12,
-                        producer_stalls: 0,
-                        consumer_stalls: 9,
-                    },
-                },
-            ],
+            cb_stats: Vec::new(),
         }
     }
 
@@ -531,22 +387,6 @@ mod tests {
         assert!((compute.busy_frac - 1.0).abs() < 1e-12, "critical kernel is 100% busy");
         let writer = p.rows.iter().find(|r| r.label == "writer").unwrap();
         assert!((writer.busy_frac - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stall_attribution_charges_the_blocked_kernel() {
-        let p = ProfileReport::from_report(&mk_report());
-        // IN0 producer stall -> reader; OUT0 consumer stall -> writer.
-        let reader = p.stalls.iter().find(|s| s.kernel == "reader").unwrap();
-        assert_eq!((reader.cb, reader.role, reader.stalls), (cb_index::IN0, "producer", 3));
-        assert!((reader.attributed_frac - 0.4).abs() < 1e-12, "reader idle 40%, sole source");
-        let writer = p.stalls.iter().find(|s| s.kernel == "writer").unwrap();
-        assert_eq!((writer.cb, writer.role), (cb_index::OUT0, "consumer"));
-        assert!((writer.attributed_frac - 0.6).abs() < 1e-12);
-        // Largest attributed fraction first.
-        assert_eq!(p.stalls[0].kernel, "writer");
-        let rendered = p.render(4);
-        assert!(rendered.contains("writer blocked on cb 16 as consumer"), "{rendered}");
     }
 
     #[test]
