@@ -309,14 +309,6 @@ impl FaultPlan {
         self.stats.lock().noc_failures += 1;
     }
 
-    /// Roll one DRAM tile read (time-blind: no scrub decay, no escalation
-    /// growth — exactly the pre-scrub behaviour and RNG consumption).
-    #[must_use]
-    pub fn roll_dram_read(&self) -> DramReadFault {
-        let now = self.scrub.lock().last_s;
-        self.roll_dram_read_at(now)
-    }
-
     /// Roll one DRAM tile read at virtual time `now_s`.
     ///
     /// The scrub model runs here: standing correctable errors decay by
@@ -324,9 +316,10 @@ impl FaultPlan {
     /// then the corruption roll fires as usual, with the uncorrectable
     /// escalation probability raised by `escalation_per_error` × the
     /// standing population. A corrected hit adds one standing error. RNG
-    /// consumption is identical to [`Self::roll_dram_read`] (one roll, plus
-    /// one severity draw when corrupted), so enabling the scrub model never
-    /// perturbs the other fault streams or an unscrubbed DRAM sequence.
+    /// consumption does not depend on the scrub model or the clock (one
+    /// roll, plus one severity draw when corrupted), so enabling the scrub
+    /// model never perturbs the other fault streams or an unscrubbed DRAM
+    /// sequence.
     #[must_use]
     pub fn roll_dram_read_at(&self, now_s: f64) -> DramReadFault {
         if self.disarmed() {
@@ -458,7 +451,7 @@ mod tests {
         let plan = FaultPlan::new(0, 1, FaultConfig::default());
         for _ in 0..100 {
             assert!(!plan.roll_noc_transient());
-            assert_eq!(plan.roll_dram_read(), DramReadFault::None);
+            assert_eq!(plan.roll_dram_read_at(0.0), DramReadFault::None);
             assert!(!plan.roll_eth_flap());
             assert!(!plan.roll_kernel_stall());
             assert!(!plan.roll_device_loss());
@@ -516,7 +509,7 @@ mod tests {
                 ..FaultConfig::default()
             },
         );
-        assert_eq!(all_uncorrectable.roll_dram_read(), DramReadFault::Uncorrectable);
+        assert_eq!(all_uncorrectable.roll_dram_read_at(0.0), DramReadFault::Uncorrectable);
         let all_corrected = FaultPlan::new(
             0,
             3,
@@ -526,7 +519,7 @@ mod tests {
                 ..FaultConfig::default()
             },
         );
-        assert_eq!(all_corrected.roll_dram_read(), DramReadFault::Corrected);
+        assert_eq!(all_corrected.roll_dram_read_at(0.0), DramReadFault::Corrected);
         assert_eq!(all_corrected.stats().dram_corrected, 1);
     }
 
@@ -540,21 +533,21 @@ mod tests {
     }
 
     #[test]
-    fn time_blind_and_timed_rolls_agree_without_scrub() {
+    fn rolls_ignore_the_clock_without_scrub() {
         let cfg = FaultConfig {
             dram_corruption_prob: 0.3,
             dram_uncorrectable_frac: 0.2,
             ..FaultConfig::default()
         };
-        let blind = FaultPlan::new(0, 21, cfg);
-        let timed = FaultPlan::new(0, 21, cfg);
+        let frozen = FaultPlan::new(0, 21, cfg);
+        let moving = FaultPlan::new(0, 21, cfg);
         for i in 0..256 {
-            let a = blind.roll_dram_read();
-            let b = timed.roll_dram_read_at(i as f64 * 0.01);
-            assert_eq!(a, b, "event {i}: scrub-disabled timed roll must match");
+            let a = frozen.roll_dram_read_at(0.0);
+            let b = moving.roll_dram_read_at(i as f64 * 0.01);
+            assert_eq!(a, b, "event {i}: without scrub the clock must not matter");
         }
-        assert_eq!(blind.dram_scrub_slowdown(), 1.0);
-        assert_eq!(blind.stats().dram_scrubbed, 0);
+        assert_eq!(moving.dram_scrub_slowdown(), 1.0);
+        assert_eq!(moving.stats().dram_scrubbed, 0);
     }
 
     #[test]
