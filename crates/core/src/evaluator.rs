@@ -9,12 +9,16 @@
 //! work unchanged on any backend.
 //!
 //! Every evaluation is an active-set evaluation: full-N is the
-//! [`ActiveSet::full`] case, so each backend has one launch path. On the
-//! device that path is [`DeviceForcePipeline`]'s one retry/salvage/
-//! partial-redo driver, which the single card, every ring member and the
-//! tree's near-field patches all launch through; both force kernels launch
-//! a subset at its own size. [`ForceEvaluator::evaluate_active_with_retry`]
-//! hands that driver the caller's retry policy for any active set.
+//! [`ActiveSet::full`] case, so each backend has one launch path, and no
+//! backend below the seam forks on the full set. On the device that path
+//! is [`DeviceForcePipeline`]'s one retry/salvage/partial-redo driver,
+//! which the single card, every ring member and the tree's near-field
+//! patches all launch through; every launch, the full set's too, gathers
+//! its targets and runs a program slice sized to them. The tree walks with
+//! a target mask (all true for the full set), and the CPU evaluator
+//! front-permutes the active targets (the identity for the full set).
+//! [`ForceEvaluator::evaluate_active_with_retry`] hands the device driver
+//! the caller's retry policy for any active set.
 
 use nbody::force::ForceKernel;
 use nbody::particle::{Forces, ParticleSystem};

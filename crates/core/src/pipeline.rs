@@ -13,16 +13,19 @@
 //! elementwise evaluation moves 19 pages per target tile over PCIe: 6
 //! target and 7 source pages up, 6 result pages down.
 //!
-//! Every evaluation takes one launch path, `DeviceForcePipeline::launch`:
-//! full-N is the all-particles active set, and a subset on either kernel
-//! gathers its targets into dense work units and launches a program slice
-//! sized to them. [`LaunchSizing`] is the one rule that picks the unit: a
+//! Every evaluation takes one launch path, `DeviceForcePipeline::launch`,
+//! and every launch has one shape. Full-N is the all-particles active set:
+//! like any subset, its targets are gathered into dense work units, and
+//! the launch runs a slice of the card's template program (its CBs and
+//! kernels, no runtime args) on the cores those units need, with per-launch
+//! runtime args. [`LaunchSizing`] is the one rule that picks the unit: a
 //! 32-particle block on the matrix kernel; on the elementwise kernel a
 //! 1024-particle tile, or a 512-particle 16-row half tile when whole tiles
 //! would leave a core idle and halves give every unit its own core.
-//! Both run under one retry/salvage/partial-redo driver. The matrix
-//! kernel's self-pair damping travels with the launch as a per-block
-//! [`crate::layout::DampingPlan`], so gathering keeps every row bitwise.
+//! One retry/salvage/partial-redo driver runs every launch, with one
+//! failure path. The matrix kernel's self-pair damping travels with the
+//! launch as a per-block [`crate::layout::DampingPlan`], so gathering keeps
+//! every row bitwise.
 //! The Hermite driver, the ring and the tree reach it through the
 //! [`crate::evaluator::ForceEvaluator`] seam, with typed launch errors.
 //!
@@ -204,8 +207,9 @@ pub struct PipelineTiming {
     /// Vector-pipe (SFPU) cycles of the slowest compute instance in the most
     /// recent evaluation.
     pub last_vector_cycles: u64,
-    /// Transient-fault retries performed by
-    /// [`crate::evaluator::ForceEvaluator::evaluate_with_retry`].
+    /// Transient-fault retries: launches under a [`RetryPolicy`] that
+    /// allows them retry in place, whether the launch is a full set, a
+    /// subset or a tree patch.
     pub retries: u64,
     /// Virtual seconds spent in retry backoff.
     pub retry_backoff_seconds: f64,
@@ -658,21 +662,20 @@ impl DeviceForcePipeline {
     /// Row `k` of the result is the force on `active.indices()[k]`; full-N
     /// evaluation is the [`ActiveSet::full`] case.
     ///
-    /// A full set launches the whole program over the Fig. 2 core split. A
-    /// subset is dynamic packing: the active particles are gathered into
-    /// dense work units of the launch's [`LaunchSizing`] — zero-mass-padded
-    /// tiles or half tiles for the elementwise kernel, 32-particle blocks
-    /// for the matrix kernel — whose pad lanes park at the padding position
-    /// exactly like a full-N tail.
-    /// The source view stays all `n` particles, and the launch is a program
-    /// slice sized to the *active* unit count — `min(num_cores, units)`
-    /// cores with rewritten runtime args — so a small block costs a small
-    /// launch. Per-target source summation order is unchanged by the
-    /// gather. The matrix kernel's self-pair damping rides in the runtime
-    /// args as the launch's [`crate::layout::DampingPlan`]; it adds exactly
-    /// `+0.0` off the self-pairs, and the matmuls and Kahan folds are
-    /// row-independent, so on both kernels each active row is f32-bitwise
-    /// identical to the corresponding row of a full evaluation.
+    /// Every set, full or not, is dynamic packing: the active particles are
+    /// gathered into dense work units of the launch's [`LaunchSizing`] —
+    /// zero-mass-padded tiles or half tiles for the elementwise kernel,
+    /// 32-particle blocks for the matrix kernel — whose pad lanes park at
+    /// the padding position. The source view stays all `n` particles, and
+    /// the launch is a slice of the card's template program over the Fig. 2
+    /// split of the *active* unit count — `min(num_cores, units)` cores, each
+    /// with its own runtime args — so a small block costs a small launch and
+    /// idle cores launch nothing. Per-target source summation order is
+    /// unchanged by the gather. The matrix kernel's self-pair damping rides
+    /// in the runtime args as the launch's [`crate::layout::DampingPlan`];
+    /// it adds exactly `+0.0` off the self-pairs, and the matmuls and Kahan
+    /// folds are row-independent, so on both kernels each active row is
+    /// f32-bitwise identical to the corresponding row of a full evaluation.
     ///
     /// Inputs are written once — DRAM survives a failed launch while the
     /// card stays on the bus — and timing counts exactly one evaluation per
@@ -687,9 +690,11 @@ impl DeviceForcePipeline {
     /// with their window advanced past the delivered prefix — tracked in
     /// `redo_cycles`/`partial_redos`. An invalid inventory (a watermark past
     /// the remaining range) falls back to a full re-run, moving everything
-    /// kept so far into the wasted bucket. Device loss is never retried
-    /// here: the DRAM buffers died with the card, so it goes to
-    /// [`Self::recover_device_loss`].
+    /// kept so far into the wasted bucket; a terminal failure takes the
+    /// same discard step and returns. Device loss is never retried here:
+    /// the DRAM buffers died with the card, so it goes to
+    /// [`Self::recover_device_loss`]. Every exit, failed or not, records
+    /// the PCIe time the launch's transfers took.
     ///
     /// # Errors
     /// The final [`LaunchError`] when the retry budget is exhausted or the

@@ -4,8 +4,9 @@
 //! circular buffers exist on which cores, which kernels run where, and the
 //! per-core runtime arguments. It is inert until enqueued on a
 //! [`crate::queue::CommandQueue`]; the same program can be enqueued many
-//! times (the N-body driver enqueues the force program once per Hermite
-//! step).
+//! times. The N-body force pipeline keeps one template program per card,
+//! with no runtime args, and enqueues a slice of it with its own args on
+//! every launch ([`Program::slice_for_cores`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
