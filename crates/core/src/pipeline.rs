@@ -780,6 +780,7 @@ impl DeviceForcePipeline {
             } else {
                 None
             };
+            let mut t = self.timing.lock();
             if retry {
                 if let Some(sink) = self.device.trace_sink().filter(|s| s.enabled()) {
                     sink.host_instant(
@@ -790,9 +791,6 @@ impl DeviceForcePipeline {
                         ],
                     );
                 }
-            }
-            let mut t = self.timing.lock();
-            if retry {
                 t.retries += 1;
                 // The backoff wait is dead time on the device: charge it to
                 // the wasted bucket as well as the backoff ledger.
