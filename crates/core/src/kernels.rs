@@ -123,16 +123,17 @@ impl DataMovementKernel for ReaderKernel {
                 ctx.trace_span_begin("tile");
                 // Outer loop: the packed target tile of each quantity.
                 for buf in self.targets {
-                    ctx.read_page_to_cb(IN0, buf, tile).await;
+                    ctx.read_page_to_cb(IN0, buf, tile).await?;
                 }
                 // Inner loop: the packed source tiles.
                 for s in 0..src_tiles {
                     for buf in self.sources {
-                        ctx.read_page_to_cb(IN1, buf, s).await;
+                        ctx.read_page_to_cb(IN1, buf, s).await?;
                     }
                 }
                 ctx.trace_span_end("tile");
             }
+            Ok(())
         })
     }
 }
@@ -301,6 +302,7 @@ impl ComputeKernel for ForceComputeKernel {
                 ctx.cb_pop_front(IN0, 6);
                 ctx.trace_span_end("tile");
             }
+            Ok(())
         })
     }
 }
@@ -319,13 +321,14 @@ impl DataMovementKernel for WriterKernel {
             for tile in start..start + count {
                 ctx.trace_span_begin("tile");
                 for buf in self.outputs {
-                    ctx.write_cb_to_page(OUT0, buf, tile).await;
+                    ctx.write_cb_to_page(OUT0, buf, tile).await?;
                 }
                 // All six result pages for this tile are in DRAM: publish the
                 // watermark so a partial redo can resume at the next tile.
                 ctx.mark_unit_complete();
                 ctx.trace_span_end("tile");
             }
+            Ok(())
         })
     }
 }
@@ -394,30 +397,30 @@ impl DataMovementKernel for MatrixReaderKernel {
             let count = ctx.arg(args::TILE_COUNT) as usize;
             let n = ctx.arg(args::NUM_SOURCES) as usize;
             if count == 0 {
-                return;
+                return Ok(());
             }
             let schedule = damping_schedule(|i| ctx.arg(i), start, count);
             let mut held = schedule[0][0].1;
-            ctx.read_page_to_cb(IN3, self.diag, held).await;
+            ctx.read_page_to_cb(IN3, self.diag, held).await?;
             let groups = schedule.chunks(MATRIX_GROUP_BLOCKS);
             for (first, group) in (start..).step_by(MATRIX_GROUP_BLOCKS).zip(groups) {
                 ctx.trace_span_begin("group");
                 for blk in first..first + group.len() {
                     for buf in self.targets {
-                        ctx.read_page_to_cb(IN0, buf, blk).await;
+                        ctx.read_page_to_cb(IN0, buf, blk).await?;
                     }
                 }
                 let mut damp: Vec<_> = group.iter().map(|pairs| pairs.iter().peekable()).collect();
                 for j in 0..num_matrix_blocks(n) {
                     for buf in &self.sources[..5] {
-                        ctx.read_page_to_cb(IN1, *buf, j).await;
+                        ctx.read_page_to_cb(IN1, *buf, j).await?;
                     }
-                    ctx.read_page_to_cb(IN2, self.sources[5], j).await;
-                    ctx.read_page_to_cb(IN2, self.sources[6], j).await;
+                    ctx.read_page_to_cb(IN2, self.sources[5], j).await?;
+                    ctx.read_page_to_cb(IN2, self.sources[6], j).await?;
                     for pairs in &mut damp {
                         if let Some(&(_, page)) = pairs.next_if(|&&(src, _)| src == j) {
                             if page != held {
-                                ctx.read_page_to_cb(IN3, self.diag, page).await;
+                                ctx.read_page_to_cb(IN3, self.diag, page).await?;
                                 held = page;
                             }
                         }
@@ -425,6 +428,7 @@ impl DataMovementKernel for MatrixReaderKernel {
                 }
                 ctx.trace_span_end("group");
             }
+            Ok(())
         })
     }
 }
@@ -567,7 +571,7 @@ impl ComputeKernel for MatrixForceComputeKernel {
             let count = ctx.arg(args::TILE_COUNT) as usize;
             let n = ctx.arg(args::NUM_SOURCES) as usize;
             if count == 0 {
-                return;
+                return Ok(());
             }
             // The damping page at the front of IN3 is held until the plan
             // needs a different one, mirroring the reader's pushes.
@@ -643,6 +647,7 @@ impl ComputeKernel for MatrixForceComputeKernel {
                 ctx.cb_pop_front(IN0, 4 * k);
                 ctx.trace_span_end("group");
             }
+            Ok(())
         })
     }
 }
@@ -669,9 +674,9 @@ impl DataMovementKernel for MatrixWriterKernel {
                 for c in 0..self.num_chunks {
                     for blk in group.clone() {
                         ctx.write_cb_to_page(OUT0, self.outputs[0], blk * self.num_chunks + c)
-                            .await;
+                            .await?;
                         ctx.write_cb_to_page(OUT0, self.outputs[1], blk * self.num_chunks + c)
-                            .await;
+                            .await?;
                     }
                 }
                 // Every chunk partial of the group is in DRAM only after its
@@ -681,6 +686,7 @@ impl DataMovementKernel for MatrixWriterKernel {
                 }
                 ctx.trace_span_end("group");
             }
+            Ok(())
         })
     }
 }

@@ -267,8 +267,8 @@ impl PipelineTiming {
     }
 }
 
-/// Bounded-retry policy for transient device faults (kernel panics from NoC
-/// or DRAM ECC errors, deadlocks, injected stalls). Backoff is exponential
+/// Bounded-retry policy for transient launch failures (NoC or DRAM ECC faults
+/// a kernel returns, deadlocks, injected stalls; never panics). Backoff is exponential
 /// (`backoff_base_s`, doubling per attempt, capped at `max_backoff_s`) with
 /// optional seeded jitter, and charged to the pipeline's virtual-time
 /// accounting — as *wasted* time, since the device sits idle — not slept on

@@ -178,9 +178,9 @@ pub struct RecoveryConfig {
     /// Snapshot the FP64 Hermite state every this many successful
     /// iterations (shared steps at zero levels).
     pub checkpoint_every: usize,
-    /// In-place retry budget for transient launch faults (panics, deadlocks,
-    /// stalls). Card loss is never retried in place — the card's DRAM is
-    /// gone — and always goes through recovery + checkpoint restore instead.
+    /// In-place retry budget for transient launch faults (kernel faults,
+    /// deadlocks, stalls). Card loss is never retried in place — the card's DRAM
+    /// is gone — and always goes through recovery + checkpoint restore instead.
     pub retry: RetryPolicy,
     /// How many card losses the runner will recover-and-resume past before
     /// giving up and surfacing the [`LaunchError`].

@@ -108,25 +108,27 @@ fn bench_cb_throughput() -> f64 {
         "producer",
         core.clone(),
         NocId::Noc0,
-        Arc::new(async |ctx: &mut DataMovementCtx| {
+        Arc::new(async |ctx: &mut DataMovementCtx| -> tensix::Result<()> {
             let t = Tile::splat(DataFormat::Float32, 1.0);
             for _ in 0..CB_TILES {
                 ctx.cb_reserve_back(cb_index::IN0, 1).await;
                 ctx.cb_write_tile(cb_index::IN0, &t);
                 ctx.cb_push_back(cb_index::IN0, 1);
             }
+            Ok(())
         }),
     );
     program.add_data_movement_kernel(
         "consumer",
         core,
         NocId::Noc1,
-        Arc::new(async |ctx: &mut DataMovementCtx| {
+        Arc::new(async |ctx: &mut DataMovementCtx| -> tensix::Result<()> {
             for _ in 0..CB_TILES {
                 ctx.cb_wait_front(cb_index::IN0, 1).await;
                 let _t = ctx.cb_peek_tile(cb_index::IN0, 0);
                 ctx.cb_pop_front(cb_index::IN0, 1);
             }
+            Ok(())
         }),
     );
     min_secs(REPS, || {
@@ -271,9 +273,6 @@ fn baseline_value(json: &str, bench: &str) -> Option<f64> {
 }
 
 fn main() {
-    // The serving benches inject (handled) device faults; keep their caught
-    // panics out of the bench output.
-    tt_server::install_fault_panic_filter();
     let gate = std::env::args().any(|a| a == "--gate");
 
     eprintln!("bench_gate: multi_device_time_to_solution (n = {RING_N}, 2 cards x 2 cores)...");

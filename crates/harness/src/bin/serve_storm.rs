@@ -36,10 +36,6 @@ use tt_trace::serving::server_trace_to_chrome;
 use tt_trace::MemorySink;
 
 fn main() {
-    // The resilient driver surfaces device faults as caught panics; the
-    // default hook would spray a backtrace for every injected fault.
-    tt_server::install_fault_panic_filter();
-
     let mut jobs = 120usize;
     let mut seed = 0xe10u64;
     let mut profile = false;

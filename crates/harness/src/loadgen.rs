@@ -230,7 +230,6 @@ mod tests {
 
     #[test]
     fn bench_campaign_loses_no_job_and_its_p99_is_pinned() {
-        tt_server::install_fault_panic_filter();
         let (cfg, arrivals) = bench_campaign(256);
         let census = tt_server::run_campaign(&cfg, &arrivals, None).census;
         assert!(census.zero_lost_jobs(), "bench campaign lost a job");

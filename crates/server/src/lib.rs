@@ -42,12 +42,11 @@ pub mod recorder;
 pub mod server;
 pub mod wfq;
 
-/// Install a process-wide panic hook that silences the panics the resilient
-/// driver *catches by design* — device faults surfacing in kernels as
-/// [`tensix::TensixError`] payloads — while leaving every other panic's
-/// report intact. Without this, a storm campaign sprays one default-hook
-/// backtrace per injected fault even though every one of them is handled.
-/// Call once at binary startup.
+/// Install a process-wide panic hook that silences panics whose payload is a
+/// [`tensix::TensixError`], leaving every other panic's report intact.
+/// Nothing needs it any more: kernels return device faults as values, and no
+/// workspace binary installs it. It stays only because `perfbench`, a
+/// package outside the workspace, still calls it; delete both together.
 pub fn install_fault_panic_filter() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {

@@ -51,7 +51,9 @@ pub enum TensixError {
         /// Core where the lookup happened.
         core: CoreCoord,
     },
-    /// A kernel panicked or the device runtime was poisoned.
+    /// A kernel-level failure with no variant of its own: dst/src register
+    /// misuse, a corrupt checkpoint spill, or a failed launch flattened into
+    /// a `TensixError`.
     KernelFault {
         /// Description of the fault.
         message: String,

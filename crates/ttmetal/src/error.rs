@@ -1,11 +1,11 @@
 //! Structured launch failures.
 //!
-//! The command queue used to panic the host process when a kernel pipeline
-//! deadlocked. [`LaunchError`] replaces that with a structured result: the
-//! queue supervises every kernel instance, classifies panics, deadlocked
-//! cores and injected faults, drops the faulting core's waiting kernels
+//! A failed launch is a structured result: the queue supervises every
+//! kernel instance, classifies the device faults kernels return, deadlocked
+//! cores and injected stalls, drops the faulting core's waiting kernels
 //! once the core stops moving, and reports *which* kernel on *which* core
-//! is the root cause.
+//! is the root cause. A kernel that panics has a bug, not a device fault:
+//! its panic is no [`LaunchError`] and reaches the launch's caller.
 
 use std::fmt;
 
@@ -29,14 +29,14 @@ pub struct CoreProgress {
 /// Why a program launch failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LaunchError {
-    /// A kernel panicked (assertion, injected fault, or NoC/DRAM error).
-    KernelPanic {
+    /// A kernel returned a device fault (failed NoC transaction, DRAM ECC).
+    KernelFault {
         /// Kernel label.
         kernel: String,
         /// Core the instance ran on.
         core: CoreCoord,
-        /// Panic message or fault description.
-        message: String,
+        /// The fault the kernel returned.
+        error: TensixError,
         /// Per-core completed-tile inventory at abort time.
         completed: Vec<CoreProgress>,
     },
@@ -48,8 +48,6 @@ pub enum LaunchError {
         kernel: String,
         /// Core the instance ran on.
         core: CoreCoord,
-        /// What the deadlock looked like.
-        message: String,
         /// Per-core completed-tile inventory at abort time.
         completed: Vec<CoreProgress>,
     },
@@ -78,19 +76,19 @@ impl LaunchError {
     #[must_use]
     pub fn faulting_core(&self) -> Option<CoreCoord> {
         match self {
-            LaunchError::KernelPanic { core, .. }
+            LaunchError::KernelFault { core, .. }
             | LaunchError::Deadlock { core, .. }
             | LaunchError::Stall { core, .. } => Some(*core),
             _ => None,
         }
     }
 
-    /// Short phase tag for failure taxonomies ("panic", "deadlock",
+    /// Short phase tag for failure taxonomies ("fault", "deadlock",
     /// "stall", "device-lost", "setup").
     #[must_use]
     pub fn phase(&self) -> &'static str {
         match self {
-            LaunchError::KernelPanic { .. } => "panic",
+            LaunchError::KernelFault { .. } => "fault",
             LaunchError::Deadlock { .. } => "deadlock",
             LaunchError::Stall { .. } => "stall",
             LaunchError::DeviceLost { .. } => "device-lost",
@@ -99,14 +97,14 @@ impl LaunchError {
     }
 
     /// Whether a retry of the same launch can plausibly succeed: true for
-    /// one-shot kernel-level faults (panics, deadlocks, stalls), false for
-    /// device loss (needs a reset + rebuild) and setup errors
+    /// one-shot kernel-level faults (device faults, deadlocks, stalls),
+    /// false for device loss (needs a reset + rebuild) and setup errors
     /// (deterministic, e.g. L1 overflow).
     #[must_use]
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            LaunchError::KernelPanic { .. }
+            LaunchError::KernelFault { .. }
                 | LaunchError::Deadlock { .. }
                 | LaunchError::Stall { .. }
         )
@@ -131,7 +129,7 @@ impl LaunchError {
     #[must_use]
     pub fn completed_work(&self) -> &[CoreProgress] {
         match self {
-            LaunchError::KernelPanic { completed, .. }
+            LaunchError::KernelFault { completed, .. }
             | LaunchError::Deadlock { completed, .. }
             | LaunchError::Stall { completed, .. } => completed,
             _ => &[],
@@ -142,12 +140,14 @@ impl LaunchError {
 impl fmt::Display for LaunchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LaunchError::KernelPanic { kernel, core, message, .. } => {
-                write!(f, "kernel '{kernel}' on core {core} panicked: {message}")
+            LaunchError::KernelFault { kernel, core, error, .. } => {
+                write!(f, "kernel '{kernel}' on core {core} faulted: {error}")
             }
-            LaunchError::Deadlock { kernel, core, message, .. } => {
-                write!(f, "kernel '{kernel}' on core {core} deadlocked: {message}")
-            }
+            LaunchError::Deadlock { kernel, core, .. } => write!(
+                f,
+                "kernel '{kernel}' on core {core} deadlocked: no kernel on the core can move: \
+                 each waits on a CB or semaphore no running kernel will change"
+            ),
             LaunchError::Stall { kernel, core, .. } => {
                 write!(f, "kernel '{kernel}' on core {core} stalled (no progress; cancelled)")
             }

@@ -10,18 +10,20 @@
 //! pipeline interleaves through the circular buffers, as in the paper's
 //! dataflow execution model.
 //!
-//! Kernels signal fatal errors by panicking (the hardware analogue is a
-//! hung/asserted core); the queue reports the panic as a
-//! [`crate::LaunchError`] once the rest of the core has stopped moving.
+//! A kernel body resolves to a [`tensix::Result`]: a device fault is an
+//! `Err` it returns with `?`, which the queue reports as a
+//! [`crate::LaunchError`] once the rest of the core stops moving. A kernel
+//! that panics has a bug: the panic reaches the launch's caller.
 
 use std::future::Future;
 use std::pin::Pin;
 
 use crate::context::{ComputeCtx, DataMovementCtx};
 
-/// One run of a kernel body: a future borrowing the kernel and its context.
-/// It is polled on the thread that created it, so it need not be `Send`.
-pub type KernelFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
+/// One run of a kernel body: a future borrowing the kernel and its context,
+/// resolving to the device fault that stopped it, if any. It is polled on
+/// the thread that created it, so it need not be `Send`.
+pub type KernelFuture<'a> = Pin<Box<dyn Future<Output = tensix::Result<()>> + 'a>>;
 
 /// Circular-buffer indices, following the TT-Metalium convention.
 pub mod cb_index {
@@ -85,7 +87,7 @@ pub trait ComputeKernel: Send + Sync {
 
 impl<F> DataMovementKernel for F
 where
-    F: AsyncFn(&mut DataMovementCtx) + Send + Sync,
+    F: AsyncFn(&mut DataMovementCtx) -> tensix::Result<()> + Send + Sync,
 {
     fn run<'a>(&'a self, ctx: &'a mut DataMovementCtx) -> KernelFuture<'a> {
         Box::pin(self(ctx))
@@ -98,7 +100,7 @@ pub struct ComputeFn<F>(pub F);
 
 impl<F> ComputeKernel for ComputeFn<F>
 where
-    F: AsyncFn(&mut ComputeCtx) + Send + Sync,
+    F: AsyncFn(&mut ComputeCtx) -> tensix::Result<()> + Send + Sync,
 {
     fn run<'a>(&'a self, ctx: &'a mut ComputeCtx) -> KernelFuture<'a> {
         Box::pin((self.0)(ctx))

@@ -327,7 +327,7 @@ mod tests {
     }
 
     fn noop_dm() -> Arc<dyn DataMovementKernel> {
-        Arc::new(async |_ctx: &mut DataMovementCtx| {})
+        Arc::new(async |_ctx: &mut DataMovementCtx| -> tensix::Result<()> { Ok(()) })
     }
 
     #[test]

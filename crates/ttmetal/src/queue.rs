@@ -11,23 +11,23 @@
 //! CBs and semaphores are core-local, so no wait ever needs a kernel on
 //! another core, or another thread, to move.
 //!
-//! The queue also acts as the **launch supervisor**: kernel panics,
-//! deadlocked cores, injected compute stalls and mid-run device loss are
-//! caught, and the root cause is reported as a structured [`LaunchError`]
-//! naming the faulting kernel and core. A panicking kernel's task stops and
-//! an injected stall is a task that never finishes; the rest of the core
-//! runs on until it is *quiescent*: a round of polls in which no task
-//! finishes and no CB or semaphore changes ([`ChangeCounter`]) leaves every
-//! task waiting where it was. That test is exact, with no time budget. At
-//! quiescence a core with a panicked or stalled task reports it, and every
+//! The queue also acts as the **launch supervisor**: device faults that
+//! kernels return, deadlocked cores, injected compute stalls and mid-run
+//! device loss are reported as a structured [`LaunchError`] naming the
+//! root-cause kernel and core. A task that returns a fault stops and an
+//! injected stall is a task that never finishes; the rest of the core runs
+//! on until it is *quiescent*: a round of polls in which no task finishes
+//! and no CB or semaphore changes ([`ChangeCounter`]) leaves every task
+//! waiting where it was. That test is exact, with no time budget. At
+//! quiescence a core with a faulted or stalled task reports it, and every
 //! task still waiting is its victim; otherwise the first task still waiting
 //! in launch order is the root cause of a deadlock. The waiting tasks are
 //! then dropped. A fault stops only its own core: other cores' pipelines
 //! are self-contained and run to completion, which is what makes their
-//! completed tile ranges trustworthy for a partial redo.
+//! completed tile ranges trustworthy for a partial redo. A kernel panic is
+//! a bug, not a fault: nothing catches it on its way out of the launch.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
@@ -76,32 +76,24 @@ pub struct ProgramReport {
     pub cb_stats: Vec<CbReport>,
 }
 
-/// Root-cause priority, ascending: a genuine stall always wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum AbortKind {
+/// Why an instance stopped its core, in ascending root-cause priority (a
+/// genuine stall always wins): first waiter at quiescence, returned device
+/// fault, injected stall.
+#[derive(Debug)]
+enum Abort {
     Deadlock,
-    Panic,
+    Fault(TensixError),
     Stall,
 }
 
-#[derive(Debug)]
-struct KernelAbort {
-    kind: AbortKind,
-    kernel: String,
-    core: CoreCoord,
-    message: String,
-}
-
-/// The message of a kernel's panic payload.
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(te) = e.downcast_ref::<TensixError>() {
-        return te.to_string();
+impl Abort {
+    fn rank(&self) -> u8 {
+        match self {
+            Abort::Deadlock => 0,
+            Abort::Fault(_) => 1,
+            Abort::Stall => 2,
+        }
     }
-    e.downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| e.downcast_ref::<&str>().copied())
-        .unwrap_or("unknown panic")
-        .to_string()
 }
 
 /// One kernel instance of a launch, with its place in launch order
@@ -123,19 +115,15 @@ struct CoreRun {
     instances: Vec<Instance>,
 }
 
-/// A finished instance: its place in launch order, timing and abort.
-type Outcome = (usize, KernelTiming, Option<KernelAbort>);
+/// A finished instance: its place in launch order, timing and abort (with its core).
+type Outcome = (usize, KernelTiming, Option<(Abort, CoreCoord)>);
 
 /// Run one core's instances as cooperative tasks until the core is
 /// quiescent, then classify what is left (see the module docs).
 fn run_core(run: CoreRun) -> Vec<Outcome> {
     let CoreRun { core, changes, mut instances } = run;
-    let mut aborts: Vec<Option<(AbortKind, String)>> = instances
-        .iter()
-        .map(|i| {
-            i.stalled.then(|| (AbortKind::Stall, "kernel made no progress (injected stall)".into()))
-        })
-        .collect();
+    let mut aborts: Vec<Option<Abort>> =
+        instances.iter().map(|i| i.stalled.then_some(Abort::Stall)).collect();
     {
         let mut tasks: Vec<Option<KernelFuture<'_>>> = instances
             .iter_mut()
@@ -149,10 +137,9 @@ fn run_core(run: CoreRun) -> Vec<Outcome> {
             let mut finished = false;
             for (slot, abort) in tasks.iter_mut().zip(&mut aborts) {
                 let Some(task) = slot else { continue };
-                match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
-                    Ok(Poll::Pending) => continue,
-                    Ok(Poll::Ready(())) => {}
-                    Err(payload) => *abort = Some((AbortKind::Panic, panic_message(&*payload))),
+                let Poll::Ready(result) = task.as_mut().poll(&mut cx) else { continue };
+                if let Err(e) = result {
+                    *abort = Some(Abort::Fault(e));
                 }
                 *slot = None;
                 finished = true;
@@ -161,13 +148,11 @@ fn run_core(run: CoreRun) -> Vec<Outcome> {
                 break;
             }
         }
-        // Quiescent. Without a panic or stall to blame, the first task still
+        // Quiescent. Without a fault or stall to blame, the first task still
         // waiting is the deadlock's root cause; the others are victims.
         if aborts.iter().all(Option::is_none) {
             if let Some(i) = tasks.iter().position(Option::is_some) {
-                let message = "no kernel on the core can move: each waits on a CB or semaphore \
-                               no running kernel will change";
-                aborts[i] = Some((AbortKind::Deadlock, message.to_string()));
+                aborts[i] = Some(Abort::Deadlock);
             }
         }
     }
@@ -177,15 +162,9 @@ fn run_core(run: CoreRun) -> Vec<Outcome> {
         .map(|(Instance { order, label, core_index, run, .. }, abort)| {
             let (mut ctx, [matrix_cycles, vector_cycles]) = run.finish();
             ctx.trace_kernel_end();
-            let abort = abort.map(|(kind, message)| KernelAbort {
-                kind,
-                kernel: label.clone(),
-                core,
-                message,
-            });
             let cycles = ctx.cycles();
             let timing = KernelTiming { label, core_index, cycles, matrix_cycles, vector_cycles };
-            (order, timing, abort)
+            (order, timing, abort.map(|a| (a, core)))
         })
         .collect()
 }
@@ -259,10 +238,13 @@ impl CommandQueue {
     /// # Errors
     /// * [`LaunchError::Device`] if the CB configuration does not fit in L1;
     /// * [`LaunchError::DeviceLost`] if the card is (or falls) off the bus;
-    /// * [`LaunchError::KernelPanic`] / [`LaunchError::Deadlock`] /
+    /// * [`LaunchError::KernelFault`] / [`LaunchError::Deadlock`] /
     ///   [`LaunchError::Stall`] naming the root-cause kernel and core when a
     ///   kernel fails. The faulting core's waiting kernels are dropped once
     ///   it stops moving — a failed launch never wedges the host.
+    ///
+    /// # Panics
+    /// Re-raises a kernel's panic (a kernel bug) once every core has run.
     pub fn enqueue_program(
         &mut self,
         program: &Program,
@@ -357,10 +339,10 @@ impl CommandQueue {
             .collect();
         outcomes.sort_by_key(|(order, ..)| *order);
         let mut timings = Vec::with_capacity(outcomes.len());
-        let mut aborts: Vec<KernelAbort> = Vec::new();
-        for (_, timing, abort) in outcomes {
+        let mut aborts: Vec<(Abort, CoreCoord, usize)> = Vec::new();
+        for (i, (_, timing, abort)) in outcomes.into_iter().enumerate() {
             timings.push(timing);
-            aborts.extend(abort);
+            aborts.extend(abort.map(|(abort, core)| (abort, core, i)));
         }
 
         // Harvest CB statistics before teardown drops the rings: the stats
@@ -384,7 +366,7 @@ impl CommandQueue {
             s.end_epoch(e, dur);
         }
 
-        if let Some(root) = aborts.into_iter().max_by_key(|a| a.kind) {
+        if let Some((abort, core, i)) = aborts.into_iter().max_by_key(|(a, ..)| a.rank()) {
             // Inventory the attempt: per-core completed-tile watermarks (for
             // the partial redo) and the attempt's virtual-time cost (for the
             // wasted-cycle accounting).
@@ -400,19 +382,19 @@ impl CommandQueue {
                 .into_iter()
                 .map(|core| CoreProgress { core, completed: self.device.progress_of(core) })
                 .collect();
+            let kernel = timings[i].label.clone();
             let seconds = program_seconds(self.device.costs(), &timings);
             self.last_failure = Some(ProgramReport { seconds, timings, cb_stats });
-            let KernelAbort { kind, kernel, core, message } = root;
             if let Some(s) = &sink {
                 s.host_instant(
                     &format!("launch_abort:{}", kernel),
                     &[("core", grid.index_of(core) as u64)],
                 );
             }
-            return Err(match kind {
-                AbortKind::Stall => LaunchError::Stall { kernel, core, completed },
-                AbortKind::Panic => LaunchError::KernelPanic { kernel, core, message, completed },
-                AbortKind::Deadlock => LaunchError::Deadlock { kernel, core, message, completed },
+            return Err(match abort {
+                Abort::Stall => LaunchError::Stall { kernel, core, completed },
+                Abort::Fault(error) => LaunchError::KernelFault { kernel, core, error, completed },
+                Abort::Deadlock => LaunchError::Deadlock { kernel, core, completed },
             });
         }
         let seconds = program_seconds(self.device.costs(), &timings);
@@ -523,19 +505,20 @@ mod tests {
             "reader",
             cores.clone(),
             NocId::Noc0,
-            Arc::new(async move |ctx: &mut DataMovementCtx| {
+            Arc::new(async move |ctx: &mut DataMovementCtx| -> Result<()> {
                 let start = ctx.arg(0) as usize;
                 let count = ctx.arg(1) as usize - usize::from(short == Some(ctx.core()));
                 for page in start..start + count {
-                    ctx.read_page_to_cb(cb_index::IN0, inref, page).await;
+                    ctx.read_page_to_cb(cb_index::IN0, inref, page).await?;
                 }
+                Ok(())
             }),
         );
         let compute = p.add_compute_kernel(
             "double",
             cores.clone(),
             DataFormat::Float32,
-            Arc::new(ComputeFn(async move |ctx: &mut ComputeCtx| {
+            Arc::new(ComputeFn(async move |ctx: &mut ComputeCtx| -> Result<()> {
                 let count = ctx.arg(1) as usize;
                 for _ in 0..count {
                     ctx.cb_wait_front(cb_index::IN0, 1).await;
@@ -550,19 +533,21 @@ mod tests {
                     ctx.tile_regs_release();
                     ctx.cb_pop_front(cb_index::IN0, 1);
                 }
+                Ok(())
             })),
         );
         let writer = p.add_data_movement_kernel(
             "writer",
             cores.clone(),
             NocId::Noc1,
-            Arc::new(async move |ctx: &mut DataMovementCtx| {
+            Arc::new(async move |ctx: &mut DataMovementCtx| -> Result<()> {
                 let start = ctx.arg(0) as usize;
                 let count = ctx.arg(1) as usize;
                 for page in start..start + count {
-                    ctx.write_cb_to_page(cb_index::OUT0, outref, page).await;
+                    ctx.write_cb_to_page(cb_index::OUT0, outref, page).await?;
                     ctx.mark_unit_complete();
                 }
+                Ok(())
             }),
         );
 
@@ -603,76 +588,65 @@ mod tests {
         assert_eq!(dev.l1_used(CoreCoord::new(0, 0)), 0);
     }
 
-    #[test]
-    fn kernel_panic_becomes_fault_and_unblocks_pipeline() {
-        let dev = device();
-        let mut q = CommandQueue::new(Arc::clone(&dev));
+    /// A one-core program whose producer returns a device fault at once,
+    /// before pushing anything its consumer waits for.
+    fn dying_producer_program() -> Program {
         let cores = CoreRangeSet::first_n(1, 8);
         let mut p = Program::new();
         let cb_cfg = CircularBufferConfig::new(2, DataFormat::Float32);
         p.add_circular_buffer(cores.clone(), cb_index::IN0, cb_cfg);
-
-        // The consumer waits forever on a producer that dies immediately.
         p.add_data_movement_kernel(
             "dying-producer",
             cores.clone(),
             NocId::Noc0,
-            Arc::new(async |_ctx: &mut DataMovementCtx| panic!("injected failure")),
-        );
-        p.add_compute_kernel(
-            "blocked-consumer",
-            cores.clone(),
-            DataFormat::Float32,
-            Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| {
-                ctx.cb_wait_front(cb_index::IN0, 1).await;
-            })),
-        );
-
-        let err = q.enqueue_program(&p).unwrap_err();
-        match err {
-            LaunchError::KernelPanic { message, .. } => {
-                assert!(message.contains("injected failure"), "{message}");
-            }
-            other => panic!("expected KernelPanic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn kernel_panic_is_classified_with_core_and_phase() {
-        let dev = device();
-        let mut q = CommandQueue::new(Arc::clone(&dev));
-        let cores = CoreRangeSet::first_n(1, 8);
-        let mut p = Program::new();
-        p.add_circular_buffer(
-            cores.clone(),
-            cb_index::IN0,
-            CircularBufferConfig::new(2, DataFormat::Float32),
-        );
-        p.add_data_movement_kernel(
-            "dying-producer",
-            cores.clone(),
-            NocId::Noc0,
-            Arc::new(async |_ctx: &mut DataMovementCtx| panic!("injected failure")),
+            Arc::new(async |_ctx: &mut DataMovementCtx| -> Result<()> {
+                Err(TensixError::DramEccUncorrectable { page: 7 })
+            }),
         );
         p.add_compute_kernel(
             "blocked-consumer",
             cores,
             DataFormat::Float32,
-            Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| {
+            Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| -> Result<()> {
                 ctx.cb_wait_front(cb_index::IN0, 1).await;
+                Ok(())
             })),
         );
+        p
+    }
 
-        let err = q.enqueue_program(&p).unwrap_err();
-        match &err {
-            LaunchError::KernelPanic { kernel, message, .. } => {
-                assert_eq!(kernel, "dying-producer");
-                assert!(message.contains("injected failure"));
+    /// The consumer waits forever on a producer that faults immediately:
+    /// the launch reports the producer's fault, not a deadlock of its
+    /// victim, and the queue stays usable.
+    #[test]
+    fn kernel_fault_becomes_launch_error_and_unblocks_pipeline() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let err = q.enqueue_program(&dying_producer_program()).unwrap_err();
+        match err {
+            LaunchError::KernelFault { error, .. } => {
+                assert_eq!(error, TensixError::DramEccUncorrectable { page: 7 });
             }
-            other => panic!("expected KernelPanic, got {other:?}"),
+            other => panic!("expected KernelFault, got {other:?}"),
+        }
+        assert_eq!(dev.l1_used(CoreCoord::new(0, 0)), 0, "teardown frees the CBs' L1");
+        q.enqueue_program(&Program::new()).unwrap();
+    }
+
+    #[test]
+    fn kernel_fault_is_classified_with_core_and_phase() {
+        let dev = device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let err = q.enqueue_program(&dying_producer_program()).unwrap_err();
+        match &err {
+            LaunchError::KernelFault { kernel, error, .. } => {
+                assert_eq!(kernel, "dying-producer");
+                assert_eq!(*error, TensixError::DramEccUncorrectable { page: 7 });
+            }
+            other => panic!("expected KernelFault, got {other:?}"),
         }
         assert_eq!(err.faulting_core(), Some(CoreCoord::new(0, 0)));
-        assert_eq!(err.phase(), "panic");
+        assert_eq!(err.phase(), "fault");
         assert!(err.is_transient());
     }
 
@@ -882,11 +856,12 @@ mod tests {
                 "camper",
                 CoreRangeSet::first_n(2, 8),
                 NocId::Noc0,
-                Arc::new(async move |ctx: &mut DataMovementCtx| {
+                Arc::new(async move |ctx: &mut DataMovementCtx| -> Result<()> {
                     // Core x reads only pages on channel x.
                     for i in 0..READS {
-                        let _ = ctx.noc_async_read_tile(inref, ctx.core().x + 6 * i);
+                        ctx.noc_async_read_tile(inref, ctx.core().x + 6 * i)?;
                     }
+                    Ok(())
                 }),
             );
             q.enqueue_program(&p).unwrap();
@@ -919,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn uncorrectable_dram_ecc_error_is_reported_as_panic() {
+    fn uncorrectable_dram_ecc_error_is_reported_as_kernel_fault() {
         let dev = Device::new(
             0,
             DeviceConfig {
@@ -941,13 +916,101 @@ mod tests {
         let p = doubling_program(CoreRangeSet::first_n(1, 8), &input, &output, n_tiles);
         let err = q.enqueue_program(&p).unwrap_err();
         match &err {
-            LaunchError::KernelPanic { kernel, message, .. } => {
+            LaunchError::KernelFault { kernel, error, .. } => {
                 assert_eq!(kernel, "reader");
-                assert!(message.contains("uncorrectable DRAM ECC"), "{message}");
+                assert_eq!(*error, TensixError::DramEccUncorrectable { page: 0 });
             }
-            other => panic!("expected KernelPanic, got {other:?}"),
+            other => panic!("expected KernelFault, got {other:?}"),
         }
         assert!(dev.faults().stats().dram_uncorrectable >= 1);
+    }
+
+    /// A device whose every NoC transaction fails, retransmit included.
+    fn noc_failing_device() -> Arc<Device> {
+        let faults = FaultConfig { noc_transient_prob: 1.0, ..FaultConfig::default() };
+        Device::new(0, DeviceConfig { faults, seed: 3, ..DeviceConfig::default() })
+    }
+
+    /// The reader's first read fails its retransmit: the launch reports the
+    /// NoC failure by the call that raised it, counted once.
+    #[test]
+    fn failed_noc_read_is_a_kernel_fault() {
+        let dev = noc_failing_device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let input = Buffer::new(&dev, DataFormat::Float32, 2).unwrap();
+        let output = Buffer::new(&dev, DataFormat::Float32, 2).unwrap();
+        let p = doubling_program(CoreRangeSet::first_n(1, 8), &input, &output, 2);
+        match q.enqueue_program(&p).unwrap_err() {
+            LaunchError::KernelFault { kernel, error, .. } => {
+                assert_eq!(kernel, "reader");
+                assert_eq!(
+                    error,
+                    TensixError::NocTransactionFailed { context: "noc_async_read_tile" }
+                );
+            }
+            other => panic!("expected KernelFault, got {other:?}"),
+        }
+        assert_eq!(dev.faults().stats().noc_failures, 1);
+    }
+
+    #[test]
+    fn failed_noc_write_is_a_kernel_fault() {
+        let dev = noc_failing_device();
+        let mut q = CommandQueue::new(Arc::clone(&dev));
+        let output = Buffer::new(&dev, DataFormat::Float32, 1).unwrap();
+        let outref = output.reference();
+        let mut p = Program::new();
+        p.add_data_movement_kernel(
+            "write-only",
+            CoreRangeSet::first_n(1, 8),
+            NocId::Noc1,
+            Arc::new(async move |ctx: &mut DataMovementCtx| -> Result<()> {
+                ctx.noc_async_write_tile(outref, 0, &Tile::zeros(DataFormat::Float32))
+            }),
+        );
+        match q.enqueue_program(&p).unwrap_err() {
+            LaunchError::KernelFault { kernel, error, .. } => {
+                assert_eq!(kernel, "write-only");
+                assert_eq!(
+                    error,
+                    TensixError::NocTransactionFailed { context: "noc_async_write_tile" }
+                );
+            }
+            other => panic!("expected KernelFault, got {other:?}"),
+        }
+        assert_eq!(dev.faults().stats().noc_failures, 1);
+    }
+
+    /// One transient NoC error whose retransmit succeeds costs the transfer
+    /// again and nothing else: the launch lands with the right output.
+    #[test]
+    fn one_noc_transient_costs_one_retransmit() {
+        let run = |transient: bool| {
+            let dev = device();
+            if transient {
+                dev.faults().schedule(FaultClass::NocTransient, 1);
+            }
+            let mut q = CommandQueue::new(Arc::clone(&dev));
+            let n_tiles = 3usize;
+            let input = Buffer::new(&dev, DataFormat::Float32, n_tiles).unwrap();
+            let output = Buffer::new(&dev, DataFormat::Float32, n_tiles).unwrap();
+            let tiles: Vec<Tile> =
+                (0..n_tiles).map(|i| Tile::splat(DataFormat::Float32, i as f32)).collect();
+            q.enqueue_write_buffer(&input, &tiles).unwrap();
+            let p = doubling_program(CoreRangeSet::first_n(1, 8), &input, &output, n_tiles);
+            let report = q.enqueue_program(&p).unwrap();
+            let out = q.enqueue_read_buffer(&output).unwrap();
+            for (i, tile) in out.iter().enumerate() {
+                assert_eq!(tile.get(0, 0), 2.0 * i as f32, "tile {i}");
+            }
+            let cycles: u64 = report.timings.iter().map(|t| t.cycles).sum();
+            (cycles, dev.faults().stats())
+        };
+        let (clean, _) = run(false);
+        let (retransmitted, stats) = run(true);
+        assert!(retransmitted > clean, "{retransmitted} vs {clean} cycles");
+        assert_eq!(stats.noc_transients, 1);
+        assert_eq!(stats.noc_failures, 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Cross-crate substrate behaviour under the real force program: circular
-//! buffer back-pressure, dst-capacity faults surfacing as kernel faults, L1
+//! buffer back-pressure, dst-capacity overflows panicking the launch, L1
 //! exhaustion, and device reset semantics.
 
 use std::sync::Arc;
@@ -27,36 +27,38 @@ fn force_program_survives_minimal_cb_depths() {
     assert_eq!(device.noc().total_bytes(), (19 * 4096) as u64);
 }
 
+/// A dst overflow is a kernel bug, not a device fault: the launch panics
+/// instead of hanging or returning a retryable error. It runs on its own
+/// thread so the test sees the panic as the launch's outcome.
 #[test]
 fn dst_overflow_in_a_kernel_is_a_fault_not_a_hang() {
-    let device = Device::new(0, DeviceConfig::default());
-    let mut queue = CommandQueue::new(Arc::clone(&device));
-    let cores = CoreRangeSet::first_n(1, 8);
-    let mut p = Program::new();
-    p.add_circular_buffer(
-        cores.clone(),
-        cb_index::IN0,
-        CircularBufferConfig::new(1, DataFormat::Float32),
-    );
-    p.add_compute_kernel(
-        "dst-overflow",
-        cores,
-        DataFormat::Float32,
-        Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| {
-            ctx.tile_regs_acquire();
-            for i in 0..9 {
-                // FP32 capacity is 8: the 9th write must fault.
-                ctx.fill_tile(i, 1.0);
-            }
-        })),
-    );
-    let err = queue.enqueue_program(&p).unwrap_err();
-    match err {
-        LaunchError::KernelPanic { message, .. } => {
-            assert!(message.contains("dst"), "fault should mention dst: {message}");
-        }
-        other => panic!("expected KernelPanic, got {other:?}"),
-    }
+    let launch = std::thread::spawn(|| {
+        let device = Device::new(0, DeviceConfig::default());
+        let mut queue = CommandQueue::new(Arc::clone(&device));
+        let cores = CoreRangeSet::first_n(1, 8);
+        let mut p = Program::new();
+        p.add_circular_buffer(
+            cores.clone(),
+            cb_index::IN0,
+            CircularBufferConfig::new(1, DataFormat::Float32),
+        );
+        p.add_compute_kernel(
+            "dst-overflow",
+            cores,
+            DataFormat::Float32,
+            Arc::new(ComputeFn(async |ctx: &mut ComputeCtx| -> tensix::Result<()> {
+                ctx.tile_regs_acquire();
+                for i in 0..9 {
+                    // FP32 capacity is 8: the 9th write must fault.
+                    ctx.fill_tile(i, 1.0);
+                }
+                Ok(())
+            })),
+        );
+        queue.enqueue_program(&p)
+    });
+    let outcome = launch.join();
+    assert!(outcome.is_err(), "the launch returned instead of panicking: {outcome:?}");
 }
 
 #[test]
