@@ -30,12 +30,15 @@ echo "==> bitwise guards on the release build"
 # optimization decides how they vectorize: run the bitwise-identity
 # properties against the reference forms on the release build too, the
 # end-to-end forces and timing goldens on the code perfbench ships, the
-# partial-redo path's pinned timing, and the allocation budget of a warm
-# one-core evaluation.
+# partial-redo path's pinned timing, the allocation budget of a warm
+# one-core evaluation, and scheduled in-kernel DRAM faults driven through
+# retry: the result stays bitwise identical and the trace keeps its retry
+# marker.
 cargo test --release --offline -p tensix --test vectorized_identity
 cargo test --release --offline -p nbody-tt --test bitwise_goldens
 cargo test --release --offline -p nbody-tt --test partial_redo
 cargo test --release --offline -p nbody-tt --test alloc_budget
+cargo test --release --offline -p tt-nbody --test fault_tolerance --test trace_observability
 
 echo "==> traced --profile smoke"
 # Runs the small-N profiled demo: internally asserts the traced run is
